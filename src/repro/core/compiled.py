@@ -1,9 +1,10 @@
 """The generated-code posting fast path (the ROADMAP's "compile tier").
 
 The interpreter in :mod:`repro.core.posting` pays, per active trigger per
-posting: a ``TriggerState`` decode, a registry lookup, a fresh ``evaluate``
-closure, and :meth:`IntFsm.advance`'s linear transition search plus one
-pseudo-int dictionary hop per mask.  For triggers the ODE4xx pass
+posting: a fresh ``evaluate`` closure and :meth:`IntFsm.advance`'s linear
+transition search plus one pseudo-int dictionary hop per mask (the decode
+and registry lookup are the state store's, once per transaction, in both
+modes).  For triggers the ODE4xx pass
 (:mod:`repro.analysis.compilable`) proves COMPILABLE — pure masks, a
 resolvable free-name environment, a machine small enough to specialize,
 and no immediate action that re-enters posting mid-advance — all of that

@@ -18,28 +18,34 @@ transaction, and implements the Section 5.5 transaction integration:
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
+from repro.core.compiled import global_compiled_tier
 from repro.core.posting import (
-    COMPILED_STATE_CACHE,
     DEPENDENT_LIST,
     END_LIST,
     INDEPENDENT_LIST,
+    STATE_STORE,
+    LockInPlaceStates,
     PostingStats,
+    StateStore,
     TriggerContext,
+    drain,
     post_event,
+    post_many,
     run_action,
+    start_machine,
+    user_event_int,
 )
 from repro.core.trigger_def import TriggerInfo
 from repro.core.trigger_index import TriggerIndex
 from repro.core.trigger_state import TriggerId, TriggerState
 from repro.errors import (
     RecordNotFoundError,
-    TriggerArgumentError,
     TriggerError,
     TriggerNotActiveError,
-    UnknownEventError,
 )
 from repro.objects.oid import PersistentPtr
 from repro.objects.serialize import FLAG_HAS_TRIGGERS
@@ -70,24 +76,31 @@ class TriggerSystem:
         # flag is per-system so a database can opt out (benchmarks use it
         # for interpreted baselines).  Correctness never depends on it:
         # any withheld ODE4xx proof falls back to the interpreter.
-        from repro.core.compiled import global_compiled_tier
-
         self.compiled = global_compiled_tier()
         self.compiled_enabled = True
-        # The trigger-state concurrency-control A/B switch (DESIGN.md §15):
-        # ``None`` means strict 2PL (the baseline — advances X-lock and
-        # rewrite the state record in place); a TriggerVersionManager means
-        # advances buffer against copy-on-write versions and merge at commit.
+        # The trigger-state concurrency-control A/B switch (DESIGN.md §15)
+        # picks each transaction's state store: strict 2PL (the baseline —
+        # advances X-lock and rewrite the record in place), or advances that
+        # buffer against copy-on-write versions and merge at commit.
         self.versions = None
+        self._store_type: type[StateStore] = LockInPlaceStates
         if getattr(db, "trigger_cc", "2pl") == "mvcc":
-            from repro.core.versioned import TriggerVersionManager
+            from repro.core.versioned import AdvanceBuffer, TriggerVersionManager
 
             self.versions = TriggerVersionManager(
                 db, conflict_policy=getattr(db, "mvcc_conflict", "replay")
             )
+            self._store_type = AdvanceBuffer
             if metrics is not None:
                 metrics.register_source("mvcc", self.versions.stats)
         db.txn_manager.on_begin(self._install_hooks)
+
+    def states(self, txn: "Transaction") -> StateStore:
+        """*txn*'s trigger-state store (created on first use)."""
+        store = txn.attachments.get(STATE_STORE)
+        if store is None:
+            store = txn.attachments[STATE_STORE] = self._store_type(self, txn)
+        return store
 
     # -- transaction hook installation ----------------------------------------
 
@@ -110,55 +123,24 @@ class TriggerSystem:
         start-state masks), and index it.
         """
         txn = db.txn_manager.current()
-        if len(args) != len(info.params):
-            raise TriggerArgumentError(
-                f"trigger {info.defining_type}.{info.name} takes "
-                f"{len(info.params)} argument(s) {info.params}, got {len(args)}"
-            )
         handle = db.deref(ptr)
-        defining_meta = db.registry.find(info.defining_type)
-        defining_cls = defining_meta.pyclass
+        defining_cls = db.registry.find(info.defining_type).pyclass
         if not isinstance(handle.obj, defining_cls):
             raise TriggerError(
                 f"trigger {info.name} is defined by {info.defining_type}; "
                 f"{type(handle.obj).__name__} is not derived from it"
             )
-        params = dict(zip(info.params, args))
+        params, statenum = start_machine(self.stats, info, handle.obj, args)
         tstate = TriggerState(
             triggernum=info.triggernum,
             trigobj=ptr,
-            statenum=info.fsm.start,
+            statenum=statenum,
             trigobjtype=info.defining_type,
             params=params,
         )
-
-        def evaluate(mask_name: str) -> bool:
-            from repro.core.posting import NULL_OCCURRENCE
-
-            # Activation-time quiescing, not posting: counted separately so
-            # per-posting overhead numbers (E3) stay honest.
-            self.stats.masks_evaluated_activation += 1
-            outcome = bool(info.masks[mask_name](handle.obj, params, NULL_OCCURRENCE))
-            if obs.ENABLED:
-                obs.emit(
-                    "mask.eval",
-                    mask=mask_name,
-                    trigger=info.name,
-                    outcome=outcome,
-                    phase="activation",
-                )
-            return outcome
-
-        tstate.statenum, _ = info.fsm.quiesce(tstate.statenum, evaluate)
         state_rid = db.storage.insert(txn.txid, tstate.encode())
         self.index.add(txn, ptr.rid, state_rid)
-        if self.versions is not None:
-            # Same-transaction postings must find this machine in the
-            # advance buffer (its record is uncommitted, so the version
-            # chain cannot be loaded from storage yet).
-            self.versions.register_fresh(
-                txn, state_rid, tstate, info, defining_meta, handle.obj
-            )
+        self.states(txn).adopt(state_rid, tstate, handle.obj)
         if obs.ENABLED:
             obs.emit(
                 "trigger.activate",
@@ -177,22 +159,16 @@ class TriggerSystem:
         """Remove an active trigger (paper ``deactivate(TriggerId)``)."""
         db = self.db
         txn = db.txn_manager.current()
+        store = self.states(txn)
         try:
-            raw = db.storage.read(txn.txid, trigger_id.rid)
+            tstate = store.read(trigger_id.rid)
         except RecordNotFoundError:
             if missing_ok:
                 return
             raise TriggerNotActiveError(f"{trigger_id!r} is not active") from None
-        tstate = TriggerState.decode(raw)
         remaining = self.index.remove(txn, tstate.trigobj.rid, trigger_id.rid)
         db.storage.delete(txn.txid, trigger_id.rid)
-        # Storage may reuse the freed rid within this very transaction; a
-        # stale compiled-cache entry would then advance a dead machine.
-        compiled_cache = txn.attachments.get(COMPILED_STATE_CACHE)
-        if compiled_cache:
-            compiled_cache.pop(trigger_id.rid, None)
-        if self.versions is not None:
-            self.versions.mark_deactivated(txn, trigger_id.rid)
+        store.forget(trigger_id.rid)
         if remaining == 0:
             try:
                 handle = db.deref(tstate.trigobj)
@@ -208,22 +184,9 @@ class TriggerSystem:
         """The triggers currently active on the object at *ptr*."""
         txn = self.db.txn_manager.current()
         result = []
-        buffer = None
-        if self.versions is not None:
-            from repro.core.versioned import ADVANCE_BUFFER
-
-            buffer = txn.attachments.get(ADVANCE_BUFFER)
+        read = self.states(txn).read
         for state_rid in self.index.lookup(txn, ptr.rid):
-            entry = buffer.entries.get(state_rid) if buffer is not None else None
-            if entry is not None:
-                # This transaction's own buffered advances are visible to
-                # it (read-your-writes); clone so callers can't mutate the
-                # working copy.
-                tstate = entry.state.clone()
-            else:
-                tstate = TriggerState.decode(
-                    self.db.storage.read(txn.txid, state_rid)
-                )
+            tstate = read(state_rid)
             info = self.db.registry.find(tstate.trigobjtype).trigger_info(
                 tstate.triggernum
             )
@@ -289,16 +252,13 @@ class TriggerSystem:
     def on_pdelete(self, db: "Database", ptr: PersistentPtr) -> None:
         """Deactivate everything anchored at a deleted object."""
         txn = db.txn_manager.current()
-        compiled_cache = txn.attachments.get(COMPILED_STATE_CACHE)
+        forget = self.states(txn).forget
         for state_rid in self.index.drop_all(txn, ptr.rid):
             try:
                 db.storage.delete(txn.txid, state_rid)
             except RecordNotFoundError:
                 pass
-            if compiled_cache:
-                compiled_cache.pop(state_rid, None)
-            if self.versions is not None:
-                self.versions.mark_deactivated(txn, state_rid)
+            forget(state_rid)
 
     # -- firing-order guard (DESIGN.md §9) ---------------------------------------
 
@@ -362,43 +322,27 @@ class TriggerSystem:
         self, db: "Database", ptr: PersistentPtr, obj: "Persistent", name: str
     ) -> int:
         """Explicitly post a declared user-defined event by name."""
-        metatype = type(obj).__metatype__
-        for decl in metatype.declared_events:
-            if decl.kind == "user" and decl.name == name:
-                return post_event(self, db, metatype.event_ints[decl.symbol], ptr, obj)
-        raise UnknownEventError(
-            f"{metatype.name} declares no user-defined event {name!r}"
-        )
+        eventnum = user_event_int(type(obj).__metatype__, name)
+        return post_event(self, db, eventnum, ptr, obj)
 
     def post_many(self, db: "Database", items) -> int:
         """Post a batch of user-defined events by name; returns firings.
 
-        *items* is an iterable of ``(ptr, obj, event_name)``.  Event
-        names resolve to event integers once per metatype for the whole
-        batch; names are validated for every item up front, so an
-        unknown event aborts the call before anything is posted.  The
+        *items* is an iterable of ``(ptr, obj, event_name)``.  Each
+        distinct (metatype, name) resolves to its event integer once for
+        the whole batch; names are validated for every item up front, so
+        an unknown event aborts the call before anything is posted.  The
         postings themselves go through :func:`repro.core.posting
         .post_many`, which amortizes the per-posting fixed costs.
         """
-        from repro.core.posting import post_many
-
-        tables: dict[int, dict[str, int]] = {}
+        resolved: dict[tuple[int, str], int] = {}
         batch = []
         for ptr, obj, name in items:
             metatype = type(obj).__metatype__
-            table = tables.get(id(metatype))
-            if table is None:
-                table = {
-                    decl.name: metatype.event_ints[decl.symbol]
-                    for decl in metatype.declared_events
-                    if decl.kind == "user"
-                }
-                tables[id(metatype)] = table
-            eventnum = table.get(name)
+            key = (id(metatype), name)
+            eventnum = resolved.get(key)
             if eventnum is None:
-                raise UnknownEventError(
-                    f"{metatype.name} declares no user-defined event {name!r}"
-                )
+                eventnum = resolved[key] = user_event_int(metatype, name)
             batch.append((eventnum, ptr, obj, None))
         return post_many(self, db, batch)
 
@@ -435,15 +379,12 @@ class TriggerSystem:
         end_list = txn.attachment(END_LIST, list)
         if obs.ENABLED and end_list:
             obs.emit("txn.drain", list="end", txid=txn.txid, queued=len(end_list))
-        while end_list:
-            record = end_list.pop(0)
-            run_action(self, self.db, txn, record)
+        run = functools.partial(run_action, self, self.db, txn)
+        drain(end_list, run)
         # 2. Post before tcomplete right before the commit proper.
         self._post_tx_event(txn, "tcomplete")
         # A tcomplete trigger may have queued further end actions.
-        while end_list:
-            record = end_list.pop(0)
-            run_action(self, self.db, txn, record)
+        drain(end_list, run)
 
     def _before_abort(self, txn: "Transaction") -> None:
         self._post_tx_event(txn, "tabort")

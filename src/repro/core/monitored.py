@@ -29,16 +29,23 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
-from repro.core.posting import PostingStats, TriggerContext
-from repro.core.trigger_def import CouplingMode, TriggerInfo
-from repro.errors import (
-    TriggerArgumentError,
-    TriggerError,
-    TriggerNotActiveError,
-    UnknownEventError,
+from repro.core.compiled import global_compiled_tier
+from repro.core.posting import (
+    EventOccurrence,
+    Machine,
+    PostingStats,
+    TriggerContext,
+    VolatileStates,
+    advance_all,
+    drain,
+    serving_tier,
+    start_machine,
+    user_event_int,
 )
+from repro.core.trigger_def import CouplingMode, TriggerInfo
+from repro.errors import TriggerError, TriggerNotActiveError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
@@ -71,7 +78,6 @@ class LocalTriggerState:
     obj: Any
     statenum: int
     params: dict[str, Any]
-    active: bool = True
 
 
 class MonitoredHandle:
@@ -101,8 +107,6 @@ class MonitoredHandle:
 
             @functools.wraps(method)
             def call(*args: Any, **kwargs: Any) -> Any:
-                from repro.core.posting import EventOccurrence
-
                 if before is not None:
                     self._system.post(
                         self._obj,
@@ -135,16 +139,16 @@ class LocalTriggerSystem:
     """Transient trigger states for volatile objects — zero storage cost."""
 
     def __init__(self, db: "Database | None" = None):
-        self._states: dict[int, LocalTriggerState] = {}
+        #: local id -> Machine whose ``state`` is a :class:`LocalTriggerState`
+        self._states: dict[int, Machine] = {}
+        self._store = VolatileStates(self._states)
         self._by_obj: dict[int, list[int]] = {}
         self._next_id = 1
-        self._end_list: list[tuple[LocalTriggerState, TriggerInfo]] = []
+        self._end_list: list[LocalTriggerState] = []
         self.stats = PostingStats()
         # Local states live in memory, so the compiled tier only saves the
         # dispatch work — but it is the same artifact cache and the same
         # ODE4xx gate as the persistent path (DESIGN.md §14).
-        from repro.core.compiled import global_compiled_tier
-
         self.compiled = global_compiled_tier()
         self.compiled_enabled = True
         self.db = db
@@ -153,7 +157,7 @@ class LocalTriggerSystem:
             db.txn_manager.on_begin(self._install_hooks)
 
     def _install_hooks(self, txn) -> None:
-        txn.before_commit.append(lambda t: self._drain_end_list())
+        txn.before_commit.append(lambda t: self.drain_end_list())
         txn.after_commit.append(lambda t: self.clear())
         txn.after_abort.append(lambda t: self.clear())
 
@@ -175,38 +179,20 @@ class LocalTriggerSystem:
                 f"local rules support immediate/end coupling only, not "
                 f"{info.coupling.value} (detached modes need transactions)"
             )
-        if len(args) != len(info.params):
-            raise TriggerArgumentError(
-                f"trigger {info.name} takes {len(info.params)} argument(s), "
-                f"got {len(args)}"
-            )
-        params = dict(zip(info.params, args))
-        state = LocalTriggerState(
-            local_id=self._next_id,
-            info=info,
-            obj=obj,
-            statenum=info.fsm.start,
-            params=params,
-        )
+        params, statenum = start_machine(self.stats, info, obj, args)
+        state = LocalTriggerState(self._next_id, info, obj, statenum, params)
         self._next_id += 1
-
-        def evaluate(mask: str) -> bool:
-            from repro.core.posting import NULL_OCCURRENCE
-
-            self.stats.masks_evaluated_activation += 1
-            return bool(info.masks[mask](obj, params, NULL_OCCURRENCE))
-
-        state.statenum, _ = info.fsm.quiesce(state.statenum, evaluate)
-        self._states[state.local_id] = state
+        machine = self._states[state.local_id] = Machine(state.local_id, state)
+        machine.info = info
+        machine.defining = getattr(type(obj), "__metatype__", None)
         self._by_obj.setdefault(id(obj), []).append(state.local_id)
         return state.local_id
 
     def deactivate(self, local_id: int) -> None:
-        state = self._states.pop(local_id, None)
-        if state is None:
+        machine = self._states.pop(local_id, None)
+        if machine is None:
             raise TriggerNotActiveError(f"local trigger {local_id} is not active")
-        state.active = False
-        owners = self._by_obj.get(id(state.obj), [])
+        owners = self._by_obj.get(id(machine.state.obj), [])
         if local_id in owners:
             owners.remove(local_id)
 
@@ -225,8 +211,6 @@ class LocalTriggerSystem:
 
     def post(self, obj: Any, eventnum: int, occurrence=None) -> int:
         """Post a basic event integer to a volatile object."""
-        from repro.core.posting import EventOccurrence
-
         if occurrence is None:
             occurrence = EventOccurrence(eventnum=eventnum)
         self.stats.events_posted += 1
@@ -234,61 +218,25 @@ class LocalTriggerSystem:
         if not local_ids:
             self.stats.skipped_no_triggers += 1
             return 0
-        ready: list[LocalTriggerState] = []
-        tier = self.compiled if self.compiled_enabled else None
-        for local_id in list(local_ids):
-            state = self._states[local_id]
-            info = state.info
-
-            if tier is not None:
-                advance = tier.advancer_for(
-                    info, getattr(type(state.obj), "__metatype__", None)
-                )
-                if advance is not None:
-                    new_state, _consumed, accepted, steps = advance(
-                        state.statenum, eventnum, state.obj, state.params, occurrence
-                    )
-                    self.stats.fsm_advances += 1
-                    self.stats.masks_evaluated_posting += steps
-                    self.stats.compiled_hits += 1
-                    state.statenum = new_state
-                    if accepted:
-                        ready.append(state)
-                    continue
-                self.stats.compiled_fallbacks += 1
-
-            def evaluate(mask: str, _info=info, _state=state) -> bool:
-                self.stats.masks_evaluated_posting += 1
-                return bool(
-                    _info.masks[mask](_state.obj, _state.params, occurrence)
-                )
-
-            result = info.fsm.advance(state.statenum, eventnum, evaluate)
-            self.stats.fsm_advances += 1
-            state.statenum = result.state  # in-memory: no write lock, no log
-            if result.accepted:
-                ready.append(state)
-        for state in ready:
-            self._fire(state)
+        # The same kernel as persistent posting, over in-memory states: no
+        # write lock, no log.  Fire only after every rule has seen the event.
+        ready = advance_all(
+            self.stats, serving_tier(self), self._store, list(local_ids),
+            eventnum, obj, occurrence,
+        )
+        for machine in ready:
+            state = machine.state
+            if state.info.coupling is CouplingMode.END:
+                self._end_list.append(state)
+            else:
+                self._run(state)
             self.stats.firings += 1
         return len(ready)
 
     def post_user_event(self, obj: Any, name: str) -> int:
-        metatype = type(obj).__metatype__
-        for decl in metatype.declared_events:
-            if decl.kind == "user" and decl.name == name:
-                return self.post(obj, metatype.event_ints[decl.symbol])
-        raise UnknownEventError(
-            f"{metatype.name} declares no user-defined event {name!r}"
-        )
+        return self.post(obj, user_event_int(type(obj).__metatype__, name))
 
     # -- firing ----------------------------------------------------------------------
-
-    def _fire(self, state: LocalTriggerState) -> None:
-        if state.info.coupling is CouplingMode.END:
-            self._end_list.append((state, state.info))
-            return
-        self._run(state)
 
     def _run(self, state: LocalTriggerState) -> None:
         ctx = TriggerContext(
@@ -304,12 +252,11 @@ class LocalTriggerSystem:
         if not state.info.perpetual and state.local_id in self._states:
             self.deactivate(state.local_id)
 
-    def _drain_end_list(self) -> None:
-        while self._end_list:
-            state, _ = self._end_list.pop(0)
+    def drain_end_list(self) -> None:
+        """Run queued end-mode local actions (commit does; standalone use must)."""
+
+        def run(state: LocalTriggerState) -> None:
             if state.local_id in self._states or not state.info.perpetual:
                 self._run(state)
 
-    def drain_end_list(self) -> None:
-        """Run queued end-mode local actions (for standalone use)."""
-        self._drain_end_list()
+        drain(self._end_list, run)

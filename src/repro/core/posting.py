@@ -6,13 +6,7 @@ Posting a basic event to an object:
    active triggers (footnote 3) — the common, cheap case.
 2. Look up the object's active ``TriggerState`` records in the trigger
    index.
-3. For each, resolve the ``TriggerInfo`` through ``trigobjtype`` (needed
-   because an object can carry active triggers from several base classes),
-   advance its integer-keyed FSM — evaluating masks and feeding the
-   ``True``/``False`` pseudo-events until quiescent — and, when the state
-   changed, write the TriggerState back (acquiring a **write lock**: this
-   is the "triggers turn read access into write access" effect of
-   Section 6 that experiment E6 measures).
+3. Advance each one's integer-keyed FSM and record where it now stands.
 4. Only after *all* active triggers have seen the event are the ready ones
    fired — "to prevent the action of one trigger from affecting the mask of
    another trigger".  Immediate triggers run now (sequentially, in
@@ -20,6 +14,15 @@ Posting a basic event to an object:
    unspecified order which maintains the conceptual semantics"); the other
    coupling modes queue onto the transaction's end / dependent /
    !dependent lists, processed by the commit and abort paths.
+
+One kernel over one seam.  Steps 1, 2 and 4 are :func:`_post`, the loop
+behind :func:`post_event` (a batch of one) and :func:`post_many`; step 3
+is :func:`advance_all`, the only place a machine steps, which the MVCC
+commit-time replay and local rules call too.  What differs between those
+modes is *where the state lives*, and that is the seam: a
+:class:`StateStore` — :class:`LockInPlaceStates` (strict 2PL),
+:class:`~repro.core.versioned.AdvanceBuffer` (MVCC) or
+:class:`VolatileStates` (local rules, replay).  DESIGN.md §14.
 """
 
 from __future__ import annotations
@@ -29,13 +32,15 @@ from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
+from repro.core.compiled import schema_version
 from repro.core.trigger_def import CouplingMode, TriggerInfo
 from repro.core.trigger_state import TriggerState
-from repro.errors import TransactionAbort
+from repro.errors import TransactionAbort, TriggerArgumentError, UnknownEventError
 from repro.objects.oid import PersistentPtr
 from repro.objects.serialize import FLAG_HAS_TRIGGERS
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.compiled import CompiledTier
     from repro.core.manager import TriggerSystem
     from repro.objects.database import Database
     from repro.objects.persistent import Persistent
@@ -44,15 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover
 END_LIST = "trigger:end_list"
 DEPENDENT_LIST = "trigger:dependent_list"
 INDEPENDENT_LIST = "trigger:independent_list"
-#: Per-transaction cache backing the compiled fast path: state_rid ->
-#: (decoded TriggerState, TriggerInfo, generated advance).  Sound under
-#: two-phase locking — the first ``storage.read`` of a state record takes
-#: a shared lock held to commit, so within one transaction nobody else
-#: can change it, and our own writes go through the cached object.  The
-#: cache dies with the transaction, so aborts need no special handling.
-#: The reserved ``"!v"`` entry (rids are ints, so no collision) pins the
-#: compile-tier schema version the cache was built against.
-COMPILED_STATE_CACHE = "trigger:compiled_states"
+#: Per-transaction attachment key of the transaction's :class:`StateStore`.
+STATE_STORE = "trigger:state_store"
 
 
 class FrozenKwargs(Mapping):
@@ -192,6 +190,10 @@ class PostingStats:
     masks_evaluated_posting: int = 0
     #: masks evaluated while quiescing a freshly activated machine
     masks_evaluated_activation: int = 0
+    #: firings whose dispatch *returned*: an immediate action that
+    #: ``tabort``s (the paper's ``DenyCredit``) unwinds through the
+    #: posting loop and is not counted; a queued firing is counted when
+    #: queued.  The benchmark's ``cards_disk`` oracle pins this meaning.
     firings: int = 0
     #: events posted through the :func:`post_many` batch API
     batched: int = 0
@@ -221,249 +223,272 @@ class PostingStats:
         return {k: v - before.get(k, 0) for k, v in self.snapshot().items()}
 
 
-def post_event(
-    system: "TriggerSystem",
-    db: "Database",
-    eventnum: int,
-    ptr: PersistentPtr,
-    obj: "Persistent",
-    occurrence: EventOccurrence | None = None,
-) -> int:
-    """Post one basic event integer to one object; returns #firings queued."""
-    if occurrence is None:
-        occurrence = EventOccurrence(eventnum=eventnum)
-    stats = system.stats
-    stats.events_posted += 1
-    span = 0
-    if obs.ENABLED:
-        span = obs.begin_span(
-            "post",
-            eventnum=eventnum,
-            method=occurrence.method,
-            rid=ptr.rid,
-            type=type(obj).__name__,
-            session=db.current_session().name,
-        )
-    # Footnote 3: the persistent object's control information says whether
-    # any triggers are active — if not, no index lookup is required.
-    if not obj.__dict__.get("_p_flags", 0) & FLAG_HAS_TRIGGERS:
-        stats.skipped_no_triggers += 1
-        if span:
-            obs.end_span(span, "post", skipped="no-active-triggers")
-        return 0
+class Machine:
+    """One active trigger at run time: its working ``TriggerState`` plus
+    what the registry and the compile tier resolved for it.
 
-    txn = db.txn_manager.current()
-    state_rids = system.index.lookup(txn, ptr.rid)
-    if span:
-        obs.emit(
-            "index.lookup", span, rid=ptr.rid, txid=txn.txid, states=len(state_rids)
-        )
-    return _post_to_states(
-        system, db, txn, eventnum, ptr, obj, occurrence, state_rids, span
-    )
-
-
-#: "No pre-resolved compiled cache" marker for :func:`_post_to_states` —
-#: ``None`` is a legitimate resolved value (tier disabled).
-_UNSET = object()
-
-
-def _compiled_cache(system: "TriggerSystem", txn: "Transaction"):
-    """Resolve (or clear) the per-transaction compiled-state cache.
-
-    Returns the live cache dict when the compiled tier serves this
-    posting, else ``None`` — and in the latter case drops any stale
-    cache so a later re-enable cannot resurrect a state the interpreter
-    path has since rewritten.
+    ``advance`` is the generated closure (``None``: not asked yet, or proof
+    withheld) and ``version`` the trigger-schema version ``info``,
+    ``defining`` and ``advance`` were resolved against; the kernel resolves
+    them again when it moves, so a class redefined mid-transaction fires
+    neither a stale closure nor a stale action.
     """
-    if system.compiled_enabled and not obs.ENABLED:
-        cache = txn.attachment(COMPILED_STATE_CACHE, dict)
-        version = system.compiled.version
-        if cache.get("!v") != version:
-            cache.clear()
-            cache["!v"] = version
-        return cache
-    stale = txn.attachments.get(COMPILED_STATE_CACHE)
-    if stale:
-        stale.clear()
-    return None
+
+    info = defining = advance = version = None
+
+    def __init__(self, rid: int, state):
+        self.rid = rid
+        self.state = state
 
 
-def _post_to_states(
-    system: "TriggerSystem",
-    db: "Database",
-    txn: "Transaction",
-    eventnum: int,
-    ptr: PersistentPtr,
-    obj: "Persistent",
-    occurrence: EventOccurrence,
-    state_rids: list[int],
-    span: int,
-    cache=_UNSET,
-) -> int:
-    """Advance every machine in *state_rids* on *eventnum*, then fire.
+class StateStore:
+    """Where the machines of one posting scope live — the seam.
 
-    The tail of one posting, after the control-flag check and the
-    trigger-index lookup: :func:`post_event` calls it with a fresh
-    lookup, :func:`post_many` with batch-cached lookups and a
-    pre-resolved compiled-tier *cache*.  Ends *span* and returns the
-    number of firings queued.
+    The kernel reads ``machines`` (key -> working copy already touched),
+    calls :meth:`load` on a miss, :meth:`refresh` when the schema version
+    moved, and :meth:`settle` after an advance that moved the machine —
+    after every advance if ``logs_ignored_events``.  The trigger system
+    calls :meth:`adopt`, :meth:`forget` and :meth:`read`.
     """
-    stats = system.stats
-    ready: list[FiringRecord] = []
 
-    if system.versions is not None:
-        # MVCC (DESIGN.md §15): the advance goes to the per-transaction
-        # buffer over copy-on-write versions — no state record is read
-        # under a lock or written here; the commit-time merge does that.
-        for state_rid in state_rids:
-            record = _advance_buffered(
-                system, db, txn, state_rid, eventnum, obj, occurrence, span
-            )
-            if record is not None:
-                ready.append(record)
-    else:
-        # The compiled fast path: when the tier is enabled and obs is quiet
-        # (tracing wants the interpreter's per-mask events), serve advances
-        # from generated per-trigger code and a per-transaction cache of
-        # decoded states (see _compiled_cache for the staleness rules).
-        if cache is _UNSET:
-            cache = _compiled_cache(system, txn)
+    machines: dict
+    logs_ignored_events = False
 
-        for state_rid in state_rids:
-            entry = cache.get(state_rid) if cache is not None else None
-            if entry is None:
-                raw = db.storage.read(txn.txid, state_rid)
-                tstate = TriggerState.decode(raw)
-                defining = db.registry.find(tstate.trigobjtype)
-                info = defining.trigger_info(tstate.triggernum)
-                if cache is not None:
-                    advance = system.compiled.advancer_for(info, defining)
-                    if advance is not None:
-                        entry = (tstate, info, advance)
-                        cache[state_rid] = entry
-                    else:
-                        stats.compiled_fallbacks += 1
-            else:
-                tstate, info, advance = entry
+    def load(self, key: int, obj: Any) -> Machine:
+        """First touch of *key* in this scope: build its working copy."""
+        raise KeyError(key)
 
-            if entry is not None:
-                old_state = tstate.statenum
-                new_state, consumed, accepted, steps = advance(
-                    old_state, eventnum, obj, tstate.params, occurrence
-                )
-                stats.fsm_advances += 1
-                stats.masks_evaluated_posting += steps
-                stats.compiled_hits += 1
-                if new_state != old_state:
-                    tstate.statenum = new_state
-                    db.storage.write(txn.txid, state_rid, tstate.encode())
-                    stats.state_writes += 1
-                if accepted:
-                    ready.append(
-                        FiringRecord(PersistentPtr(db.name, state_rid), tstate, info)
-                    )
-                continue
+    def refresh(self, machine: Machine) -> None:
+        """Resolve the ``TriggerInfo`` through ``trigobjtype`` — needed
+        because an object can carry triggers from several base classes."""
+        state = machine.state
+        machine.defining = self.db.registry.find(state.trigobjtype)
+        machine.info = machine.defining.trigger_info(state.triggernum)
 
-            def evaluate(mask_name: str, _info=info, _tstate=tstate) -> bool:
-                stats.masks_evaluated_posting += 1
-                outcome = bool(_info.masks[mask_name](obj, _tstate.params, occurrence))
-                if obs.ENABLED:
-                    obs.emit(
-                        "mask.eval",
-                        span,
-                        mask=mask_name,
-                        trigger=_info.name,
-                        outcome=outcome,
-                        phase="posting",
-                    )
-                return outcome
+    def settle(self, machine, old_state, eventnum, occurrence, outcomes, span) -> None:
+        """Make the advance (already in the working copy) as durable as
+        this store is.  *outcomes* is what each evaluated mask said, or
+        ``None`` when the generated closure ran."""
 
-            old_state = tstate.statenum
-            result = info.fsm.advance(old_state, eventnum, evaluate)
-            stats.fsm_advances += 1
-            if span:
-                obs.emit(
-                    "fsm.advance",
-                    span,
-                    trigger=info.name,
-                    from_state=old_state,
-                    to_state=result.state,
-                    consumed=result.consumed,
-                    accepted=result.accepted,
-                    pseudo_steps=result.pseudo_steps,
-                )
-            if result.state != old_state:
-                tstate.statenum = result.state
-                # The write that turns a read-only access into a write lock.
-                db.storage.write(txn.txid, state_rid, tstate.encode())
-                stats.state_writes += 1
-                if span:
-                    obs.emit(
-                        "state.write", span, state_rid=state_rid, trigger=info.name
-                    )
-            if result.accepted:
-                ready.append(
-                    FiringRecord(PersistentPtr(db.name, state_rid), tstate, info)
-                )
+    def adopt(self, rid: int, state: TriggerState, obj: Any) -> None:
+        """A machine this scope just activated (its record is inserted)."""
 
-    # Fire only after every trigger has had the basic event posted.  When
-    # more than one detection completed on the same posting, consult the
-    # static confluence verdict: non-confluent sets keep the documented
-    # canonical order (activation order, as yielded by the index) and are
-    # counted, so racy schedules are observable in the stats.
-    if len(ready) > 1:
-        ready = system.order_ready(ready, type(obj))
-    for order, record in enumerate(ready):
+    def forget(self, rid: int) -> None:
+        """A machine this scope just deactivated.  Storage may reuse the
+        freed rid within this very transaction; a surviving working copy
+        would then advance a dead machine."""
+        self.machines.pop(rid, None)
+
+
+class LockInPlaceStates(StateStore):
+    """Strict 2PL: a machine's state is its storage record.
+
+    The first touch reads the record and keeps the decoded machine for the
+    rest of the transaction.  Sound under two-phase locking — the read
+    takes a shared lock held to commit, so within one transaction nobody
+    else can change the record, and our own writes go through the cached
+    object.  The store dies with the transaction, so aborts need no
+    special handling.  An advance that moved ``statenum`` rewrites the
+    record, acquiring a **write lock**: the "triggers turn read access
+    into write access" effect of Section 6 that experiment E6 measures.
+    """
+
+    def __init__(self, system: "TriggerSystem", txn: "Transaction"):
+        self.db = system.db
+        self.storage = system.db.storage
+        self.stats = system.stats
+        self.txid = txn.txid
+        self.machines: dict[int, Machine] = {}
+
+    def load(self, rid, obj):
+        machine = self.machines[rid] = Machine(rid, self.read(rid))
+        return machine
+
+    def settle(self, machine, old_state, eventnum, occurrence, outcomes, span):
+        self.storage.write(self.txid, machine.rid, machine.state.encode())
+        self.stats.state_writes += 1
         if span:
             obs.emit(
-                "fire",
-                span,
-                trigger=record.info.name,
-                coupling=record.info.coupling.value,
-                order=order,
+                "state.write", span, state_rid=machine.rid, trigger=machine.info.name
             )
-        dispatch_firing(system, db, txn, record)
-        stats.firings += 1
-    if span:
-        obs.end_span(span, "post", firings=len(ready))
-    return len(ready)
+
+    def read(self, rid: int) -> TriggerState:
+        """The state as this transaction sees it (a copy)."""
+        return TriggerState.decode(self.storage.read(self.txid, rid))
 
 
-def post_many(
-    system: "TriggerSystem",
-    db: "Database",
-    batch,
-) -> int:
-    """Post a batch of events in order; returns total firings queued.
+class VolatileStates(StateStore):
+    """Local rules (Section 8): states are plain memory, so advancing is
+    an assignment — no record, no lock, no log.  Never misses (its owner
+    puts the machines in) and has no registry to ask again."""
 
-    *batch* is an iterable of ``(eventnum, ptr, obj, occurrence)``
-    tuples (``occurrence`` may be ``None``).  Semantically identical to
-    calling :func:`post_event` once per tuple — same advance order, same
-    firing points, same stats — but the fixed per-posting costs are paid
-    once per batch instead:
+    def __init__(self, machines: dict):
+        self.machines = machines
 
-    * one ``txn_manager.current()`` resolution;
-    * one compiled-tier cache probe (2PL) — MVCC advances already cache
-      per machine on their :class:`~repro.core.versioned.BufferEntry`;
-    * one trigger-index lookup per *distinct rid*, via a batch-local
-      ``rid -> state_rids`` cache;
-    * one ``obs.ENABLED`` check for the quiet common case.
+    def refresh(self, machine):
+        pass
 
-    The caches are dropped after any posting that fired: an immediate
-    action can activate or deactivate machines (changing index buckets)
-    and flip obs or the compiled tier, so nothing observed before the
-    firing may be trusted after it.
+
+def start_machine(stats: PostingStats, info: TriggerInfo, obj: Any, args: tuple):
+    """Activation's storage-free half (Section 5.4.1): bind *args* to the
+    trigger's parameters and put the machine in its start state, evaluating
+    any start-state masks.  Returns ``(params, statenum)``."""
+    if len(args) != len(info.params):
+        raise TriggerArgumentError(
+            f"trigger {info.defining_type}.{info.name} takes "
+            f"{len(info.params)} argument(s) {info.params}, got {len(args)}"
+        )
+    params = dict(zip(info.params, args))
+
+    def evaluate(mask_name: str) -> bool:
+        # Activation-time quiescing, not posting: counted separately so
+        # per-posting overhead numbers (E3) stay honest.
+        stats.masks_evaluated_activation += 1
+        outcome = bool(info.masks[mask_name](obj, params, NULL_OCCURRENCE))
+        if obs.ENABLED:
+            obs.emit(
+                "mask.eval",
+                mask=mask_name,
+                trigger=info.name,
+                outcome=outcome,
+                phase="activation",
+            )
+        return outcome
+
+    return params, info.fsm.quiesce(info.fsm.start, evaluate)[0]
+
+
+def serving_tier(system) -> "CompiledTier | None":
+    """The compile tier when it serves this posting, else ``None``: it
+    must be enabled on *system*, and obs must be quiet — tracing wants the
+    interpreter's per-mask events."""
+    return system.compiled if system.compiled_enabled and not obs.ENABLED else None
+
+
+def advance_all(
+    stats: PostingStats,
+    tier: "CompiledTier | None",
+    store: StateStore,
+    keys,
+    eventnum: int,
+    obj: Any,
+    occurrence: EventOccurrence,
+    span: int = 0,
+    replay: Mapping | None = None,
+) -> list[Machine]:
+    """The posting kernel: advance every machine in *keys* on one event
+    and return the ones that accepted, in order.  Nothing fires here.
+
+    With a *tier* a machine runs its generated closure (a withheld ODE4xx
+    proof counts one ``compiled_fallbacks`` per advance); otherwise its
+    integer-keyed FSM is interpreted, evaluating masks and feeding the
+    ``True``/``False`` pseudo-events until quiescent.  *replay* maps mask
+    names to the outcomes recorded when the event was first posted: the
+    interpreter answers from it and evaluates live only what it lacks.
+    """
+    machines = store.machines
+    settle = store.settle
+    log_ignored = store.logs_ignored_events
+    compiled = tier is not None and replay is None
+    version = schema_version()
+    ready: list[Machine] = []
+    # The generated path's counts, flushed once per call (also when a mask
+    # raises): per-machine attribute updates are real money at fan-out 128.
+    hits = steps_taken = 0
+    try:
+        for key in keys:
+            machine = machines.get(key)
+            if machine is None:
+                machine = store.load(key, obj)
+            if machine.version != version:
+                store.refresh(machine)
+                machine.version = version
+                machine.advance = None
+            state = machine.state
+            old_state = state.statenum
+            advance = None
+            if compiled:
+                advance = machine.advance
+                if advance is None:
+                    advance = tier.advancer_for(machine.info, machine.defining)
+                    machine.advance = advance
+                    if advance is None:
+                        stats.compiled_fallbacks += 1
+            if advance is not None:
+                outcomes = None
+                new_state, _consumed, accepted, steps = advance(
+                    old_state, eventnum, obj, state.params, occurrence
+                )
+                steps_taken += steps
+                hits += 1
+            else:
+                info = machine.info
+                outcomes = {}
+
+                def evaluate(mask_name: str) -> bool:
+                    if replay is not None and mask_name in replay:
+                        return replay[mask_name]
+                    stats.masks_evaluated_posting += 1
+                    outcome = bool(info.masks[mask_name](obj, state.params, occurrence))
+                    outcomes[mask_name] = outcome
+                    if obs.ENABLED:
+                        obs.emit(
+                            "mask.eval",
+                            span,
+                            mask=mask_name,
+                            trigger=info.name,
+                            outcome=outcome,
+                            phase="posting",
+                        )
+                    return outcome
+
+                result = info.fsm.advance(old_state, eventnum, evaluate)
+                new_state, accepted = result.state, result.accepted
+                if span:
+                    obs.emit(
+                        "fsm.advance",
+                        span,
+                        trigger=info.name,
+                        from_state=old_state,
+                        to_state=new_state,
+                        consumed=result.consumed,
+                        accepted=accepted,
+                        pseudo_steps=result.pseudo_steps,
+                    )
+                stats.fsm_advances += 1
+            if new_state != old_state or log_ignored:
+                state.statenum = new_state
+                settle(machine, old_state, eventnum, occurrence, outcomes, span)
+            if accepted:
+                ready.append(machine)
+    finally:
+        stats.compiled_hits += hits
+        stats.fsm_advances += hits
+        stats.masks_evaluated_posting += steps_taken
+    return ready
+
+
+def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
+    """The posting loop: per posting, skip on the control bit, look up
+    the object's machines, advance them all, *then* fire.
+
+    What a batch can share — the current transaction and its state store,
+    the serving tier, one index lookup per distinct object, the
+    ``obs.ENABLED`` check — is resolved once and dropped after any posting
+    that fired: an immediate action can activate or deactivate machines
+    (changing index buckets) and flip obs or the compiled tier, so nothing
+    observed before the firing may be trusted after it.
     """
     stats = system.stats
     total = 0
-    txn = None
-    cache = _UNSET
-    index_cache: dict[int, list[int]] = {}
+    txn = store = None
+    tier = serving_tier(system)
     tracing = obs.ENABLED
+    index_cache: dict[int, list[int]] = {}
     for eventnum, ptr, obj, occurrence in batch:
         stats.events_posted += 1
-        stats.batched += 1
+        if batched:
+            stats.batched += 1
         if occurrence is None:
             occurrence = EventOccurrence(eventnum=eventnum)
         span = 0
@@ -475,8 +500,10 @@ def post_many(
                 rid=ptr.rid,
                 type=type(obj).__name__,
                 session=db.current_session().name,
-                batched=True,
+                batched=batched,
             )
+        # Footnote 3: the persistent object's control information says
+        # whether any triggers are active — if not, no index lookup.
         if not obj.__dict__.get("_p_flags", 0) & FLAG_HAS_TRIGGERS:
             stats.skipped_no_triggers += 1
             if span:
@@ -484,150 +511,89 @@ def post_many(
             continue
         if txn is None:
             txn = db.txn_manager.current()
+            store = system.states(txn)
         state_rids = index_cache.get(ptr.rid)
         if state_rids is None:
-            state_rids = system.index.lookup(txn, ptr.rid)
-            index_cache[ptr.rid] = state_rids
+            state_rids = index_cache[ptr.rid] = system.index.lookup(txn, ptr.rid)
         if span:
             obs.emit(
-                "index.lookup",
-                span,
-                rid=ptr.rid,
-                txid=txn.txid,
-                states=len(state_rids),
+                "index.lookup", span, rid=ptr.rid, txid=txn.txid, states=len(state_rids)
             )
-        if cache is _UNSET and system.versions is None:
-            cache = _compiled_cache(system, txn)
-        fired = _post_to_states(
-            system, db, txn, eventnum, ptr, obj, occurrence, state_rids, span,
-            cache=cache,
+        ready = advance_all(
+            stats, tier, store, state_rids, eventnum, obj, occurrence, span
         )
-        total += fired
-        if fired:
+        if ready:
+            # Fire only after every trigger has had the basic event posted
+            # — "to prevent the action of one trigger from affecting the
+            # mask of another trigger".  When more than one detection
+            # completed on the same posting, consult the static confluence
+            # verdict: non-confluent sets keep the documented canonical
+            # order (activation order, as yielded by the index) and are
+            # counted, so racy schedules are observable in the stats.
+            records = [
+                FiringRecord(PersistentPtr(db.name, m.rid), m.state, m.info)
+                for m in ready
+            ]
+            if len(records) > 1:
+                records = system.order_ready(records, type(obj))
+            for order, record in enumerate(records):
+                if span:
+                    obs.emit(
+                        "fire",
+                        span,
+                        trigger=record.info.name,
+                        coupling=record.info.coupling.value,
+                        order=order,
+                    )
+                dispatch_firing(system, db, txn, record)
+                stats.firings += 1
+            total += len(records)
             index_cache.clear()
-            cache = _UNSET
+            tier = serving_tier(system)
             tracing = obs.ENABLED
+        if span:
+            obs.end_span(span, "post", firings=len(ready))
     return total
 
 
-def _advance_buffered(
+def post_event(
     system: "TriggerSystem",
     db: "Database",
-    txn: "Transaction",
-    state_rid: int,
     eventnum: int,
+    ptr: PersistentPtr,
     obj: "Persistent",
-    occurrence: EventOccurrence,
-    span: int,
-) -> FiringRecord | None:
-    """Advance one machine against its per-transaction buffer entry.
+    occurrence: EventOccurrence | None = None,
+) -> int:
+    """Post one basic event integer to one object; returns #firings queued."""
+    return _post(system, db, ((eventnum, ptr, obj, occurrence),), False)
 
-    First touch clones the latest *committed* version of the TriggerState
-    (no lock, no read of uncommitted data — see
-    :meth:`~repro.core.versioned.TriggerVersionManager.committed_head`);
-    later touches reuse the working copy.  Every posted event is appended
-    to the entry's log — including ones the FSM ignored from the current
-    state, because a commit-time replay from a *different* head may
-    consume them.  Returns a :class:`FiringRecord` when the machine
-    accepted, else ``None``.
+
+def post_many(system: "TriggerSystem", db: "Database", batch) -> int:
+    """Post a batch of events in order; returns total firings queued.
+
+    *batch* is an iterable of ``(eventnum, ptr, obj, occurrence)`` tuples
+    (``occurrence`` may be ``None``).  Identical to calling
+    :func:`post_event` once per tuple — same advance order, same firing
+    points, same stats plus ``batched`` — with the fixed per-posting costs
+    paid once per batch (see :func:`_post`).
     """
-    from repro.core.versioned import BufferEntry
+    return _post(system, db, batch, True)
 
-    stats = system.stats
-    versions = system.versions
-    buffer = versions.buffer_of(txn)
-    entry = buffer.entries.get(state_rid)
-    if entry is None:
-        head = versions.committed_head(state_rid)
-        tstate = head.state.clone()
-        defining = db.registry.find(tstate.trigobjtype)
-        info = defining.trigger_info(tstate.triggernum)
-        entry = BufferEntry(
-            base_vid=head.vid, state=tstate, info=info, defining=defining, obj=obj
-        )
-        buffer.entries[state_rid] = entry
-    tstate, info = entry.state, entry.info
 
-    # The compiled tier composes with MVCC: the generated advance is
-    # cached on the entry and re-resolved when the tier's schema version
-    # moves (same staleness rule as the 2PL per-transaction cache).
-    advance = None
-    if system.compiled_enabled and not obs.ENABLED:
-        version = system.compiled.version
-        if entry.advance_version != version:
-            entry.advance = system.compiled.advancer_for(info, entry.defining)
-            entry.advance_version = version
-            if entry.advance is None:
-                stats.compiled_fallbacks += 1
-        advance = entry.advance
+def user_event_int(metatype, name: str) -> int:
+    """The event integer of *metatype*'s declared user-defined event *name*."""
+    for decl in metatype.declared_events:
+        if decl.kind == "user" and decl.name == name:
+            return metatype.event_ints[decl.symbol]
+    raise UnknownEventError(f"{metatype.name} declares no user-defined event {name!r}")
 
-    mask_outcomes: dict[str, bool] = {}
-    old_state = tstate.statenum
-    if advance is not None:
-        new_state, consumed, accepted, steps = advance(
-            old_state, eventnum, obj, tstate.params, occurrence
-        )
-        stats.masks_evaluated_posting += steps
-        stats.compiled_hits += 1
-        tstate.statenum = new_state
-    else:
 
-        def evaluate(mask_name: str) -> bool:
-            stats.masks_evaluated_posting += 1
-            outcome = bool(info.masks[mask_name](obj, tstate.params, occurrence))
-            mask_outcomes[mask_name] = outcome
-            if obs.ENABLED:
-                obs.emit(
-                    "mask.eval",
-                    span,
-                    mask=mask_name,
-                    trigger=info.name,
-                    outcome=outcome,
-                    phase="posting",
-                )
-            return outcome
-
-        result = info.fsm.advance(old_state, eventnum, evaluate)
-        tstate.statenum = result.state
-        accepted = result.accepted
-        if span:
-            obs.emit(
-                "fsm.advance",
-                span,
-                trigger=info.name,
-                from_state=old_state,
-                to_state=result.state,
-                consumed=result.consumed,
-                accepted=result.accepted,
-                pseudo_steps=result.pseudo_steps,
-            )
-    stats.fsm_advances += 1
-    if info.masks and versions.conflict_policy == "replay" and not entry.fresh:
-        # Capture what every remaining mask says *now*: a commit-time
-        # replay from a different head can walk a different DFA path and
-        # ask for masks this advance never reached, and by then the
-        # transaction may have mutated ``obj`` — replay must see the
-        # posting-time outcomes.  Bookkeeping, not posting semantics, so
-        # it stays out of ``masks_evaluated_posting``; a mask that raises
-        # here is left unrecorded (replay falls back to live evaluation).
-        for mask_name, mask in info.masks.items():
-            if mask_name not in mask_outcomes:
-                try:
-                    mask_outcomes[mask_name] = bool(
-                        mask(obj, tstate.params, occurrence)
-                    )
-                except Exception:
-                    pass
-    entry.events.append((eventnum, occurrence, mask_outcomes))
-    # Shared with the chain mutex (MvccStats discipline): posting runs on
-    # concurrent session threads, so the increment must not tear.
-    with versions.stats._mutex:
-        versions.stats.buffered_advances += 1
-    if span and tstate.statenum != old_state:
-        obs.emit("state.buffer", span, state_rid=state_rid, trigger=info.name)
-    if accepted:
-        return FiringRecord(PersistentPtr(db.name, state_rid), tstate, info)
-    return None
+#: Where a detected occurrence waits for its coupling mode's moment.
+_QUEUES = {
+    CouplingMode.END: END_LIST,
+    CouplingMode.DEPENDENT: DEPENDENT_LIST,
+    CouplingMode.INDEPENDENT: INDEPENDENT_LIST,
+}
 
 
 def dispatch_firing(
@@ -640,12 +606,22 @@ def dispatch_firing(
     coupling = record.info.coupling
     if coupling is CouplingMode.IMMEDIATE:
         run_action(system, db, txn, record)
-    elif coupling is CouplingMode.END:
-        txn.attachment(END_LIST, list).append(record)
-    elif coupling is CouplingMode.DEPENDENT:
-        txn.attachment(DEPENDENT_LIST, list).append(record)
-    else:  # CouplingMode.INDEPENDENT
-        txn.attachment(INDEPENDENT_LIST, list).append(record)
+    else:
+        txn.attachment(_QUEUES[coupling], list).append(record)
+
+
+def drain(queue: list, run) -> None:
+    """Run every queued item in order — including items queued while
+    draining — then drop what ran.  One pass by position: ``pop(0)`` per
+    item is quadratic in the queue.  If *run* raises, the items already
+    started are still dropped, so a later drain does not run them twice."""
+    started = 0
+    try:
+        while started < len(queue):
+            started += 1
+            run(queue[started - 1])
+    finally:
+        del queue[:started]
 
 
 def run_action(

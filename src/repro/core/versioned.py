@@ -76,15 +76,21 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro import obs
+from repro.core.posting import (
+    STATE_STORE,
+    Machine,
+    PostingStats,
+    StateStore,
+    VolatileStates,
+    advance_all,
+)
 from repro.core.trigger_state import TriggerState
-from repro.errors import RecordNotFoundError, TriggerStateConflictError
+from repro.errors import TriggerStateConflictError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.manager import TriggerSystem
     from repro.objects.database import Database
     from repro.transactions.txn import Transaction
-
-#: Per-transaction attachment key holding the :class:`AdvanceBuffer`.
-ADVANCE_BUFFER = "trigger:advance_buffer"
 
 #: The selectable lost-update policies.
 CONFLICT_POLICIES = ("replay", "abort")
@@ -174,7 +180,7 @@ class StateVersion:
         return length
 
 
-class BufferEntry:
+class BufferEntry(Machine):
     """One machine's private working copy inside a transaction.
 
     ``state`` is a clone the FSM advances against; ``events`` is the
@@ -191,43 +197,94 @@ class BufferEntry:
     to validate against.
     """
 
-    __slots__ = (
-        "base_vid",
-        "state",
-        "info",
-        "defining",
-        "obj",
-        "events",
-        "fresh",
-        "advance",
-        "advance_version",
-    )
-
-    def __init__(self, *, base_vid, state, info, defining, obj, fresh=False):
+    def __init__(self, rid, state, base_vid, obj, fresh=False):
+        super().__init__(rid, state)
         self.base_vid = base_vid
-        self.state = state
-        self.info = info
-        self.defining = defining
         self.obj = obj
         self.events: list = []
         self.fresh = fresh
-        #: Cached generated advance for the compiled tier (resolved
-        #: lazily, re-validated against the tier's schema version).
-        self.advance = None
-        self.advance_version = None
 
 
-class AdvanceBuffer:
-    """The per-transaction advance buffer (dies with the transaction)."""
+class AdvanceBuffer(StateStore):
+    """The per-transaction advance buffer — the MVCC state store.
 
-    def __init__(self) -> None:
-        self.entries: dict[int, BufferEntry] = {}
+    A posting never reads a state record under a lock and never writes
+    one: the first touch clones the latest *committed* version (see
+    :meth:`TriggerVersionManager.committed_head`), later touches reuse
+    the working copy, and the commit-time merge does the writing.  Dies
+    with the transaction.
+    """
+
+    #: An ignored event is logged too: a commit-time replay from a
+    #: *different* head may consume it.
+    logs_ignored_events = True
+
+    def __init__(self, system: "TriggerSystem", txn: "Transaction"):
+        self.db = system.db
+        self.versions = system.versions
+        self.txid = txn.txid
+        self.machines: dict[int, BufferEntry] = {}
         #: rids this transaction deactivated/deleted; the merge skips
         #: them and publication drops their chains.
         self.deactivated: set[int] = set()
 
     def __bool__(self) -> bool:
-        return bool(self.entries or self.deactivated)
+        return bool(self.machines or self.deactivated)
+
+    def load(self, rid, obj):
+        head = self.versions.committed_head(rid)
+        entry = self.machines[rid] = BufferEntry(rid, head.state.clone(), head.vid, obj)
+        return entry
+
+    def adopt(self, rid, state, obj):
+        # Same-transaction postings must find this machine here: its
+        # record is uncommitted, so no version chain can be loaded for it.
+        # The activation insert already holds the record's X lock; the
+        # merge re-writes it through the normal locked path, and the chain
+        # head is created only if the transaction commits.
+        self.machines[rid] = BufferEntry(rid, state, base_vid=0, obj=obj, fresh=True)
+
+    def settle(self, entry, old_state, eventnum, occurrence, outcomes, span):
+        versions = self.versions
+        if outcomes is None:
+            outcomes = {}
+        masks = entry.info.masks
+        if masks and versions.conflict_policy == "replay" and not entry.fresh:
+            # Capture what every remaining mask says *now*: a commit-time
+            # replay from a different head can walk a different DFA path and
+            # ask for masks this advance never reached, and by then the
+            # transaction may have mutated ``obj`` — replay must see the
+            # posting-time outcomes.  Bookkeeping, not posting semantics, so
+            # it stays out of ``masks_evaluated_posting``; a mask that raises
+            # here is left unrecorded (replay falls back to live evaluation).
+            for mask_name, mask in masks.items():
+                if mask_name not in outcomes:
+                    try:
+                        outcomes[mask_name] = bool(
+                            mask(entry.obj, entry.state.params, occurrence)
+                        )
+                    except Exception:
+                        pass
+        entry.events.append((eventnum, occurrence, outcomes))
+        # Shared with the chain mutex (MvccStats discipline): posting runs on
+        # concurrent session threads, so the increment must not tear.
+        with versions.stats._mutex:
+            versions.stats.buffered_advances += 1
+        if span and entry.state.statenum != old_state:
+            obs.emit("state.buffer", span, state_rid=entry.rid, trigger=entry.info.name)
+
+    def forget(self, rid):
+        self.machines.pop(rid, None)
+        self.deactivated.add(rid)
+
+    def read(self, rid):
+        # This transaction's own buffered advances are visible to it
+        # (read-your-writes); a clone, so callers can't mutate the working
+        # copy.
+        entry = self.machines.get(rid)
+        if entry is not None:
+            return entry.state.clone()
+        return TriggerState.decode(self.db.storage.read(self.txid, rid))
 
 
 @dataclasses.dataclass
@@ -309,39 +366,9 @@ class TriggerVersionManager:
         self.commit_mutex = ShardedCommitMutex(commit_shards)
         self._vids = itertools.count(1)
 
-    # -- buffers ---------------------------------------------------------------
-
-    def buffer_of(self, txn: "Transaction") -> AdvanceBuffer:
-        return txn.attachment(ADVANCE_BUFFER, AdvanceBuffer)
-
     def pending(self, txn: "Transaction") -> bool:
         """Whether *txn* has buffered work for the commit-time merge."""
-        buffer = txn.attachments.get(ADVANCE_BUFFER)
-        return buffer is not None and bool(buffer)
-
-    def register_fresh(
-        self, txn: "Transaction", state_rid: int, tstate, info, defining, obj
-    ) -> None:
-        """Adopt a machine activated by *txn* itself into its buffer.
-
-        The activation insert already holds the record's X lock; the
-        merge re-writes it through the normal locked path, and the chain
-        head is created only if the transaction commits.
-        """
-        self.buffer_of(txn).entries[state_rid] = BufferEntry(
-            base_vid=0,
-            state=tstate,
-            info=info,
-            defining=defining,
-            obj=obj,
-            fresh=True,
-        )
-
-    def mark_deactivated(self, txn: "Transaction", state_rid: int) -> None:
-        """Record that *txn* deactivated the machine at *state_rid*."""
-        buffer = self.buffer_of(txn)
-        buffer.entries.pop(state_rid, None)
-        buffer.deactivated.add(state_rid)
+        return bool(txn.attachments.get(STATE_STORE))
 
     # -- the version chain -----------------------------------------------------
 
@@ -386,10 +413,10 @@ class TriggerVersionManager:
         transaction), so the shard set computed here covers the whole
         section.
         """
-        buffer = txn.attachments.get(ADVANCE_BUFFER)
+        buffer = txn.attachments.get(STATE_STORE)
         rids: set[int] = set()
         if buffer is not None:
-            rids.update(buffer.entries)
+            rids.update(buffer.machines)
             rids.update(buffer.deactivated)
         return self.commit_mutex.acquire(rids)
 
@@ -403,15 +430,15 @@ class TriggerVersionManager:
         ordinary abort path rolls back everything (including any merged
         WAL writes already applied, via their before-images).
         """
-        buffer = txn.attachments.get(ADVANCE_BUFFER)
+        buffer = txn.attachments.get(STATE_STORE)
         if buffer is None:
             return []
         storage = self.db.storage
         publishes: list[tuple[int, TriggerState]] = []
-        for state_rid in sorted(buffer.entries):
+        for state_rid in sorted(buffer.machines):
             if state_rid in buffer.deactivated:
                 continue
-            entry = buffer.entries[state_rid]
+            entry = buffer.machines[state_rid]
             if entry.fresh:
                 # Activated by this transaction: the insert wrote the
                 # quiesced state and still holds the X lock, so this
@@ -431,27 +458,14 @@ class TriggerVersionManager:
                     self.stats.merges += 1
                     self.stats.clean_merges += 1
             else:
+                policy = self.conflict_policy
                 with self._chain_mutex:
                     self.stats.merges += 1
                     self.stats.conflicts += 1
-                if self.conflict_policy == "abort":
-                    with self._chain_mutex:
+                    if policy == "abort":
                         self.stats.conflict_aborts += 1
-                    if obs.ENABLED:
-                        obs.emit(
-                            "mvcc.conflict",
-                            txid=txn.txid,
-                            state_rid=state_rid,
-                            base_vid=entry.base_vid,
-                            head_vid=head.vid,
-                            resolution="abort",
-                        )
-                    raise TriggerStateConflictError(
-                        txn.txid, state_rid, entry.base_vid, head.vid
-                    )
-                merged = self._replay(entry, head.state)
-                with self._chain_mutex:
-                    self.stats.replays += 1
+                    else:
+                        self.stats.replays += 1
                 if obs.ENABLED:
                     obs.emit(
                         "mvcc.conflict",
@@ -459,8 +473,13 @@ class TriggerVersionManager:
                         state_rid=state_rid,
                         base_vid=entry.base_vid,
                         head_vid=head.vid,
-                        resolution="replay",
+                        resolution=policy,
                     )
+                if policy == "abort":
+                    raise TriggerStateConflictError(
+                        txn.txid, state_rid, entry.base_vid, head.vid
+                    )
+                merged = self._replay(entry, head.state)
             # The WAL-logged, lock-free write: exclusion comes from the
             # commit mutex, not the lock manager — this is exactly the
             # "state:* stops being X-locked" property E6 measures.
@@ -476,7 +495,7 @@ class TriggerVersionManager:
         Called under :meth:`commit_lock`, *after* the storage commit is
         durable — a published head must never precede its durability.
         """
-        buffer = txn.attachments.get(ADVANCE_BUFFER)
+        buffer = txn.attachments.get(STATE_STORE)
         with self._chain_mutex:
             for state_rid, state in publishes:
                 prev = self._chains.get(state_rid)
@@ -503,23 +522,19 @@ class TriggerVersionManager:
         ``entry.obj`` (2PL on ordinary objects means nobody else changed
         it under us).
         """
-        info = entry.info
-        merged = base.clone()
+        merged = Machine(entry.rid, base.clone())
+        merged.info, merged.defining = entry.info, entry.defining
+        store = VolatileStates({entry.rid: merged})
+        # A re-advance at commit is not a posting: throw-away counters, and
+        # no tier (generated closures evaluate masks live; replay must
+        # answer from the recorded outcomes).
+        scratch = PostingStats()
         for eventnum, occurrence, outcomes in entry.events:
-
-            def evaluate(
-                mask_name: str, _occ=occurrence, _outcomes=outcomes
-            ) -> bool:
-                try:
-                    return _outcomes[mask_name]
-                except KeyError:
-                    return bool(
-                        info.masks[mask_name](entry.obj, merged.params, _occ)
-                    )
-
-            result = info.fsm.advance(merged.statenum, eventnum, evaluate)
-            merged.statenum = result.state
-        return merged
+            advance_all(
+                scratch, None, store, (entry.rid,),
+                eventnum, entry.obj, occurrence, replay=outcomes,
+            )
+        return merged.state
 
     # -- introspection ----------------------------------------------------------
 

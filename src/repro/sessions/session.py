@@ -157,7 +157,9 @@ class Session:
         strict 2PL released all the aborted attempt's locks, so the unit
         of retry is the whole transaction — against per-class budgets from
         *policy* (default :data:`DEFAULT_UNIFIED_RETRY`); everything else
-        re-raises immediately.  *retries* overrides just the deadlock
+        re-raises immediately; a ``tabort`` (from the body or a trigger it
+        fired) ends the attempt for good and ``run`` returns ``None``, as
+        ``with db.transaction()`` does.  *retries* overrides just the deadlock
         budget (the historical signature).  Backoff is a deterministic
         yield under a cooperative scheduler and a crc32-seeded jittered
         sleep in threaded mode.
@@ -187,6 +189,10 @@ class Session:
                     if deadline_at is not None:
                         lock_manager.set_deadline(txn.txid, deadline_at)
                     return body(txn)
+                # The block swallowed a ``tabort`` from the body: the
+                # transaction is aborted and, as after an O++ transaction
+                # block, control simply continues — nothing to retry.
+                return None
             except Exception as exc:
                 klass, may_retry = state.consume(exc)
                 if not may_retry:

@@ -3,15 +3,19 @@
 Three families:
 
 * **Differential**: hypothesis-generated event scripts replayed through
-  the compiled tier and the interpreter on identical fixtures must
-  produce identical firing orders, final FSM states, and posting stats
-  (satellite: compiled ≡ interpreted is the tier's entire contract).
+  every state store ({2pl, mvcc} persistent plus local rules), with the
+  compiled tier on and off, posting one event at a time and in batches,
+  must produce identical firing orders, ``statenum`` trajectories and
+  posting stats — one posting kernel, so one property rather than one
+  per pair of modes.
 * **Invalidation**: any trigger add/remove/strict-mode flip bumps the
   schema version and evicts compiled artifacts; a redefined class must
   never fire a stale closure — including mid-transaction.
 * **Judgments**: each ODE400–ODE404 refusal has a fixture, falls back
   cleanly, and `CompiledTier.explain` names the reason.
 """
+
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,51 +40,64 @@ _FIRED: list[str] = []
 _PROBES: list[int] = []
 
 
-class TierGadget(Persistent):
+def _gadget_declarations():
     """Differential fixture: sequences, pure masks, params, once-only,
     deferred coupling, and one deliberately non-compilable trigger."""
-
-    n = field(int, default=0)
-
-    __events__ = ["Tick", "Tock", "Bump"]
-    __masks__ = {
-        "hot": lambda self: self.n > 3,
-        "low": lambda self, params: self.n < params["floor"],
+    return {
+        "__events__": ["Tick", "Tock", "Bump"],
+        "__masks__": {
+            "hot": lambda self: self.n > 3,
+            "low": lambda self, params: self.n < params["floor"],
+        },
+        "__triggers__": [
+            trigger(
+                "Pair",
+                "Tick, Tock",
+                action=lambda self, ctx: _FIRED.append("Pair"),
+                perpetual=True,
+            ),
+            trigger(
+                "Hot",
+                "Tick & hot",
+                action=lambda self, ctx: _FIRED.append("Hot"),
+                perpetual=True,
+            ),
+            trigger(
+                "Low",
+                "Bump & low",
+                action=lambda self, ctx: _FIRED.append("Low"),
+                params=("floor",),
+            ),
+            trigger(
+                "Deferred",
+                "Tock",
+                action=lambda self, ctx: _FIRED.append("Deferred"),
+                coupling="end",
+                perpetual=True,
+            ),
+            trigger(
+                "Impure",
+                "Tick & noisy",
+                action=lambda self, ctx: _FIRED.append("Impure"),
+                masks={"noisy": lambda self: (_PROBES.append(1), True)[1]},
+                perpetual=True,
+            ),
+        ],
     }
-    __triggers__ = [
-        trigger(
-            "Pair",
-            "Tick, Tock",
-            action=lambda self, ctx: _FIRED.append("Pair"),
-            perpetual=True,
-        ),
-        trigger(
-            "Hot",
-            "Tick & hot",
-            action=lambda self, ctx: _FIRED.append("Hot"),
-            perpetual=True,
-        ),
-        trigger(
-            "Low",
-            "Bump & low",
-            action=lambda self, ctx: _FIRED.append("Low"),
-            params=("floor",),
-        ),
-        trigger(
-            "Deferred",
-            "Tock",
-            action=lambda self, ctx: _FIRED.append("Deferred"),
-            coupling="end",
-            perpetual=True,
-        ),
-        trigger(
-            "Impure",
-            "Tick & noisy",
-            action=lambda self, ctx: _FIRED.append("Impure"),
-            masks={"noisy": lambda self: (_PROBES.append(1), True)[1]},
-            perpetual=True,
-        ),
-    ]
+
+
+TierGadget = type(
+    "TierGadget", (Persistent,), {"n": field(int, default=0), **_gadget_declarations()}
+)
+
+
+#: Local-rule twin of TierGadget: the same declarations on a volatile
+#: class, so the same script runs through ``VolatileStates``.
+LocalGadget = type(
+    "LocalGadget",
+    (Monitored,),
+    {"__init__": lambda self: setattr(self, "n", 0), **_gadget_declarations()},
+)
 
 
 _BATCH = st.lists(
@@ -91,94 +108,149 @@ _SCRIPT = st.lists(_BATCH, min_size=1, max_size=8)
 COMPILABLE_TRIGGERS = ("Pair", "Hot", "Low", "Deferred")
 
 
-def _replay(base_path, script, compiled_enabled, trigger_cc="2pl"):
-    """Run *script* on a fresh database; return (firings, states, stats)."""
+def _posting_runs(batch):
+    """One transaction's ops as ``("inc", None)`` steps and maximal runs of
+    consecutive postings ``("post", [event names])``."""
+    for is_inc, ops in itertools.groupby(batch, key=lambda op: op == "inc"):
+        if is_inc:
+            yield from (("inc", None) for _ in ops)
+        else:
+            yield "post", [op.capitalize() for op in ops]
+
+
+def _activate_all(handle):
+    handle.Pair()
+    handle.Hot()
+    handle.Low(5)
+    handle.Deferred()
+    handle.Impure()
+
+
+def _outcome(fired, trajectory, stats):
+    snapshot = stats.snapshot()
+    tier_counters = {
+        k: snapshot.pop(k) for k in ("compiled_hits", "compiled_fallbacks")
+    }
+    return fired, trajectory, snapshot, tier_counters
+
+
+def _replay(base_path, script, compiled_enabled, trigger_cc="2pl", batched=False):
+    """Run *script* on a fresh database; return (firings, per-transaction
+    (trigger, statenum) trajectory, posting stats, tier counters).  With
+    *batched*, each run of consecutive postings is one ``post_many``."""
     db = Database.open(base_path, engine="mm", trigger_cc=trigger_cc)
     try:
         db.trigger_system.compiled_enabled = compiled_enabled
         with db.transaction():
             h = db.pnew(TierGadget)
             ptr = h.ptr
-            h.Pair()
-            h.Hot()
-            h.Low(5)
-            h.Deferred()
-            h.Impure()
+            _activate_all(h)
         _FIRED.clear()
         stats = db.trigger_system.stats
         stats.reset()
+        trajectory = []
         for batch in script:
             with db.transaction():
                 h = db.deref(ptr)
-                for op in batch:
-                    if op == "inc":
+                for kind, events in _posting_runs(batch):
+                    if kind == "inc":
                         h.n += 1
+                    elif batched:
+                        db.post_many([(ptr, event) for event in events])
                     else:
-                        h.post_event(op.capitalize())
-        fired = list(_FIRED)
-        with db.transaction():
-            states = sorted(
-                (ts.triggernum, ts.statenum)
-                for _, ts, _info in db.trigger_system.active_triggers(ptr)
-            )
-        snapshot = stats.snapshot()
-        tier_counters = {
-            k: snapshot.pop(k) for k in ("compiled_hits", "compiled_fallbacks")
-        }
-        return fired, states, snapshot, tier_counters
+                        for event in events:
+                            h.post_event(event)
+                # Read through the transaction's own state store.
+                trajectory.append(sorted(
+                    (info.name, ts.statenum)
+                    for _, ts, info in db.trigger_system.active_triggers(ptr)
+                ))
+        return _outcome(list(_FIRED), trajectory, stats)
     finally:
         db.close()
 
 
+def _replay_local(script, compiled_enabled):
+    """The same script against local rules; "commit" drains the end list."""
+    system = LocalTriggerSystem()
+    system.compiled_enabled = compiled_enabled
+    obj = LocalGadget()
+    handle = system.monitor(obj)
+    _activate_all(handle)
+    _FIRED.clear()
+    trajectory = []
+    for batch in script:
+        for op in batch:
+            if op == "inc":
+                obj.n += 1
+            else:
+                handle.post_event(op.capitalize())
+        trajectory.append(sorted(
+            (machine.info.name, machine.state.statenum)
+            for machine in system._states.values()
+        ))
+        system.drain_end_list()
+    return _outcome(list(_FIRED), trajectory, system.stats)
+
+
+#: Counters every store must agree on (``state_writes`` is a property of
+#: where the state lives; ``batched`` of the entry point).
+_SHARED_COUNTERS = (
+    "events_posted", "fsm_advances", "masks_evaluated_posting", "firings",
+)
+
+
 @settings(
-    max_examples=30,
+    max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(script=_SCRIPT)
-def test_compiled_equals_interpreted(tmp_path_factory, script):
-    root = tmp_path_factory.mktemp("difftier")
-    interp = _replay(str(root / "interp"), script, compiled_enabled=False)
-    compiled = _replay(str(root / "compiled"), script, compiled_enabled=True)
-    assert compiled[0] == interp[0]  # firing order, incl. deferred drain
-    assert compiled[1] == interp[1]  # surviving states + statenums
-    assert compiled[2] == interp[2]  # posting.* counters
-    assert interp[3] == {"compiled_hits": 0, "compiled_fallbacks": 0}
-
-
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(script=_SCRIPT)
-def test_compiled_equals_interpreted_under_mvcc(tmp_path_factory, script):
-    """The tier's contract holds unchanged when advances buffer through
-    the version chain (DESIGN.md §15) instead of writing in place: the
-    BufferEntry caches the generated closure exactly like the 2PL
-    per-transaction cache, so firings, surviving states, and posting
-    counters must match the MVCC interpreter — except `state_writes`,
-    which is 0 by construction under MVCC (merged versions go through
-    `storage.write_merged`, not the posting path)."""
-    root = tmp_path_factory.mktemp("difftier-mvcc")
-    interp = _replay(
-        str(root / "interp"), script, compiled_enabled=False, trigger_cc="mvcc"
+def test_every_store_tier_and_entry_point_agrees(tmp_path_factory, script):
+    """{2pl, mvcc} x {interpreted, compiled} x {N post_event, post_many}
+    plus the local-rule twin: one firing order (incl. the deferred
+    drain), one statenum trajectory, one set of posting counters."""
+    root = tmp_path_factory.mktemp("diffstores")
+    runs = {
+        (cc, compiled, batched): _replay(
+            str(root / f"{cc}-{compiled:d}{batched:d}"), script, compiled, cc, batched
+        )
+        for cc, compiled, batched in itertools.product(
+            ("2pl", "mvcc"), (False, True), (False, True)
+        )
+    }
+    runs.update(
+        {("local", compiled, False): _replay_local(script, compiled)
+         for compiled in (False, True)}
     )
-    compiled = _replay(
-        str(root / "compiled"), script, compiled_enabled=True, trigger_cc="mvcc"
-    )
-    assert compiled[0] == interp[0]  # firing order, incl. deferred drain
-    assert compiled[1] == interp[1]  # surviving states + statenums
-    assert compiled[2] == interp[2]  # posting.* counters
-    assert interp[2]["state_writes"] == 0
-    # And across schemes: MVCC commits the same states 2PL would.
-    baseline = _replay(str(root / "2pl"), script, compiled_enabled=True)
-    assert compiled[1] == baseline[1]
+    reference = runs["2pl", False, False]
+    posted = reference[2]["events_posted"]
+    for (store, compiled, batched), (fired, trajectory, stats, tier) in runs.items():
+        cell = (store, compiled, batched)
+        assert fired == reference[0], cell
+        assert trajectory == reference[1], cell
+        for counter in _SHARED_COUNTERS:
+            assert stats[counter] == reference[2][counter], (cell, counter)
+        assert stats["batched"] == (posted if batched else 0), cell
+        if store == "2pl":
+            # Same store: every posting.* counter matches, state_writes too.
+            assert {**stats, "batched": 0} == reference[2], cell
+        else:
+            # MVCC merges through storage.write_merged, local rules assign:
+            # neither writes a state record from the posting path.
+            assert stats["state_writes"] == 0, cell
+        if compiled:
+            # Every posting advances the always-active Impure machine, whose
+            # ODE400 verdict falls back once per advance; the rest hit.
+            assert tier["compiled_fallbacks"] == posted, cell
+            assert tier["compiled_hits"] == stats["fsm_advances"] - posted, cell
+        else:
+            assert tier == {"compiled_hits": 0, "compiled_fallbacks": 0}, cell
 
 
 def test_fast_path_engages_and_impure_falls_back(tmp_path):
     script = [["tick", "tock", "bump"], ["inc", "inc", "inc", "inc", "tick"]]
-    fired, _states, stats, tier_counters = _replay(
+    fired, _trajectory, stats, tier_counters = _replay(
         str(tmp_path / "engage"), script, compiled_enabled=True
     )
     # Six postings saw 4 compilable machines; the Impure trigger fell
@@ -210,56 +282,6 @@ def test_verdicts_match_tier_behaviour():
     verdict = classify_trigger(metatype.trigger_by_name("Impure"), metatype)
     assert not verdict.compilable
     assert "ODE400" in verdict.codes
-
-
-class LocalProbe(Monitored):
-    """Local-rule twin of TierGadget for the LocalTriggerSystem fast path."""
-
-    __events__ = ["Tick", "Tock"]
-    __masks__ = {"hot": lambda self: self.n > 3}
-    __triggers__ = [
-        trigger(
-            "Pair",
-            "Tick, Tock",
-            action=lambda self, ctx: _FIRED.append("Pair"),
-            perpetual=True,
-        ),
-        trigger(
-            "Hot",
-            "Tick & hot",
-            action=lambda self, ctx: _FIRED.append("Hot"),
-            perpetual=True,
-        ),
-    ]
-
-    def __init__(self):
-        self.n = 0
-
-
-def test_local_rules_take_fast_path_with_same_behaviour():
-    results = []
-    for enabled in (False, True):
-        system = LocalTriggerSystem()
-        system.compiled_enabled = enabled
-        obj = LocalProbe()
-        handle = system.monitor(obj)
-        handle.Pair()
-        handle.Hot()
-        _FIRED.clear()
-        for event in ("Tick", "Tock", "Tick"):
-            handle.post_event(event)
-        obj.n = 9
-        handle.post_event("Tick")
-        results.append(
-            (list(_FIRED), system.stats.masks_evaluated_posting,
-             system.stats.fsm_advances, system.stats.compiled_hits)
-        )
-    (interp_fired, interp_masks, interp_adv, interp_hits) = results[0]
-    (comp_fired, comp_masks, comp_adv, comp_hits) = results[1]
-    assert comp_fired == interp_fired
-    assert comp_masks == interp_masks
-    assert comp_adv == interp_adv
-    assert interp_hits == 0 and comp_hits > 0
 
 
 # ---------------------------------------------------------------------------

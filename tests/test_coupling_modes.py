@@ -103,46 +103,42 @@ class TestEnd:
             assert db.deref(ptr).v == 0
 
     def test_end_actions_fired_by_other_end_actions_drain(self, any_engine_db):
+        """2 000 end actions queued in one transaction run in queue order,
+        and the end actions *they* queue while the list drains run after
+        all of them, in order, before the commit."""
         db = any_engine_db
+        queued = 2000
+        ran: list[tuple[str, int]] = []
+
+        def first(self, ctx):
+            ran.append(("A", len(ran)))
+            self.post_event("Second")  # queues B while the end list drains
 
         class Chained(Persistent):
-            log = field(list, default=[])
             __events__ = ["First", "Second"]
             __triggers__ = [
-                trigger(
-                    "A", "First",
-                    action=lambda self, ctx: self.post_second(),
-                    coupling="end", perpetual=True,
-                ),
+                trigger("A", "First", action=first, coupling="end", perpetual=True),
                 trigger(
                     "B", "Second",
-                    action=lambda self, ctx: self.mark(),
+                    action=lambda self, ctx: ran.append(("B", len(ran))),
                     coupling="end", perpetual=True,
                 ),
             ]
-
-            def post_second(self):
-                pass  # the handle call below posts the user event
-
-            def mark(self):
-                self.log = self.log + ["chained"]
 
         with db.transaction():
             obj = db.pnew(Chained)
             ptr = obj.ptr
             obj.A()
             obj.B()
-        with db.transaction():
-            db.deref(ptr).post_event("First")
-
-        def deferred_post(self, ctx):
-            pass
-
-        # The chained posting happens through the action; rewrite with an
-        # action that posts during the drain:
-        with db.transaction():
+        with db.transaction() as txn:
             handle = db.deref(ptr)
-            assert handle.log == []  # A's python action did not post Second
+            for _ in range(queued):
+                handle.post_event("First")
+            assert ran == []  # queued, not yet run
+        assert ran == [("A", i) for i in range(queued)] + [
+            ("B", queued + i) for i in range(queued)
+        ]
+        assert txn.attachments["trigger:end_list"] == []  # drained, then cleared
 
 
 class TestDependent:

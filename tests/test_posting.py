@@ -412,6 +412,35 @@ class TestPostingStats:
         assert db.trigger_system.stats.state_writes >= 1
         assert db.trigger_system.stats.firings == 1
 
+    def test_firing_counted_when_its_dispatch_returns(self, any_engine_db):
+        """``posting.firings`` counts a firing once its dispatch returned:
+        an immediate action that ``tabort``s unwinds past the increment, an
+        end-coupled firing is counted when queued.  The benchmark's
+        ``cards_disk`` oracle pins this meaning, so changing it takes a
+        benchmark change first."""
+        db = any_engine_db
+
+        class Vetoed(Persistent):
+            __events__ = ["Go"]
+            __triggers__ = [
+                trigger("Logged", "Go", action=lambda self, ctx: None,
+                        coupling="end", perpetual=True),
+                trigger("Veto", "Go", action=lambda self, ctx: ctx.tabort("no"),
+                        perpetual=True),
+            ]
+
+        with db.transaction():
+            obj = db.pnew(Vetoed)
+            obj.Logged()
+            obj.Veto()
+            ptr = obj.ptr
+        stats = db.trigger_system.stats
+        stats.reset()
+        with db.transaction():
+            db.deref(ptr).post_event("Go")  # Logged queues, then Veto taborts
+        assert stats.fsm_advances == 2
+        assert stats.firings == 1  # the queued one; the tabort'ed one is not
+
 
 class BatchCounter(Persistent):
     """Fixture for the batch-posting tests: counts Alert firings."""

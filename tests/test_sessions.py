@@ -8,7 +8,9 @@ first, which victim was chosen — rather than racing wall-clock threads
 
 import pytest
 
+from repro.core.declarations import trigger
 from repro.errors import DeadlockError, SessionError
+from repro.objects.database import Database
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 from repro.sessions import CooperativeScheduler
@@ -17,6 +19,27 @@ from repro.workloads.locksim import HotObject
 
 class Passbook(Persistent):
     value = field(int, default=0)
+
+
+class GuardedCard(Persistent):
+    """The paper's ``DenyCredit``: a purchase over the limit ``tabort``s."""
+
+    balance = field(float, default=0.0)
+    limit = field(float, default=100.0)
+
+    __events__ = ["after buy"]
+    __masks__ = {"over": lambda self: self.balance > self.limit}
+    __triggers__ = [
+        trigger(
+            "DenyCredit",
+            "after buy & over",
+            action=lambda self, ctx: ctx.tabort("over limit"),
+            perpetual=True,
+        )
+    ]
+
+    def buy(self, amount):
+        self.balance += amount
 
 
 def subsequence(log, events):
@@ -89,6 +112,42 @@ class TestSessionBasics:
         assert snap["sessions.peak_concurrent"] == 2
         assert snap["events.assigned"] > 0  # the process-wide eventRep table
         assert snap["events.table_size"] == snap["events.assigned"]
+
+
+class TestRunAndTabort:
+    @pytest.mark.parametrize("trigger_cc", ["2pl", "mvcc"])
+    @pytest.mark.parametrize("engine", ["disk", "mm"])
+    def test_run_returns_after_one_attempt_when_a_trigger_taborts(
+        self, db_path, engine, trigger_cc
+    ):
+        """``tabort`` ends the transaction block, not the attempt: ``run``
+        returns ``None`` like ``with db.transaction()`` does, instead of
+        starting the body again (it used to loop forever)."""
+        db = Database.open(db_path, engine=engine, trigger_cc=trigger_cc)
+        with db.transaction():
+            card = db.pnew(GuardedCard)
+            card.DenyCredit()
+            ptr = card.ptr
+        session = db.session("shopper")
+        attempts = []
+
+        def body(txn):
+            attempts.append(txn.txid)
+            # A relapse must fail here, not hang the suite.
+            assert len(attempts) == 1, "run() re-ran a tabort'ed body"
+            session.deref(ptr).buy(250.0)
+            return "bought"
+
+        assert session.run(body) is None
+        assert len(attempts) == 1
+        assert session.current_txn is None
+        with db.transaction():
+            assert db.deref(ptr).balance == 0.0  # the purchase rolled back
+        # The session is still usable, and a body that commits still
+        # returns its value.
+        assert session.run(lambda txn: session.deref(ptr).buy(40.0) or "ok") == "ok"
+        with db.transaction():
+            assert db.deref(ptr).balance == 40.0
 
 
 class TestCooperativeScheduling:

@@ -43,7 +43,7 @@ def test_recovery_after_crash(benchmark, tmp_path, n_txns):
     # One uncommitted transaction in flight at the crash: this buy pushes
     # the balance over 80% of the limit, so MoreCred arms the FSM — a
     # logged TriggerState write that recovery must undo.  The explicit
-    # force stands in for a group commit or page eviction persisting the
+    # force stands in for another commit or a page eviction persisting the
     # loser's records (STEAL): without it, simulate_crash drops the
     # unforced tail and there is nothing to undo.
     txn = db.txn_manager.begin()

@@ -43,7 +43,7 @@ def _median_run(make_db, run, n_sessions, repeats=REPEATS):
     and code-object warmup, allocator growth, and — on disk — cold page
     cache; thread start jitter splits the rest into fast/slow modes), so
     a lone sample routinely moved 2x run to run.  Warmup plus
-    median-of-N makes the E16/E16b/E20 columns comparable across runs.
+    median-of-N makes the E16/E16b columns comparable across runs.
     """
     results = []
     for attempt in range(repeats + 1):

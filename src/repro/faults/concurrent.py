@@ -106,24 +106,17 @@ def run_concurrent_workload(
     txns_per_session: int = DEFAULT_TXNS,
     mode: str = "cooperative",
     buffer_capacity: int = 3,
-    group_commit: bool = False,
 ) -> int:
     """One pass of the chaos workload; returns how many sessions died.
 
     Raises :class:`InjectedCrashError` when the armed crash fired (after
     every session task has stopped), leaving the on-disk state exactly as
     the dead process would.  The caller owns recovery.
-
-    *group_commit* opens the database with WAL group commit.  Under the
-    cooperative scheduler the WAL detects the wait hooks and falls back
-    to immediate fsync (a parked leader would wedge the deterministic
-    schedule), so recorded traces are unchanged; threaded mode gets the
-    real leader/follower batching, crashes and all.
     """
     from repro.objects.database import Database
     from repro.sessions.scheduler import CooperativeScheduler
 
-    kwargs: dict[str, Any] = {"injector": injector, "group_commit": group_commit}
+    kwargs: dict[str, Any] = {"injector": injector}
     if engine == "disk":
         kwargs["buffer_capacity"] = buffer_capacity
     # The database *name* is embedded in persistent record bytes, so it
@@ -244,7 +237,6 @@ def crash_and_verify_concurrent(
     txns_per_session: int = DEFAULT_TXNS,
     mode: str = "cooperative",
     require_crash: bool = True,
-    group_commit: bool = False,
 ) -> ConcurrentOutcome | None:
     """Crash the concurrent workload at hit *crash_at*, recover, verify.
 
@@ -264,7 +256,6 @@ def crash_and_verify_concurrent(
             n_sessions=n_sessions,
             txns_per_session=txns_per_session,
             mode=mode,
-            group_commit=group_commit,
         )
     except InjectedCrashError as exc:
         crashed = exc

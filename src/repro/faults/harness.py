@@ -153,7 +153,6 @@ def run_workload(
     engine: str = "disk",
     buffer_capacity: int = 3,
     trigger_cc: str = "2pl",
-    group_commit: bool = False,
 ) -> None:
     """One deterministic pass of the trigger-posting workload.
 
@@ -163,21 +162,10 @@ def run_workload(
     *trigger_cc* selects the TriggerState concurrency-control scheme; the
     MVCC merge writes through the same WAL as 2PL, so the whole matrix
     must hold unchanged under ``"mvcc"``.
-
-    *group_commit* opens the database with WAL group commit.  The
-    workload is single-threaded, so every committer is its own batch
-    leader and the trace stays deterministic — but the commit path now
-    routes through the ``wal.group_force`` / ``wal.group_force.after``
-    failpoints instead of ``wal.force``/``wal.force.after``, so the
-    batched-fsync crash window gets the same exhaustive treatment.
     """
     from repro.objects.database import Database
 
-    kwargs: dict[str, Any] = {
-        "injector": injector,
-        "trigger_cc": trigger_cc,
-        "group_commit": group_commit,
-    }
+    kwargs: dict[str, Any] = {"injector": injector, "trigger_cc": trigger_cc}
     if engine == "disk":
         kwargs["buffer_capacity"] = buffer_capacity
     db = Database.open(path, engine=engine, name=f"matrix:{path}", **kwargs)
@@ -281,18 +269,10 @@ def record_trace(
     *,
     engine: str = "disk",
     trigger_cc: str = "2pl",
-    group_commit: bool = False,
 ) -> list[HitRecord]:
     """The fault-free run: every failpoint hit, in order."""
     injector = FaultInjector(recording=True)
-    run_workload(
-        path,
-        injector,
-        Oracle(),
-        engine=engine,
-        trigger_cc=trigger_cc,
-        group_commit=group_commit,
-    )
+    run_workload(path, injector, Oracle(), engine=engine, trigger_cc=trigger_cc)
     return injector.trace
 
 
@@ -322,7 +302,6 @@ def crash_and_verify(
     *,
     engine: str = "disk",
     trigger_cc: str = "2pl",
-    group_commit: bool = False,
 ) -> CrashOutcome:
     """Run the workload crashing at trace index *crash_at*, then recover
     and check every invariant.  Raises AssertionError on violation."""
@@ -334,14 +313,7 @@ def crash_and_verify(
     injector = FaultInjector(crash_at=crash_at)
     oracle = Oracle()
     try:
-        run_workload(
-            path,
-            injector,
-            oracle,
-            engine=engine,
-            trigger_cc=trigger_cc,
-            group_commit=group_commit,
-        )
+        run_workload(path, injector, oracle, engine=engine, trigger_cc=trigger_cc)
     except InjectedCrashError:
         pass
     else:
@@ -435,19 +407,13 @@ def explore(
     engine: str = "disk",
     limit: int | None = None,
     trigger_cc: str = "2pl",
-    group_commit: bool = False,
 ) -> MatrixResult:
     """Record the trace, then crash-and-verify at the selected hits.
 
     *base_path* is a directory-like prefix: each run gets its own file
     set (``<base_path>-trace``, ``<base_path>-h<i>``).
     """
-    trace = record_trace(
-        f"{base_path}-trace",
-        engine=engine,
-        trigger_cc=trigger_cc,
-        group_commit=group_commit,
-    )
+    trace = record_trace(f"{base_path}-trace", engine=engine, trigger_cc=trigger_cc)
     outcomes = []
     for i in select_hits(trace, limit):
         outcomes.append(
@@ -457,7 +423,6 @@ def explore(
                 trace[i].point,
                 engine=engine,
                 trigger_cc=trigger_cc,
-                group_commit=group_commit,
             )
         )
     return MatrixResult(trace=trace, explored=outcomes)

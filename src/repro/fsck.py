@@ -25,14 +25,30 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import struct
 import zlib
 
 from repro.analysis.diagnostics import Severity
 from repro.errors import OdeError, WALError
 from repro.objects.oid import PersistentPtr
 from repro.objects.serialize import decode_value
-from repro.storage.page import PAGE_SIZE, TOMBSTONE, USABLE_END
+from repro.storage.buffer import checksum_ok
+from repro.storage.disk import (
+    FLAG_FORWARD,
+    FLAG_MOVED,
+    FLAG_SEGMENT,
+    FWD,
+    MAGIC,
+    RECORD_FLAGS,
+    pack_rid,
+)
+from repro.storage.page import (
+    CHECKSUM,
+    PAGE_HEADER,
+    PAGE_SIZE,
+    SLOT,
+    TOMBSTONE,
+    USABLE_END,
+)
 
 #: The stable fsck catalogue: code -> (default severity, title).
 #: Grouped by pass: 10x physical pages, 11x catalog, 12x B-trees,
@@ -144,25 +160,8 @@ class FsckReport:
 # ---------------------------------------------------------------------------
 # Physical pass (disk engine files, read-only)
 # ---------------------------------------------------------------------------
-
-_PAGE_HEADER = struct.Struct("<HH")  # slot_count, free_end
-_SLOT = struct.Struct("<HH")
-_CRC = struct.Struct("<I")
-_FWD = struct.Struct("<q")
-_MAGIC = b"ODEREPRO"
-
-_FLAG_INLINE = 0
-_FLAG_FORWARD = 1
-_FLAG_MOVED = 2
-_FLAG_SEGMENT = 3
-_SLOT_BITS = 16
-
-
-def _page_checksum_ok(raw: bytes) -> bool:
-    (stored,) = _CRC.unpack_from(raw, USABLE_END)
-    if stored == zlib.crc32(raw[:USABLE_END]):
-        return True
-    return not any(raw)  # never-initialized page
+# The page format is imported from its owners (storage.page for the slotted
+# page, storage.disk for record flags, forwarding and the header magic).
 
 
 def _scan_page_records(
@@ -170,8 +169,8 @@ def _scan_page_records(
 ) -> dict[int, bytes]:
     """Structural checks on one slotted page; returns rid -> payload."""
     records: dict[int, bytes] = {}
-    slot_count, free_end = _PAGE_HEADER.unpack_from(raw, 0)
-    directory_end = _PAGE_HEADER.size + slot_count * _SLOT.size
+    slot_count, free_end = PAGE_HEADER.unpack_from(raw, 0)
+    directory_end = PAGE_HEADER.size + slot_count * SLOT.size
     if free_end > USABLE_END or directory_end > free_end:
         report.add(
             "ODE102",
@@ -180,10 +179,10 @@ def _scan_page_records(
         )
         return records
     for slot_no in range(slot_count):
-        offset, length = _SLOT.unpack_from(raw, _PAGE_HEADER.size + slot_no * _SLOT.size)
+        offset, length = SLOT.unpack_from(raw, PAGE_HEADER.size + slot_no * SLOT.size)
         if offset == TOMBSTONE:
             continue
-        rid = (page_no << _SLOT_BITS) | slot_no
+        rid = pack_rid(page_no, slot_no)
         if offset < directory_end or offset + length > USABLE_END:
             report.add(
                 "ODE102",
@@ -192,12 +191,7 @@ def _scan_page_records(
             )
             continue
         payload = raw[offset : offset + length]
-        if not payload or payload[0] not in (
-            _FLAG_INLINE,
-            _FLAG_FORWARD,
-            _FLAG_MOVED,
-            _FLAG_SEGMENT,
-        ):
+        if not payload or payload[0] not in RECORD_FLAGS:
             flag = payload[0] if payload else None
             report.add("ODE103", f"rid {rid}: flag byte {flag!r}")
             continue
@@ -210,12 +204,12 @@ def _check_record_graph(report: FsckReport, records: dict[int, bytes]) -> None:
     """Forward pointers and body-segment chains must form a clean graph."""
     referenced: set[int] = set()
     for rid, payload in records.items():
-        if payload[0] != _FLAG_FORWARD:
+        if payload[0] != FLAG_FORWARD:
             continue
-        if len(payload) < 1 + _FWD.size:
+        if len(payload) < 1 + FWD.size:
             report.add("ODE104", f"rid {rid}: truncated forward pointer")
             continue
-        (target,) = _FWD.unpack_from(payload, 1)
+        (target,) = FWD.unpack_from(payload, 1)
         # Walk the body chain to its terminal segment.
         seen: set[int] = set()
         while True:
@@ -229,18 +223,18 @@ def _check_record_graph(report: FsckReport, records: dict[int, bytes]) -> None:
                     "ODE104", f"rid {rid}: body chain dangles at rid {target}"
                 )
                 break
-            if body[0] == _FLAG_MOVED:
+            if body[0] == FLAG_MOVED:
                 break
-            if body[0] != _FLAG_SEGMENT or len(body) < 1 + _FWD.size:
+            if body[0] != FLAG_SEGMENT or len(body) < 1 + FWD.size:
                 report.add(
                     "ODE104",
                     f"rid {rid}: body chain hits non-body rid {target}",
                 )
                 break
-            (target,) = _FWD.unpack_from(body, 1)
+            (target,) = FWD.unpack_from(body, 1)
         referenced.update(seen)
     for rid, payload in records.items():
-        if payload[0] in (_FLAG_MOVED, _FLAG_SEGMENT) and rid not in referenced:
+        if payload[0] in (FLAG_MOVED, FLAG_SEGMENT) and rid not in referenced:
             report.add("ODE105", f"rid {rid}: body record has no referrer")
 
 
@@ -264,8 +258,8 @@ def fsck_physical(path: str, report: FsckReport) -> None:
     for page_no in range(num_pages):
         page = raw[page_no * PAGE_SIZE : (page_no + 1) * PAGE_SIZE]
         report.pages_scanned += 1
-        if not _page_checksum_ok(page):
-            (stored,) = _CRC.unpack_from(page, USABLE_END)
+        if not checksum_ok(page):
+            (stored,) = CHECKSUM.unpack_from(page, USABLE_END)
             report.add(
                 "ODE101",
                 f"page {page_no}: stored {stored:#010x} != "
@@ -275,7 +269,7 @@ def fsck_physical(path: str, report: FsckReport) -> None:
         if page_no == 0:
             # A zero body is an interrupted bootstrap (recovery finishes
             # it on the next open), not corruption.
-            if page[: len(_MAGIC)] != _MAGIC and any(page[:USABLE_END]):
+            if page[: len(MAGIC)] != MAGIC and any(page[:USABLE_END]):
                 report.add("ODE106", f"{data_path}: bad magic in page 0")
             continue
         if not any(page[:USABLE_END]):

@@ -6,17 +6,20 @@ system used the disk-based EOS storage manager for regular Ode and the
 main-memory Dali storage manager for MM-Ode; both share the object-manager
 code above them.  This package reproduces that split:
 
-* :class:`~repro.storage.disk.DiskStorageManager` — an EOS-like engine with
-  slotted pages, an LRU buffer pool, a write-ahead log with value logging
-  (redo committed work, undo losers), and strict two-phase locking.
-* :class:`~repro.storage.mainmem.MainMemoryStorageManager` — a Dali-like
-  engine keeping records in memory with per-transaction undo logs and an
-  optional operation-log + snapshot durability scheme.
+* :class:`~repro.storage.interface.StorageManager` — the one
+  transactional shell: strict two-phase locking, a write-ahead log with
+  value logging (redo committed work, undo losers), the commit protocol,
+  degrade-to-read-only, checkpoints and crash simulation.
+* :class:`~repro.storage.disk.DiskStorageManager` — the shell over
+  EOS-like slotted pages cached by an LRU buffer pool (``PagedRecords``).
+* :class:`~repro.storage.mainmem.MainMemoryStorageManager` — the shell
+  over a Dali-like in-memory dict made durable by snapshots
+  (``HeapRecords``), or purely volatile.
 
-Both implement :class:`~repro.storage.interface.StorageManager`, so the
-object manager (and thus the whole trigger system) is engine-agnostic,
-exactly as Ode and MM-Ode "share a great deal of run-time system code"
-(paper Section 5.6).
+The object manager (and thus the whole trigger system) is therefore
+engine-agnostic, and so is everything transactional below it, exactly as
+Ode and MM-Ode "share a great deal of run-time system code" (paper
+Section 5.6).
 """
 
 from repro.storage.buffer import BufferPool, PagedFile

@@ -22,7 +22,6 @@ Robustness hooks threaded through this layer:
 from __future__ import annotations
 
 import os
-import struct
 import threading
 import zlib
 from collections import OrderedDict
@@ -30,14 +29,12 @@ from collections import OrderedDict
 from repro import obs
 from repro.errors import BufferPoolError, PageChecksumError, PageError
 from repro.faults.injector import NULL_INJECTOR, FaultInjector, with_retry
-from repro.storage.page import PAGE_SIZE, USABLE_END, SlottedPage
-
-_CRC = struct.Struct("<I")
+from repro.storage.page import CHECKSUM, PAGE_SIZE, USABLE_END, SlottedPage
 
 
 def stamp_checksum(raw: bytearray) -> None:
     """Write the CRC32 of the page body into its trailing checksum field."""
-    _CRC.pack_into(raw, USABLE_END, zlib.crc32(bytes(raw[:USABLE_END])))
+    CHECKSUM.pack_into(raw, USABLE_END, zlib.crc32(bytes(raw[:USABLE_END])))
 
 
 def checksum_ok(raw: bytes | bytearray) -> bool:
@@ -46,7 +43,7 @@ def checksum_ok(raw: bytes | bytearray) -> bool:
     An all-zero page is accepted as a valid never-initialized page: its
     checksum field was never stamped, and there is no content to protect.
     """
-    (stored,) = _CRC.unpack_from(raw, USABLE_END)
+    (stored,) = CHECKSUM.unpack_from(raw, USABLE_END)
     if stored == zlib.crc32(bytes(raw[:USABLE_END])):
         return True
     return not any(raw)
@@ -115,7 +112,7 @@ class PagedFile:
 
         data = bytearray(with_retry(op, on_retry=self._count_retry))
         if not checksum_ok(data):
-            (stored,) = _CRC.unpack_from(data, USABLE_END)
+            (stored,) = CHECKSUM.unpack_from(data, USABLE_END)
             raise PageChecksumError(
                 page_no, stored, zlib.crc32(bytes(data[:USABLE_END]))
             )

@@ -3,7 +3,9 @@
 Records live in slotted pages cached by an LRU buffer pool; mutations are
 value-logged to a write-ahead log (STEAL/NO-FORCE: dirty pages may be
 evicted before commit — the pool forces the log first — and commit forces
-only the log).  Strict two-phase locking at record granularity.
+only the log).  Strict two-phase locking at record granularity.  All of
+that but the pages is the shared :class:`~repro.storage.interface.
+StorageManager` shell; this module is the paged record layer under it.
 
 Record identifiers pack a page number and slot number
 (``rid = page_no << 16 | slot_no``).  Updates that outgrow their page leave
@@ -21,55 +23,38 @@ Physical record encoding (first byte is a flag):
   records larger than a page span a chain of segments, so B-tree nodes and
   other big values fit the engine.
 
-Page 0 is a header page holding a magic string and the committed root rid.
-
-Crash model: :meth:`simulate_crash` closes the files without flushing *and
-drops the unforced WAL tail* (``WriteAheadLog.crash``) — a real crash loses
-everything the OS page cache held, so only fsynced state survives.  The
-next open runs :mod:`repro.storage.recovery`.
-
-Media model: an :class:`~repro.errors.UnrecoverableMediaError` from any
-write path degrades the manager to read-only — committed state stays
-readable, every later mutation raises
-:class:`~repro.errors.ReadOnlyStorageError`, and close drops the unforced
-log tail so no half-acknowledged commit surfaces after restart.
+Page 0 is a header page holding a magic string and the checkpointed root
+rid.  :mod:`repro.fsck` reads these files directly and imports the format
+constants from here.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 from collections.abc import Iterator
 
-from repro.errors import (
-    PageFullError,
-    ReadOnlyStorageError,
-    RecordNotFoundError,
-    StorageError,
-    UnrecoverableMediaError,
-    WALError,
-)
+from repro.errors import PageError, PageFullError, RecordNotFoundError, StorageError
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
 from repro.storage.buffer import BufferPool, PagedFile
 from repro.storage.interface import StorageManager
-from repro.storage.locks import DEFAULT_LOCK_STRIPES, LockManager, LockMode
+from repro.storage.locks import DEFAULT_LOCK_STRIPES
 from repro.storage.page import PAGE_SIZE, USABLE_END, SlottedPage
-from repro.storage.recovery import RecoveryStats, recover
-from repro.storage.wal import LogRecord, LogRecordKind, WriteAheadLog
 
-_MAGIC = b"ODEREPRO"
+MAGIC = b"ODEREPRO"
 _HEADER_FMT = struct.Struct("<8sq")  # magic, root rid
-_SLOT_BITS = 16
-_SLOT_MASK = (1 << _SLOT_BITS) - 1
+SLOT_BITS = 16
+_SLOT_MASK = (1 << SLOT_BITS) - 1
 
-_FLAG_INLINE = 0
-_FLAG_FORWARD = 1
-_FLAG_MOVED = 2  # body (or final body segment) of a forwarded record
-_FLAG_SEGMENT = 3  # body segment with a continuation: 8-byte next rid + chunk
+FLAG_INLINE = 0
+FLAG_FORWARD = 1
+FLAG_MOVED = 2  # body (or final body segment) of a forwarded record
+FLAG_SEGMENT = 3  # body segment with a continuation: 8-byte next rid + chunk
+#: Flags of a record's home slot (what a rid addresses); the other two
+#: mark body records, reachable only through a forward pointer.
+HEAD_FLAGS = (FLAG_INLINE, FLAG_FORWARD)
+RECORD_FLAGS = (FLAG_INLINE, FLAG_FORWARD, FLAG_MOVED, FLAG_SEGMENT)
 
-_ROOT_RESOURCE = "ROOT"
-
-_FWD = struct.Struct("<q")
+FWD = struct.Struct("<q")
 
 #: Largest record data stored inline / per body segment.  Anything bigger
 #: is spanned across a chain of segment records (flag 3 ... flag 2), so
@@ -80,11 +65,11 @@ _MAX_CHUNK = 3500
 # forward pointer (9 bytes), so converting an inline record to a forward
 # can always be done in place — even on a completely full page.
 _INLINE_HEAD = struct.Struct("<BH")  # flag, data length
-_MIN_PAYLOAD = 1 + _FWD.size
+_MIN_PAYLOAD = 1 + FWD.size
 
 
 def _inline_payload(data: bytes) -> bytes:
-    payload = _INLINE_HEAD.pack(_FLAG_INLINE, len(data)) + data
+    payload = _INLINE_HEAD.pack(FLAG_INLINE, len(data)) + data
     if len(payload) < _MIN_PAYLOAD:
         payload += b"\x00" * (_MIN_PAYLOAD - len(payload))
     return payload
@@ -95,14 +80,18 @@ def _inline_data(payload: bytes) -> bytes:
     return payload[_INLINE_HEAD.size : _INLINE_HEAD.size + length]
 
 
+def _forward(body: int) -> bytes:
+    return bytes([FLAG_FORWARD]) + FWD.pack(body)
+
+
 def pack_rid(page_no: int, slot_no: int) -> int:
     """Combine a page number and slot number into a record id."""
-    return (page_no << _SLOT_BITS) | slot_no
+    return (page_no << SLOT_BITS) | slot_no
 
 
 def unpack_rid(rid: int) -> tuple[int, int]:
     """Split a record id into its page number and slot number."""
-    return rid >> _SLOT_BITS, rid & _SLOT_MASK
+    return rid >> SLOT_BITS, rid & _SLOT_MASK
 
 
 class DiskStorageManager(StorageManager):
@@ -114,450 +103,149 @@ class DiskStorageManager(StorageManager):
         buffer_capacity: int = 128,
         injector: FaultInjector = NULL_INJECTOR,
         lock_stripes: int = DEFAULT_LOCK_STRIPES,
-        group_commit: bool = False,
     ):
-        super().__init__()
-        self.path = str(path)
-        self.injector = injector
-        self.degraded = False
-        self.group_commit = group_commit
-        self._file = PagedFile(
-            self.path + ".data", injector=injector, stats=self.stats
+        path = str(path)
+        super().__init__(
+            path,
+            path + ".wal",
+            injector,
+            lock_stripes,
+            lambda wal, stats: PagedRecords(
+                path, wal, buffer_capacity, injector, stats
+            ),
         )
-        self._wal = None
-        try:
-            self._wal = WriteAheadLog(
-                self.path + ".wal",
-                stats=self.stats,
-                injector=injector,
-                group_commit=group_commit,
-            )
-            self._pool = BufferPool(
-                self._file,
-                capacity=buffer_capacity,
-                stats=self.stats,
-                # WAL-before-data staging: force() returns only once every
-                # byte appended so far is durable, which is exactly the
-                # write-ahead rule — so a STEAL eviction may ride a commit
-                # leader's batched fsync instead of paying its own.
-                pre_write=self._wal.force,
-            )
-            self._locks = LockManager(stripes=lock_stripes)
-            # Engine-wide mutex for threaded sessions: guards pages, the
-            # buffer pool, the free map, per-txn undo lists, and the WAL.
-            # Record locks are always taken *outside* it — a blocking lock
-            # wait must never hold the engine mutex.
-            self._mutex = threading.RLock()
-            self._active: dict[int, list[LogRecord]] = {}
-            self._page_free: dict[int, int] = {}
-            self._root = self.NO_ROOT
-            self._closed = False
-            self.last_recovery: RecoveryStats | None = None
-            self._bootstrap()
-        except BaseException:
-            # Construction failed (corrupt log, injected crash, ...): do
-            # not leak the file descriptors — the crash harness reopens
-            # the same path hundreds of times in one process.
-            self._file.close()
-            if self._wal is not None:
-                self._wal.crash()
-            raise
 
-    # -- bootstrap / recovery -------------------------------------------------
+    # perf/trace.py wraps these by ``vars(cls)[name]``, so each engine
+    # binds the shell's single function in its own namespace.
+    read = StorageManager.read
+    write = StorageManager.write
+    insert = StorageManager.insert
+    delete = StorageManager.delete
+    commit_transaction = StorageManager.commit_transaction
+    abort_transaction = StorageManager.abort_transaction
 
-    def _bootstrap(self) -> None:
+
+class PagedRecords:
+    """Slotted pages, buffer pool, free map, forwarding and body chains."""
+
+    def __init__(self, path, wal, buffer_capacity, injector, stats):
+        self.path = path
+        self._injector = injector
+        self._file = PagedFile(path + ".data", injector=injector, stats=stats)
+        # The write-ahead rule: the log is durable before any page reaches
+        # disk.  ``force`` returns at once when it already is, so a STEAL
+        # eviction pays an fsync only for log bytes not yet durable.
+        self._force = wal.force
+        self._pool = BufferPool(
+            self._file, capacity=buffer_capacity, stats=stats, pre_write=self._force
+        )
+        self._page_free: dict[int, int] = {}
+
+    # -- header page and checkpoint ---------------------------------------------
+
+    def load(self) -> int:
+        root = StorageManager.NO_ROOT
         if self._file.num_pages == 0:
             self._file.allocate_page()  # header page
-            self._write_header()
+            self._write_header(root)
         else:
-            self._read_header()
-        self._rebuild_free_map()
-        self.last_recovery = recover(self._wal.replay(), self._redo, self._undo)
-        self.checkpoint()
-
-    def _write_header(self) -> None:
-        raw = bytearray(PAGE_SIZE)
-        _HEADER_FMT.pack_into(raw, 0, _MAGIC, self._root)
-        self._file.write_page(0, raw)
-
-    def _read_header(self) -> None:
-        raw = self._file.read_page(0)
-        magic, root = _HEADER_FMT.unpack_from(raw, 0)
-        if magic != _MAGIC:
-            if not any(raw[:USABLE_END]):
+            raw = self._file.read_page(0)
+            magic, stored = _HEADER_FMT.unpack_from(raw, 0)
+            if magic == MAGIC:
+                root = stored
+            elif not any(raw[:USABLE_END]):
                 # A crash between allocating page 0 and stamping the
                 # header leaves a zeroed (CRC-only) page: finish that
                 # interrupted bootstrap.
-                self._write_header()
-                return
-            raise StorageError(f"{self.path}: not an Ode-repro data file")
-        self._root = root
+                self._write_header(root)
+            else:
+                raise StorageError(f"{self.path}: not an Ode-repro data file")
+        for page_no in range(1, self._file.num_pages):  # rebuild the free map
+            page = self._pool.fetch(page_no)
+            self._unpin(page_no, page, dirty=False)
+        return root
 
-    def _rebuild_free_map(self) -> None:
-        self._page_free.clear()
+    def save(self, root: int) -> None:
+        self._force()  # log before pages, even when none is dirty
+        self._pool.flush_all()
+        self._injector.fire("checkpoint.after_flush")
+        self._write_header(root)
+        self._file.sync()
+
+    def _write_header(self, root: int) -> None:
+        raw = bytearray(PAGE_SIZE)
+        _HEADER_FMT.pack_into(raw, 0, MAGIC, root)
+        self._file.write_page(0, raw)
+
+    def degrade(self) -> None:
+        self._pool.read_only = True
+
+    def close(self) -> None:
+        self._file.close()
+
+    # -- the record contract -------------------------------------------------------
+
+    def get(self, rid: int) -> bytes:
+        head = self._head(rid)
+        if head is None:
+            raise RecordNotFoundError(f"rid {rid} not found")
+        if head[0] == FLAG_INLINE:
+            return _inline_data(head)
+        return self._read_body(FWD.unpack_from(head, 1)[0])
+
+    def has(self, rid: int) -> bool:
+        return self._head(rid) is not None
+
+    def new(self, data: bytes) -> int:
+        if len(data) <= _MAX_CHUNK:
+            return self._place(_inline_payload(data))
+        return self._place(_forward(self._place_body(data)))
+
+    def put(self, rid: int, data: bytes) -> None:
+        head = self._head(rid)
+        if head is None:
+            self._insert_at(rid, data)
+        else:
+            self._rewrite(rid, head, data)
+
+    def remove(self, rid: int) -> None:
+        head = self._head(rid)
+        if head is None:
+            return
+        if head[0] == FLAG_FORWARD:
+            self._delete_body(FWD.unpack_from(head, 1)[0])
+        self._delete_slot(rid)
+
+    def rids(self) -> Iterator[int]:
         for page_no in range(1, self._file.num_pages):
             page = self._pool.fetch(page_no)
             try:
-                self._page_free[page_no] = page.free_space()
+                heads = [
+                    pack_rid(page_no, slot_no)
+                    for slot_no, data in page.records()
+                    if data and data[0] in HEAD_FLAGS
+                ]
             finally:
                 self._pool.unpin(page_no, dirty=False)
+            yield from heads
 
-    def _redo(self, record: LogRecord) -> None:
-        if record.kind is LogRecordKind.SET_ROOT:
-            (self._root,) = _FWD.unpack(record.after)
-        elif record.kind is LogRecordKind.INSERT:
-            self._ensure_present(record.rid, record.after)
-        elif record.kind is LogRecordKind.UPDATE:
-            self._ensure_present(record.rid, record.after)
-        elif record.kind is LogRecordKind.DELETE:
-            self._ensure_absent(record.rid)
+    # -- slots and the free map -----------------------------------------------------
 
-    def _undo(self, record: LogRecord) -> None:
-        if record.kind is LogRecordKind.SET_ROOT:
-            (self._root,) = _FWD.unpack(record.before)
-        elif record.kind is LogRecordKind.INSERT:
-            self._ensure_absent(record.rid)
-        elif record.kind is LogRecordKind.UPDATE:
-            self._ensure_present(record.rid, record.before)
-        elif record.kind is LogRecordKind.DELETE:
-            self._ensure_present(record.rid, record.before)
-
-    def _ensure_present(self, rid: int, data: bytes) -> None:
-        if self._exists_raw(rid):
-            self._write_raw(rid, data)
-        else:
-            self._insert_at_raw(rid, data)
-
-    def _ensure_absent(self, rid: int) -> None:
-        if self._exists_raw(rid):
-            self._delete_raw(rid)
-
-    # -- media degrade ---------------------------------------------------------
-
-    def _degrade(self) -> None:
-        """The medium failed permanently: stop writing, keep reading."""
-        if self.degraded:
-            return
-        self.degraded = True
-        self._pool.read_only = True
-        self._notify_degraded()
-
-    def _check_writable(self) -> None:
-        if self.degraded:
-            raise ReadOnlyStorageError(
-                f"{self.path}: degraded to read-only after a media error"
-            )
-
-    def _append_logged(self, txid, kind, rid=-1, before=b"", after=b"") -> LogRecord:
-        """WAL append that degrades the engine on permanent media failure."""
+    def _payload(self, rid: int) -> bytes | None:
+        """The bytes in *rid*'s slot, or None for a missing page/empty slot."""
+        page_no, slot_no = unpack_rid(rid)
+        if not 1 <= page_no < self._file.num_pages:
+            return None
+        page = self._pool.fetch(page_no)
         try:
-            return self._wal.append(txid, kind, rid, before, after)
-        except UnrecoverableMediaError as exc:
-            self._degrade()
-            raise ReadOnlyStorageError(
-                f"{self.path}: log append failed permanently; "
-                "database degraded to read-only"
-            ) from exc
+            return page.read(slot_no) if page.is_live(slot_no) else None
+        finally:
+            self._pool.unpin(page_no, dirty=False)
 
-    # -- transaction control ------------------------------------------------------
-
-    def begin_transaction(self, txid: int) -> None:
-        self._check_open()
-        with self._mutex:
-            if txid in self._active:
-                raise StorageError(f"transaction {txid} already active")
-            self._active[txid] = []
-            if not self.degraded:  # read-only transactions stay possible
-                self._append_logged(txid, LogRecordKind.BEGIN)
-
-    def commit_transaction(self, txid: int) -> None:
-        self._check_open()
-        with self._mutex:
-            records = self._require_active(txid)
-            if self.degraded:
-                if records:
-                    raise ReadOnlyStorageError(
-                        f"cannot commit transaction {txid}: "
-                        "database degraded to read-only with logged mutations"
-                    )
-                del self._active[txid]
-                self.stats.commits += 1
-                self._locks.release_all(txid)
-                return
-            self.injector.fire("txn.commit.begin", txid=txid)
-            try:
-                self._wal.append(txid, LogRecordKind.COMMIT)
-            except UnrecoverableMediaError as exc:
-                self._degrade()
-                raise ReadOnlyStorageError(
-                    f"commit of transaction {txid} failed permanently; "
-                    "database degraded to read-only"
-                ) from exc
-        # The durability fsync runs OUTSIDE the engine mutex: with group
-        # commit, concurrent committers elect a leader that fsyncs once
-        # for the batch; without it, overlapping appends are still safe
-        # because WAL durability is prefix-based (an fsync covering later
-        # records covers this COMMIT too).  The txid stays in ``_active``
-        # until durable so an abort-after-failure can still undo it.
-        try:
-            self._wal.force()
-        except UnrecoverableMediaError as exc:
-            self._degrade()
-            raise ReadOnlyStorageError(
-                f"commit of transaction {txid} failed permanently; "
-                "database degraded to read-only"
-            ) from exc
-        self.injector.fire("txn.commit.durable", txid=txid)
-        with self._mutex:
-            del self._active[txid]
-            self.stats.commits += 1
-        # Outside the mutex: releasing grants queued requests FIFO and
-        # wakes the blocked sessions that now hold their locks.
-        self._locks.release_all(txid)
-
-    def abort_transaction(self, txid: int) -> None:
-        self._check_open()
-        with self._mutex:
-            self._abort_locked(txid)
-        self._locks.release_all(txid)
-
-    def _abort_locked(self, txid: int) -> None:
-        records = self._require_active(txid)
-        for record in reversed(records):
-            compensation = record.inverse()
-            if not self.degraded:
-                try:
-                    self._wal.append(
-                        txid,
-                        compensation.kind,
-                        compensation.rid,
-                        compensation.before,
-                        compensation.after,
-                    )
-                except UnrecoverableMediaError:
-                    # Keep undoing in memory; recovery replays the loser
-                    # from the (fsynced prefix of the) log at next open.
-                    self._degrade()
-            self._redo(compensation)
-        if not self.degraded:
-            try:
-                self._wal.append(txid, LogRecordKind.ABORT)
-            except UnrecoverableMediaError:
-                self._degrade()
-        del self._active[txid]
-        self.stats.aborts += 1
-
-    def _require_active(self, txid: int) -> list[LogRecord]:
-        try:
-            return self._active[txid]
-        except KeyError:
-            raise StorageError(f"transaction {txid} is not active") from None
-
-    def _open_txids(self) -> frozenset[int]:
-        return frozenset(self._active)
-
-    # -- data operations --------------------------------------------------------------
-
-    def insert(self, txid: int, data: bytes) -> int:
-        self._check_open()
-        self._check_writable()
-        self._require_active(txid)
-        with self._mutex:
-            rid = self._insert_raw(bytes(data))
-        # A fresh rid is invisible to other transactions: the X lock is
-        # granted immediately, it just records the holding for 2PL.
-        self._locks.lock(txid, rid, LockMode.X)
-        with self._mutex:
-            try:
-                record = self._append_logged(
-                    txid, LogRecordKind.INSERT, rid, b"", bytes(data)
-                )
-            except ReadOnlyStorageError:
-                self._delete_raw(rid)  # un-place the unlogged record (in memory)
-                raise
-            self._active[txid].append(record)
-            self.stats.inserts += 1
-        return rid
-
-    def read(self, txid: int, rid: int) -> bytes:
-        self._check_open()
-        self._require_active(txid)
-        self._locks.lock(txid, rid, LockMode.S)
-        with self._mutex:
-            self.stats.reads += 1
-            return self._read_raw(rid)
-
-    def write(self, txid: int, rid: int, data: bytes) -> None:
-        self._check_open()
-        self._check_writable()
-        self._require_active(txid)
-        self._locks.lock(txid, rid, LockMode.X)
-        with self._mutex:
-            before = self._read_raw(rid)
-            record = self._append_logged(
-                txid, LogRecordKind.UPDATE, rid, before, bytes(data)
-            )
-            self._active[txid].append(record)
-            self._write_raw(rid, bytes(data))
-            self.stats.writes += 1
-
-    def write_merged(self, txid: int, rid: int, data: bytes) -> None:
-        # Lock-free by contract: the MVCC version manager's commit mutex
-        # is the only serialization (see StorageManager.write_merged).
-        self._check_open()
-        self._check_writable()
-        self._require_active(txid)
-        with self._mutex:
-            before = self._read_raw(rid)
-            record = self._append_logged(
-                txid, LogRecordKind.UPDATE, rid, before, bytes(data)
-            )
-            self._active[txid].append(record)
-            self._write_raw(rid, bytes(data))
-            self.stats.writes += 1
-
-    def peek(self, rid: int) -> bytes:
-        self._check_open()
-        with self._mutex:
-            return self._read_raw(rid)
-
-    def delete(self, txid: int, rid: int) -> None:
-        self._check_open()
-        self._check_writable()
-        self._require_active(txid)
-        self._locks.lock(txid, rid, LockMode.X)
-        with self._mutex:
-            before = self._read_raw(rid)
-            record = self._append_logged(txid, LogRecordKind.DELETE, rid, before, b"")
-            self._active[txid].append(record)
-            self._delete_raw(rid)
-            self.stats.deletes += 1
-
-    def exists(self, txid: int, rid: int) -> bool:
-        self._check_open()
-        self._require_active(txid)
-        with self._mutex:
-            return self._exists_raw(rid)
-
-    def scan(self, txid: int) -> Iterator[tuple[int, bytes]]:
-        self._check_open()
-        self._require_active(txid)
-        for page_no in range(1, self._file.num_pages):
-            with self._mutex:
-                page = self._pool.fetch(page_no)
-                try:
-                    entries = [
-                        (slot_no, data)
-                        for slot_no, data in page.records()
-                        if data and data[0] in (_FLAG_INLINE, _FLAG_FORWARD)
-                    ]
-                finally:
-                    self._pool.unpin(page_no, dirty=False)
-            for slot_no, data in entries:
-                rid = pack_rid(page_no, slot_no)
-                self._locks.lock(txid, rid, LockMode.S)
-                if data[0] == _FLAG_INLINE:
-                    yield rid, _inline_data(data)
-                else:  # forwarded: fetch the body from the target
-                    with self._mutex:
-                        yield rid, self._read_raw(rid)
-
-    # -- root pointer --------------------------------------------------------------------
-
-    def get_root(self) -> int:
-        self._check_open()
-        return self._root
-
-    def set_root(self, txid: int, rid: int) -> None:
-        self._check_open()
-        self._check_writable()
-        self._require_active(txid)
-        self._locks.lock(txid, _ROOT_RESOURCE, LockMode.X)
-        with self._mutex:
-            record = self._append_logged(
-                txid,
-                LogRecordKind.SET_ROOT,
-                -1,
-                _FWD.pack(self._root),
-                _FWD.pack(rid),
-            )
-            self._active[txid].append(record)
-            self._root = rid
-
-    # -- lifecycle ------------------------------------------------------------------------
-
-    def checkpoint(self) -> None:
-        """Flush all pages + header and truncate the log."""
-        self._check_open()
-        if self.degraded:
-            return  # nothing new can be made durable on a failed medium
-        if self._active:
-            raise StorageError("cannot checkpoint with active transactions")
-        try:
-            self.injector.fire("checkpoint.begin")
-            with self._mutex:
-                self._wal.force_now()
-                self._pool.flush_all()
-                self.injector.fire("checkpoint.after_flush")
-                self._write_header()
-                self._file.sync()
-                self.injector.fire("checkpoint.before_truncate")
-                self._wal.truncate()
-            self.injector.fire("checkpoint.end")
-        except UnrecoverableMediaError as exc:
-            self._degrade()
-            raise ReadOnlyStorageError(
-                f"{self.path}: checkpoint failed permanently; "
-                "database degraded to read-only"
-            ) from exc
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        if self._active:
-            for txid in list(self._active):
-                self.abort_transaction(txid)
-        if not self.degraded:
-            try:
-                self.checkpoint()
-            except ReadOnlyStorageError:
-                pass  # fall through to the degraded shutdown below
-        if self.degraded:
-            # The app may have been told a commit *failed* while its
-            # COMMIT record sits unforced in the log: dropping the
-            # unforced tail keeps the refusal honest across restarts.
-            self._wal.crash()
-        else:
-            self._wal.close()
-        self._file.close()
-        self._closed = True
-
-    def simulate_crash(self) -> None:
-        """Die abruptly: volatile state is lost, only fsynced state survives.
-
-        Dirty buffer-pool pages vanish with the process and the *unforced*
-        WAL tail is dropped (a real crash loses whatever the OS page cache
-        held) — so a missing ``force()`` in the engine shows up as lost
-        commits in tests instead of being papered over.
-        """
-        if self._closed:
-            return
-        self._wal.crash()
-        self._file.close()
-        self._closed = True
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise StorageError("storage manager is closed")
-
-    @property
-    def lock_manager(self) -> LockManager:
-        return self._locks
-
-    # -- physical record layer (flag + forwarding) -------------------------------------------
-
-    def _fetch(self, page_no: int) -> SlottedPage:
-        return self._pool.fetch(page_no)
+    def _head(self, rid: int) -> bytes | None:
+        """*rid*'s slot bytes if it holds a record (not a body), else None."""
+        payload = self._payload(rid)
+        return payload if payload and payload[0] in HEAD_FLAGS else None
 
     def _unpin(self, page_no: int, page: SlottedPage, *, dirty: bool) -> None:
         self._pool.unpin(page_no, dirty=dirty)
@@ -574,13 +262,13 @@ class DiskStorageManager(StorageManager):
 
     def _place(self, payload: bytes) -> int:
         """Store one flagged payload (≤ a page) somewhere; returns its rid."""
-        if len(payload) > _MAX_CHUNK + _FWD.size + 1:
+        if len(payload) > _MAX_CHUNK + FWD.size + 1:
             raise StorageError(
                 f"internal: payload of {len(payload)} bytes must be chained"
             )
         while True:
             page_no = self._find_page_for(len(payload))
-            page = self._fetch(page_no)
+            page = self._pool.fetch(page_no)
             try:
                 slot_no = page.insert(payload)
             except PageFullError:
@@ -590,6 +278,24 @@ class DiskStorageManager(StorageManager):
                 continue
             self._unpin(page_no, page, dirty=True)
             return pack_rid(page_no, slot_no)
+
+    def _update_slot(self, rid: int, payload: bytes) -> bool:
+        """Rewrite *rid*'s slot in place; False if its page is too full."""
+        page_no, slot_no = unpack_rid(rid)
+        page = self._pool.fetch(page_no)
+        try:
+            page.update(slot_no, payload)
+        except PageFullError:
+            self._unpin(page_no, page, dirty=False)
+            return False
+        self._unpin(page_no, page, dirty=True)
+        return True
+
+    def _delete_slot(self, rid: int) -> None:
+        page_no, slot_no = unpack_rid(rid)
+        page = self._pool.fetch(page_no)
+        page.delete(slot_no)
+        self._unpin(page_no, page, dirty=True)
 
     # -- body chains: records of any size span segment records ------------------
 
@@ -602,49 +308,47 @@ class DiskStorageManager(StorageManager):
         # Build the chain back to front so each segment knows its successor.
         for chunk in reversed(chunks):
             if next_rid is None:
-                payload = bytes([_FLAG_MOVED]) + chunk
+                payload = bytes([FLAG_MOVED]) + chunk
             else:
-                payload = bytes([_FLAG_SEGMENT]) + _FWD.pack(next_rid) + chunk
+                payload = bytes([FLAG_SEGMENT]) + FWD.pack(next_rid) + chunk
             next_rid = self._place(payload)
         return next_rid
+
+    def _segment(self, rid: int) -> bytes:
+        """The body segment at *rid*; raises where the chain is broken."""
+        payload = self._payload(rid)
+        if payload is None or payload[0] not in (FLAG_MOVED, FLAG_SEGMENT):
+            raise RecordNotFoundError(f"rid {rid}: broken body chain")
+        return payload
 
     def _read_body(self, rid: int) -> bytes:
         parts = []
         while True:
-            payload = self._load(rid)
-            if payload[0] == _FLAG_MOVED:
+            payload = self._segment(rid)
+            if payload[0] == FLAG_MOVED:
                 parts.append(payload[1:])
                 return b"".join(parts)
-            if payload[0] == _FLAG_SEGMENT:
-                (rid,) = _FWD.unpack(payload[1:9])
-                parts.append(payload[9:])
-                continue
-            raise RecordNotFoundError(f"rid {rid}: broken body chain")
+            (rid,) = FWD.unpack_from(payload, 1)
+            parts.append(payload[9:])
 
     def _delete_body(self, rid: int) -> None:
         while True:
-            payload = self._load(rid)
+            payload = self._segment(rid)
             self._delete_slot(rid)
-            if payload[0] == _FLAG_SEGMENT:
-                (rid,) = _FWD.unpack(payload[1:9])
-                continue
-            return
+            if payload[0] == FLAG_MOVED:
+                return
+            (rid,) = FWD.unpack_from(payload, 1)
 
-    # -- logical record operations ------------------------------------------------
+    # -- placing a record at its rid --------------------------------------------------
 
-    def _insert_raw(self, data: bytes) -> int:
-        if len(data) <= _MAX_CHUNK:
-            return self._place(_inline_payload(data))
-        body = self._place_body(data)
-        return self._place(bytes([_FLAG_FORWARD]) + _FWD.pack(body))
-
-    def _insert_at_raw(self, rid: int, data: bytes) -> None:
+    def _insert_at(self, rid: int, data: bytes) -> None:
+        """Re-create *rid* at its own slot (redo of INSERT, undo of DELETE)."""
         page_no, slot_no = unpack_rid(rid)
         while self._file.num_pages <= page_no:
             new_page = self._file.allocate_page()
             self._page_free[new_page] = PAGE_SIZE
         if len(data) <= _MAX_CHUNK:
-            page = self._fetch(page_no)
+            page = self._pool.fetch(page_no)
             try:
                 page.insert_at(slot_no, _inline_payload(data))
                 self._unpin(page_no, page, dirty=True)
@@ -652,90 +356,25 @@ class DiskStorageManager(StorageManager):
             except PageFullError:
                 self._unpin(page_no, page, dirty=False)
         body = self._place_body(data)
-        page = self._fetch(page_no)
-        page.insert_at(slot_no, bytes([_FLAG_FORWARD]) + _FWD.pack(body))
+        page = self._pool.fetch(page_no)
+        page.insert_at(slot_no, _forward(body))
         self._unpin(page_no, page, dirty=True)
 
-    def _load(self, rid: int) -> bytes:
-        page_no, slot_no = unpack_rid(rid)
-        if not 1 <= page_no < self._file.num_pages:
-            raise RecordNotFoundError(f"rid {rid}: no such page")
-        page = self._fetch(page_no)
-        try:
-            if not page.is_live(slot_no):
-                raise RecordNotFoundError(f"rid {rid}: slot is empty")
-            return page.read(slot_no)
-        finally:
-            self._pool.unpin(page_no, dirty=False)
-
-    def _read_raw(self, rid: int) -> bytes:
-        payload = self._load(rid)
-        if payload[0] == _FLAG_INLINE:
-            return _inline_data(payload)
-        if payload[0] == _FLAG_FORWARD:
-            (body,) = _FWD.unpack(payload[1:9])
-            return self._read_body(body)
-        raise RecordNotFoundError(f"rid {rid} addresses a record body, not a record")
-
-    def _write_raw(self, rid: int, data: bytes) -> None:
-        page_no, slot_no = unpack_rid(rid)
-        payload = self._load(rid)
-        if payload[0] == _FLAG_FORWARD:
-            (body,) = _FWD.unpack(payload[1:9])
-            head = self._load(body)
-            if head[0] == _FLAG_MOVED and len(data) <= _MAX_CHUNK:
-                # Single-segment body: try an in-place target update.
-                tpage_no, tslot_no = unpack_rid(body)
-                tpage = self._fetch(tpage_no)
-                try:
-                    tpage.update(tslot_no, bytes([_FLAG_MOVED]) + data)
-                    self._unpin(tpage_no, tpage, dirty=True)
-                    return
-                except PageFullError:
-                    self._unpin(tpage_no, tpage, dirty=False)
-            self._delete_body(body)
-            new_body = self._place_body(data)
-            page = self._fetch(page_no)
-            page.update(slot_no, bytes([_FLAG_FORWARD]) + _FWD.pack(new_body))
-            self._unpin(page_no, page, dirty=True)
-            return
-        # Inline record: keep it inline if it fits, else grow a body chain.
-        if len(data) <= _MAX_CHUNK:
-            page = self._fetch(page_no)
-            try:
-                page.update(slot_no, _inline_payload(data))
-                self._unpin(page_no, page, dirty=True)
+    def _rewrite(self, rid: int, head: bytes, data: bytes) -> None:
+        """Replace the live record at *rid* (whose slot holds *head*)."""
+        if head[0] == FLAG_FORWARD:
+            (body,) = FWD.unpack_from(head, 1)
+            # Single-segment body: try an in-place target update.
+            if (
+                self._segment(body)[0] == FLAG_MOVED
+                and len(data) <= _MAX_CHUNK
+                and self._update_slot(body, bytes([FLAG_MOVED]) + data)
+            ):
                 return
-            except PageFullError:
-                self._unpin(page_no, page, dirty=False)
-        body = self._place_body(data)
-        page = self._fetch(page_no)
-        # Inline slots are always >= 9 bytes, so this update is in place
-        # and cannot fail even on a full page.
-        page.update(slot_no, bytes([_FLAG_FORWARD]) + _FWD.pack(body))
-        self._unpin(page_no, page, dirty=True)
-
-    def _delete_slot(self, rid: int) -> None:
-        page_no, slot_no = unpack_rid(rid)
-        page = self._fetch(page_no)
-        page.delete(slot_no)
-        self._unpin(page_no, page, dirty=True)
-
-    def _delete_raw(self, rid: int) -> None:
-        payload = self._load(rid)
-        if payload[0] == _FLAG_FORWARD:
-            (body,) = _FWD.unpack(payload[1:9])
             self._delete_body(body)
-        self._delete_slot(rid)
-
-    def _exists_raw(self, rid: int) -> bool:
-        page_no, slot_no = unpack_rid(rid)
-        if not 1 <= page_no < self._file.num_pages:
-            return False
-        page = self._fetch(page_no)
-        try:
-            if not page.is_live(slot_no):
-                return False
-            return page.read(slot_no)[0] in (_FLAG_INLINE, _FLAG_FORWARD)
-        finally:
-            self._pool.unpin(page_no, dirty=False)
+        elif len(data) <= _MAX_CHUNK and self._update_slot(rid, _inline_payload(data)):
+            return  # an inline record that still fits inline
+        # A forward pointer replaces another one, or an inline record
+        # (padded to >= 9 bytes), in place — even on a full page.
+        if not self._update_slot(rid, _forward(self._place_body(data))):
+            raise PageError(f"rid {rid}: no room for a forward pointer")

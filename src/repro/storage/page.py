@@ -30,10 +30,11 @@ PAGE_SIZE = 4096
 CHECKSUM_SIZE = 4  # trailing CRC32, stamped/verified by PagedFile
 USABLE_END = PAGE_SIZE - CHECKSUM_SIZE
 
-_HEADER = struct.Struct("<HH")  # slot_count, free_end
-_SLOT = struct.Struct("<HH")  # offset, length
-_HEADER_SIZE = _HEADER.size
-_SLOT_SIZE = _SLOT.size
+PAGE_HEADER = struct.Struct("<HH")  # slot_count, free_end
+SLOT = struct.Struct("<HH")  # offset, length
+CHECKSUM = struct.Struct("<I")  # the trailing CRC32, at USABLE_END
+_HEADER_SIZE = PAGE_HEADER.size
+_SLOT_SIZE = SLOT.size
 
 TOMBSTONE = 0xFFFF
 
@@ -44,7 +45,7 @@ class SlottedPage:
     def __init__(self, raw: bytearray | None = None):
         if raw is None:
             raw = bytearray(PAGE_SIZE)
-            _HEADER.pack_into(raw, 0, 0, USABLE_END)
+            PAGE_HEADER.pack_into(raw, 0, 0, USABLE_END)
         if len(raw) != PAGE_SIZE:
             raise PageError(f"page must be exactly {PAGE_SIZE} bytes, got {len(raw)}")
         self.raw = raw
@@ -53,22 +54,22 @@ class SlottedPage:
 
     @property
     def slot_count(self) -> int:
-        return _HEADER.unpack_from(self.raw, 0)[0]
+        return PAGE_HEADER.unpack_from(self.raw, 0)[0]
 
     @property
     def free_end(self) -> int:
-        return _HEADER.unpack_from(self.raw, 0)[1]
+        return PAGE_HEADER.unpack_from(self.raw, 0)[1]
 
     def _set_header(self, slot_count: int, free_end: int) -> None:
-        _HEADER.pack_into(self.raw, 0, slot_count, free_end)
+        PAGE_HEADER.pack_into(self.raw, 0, slot_count, free_end)
 
     def _slot(self, slot_no: int) -> tuple[int, int]:
         if not 0 <= slot_no < self.slot_count:
             raise PageError(f"slot {slot_no} out of range (count={self.slot_count})")
-        return _SLOT.unpack_from(self.raw, _HEADER_SIZE + slot_no * _SLOT_SIZE)
+        return SLOT.unpack_from(self.raw, _HEADER_SIZE + slot_no * _SLOT_SIZE)
 
     def _set_slot(self, slot_no: int, offset: int, length: int) -> None:
-        _SLOT.pack_into(self.raw, _HEADER_SIZE + slot_no * _SLOT_SIZE, offset, length)
+        SLOT.pack_into(self.raw, _HEADER_SIZE + slot_no * _SLOT_SIZE, offset, length)
 
     # -- space accounting -------------------------------------------------------
 

@@ -22,19 +22,13 @@ The log tracks its last-fsynced offset so :meth:`WriteAheadLog.crash` can
 simulate a real process death: everything after the last force is dropped,
 exactly what the page cache would lose at power-off.
 
-**Group commit** (``group_commit=True``): concurrent :meth:`force` callers
-elect a *leader* that performs one fsync covering every record appended
-before it; the others (*followers*) wait for that flush to land and return
-without their own fsync.  Durability is prefix-based — an fsync makes the
-whole log up to the flush point durable, so a COMMIT record covered by a
-later caller's fsync is exactly as durable as one covered by its own.
-The batch has its own failpoints: ``wal.group_force`` fires before the
-batched fsync (a crash there loses the entire batch — every commit in it
-was still unacknowledged) and ``wal.group_force.after`` fires once the
-batch is durable.  A single committer degenerates to leader-with-empty-
-batch, i.e. exactly today's one-fsync-per-commit behaviour; cooperative
-schedulers bypass grouping entirely (their sessions run one at a time, so
-there is never a batch to share).
+**One force path.**  :meth:`WriteAheadLog.force` is the only fsync: commits,
+checkpoints and the buffer pool's write-ahead staging all call it.  It
+reads its goal (the bytes appended so far) under the mutex, returns at
+once when an earlier fsync already covered that goal, and otherwise
+fsyncs *outside* the mutex, so appenders never queue behind the device.
+Durability is prefix-based, so a COMMIT covered by someone else's fsync
+is exactly as durable as one covered by its own.
 """
 
 from __future__ import annotations
@@ -44,14 +38,12 @@ import enum
 import os
 import struct
 import threading
-import time
 import zlib
 from collections.abc import Iterator
 
 from repro import obs
 from repro.errors import WALError
 from repro.faults.injector import NULL_INJECTOR, FaultInjector, with_retry
-from repro.storage.locks import current_wait_hooks
 
 _FRAME = struct.Struct("<II")  # payload_len, crc
 _PAYLOAD_HEAD = struct.Struct("<QQBq")  # lsn, txid, kind, rid
@@ -133,7 +125,7 @@ class WalStatsView:
 
     The counters themselves live on the engine's ``StorageStats`` (the WAL
     increments them there); this view re-exports the log-related subset so
-    dashboards can read ``wal.group_commits`` next to ``wal.log_forces``
+    dashboards can read ``wal.group_piggybacks`` next to ``wal.log_forces``
     without knowing the storage layout.  ``reset`` is a no-op — the storage
     source owns the fields and resets them.
     """
@@ -146,7 +138,6 @@ class WalStatsView:
         return {
             "log_records": stats.log_records,
             "log_forces": stats.log_forces,
-            "group_commits": stats.group_commits,
             "group_piggybacks": stats.group_piggybacks,
         }
 
@@ -158,13 +149,7 @@ class WriteAheadLog:
     """Append-only log file with CRC framing and explicit force points."""
 
     def __init__(
-        self,
-        path: str,
-        stats=None,
-        injector: FaultInjector = NULL_INJECTOR,
-        *,
-        group_commit: bool = False,
-        group_window: float = 0.0,
+        self, path: str, stats=None, injector: FaultInjector = NULL_INJECTOR
     ):
         self.path = str(path)
         self.injector = injector
@@ -179,15 +164,9 @@ class WriteAheadLog:
         # log (the engine mutex already covers the common paths; this keeps
         # the WAL safe even when driven directly, e.g. by tests).
         self._mutex = threading.RLock()
-        #: Batch concurrent commit forces behind a single leader fsync.
-        self.group_commit = group_commit
-        #: Optional leader dally (seconds) before the batched fsync, to
-        #: gather more committers.  0 = pure piggybacking: the leader
-        #: fsyncs immediately and commits arriving during that fsync are
-        #: batched by the *next* leader — no added latency at one session.
-        self.group_window = group_window
-        self._gc_flushing = False
-        self._gc_cond = threading.Condition(self._mutex)
+        # Bumped by truncate(): a force whose fsync straddled a truncate
+        # must not raise _synced_size to a goal in the discarded log.
+        self._truncations = 0
         try:
             self._next_lsn = self._scan_next_lsn()
         except WALError:
@@ -254,89 +233,40 @@ class WriteAheadLog:
         return record
 
     def force(self) -> None:
-        """fsync the log — the durability point for commits.
+        """Make every byte appended so far durable (the only fsync path).
 
-        With :attr:`group_commit` enabled (and no cooperative scheduler
-        installed on this thread), concurrent callers share a leader's
-        batched fsync; otherwise this is a plain :meth:`force_now`.
+        The goal is read under the mutex.  If an earlier fsync already
+        covered it, nothing is issued (counted in ``group_piggybacks``).
+        Otherwise the fsync runs outside the mutex, between the
+        ``wal.force`` and ``wal.force.after`` failpoints, and
+        ``_synced_size`` then rises to the goal — only to a goal read
+        before a completed fsync, and never across a :meth:`truncate`.
         """
-        if not self.group_commit or current_wait_hooks() is not None:
-            self.force_now()
-            return
-        self._force_grouped()
-
-    def force_now(self) -> None:
-        """Unconditional single-caller fsync.
-
-        Checkpoints use this directly: they truncate the log right after,
-        so the flush must not ride (or race) a commit leader's batch.
-        The buffer pool's WAL-before-data staging goes through
-        :meth:`force` instead — write-ahead only requires the log durable
-        up to the page's records, which a batched flush also guarantees.
-        """
-
-        def op():
-            self.injector.fire("wal.force")  # crash here: nothing durable
-            os.fsync(self._fd)
-
-        with self._mutex:
-            with_retry(op, on_retry=self._count_retry)
-            self._synced_size = self._size
-        self.injector.fire("wal.force.after")  # crash here: tail is durable
-        if self._stats is not None:
-            self._stats.log_forces += 1
-        if obs.ENABLED:
-            obs.emit("wal.force", synced_bytes=self._synced_size)
-
-    def _force_grouped(self) -> None:
         with self._mutex:
             goal = self._size
-            while True:
-                if self._synced_size >= goal:
-                    # A leader's batched fsync already covered every byte
-                    # this caller appended: durability by piggyback.
-                    if self._stats is not None:
-                        self._stats.group_piggybacks += 1
-                    return
-                if not self._gc_flushing:
-                    self._gc_flushing = True
-                    break
-                # Follower: a flush is in flight; wait for it to land and
-                # re-check.  The wait is bounded only as a belt against a
-                # leader dying without its ``finally`` (not expected).
-                self._gc_cond.wait(0.05)
+            truncations = self._truncations
+            if self._synced_size >= goal:
+                if self._stats is not None:
+                    self._stats.group_piggybacks += 1
+                return
 
-        # Leader.  The fsync runs OUTSIDE the WAL mutex so concurrent
-        # committers keep appending records the next flush will cover —
-        # that overlap is the entire scaling win.
-        flushed = None
-        try:
-            if self.group_window > 0:
-                time.sleep(self.group_window)  # gather more committers
-            with self._mutex:
-                flush_to = self._size
+        def op():
+            self.injector.fire("wal.force")  # crash here: the goal is not durable
+            os.fsync(self._fd)
 
-            def op():
-                # Crash here: the whole batch is lost, and every commit in
-                # it was still unacknowledged — same contract as wal.force.
-                self.injector.fire("wal.group_force")
-                os.fsync(self._fd)
-
-            with_retry(op, on_retry=self._count_retry)
-            flushed = flush_to
-        finally:
-            with self._mutex:
-                if flushed is not None and flushed > self._synced_size:
-                    self._synced_size = flushed
-                self._gc_flushing = False
-                self._gc_cond.notify_all()
-        # Crash here: the batch is durable; recovery replays every commit.
-        self.injector.fire("wal.group_force.after")
+        with_retry(op, on_retry=self._count_retry)
+        with self._mutex:
+            if truncations == self._truncations and goal > self._synced_size:
+                self._synced_size = goal
+        self.injector.fire("wal.force.after")  # crash here: the goal is durable
         if self._stats is not None:
             self._stats.log_forces += 1
-            self._stats.group_commits += 1
         if obs.ENABLED:
-            obs.emit("wal.group_force", synced_bytes=flushed)
+            obs.emit("wal.force", synced_bytes=goal)
+
+    #: An alias, not a second body: ``perf/micro.py`` and ``perf/trace.py``
+    #: name it.
+    force_now = force
 
     # -- reading -----------------------------------------------------------------
 
@@ -421,6 +351,7 @@ class WriteAheadLog:
             self._size = 0
             self._synced_size = 0
             self._next_lsn = 1
+            self._truncations += 1
 
     def size_bytes(self) -> int:
         return os.fstat(self._fd).st_size

@@ -116,19 +116,3 @@ class TestThreadedSmoke:
             mode="threaded",
             require_crash=False,
         )
-
-    @pytest.mark.parametrize("engine,crash_at", [("disk", 60), ("disk", 180), ("mm", 90)])
-    def test_group_commit(self, tmp_path, engine, crash_at):
-        """Real threads + WAL group commit: the crash can land inside a
-        batched fsync with followers parked on the leader.  Whole-batch
-        atomicity (acked commits durable, unacked ones wholly gone) must
-        satisfy the same oracle."""
-        crash_and_verify_concurrent(
-            str(tmp_path / f"g{crash_at}"),
-            crash_at,
-            "threaded",
-            engine=engine,
-            mode="threaded",
-            require_crash=False,
-            group_commit=True,
-        )

@@ -50,21 +50,6 @@ def test_quick_subset_mm(tmp_path):
     assert {"wal", "snapshot", "checkpoint", "phoenix"} <= result.families_explored
 
 
-@pytest.mark.parametrize("engine", ["disk", "mm"])
-def test_quick_subset_group_commit(tmp_path, engine):
-    """Group commit swaps the commit fsync onto the batched path: the
-    trace must show the ``wal.group_force``/``wal.group_force.after``
-    failpoints (the workload is serial, so every committer is its own
-    batch leader) and every crash there must lose or keep the whole
-    batch — never a prefix the oracle can't explain."""
-    limit = 24 if engine == "disk" else 16
-    result = explore(str(tmp_path / "g"), engine=engine, limit=limit, group_commit=True)
-    # Commits route to the batch path; checkpoints and buffer-pool
-    # pre-write flushes still fsync immediately (wal.force), so both
-    # families show up in the same trace.
-    assert {"wal.group_force", "wal.group_force.after"} <= result.points_explored
-
-
 @pytest.mark.crash_matrix
 def test_full_matrix_disk(tmp_path):
     """Every single failpoint hit in the trace, exhaustively."""
@@ -78,27 +63,6 @@ def test_full_matrix_mm(tmp_path):
     trace = record_trace(str(tmp_path / "t"), engine="mm")
     for i in range(len(trace)):
         crash_and_verify(str(tmp_path / f"h{i}"), i, trace[i].point, engine="mm")
-
-
-@pytest.mark.crash_matrix
-@pytest.mark.parametrize("engine", ["disk", "mm"])
-@pytest.mark.parametrize("trigger_cc", ["2pl", "mvcc"])
-def test_full_matrix_group_commit(tmp_path, engine, trigger_cc):
-    """The exhaustive matrix with WAL group commit on: every hit in the
-    trace, both engines, both TriggerState cc schemes."""
-    trace = record_trace(
-        str(tmp_path / "t"), engine=engine, trigger_cc=trigger_cc, group_commit=True
-    )
-    assert {"wal.group_force", "wal.group_force.after"} <= {r.point for r in trace}
-    for i in range(len(trace)):
-        crash_and_verify(
-            str(tmp_path / f"h{i}"),
-            i,
-            trace[i].point,
-            engine=engine,
-            trigger_cc=trigger_cc,
-            group_commit=True,
-        )
 
 
 @pytest.mark.crash_matrix

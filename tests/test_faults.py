@@ -205,7 +205,7 @@ class TestEngineUnderFaults:
         db = Database.open(db_path, engine="disk")
         txn = db.txn_manager.begin()
         rid = db.storage.insert(txn.txid, b"loser-record")
-        db.storage._wal.force()  # e.g. an eviction or group commit
+        db.storage._wal.force()  # e.g. an eviction or another commit
         db.simulate_crash()
 
         recovered = Database.open(db_path, engine="disk")

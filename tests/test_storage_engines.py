@@ -1,9 +1,12 @@
 """Storage-engine tests, parametrized over disk (EOS-like) and MM (Dali-like)."""
 
+import inspect
+
 import pytest
 
-from repro.errors import RecordNotFoundError, StorageError
+from repro.errors import PageError, RecordNotFoundError, StorageError
 from repro.storage.disk import DiskStorageManager, pack_rid, unpack_rid
+from repro.storage.interface import StorageManager
 from repro.storage.mainmem import MainMemoryStorageManager
 
 
@@ -346,3 +349,56 @@ class TestMainMemorySpecific:
         assert sm2.read(1, rid2) == b"logged-after-snapshot"
         sm2.commit_transaction(1)
         sm2.close()
+
+
+class TestOneShell:
+    """Both engines are the one transactional shell over a record layer."""
+
+    #: The names ``perf/trace.py`` wraps by ``vars(cls)[name]``.
+    TRACED = (
+        "read",
+        "write",
+        "insert",
+        "delete",
+        "commit_transaction",
+        "abort_transaction",
+    )
+
+    def test_traced_names_bind_the_shells_single_function(self):
+        for name in self.TRACED:
+            disk = vars(DiskStorageManager)[name]
+            assert disk is vars(MainMemoryStorageManager)[name]
+            assert disk is vars(StorageManager)[name]
+
+    def test_engines_define_nothing_but_their_constructor(self):
+        shell = vars(StorageManager)
+        for engine in (DiskStorageManager, MainMemoryStorageManager):
+            own = {
+                name
+                for name, value in vars(engine).items()
+                if inspect.isfunction(value) and value is not shell.get(name)
+            }
+            assert own == {"__init__"}, engine
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PageError,
+    reason="known: disk redo places body segments in free slots that later "
+    "log records address by rid (ROADMAP: redo must never allocate)",
+)
+def test_disk_recovers_a_population_that_spills_its_page(tmp_path):
+    """perf/README.md's repro: 200 watched objects in one transaction,
+    crash, reopen — the reopen's redo dies in ``PagedRecords.put`` with
+    ``slot 31 is occupied``.  The name matters: it is embedded in every
+    record, so it moves record sizes and slot boundaries."""
+    from repro import Database
+    from repro.workloads.locksim import HotObject
+
+    path = str(tmp_path / "db")
+    db = Database.open(path, engine="disk")
+    with db.transaction():
+        for _ in range(200):
+            db.pnew(HotObject).Watch()
+    db.simulate_crash()
+    Database.open(path, engine="disk").close()

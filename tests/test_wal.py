@@ -1,12 +1,15 @@
 """Write-ahead log tests: framing, torn tails, inverses."""
 
 import os
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WALError
+from repro.storage.interface import StorageStats
 from repro.storage.wal import LogRecord, LogRecordKind, WriteAheadLog
 
 
@@ -188,3 +191,94 @@ def test_wal_crash_drops_everything_after_the_last_force(tmp_path):
         LogRecordKind.COMMIT,
     ]
     log2.close()
+
+
+class TestOneForcePath:
+    """``force()`` is the only fsync: it skips work already durable,
+    fsyncs outside the mutex, and never lets a goal outlive a truncate."""
+
+    def test_force_with_nothing_new_issues_no_fsync(self, tmp_path, monkeypatch):
+        stats = StorageStats()
+        log = WriteAheadLog(str(tmp_path / "skip.wal"), stats=stats)
+        log.append(1, LogRecordKind.COMMIT)
+        log.force()
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+        log.force()
+        assert fsyncs == []
+        assert (stats.log_forces, stats.group_piggybacks) == (1, 1)
+        log.close()
+
+    @staticmethod
+    def _two_committers(log, monkeypatch, rounds=40):
+        """Two threads append+force concurrently while a third samples
+        ``synced_bytes()``; returns (short forces, samples)."""
+        real_fsync = os.fsync
+
+        def slow_fsync(fd):
+            time.sleep(0.0005)  # widen the window where forces overlap
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        short: list[tuple[int, int]] = []
+        samples: list[int] = []
+        done = threading.Event()
+        start = threading.Barrier(2)
+
+        def committer(txid):
+            start.wait()
+            for _ in range(rounds):
+                log.append(txid, LogRecordKind.COMMIT)
+                end = log.size_bytes()  # >= the end of this caller's append
+                log.force()
+                if log.synced_bytes() < end:
+                    short.append((log.synced_bytes(), end))
+
+        def sampler():
+            while not done.is_set():
+                samples.append(log.synced_bytes())
+
+        threads = [threading.Thread(target=committer, args=(t,)) for t in (1, 2)]
+        watcher = threading.Thread(target=sampler)
+        watcher.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        done.set()
+        watcher.join(timeout=30)
+        assert not any(t.is_alive() for t in [*threads, watcher])
+        return short, samples
+
+    def test_concurrent_forces_cover_each_callers_append(self, wal, monkeypatch):
+        short, _ = self._two_committers(wal, monkeypatch)
+        assert short == []
+        assert wal.synced_bytes() == wal.size_bytes()
+
+    def test_synced_bytes_never_decreases(self, wal, monkeypatch):
+        _, samples = self._two_committers(wal, monkeypatch)
+        assert samples == sorted(samples)
+
+    def test_force_straddling_a_truncate_keeps_nothing_synced(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "straddle.wal")
+        log = WriteAheadLog(path)
+        log.append(1, LogRecordKind.BEGIN)
+        log.append(1, LogRecordKind.COMMIT)
+        real_fsync = os.fsync
+        truncated = []
+
+        def fsync_then_truncate(fd):
+            real_fsync(fd)
+            if not truncated:  # a checkpoint lands while the fsync is in flight
+                truncated.append(fd)
+                log.truncate()
+
+        monkeypatch.setattr(os, "fsync", fsync_then_truncate)
+        log.force()
+        assert truncated
+        assert log.synced_bytes() == 0
+        log.crash()
+        assert os.path.getsize(path) == 0  # crash() must not grow the file

@@ -22,7 +22,11 @@ def emit_table(
     rows: Sequence[Sequence[object]],
     notes: str = "",
 ) -> str:
-    """Format, print, and persist one experiment table."""
+    """Format, print, and persist one experiment table.
+
+    A table with no rows is printed but not written: a run that skipped
+    an experiment's measuring tests (``-k``, a deselected marker) must not
+    replace its last results with an empty table."""
     widths = [
         max(len(str(headers[i])), *(len(str(row[i])) for row in rows)) if rows else len(str(headers[i]))
         for i in range(len(headers))
@@ -37,6 +41,8 @@ def emit_table(
         lines.append(notes)
     text = "\n".join(lines)
     print("\n" + text)
+    if not rows:
+        return text
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{experiment}.txt"), "w") as fh:
         fh.write(text + "\n")

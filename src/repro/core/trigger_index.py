@@ -38,11 +38,7 @@ class TriggerIndex:
         """The concrete rids backing this index (header + buckets) — lets
         trace tooling classify lock records on index plumbing as ``meta``
         rather than user data."""
-        loaded = self._map._load_header(txn, create=False)
-        if loaded is None:
-            return set()
-        header_rid, buckets = loaded
-        return {header_rid} | {rid for rid in buckets if rid >= 0}
+        return self._map.rids(txn)
 
     def lookup(self, txn: "Transaction", obj_rid: int) -> list[int]:
         """The TriggerState rids active on *obj_rid* (activation order)."""

@@ -19,11 +19,12 @@ strict 2PL (``"2pl"``) remaining the baseline:
   on ``state:*`` records, and the E6 deadlock cycle cannot form.
 
 * **Version chain.**  :class:`TriggerVersionManager` keeps, per state
-  rid, a chain of immutable :class:`StateVersion` snapshots.  The head is
-  always the latest *committed* image; chains are created lazily from the
-  storage engine's committed bytes (``storage.peek`` — no locks) and a
-  new head is published only after the publishing transaction's commit
-  record is durable.
+  rid, the head of its chain of immutable :class:`StateVersion`
+  snapshots — always the latest *committed* image; a superseded version
+  is dropped when its successor is published.  Heads are created lazily
+  from the storage engine's committed bytes (``storage.peek`` — no
+  locks) and a new head is published only after the publishing
+  transaction's commit record is durable.
 
 * **Commit-time merge.**  At commit, each buffered entry is validated
   against the then-current head.  If the base version is still the head,
@@ -166,18 +167,14 @@ class ShardedCommitMutex:
 
 @dataclasses.dataclass(frozen=True)
 class StateVersion:
-    """One immutable committed snapshot of a TriggerState record."""
+    """One immutable committed snapshot of a TriggerState record.
+
+    Only the head is kept: validation compares a buffer's ``base_vid``
+    with the head's ``vid``, and no reader ever asks for an older state,
+    so a superseded version is garbage as soon as it is replaced."""
 
     vid: int
     state: TriggerState  # never mutated after publication
-    prev: "StateVersion | None" = None
-
-    def chain_length(self) -> int:
-        length, node = 0, self
-        while node is not None:
-            length += 1
-            node = node.prev
-        return length
 
 
 class BufferEntry(Machine):
@@ -498,10 +495,7 @@ class TriggerVersionManager:
         buffer = txn.attachments.get(STATE_STORE)
         with self._chain_mutex:
             for state_rid, state in publishes:
-                prev = self._chains.get(state_rid)
-                self._chains[state_rid] = StateVersion(
-                    next(self._vids), state, prev
-                )
+                self._chains[state_rid] = StateVersion(next(self._vids), state)
                 self.stats.versions_published += 1
             if buffer is not None:
                 for state_rid in buffer.deactivated:
@@ -538,7 +532,7 @@ class TriggerVersionManager:
 
     # -- introspection ----------------------------------------------------------
 
-    def chain_lengths(self) -> dict[int, int]:
-        """rid -> published-chain length (diagnostics/tests)."""
+    def heads(self) -> dict[int, int]:
+        """rid -> vid of its committed head (diagnostics/tests)."""
         with self._chain_mutex:
-            return {rid: head.chain_length() for rid, head in self._chains.items()}
+            return {rid: head.vid for rid, head in self._chains.items()}

@@ -28,8 +28,10 @@ import os
 import zlib
 
 from repro.analysis.diagnostics import Severity
-from repro.errors import OdeError, WALError
+from repro.core.trigger_state import TriggerState
+from repro.errors import OdeError, TriggerError, WALError
 from repro.objects.oid import PersistentPtr
+from repro.objects.pmap import PersistentMap
 from repro.objects.serialize import decode_value
 from repro.storage.buffer import checksum_ok
 from repro.storage.disk import (
@@ -319,11 +321,6 @@ def _check_wal_file(wal_path: str, report: FsckReport) -> None:
 # Logical pass (through an open database — recovery has already run)
 # ---------------------------------------------------------------------------
 
-_TRIGGER_STATE_KEYS = frozenset(
-    {"triggernum", "trigobj", "statenum", "trigobjtype", "params"}
-)
-
-
 def _collect_ptrs(value, out: list[PersistentPtr]) -> None:
     if isinstance(value, PersistentPtr):
         out.append(value)
@@ -370,26 +367,33 @@ def fsck_logical(db, report: FsckReport) -> None:
                 report.add("ODE130", problem)
 
         # Reverse direction: every TriggerState record must be indexed.
+        # A record is a state if it decodes as one.  pmap headers and
+        # buckets are raw struct arrays whose first byte can equal the
+        # state mark (a 165-entry bucket's count starts with 0xA5), so
+        # the rids the catalog already names — and every pmap's
+        # buckets — are skipped rather than decoded.
         indexed: set[int] = set()
         for _, state_rids in db.trigger_system.index.entries(txn):
             indexed.update(state_rids)
+        known = {db._catalog_rid, *catalog.values()}
+        for key in catalog:
+            if key.startswith("pmap:"):
+                known |= PersistentMap(db, key[len("pmap:") :]).rids(txn)
         phoenix_rid = catalog.get("phoenix_queue")
         for rid, raw in db.storage.scan(txn.txid):
+            if rid in known:
+                continue
             try:
-                value, _ = decode_value(raw, 0)
-            except Exception:
-                continue  # object records use a different encoding
-            if (
-                isinstance(value, dict)
-                and frozenset(value.keys()) == _TRIGGER_STATE_KEYS
-            ):
-                report.trigger_states_scanned += 1
-                if rid not in indexed:
-                    report.add(
-                        "ODE131",
-                        f"rid {rid}: TriggerState for object "
-                        f"{value['trigobj']} is not in the trigger index",
-                    )
+                tstate = TriggerState.decode(raw)
+            except TriggerError:
+                continue  # an object or B-tree record, not a state
+            report.trigger_states_scanned += 1
+            if rid not in indexed:
+                report.add(
+                    "ODE131",
+                    f"rid {rid}: TriggerState for object "
+                    f"{tstate.trigobj} is not in the trigger index",
+                )
 
         # Phoenix queue: shape, pending count, dangling payload pointers.
         if phoenix_rid is not None:

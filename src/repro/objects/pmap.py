@@ -1,27 +1,46 @@
 """A small persistent hash map, used for clusters and the trigger index.
 
-Keys are strings, values anything :mod:`repro.objects.serialize` encodes.
-Entries are spread over a fixed number of bucket records so that updates
-touch (and lock) only one bucket, not the whole map — the trigger index is
-updated on every activation/deactivation and every FSM advance would
-otherwise serialize on a single hot record.
+Keys are strings without NUL, values anything
+:mod:`repro.objects.serialize` encodes.  Entries are spread over a fixed
+number of bucket records so that updates touch (and lock) only one bucket,
+not the whole map — the trigger index is updated on every
+activation/deactivation and every FSM advance would otherwise serialize on
+a single hot record.
 
-Layout: the catalog stores ``pmap:<name>`` -> header rid; the header record
-holds the list of bucket rids (-1 = bucket not yet allocated); each bucket
-record holds a dict.
+Layout: the catalog stores ``pmap:<name>`` -> header rid.  The header
+record is a packed ``<q`` array of bucket rids (-1 = bucket not yet
+allocated).  A bucket record is::
+
+    <II        entry count, key-block length
+    key block  the keys, UTF-8, joined by NUL
+    <I * count offset of each key's value in the record
+    values     the tagged values, in key order
+
+so a point lookup unpacks one header slot, splits the key block, and
+decodes one value — never the whole header or bucket.
 """
 
 from __future__ import annotations
 
+import struct
 import zlib
 from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
+from repro.errors import SerializationError
 from repro.objects.serialize import decode_value, encode_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
     from repro.transactions.txn import Transaction
+
+_RID = struct.Struct("<q")
+_OFFSET = struct.Struct("<I")
+_BUCKET_HEAD = struct.Struct("<II")
+
+
+def _pack_header(buckets: list[int]) -> bytes:
+    return struct.pack(f"<{len(buckets)}q", *buckets)
 
 
 def _encode(value: Any) -> bytes:
@@ -30,9 +49,33 @@ def _encode(value: Any) -> bytes:
     return bytes(out)
 
 
-def _decode(raw: bytes) -> Any:
-    value, _ = decode_value(raw, 0)
-    return value
+def _split_bucket(raw: bytes) -> tuple[list[bytes], list[bytes]]:
+    """A bucket record as (UTF-8 keys, encoded values), nothing decoded."""
+    count, key_len = _BUCKET_HEAD.unpack_from(raw)
+    if not count:
+        return [], []
+    table = _BUCKET_HEAD.size + key_len
+    keys = raw[_BUCKET_HEAD.size : table].split(b"\0")
+    bounds = struct.unpack_from(f"<{count}I", raw, table) + (len(raw),)
+    return keys, [raw[bounds[i] : bounds[i + 1]] for i in range(count)]
+
+
+def _join_bucket(keys: list[bytes], values: list[bytes]) -> bytes:
+    block = b"\0".join(keys)
+    count = len(keys)
+    offsets = []
+    pos = _BUCKET_HEAD.size + len(block) + _OFFSET.size * count
+    for value in values:
+        offsets.append(pos)
+        pos += len(value)
+    return b"".join(
+        [
+            _BUCKET_HEAD.pack(count, len(block)),
+            block,
+            struct.pack(f"<{count}I", *offsets),
+            *values,
+        ]
+    )
 
 
 class PersistentMap:
@@ -50,72 +93,101 @@ class PersistentMap:
         rid = self.db.catalog_get(self._catalog_key)
         if rid is None and create:
             buckets = [-1] * self.bucket_count
-            rid = self.db.storage.insert(txn.txid, _encode(buckets))
+            rid = self.db.storage.insert(txn.txid, _pack_header(buckets))
             self.db.catalog_set(txn, self._catalog_key, rid)
         return rid
 
-    def _load_header(self, txn: "Transaction", *, create: bool) -> tuple[int, list[int]] | None:
-        rid = self._header_rid(txn, create=create)
-        if rid is None:
-            return None
-        return rid, list(_decode(self.db.storage.read(txn.txid, rid)))
+    def _bucket_rid(self, txn: "Transaction", key: str) -> int:
+        """The rid of *key*'s bucket; -1 when it (or the map) does not exist."""
+        header_rid = self._header_rid(txn, create=False)
+        if header_rid is None:
+            return -1
+        raw = self.db.storage.read(txn.txid, header_rid)
+        return _RID.unpack_from(raw, _RID.size * self._bucket_for(key))[0]
 
     def _bucket_for(self, key: str) -> int:
         return zlib.crc32(key.encode("utf-8")) % self.bucket_count
 
-    def _load_bucket(self, txn: "Transaction", bucket_rid: int) -> dict[str, Any]:
-        return dict(_decode(self.db.storage.read(txn.txid, bucket_rid)))
+    def rids(self, txn: "Transaction") -> set[int]:
+        """The header and bucket rids backing this map (empty before the
+        first ``put``)."""
+        header_rid = self._header_rid(txn, create=False)
+        if header_rid is None:
+            return set()
+        buckets = self._buckets(txn, header_rid)
+        return {header_rid} | {rid for rid in buckets if rid >= 0}
+
+    def _buckets(self, txn: "Transaction", header_rid: int) -> list[int]:
+        raw = self.db.storage.read(txn.txid, header_rid)
+        return list(struct.unpack(f"<{len(raw) // _RID.size}q", raw))
 
     # -- operations --------------------------------------------------------------
 
     def get(self, txn: "Transaction", key: str, default: Any = None) -> Any:
-        header = self._load_header(txn, create=False)
-        if header is None:
-            return default
-        _, buckets = header
-        bucket_rid = buckets[self._bucket_for(key)]
+        bucket_rid = self._bucket_rid(txn, key)
         if bucket_rid < 0:
             return default
-        return self._load_bucket(txn, bucket_rid).get(key, default)
+        raw = self.db.storage.read(txn.txid, bucket_rid)
+        count, key_len = _BUCKET_HEAD.unpack_from(raw)
+        table = _BUCKET_HEAD.size + key_len
+        keys = raw[_BUCKET_HEAD.size : table].split(b"\0")
+        try:
+            index = keys.index(key.encode("utf-8"))
+        except ValueError:
+            return default
+        if index >= count:  # an empty bucket's key block splits to [b""]
+            return default
+        (offset,) = _OFFSET.unpack_from(raw, table + _OFFSET.size * index)
+        value, _ = decode_value(raw, offset)
+        return value
 
     def put(self, txn: "Transaction", key: str, value: Any) -> None:
-        header_rid, buckets = self._load_header(txn, create=True)
+        if "\0" in key:
+            raise SerializationError(f"pmap keys cannot contain NUL: {key!r}")
+        raw_key = key.encode("utf-8")
+        encoded = _encode(value)
+        header_rid = self._header_rid(txn, create=True)
+        buckets = self._buckets(txn, header_rid)
         index = self._bucket_for(key)
         bucket_rid = buckets[index]
         if bucket_rid < 0:
-            bucket_rid = self.db.storage.insert(txn.txid, _encode({key: value}))
+            bucket = _join_bucket([raw_key], [encoded])
+            bucket_rid = self.db.storage.insert(txn.txid, bucket)
             buckets[index] = bucket_rid
-            self.db.storage.write(txn.txid, header_rid, _encode(buckets))
+            self.db.storage.write(txn.txid, header_rid, _pack_header(buckets))
             return
-        bucket = self._load_bucket(txn, bucket_rid)
-        bucket[key] = value
-        self.db.storage.write(txn.txid, bucket_rid, _encode(bucket))
+        keys, values = _split_bucket(self.db.storage.read(txn.txid, bucket_rid))
+        try:
+            values[keys.index(raw_key)] = encoded
+        except ValueError:
+            keys.append(raw_key)
+            values.append(encoded)
+        self.db.storage.write(txn.txid, bucket_rid, _join_bucket(keys, values))
 
     def remove(self, txn: "Transaction", key: str) -> bool:
         """Delete *key*; returns whether it was present."""
-        header = self._load_header(txn, create=False)
-        if header is None:
-            return False
-        _, buckets = header
-        bucket_rid = buckets[self._bucket_for(key)]
+        bucket_rid = self._bucket_rid(txn, key)
         if bucket_rid < 0:
             return False
-        bucket = self._load_bucket(txn, bucket_rid)
-        if key not in bucket:
+        keys, values = _split_bucket(self.db.storage.read(txn.txid, bucket_rid))
+        try:
+            index = keys.index(key.encode("utf-8"))
+        except ValueError:
             return False
-        del bucket[key]
-        self.db.storage.write(txn.txid, bucket_rid, _encode(bucket))
+        del keys[index], values[index]
+        self.db.storage.write(txn.txid, bucket_rid, _join_bucket(keys, values))
         return True
 
     def items(self, txn: "Transaction") -> Iterator[tuple[str, Any]]:
-        header = self._load_header(txn, create=False)
-        if header is None:
+        header_rid = self._header_rid(txn, create=False)
+        if header_rid is None:
             return
-        _, buckets = header
-        for bucket_rid in buckets:
+        for bucket_rid in self._buckets(txn, header_rid):
             if bucket_rid < 0:
                 continue
-            yield from self._load_bucket(txn, bucket_rid).items()
+            keys, values = _split_bucket(self.db.storage.read(txn.txid, bucket_rid))
+            for key, value in zip(keys, values):
+                yield key.decode("utf-8"), decode_value(value, 0)[0]
 
     def keys(self, txn: "Transaction") -> list[str]:
         return [key for key, _ in self.items(txn)]

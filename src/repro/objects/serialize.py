@@ -56,8 +56,14 @@ def encode_value(value: Any, out: bytearray) -> None:
         out += _U8.pack(_TAG_BOOL)
         out += _U8.pack(1 if value else 0)
     elif isinstance(value, int):
+        try:
+            packed = _I64.pack(value)
+        except struct.error:
+            raise SerializationError(
+                f"int {value} does not fit in 64 bits"
+            ) from None
         out += _U8.pack(_TAG_INT)
-        out += _I64.pack(value)
+        out += packed
     elif isinstance(value, float):
         out += _U8.pack(_TAG_FLOAT)
         out += _F64.pack(value)

@@ -31,6 +31,7 @@ from repro.core.declarations import trigger
 from repro.core.versioned import MvccStats
 from repro.errors import (
     DatabaseError,
+    SerializationError,
     StorageError,
     TriggerError,
     TriggerStateConflictError,
@@ -222,13 +223,13 @@ def test_deactivate_with_buffered_advances_drops_entry_and_chain():
         with db.transaction():
             db.deref(ptr).post_event("Ping")  # materialize the chain
         versions = db.trigger_system.versions
-        assert versions.chain_lengths()
+        assert versions.heads()
         with db.transaction():
             h = db.deref(ptr)
             h.post_event("Ping")
             (tid, _, _), = db.trigger_system.active_triggers(ptr)
             db.trigger_system.deactivate(tid)
-        assert versions.chain_lengths() == {}
+        assert versions.heads() == {}
         assert _statenums(db, ptr) == []
     finally:
         db.close()
@@ -378,7 +379,7 @@ def test_replay_uses_posting_time_mask_outcomes():
 
         # Simulate a concurrent committer: republish the head (same state,
         # new vid) so this transaction's merge takes the replay path.
-        (state_rid,) = versions.chain_lengths()
+        (state_rid,) = versions.heads()
         head = versions.head_or_none(state_rid)
         versions.publish(
             types.SimpleNamespace(attachments={}),
@@ -431,7 +432,7 @@ def test_failed_merge_rolls_back_under_the_commit_mutex():
         assert owned_at_abort == [True]
         # The rollback restored the committed bytes: storage agrees with
         # the published head, and the failed merge left no trace.
-        (state_rid,) = versions.chain_lengths()
+        (state_rid,) = versions.heads()
         head = versions.head_or_none(state_rid)
         assert (
             TriggerState.decode(storage.peek(state_rid)).statenum
@@ -490,7 +491,7 @@ def test_conflict_abort_storm_keeps_storage_consistent_with_heads():
         assert not errors, errors
 
         versions = db.trigger_system.versions
-        for state_rid in versions.chain_lengths():
+        for state_rid in versions.heads():
             head = versions.head_or_none(state_rid)
             assert (
                 TriggerState.decode(db.storage.peek(state_rid)).statenum
@@ -555,7 +556,7 @@ def test_sharded_commit_storm_keeps_storage_consistent_with_heads():
 
         versions = db.trigger_system.versions
         # The fixture really exercises multiple shards.
-        rids = list(versions.chain_lengths())
+        rids = list(versions.heads())
         assert len({versions.commit_mutex.shard_of(rid) for rid in rids}) > 1
 
         errors: list[Exception] = []
@@ -591,7 +592,7 @@ def test_sharded_commit_storm_keeps_storage_consistent_with_heads():
             t.join(timeout=120)
         assert not errors, errors
 
-        for state_rid in versions.chain_lengths():
+        for state_rid in versions.heads():
             head = versions.head_or_none(state_rid)
             assert (
                 TriggerState.decode(db.storage.peek(state_rid)).statenum
@@ -606,11 +607,36 @@ def test_version_chain_grows_one_head_per_publishing_commit():
     try:
         ptr = _setup_watched(db)
         versions = db.trigger_system.versions
-        for expected in (2, 3, 4):  # activation head + one per commit
+        seen = []
+        for _ in range(3):
             with db.transaction():
                 db.deref(ptr).post_event("Ping")
-            (length,) = versions.chain_lengths().values()
-            assert length == expected
+            (vid,) = versions.heads().values()
+            seen.append(vid)
+        assert seen == sorted(set(seen))  # a new head per commit
+    finally:
+        db.close()
+
+
+def test_ten_thousand_commits_retain_one_version_per_rid():
+    """Publishing replaces the head: nothing links a superseded version,
+    so however many commits advance a machine, one version stays live."""
+    import gc
+
+    from repro.core.versioned import StateVersion
+
+    db = _open(trigger_cc="mvcc")
+    try:
+        ptrs = [_setup_watched(db) for _ in range(2)]
+        versions = db.trigger_system.versions
+        for i in range(10_000):
+            with db.transaction():
+                db.deref(ptrs[i % 2]).post_event("Ping")
+        assert versions.stats.versions_published >= 10_000
+        assert len(versions.heads()) == 2
+        gc.collect()
+        live = sum(isinstance(obj, StateVersion) for obj in gc.get_objects())
+        assert live == 2
     finally:
         db.close()
 
@@ -767,33 +793,33 @@ def test_schemes_agree_directly_with_txn_boundary_yields(script):
 # ---------------------------------------------------------------------------
 
 
-def _encoded_state(**overrides):
-    from repro.objects.serialize import encode_value
-
-    payload = {
+def _state(**overrides):
+    fields = {
         "triggernum": 0,
         "trigobj": PersistentPtr("db", 7),
         "statenum": 1,
         "trigobjtype": "HotObject",
         "params": {},
     }
-    payload.update(overrides)
-    out = bytearray()
-    encode_value(payload, out)
-    return bytes(out)
+    fields.update(overrides)
+    return TriggerState(**fields)
 
 
 class TestDecodeValidation:
+    """The fixed record layout stores no per-field types: a wrong-typed
+    field is refused when the record is written, and decode rejects any
+    bytes that are not a well-formed state record."""
+
     def test_roundtrip_still_works(self):
-        decoded = TriggerState.decode(_encoded_state())
-        assert decoded.statenum == 1
+        decoded = TriggerState.decode(_state().encode())
+        assert decoded == _state()
         assert decoded.trigobjtype == "HotObject"
 
     @pytest.mark.parametrize(
         "field_name, bad",
         [
             ("statenum", "one"),
-            ("statenum", True),  # bool is an int subclass: still corrupt
+            ("statenum", True),  # bool is an int subclass: still refused
             ("triggernum", 1.5),
             ("trigobjtype", 42),
             ("trigobj", "not-a-pointer"),
@@ -801,14 +827,16 @@ class TestDecodeValidation:
         ],
     )
     def test_wrong_field_type_names_the_field(self, field_name, bad):
-        with pytest.raises(TriggerError, match=field_name):
-            TriggerState.decode(_encoded_state(**{field_name: bad}))
+        with pytest.raises(SerializationError, match=field_name):
+            _state(**{field_name: bad}).encode()
 
     def test_non_mapping_payload_rejected(self):
         from repro.objects.serialize import encode_value
 
-        out = bytearray()
-        encode_value([1, 2, 3], out)
+        empty = bytearray()
+        encode_value({}, empty)
+        out = bytearray(_state().encode()[: -len(empty)])
+        encode_value([1, 2, 3], out)  # a well-formed head, list params
         with pytest.raises(TriggerError, match="mapping"):
             TriggerState.decode(bytes(out))
 
@@ -818,12 +846,13 @@ class TestDecodeValidation:
             ptr = _setup_watched(db)
             with db.transaction() as txn:
                 (state_rid,) = db.trigger_system.index.lookup(txn, ptr.rid)
-                db.storage.write(
-                    txn.txid, state_rid, _encoded_state(statenum="broken")
-                )
+                truncated = db.storage.read(txn.txid, state_rid)[:-1]
+                db.storage.write(txn.txid, state_rid, truncated)
             with db.transaction():
                 problems = db.trigger_system.verify_integrity()
-            assert any("statenum" in p for p in problems)
+            assert any(
+                f"state {state_rid}: corrupt" in p for p in problems
+            ), problems
         finally:
             db.close()
 

@@ -96,10 +96,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: The selectable lost-update policies.
 CONFLICT_POLICIES = ("replay", "abort")
 
-#: Shards of the commit mutex (rid -> rid % N).  Small relative to the
-#: lock manager's stripe count: commit sections are short, and a txn
+#: Shards of the commit mutex (rid -> rid % N).  Kept small: a txn
 #: acquires every shard its buffer covers, so more shards raises the
-#: per-commit acquisition count faster than it lowers contention.
+#: per-commit acquisition count faster than it lowers contention.  The
+#: shards pay off because the commit section contains the WAL fsync,
+#: which real threads overlap across shards.
 DEFAULT_COMMIT_SHARDS = 8
 
 

@@ -25,18 +25,12 @@ Section 5.6).
 from repro.storage.buffer import BufferPool, PagedFile
 from repro.storage.disk import DiskStorageManager
 from repro.storage.interface import StorageManager, StorageStats
-from repro.storage.locks import (
-    DEFAULT_LOCK_STRIPES,
-    LockManager,
-    LockMode,
-    LockRequestStatus,
-)
+from repro.storage.locks import LockManager, LockMode, LockRequestStatus
 from repro.storage.mainmem import MainMemoryStorageManager
 from repro.storage.page import PAGE_SIZE, SlottedPage
 from repro.storage.wal import LogRecord, LogRecordKind, WriteAheadLog
 
 __all__ = [
-    "DEFAULT_LOCK_STRIPES",
     "PAGE_SIZE",
     "BufferPool",
     "DiskStorageManager",

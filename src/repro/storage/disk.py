@@ -37,7 +37,6 @@ from repro.errors import PageError, PageFullError, RecordNotFoundError, StorageE
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
 from repro.storage.buffer import BufferPool, PagedFile
 from repro.storage.interface import StorageManager
-from repro.storage.locks import DEFAULT_LOCK_STRIPES
 from repro.storage.page import PAGE_SIZE, USABLE_END, SlottedPage
 
 MAGIC = b"ODEREPRO"
@@ -102,14 +101,12 @@ class DiskStorageManager(StorageManager):
         path: str,
         buffer_capacity: int = 128,
         injector: FaultInjector = NULL_INJECTOR,
-        lock_stripes: int = DEFAULT_LOCK_STRIPES,
     ):
         path = str(path)
         super().__init__(
             path,
             path + ".wal",
             injector,
-            lock_stripes,
             lambda wal, stats: PagedRecords(
                 path, wal, buffer_capacity, injector, stats
             ),

@@ -141,7 +141,6 @@ class StorageManager:
         path: str | None,
         log_path: str | None,
         injector: FaultInjector,
-        lock_stripes: int,
         open_records: Callable[[WriteAheadLog | None, StorageStats], Records],
     ) -> None:
         self.stats = StorageStats()
@@ -149,7 +148,7 @@ class StorageManager:
         #: The fault injector threaded through the engine's I/O paths.
         self.injector = injector
         self.degraded = False
-        self._locks = LockManager(stripes=lock_stripes)
+        self._locks = LockManager()
         # Engine-wide mutex for threaded sessions: guards the record
         # layer, per-txn undo lists, and the root.  Record locks are
         # always taken *outside* it — a blocking lock wait must never

@@ -10,7 +10,7 @@ The manager serves two callers:
 
 * the **serial** database (one session): :meth:`LockManager.acquire_or_raise`
   — with one transaction at a time a conflict indicates a bug, so it raises
-  :class:`~repro.errors.LockError` instead of waiting;
+  :class:`~repro.errors.LockError` without queueing the request;
 * the **multi-session** database: :meth:`LockManager.acquire_blocking` —
   a conflicting request queues FIFO behind the current holders and earlier
   waiters and *blocks the calling session* until granted.  Releases
@@ -19,35 +19,22 @@ The manager serves two callers:
   :meth:`lock`, switched by the :attr:`blocking` flag the database flips
   when a second session opens.
 
-Blocking has two waiting strategies: by default the caller sleeps on the
-owning stripe's condition variable (real ``threading`` concurrency); a
-cooperative scheduler installs per-thread *wait hooks*
-(:func:`set_wait_hooks`) and the manager delegates the entire wait to the
-scheduler, which parks the session deterministically.
+There is one lock table, guarded by one ``threading.RLock``; its
+``threading.Condition`` is what a blocked session sleeps on (real
+``threading`` concurrency).  A cooperative scheduler instead installs
+per-thread *wait hooks* (:func:`set_wait_hooks`) and the manager delegates
+the entire wait to the scheduler, which parks the session
+deterministically.
 
-**Striping.**  The lock table is hash-partitioned into N *stripes*, each
-with its own mutex, condition variable, table, grant index, and
-:class:`LockStats`.  A resource lives entirely inside one stripe
-(``hash(resource) % N``), so per-resource FIFO fairness, the S→X upgrade
-queue-jump, and the grant rules are exactly the single-mutex semantics —
-two sessions touching different stripes simply never contend on a lock
-manager mutex.  ``LockManager(stripes=1)`` is the old single-mutex manager.
-
-Deadlock policy: each stripe rebuilds its local waits-for edges from its
-grant table and FIFO queues on every change and publishes a snapshot into
-a cross-stripe registry (guarded by a dedicated graph lock; the global
-lock order is *stripe mutex → graph lock*, and no code path ever holds two
-stripe mutexes).  A request that would close a cycle in the merged graph
-raises :class:`~repro.errors.DeadlockError` in the *requester* (the victim
-is the transaction that completes the cycle — the simplest deterministic
+Deadlock policy: a request that must wait is queued, and then — under the
+same mutex — the waits-for graph is built from the table and searched
+from the requester.  A request that closes a cycle raises
+:class:`~repro.errors.DeadlockError` in the *requester* (the victim is the
+transaction that completes the cycle — the simplest deterministic
 policy); the victim's abort releases its locks, which grants and wakes the
-survivors.  Detection is sound across stripes because every enqueue
-publishes its edges *before* searching: whichever requester publishes the
-cycle-closing edge last is guaranteed to see the whole cycle.  Under real
-threads two requesters racing to close the same cycle may *both* abort
-(a conservative outcome the session retry loop absorbs); under the
-deterministic CooperativeScheduler — and at ``stripes=1`` — operations
-serialize and the victim choice matches the single-mutex manager exactly.
+survivors.  Queueing and the search are one atomic step, so every cycle
+has exactly one victim, under real threads as under the cooperative
+scheduler.
 """
 
 from __future__ import annotations
@@ -66,11 +53,6 @@ from repro.errors import (
     TransactionDeadlineError,
     WaitPoisonedError,
 )
-
-#: Default stripe count: enough that 8-16 sessions hashing random rids
-#: rarely collide, small enough that cross-stripe sweeps (release_all,
-#: retry_waiters) stay cheap.
-DEFAULT_LOCK_STRIPES = 16
 
 
 class LockMode(enum.IntEnum):
@@ -92,14 +74,11 @@ class LockRequestStatus(enum.Enum):
 class LockStats:
     """Counters consumed by experiment E6 (lock amplification).
 
-    Every increment happens inside the owning stripe's mutex (the manager
-    shares that mutex in as :attr:`_mutex`), and :meth:`snapshot`/
-    :meth:`reset` take it too — otherwise a snapshot concurrent with a
-    grant could see ``x_acquired`` without its paired ``upgrades`` (a torn
-    multi-counter view), and a reset racing an increment would lose it.
-    Counters incremented together always belong to the same resource and
-    therefore the same stripe, so the exactly-once/untorn discipline holds
-    per stripe even though the manager aggregates across stripes.
+    Every increment happens inside the lock manager's mutex (the manager
+    shares it in as :attr:`_mutex`), and :meth:`snapshot`/:meth:`reset`
+    take it too — otherwise a snapshot concurrent with a grant could see
+    ``x_acquired`` without its paired ``upgrades`` (a torn multi-counter
+    view), and a reset racing an increment would lose it.
     """
 
     s_acquired: int = 0
@@ -115,8 +94,8 @@ class LockStats:
 
     def __post_init__(self) -> None:
         # Standalone instances (tests) get their own lock; a LockManager
-        # stripe replaces it with the stripe mutex so snapshot/reset
-        # serialize against the increments themselves.
+        # replaces it with its own mutex so snapshot/reset serialize
+        # against the increments themselves.
         self._mutex = threading.Lock()
 
     def snapshot(self) -> dict[str, int]:
@@ -132,56 +111,11 @@ class LockStats:
                 setattr(self, field.name, 0)
 
 
-_STAT_FIELDS = tuple(field.name for field in dataclasses.fields(LockStats))
-
-
-class StripedLockStats:
-    """Aggregate read view over the per-stripe :class:`LockStats`.
-
-    Attribute reads (``stats.waits`` …) sum the stripe counters;
-    :meth:`snapshot` additionally reports stripe-spread figures under
-    ``stripe_*`` keys (surfacing as ``locks.stripe_*`` metrics).  Each
-    per-stripe read is serialized against that stripe's increments, so
-    counters that are bumped together (always same resource → same stripe)
-    can never be seen torn apart; the cross-stripe sum is a sequence of
-    such consistent reads.
-    """
-
-    def __init__(self, stripes: tuple["_Stripe", ...]) -> None:
-        self._stripes = stripes
-
-    def __getattr__(self, name: str):
-        if name in _STAT_FIELDS:
-            return sum(getattr(stripe.stats, name) for stripe in self._stripes)
-        raise AttributeError(name)
-
-    def snapshot(self) -> dict[str, int]:
-        totals = {name: 0 for name in _STAT_FIELDS}
-        busiest = 0
-        active = 0
-        for stripe in self._stripes:
-            snap = stripe.stats.snapshot()
-            acquired = snap["s_acquired"] + snap["x_acquired"]
-            busiest = max(busiest, acquired)
-            if acquired:
-                active += 1
-            for key, value in snap.items():
-                totals[key] += value
-        totals["stripe_count"] = len(self._stripes)
-        totals["stripe_active"] = active
-        totals["stripe_busiest_acquired"] = busiest
-        return totals
-
-    def reset(self) -> None:
-        for stripe in self._stripes:
-            stripe.stats.reset()
-
-
 # -- cooperative wait hooks ----------------------------------------------------
 
 #: Thread-local carrier for the active wait strategy.  A cooperative
 #: scheduler sets hooks for each session thread it runs; the default (no
-#: hooks) blocks on the stripe's condition variable.
+#: hooks) blocks on the manager's condition variable.
 _wait_context = threading.local()
 
 
@@ -208,43 +142,20 @@ class _LockEntry:
         self.waiters: list[tuple[int, LockMode]] = []
 
 
-class _Stripe:
-    """One hash partition of the lock table.
-
-    Everything per-resource — the entry table, the grant index, the
-    condition waiters sleep on, and the stats the grants increment — lives
-    here, guarded by :attr:`mutex`.  Stripes never nest: no code path
-    holds two stripe mutexes at once.
-    """
-
-    __slots__ = ("index", "mutex", "cond", "table", "held", "stats")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.mutex = threading.RLock()
-        self.cond = threading.Condition(self.mutex)
-        self.table: dict[object, _LockEntry] = {}
-        self.held: dict[int, set[object]] = defaultdict(set)
-        self.stats = LockStats()
-        self.stats._mutex = self.mutex
-
-
 class LockManager:
     """S/X locks on opaque hashable resources, strict 2PL discipline."""
 
-    def __init__(self, stripes: int = DEFAULT_LOCK_STRIPES) -> None:
-        if stripes < 1:
-            raise ValueError(f"stripes must be >= 1, got {stripes}")
-        self._stripes: tuple[_Stripe, ...] = tuple(
-            _Stripe(i) for i in range(stripes)
-        )
-        self.stats = StripedLockStats(self._stripes)
-        #: Cross-stripe waits-for registry: stripe index → that stripe's
-        #: published ``{waiter: {blockers}}`` edge snapshot.  Guarded by
-        #: :attr:`_graph_lock`; global lock order is stripe mutex →
-        #: graph lock, never the reverse.
-        self._graph_lock = threading.Lock()
-        self._edges: dict[int, dict[int, set[int]]] = {}
+    def __init__(self) -> None:
+        #: Guards the table, the grant index and the stats.
+        self._mutex = threading.RLock()
+        #: What a blocked threaded session sleeps on; notified when a
+        #: release grants, a deadline changes, or the manager is poisoned.
+        self._cond = threading.Condition(self._mutex)
+        self._table: dict[object, _LockEntry] = {}
+        #: Grant index: txid → the resources it holds.
+        self._held: dict[int, set[object]] = defaultdict(set)
+        self.stats = LockStats()
+        self.stats._mutex = self._mutex
         #: Conflict behaviour of :meth:`lock`: ``False`` (serial database)
         #: raises LockError, ``True`` (multi-session) blocks until granted.
         self.blocking = False
@@ -266,16 +177,8 @@ class LockManager:
         #: upgrading)`` — including grants made after a wait, which the
         #: obs layer does not re-announce.  The static analyzer's dynamic
         #: lockset checker consumes this to validate footprint order.
-        #: Appends happen under the granting stripe's mutex; list.append
-        #: is atomic, so the trace needs no lock of its own.
+        #: Appends happen under the manager mutex.
         self.order_log: list[tuple[int, object, str, bool]] | None = None
-
-    @property
-    def stripe_count(self) -> int:
-        return len(self._stripes)
-
-    def _stripe_for(self, resource: object) -> _Stripe:
-        return self._stripes[hash(resource) % len(self._stripes)]
 
     # -- order tracing -------------------------------------------------------
 
@@ -300,78 +203,81 @@ class LockManager:
         FIFO wait (raising :class:`DeadlockError` if it would deadlock) and
         returns WAIT.  The caller retries after other transactions release.
         """
-        stripe = self._stripe_for(resource)
-        with stripe.mutex:
-            return self._acquire_locked(stripe, txid, resource, mode)
+        with self._mutex:
+            return self._acquire_locked(txid, resource, mode)
 
-    def _acquire_locked(
-        self, stripe: _Stripe, txid: int, resource: object, mode: LockMode
-    ) -> LockRequestStatus:
-        entry = stripe.table.get(resource)
+    def _entry_locked(self, resource: object) -> _LockEntry:
+        entry = self._table.get(resource)
         if entry is None:
-            entry = stripe.table[resource] = _LockEntry()
+            entry = self._table[resource] = _LockEntry()
+        return entry
 
+    def _try_grant_locked(
+        self, entry: _LockEntry, txid: int, resource: object, mode: LockMode
+    ) -> bool:
+        """Grant *mode* now if no wait is needed; whether *txid* holds it."""
         current = entry.holders.get(txid)
         if current is not None and current >= mode:
-            return LockRequestStatus.GRANTED  # already held at this strength
-
-        already_queued = any(w == txid for w, _ in entry.waiters)
+            return True  # already held at this strength
+        if any(w == txid for w, _ in entry.waiters):
+            return False  # queued: only a release's grant retry grants it
         # An upgrader already holds the resource, so it conceptually sits at
         # the head of the queue: only the holders can block it.
         position = 0 if current is not None else None
-        if not already_queued and self._grantable(entry, txid, mode, position=position):
-            self._grant(stripe, entry, txid, resource, mode)
-            if obs.ENABLED:
-                obs.emit(
-                    "lock.acquire",
-                    txid=txid,
-                    resource=resource,
-                    mode=mode.name,
-                    upgrade=current is not None,
-                )
-            return LockRequestStatus.GRANTED
+        if not self._grantable(entry, txid, mode, position=position):
+            return False
+        self._grant(entry, txid, resource, mode)
+        if obs.ENABLED:
+            obs.emit(
+                "lock.acquire",
+                txid=txid,
+                resource=resource,
+                mode=mode.name,
+                upgrade=current is not None,
+            )
+        return True
 
-        if not already_queued:
-            stripe.stats.waits += 1
+    def _acquire_locked(
+        self, txid: int, resource: object, mode: LockMode
+    ) -> LockRequestStatus:
+        entry = self._entry_locked(resource)
+        if self._try_grant_locked(entry, txid, resource, mode):
+            return LockRequestStatus.GRANTED
+        if any(w == txid for w, _ in entry.waiters):
+            return LockRequestStatus.WAIT
+        self.stats.waits += 1
+        if obs.ENABLED:
+            obs.emit(
+                "lock.wait",
+                txid=txid,
+                resource=resource,
+                mode=mode.name,
+                blockers=self._describe_blockers(entry, txid, mode),
+            )
+        self._enqueue(entry, txid, mode)
+        cycle = self._find_cycle(txid)
+        if cycle:
+            self.stats.deadlocks += 1
+            entry.waiters = [(t, m) for t, m in entry.waiters if t != txid]
             if obs.ENABLED:
-                obs.emit(
-                    "lock.wait",
-                    txid=txid,
-                    resource=resource,
-                    mode=mode.name,
-                    blockers=self._describe_blockers(entry, txid, mode),
-                )
-            self._enqueue(entry, txid, mode)
-            self._publish_edges_locked(stripe)
-            cycle = self._find_cycle(txid)
-            if cycle:
-                stripe.stats.deadlocks += 1
-                entry.waiters = [(t, m) for t, m in entry.waiters if t != txid]
-                self._publish_edges_locked(stripe)
-                if obs.ENABLED:
-                    obs.emit("lock.deadlock", txid=txid, cycle=list(cycle))
-                raise DeadlockError(txid, cycle)
+                obs.emit("lock.deadlock", txid=txid, cycle=list(cycle))
+            raise DeadlockError(txid, cycle)
         return LockRequestStatus.WAIT
 
     def acquire_or_raise(self, txid: int, resource: object, mode: LockMode) -> None:
         """Acquire, raising :class:`LockError` on conflict.
 
         The single-session database uses this path: with one transaction at a
-        time a conflict indicates a bug rather than contention.
+        time a conflict indicates a bug rather than contention, so the
+        request is neither queued nor counted as a wait.
         """
-        stripe = self._stripe_for(resource)
-        with stripe.mutex:
-            status = self._acquire_locked(stripe, txid, resource, mode)
-            if status is LockRequestStatus.GRANTED:
+        with self._mutex:
+            entry = self._entry_locked(resource)
+            if self._try_grant_locked(entry, txid, resource, mode):
                 return
-            # Undo the queued request — serial callers never retry.
-            entry = stripe.table.get(resource)
-            holders = frozenset(entry.holders) if entry else frozenset()
-            if entry is not None:
-                entry.waiters = [(t, m) for t, m in entry.waiters if t != txid]
-            self._publish_edges_locked(stripe)
+            holders = sorted(entry.holders)
         raise LockError(
-            f"transaction {txid} blocked on {resource!r} held by {sorted(holders)}"
+            f"transaction {txid} blocked on {resource!r} held by {holders}"
         )
 
     def acquire_blocking(
@@ -393,28 +299,27 @@ class LockManager:
         even past a deadline or poison — only *waiting* is cancelled.
         """
         hooks = current_wait_hooks()
-        stripe = self._stripe_for(resource)
         wait_deadline = None
         while True:
-            with stripe.mutex:
-                status = self._acquire_locked(stripe, txid, resource, mode)
+            with self._mutex:
+                status = self._acquire_locked(txid, resource, mode)
                 if status is LockRequestStatus.GRANTED:
                     return
                 if self._poison is not None:
-                    self._abandon_poisoned_locked(stripe, txid, resource)
+                    self._abandon_poisoned_locked(txid, resource)
                 txn_deadline = self._deadlines.get(txid)
                 if txn_deadline is not None and time.monotonic() >= txn_deadline:
-                    self._abandon_deadline_locked(stripe, txid, resource, mode)
+                    self._abandon_deadline_locked(txid, resource, mode)
                 if hooks is None:
-                    # Threaded mode: sleep on the stripe condition until a
-                    # release grants us (or a timeout/deadline/poison wakes
-                    # us).
+                    # Threaded mode: sleep on the manager's condition until
+                    # a release grants us (or a timeout/deadline/poison
+                    # wakes us).
                     if wait_deadline is None:
                         budget = self.wait_timeout if timeout is None else timeout
                         wait_deadline = time.monotonic() + budget
-                    while not self._is_granted_locked(stripe, txid, resource, mode):
+                    while not self._is_granted_locked(txid, resource, mode):
                         if self._poison is not None:
-                            self._abandon_poisoned_locked(stripe, txid, resource)
+                            self._abandon_poisoned_locked(txid, resource)
                         txn_deadline = self._deadlines.get(txid)
                         limit = (
                             wait_deadline
@@ -422,18 +327,16 @@ class LockManager:
                             else min(wait_deadline, txn_deadline)
                         )
                         remaining = limit - time.monotonic()
-                        if remaining <= 0 or not stripe.cond.wait(remaining):
-                            if self._is_granted_locked(stripe, txid, resource, mode):
+                        if remaining <= 0 or not self._cond.wait(remaining):
+                            if self._is_granted_locked(txid, resource, mode):
                                 break
                             if self._poison is not None:
-                                self._abandon_poisoned_locked(stripe, txid, resource)
+                                self._abandon_poisoned_locked(txid, resource)
                             now = time.monotonic()
                             if txn_deadline is not None and now >= txn_deadline:
-                                self._abandon_deadline_locked(
-                                    stripe, txid, resource, mode
-                                )
+                                self._abandon_deadline_locked(txid, resource, mode)
                             if now >= wait_deadline:
-                                stripe.stats.timeouts += 1
+                                self.stats.timeouts += 1
                                 self._drop_request(txid, resource)
                                 if obs.ENABLED:
                                     obs.emit(
@@ -457,10 +360,8 @@ class LockManager:
                 or self._wait_abandoned(txid)
             )
 
-    def _abandon_poisoned_locked(
-        self, stripe: _Stripe, txid: int, resource: object
-    ) -> None:
-        stripe.stats.poisoned_waits += 1
+    def _abandon_poisoned_locked(self, txid: int, resource: object) -> None:
+        self.stats.poisoned_waits += 1
         self._drop_request(txid, resource)
         raise WaitPoisonedError(
             f"transaction {txid}'s lock wait on {resource!r} was cancelled: "
@@ -468,9 +369,9 @@ class LockManager:
         )
 
     def _abandon_deadline_locked(
-        self, stripe: _Stripe, txid: int, resource: object, mode: LockMode
+        self, txid: int, resource: object, mode: LockMode
     ) -> None:
-        stripe.stats.deadline_aborts += 1
+        self.stats.deadline_aborts += 1
         self._drop_request(txid, resource)
         if obs.ENABLED:
             obs.emit("lock.deadline", txid=txid, resource=resource, mode=mode.name)
@@ -497,12 +398,10 @@ class LockManager:
             return
         self._deadlines[txid] = deadline
         # The dict write above happens before the notify, and a parked
-        # waiter re-checks its deadline on every wake, so waking every
-        # stripe (we don't know where txid is parked) cannot lose the
-        # update.
-        for stripe in self._stripes:
-            with stripe.mutex:
-                stripe.cond.notify_all()
+        # waiter re-checks its deadline on every wake, so the update
+        # cannot be lost.
+        with self._mutex:
+            self._cond.notify_all()
 
     def poison(self, reason: str) -> None:
         """Cancel every present and future blocked wait with
@@ -511,13 +410,12 @@ class LockManager:
         The crash/close path: when the process modelled by this database
         dies, sessions parked behind its locks must be *woken with an
         error*, not left to hang — a dead holder will never release.  The
-        grant tables are left intact for post-mortem inspection; a reopen
+        grant table is left intact for post-mortem inspection; a reopen
         builds a fresh manager.
         """
         self._poison = reason
-        for stripe in self._stripes:
-            with stripe.mutex:
-                stripe.cond.notify_all()
+        with self._mutex:
+            self._cond.notify_all()
         if obs.ENABLED:
             obs.emit("lock.poison", reason=reason)
 
@@ -557,26 +455,21 @@ class LockManager:
         return True
 
     def _grant(
-        self,
-        stripe: _Stripe,
-        entry: _LockEntry,
-        txid: int,
-        resource: object,
-        mode: LockMode,
+        self, entry: _LockEntry, txid: int, resource: object, mode: LockMode
     ) -> None:
         current = entry.holders.get(txid)
         upgrading = current is not None and mode > current
         entry.holders[txid] = mode if current is None else max(current, mode)
-        stripe.held[txid].add(resource)
+        self._held[txid].add(resource)
         log = self.order_log
         if log is not None:
             log.append((txid, resource, mode.name, upgrading))
         if upgrading:
-            stripe.stats.upgrades += 1
+            self.stats.upgrades += 1
         if mode is LockMode.S:
-            stripe.stats.s_acquired += 1
+            self.stats.s_acquired += 1
         else:
-            stripe.stats.x_acquired += 1
+            self.stats.x_acquired += 1
 
     def _enqueue(self, entry: _LockEntry, txid: int, mode: LockMode) -> None:
         """Queue a request FIFO; lock *upgrades* jump ahead of fresh requests.
@@ -603,9 +496,9 @@ class LockManager:
         )
 
     def _is_granted_locked(
-        self, stripe: _Stripe, txid: int, resource: object, mode: LockMode
+        self, txid: int, resource: object, mode: LockMode
     ) -> bool:
-        entry = stripe.table.get(resource)
+        entry = self._table.get(resource)
         if entry is None:
             return False
         held = entry.holders.get(txid)
@@ -613,51 +506,50 @@ class LockManager:
 
     def is_granted(self, txid: int, resource: object, mode: LockMode) -> bool:
         """Whether *txid* currently holds *resource* at least at *mode*."""
-        stripe = self._stripe_for(resource)
-        with stripe.mutex:
-            return self._is_granted_locked(stripe, txid, resource, mode)
+        with self._mutex:
+            return self._is_granted_locked(txid, resource, mode)
 
     def _drop_request(self, txid: int, resource: object) -> None:
         """Remove *txid*'s queued request on *resource*, keeping grants.
 
-        Safe to call with or without the stripe mutex held (it re-enters
-        the owning stripe's RLock); the timeout/deadline/poison abandon
-        paths call it while already inside the stripe.
+        Safe to call with or without the mutex held (it re-enters the
+        RLock); the timeout/deadline/poison abandon paths call it while
+        already inside.
         """
-        stripe = self._stripe_for(resource)
-        with stripe.mutex:
-            entry = stripe.table.get(resource)
+        with self._mutex:
+            entry = self._table.get(resource)
             if entry is not None:
                 entry.waiters = [(t, m) for t, m in entry.waiters if t != txid]
                 if not entry.holders and not entry.waiters:
-                    del stripe.table[resource]
-            self._publish_edges_locked(stripe)
+                    del self._table[resource]
 
     # -- release ---------------------------------------------------------------
 
     def release_all(self, txid: int) -> None:
         """Release every lock *txid* holds, drop its queued requests, and
-        grant-and-wake whoever its release unblocks (FIFO per resource)."""
+        grant-and-wake whoever its release unblocks (FIFO per resource).
+
+        The grant retry covers the whole table, not just *txid*'s
+        resources: a deadlock victim's withdrawn request can unblock a
+        queue the victim never held.
+        """
         self._deadlines.pop(txid, None)
-        for stripe in self._stripes:
-            # Unlocked pre-check: only this thread creates grants or queue
-            # entries for txid, so a stripe with an empty table and no
-            # grant-index entry for txid cannot gain either concurrently.
-            if not stripe.table and txid not in stripe.held:
-                continue
-            with stripe.mutex:
-                for resource in stripe.held.pop(txid, set()):
-                    entry = stripe.table.get(resource)
-                    if entry is not None:
-                        entry.holders.pop(txid, None)
-                        if not entry.holders and not entry.waiters:
-                            del stripe.table[resource]
-                for entry in list(stripe.table.values()):
+        # Unlocked pre-check: every grant has a table entry, and only this
+        # thread creates grants or queue entries for txid.
+        if not self._table:
+            return
+        with self._mutex:
+            for resource in self._held.pop(txid, ()):
+                entry = self._table.get(resource)
+                if entry is not None:
+                    entry.holders.pop(txid, None)
+                    if not entry.holders and not entry.waiters:
+                        del self._table[resource]
+            for entry in self._table.values():
+                if entry.waiters:
                     entry.waiters = [(t, m) for t, m in entry.waiters if t != txid]
-                granted = self._retry_stripe_locked(stripe)
-                self._publish_edges_locked(stripe)
-                if granted:
-                    stripe.cond.notify_all()
+            if self._retry_locked():
+                self._cond.notify_all()
 
     def retry_waiters(self) -> list[int]:
         """Grant every now-compatible queued request in FIFO arrival order
@@ -665,25 +557,16 @@ class LockManager:
 
         Grants stop at the first still-blocked request of each queue so a
         late arrival can never overtake an incompatible earlier waiter.
-        Each stripe's waits-for edges are rebuilt from its remaining
-        queues — a granted transaction still waiting on *other* resources
-        keeps those edges, so deadlock detection stays sound.
         """
-        granted: list[int] = []
-        for stripe in self._stripes:
-            if not stripe.table:
-                continue
-            with stripe.mutex:
-                fresh = self._retry_stripe_locked(stripe)
-                self._publish_edges_locked(stripe)
-                if fresh:
-                    stripe.cond.notify_all()
-                    granted.extend(fresh)
+        with self._mutex:
+            granted = self._retry_locked()
+            if granted:
+                self._cond.notify_all()
         return granted
 
-    def _retry_stripe_locked(self, stripe: _Stripe) -> list[int]:
+    def _retry_locked(self) -> list[int]:
         granted: list[int] = []
-        for resource, entry in list(stripe.table.items()):
+        for resource, entry in list(self._table.items()):
             while entry.waiters:
                 txid, mode = entry.waiters[0]
                 held = entry.holders.get(txid)
@@ -693,53 +576,46 @@ class LockManager:
                 if not self._grantable(entry, txid, mode, position=0):
                     break
                 entry.waiters.pop(0)
-                self._grant(stripe, entry, txid, resource, mode)
+                self._grant(entry, txid, resource, mode)
                 granted.append(txid)
             if not entry.holders and not entry.waiters:
-                del stripe.table[resource]
+                del self._table[resource]
         return granted
 
     # -- introspection ------------------------------------------------------------
 
     def holders_of(self, resource: object) -> frozenset[int]:
-        stripe = self._stripe_for(resource)
-        with stripe.mutex:
-            entry = stripe.table.get(resource)
+        with self._mutex:
+            entry = self._table.get(resource)
             return frozenset(entry.holders) if entry else frozenset()
 
     def mode_held(self, txid: int, resource: object) -> LockMode | None:
-        stripe = self._stripe_for(resource)
-        with stripe.mutex:
-            entry = stripe.table.get(resource)
+        with self._mutex:
+            entry = self._table.get(resource)
             return entry.holders.get(txid) if entry else None
 
     def locks_held(self, txid: int) -> frozenset[object]:
-        held: set[object] = set()
-        for stripe in self._stripes:
-            with stripe.mutex:
-                held.update(stripe.held.get(txid, ()))
-        return frozenset(held)
+        with self._mutex:
+            return frozenset(self._held.get(txid, ()))
 
     def waits_for_edges(self) -> dict[int, frozenset[int]]:
-        merged = self._merged_edges()
-        return {t: frozenset(b) for t, b in merged.items() if b}
+        with self._mutex:
+            edges = self._edges_locked()
+        return {txid: frozenset(blockers) for txid, blockers in edges.items()}
 
     # -- deadlock detection ----------------------------------------------------------
 
-    def _publish_edges_locked(self, stripe: _Stripe) -> None:
-        """Recompute *stripe*'s waits-for edges and publish a snapshot.
+    def _edges_locked(self) -> dict[int, set[int]]:
+        """The waits-for graph, built from the table under the mutex.
 
         An edge ``W -> B`` exists when queued request W conflicts with
         holder B, or with an *earlier* queued request B on the same
-        resource (FIFO: W cannot be granted before B).  Rebuilding from
-        ground truth — instead of mutating edges incrementally — is what
-        keeps a transaction's edges on its *other* pending resources alive
-        when one of its requests is granted.  Caller holds the stripe
-        mutex; publishing takes the graph lock (stripe mutex → graph lock
-        is the global order).
+        resource (FIFO: W cannot be granted before B).  Building from
+        ground truth is what keeps a transaction's edges on its *other*
+        pending resources alive when one of its requests is granted.
         """
         edges: dict[int, set[int]] = {}
-        for entry in stripe.table.values():
+        for entry in self._table.values():
             for position, (txid, mode) in enumerate(entry.waiters):
                 bucket = edges.setdefault(txid, set())
                 for holder, held in entry.holders.items():
@@ -750,30 +626,11 @@ class LockManager:
                         emode.compatible(mode) and mode.compatible(emode)
                     ):
                         bucket.add(earlier)
-        edges = {txid: blockers for txid, blockers in edges.items() if blockers}
-        with self._graph_lock:
-            if edges:
-                self._edges[stripe.index] = edges
-            else:
-                self._edges.pop(stripe.index, None)
-
-    def _merged_edges(self) -> dict[int, set[int]]:
-        """Union of every stripe's published edge snapshot."""
-        with self._graph_lock:
-            merged: dict[int, set[int]] = {}
-            for per_stripe in self._edges.values():
-                for txid, blockers in per_stripe.items():
-                    merged.setdefault(txid, set()).update(blockers)
-            return merged
+        return {txid: blockers for txid, blockers in edges.items() if blockers}
 
     def _find_cycle(self, start: int) -> tuple[int, ...]:
-        """DFS from *start* in the merged waits-for graph; a cycle or ().
-
-        The caller has already published its own stripe's edges, so the
-        requester whose edge closes a cycle always sees the full cycle
-        here regardless of which stripes the other edges live in.
-        """
-        graph = self._merged_edges()
+        """DFS from *start* in the waits-for graph; a cycle or ()."""
+        graph = self._edges_locked()
         path: list[int] = []
         on_path: set[int] = set()
         visited: set[int] = set()

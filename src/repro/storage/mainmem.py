@@ -24,7 +24,6 @@ from collections.abc import Iterator
 from repro.errors import RecordNotFoundError, StorageError
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
 from repro.storage.interface import StorageManager
-from repro.storage.locks import DEFAULT_LOCK_STRIPES
 
 _SNAP_HEAD = struct.Struct("<8sqqq")  # magic, next_rid, root, count
 _SNAP_REC = struct.Struct("<qI")  # rid, length
@@ -39,7 +38,6 @@ class MainMemoryStorageManager(StorageManager):
         path: str | None = None,
         durable: bool | None = None,
         injector: FaultInjector = NULL_INJECTOR,
-        lock_stripes: int = DEFAULT_LOCK_STRIPES,
     ):
         path = str(path) if path is not None else None
         if durable is None:
@@ -50,7 +48,6 @@ class MainMemoryStorageManager(StorageManager):
             path,
             path + ".oplog" if durable else None,
             injector,
-            lock_stripes,
             lambda wal, stats: HeapRecords(path if durable else None, injector),
         )
 

@@ -271,20 +271,17 @@ OPS = st.lists(
 )
 
 
-STRIPE_COUNTS = st.sampled_from([1, 2, 8])
-
-
 class TestNoLeakProperty:
     @settings(max_examples=200, deadline=None)
-    @given(ops=OPS, stripes=STRIPE_COUNTS)
-    def test_release_all_always_empties_the_manager(self, ops, stripes):
+    @given(ops=OPS)
+    def test_release_all_always_empties_the_manager(self, ops):
         """The timeout path (`_drop_request`) composed with arbitrary
-        acquires and releases must never strand a grant or a queue entry
-        in any stripe: after every transaction's `release_all`, every
-        stripe is empty.  This is the property that makes
+        acquires and releases must never strand a grant or a queue entry:
+        after every transaction's `release_all`, the table and the grant
+        index are empty.  This is the property that makes
         `finally: release_all` a complete cleanup story for
         timed-out/deadline-aborted transactions."""
-        lm = LockManager(stripes=stripes)
+        lm = LockManager()
         for op, txid, resource, mode in ops:
             if op == "acquire":
                 try:
@@ -299,18 +296,17 @@ class TestNoLeakProperty:
                 lm.release_all(txid)
         for txid in range(1, 5):
             lm.release_all(txid)
-        for stripe in lm._stripes:
-            assert stripe.table == {}
-            assert dict(stripe.held) == {}
+        assert lm._table == {}
+        assert dict(lm._held) == {}
         assert lm.waits_for_edges() == {}
 
     @settings(max_examples=100, deadline=None)
-    @given(ops=OPS, stripes=STRIPE_COUNTS)
-    def test_held_and_table_always_agree(self, ops, stripes):
-        """Mid-sequence consistency, per stripe: every `held` entry is a
-        real holder in that stripe's table and vice versa (a desync is how
-        a timeout could leak a grant)."""
-        lm = LockManager(stripes=stripes)
+    @given(ops=OPS)
+    def test_held_and_table_always_agree(self, ops):
+        """Mid-sequence consistency: every `held` entry is a real holder in
+        the table and vice versa (a desync is how a timeout could leak a
+        grant)."""
+        lm = LockManager()
         for op, txid, resource, mode in ops:
             if op == "acquire":
                 try:
@@ -321,140 +317,14 @@ class TestNoLeakProperty:
                 lm._drop_request(txid, resource)
             else:
                 lm.release_all(txid)
-            for stripe in lm._stripes:
-                held_view = {
-                    (txid2, res)
-                    for txid2, resources in stripe.held.items()
-                    for res in resources
-                }
-                table_view = {
-                    (txid2, res)
-                    for res, entry in stripe.table.items()
-                    for txid2 in entry.holders
-                }
-                assert held_view == table_view
-
-
-# -- hypothesis: striped == single-stripe, observably --------------------------
-
-
-class TestStripeEquivalence:
-    """Satellite: striping is an implementation detail.  Any op sequence
-    must be observably identical on a 1-stripe manager (the old single
-    mutex) and a many-stripe one — same grant/wait statuses, same
-    deadlock victims, same waits-for edges, same held sets, same counter
-    totals."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(ops=OPS)
-    def test_lockstep_with_single_stripe(self, ops):
-        base = LockManager(stripes=1)
-        striped = LockManager(stripes=8)
-        for op, txid, resource, mode in ops:
-            if op == "acquire":
-                outcomes = []
-                for lm in (base, striped):
-                    try:
-                        outcomes.append(lm.acquire(txid, resource, mode))
-                    except DeadlockError:
-                        outcomes.append("deadlock")
-                        lm.release_all(txid)
-                assert outcomes[0] == outcomes[1]
-            elif op == "timeout":
-                base._drop_request(txid, resource)
-                striped._drop_request(txid, resource)
-            else:
-                base.release_all(txid)
-                striped.release_all(txid)
-            assert striped.waits_for_edges() == base.waits_for_edges()
-            for t in range(1, 5):
-                assert striped.locks_held(t) == base.locks_held(t)
-                for res in ("a", "b", "c"):
-                    assert striped.mode_held(t, res) == base.mode_held(t, res)
-        for counter in (
-            "s_acquired",
-            "x_acquired",
-            "upgrades",
-            "waits",
-            "deadlocks",
-        ):
-            assert getattr(striped.stats, counter) == getattr(
-                base.stats, counter
-            ), counter
-
-    @pytest.mark.parametrize("stripes", [2, 8])
-    def test_cooperative_schedule_identical_across_stripe_counts(
-        self, tmp_path, stripes
-    ):
-        """End-to-end determinism: the FIFO-wake + forced-deadlock session
-        scenario under a CooperativeScheduler produces the *same scheduler
-        log* and the *same lock acquisition-order trace* whether the lock
-        manager has 1 stripe or many."""
-        from repro.objects.database import Database
-        from repro.objects.persistent import Persistent
-        from repro.objects.schema import field as pfield
-        from repro.sessions.scheduler import CooperativeScheduler
-
-        class StripeEqSlot(Persistent):
-            value = pfield(int, default=0)
-
-        runs = []
-        for label, n in (("a", 1), ("b", stripes)):
-            db = Database.open(
-                str(tmp_path / f"eq-{label}-{stripes}"),
-                engine="mm",
-                name=f"stripe-eq-{label}",
-                lock_stripes=n,
-            )
-            try:
-                with db.transaction():
-                    p1 = db.pnew(StripeEqSlot).ptr
-                    p2 = db.pnew(StripeEqSlot).ptr
-
-                sched = CooperativeScheduler()
-                sa = db.session("A")
-                sb = db.session("B")
-                sc = db.session("C")
-                lm = db.storage.lock_manager
-                lm.start_order_trace()
-
-                def program(session, first, second, amount):
-                    def body(txn):
-                        h1 = session.deref(first)
-                        h1.value = h1.value + amount
-                        sched.yield_now()  # guarantee lock interleaving
-                        h2 = session.deref(second)
-                        h2.value = h2.value + amount
-
-                    session.run(body)
-
-                def reader(session):
-                    def body(txn):
-                        session.deref(p1).value
-                        session.deref(p2).value
-
-                    session.run(body)
-
-                sched.spawn(lambda: program(sa, p1, p2, 1), "A", session=sa)
-                sched.spawn(lambda: program(sb, p2, p1, 10), "B", session=sb)
-                sched.spawn(lambda: reader(sc), "C", session=sc)
-                sched.run()
-
-                with db.transaction():
-                    total = db.deref(p1).value + db.deref(p2).value
-                assert total == 22  # both writers committed whole
-                runs.append(
-                    {
-                        "log": list(sched.log),
-                        "order": lm.stop_order_trace(),
-                        "deadlocks": lm.stats.deadlocks,
-                        "waits": lm.stats.waits,
-                    }
-                )
-            finally:
-                db.close()
-
-        assert runs[0]["log"] == runs[1]["log"]
-        assert runs[0]["order"] == runs[1]["order"]
-        assert runs[0]["deadlocks"] == runs[1]["deadlocks"] >= 1
-        assert runs[0]["waits"] == runs[1]["waits"]
+            held_view = {
+                (txid2, res)
+                for txid2, resources in lm._held.items()
+                for res in resources
+            }
+            table_view = {
+                (txid2, res)
+                for res, entry in lm._table.items()
+                for txid2 in entry.holders
+            }
+            assert held_view == table_view

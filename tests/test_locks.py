@@ -1,5 +1,8 @@
 """Lock-manager tests: grants, conflicts, upgrades, deadlocks."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +123,57 @@ class TestDeadlock:
         assert lm.acquire(2, "r", LockMode.X) is WAIT  # no cycle, no raise
 
 
+class TestOneVictimPerCycle:
+    """Threads racing to close the same cycle: exactly one becomes the
+    victim, and its release lets the others through."""
+
+    RING = 3
+    ROUNDS = 30
+
+    def _ring_round(self):
+        lm = LockManager()
+        lm.blocking = True
+        holding = threading.Barrier(self.RING)
+        outcomes: dict[int, str] = {}
+
+        def member(index):
+            txid = index + 1
+            lm.lock(txid, index, LockMode.X)
+            holding.wait(timeout=5)
+            try:
+                lm.acquire_blocking(
+                    txid, (index + 1) % self.RING, LockMode.X, timeout=5
+                )
+                outcomes[txid] = "granted"
+            except DeadlockError:
+                outcomes[txid] = "victim"
+            finally:
+                lm.release_all(txid)
+
+        threads = [
+            threading.Thread(target=member, args=(i,), daemon=True)
+            for i in range(self.RING)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        return lm, outcomes
+
+    def test_ring_deadlock_has_exactly_one_victim(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force thread switches mid-request
+        try:
+            for _ in range(self.ROUNDS):
+                lm, outcomes = self._ring_round()
+                assert sorted(outcomes.values()) == ["granted", "granted", "victim"]
+                assert lm.stats.deadlocks == 1
+                assert lm.waits_for_edges() == {}
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestFairness:
     def test_new_reader_queues_behind_waiting_writer(self, lm):
         lm.acquire(1, "r", LockMode.S)
@@ -131,6 +185,29 @@ class TestFairness:
         lm.acquire(1, "r", LockMode.X)
         with pytest.raises(LockError):
             lm.acquire_or_raise(2, "r", LockMode.S)
+
+
+class TestSerialConflict:
+    """A serial conflict is not a wait: the request is never queued."""
+
+    def test_conflict_leaves_no_trace(self, lm):
+        lm.acquire(1, "r", LockMode.X)
+        with pytest.raises(LockError):
+            lm.acquire_or_raise(2, "r", LockMode.S)
+        assert lm.stats.waits == 0
+        assert lm.waits_for_edges() == {}
+        assert lm.holders_of("r") == {1}
+        assert lm.locks_held(2) == frozenset()
+
+    def test_conflict_that_would_close_a_cycle_is_a_lock_error(self, lm):
+        lm.acquire(1, "a", LockMode.X)
+        lm.acquire(2, "b", LockMode.X)
+        assert lm.acquire(1, "b", LockMode.X) is WAIT
+        with pytest.raises(LockError) as excinfo:
+            lm.acquire_or_raise(2, "a", LockMode.X)
+        assert excinfo.type is LockError  # not its DeadlockError subclass
+        assert lm.stats.deadlocks == 0
+        assert lm.waits_for_edges() == {1: {2}}
 
 
 class TestStats:

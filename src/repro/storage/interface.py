@@ -241,17 +241,26 @@ class StorageManager:
     # -- transaction control --------------------------------------------------
 
     def begin_transaction(self, txid: int) -> None:
-        """Register *txid* as an open transaction."""
+        """Register *txid* as an open transaction.
+
+        Nothing is logged: a transaction enters the log with its first
+        mutation, which is all recovery needs to call it a loser.
+        """
         self._check_open()
         with self._mutex:
             if txid in self._active:
                 raise StorageError(f"transaction {txid} already active")
             self._active[txid] = []
-            if not self.degraded:  # read-only transactions stay possible
-                self._log(txid, LogRecordKind.BEGIN)
 
     def commit_transaction(self, txid: int) -> None:
-        """Durably commit *txid* and release its locks."""
+        """Commit *txid* and release its locks.
+
+        A transaction that logged mutations appends a COMMIT record and
+        forces the log before its locks go.  One that changed nothing
+        (empty undo list) logs nothing and forces nothing: everything it
+        read was already durable, because writers release their locks —
+        and MVCC publishes its heads — only after their own force.
+        """
         self._check_open()
         with self._mutex:
             records = self._require_active(txid)
@@ -260,7 +269,7 @@ class StorageManager:
                     f"cannot commit transaction {txid}: "
                     "database degraded to read-only with logged mutations"
                 )
-            durable = self._wal is not None and not self.degraded
+            durable = self._wal is not None and bool(records)
             if durable:
                 self.injector.fire("txn.commit.begin", txid=txid)
                 self._log(txid, LogRecordKind.COMMIT)
@@ -286,10 +295,15 @@ class StorageManager:
         self._locks.release_all(txid)
 
     def abort_transaction(self, txid: int) -> None:
-        """Undo every effect of *txid* and release its locks."""
+        """Undo every effect of *txid* and release its locks.
+
+        Each undone mutation logs its compensation, then an ABORT record
+        closes the transaction; one with nothing to undo logs nothing.
+        """
         self._check_open()
         with self._mutex:
-            for record in reversed(self._require_active(txid)):
+            records = self._require_active(txid)
+            for record in reversed(records):
                 compensation = record.inverse()
                 if not self.degraded:
                     try:
@@ -305,7 +319,7 @@ class StorageManager:
                         # loser from the (fsynced prefix of the) log.
                         pass
                 self._redo(compensation)
-            if not self.degraded:
+            if records and not self.degraded:
                 try:
                     self._log(txid, LogRecordKind.ABORT)
                 except ReadOnlyStorageError:

@@ -3,8 +3,10 @@
 Both engines log logical record values (before/after images), which makes
 the classic three-pass scheme simple and engine-independent:
 
-1. **Analysis** — partition transactions into *winners* (a COMMIT record
-   reached the log) and *losers* (everything else that began).
+1. **Analysis** — partition transactions into *winners* (a COMMIT or
+   ABORT record reached the log) and *losers* (a mutation reached the log,
+   but neither of those).  A transaction enters the log with its first
+   mutation; a BEGIN record, which older logs still carry, is ignored.
 2. **Redo** — repeat history: re-apply every logged mutation, winner or
    loser, in log order.  Because pages may have been stolen (flushed with
    uncommitted data) or never flushed, the disk can be in any mixed state;
@@ -36,7 +38,10 @@ class RecoveryStats:
     """Outcome of a recovery pass."""
 
     records_scanned: int = 0
+    #: transactions whose COMMIT or ABORT record reached the log
     winners: int = 0
+    #: transactions that logged a mutation but no COMMIT or ABORT; a
+    #: transaction that changed nothing leaves no trace, so never counts
     losers: int = 0
     redo_applied: int = 0
     undo_applied: int = 0
@@ -54,13 +59,11 @@ class AnalysisResult:
 
 def analyze(records: Iterable[LogRecord]) -> AnalysisResult:
     """Pass 1: classify transactions and collect the mutation records."""
-    began: set[int] = set()
+    logged: set[int] = set()
     winners: set[int] = set()
     mutations: list[LogRecord] = []
     for record in records:
-        if record.kind is LogRecordKind.BEGIN:
-            began.add(record.txid)
-        elif record.kind is LogRecordKind.COMMIT:
+        if record.kind is LogRecordKind.COMMIT:
             winners.add(record.txid)
         elif record.kind is LogRecordKind.ABORT:
             # Aborts log *compensation* mutations before the ABORT record
@@ -69,9 +72,9 @@ def analyze(records: Iterable[LogRecord]) -> AnalysisResult:
             # from recovery's point of view, exactly like ARIES CLRs.
             winners.add(record.txid)
         elif record.kind in _MUTATIONS:
-            began.add(record.txid)
+            logged.add(record.txid)
             mutations.append(record)
-    losers = began - winners
+    losers = logged - winners
     return AnalysisResult(frozenset(winners), frozenset(losers), tuple(mutations))
 
 

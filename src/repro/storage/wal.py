@@ -2,8 +2,10 @@
 
 Each mutation appends a :class:`LogRecord` carrying before/after images of
 the affected record, which makes redo and undo idempotent at the record
-level (see :mod:`repro.storage.recovery`).  Commit appends a COMMIT record
-and forces the log; data pages are written lazily (STEAL/NO-FORCE).
+level (see :mod:`repro.storage.recovery`).  The commit of a transaction
+that logged a mutation appends a COMMIT record and forces the log; a
+transaction that changed nothing never touches the log.  Data pages are
+written lazily (STEAL/NO-FORCE).
 
 On-disk format per record::
 
@@ -57,13 +59,13 @@ _MAX_SANE_PAYLOAD = 1 << 24
 class LogRecordKind(enum.IntEnum):
     """The kinds of log record the engines emit."""
 
+    #: No longer appended; still decoded so older logs replay.
     BEGIN = 1
     INSERT = 2
     UPDATE = 3
     DELETE = 4
     COMMIT = 5
     ABORT = 6
-    CHECKPOINT = 7
     SET_ROOT = 8
 
 

@@ -83,8 +83,9 @@ def test_every_hit_on_both_engines_covers_all_nineteen_points(tmp_path):
     the union of actual crash points is the full 19-point set."""
     disk = explore_concurrent(str(tmp_path / "d"))
     mm = explore_concurrent(str(tmp_path / "e"), engine="mm")
-    assert len(disk.explored) == len(disk.trace) >= 400
-    assert len(mm.explored) == len(mm.trace) >= 300
+    # Only transactions that logged a mutation append a COMMIT and force.
+    assert len(disk.explored) == len(disk.trace) >= 305
+    assert len(mm.explored) == len(mm.trace) >= 262
     assert disk.points_explored | mm.points_explored == ALL_POINTS
     assert {"snapshot.write", "snapshot.replace"} <= mm.points_explored
 

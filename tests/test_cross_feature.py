@@ -163,7 +163,10 @@ class TestTracedCrashRecovery:
                 assert recovered.trigger_system.verify_integrity() == []
         assert all(b >= 0.0 for b in balances)
         recovery_records = recovery_recorder.records()
-        assert any(r.kind == "wal.append" for r in recovery_records)
+        # The verification transaction only read: it is traced, but a
+        # transaction that changed nothing never touches the log.
+        assert any(r.kind == "txn.begin" for r in recovery_records)
+        assert not any(r.kind == "wal.append" for r in recovery_records)
         # The recovery trace round-trips through the same JSONL path.
         rec_path = str(tmp_path / "recovery-trace.jsonl")
         recovery_recorder.export(rec_path)

@@ -1,13 +1,25 @@
 """Storage-engine tests, parametrized over disk (EOS-like) and MM (Dali-like)."""
 
 import inspect
+import os
 
 import pytest
 
-from repro.errors import PageError, RecordNotFoundError, StorageError
+from repro.errors import (
+    PageError,
+    ReadOnlyStorageError,
+    RecordNotFoundError,
+    StorageError,
+    TransactionAbort,
+)
+from repro.faults.injector import Fault, FaultInjector, FaultKind, HitRecord
+from repro.objects.persistent import Persistent
+from repro.objects.schema import field
+from repro.sessions.scheduler import CooperativeScheduler
 from repro.storage.disk import DiskStorageManager, pack_rid, unpack_rid
 from repro.storage.interface import StorageManager
 from repro.storage.mainmem import MainMemoryStorageManager
+from repro.storage.wal import LogRecordKind, WriteAheadLog
 
 
 @pytest.fixture(params=["disk", "mm"])
@@ -15,8 +27,8 @@ def engine_factory(request, tmp_path):
     """A callable that (re)opens the same storage manager."""
     path = str(tmp_path / "store")
     if request.param == "disk":
-        return lambda: DiskStorageManager(path)
-    return lambda: MainMemoryStorageManager(path)
+        return lambda **kw: DiskStorageManager(path, **kw)
+    return lambda **kw: MainMemoryStorageManager(path, **kw)
 
 
 @pytest.fixture
@@ -379,6 +391,210 @@ class TestOneShell:
                 if inspect.isfunction(value) and value is not shell.get(name)
             }
             assert own == {"__init__"}, engine
+
+
+def _log_cost(sm):
+    """What the log has cost so far: file size, records appended, forces."""
+    return os.path.getsize(sm._wal.path), sm.stats.log_records, sm.stats.log_forces
+
+
+def _seed(sm):
+    """Commit one record (``b"v1"``) in transaction 1; return its rid."""
+    sm.begin_transaction(1)
+    rid = sm.insert(1, b"v1")
+    sm.commit_transaction(1)
+    return rid
+
+
+class LogContractNote(Persistent):
+    text = field(str, default="")
+
+
+class TestLogContract:
+    """A transaction enters the log with its first mutation; one that
+    changed nothing never touches it — no record, no force, no commit
+    failpoint."""
+
+    @pytest.fixture
+    def seeded(self, engine_factory):
+        injector = FaultInjector(recording=True)
+        sm = engine_factory(injector=injector)
+        rid = _seed(sm)
+        yield sm, injector, rid
+        sm.close()
+
+    @pytest.mark.parametrize("end", ["commit", "abort"])
+    def test_read_only_transaction_leaves_the_log_untouched(self, seeded, end):
+        sm, injector, rid = seeded
+        cost, hits, before = _log_cost(sm), len(injector.trace), sm.stats.snapshot()
+        sm.begin_transaction(2)
+        assert sm.read(2, rid) == b"v1"
+        getattr(sm, f"{end}_transaction")(2)
+        assert _log_cost(sm) == cost
+        # Not even txn.commit.begin / txn.commit.durable fire.
+        assert injector.trace[hits:] == []
+        counter = "commits" if end == "commit" else "aborts"
+        assert sm.stats.snapshot()[counter] == before[counter] + 1
+        assert sm.lock_manager.locks_held(2) == frozenset()
+
+    def test_tabort_and_read_only_commit_through_the_database(self, any_engine_db):
+        db = any_engine_db
+        with db.transaction():
+            ptr = db.pnew(LogContractNote, text="kept").ptr
+        cost = _log_cost(db.storage)
+        with db.transaction():
+            assert db.deref(ptr).text == "kept"
+        with db.transaction():
+            assert db.deref(ptr).text == "kept"
+            raise TransactionAbort("read, then tabort")
+        assert _log_cost(db.storage) == cost
+
+    def test_an_update_enters_the_log_with_its_first_mutation(self, seeded):
+        sm, _, rid = seeded
+        sm.begin_transaction(2)
+        sm.read(2, rid)
+        sm.write(2, rid, b"v2")
+        sm.commit_transaction(2)
+        sm.begin_transaction(3)
+        sm.delete(3, rid)
+        sm.abort_transaction(3)
+        kinds = {1: [], 2: [], 3: []}
+        for record in sm._wal.replay():
+            kinds[record.txid].append(record.kind)
+        assert kinds == {
+            1: [LogRecordKind.INSERT, LogRecordKind.COMMIT],
+            2: [LogRecordKind.UPDATE, LogRecordKind.COMMIT],
+            3: [LogRecordKind.DELETE, LogRecordKind.INSERT, LogRecordKind.ABORT],
+        }
+
+    def test_crash_right_after_a_read_only_commit_keeps_earlier_commits(
+        self, engine_factory
+    ):
+        sm = engine_factory()
+        sm.begin_transaction(1)
+        a, b = sm.insert(1, b"a1"), sm.insert(1, b"b1")
+        sm.commit_transaction(1)
+        sm.begin_transaction(2)
+        sm.write(2, a, b"a2")
+        sm.commit_transaction(2)
+        sm.begin_transaction(3)
+        assert sm.read(3, a) == b"a2"
+        sm.commit_transaction(3)
+        sm.simulate_crash()
+        sm2 = engine_factory()
+        assert (sm2.last_recovery.winners, sm2.last_recovery.losers) == (2, 0)
+        sm2.begin_transaction(1)
+        assert (sm2.read(1, a), sm2.read(1, b)) == (b"a2", b"b1")
+        sm2.commit_transaction(1)
+        sm2.close()
+
+    def test_a_degraded_store_still_commits_a_read_only_transaction(
+        self, engine_factory
+    ):
+        injector = FaultInjector()
+        sm = engine_factory(injector=injector)
+        rid = _seed(sm)
+        injector.add(Fault("wal.append", FaultKind.MEDIA_ERROR))
+        sm.begin_transaction(2)
+        with pytest.raises(ReadOnlyStorageError):
+            sm.write(2, rid, b"v2")
+        assert sm.degraded
+        sm.abort_transaction(2)
+        sm.begin_transaction(3)
+        assert sm.read(3, rid) == b"v1"
+        sm.commit_transaction(3)
+        assert sm.lock_manager.locks_held(3) == frozenset()
+        sm.close()
+
+
+class TestReadOnlyCommitInvariant:
+    """Why a read-only commit needs no force: under 2PL a reader is granted
+    a writer's record only by the writer's ``release_all``, which runs
+    after the writer's COMMIT is durable."""
+
+    def test_a_blocked_reader_is_granted_after_the_writers_force(
+        self, engine_factory
+    ):
+        injector = FaultInjector(recording=True)
+        sm = engine_factory(injector=injector)
+        rid = _seed(sm)
+        locks = sm.lock_manager
+        locks.blocking = True
+        # One timeline: lock grants and failpoint hits, in the order they
+        # happened.
+        timeline = injector.trace = locks.start_order_trace()
+        scheduler = CooperativeScheduler()
+        seen = []
+
+        def writer():
+            sm.begin_transaction(2)
+            sm.write(2, rid, b"v2")
+            scheduler.yield_now()  # the reader queues S behind our X
+            sm.commit_transaction(2)
+
+        def reader():
+            sm.begin_transaction(3)
+            seen.append(sm.read(3, rid))
+            sm.commit_transaction(3)
+
+        scheduler.spawn(writer, "writer")
+        scheduler.spawn(reader, "reader")
+        scheduler.run()
+        locks.stop_order_trace()
+        events = [e.point if isinstance(e, HitRecord) else e for e in timeline]
+        sm.close()
+        assert seen == [b"v2"]
+        assert ("block", "reader") in scheduler.log
+        assert events == [
+            (2, rid, "X", False),
+            "wal.append",  # UPDATE
+            "txn.commit.begin",
+            "wal.append",  # COMMIT
+            "wal.force",
+            "wal.force.after",
+            "txn.commit.durable",
+            (3, rid, "S", False),  # granted by the writer's release_all
+        ]
+
+
+class TestRecoveryWithoutBegin:
+    """Logs written before BEGIN was dropped still replay: recovery ignores
+    BEGIN, so a transaction that only began is neither winner nor loser."""
+
+    @pytest.mark.parametrize("with_begin", [True, False])
+    def test_hand_written_log_recovers_to_the_same_state(
+        self, engine_factory, with_begin
+    ):
+        sm = engine_factory()
+        sm.begin_transaction(1)
+        kept, lost = sm.insert(1, b"kept-v1"), sm.insert(1, b"lost-v1")
+        sm.commit_transaction(1)
+        log_path = sm._wal.path
+        sm.close()  # checkpoint: both records durable, the log empty
+
+        wal = WriteAheadLog(log_path)
+
+        def begin(txid):
+            if with_begin:
+                wal.append(txid, LogRecordKind.BEGIN)
+
+        begin(7)  # began, only read, never finished
+        begin(8)
+        wal.append(8, LogRecordKind.UPDATE, kept, b"kept-v1", b"kept-v2")
+        wal.append(8, LogRecordKind.COMMIT)
+        begin(9)  # the loser
+        wal.append(9, LogRecordKind.UPDATE, lost, b"lost-v1", b"lost-v2")
+        wal.close()
+
+        sm = engine_factory()
+        stats = sm.last_recovery
+        assert stats.records_scanned == (6 if with_begin else 3)
+        assert (stats.winners, stats.losers) == (1, 1)
+        assert (stats.redo_applied, stats.undo_applied) == (2, 1)
+        sm.begin_transaction(1)
+        assert (sm.read(1, kept), sm.read(1, lost)) == (b"kept-v2", b"lost-v1")
+        sm.commit_transaction(1)
+        sm.close()
 
 
 @pytest.mark.xfail(

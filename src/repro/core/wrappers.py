@@ -35,6 +35,7 @@ def make_method_wrapper(
     after_eventnum: int | None,
 ) -> Callable[..., Any]:
     """Build the ``<method>WithPost`` wrapper for one member function."""
+    from repro.core.posting import EventOccurrence
 
     def wrapper(
         db: "Database",
@@ -43,8 +44,6 @@ def make_method_wrapper(
         *args: Any,
         **kwargs: Any,
     ) -> Any:
-        from repro.core.posting import EventOccurrence
-
         trigger_system = db.trigger_system
         if before_eventnum is not None and trigger_system is not None:
             occurrence = EventOccurrence(

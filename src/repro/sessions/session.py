@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from repro import obs
 from repro.errors import (
     DatabaseClosedError,
+    NoActiveTransactionError,
     TransactionDeadlineError,
     TransactionError,
 )
@@ -43,6 +44,7 @@ from repro.faults.retry import (
     UnifiedRetryPolicy,
 )
 from repro.storage.locks import current_wait_hooks
+from repro.transactions.txn import TxnState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
@@ -277,9 +279,6 @@ class Session:
     # -- plumbing ----------------------------------------------------------------
 
     def current_txn_or_raise(self) -> "Transaction":
-        from repro.errors import NoActiveTransactionError
-        from repro.transactions.txn import TxnState
-
         txn = self.current_txn
         # COMMITTING counts as current: before-commit hooks (deferred
         # trigger actions, `before tcomplete` posting) still run inside

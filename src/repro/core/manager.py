@@ -205,8 +205,7 @@ class TriggerSystem:
         db = self.db
         txn = db.txn_manager.current()
         problems: list[str] = []
-        for key, state_rids in self.index._map.items(txn):
-            obj_rid = int(key)
+        for obj_rid, state_rids in self.index.entries(txn):
             for state_rid in state_rids:
                 try:
                     raw = db.storage.read(txn.txid, state_rid)

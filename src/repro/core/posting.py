@@ -473,18 +473,19 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
     the object's machines, advance them all, *then* fire.
 
     What a batch can share — the current transaction and its state store,
-    the serving tier, one index lookup per distinct object, the
-    ``obs.ENABLED`` check — is resolved once and dropped after any posting
-    that fired: an immediate action can activate or deactivate machines
-    (changing index buckets) and flip obs or the compiled tier, so nothing
-    observed before the firing may be trusted after it.
+    the serving tier, the ``obs.ENABLED`` check — is resolved once; the
+    tier and the check are resolved again after any posting that fired,
+    because an immediate action can flip obs or the compiled tier.  Index
+    lookups need no such rule: the trigger index memoizes them per
+    transaction and its ``add``/``remove``/``drop_all`` keep the memo
+    current, so a machine an action activates or deactivates is seen by
+    the very next posting.
     """
     stats = system.stats
     total = 0
     txn = store = None
     tier = serving_tier(system)
     tracing = obs.ENABLED
-    index_cache: dict[int, list[int]] = {}
     for eventnum, ptr, obj, occurrence in batch:
         stats.events_posted += 1
         if batched:
@@ -512,9 +513,7 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
         if txn is None:
             txn = db.txn_manager.current()
             store = system.states(txn)
-        state_rids = index_cache.get(ptr.rid)
-        if state_rids is None:
-            state_rids = index_cache[ptr.rid] = system.index.lookup(txn, ptr.rid)
+        state_rids = system.index.lookup(txn, ptr.rid)
         if span:
             obs.emit(
                 "index.lookup", span, rid=ptr.rid, txid=txn.txid, states=len(state_rids)
@@ -548,7 +547,6 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
                 dispatch_firing(system, db, txn, record)
                 stats.firings += 1
             total += len(records)
-            index_cache.clear()
             tier = serving_tier(system)
             tracing = obs.ENABLED
         if span:

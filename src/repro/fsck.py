@@ -375,7 +375,7 @@ def fsck_logical(db, report: FsckReport) -> None:
         indexed: set[int] = set()
         for _, state_rids in db.trigger_system.index.entries(txn):
             indexed.update(state_rids)
-        known = {db._catalog_rid, *catalog.values()}
+        known = {db.catalog_rid, *catalog.values()}
         for key in catalog:
             if key.startswith("pmap:"):
                 known |= PersistentMap(db, key[len("pmap:") :]).rids(txn)

@@ -186,6 +186,11 @@ class Database:
 
     # -- catalog ------------------------------------------------------------------------
 
+    @property
+    def catalog_rid(self) -> int:
+        """The catalog record's rid (fixed for the life of the database)."""
+        return self._catalog_rid
+
     def _read_catalog(self, txn: Transaction) -> dict[str, int]:
         raw = self.storage.read(txn.txid, self._catalog_rid)
         value, _ = decode_value(raw, 0)

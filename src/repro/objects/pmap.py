@@ -16,8 +16,19 @@ allocated).  A bucket record is::
     <I * count offset of each key's value in the record
     values     the tagged values, in key order
 
-so a point lookup unpacks one header slot, splits the key block, and
-decodes one value — never the whole header or bucket.
+so a point lookup splits the key block and decodes one value — never the
+whole bucket.
+
+A map remembers the rids that never change once committed: its header's
+(the catalog entry) and each allocated bucket's (a header slot; -1 is
+never remembered).  Maps are never dropped and buckets never freed, so a
+committed rid stays right for the life of the open database.  A rid is
+learned only from a read made under a shared lock this transaction holds
+— proof that no writer is in flight and the value is committed — never
+from this transaction's own ``catalog_set`` or bucket allocation, which
+hold an exclusive lock and may still abort.  With its bucket known,
+``get`` reads just the bucket and ``put`` skips the header.  What is kept
+is a few ints per map, nothing decoded (DESIGN §17).
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import SerializationError
 from repro.objects.serialize import decode_value, encode_value
+from repro.storage.locks import LockMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
@@ -86,24 +98,41 @@ class PersistentMap:
         self.name = name
         self.bucket_count = bucket_count
         self._catalog_key = f"pmap:{name}"
+        # Committed, write-once rids (see the module docstring).
+        self._known_header: int | None = None
+        self._known_buckets: dict[int, int] = {}
+
+    def _committed(self, txn: "Transaction", rid: int) -> bool:
+        """Whether *txn* holds a shared lock on *rid*: what it read there
+        is committed, and nobody can be changing it."""
+        return self.db.storage.lock_manager.mode_held(txn.txid, rid) is LockMode.S
 
     # -- header management ---------------------------------------------------
 
     def _header_rid(self, txn: "Transaction", *, create: bool) -> int | None:
+        rid = self._known_header
+        if rid is not None:
+            return rid
         rid = self.db.catalog_get(self._catalog_key)
-        if rid is None and create:
-            buckets = [-1] * self.bucket_count
-            rid = self.db.storage.insert(txn.txid, _pack_header(buckets))
-            self.db.catalog_set(txn, self._catalog_key, rid)
+        if rid is None:
+            if create:
+                buckets = [-1] * self.bucket_count
+                rid = self.db.storage.insert(txn.txid, _pack_header(buckets))
+                self.db.catalog_set(txn, self._catalog_key, rid)
+        elif self._committed(txn, self.db.catalog_rid):
+            self._known_header = rid
         return rid
 
     def _bucket_rid(self, txn: "Transaction", key: str) -> int:
         """The rid of *key*'s bucket; -1 when it (or the map) does not exist."""
+        index = self._bucket_for(key)
+        rid = self._known_buckets.get(index)
+        if rid is not None:
+            return rid
         header_rid = self._header_rid(txn, create=False)
         if header_rid is None:
             return -1
-        raw = self.db.storage.read(txn.txid, header_rid)
-        return _RID.unpack_from(raw, _RID.size * self._bucket_for(key))[0]
+        return self._buckets(txn, header_rid)[index]
 
     def _bucket_for(self, key: str) -> int:
         return zlib.crc32(key.encode("utf-8")) % self.bucket_count
@@ -118,8 +147,15 @@ class PersistentMap:
         return {header_rid} | {rid for rid in buckets if rid >= 0}
 
     def _buckets(self, txn: "Transaction", header_rid: int) -> list[int]:
+        """The header's bucket rids, remembering the allocated ones when
+        the read was made under a shared lock."""
         raw = self.db.storage.read(txn.txid, header_rid)
-        return list(struct.unpack(f"<{len(raw) // _RID.size}q", raw))
+        buckets = list(struct.unpack(f"<{len(raw) // _RID.size}q", raw))
+        known = self._known_buckets
+        new = {i: rid for i, rid in enumerate(buckets) if rid >= 0 and i not in known}
+        if new and self._committed(txn, header_rid):
+            known.update(new)
+        return buckets
 
     # -- operations --------------------------------------------------------------
 
@@ -146,16 +182,17 @@ class PersistentMap:
             raise SerializationError(f"pmap keys cannot contain NUL: {key!r}")
         raw_key = key.encode("utf-8")
         encoded = _encode(value)
-        header_rid = self._header_rid(txn, create=True)
-        buckets = self._buckets(txn, header_rid)
         index = self._bucket_for(key)
-        bucket_rid = buckets[index]
+        bucket_rid = self._known_buckets.get(index, -1)
         if bucket_rid < 0:
-            bucket = _join_bucket([raw_key], [encoded])
-            bucket_rid = self.db.storage.insert(txn.txid, bucket)
-            buckets[index] = bucket_rid
-            self.db.storage.write(txn.txid, header_rid, _pack_header(buckets))
-            return
+            header_rid = self._header_rid(txn, create=True)
+            buckets = self._buckets(txn, header_rid)
+            bucket_rid = buckets[index]
+            if bucket_rid < 0:
+                bucket = _join_bucket([raw_key], [encoded])
+                buckets[index] = self.db.storage.insert(txn.txid, bucket)
+                self.db.storage.write(txn.txid, header_rid, _pack_header(buckets))
+                return
         keys, values = _split_bucket(self.db.storage.read(txn.txid, bucket_rid))
         try:
             values[keys.index(raw_key)] = encoded

@@ -520,8 +520,8 @@ class TestPostMany:
 
     def test_batch_caches_dropped_after_firing(self, any_engine_db):
         """A once-only trigger deactivated by the first firing must not
-        fire again later in the same batch: the batch-local index cache
-        is invalidated whenever a posting fired."""
+        fire again later in the same batch: the deactivation rewrites the
+        trigger index's per-transaction lookup memo."""
         db = any_engine_db
         with db.transaction():
             ptr = db.pnew(BatchCounter).ptr

@@ -8,6 +8,7 @@ schedules.  Tier-1 covers the deterministic equivalents in
 ``test_sessions.py``.
 """
 
+import sys
 import threading
 
 import pytest
@@ -191,3 +192,59 @@ class TestThreadedDisk:
             assert total == sessions * txns
         finally:
             reopened.close()
+
+
+class TestThreadedIndexMemo:
+    """Sessions allocate index and cluster buckets (some in transactions
+    that abort) while others post through remembered rids: every rid a
+    map remembers must still be its committed header's."""
+
+    @pytest.mark.parametrize("engine", ["mm", "disk"])
+    def test_remembered_rids_match_the_committed_headers(self, db_path, engine):
+        from repro.errors import TransactionAbort
+        from repro.workloads.locksim import HotObject
+
+        db = Database.open(db_path, engine=engine)
+        sessions, txns = 4, 30
+        with db.transaction():
+            watched = [db.pnew(HotObject) for _ in range(8)]
+            for handle in watched:
+                handle.Watch()
+            watched = [handle.ptr for handle in watched]
+        with db.transaction():
+            for ptr in watched:
+                db.deref(ptr).post_event("Ping")  # learn the index's rids
+
+        def make_body(session, index, txn_index):
+            def body(txn):
+                session.deref(watched[(index + txn_index) % 8]).post_event("Pong")
+                for _ in range(2):  # the second re-reads headers the first wrote
+                    session.pnew(HotObject).Watch()
+                if txn_index % 3 == 0:
+                    raise TransactionAbort("roll back the new buckets")
+
+            return body
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(db, sessions, txns, make_body)
+        finally:
+            sys.setswitchinterval(interval)
+
+        index = db.trigger_system.index
+        try:
+            with db.transaction() as txn:
+                for pmap in (index._map, db.cluster(HotObject)._map):
+                    header = db.catalog_get(pmap._catalog_key)
+                    assert pmap._known_header in (None, header)
+                    slots = pmap._buckets(txn, header)
+                    for slot, rid in pmap._known_buckets.items():
+                        assert slots[slot] == rid
+                assert db.trigger_system.verify_integrity() == []
+                objects = list(db.objects(HotObject))
+                assert len(objects) == 8 + 2 * sessions * (txns - txns // 3)
+                for handle in objects:
+                    assert len(index.lookup(txn, handle.ptr.rid)) == 1
+        finally:
+            db.close()

@@ -226,7 +226,6 @@ def run_trigger_sessions(db, n_sessions):
         "p50": _percentile(latencies_ms, 0.50),
         "p99": _percentile(latencies_ms, 0.99),
         "deadlock_retries": db.session_stats.deadlock_retries,
-        "conflict_retries": db.session_stats.conflict_retries,
     }
 
 
@@ -252,7 +251,6 @@ def test_trigger_posting_ab(tmp_path, sessions):
                 f"{figures[cc]['p50']:7.3f}",
                 f"{figures[cc]['p99']:7.3f}",
                 figures[cc]["deadlock_retries"],
-                figures[cc]["conflict_retries"],
             ]
         )
 
@@ -279,7 +277,6 @@ def teardown_module(module):
                 "p50 ms",
                 "p99 ms",
                 "deadlock retries",
-                "conflict retries",
             ],
             _AB_RESULTS,
             notes=(
@@ -288,8 +285,8 @@ def teardown_module(module):
                 "S->X on the TriggerState, so victims retry with backoff "
                 "and their retries land in their own p99 (retries counted "
                 "as retries, not victims).  Under MVCC postings buffer and "
-                "merge at commit: zero deadlock retries by construction; "
-                "conflict retries appear only under the abort policy.  "
+                "merge at commit, and a lost update replays there: zero "
+                "deadlock retries by construction.  "
                 f"Each cell is the median of {REPEATS} runs after one "
                 "discarded warmup run, each on a fresh database."
             ),

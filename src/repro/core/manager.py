@@ -87,9 +87,7 @@ class TriggerSystem:
         if getattr(db, "trigger_cc", "2pl") == "mvcc":
             from repro.core.versioned import AdvanceBuffer, TriggerVersionManager
 
-            self.versions = TriggerVersionManager(
-                db, conflict_policy=getattr(db, "mvcc_conflict", "replay")
-            )
+            self.versions = TriggerVersionManager(db)
             self._store_type = AdvanceBuffer
             if metrics is not None:
                 metrics.register_source("mvcc", self.versions.stats)

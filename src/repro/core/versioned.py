@@ -30,47 +30,31 @@ strict 2PL (``"2pl"``) remaining the baseline:
   against the then-current head.  If the base version is still the head,
   the working copy *is* the merged state (first-committer fast path).  On
   a lost update — another transaction published a newer version since we
-  buffered — the outcome follows the selectable ``conflict_policy``:
-  ``"replay"`` (default) re-advances the buffered event sequence
-  deterministically from the newer head; ``"abort"`` raises
-  :class:`~repro.errors.TriggerStateConflictError`, which the unified
-  retry classifier treats like a deadlock (the whole transaction retries).
-  Merged states are written through the normal WAL (``UPDATE`` records
-  with before-images), so crash recovery, ``fsck`` ODE1xx, and the abort
-  path need no new machinery.
+  buffered — the merge re-advances the buffered event sequence
+  deterministically from the newer head (replay); a conflict never
+  aborts the transaction.  Merged states are written through the normal
+  WAL (``UPDATE`` records with before-images), so crash recovery,
+  ``fsck`` ODE1xx, and the abort path need no new machinery.
 
 The merge → storage-commit → publish sequence runs under the manager's
-``commit_mutex`` so no other transaction can validate against a head that
-is about to change.  A merge that *fails* (conflict abort, storage error)
-rolls back under the same mutex — merged writes carry no record locks, so
-their WAL undo must not interleave with another committer's
-``write_merged``.  Nothing inside that critical section can wait on the
-lock manager (fresh-insert writes re-acquire an X lock the inserting
-transaction already holds, which grants immediately, and the failure
-path defers its system-queue drain until the mutex is released), so the
-cooperative scheduler cannot wedge on it.
-
-The commit mutex is **sharded by state rid** (:class:`ShardedCommitMutex`,
-``rid % shards``): a committer takes only the shards covering the rids in
-its advance buffer, in ascending shard order (total order, so no ABBA
-deadlock between committers).  Two transactions whose buffered machines
-hash to disjoint shards validate, merge, and publish fully concurrently —
-a second global serial point removed, after the storage engine's own
-commit restructure.  All of the exclusion arguments above are per rid:
-validation of rid *r* against its head, the lock-free ``write_merged`` of
-*r*, *r*'s WAL undo on a failed merge, and the publish of *r*'s new head
-all happen under shard ``r % N``, which is exactly what the single mutex
-guaranteed.
+one ``commit_mutex`` (a :class:`threading.RLock`) so no other transaction
+can validate against a head that is about to change.  A merge that
+*fails* (a storage error) rolls back under the same mutex — merged writes
+carry no record locks, so their WAL undo must not interleave with another
+committer's ``write_merged``.  Nothing inside that critical section can
+wait on the lock manager (fresh-insert writes re-acquire an X lock the
+inserting transaction already holds, which grants immediately, and the
+failure path defers its system-queue drain until the mutex is released),
+so the cooperative scheduler cannot wedge on it.
 
 Known semantic window: firings are dispatched optimistically at posting
-time from the buffered view.  A ``"replay"`` merge repairs the committed
+time from the buffered view.  A replay merge repairs the committed
 *state*, not actions that already ran — the same anomaly Ode accepts for
 detached coupling modes, documented in DESIGN.md §15.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import threading
@@ -86,84 +70,11 @@ from repro.core.posting import (
     advance_all,
 )
 from repro.core.trigger_state import TriggerState
-from repro.errors import TriggerStateConflictError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import TriggerSystem
     from repro.objects.database import Database
     from repro.transactions.txn import Transaction
-
-#: The selectable lost-update policies.
-CONFLICT_POLICIES = ("replay", "abort")
-
-#: Shards of the commit mutex (rid -> rid % N).  Kept small: a txn
-#: acquires every shard its buffer covers, so more shards raises the
-#: per-commit acquisition count faster than it lowers contention.  The
-#: shards pay off because the commit section contains the WAL fsync,
-#: which real threads overlap across shards.
-DEFAULT_COMMIT_SHARDS = 8
-
-
-class ShardedCommitMutex:
-    """The commit mutex, sharded by state rid (``rid % shards``).
-
-    Each shard is an :class:`threading.RLock`; a committer acquires the
-    shards covering its advance buffer in **ascending index order** via
-    :meth:`TriggerVersionManager.commit_lock`, so two committers can
-    never hold-and-wait in opposite orders.  Used as a plain context
-    manager it takes *every* shard (a stop-the-world section, the exact
-    behavior of the old single RLock — diagnostics and tests that want
-    to freeze all heads still can).
-    """
-
-    def __init__(self, shards: int = DEFAULT_COMMIT_SHARDS) -> None:
-        if shards < 1:
-            raise ValueError(f"commit shards must be >= 1, got {shards}")
-        self._shards = tuple(threading.RLock() for _ in range(shards))
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    def shard_of(self, rid: int) -> int:
-        return rid % len(self._shards)
-
-    def indices_for(self, rids) -> list[int]:
-        """The sorted shard indices covering *rids* (all shards if empty —
-        a committer with no identifiable footprint must exclude everyone)."""
-        if not rids:
-            return list(range(len(self._shards)))
-        return sorted({self.shard_of(rid) for rid in rids})
-
-    @contextlib.contextmanager
-    def acquire(self, rids):
-        """Hold the shards covering *rids*, ascending; release reversed."""
-        indices = self.indices_for(rids)
-        acquired: list[int] = []
-        try:
-            for index in indices:
-                self._shards[index].acquire()
-                acquired.append(index)
-            yield
-        finally:
-            for index in reversed(acquired):
-                self._shards[index].release()
-
-    # -- single-RLock compatibility surface --------------------------------
-
-    def __enter__(self) -> "ShardedCommitMutex":
-        for shard in self._shards:
-            shard.acquire()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for shard in reversed(self._shards):
-            shard.release()
-
-    def _is_owned(self) -> bool:
-        """Whether the calling thread holds at least one shard (the old
-        ``RLock._is_owned`` probe the rollback-under-mutex test uses)."""
-        return any(shard._is_owned() for shard in self._shards)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -247,7 +158,7 @@ class AdvanceBuffer(StateStore):
         if outcomes is None:
             outcomes = {}
         masks = entry.info.masks
-        if masks and versions.conflict_policy == "replay" and not entry.fresh:
+        if masks and not entry.fresh:
             # Capture what every remaining mask says *now*: a commit-time
             # replay from a different head can walk a different DFA path and
             # ask for masks this advance never reached, and by then the
@@ -310,8 +221,6 @@ class MvccStats:
     conflicts: int = 0
     #: conflicts resolved by deterministic event replay
     replays: int = 0
-    #: conflicts resolved by aborting the merging transaction
-    conflict_aborts: int = 0
     #: new committed versions published
     versions_published: int = 0
 
@@ -337,19 +246,8 @@ class MvccStats:
 class TriggerVersionManager:
     """Copy-on-write TriggerState versions for one database."""
 
-    def __init__(
-        self,
-        db: "Database",
-        conflict_policy: str = "replay",
-        commit_shards: int = DEFAULT_COMMIT_SHARDS,
-    ):
-        if conflict_policy not in CONFLICT_POLICIES:
-            raise ValueError(
-                f"unknown MVCC conflict policy {conflict_policy!r}: "
-                f"expected one of {CONFLICT_POLICIES}"
-            )
+    def __init__(self, db: "Database"):
         self.db = db
-        self.conflict_policy = conflict_policy
         #: state rid -> committed head version.
         self._chains: dict[int, StateVersion] = {}
         self._chain_mutex = threading.Lock()
@@ -358,10 +256,9 @@ class TriggerVersionManager:
         # sites already inside ``with self._chain_mutex`` increment
         # directly; everything else takes ``stats._mutex``.
         self.stats._mutex = self._chain_mutex
-        #: Serializes [merge -> storage commit -> publish] per state-rid
-        #: shard; reentrant shards so a diagnostic inside the section can
-        #: still read heads.
-        self.commit_mutex = ShardedCommitMutex(commit_shards)
+        #: Serializes [merge -> storage commit -> publish] across all
+        #: committers (DESIGN.md §16: shards measured no faster).
+        self.commit_mutex = threading.RLock()
         self._vids = itertools.count(1)
 
     def pending(self, txn: "Transaction") -> bool:
@@ -400,33 +297,15 @@ class TriggerVersionManager:
 
     # -- commit-time merge ------------------------------------------------------
 
-    def commit_lock(self, txn: "Transaction"):
-        """The commit-mutex section covering *txn*'s advance buffer.
-
-        Resolves the buffer's rid footprint (entries + deactivations) to
-        commit-mutex shards and holds them, ascending, for the duration —
-        everything :meth:`commit_merge` and :meth:`publish` touch for a
-        rid happens under that rid's shard.  The footprint is fixed once
-        the merge starts (posting is over; the buffer dies with the
-        transaction), so the shard set computed here covers the whole
-        section.
-        """
-        buffer = txn.attachments.get(STATE_STORE)
-        rids: set[int] = set()
-        if buffer is not None:
-            rids.update(buffer.machines)
-            rids.update(buffer.deactivated)
-        return self.commit_mutex.acquire(rids)
-
     def commit_merge(self, txn: "Transaction") -> list[tuple[int, TriggerState]]:
         """Validate and write *txn*'s buffered advances; returns the
         ``(rid, merged state)`` pairs to publish after the storage commit.
 
-        Must run under :meth:`commit_lock`.  Raises
-        :class:`TriggerStateConflictError` when a lost update is found
-        and the policy is ``"abort"`` — before the storage commit, so the
-        ordinary abort path rolls back everything (including any merged
-        WAL writes already applied, via their before-images).
+        Must run under :attr:`commit_mutex`.  A lost update is resolved
+        by replaying the entry's event log from the newer head, so a
+        conflict never fails the merge; only a storage error can, and
+        the caller rolls back everything (including any merged WAL
+        writes already applied, via their before-images).
         """
         buffer = txn.attachments.get(STATE_STORE)
         if buffer is None:
@@ -456,14 +335,10 @@ class TriggerVersionManager:
                     self.stats.merges += 1
                     self.stats.clean_merges += 1
             else:
-                policy = self.conflict_policy
                 with self._chain_mutex:
                     self.stats.merges += 1
                     self.stats.conflicts += 1
-                    if policy == "abort":
-                        self.stats.conflict_aborts += 1
-                    else:
-                        self.stats.replays += 1
+                    self.stats.replays += 1
                 if obs.ENABLED:
                     obs.emit(
                         "mvcc.conflict",
@@ -471,11 +346,6 @@ class TriggerVersionManager:
                         state_rid=state_rid,
                         base_vid=entry.base_vid,
                         head_vid=head.vid,
-                        resolution=policy,
-                    )
-                if policy == "abort":
-                    raise TriggerStateConflictError(
-                        txn.txid, state_rid, entry.base_vid, head.vid
                     )
                 merged = self._replay(entry, head.state)
             # The WAL-logged, lock-free write: exclusion comes from the
@@ -490,7 +360,7 @@ class TriggerVersionManager:
     ) -> None:
         """Install the merged states as new committed heads.
 
-        Called under :meth:`commit_lock`, *after* the storage commit is
+        Called under :attr:`commit_mutex`, *after* the storage commit is
         durable — a published head must never precede its durability.
         """
         buffer = txn.attachments.get(STATE_STORE)

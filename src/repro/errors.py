@@ -237,28 +237,6 @@ class CommitDependencyError(TransactionError):
     """A dependent transaction could not commit because its parent aborted."""
 
 
-class TriggerStateConflictError(TransactionError):
-    """The MVCC commit-time merge found a lost update under the ``abort``
-    conflict policy: another transaction published a newer TriggerState
-    version after this one buffered its advances.
-
-    Retryable — the optimistic analogue of a deadlock victim: the aborted
-    transaction re-runs from the top against the new committed head (see
-    :mod:`repro.core.versioned` and :mod:`repro.faults.retry`).
-    """
-
-    def __init__(self, txid: int, state_rid: int, base_vid: int, head_vid: int):
-        self.txid = txid
-        self.state_rid = state_rid
-        self.base_vid = base_vid
-        self.head_vid = head_vid
-        super().__init__(
-            f"transaction {txid} lost an update race on trigger state "
-            f"{state_rid}: buffered against version {base_vid}, committed "
-            f"head is now {head_vid}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Event language
 # ---------------------------------------------------------------------------

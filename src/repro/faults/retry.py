@@ -15,10 +15,8 @@ Classes
 ``DEADLOCK``
     :class:`~repro.errors.DeadlockError` — the victim's abort released its
     locks; the retry is expected to succeed once the survivors commit.
-``CC_CONFLICT``
-    :class:`~repro.errors.TriggerStateConflictError` — the MVCC commit-time
-    merge aborted on a lost update (``conflict_policy="abort"``); the
-    optimistic analogue of a deadlock victim, retried with the same budget.
+    (An MVCC lost update is no retry class: the commit-time merge replays
+    it, so the transaction commits on its first attempt.)
 ``LOCK_TIMEOUT``
     :class:`~repro.errors.LockTimeoutError` — the wait budget expired; the
     holder may have been slow rather than dead, so a bounded number of
@@ -49,7 +47,6 @@ from repro.errors import (
     LockTimeoutError,
     ReadOnlyStorageError,
     TransactionDeadlineError,
-    TriggerStateConflictError,
     WaitPoisonedError,
 )
 from repro.faults.injector import DEFAULT_RETRY
@@ -62,7 +59,6 @@ class RetryClass(enum.Enum):
     """What kind of failure a transaction attempt died of."""
 
     DEADLOCK = "deadlock"
-    CC_CONFLICT = "cc_conflict"
     LOCK_TIMEOUT = "lock_timeout"
     TRANSIENT_IO = "transient_io"
     FATAL = "fatal"
@@ -87,8 +83,6 @@ def classify(exc: BaseException) -> RetryClass:
         return RetryClass.FATAL
     if isinstance(exc, DeadlockError):
         return RetryClass.DEADLOCK
-    if isinstance(exc, TriggerStateConflictError):
-        return RetryClass.CC_CONFLICT
     if isinstance(exc, LockTimeoutError):
         return RetryClass.LOCK_TIMEOUT
     if isinstance(exc, OSError):
@@ -98,7 +92,6 @@ def classify(exc: BaseException) -> RetryClass:
 
 _DEFAULT_BUDGETS: dict[RetryClass, int] = {
     RetryClass.DEADLOCK: 5,
-    RetryClass.CC_CONFLICT: 5,
     RetryClass.LOCK_TIMEOUT: 2,
     RetryClass.TRANSIENT_IO: 3,
 }

@@ -60,7 +60,6 @@ class Database:
         name: str | None = None,
         type_registry: TypeRegistry | None = None,
         trigger_cc: str = "2pl",
-        mvcc_conflict: str = "replay",
         **engine_kwargs: Any,
     ):
         if trigger_cc not in Database.TRIGGER_CC_SCHEMES:
@@ -68,15 +67,7 @@ class Database:
                 f"unknown trigger_cc {trigger_cc!r}; "
                 f"expected one of {Database.TRIGGER_CC_SCHEMES}"
             )
-        from repro.core.versioned import CONFLICT_POLICIES
-
-        if mvcc_conflict not in CONFLICT_POLICIES:
-            raise DatabaseError(
-                f"unknown mvcc_conflict {mvcc_conflict!r}; "
-                f"expected one of {CONFLICT_POLICIES}"
-            )
         self.trigger_cc = trigger_cc
-        self.mvcc_conflict = mvcc_conflict
         if name is None:
             if path is None:
                 raise DatabaseError("a database without a path needs an explicit name")

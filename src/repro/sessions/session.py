@@ -64,8 +64,6 @@ class SessionStats:
     #: whose budget was exhausted re-raises and is *not* counted here —
     #: it lands in ``retry_exhausted`` instead)
     deadlock_retries: int = 0
-    #: MVCC lost-update conflicts (TriggerStateConflictError) retried
-    conflict_retries: int = 0
     #: transactions that exhausted their retry budget
     retry_exhausted: int = 0
     system_txns: int = 0
@@ -214,16 +212,13 @@ class Session:
                             session=self.name,
                             attempt=state.attempts[klass],
                         )
-                else:
-                    if klass is RetryClass.CC_CONFLICT:
-                        self.db.session_stats.conflict_retries += 1
-                    if obs.ENABLED:
-                        obs.emit(
-                            "session.retry",
-                            session=self.name,
-                            klass=klass.value,
-                            attempt=state.attempts[klass],
-                        )
+                elif obs.ENABLED:
+                    obs.emit(
+                        "session.retry",
+                        session=self.name,
+                        klass=klass.value,
+                        attempt=state.attempts[klass],
+                    )
                 self.db.metrics.counter(f"retries.{klass.value}").inc()
                 self._backoff(state.total_attempts, chosen)
 

@@ -162,27 +162,26 @@ class TransactionManager:
                 # MVCC commit-time merge (DESIGN.md §15): validate and
                 # write the buffered TriggerState advances, make the
                 # transaction durable, then publish the new version heads
-                # — all under the commit-mutex shards covering the
-                # buffer's rids, so no concurrent committer can validate
-                # against a head that is about to move (committers with
-                # disjoint footprints proceed in parallel).
-                with versions.commit_lock(txn):
+                # — all under the one commit mutex, so no concurrent
+                # committer can validate against a head that is about to
+                # move.
+                with versions.commit_mutex:
                     try:
                         publishes = versions.commit_merge(txn)
                         self.db.storage.commit_transaction(txn.txid)
                     except BaseException:
-                        # A failed merge (TriggerStateConflictError under
-                        # conflict_policy="abort", or a storage error)
-                        # must roll back *before* the mutex is released:
-                        # merged writes are taken without record locks,
-                        # so a concurrent committer's write_merged could
-                        # otherwise slip between them and their WAL undo
-                        # — capturing this transaction's uncommitted
-                        # bytes as its before-image, then losing its own
-                        # committed merge to our rollback.  The
-                        # system-queue drain is deferred out of the
-                        # critical section: a drained body may wait on
-                        # record locks whose holders want this mutex.
+                        # A failed merge (a storage error; conflicts
+                        # replay and never fail it) must roll back
+                        # *before* the mutex is released: merged writes
+                        # are taken without record locks, so a concurrent
+                        # committer's write_merged could otherwise slip
+                        # between them and their WAL undo — capturing
+                        # this transaction's uncommitted bytes as its
+                        # before-image, then losing its own committed
+                        # merge to our rollback.  The system-queue drain
+                        # is deferred out of the critical section: a
+                        # drained body may wait on record locks whose
+                        # holders want this mutex.
                         txn.state = TxnState.ACTIVE
                         self.abort(txn, explicit=False, drain=False)
                         raise

@@ -102,7 +102,6 @@ class WorkloadResult:
     merges: int = 0
     conflicts: int = 0
     replays: int = 0
-    conflict_retries: int = 0
 
     @property
     def wait_fraction(self) -> float:
@@ -170,7 +169,6 @@ def run_hot_set(
         posts_before = post_stats.snapshot()
         mvcc_before = mvcc_stats.snapshot() if mvcc_stats is not None else {}
         retries_before = db.session_stats.deadlock_retries
-        conflict_retries_before = db.session_stats.conflict_retries
 
         scheduler = CooperativeScheduler()
         result = WorkloadResult()
@@ -226,9 +224,6 @@ def run_hot_set(
             result.merges = after["merges"] - mvcc_before["merges"]
             result.conflicts = after["conflicts"] - mvcc_before["conflicts"]
             result.replays = after["replays"] - mvcc_before["replays"]
-            result.conflict_retries = (
-                db.session_stats.conflict_retries - conflict_retries_before
-            )
         assert (
             db.session_stats.deadlock_retries - retries_before
             == result.deadlock_aborts

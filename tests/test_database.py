@@ -1,5 +1,7 @@
 """Database tests: pnew/deref/pdelete, caching, clusters, catalog, pmap."""
 
+import inspect
+
 import pytest
 
 from repro.errors import (
@@ -14,6 +16,8 @@ from repro.objects.oid import PersistentPtr
 from repro.objects.persistent import Persistent
 from repro.objects.pmap import PersistentMap
 from repro.objects.schema import field
+from repro.storage.disk import DiskStorageManager
+from repro.storage.mainmem import MainMemoryStorageManager
 
 
 class Item(Persistent):
@@ -190,6 +194,29 @@ class TestOpenClose:
         with db.transaction():
             assert db.deref(ptr).name == "v"
         db.close()
+
+    def test_open_options_are_pinned(self):
+        """Every keyword option ``Database.open`` accepts, spelled out: the
+        database's own plus those it forwards to the chosen engine.  Adding
+        or removing a knob must edit this literal, so the option count is
+        checkable from one place."""
+
+        def options(init):
+            return {
+                name
+                for name, param in inspect.signature(init).parameters.items()
+                if name not in ("self", "path")
+                and param.kind is not inspect.Parameter.VAR_KEYWORD
+            }
+
+        assert options(Database.__init__) == {
+            "engine",
+            "name",
+            "type_registry",
+            "trigger_cc",
+        }
+        assert options(DiskStorageManager.__init__) == {"buffer_capacity", "injector"}
+        assert options(MainMemoryStorageManager.__init__) == {"durable", "injector"}
 
 
 class TestCatalog:

@@ -6,7 +6,7 @@ Covers:
   posting transactions, read-your-writes visibility, abort discards;
 * the version chain: lazy load, publish-after-commit, immutability;
 * commit-time merge: first-committer fast path, lost-update detection,
-  both conflict policies (deterministic replay / abort-and-retry);
+  deterministic replay;
 * cross-scheme equivalence: under any cooperative interleaving, each
   scheme's final committed state equals a serial replay of the same
   transactions in its observed commit order (hypothesis), and with
@@ -20,7 +20,9 @@ Covers:
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 import types
 
 import pytest
@@ -34,7 +36,6 @@ from repro.errors import (
     SerializationError,
     StorageError,
     TriggerError,
-    TriggerStateConflictError,
 )
 from repro.core.trigger_state import TriggerState
 from repro.objects.database import Database
@@ -98,10 +99,11 @@ def _statenums(db, ptr):
 def test_open_rejects_unknown_scheme_and_policy(tmp_path):
     with pytest.raises(DatabaseError, match="trigger_cc"):
         Database.open(None, engine="mm", name="bad-cc", trigger_cc="occ")
-    with pytest.raises(DatabaseError, match="mvcc_conflict"):
+    # Lost updates always replay: no conflict-policy option exists.
+    with pytest.raises(TypeError):
         Database.open(
             None, engine="mm", name="bad-pol",
-            trigger_cc="mvcc", mvcc_conflict="merge",
+            trigger_cc="mvcc", mvcc_conflict="replay",
         )
     # Neither failed open may leak its name registration.
     db = Database.open(None, engine="mm", name="bad-cc", trigger_cc="mvcc")
@@ -258,16 +260,9 @@ def test_mvcc_durability_across_reopen(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _conflicting_pair(db, ptr, scheduler, *, retries=0):
+def _conflicting_pair(db, ptr, scheduler):
     """Two cooperative sessions that both buffer against the same base
-    version before either commits — a guaranteed lost update.
-
-    *retries* is the CC_CONFLICT retry budget (``session.run``'s
-    ``retries=`` keyword only overrides the deadlock budget).
-    """
-    from repro.faults.retry import DEFAULT_UNIFIED_RETRY, RetryClass
-
-    policy = DEFAULT_UNIFIED_RETRY.with_budget(RetryClass.CC_CONFLICT, retries)
+    version before either commits — a guaranteed lost update."""
     outcomes = []
 
     def make(idx, session):
@@ -279,10 +274,8 @@ def _conflicting_pair(db, ptr, scheduler, *, retries=0):
                 db_h.post_event("Pong")
 
             try:
-                session.run(body, policy=policy)
+                session.run(body)
                 outcomes.append((idx, "committed"))
-            except TriggerStateConflictError:
-                outcomes.append((idx, "conflict"))
             finally:
                 session.close()
 
@@ -295,7 +288,7 @@ def _conflicting_pair(db, ptr, scheduler, *, retries=0):
     return outcomes
 
 
-def test_conflict_policy_replay_merges_both_transactions():
+def test_conflict_replay_merges_both_transactions():
     db = _open(trigger_cc="mvcc")
     try:
         ptr = _setup_watched(db)
@@ -305,7 +298,6 @@ def test_conflict_policy_replay_merges_both_transactions():
         mvcc = db.trigger_system.versions.stats
         assert mvcc.conflicts >= 1
         assert mvcc.replays == mvcc.conflicts
-        assert mvcc.conflict_aborts == 0
         # Serial oracle: 4 events in commit order on a fresh 2PL database.
         db2 = _open()
         try:
@@ -318,37 +310,6 @@ def test_conflict_policy_replay_merges_both_transactions():
             assert _statenums(db, ptr) == _statenums(db2, p2)
         finally:
             db2.close()
-    finally:
-        db.close()
-
-
-def test_conflict_policy_abort_raises_and_retry_succeeds():
-    db = _open(trigger_cc="mvcc", mvcc_conflict="abort")
-    try:
-        ptr = _setup_watched(db)
-        scheduler = CooperativeScheduler()
-        outcomes = _conflicting_pair(db, ptr, scheduler, retries=5)
-        # The loser aborted, retried through session.run, and committed.
-        assert sorted(outcomes) == [(0, "committed"), (1, "committed")]
-        mvcc = db.trigger_system.versions.stats
-        assert mvcc.conflict_aborts >= 1
-        assert mvcc.replays == 0
-        assert db.session_stats.conflict_retries >= 1
-    finally:
-        db.close()
-
-
-def test_conflict_abort_without_retry_budget_propagates():
-    db = _open(trigger_cc="mvcc", mvcc_conflict="abort")
-    try:
-        ptr = _setup_watched(db)
-        scheduler = CooperativeScheduler()
-        outcomes = _conflicting_pair(db, ptr, scheduler, retries=0)
-        assert (0, "committed") in outcomes or (1, "committed") in outcomes
-        assert any(kind == "conflict" for _, kind in outcomes)
-        assert db.session_stats.retry_exhausted >= 1
-        # The exhausted victim must not have been counted as a retry.
-        assert db.session_stats.conflict_retries == 0
     finally:
         db.close()
 
@@ -448,156 +409,125 @@ def test_failed_merge_rolls_back_under_the_commit_mutex():
         db.close()
 
 
-def test_conflict_abort_storm_keeps_storage_consistent_with_heads():
-    """Real threads, ``mvcc_conflict="abort"``: every losing transaction
-    rolls its merged writes back under the commit mutex, so storage bytes
-    can never diverge from the published version-chain head (the lost
-    committed update the rollback-outside-the-mutex race allowed)."""
-    db = _open(trigger_cc="mvcc", mvcc_conflict="abort")
-    try:
-        ptr = _setup_watched(db)
-        with db.transaction():
-            db.deref(ptr).post_event("Ping")  # materialize the chain
-        errors: list[Exception] = []
-        start = threading.Barrier(6)
-
-        def worker(index):
-            session = db.session(f"storm-{index}")
-            try:
-                start.wait()
-                for _ in range(15):
-
-                    def body(txn):
-                        h = session.deref(ptr)
-                        h.post_event("Ping")
-                        h.post_event("Pong")
-
-                    try:
-                        session.run(body)
-                    except TriggerStateConflictError:
-                        pass  # retry budget exhausted: already rolled back
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-            finally:
-                session.close()
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(6)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not errors, errors
-
-        versions = db.trigger_system.versions
-        for state_rid in versions.heads():
-            head = versions.head_or_none(state_rid)
-            assert (
-                TriggerState.decode(db.storage.peek(state_rid)).statenum
-                == head.state.statenum
-            ), "storage bytes diverged from the published head"
-    finally:
-        db.close()
+def _setup_storm_machines(db, count=12):
+    ptrs = [_setup_watched(db) for _ in range(count)]
+    with db.transaction():
+        for ptr in ptrs:
+            db.deref(ptr).post_event("Ping")  # materialize every chain
+    return ptrs
 
 
-def test_commit_mutex_is_sharded_by_rid():
-    """The commit mutex shards by ``rid % N``: a commit section takes
-    only the shards its buffer covers (ascending), the whole-mutex
-    context manager still freezes everything, and ``_is_owned`` reports
-    ownership of any shard (the rollback-under-mutex probe)."""
-    from repro.core.versioned import DEFAULT_COMMIT_SHARDS, ShardedCommitMutex
+def _run_pair_storm(db, ptrs, workers=6, steps=12):
+    """Run ``workers`` real threads of ``steps`` transactions each, every
+    one touching two machines; return the indices of workers whose
+    transaction raised :class:`StorageError`."""
+    errors: list[Exception] = []
+    failed: list[int] = []
+    start = threading.Barrier(workers)
 
-    mutex = ShardedCommitMutex(4)
-    assert mutex.shard_count == 4
-    assert mutex.indices_for([0, 4, 5, 13]) == [0, 1]  # 13 % 4 == 1
-    assert mutex.indices_for([]) == [0, 1, 2, 3]  # unknown footprint: all
-    assert not mutex._is_owned()
-    with mutex.acquire([5]):
-        assert mutex._is_owned()
-        # Only shard 1 is held: another thread can take shard 2.
-        grabbed = []
+    def worker(index):
+        session = db.session(f"storm-{index}")
+        try:
+            start.wait()
+            for step in range(steps):
+                # The pairing varies per worker/step so footprints
+                # overlap sometimes and are disjoint sometimes.
+                a = ptrs[(index + step) % len(ptrs)]
+                b = ptrs[(index * 3 + step * 5) % len(ptrs)]
 
-        def try_other():
-            with mutex.acquire([2]):
-                grabbed.append(True)
+                def body(txn):
+                    session.deref(a).post_event("Ping")
+                    session.deref(b).post_event("Pong")
 
-        t = threading.Thread(target=try_other)
+                try:
+                    session.run(body)
+                except StorageError:
+                    failed.append(index)
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+        finally:
+            session.close()
+
+    threads = [
+        threading.Thread(target=worker, args=(i,)) for i in range(workers)
+    ]
+    for t in threads:
         t.start()
-        t.join(timeout=10)
-        assert grabbed == [True]
-    assert not mutex._is_owned()
-    with mutex:  # stop-the-world compatibility surface
-        assert mutex._is_owned()
-    with pytest.raises(ValueError, match="shards"):
-        ShardedCommitMutex(0)
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    return failed
 
+
+def _assert_storage_matches_heads(db):
+    versions = db.trigger_system.versions
+    for state_rid in versions.heads():
+        head = versions.head_or_none(state_rid)
+        assert (
+            TriggerState.decode(db.storage.peek(state_rid)).statenum
+            == head.state.statenum
+        ), "storage bytes diverged from the published head"
+
+
+def test_conflict_abort_storm_keeps_storage_consistent_with_heads():
+    """Real threads over 12 machines: overlapping committers replay any
+    lost updates, and every 5th storage commit fails, so its merged writes
+    roll back under the commit mutex.  For every state rid the committed
+    storage bytes must still equal the published chain head — a rollback
+    outside the mutex could capture another committer's merge as a
+    before-image and undo it."""
     db = _open(trigger_cc="mvcc")
     try:
-        assert db.trigger_system.versions.commit_mutex.shard_count == (
-            DEFAULT_COMMIT_SHARDS
-        )
+        ptrs = _setup_storm_machines(db)
+        storage = db.storage
+        real_commit = storage.commit_transaction
+        real_abort = storage.abort_transaction
+        commits = 0
+        commits_lock = threading.Lock()
+
+        def flaky_commit(txid):
+            nonlocal commits
+            with commits_lock:
+                commits += 1
+                fail = commits % 5 == 0
+            if fail:
+                raise StorageError("injected commit failure")
+            return real_commit(txid)
+
+        def slow_abort(txid):
+            # Widens the window a rollback outside the mutex would open.
+            time.sleep(0.002)
+            return real_abort(txid)
+
+        workers, steps = 6, 12
+        storage.commit_transaction = flaky_commit
+        storage.abort_transaction = slow_abort
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            failed = _run_pair_storm(db, ptrs, workers, steps)
+        finally:
+            sys.setswitchinterval(interval)
+            storage.commit_transaction = real_commit
+            storage.abort_transaction = real_abort
+        assert len(failed) == workers * steps // 5
+        _assert_storage_matches_heads(db)
     finally:
         db.close()
 
 
 def test_sharded_commit_storm_keeps_storage_consistent_with_heads():
-    """Real threads, many machines spread over every commit-mutex shard:
-    committers with disjoint rid footprints merge and publish fully in
-    parallel, and for every state rid the committed storage bytes still
-    equal the published chain head — per-rid exclusion survived the
-    sharding."""
+    """Real threads, many machines, no injected failures: committers with
+    disjoint rid footprints merge cleanly and overlapping ones replay
+    under the one commit mutex.  Every transaction commits, and for every
+    state rid the committed storage bytes equal the published chain head."""
     db = _open(trigger_cc="mvcc")
     try:
-        ptrs = [_setup_watched(db) for _ in range(12)]
-        with db.transaction():
-            for ptr in ptrs:
-                db.deref(ptr).post_event("Ping")  # materialize every chain
-
-        versions = db.trigger_system.versions
-        # The fixture really exercises multiple shards.
-        rids = list(versions.heads())
-        assert len({versions.commit_mutex.shard_of(rid) for rid in rids}) > 1
-
-        errors: list[Exception] = []
-        start = threading.Barrier(6)
-
-        def worker(index):
-            session = db.session(f"shard-storm-{index}")
-            try:
-                start.wait()
-                for step in range(12):
-                    # Each txn touches two machines; the pairing varies
-                    # per worker/step so footprints overlap sometimes and
-                    # are disjoint sometimes.
-                    a = ptrs[(index + step) % len(ptrs)]
-                    b = ptrs[(index * 3 + step * 5) % len(ptrs)]
-
-                    def body(txn):
-                        session.deref(a).post_event("Ping")
-                        session.deref(b).post_event("Pong")
-
-                    session.run(body)
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-            finally:
-                session.close()
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(6)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not errors, errors
-
-        for state_rid in versions.heads():
-            head = versions.head_or_none(state_rid)
-            assert (
-                TriggerState.decode(db.storage.peek(state_rid)).statenum
-                == head.state.statenum
-            ), "storage bytes diverged from the published head"
+        ptrs = _setup_storm_machines(db)
+        assert len(db.trigger_system.versions.heads()) == len(ptrs)
+        assert _run_pair_storm(db, ptrs) == []
+        _assert_storage_matches_heads(db)
     finally:
         db.close()
 

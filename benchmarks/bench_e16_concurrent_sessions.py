@@ -166,8 +166,8 @@ def run_trigger_sessions(db, n_sessions):
     """Same thread/latency harness as :func:`run_sessions`, but the body is
     the §6 workload: dereference several watched objects (in per-thread
     random order, so lock orderings collide) and post their Ping/Pong
-    observation events.  Under 2PL each posting S→X-upgrades the trigger
-    states; under MVCC it buffers (DESIGN.md §15)."""
+    observation events.  Under 2PL each posting S→X-upgrades the object's
+    trigger group; under MVCC it buffers (DESIGN.md §15)."""
     import random
 
     from repro.workloads.locksim import HotObject
@@ -282,7 +282,7 @@ def teardown_module(module):
             notes=(
                 "Identical client code (deref + Ping/Pong posting); only "
                 "trigger_cc differs.  Under 2PL every posting upgrades "
-                "S->X on the TriggerState, so victims retry with backoff "
+                "S->X on the object's trigger group, so victims retry with backoff "
                 "and their retries land in their own p99 (retries counted "
                 "as retries, not victims).  Under MVCC postings buffer and "
                 "merge at commit, and a lost update replays there: zero "

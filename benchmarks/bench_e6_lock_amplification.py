@@ -15,9 +15,11 @@ deadlock is attributable to the trigger machinery itself.
 Sweep: session count × triggers per object over a small hot set.
 Expected shape: with 0 triggers the workload is share-everything — zero
 waits, zero deadlocks at any session count.  With triggers, every posting
-writes a persistent TriggerState (S→X upgrades under strict 2PL), so
-waits appear and grow with both axes, and deadlock abort/retry kicks in
-once several sessions upgrade on the same hot records.
+writes the object's persistent trigger group (S→X upgrades under strict
+2PL), so waits appear and grow with the session count, and deadlock
+abort/retry kicks in once several sessions upgrade on the same hot
+records.  All of an object's triggers share its one group record, so
+more triggers per object mean more state writes but not more locks.
 """
 
 import pytest
@@ -156,9 +158,11 @@ def teardown_module(module):
         ],
         _RESULTS,
         notes=(
-            "Section 6: FSM advances write TriggerStates, so read-only "
+            "Section 6: FSM advances write trigger state, so read-only "
             "transactions acquire X locks -> waits and deadlocks that a "
-            "passive database never sees.  Identical client code in both "
+            "passive database never sees.  An object's triggers share one "
+            "group record: one S and at most one X lock per object and "
+            "transaction, however many triggers.  Identical client code in both "
             "configurations; deterministic cooperative interleaving.  The "
             "mvcc rows run the same workload with trigger_cc='mvcc' "
             "(DESIGN.md S15): advances buffer against copy-on-write state "

@@ -4,7 +4,7 @@ deadlock prediction, and the dynamic lockset cross-check (ODE3xx).
 The paper's Section 6 complaint is that triggers *"turn read access into
 write access, increasing both the amount of time the transactions spend
 waiting for locks and the likelihood of deadlock"* — every FSM advance
-writes the persistent TriggerState back, so an ostensibly read-only
+writes the persistent trigger state back, so an ostensibly read-only
 transaction takes X locks.  Experiment E6 measures it; this module
 predicts it from declarations alone.
 
@@ -12,12 +12,13 @@ The analysis lifts each trigger's inferred :class:`EffectSet` (see
 :mod:`repro.analysis.effects`) plus its FSM structure to an *ordered*
 :class:`LockFootprint` — the sequence of S/X acquisitions one posting
 performs under strict 2PL (paper Section 5.4.5: dereference the object,
-look the trigger index up, read the TriggerState, write it back on a
-state change, then run the action's own writes).  Resources are symbolic
-*classes*, not instances:
+look the trigger index up, read the object's trigger group, write it
+back on a state change, then run the action's own writes).  Resources are
+symbolic *classes*, not instances:
 
 * ``object:<Type>``  — the monitored object's record
-* ``state:<Type>.<Trigger>`` — the persistent TriggerState record
+* ``state-group:<Type>`` — the object's trigger group: one record holding
+  every active trigger state of the object, whichever trigger it is
 * ``meta:index`` / ``meta:catalog`` — trigger-index buckets, catalog
 
 Footprints feed four passes:
@@ -93,7 +94,7 @@ X = "X"
 #: touching two instances of the class holds two distinct locks, which is
 #: what makes multi-instance self-edges (and therefore single-class
 #: deadlock cycles) real.
-_PER_INSTANCE_KINDS = ("object", "state")
+_PER_INSTANCE_KINDS = ("object", "state-group")
 
 #: Upper bound on cooperative witness replays per analyzer run — each one
 #: spins up a scratch database; predicted cycles beyond the cap stay
@@ -212,7 +213,7 @@ def _advances_from(state, symbol: str, compiled: "CompiledMachine", by_num) -> b
 
 
 def advancing_symbols(compiled: "CompiledMachine") -> frozenset[str]:
-    """Watched symbols whose posting can write the TriggerState back
+    """Watched symbols whose posting can write the trigger state back
     (i.e. change the stored state number from some reachable state)."""
     fsm = compiled.fsm
     by_num = {state.statenum: state for state in fsm.states}
@@ -275,7 +276,7 @@ def infer_lock_footprint(
     compiled = info.compiled
     type_name = info.defining_type
     obj = f"object:{type_name}"
-    state = f"state:{type_name}.{info.name}"
+    group = f"state-group:{type_name}"
     watched = frozenset(compiled.event_symbols)
     advancing = advancing_symbols(compiled)
 
@@ -311,9 +312,9 @@ def infer_lock_footprint(
             break
     for resource, mode in _index_steps():
         push(resource, mode, "trigger-index bucket lookup")
-    push(state, S, "TriggerState read")
+    push(group, S, "trigger group read")
     if advancing:
-        push(state, X, "TriggerState write-back on FSM advance")
+        push(group, X, "trigger group write-back on FSM advance")
 
     detached = info.coupling in (CouplingMode.DEPENDENT, CouplingMode.INDEPENDENT)
     if not detached:
@@ -514,7 +515,7 @@ def replay_witness(
     ``plan="cross"``: each session posts an advancing event to two
     activated objects in opposite orders — the multi-instance ODE301
     witness.  ``plan="upgrade"``: both sessions post a *non-advancing*
-    event to one shared object (taking S on the TriggerState), yield, and
+    event to one shared object (taking S on its trigger group), yield, and
     then post an advancing one (requesting the X upgrade) — the ODE302
     witness.  Confirmation is a strict increase of the lock manager's
     deadlock counter during the replay.
@@ -536,7 +537,7 @@ def _replay_witness(metatype: "Metatype", info: "TriggerInfo", plan: str) -> Wit
         return Witness(False, "no postable event advances the machine from start")
     posts = [advance]
     if plan == "upgrade":
-        # Any posting on the object reads this trigger's state (S); one
+        # Any posting on the object reads its trigger group (S); one
         # that does not advance it *from the start state* leaves the lock
         # shared for the race.
         start_adv = start_advancing_symbols(info.compiled)
@@ -782,7 +783,7 @@ def _classify_rids(
     """Map concrete rids in a trace to symbolic resource classes.
 
     Objects are named by ``post.begin`` records (which carry the type),
-    TriggerStates by ``state.write`` / ``trigger.activate`` records (which
+    trigger groups by ``state.write`` / ``trigger.activate`` records (which
     carry the trigger name, resolved to its defining type).  Everything
     else — index buckets, pmap headers, catalog records — is ``meta``.
     """
@@ -797,11 +798,11 @@ def _classify_rids(
             if rid is not None:
                 classes.setdefault(rid, f"object:{record.get('type')}")
         elif record.kind in ("state.write", "trigger.activate"):
-            state_rid = record.get("state_rid")
+            group_rid = record.get("group_rid")
             trigger = record.get("trigger")
-            if state_rid is not None and trigger is not None:
+            if group_rid is not None and trigger is not None:
                 classes.setdefault(
-                    state_rid, f"state:{owner.get(trigger, '*')}.{trigger}"
+                    group_rid, f"state-group:{owner.get(trigger, '*')}"
                 )
     return classes
 
@@ -848,10 +849,7 @@ def observed_lock_profile(
 
 def _location_of(resource: str) -> Location:
     kind, _, rest = resource.partition(":")
-    if kind == "state" and "." in rest:
-        type_name, trigger = rest.rsplit(".", 1)
-        return Location(type_name, trigger)
-    if kind == "object":
+    if kind in _PER_INSTANCE_KINDS:
         return Location(rest)
     return Location()
 
@@ -872,7 +870,7 @@ def check_lock_trace(
       cycle at all.
 
     The trace should cover the steady-state posting window — activation
-    transactions insert TriggerStates and flip object flags, which the
+    transactions write trigger groups and flip object flags, which the
     per-posting footprints deliberately do not model.
     """
     records = list(records)

@@ -205,10 +205,15 @@ def analyze_classes(
     # exactly when the code it names was produced at its trigger.  The
     # opt-in passes are judged only when they actually ran — a skipped
     # pass cannot prove a suppression stale.
-    produced = {
-        (diag.location.type_name, diag.location.trigger, diag.code)
-        for diag in report.diagnostics
-    }
+    produced = set()
+    for diag in report.diagnostics:
+        produced.add((diag.location.type_name, diag.location.trigger, diag.code))
+        if diag.code == "ODE301":
+            # A predicted cycle belongs to every trigger contributing to
+            # it; its location is only the first that does not suppress it.
+            for label in diag.related:
+                type_name, _, trigger = label.rpartition(".")
+                produced.add((type_name, trigger, diag.code))
     unchecked = tuple(
         prefix
         for prefix, ran in (("ODE3", concurrency), ("ODE4", compilability))
@@ -291,12 +296,12 @@ def analyze_database(db: "Database") -> AnalysisReport:
     else:
         txn = manager.current()
     try:
-        from repro.core.trigger_state import TriggerState
+        from repro.core.trigger_state import TriggerGroup
 
         unresolved: set[str] = set()
-        for obj_rid, state_rids in db.trigger_system.index.entries(txn):
-            for state_rid in state_rids:
-                tstate = TriggerState.decode(db.storage.read(txn.txid, state_rid))
+        for obj_rid, group_rid in db.trigger_system.index.entries(txn):
+            group = TriggerGroup.decode(db.storage.read(txn.txid, group_rid))
+            for _serial, tstate in group.entries:
                 try:
                     info = db.registry.find(tstate.trigobjtype).trigger_info(
                         tstate.triggernum

@@ -41,12 +41,13 @@ from repro.core.posting import (
 )
 from repro.core.trigger_def import TriggerInfo
 from repro.core.trigger_index import TriggerIndex
-from repro.core.trigger_state import TriggerId, TriggerState
+from repro.core.trigger_state import TriggerGroup, TriggerId, TriggerState
 from repro.errors import (
     RecordNotFoundError,
     TriggerError,
     TriggerNotActiveError,
 )
+from repro.events.fsm import DEAD
 from repro.objects.oid import PersistentPtr
 from repro.objects.serialize import FLAG_HAS_TRIGGERS
 
@@ -63,7 +64,7 @@ class TriggerSystem:
 
     def __init__(self, db: "Database"):
         self.db = db
-        self.index = TriggerIndex(db)
+        self.index = TriggerIndex(db, self.states)
         self.stats = PostingStats()
         metrics = getattr(db, "metrics", None)
         if metrics is not None:
@@ -116,9 +117,10 @@ class TriggerSystem:
         """Activate *info* on the object at *ptr*; returns the TriggerId.
 
         This is the run-time half of the generated static activation
-        function of Section 5.4.1: allocate the TriggerState, store the
+        function of Section 5.4.1: create the TriggerState, store the
         arguments, put the machine in its start state (evaluating any
-        start-state masks), and index it.
+        start-state masks), and add it to the object's trigger group —
+        creating the group, and its index entry, on the first activation.
         """
         txn = db.txn_manager.current()
         handle = db.deref(ptr)
@@ -129,133 +131,157 @@ class TriggerSystem:
                 f"{type(handle.obj).__name__} is not derived from it"
             )
         params, statenum = start_machine(self.stats, info, handle.obj, args)
+        group = self.index.group(txn, ptr.rid)
         tstate = TriggerState(
             triggernum=info.triggernum,
-            trigobj=ptr,
+            trigobj=ptr if group is None else group.anchor,
             statenum=statenum,
             trigobjtype=info.defining_type,
             params=params,
         )
-        state_rid = db.storage.insert(txn.txid, tstate.encode())
-        self.index.add(txn, ptr.rid, state_rid)
-        self.states(txn).adopt(state_rid, tstate, handle.obj)
+        store = self.states(txn)
+        if group is None:
+            group = store.create(ptr, tstate)
+            self.index.add(txn, ptr.rid, group)
+            machine = group.machines[0]
+        else:
+            machine = store.activate(group, tstate)
+        group_rid = machine.rid
         if obs.ENABLED:
             obs.emit(
                 "trigger.activate",
                 trigger=info.name,
                 rid=ptr.rid,
-                state_rid=state_rid,
+                group_rid=group_rid,
+                serial=machine.serial,
                 start_state=tstate.statenum,
             )
         # Flip the object's control bit so PostEvent stops skipping it.
         flags = handle.obj.__dict__.get("_p_flags", 0)
         if not flags & FLAG_HAS_TRIGGERS:
             db.set_object_flags(ptr, flags | FLAG_HAS_TRIGGERS)
-        return PersistentPtr(db.name, state_rid)
+        return TriggerId(db.name, group_rid, machine.serial)
 
     def deactivate(self, trigger_id: TriggerId, *, missing_ok: bool = False) -> None:
-        """Remove an active trigger (paper ``deactivate(TriggerId)``)."""
+        """Remove an active trigger (paper ``deactivate(TriggerId)``).
+
+        The last one on an object deletes its group and index entry and
+        clears the object's has-triggers bit."""
         db = self.db
         txn = db.txn_manager.current()
         store = self.states(txn)
-        try:
-            tstate = store.read(trigger_id.rid)
-        except RecordNotFoundError:
+        machine = None
+        if isinstance(trigger_id, TriggerId):
+            try:
+                group = store.group(trigger_id.rid)
+                machine = store.deactivate(group, trigger_id.serial)
+            except RecordNotFoundError:
+                pass
+        if machine is None:
             if missing_ok:
                 return
-            raise TriggerNotActiveError(f"{trigger_id!r} is not active") from None
-        remaining = self.index.remove(txn, tstate.trigobj.rid, trigger_id.rid)
-        db.storage.delete(txn.txid, trigger_id.rid)
-        store.forget(trigger_id.rid)
-        if remaining == 0:
-            try:
-                handle = db.deref(tstate.trigobj)
-            except Exception:
-                return  # object already deleted
-            flags = handle.obj.__dict__.get("_p_flags", 0)
-            if flags & FLAG_HAS_TRIGGERS:
-                db.set_object_flags(tstate.trigobj, flags & ~FLAG_HAS_TRIGGERS)
+            raise TriggerNotActiveError(f"{trigger_id!r} is not active")
+        if group.machines:
+            return
+        anchor = group.anchor
+        self.index.remove(txn, anchor.rid)
+        try:
+            handle = db.deref(anchor)
+        except Exception:
+            return  # object already deleted
+        flags = handle.obj.__dict__.get("_p_flags", 0)
+        if flags & FLAG_HAS_TRIGGERS:
+            db.set_object_flags(anchor, flags & ~FLAG_HAS_TRIGGERS)
 
     def active_triggers(
         self, ptr: PersistentPtr
     ) -> list[tuple[TriggerId, TriggerState, TriggerInfo]]:
-        """The triggers currently active on the object at *ptr*."""
+        """The triggers currently active on the object at *ptr*, in
+        activation order (each state a copy)."""
         txn = self.db.txn_manager.current()
         result = []
-        read = self.states(txn).read
-        for state_rid in self.index.lookup(txn, ptr.rid):
-            tstate = read(state_rid)
+        for machine in self.index.lookup(txn, ptr.rid):
+            tstate = machine.state
             info = self.db.registry.find(tstate.trigobjtype).trigger_info(
                 tstate.triggernum
             )
-            result.append((PersistentPtr(self.db.name, state_rid), tstate, info))
+            trigger_id = TriggerId(self.db.name, machine.rid, machine.serial)
+            result.append((trigger_id, tstate.clone(), info))
         return result
 
     def verify_integrity(self) -> list[str]:
-        """Cross-check the trigger index against the TriggerState records.
+        """Cross-check the trigger index against the group records.
 
         Returns a list of problem descriptions (empty = consistent):
-        index entries pointing at missing/corrupt state records, states
-        whose anchor object is gone, states whose ``trigobjtype`` or
+        index entries pointing at missing/corrupt groups, groups anchored
+        at another object than the one indexing them or whose anchor is
+        gone, empty groups, duplicate serials or serials at or past the
+        group's ``next_serial``, entries whose ``trigobjtype`` or
         ``triggernum`` no longer resolves, and FSM state numbers outside
-        the compiled machine.  Runs in the current transaction.
+        the compiled machine.  Reads storage (not this transaction's
+        working copies) in the current transaction.
         """
         db = self.db
         txn = db.txn_manager.current()
         problems: list[str] = []
-        for obj_rid, state_rids in self.index.entries(txn):
-            for state_rid in state_rids:
-                try:
-                    raw = db.storage.read(txn.txid, state_rid)
-                except RecordNotFoundError:
+        for obj_rid, group_rid in self.index.entries(txn):
+            where = f"group {group_rid}"
+            try:
+                raw = db.storage.read(txn.txid, group_rid)
+            except RecordNotFoundError:
+                problems.append(
+                    f"index entry {obj_rid} -> {group_rid}: group record missing"
+                )
+                continue
+            try:
+                group = TriggerGroup.decode(raw)
+            except TriggerError as exc:
+                problems.append(f"{where}: corrupt ({exc})")
+                continue
+            anchor_rid = group.anchor.rid
+            if anchor_rid != obj_rid:
+                problems.append(
+                    f"{where}: anchored at {anchor_rid}, indexed under {obj_rid}"
+                )
+            if not db.storage.exists(txn.txid, anchor_rid):
+                problems.append(f"{where}: anchor object {anchor_rid} deleted")
+            if not group.entries:
+                problems.append(f"{where}: no entries (should have been deleted)")
+            seen: set[int] = set()
+            for serial, tstate in group.entries:
+                if serial in seen:
+                    problems.append(f"{where}: duplicate serial {serial}")
+                seen.add(serial)
+                if serial >= group.next_serial:
                     problems.append(
-                        f"index entry {obj_rid} -> {state_rid}: state record missing"
-                    )
-                    continue
-                try:
-                    tstate = TriggerState.decode(raw)
-                except TriggerError as exc:
-                    problems.append(f"state {state_rid}: corrupt ({exc})")
-                    continue
-                if tstate.trigobj.rid != obj_rid:
-                    problems.append(
-                        f"state {state_rid}: anchored at {tstate.trigobj.rid}, "
-                        f"indexed under {obj_rid}"
-                    )
-                if not db.storage.exists(txn.txid, tstate.trigobj.rid):
-                    problems.append(
-                        f"state {state_rid}: anchor object {tstate.trigobj.rid} deleted"
+                        f"{where}: serial {serial} >= next_serial {group.next_serial}"
                     )
                 try:
                     defining = db.registry.find(tstate.trigobjtype)
                     info = defining.trigger_info(tstate.triggernum)
                 except Exception as exc:
                     problems.append(
-                        f"state {state_rid}: cannot resolve "
+                        f"{where} serial {serial}: cannot resolve "
                         f"{tstate.trigobjtype}#{tstate.triggernum} ({exc})"
                     )
                     continue
-                from repro.events.fsm import DEAD
-
                 if tstate.statenum != DEAD and not (
                     0 <= tstate.statenum < len(info.fsm)
                 ):
                     problems.append(
-                        f"state {state_rid}: FSM state {tstate.statenum} out of "
-                        f"range for {info.name} ({len(info.fsm)} states)"
+                        f"{where} serial {serial}: FSM state {tstate.statenum} "
+                        f"out of range for {info.name} ({len(info.fsm)} states)"
                     )
         return problems
 
     def on_pdelete(self, db: "Database", ptr: PersistentPtr) -> None:
-        """Deactivate everything anchored at a deleted object."""
+        """Deactivate everything anchored at a deleted object: its group
+        and its index entry go."""
         txn = db.txn_manager.current()
-        forget = self.states(txn).forget
-        for state_rid in self.index.drop_all(txn, ptr.rid):
-            try:
-                db.storage.delete(txn.txid, state_rid)
-            except RecordNotFoundError:
-                pass
-            forget(state_rid)
+        group = self.index.group(txn, ptr.rid)
+        if group is not None:
+            self.index.remove(txn, ptr.rid)
+            self.states(txn).drop(group)
 
     # -- firing-order guard (DESIGN.md §9) ---------------------------------------
 

@@ -141,7 +141,7 @@ class LocalTriggerSystem:
     def __init__(self, db: "Database | None" = None):
         #: local id -> Machine whose ``state`` is a :class:`LocalTriggerState`
         self._states: dict[int, Machine] = {}
-        self._store = VolatileStates(self._states)
+        self._store = VolatileStates()
         self._by_obj: dict[int, list[int]] = {}
         self._next_id = 1
         self._end_list: list[LocalTriggerState] = []
@@ -182,7 +182,7 @@ class LocalTriggerSystem:
         params, statenum = start_machine(self.stats, info, obj, args)
         state = LocalTriggerState(self._next_id, info, obj, statenum, params)
         self._next_id += 1
-        machine = self._states[state.local_id] = Machine(state.local_id, state)
+        machine = self._states[state.local_id] = Machine(None, state.local_id, state)
         machine.info = info
         machine.defining = getattr(type(obj), "__metatype__", None)
         self._by_obj.setdefault(id(obj), []).append(state.local_id)
@@ -220,8 +220,10 @@ class LocalTriggerSystem:
             return 0
         # The same kernel as persistent posting, over in-memory states: no
         # write lock, no log.  Fire only after every rule has seen the event.
+        states = self._states
         ready = advance_all(
-            self.stats, serving_tier(self), self._store, list(local_ids),
+            self.stats, serving_tier(self), self._store,
+            [states[local_id] for local_id in local_ids],
             eventnum, obj, occurrence,
         )
         for machine in ready:

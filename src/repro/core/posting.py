@@ -4,8 +4,10 @@ Posting a basic event to an object:
 
 1. Skip immediately if the object's control information says it has no
    active triggers (footnote 3) — the common, cheap case.
-2. Look up the object's active ``TriggerState`` records in the trigger
-   index.
+2. Look up the object's active triggers in the trigger index: its
+   *trigger group*, one record holding every active ``TriggerState`` of
+   the object, read once per transaction (see
+   :mod:`repro.core.trigger_state`).
 3. Advance each one's integer-keyed FSM and record where it now stands.
 4. Only after *all* active triggers have seen the event are the ready ones
    fired — "to prevent the action of one trigger from affecting the mask of
@@ -22,20 +24,37 @@ commit-time replay and local rules call too.  What differs between those
 modes is *where the state lives*, and that is the seam: a
 :class:`StateStore` — :class:`LockInPlaceStates` (strict 2PL),
 :class:`~repro.core.versioned.AdvanceBuffer` (MVCC) or
-:class:`VolatileStates` (local rules, replay).  DESIGN.md §14.
+:class:`VolatileStates` (local rules, replay).  A persistent store hands
+out an object's machines a whole :class:`Group` at a time, so one group
+read serves every trigger on the object.  DESIGN.md §14.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro.core.compiled import schema_version
 from repro.core.trigger_def import CouplingMode, TriggerInfo
-from repro.core.trigger_state import TriggerState
-from repro.errors import TransactionAbort, TriggerArgumentError, UnknownEventError
+from repro.core.trigger_state import (
+    SERIAL_MAX,
+    GroupFrame,
+    TriggerId,
+    TriggerState,
+    decode_group,
+    encode_group,
+    frame_group,
+    pack_group,
+)
+from repro.errors import (
+    SerializationError,
+    TransactionAbort,
+    TriggerArgumentError,
+    UnknownEventError,
+)
 from repro.objects.oid import PersistentPtr
 from repro.objects.serialize import FLAG_HAS_TRIGGERS
 
@@ -141,7 +160,7 @@ NULL_OCCURRENCE = EventOccurrence(eventnum=0)
 class FiringRecord:
     """A detected trigger occurrence queued for (possibly later) firing."""
 
-    trigger_id: PersistentPtr
+    trigger_id: TriggerId
     state: TriggerState
     info: TriggerInfo
 
@@ -152,7 +171,7 @@ class TriggerContext:
 
     db: "Database"
     txn: "Transaction"
-    trigger_id: PersistentPtr
+    trigger_id: TriggerId
     info: TriggerInfo
     params: dict[str, Any]
     coupling: CouplingMode
@@ -224,8 +243,12 @@ class PostingStats:
 
 
 class Machine:
-    """One active trigger at run time: its working ``TriggerState`` plus
-    what the registry and the compile tier resolved for it.
+    """One active trigger at run time: its working ``TriggerState``, where
+    it is stored (its group's rid and its serial there — together its
+    ``TriggerId``; local rules have no group), plus what the registry and
+    the compile tier resolved for it.  A machine does not point back at
+    its :class:`Group`, so a transaction's groups hold no reference cycle
+    and are freed by reference counting when it ends.
 
     ``advance`` is the generated closure (``None``: not asked yet, or proof
     withheld) and ``version`` the trigger-schema version ``info``,
@@ -234,29 +257,104 @@ class Machine:
     neither a stale closure nor a stale action.
     """
 
-    info = defining = advance = version = None
+    __slots__ = ("rid", "serial", "state", "info", "defining", "advance", "version")
 
-    def __init__(self, rid: int, state):
+    def __init__(self, rid: int | None, serial: int, state):
         self.rid = rid
+        self.serial = serial
         self.state = state
+        self.info = self.defining = self.advance = self.version = None
+
+
+class Group:
+    """One object's trigger group as a transaction works on it: the
+    record's rid, its head, and one :class:`Machine` per entry in
+    activation order (``machines``, a tuple the trigger index hands to the
+    kernel as is).  ``frame`` is the record's frame while the membership
+    is unchanged, so writing back an advance packs only the entry heads."""
+
+    def __init__(
+        self,
+        rid: int,
+        anchor: PersistentPtr,
+        next_serial: int,
+        serials: Sequence[int],
+        states: Sequence[TriggerState],
+        frame: GroupFrame | None = None,
+        machine: type = Machine,
+    ):
+        self.rid = rid
+        self.anchor = anchor
+        self.next_serial = next_serial
+        self.frame = frame
+        self.machines: tuple = tuple(map(machine, repeat(rid), serials, states))
+
+    def encode(self) -> bytes:
+        machines = self.machines
+        serials = [m.serial for m in machines]
+        states = [m.state for m in machines]
+        if self.frame is None:
+            self.frame = frame_group(self.anchor, self.next_serial, serials, states)
+        return pack_group(self.frame, serials, states)
+
+    def add(self, state: TriggerState, machine: type = Machine) -> Machine:
+        """Append a new entry under the next serial."""
+        serial = self.next_serial
+        if serial > SERIAL_MAX:
+            raise SerializationError(
+                f"trigger group {self.rid} has used all {SERIAL_MAX + 1} serials"
+            )
+        added = machine(self.rid, serial, state)
+        self.next_serial = serial + 1
+        self.machines += (added,)
+        self.frame = None
+        return added
+
+    def remove(self, serial: int) -> Machine | None:
+        """Drop the entry with *serial*; ``None`` if there is none."""
+        for removed in self.machines:
+            if removed.serial == serial:
+                self.machines = tuple(m for m in self.machines if m is not removed)
+                self.frame = None
+                return removed
+        return None
 
 
 class StateStore:
     """Where the machines of one posting scope live — the seam.
 
-    The kernel reads ``machines`` (key -> working copy already touched),
-    calls :meth:`load` on a miss, :meth:`refresh` when the schema version
-    moved, and :meth:`settle` after an advance that moved the machine —
-    after every advance if ``logs_ignored_events``.  The trigger system
-    calls :meth:`adopt`, :meth:`forget` and :meth:`read`.
+    The trigger index asks :meth:`group` for an object's machines (the
+    whole group is loaded on first touch).  The kernel, handed the
+    machines of one group, calls :meth:`refresh` when the schema version
+    moved, :meth:`settle` after an advance that moved a machine — after
+    every advance if ``logs_ignored_events`` — and :meth:`flush` once at
+    the end of a call that settled anything.  The trigger system calls
+    :meth:`create`, :meth:`activate`, :meth:`deactivate` and :meth:`drop`.
     """
 
-    machines: dict
     logs_ignored_events = False
 
-    def load(self, key: int, obj: Any) -> Machine:
-        """First touch of *key* in this scope: build its working copy."""
-        raise KeyError(key)
+    def group(self, rid: int) -> Group:
+        """The working copy of group *rid* (loaded on first touch)."""
+        raise KeyError(rid)
+
+    def create(self, anchor: PersistentPtr, state: TriggerState) -> Group:
+        """The first activation on *anchor*: a new group holding *state*
+        (under serial 0)."""
+        raise NotImplementedError
+
+    def activate(self, group: Group, state: TriggerState) -> Machine:
+        """Add *state* to an existing group."""
+        raise NotImplementedError
+
+    def deactivate(self, group: Group, serial: int) -> Machine | None:
+        """Remove entry *serial*; an emptied group is deleted.  ``None``
+        when no such entry is active."""
+        raise NotImplementedError
+
+    def drop(self, group: Group) -> None:
+        """Delete the whole group (its anchor was deleted)."""
+        raise NotImplementedError
 
     def refresh(self, machine: Machine) -> None:
         """Resolve the ``TriggerInfo`` through ``trigobjtype`` — needed
@@ -265,32 +363,30 @@ class StateStore:
         machine.defining = self.db.registry.find(state.trigobjtype)
         machine.info = machine.defining.trigger_info(state.triggernum)
 
-    def settle(self, machine, old_state, eventnum, occurrence, outcomes, span) -> None:
-        """Make the advance (already in the working copy) as durable as
-        this store is.  *outcomes* is what each evaluated mask said, or
-        ``None`` when the generated closure ran."""
+    def settle(
+        self, machine, obj, old_state, eventnum, occurrence, outcomes, span
+    ) -> None:
+        """Record an advance (already in the working copy).  *outcomes* is
+        what each evaluated mask said, or ``None`` when the generated
+        closure ran."""
 
-    def adopt(self, rid: int, state: TriggerState, obj: Any) -> None:
-        """A machine this scope just activated (its record is inserted)."""
-
-    def forget(self, rid: int) -> None:
-        """A machine this scope just deactivated.  Storage may reuse the
-        freed rid within this very transaction; a surviving working copy
-        would then advance a dead machine."""
-        self.machines.pop(rid, None)
+    def flush(self, machines, span: int) -> None:
+        """Make the settled advances of *machines* (one group's) as
+        durable as this store is."""
 
 
 class LockInPlaceStates(StateStore):
-    """Strict 2PL: a machine's state is its storage record.
+    """Strict 2PL: a group's states are its storage record.
 
-    The first touch reads the record and keeps the decoded machine for the
+    The first touch reads the record and keeps the decoded group for the
     rest of the transaction.  Sound under two-phase locking — the read
     takes a shared lock held to commit, so within one transaction nobody
     else can change the record, and our own writes go through the cached
-    object.  The store dies with the transaction, so aborts need no
-    special handling.  An advance that moved ``statenum`` rewrites the
-    record, acquiring a **write lock**: the "triggers turn read access
-    into write access" effect of Section 6 that experiment E6 measures.
+    group.  The store dies with the transaction, so aborts need no
+    special handling.  A posting that moved any machine rewrites the
+    group once, acquiring a **write lock**: the "triggers turn read
+    access into write access" effect of Section 6 that experiment E6
+    measures.  Activation and deactivation rewrite it too.
     """
 
     def __init__(self, system: "TriggerSystem", txn: "Transaction"):
@@ -298,32 +394,65 @@ class LockInPlaceStates(StateStore):
         self.storage = system.db.storage
         self.stats = system.stats
         self.txid = txn.txid
-        self.machines: dict[int, Machine] = {}
+        self.groups: dict[int, Group] = {}
+        #: machines settled since the last flush (counted once written)
+        self._moved = 0
 
-    def load(self, rid, obj):
-        machine = self.machines[rid] = Machine(rid, self.read(rid))
+    def group(self, rid):
+        group = self.groups.get(rid)
+        if group is None:
+            group = Group(rid, *decode_group(self.storage.read(self.txid, rid)))
+            self.groups[rid] = group
+        return group
+
+    def create(self, anchor, state):
+        rid = self.storage.insert(self.txid, encode_group(anchor, 1, (0,), (state,)))
+        group = self.groups[rid] = Group(rid, anchor, 1, (0,), (state,))
+        return group
+
+    def activate(self, group, state):
+        machine = group.add(state)
+        self._write(group)
         return machine
 
-    def settle(self, machine, old_state, eventnum, occurrence, outcomes, span):
-        self.storage.write(self.txid, machine.rid, machine.state.encode())
-        self.stats.state_writes += 1
+    def deactivate(self, group, serial):
+        machine = group.remove(serial)
+        if machine is not None:
+            if group.machines:
+                self._write(group)
+            else:
+                self.drop(group)
+        return machine
+
+    def drop(self, group):
+        self.storage.delete(self.txid, group.rid)
+        del self.groups[group.rid]
+
+    def settle(self, machine, obj, old_state, eventnum, occurrence, outcomes, span):
+        self._moved += 1
         if span:
             obs.emit(
-                "state.write", span, state_rid=machine.rid, trigger=machine.info.name
+                "state.write",
+                span,
+                group_rid=machine.rid,
+                serial=machine.serial,
+                trigger=machine.info.name,
             )
 
-    def read(self, rid: int) -> TriggerState:
-        """The state as this transaction sees it (a copy)."""
-        return TriggerState.decode(self.storage.read(self.txid, rid))
+    def flush(self, machines, span):
+        self._write(self.groups[machines[0].rid])
+        self.stats.state_writes += self._moved
+        self._moved = 0
+
+    def _write(self, group: Group) -> None:
+        self.storage.write(self.txid, group.rid, group.encode())
 
 
 class VolatileStates(StateStore):
-    """Local rules (Section 8): states are plain memory, so advancing is
-    an assignment — no record, no lock, no log.  Never misses (its owner
-    puts the machines in) and has no registry to ask again."""
-
-    def __init__(self, machines: dict):
-        self.machines = machines
+    """Local rules (Section 8) and commit-time replay: states are plain
+    memory, so advancing is an assignment — no record, no lock, no log.
+    Its owner hands the kernel the machines and has no registry to ask
+    again."""
 
     def refresh(self, machine):
         pass
@@ -369,15 +498,17 @@ def advance_all(
     stats: PostingStats,
     tier: "CompiledTier | None",
     store: StateStore,
-    keys,
+    machines,
     eventnum: int,
     obj: Any,
     occurrence: EventOccurrence,
     span: int = 0,
     replay: Mapping | None = None,
 ) -> list[Machine]:
-    """The posting kernel: advance every machine in *keys* on one event
-    and return the ones that accepted, in order.  Nothing fires here.
+    """The posting kernel: advance every machine in *machines* — one
+    group's, or volatile ones — on one event and return the ones that
+    accepted, in order.  Nothing fires here; the moved ones are settled
+    with *store*, which is flushed once at the end.
 
     With a *tier* a machine runs its generated closure (a withheld ODE4xx
     proof counts one ``compiled_fallbacks`` per advance); otherwise its
@@ -386,7 +517,6 @@ def advance_all(
     names to the outcomes recorded when the event was first posted: the
     interpreter answers from it and evaluates live only what it lacks.
     """
-    machines = store.machines
     settle = store.settle
     log_ignored = store.logs_ignored_events
     compiled = tier is not None and replay is None
@@ -395,11 +525,9 @@ def advance_all(
     # The generated path's counts, flushed once per call (also when a mask
     # raises): per-machine attribute updates are real money at fan-out 128.
     hits = steps_taken = 0
+    settled = False
     try:
-        for key in keys:
-            machine = machines.get(key)
-            if machine is None:
-                machine = store.load(key, obj)
+        for machine in machines:
             if machine.version != version:
                 store.refresh(machine)
                 machine.version = version
@@ -458,28 +586,32 @@ def advance_all(
                 stats.fsm_advances += 1
             if new_state != old_state or log_ignored:
                 state.statenum = new_state
-                settle(machine, old_state, eventnum, occurrence, outcomes, span)
+                settle(machine, obj, old_state, eventnum, occurrence, outcomes, span)
+                settled = True
             if accepted:
                 ready.append(machine)
     finally:
         stats.compiled_hits += hits
         stats.fsm_advances += hits
         stats.masks_evaluated_posting += steps_taken
+        if settled:
+            store.flush(machines, span)
     return ready
 
 
 def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
     """The posting loop: per posting, skip on the control bit, look up
-    the object's machines, advance them all, *then* fire.
+    the object's machines (its trigger group), advance them all, *then*
+    fire.
 
     What a batch can share — the current transaction and its state store,
     the serving tier, the ``obs.ENABLED`` check — is resolved once; the
     tier and the check are resolved again after any posting that fired,
     because an immediate action can flip obs or the compiled tier.  Index
-    lookups need no such rule: the trigger index memoizes them per
-    transaction and its ``add``/``remove``/``drop_all`` keep the memo
-    current, so a machine an action activates or deactivates is seen by
-    the very next posting.
+    lookups need no such rule: the trigger index memoizes the object's
+    group per transaction and activation and deactivation change that
+    group in place, so a machine an action activates or deactivates is
+    seen by the very next posting.
     """
     stats = system.stats
     total = 0
@@ -513,13 +645,13 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
         if txn is None:
             txn = db.txn_manager.current()
             store = system.states(txn)
-        state_rids = system.index.lookup(txn, ptr.rid)
+        machines = system.index.lookup(txn, ptr.rid)
         if span:
             obs.emit(
-                "index.lookup", span, rid=ptr.rid, txid=txn.txid, states=len(state_rids)
+                "index.lookup", span, rid=ptr.rid, txid=txn.txid, states=len(machines)
             )
         ready = advance_all(
-            stats, tier, store, state_rids, eventnum, obj, occurrence, span
+            stats, tier, store, machines, eventnum, obj, occurrence, span
         )
         if ready:
             # Fire only after every trigger has had the basic event posted
@@ -530,7 +662,7 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
             # order (activation order, as yielded by the index) and are
             # counted, so racy schedules are observable in the stats.
             records = [
-                FiringRecord(PersistentPtr(db.name, m.rid), m.state, m.info)
+                FiringRecord(TriggerId(db.name, m.rid, m.serial), m.state, m.info)
                 for m in ready
             ]
             if len(records) > 1:

@@ -1,4 +1,5 @@
-"""The persistent ``TriggerState`` (paper Section 5.4.1).
+"""The persistent ``TriggerState`` (paper Section 5.4.1) and the record
+that stores it: one **trigger group** per object.
 
     persistent struct TriggerState {
         unsigned int triggernum;
@@ -9,50 +10,81 @@
     typedef persistent TriggerState *TriggerId;
 
 Plus the trigger's activation arguments — the paper subclasses TriggerState
-per trigger (``CredCardAutoRaiseLimitStruct`` adds ``amount``); we store a
-params dict in the same record.  The state lives in the *database*, not in
-the object (design goal 5: object layout never changes) and not in program
+per trigger (``CredCardAutoRaiseLimitStruct`` adds ``amount``); we keep a
+params dict with each state.  The states live in the *database*, not in the
+object (design goal 5: object layout never changes) and not in program
 memory (unlike Sentinel) — which is what makes Ode's composite events
 *global*: a trigger activated by one application advances and fires across
 later applications and sessions.
 
-``TriggerId`` is a persistent pointer to the state record.
+PostEvent (Section 5.4.5) advances *every* active trigger on the posted-to
+object, so the unit of storage is the object: its **trigger group** is one
+record holding all of its active states in activation order.  A posting
+reads one group per object — one read, one lock, one decode — however
+many triggers are active there.  A :class:`TriggerId` names one state: the
+group's rid plus a serial that is unique within the group for the group's
+lifetime.
 
-Like the paper's ``persistent struct``, the record has a fixed layout
-rather than the self-describing tagged encoding of object records (a
-state's fields never change, so it needs no per-field names)::
+Like the paper's ``persistent struct``, the group has a fixed layout rather
+than the self-describing tagged encoding of object records (a state's
+fields never change, so it needs no per-field names)::
 
-    <BqqqHH   mark byte, triggernum, statenum, trigobj rid,
-              len(trigobj db name), len(trigobjtype)
-    bytes     the db name, then trigobjtype, both UTF-8
-    value     params, one tagged value (repro.objects.serialize)
+    <BqHHH      mark byte, anchor rid, next_serial, entry count,
+                length of the names
+    names       the anchor's db name, then the type-name table (each
+                defining class once), NUL-separated, UTF-8
+    <HHhB       per entry: serial, triggernum, statenum, type index
+    value       every entry's params, one tagged list of dicts
+
+Every entry's ``trigobj`` is the anchor, stored once.  A one-entry group
+is one byte shorter than the one-state record :meth:`TriggerState.encode`
+writes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 import struct
+from collections.abc import Sequence
 from typing import Any
 
 from repro.errors import SerializationError, TriggerError
-from repro.objects.oid import PersistentPtr
+from repro.objects.oid import PersistentPtr, TriggerId
 from repro.objects.serialize import decode_value, encode_value
 
-#: A trigger identifier is a persistent pointer to its TriggerState record.
-TriggerId = PersistentPtr
+__all__ = [
+    "SERIAL_MAX",
+    "GroupFrame",
+    "TriggerGroup",
+    "TriggerId",
+    "TriggerState",
+    "decode_group",
+    "encode_group",
+    "frame_group",
+    "pack_group",
+]
 
-#: First byte of every state record.  Object records start with their
-#: format version (1) and tagged values with a tag (0-9), so neither can
+#: First byte of a one-state record.  Object records start with their
+#: format version (1) and tagged values with a tag (0-10), so neither can
 #: be taken for a state.
 _MARK = 0xA5
 _HEAD = struct.Struct("<BqqqHH")
 _I64_RANGE = range(-(2**63), 2**63)
 _NAME_MAX = 0xFFFF  # the head stores each name length as ``H``
 
+#: First byte of a group record (distinct from the one-state mark too).
+_GROUP_MARK = 0xA6
+_GROUP_HEAD = struct.Struct("<BqHHH")
+_ENTRY = struct.Struct("<HHhB")
+#: Serials are ``H``: a group admits this many activations over its life.
+SERIAL_MAX = 0xFFFF
+_TYPES_MAX = 0xFF  # a type index is ``B``
+
 
 @dataclasses.dataclass
 class TriggerState:
-    """In-memory image of one persistent trigger-state record."""
+    """In-memory image of one trigger's state."""
 
     triggernum: int
     trigobj: PersistentPtr
@@ -61,6 +93,9 @@ class TriggerState:
     params: dict[str, Any] = dataclasses.field(default_factory=dict)
 
     def encode(self) -> bytes:
+        """The one-state record.  No stored record uses it — states are
+        stored in groups — and it stays because the benchmark's
+        ``perf/micro.py`` times it and ``perf/trace.py`` wraps it."""
         trigobj = self.trigobj
         try:
             db_name = trigobj.db_name.encode("utf-8")
@@ -94,43 +129,27 @@ class TriggerState:
         integer fields reject it explicitly — a ``True`` statenum would
         otherwise advance the DFA from state 1."""
         ptr = self.trigobj
-        fields: list[tuple[str, Any, type]] = [
-            ("triggernum", self.triggernum, int),
-            ("statenum", self.statenum, int),
-            ("trigobj", ptr, PersistentPtr),
+        fields: list[tuple[str, Any, type, Any]] = [
+            ("triggernum", self.triggernum, int, _I64_RANGE),
+            ("statenum", self.statenum, int, _I64_RANGE),
+            ("trigobj", ptr, PersistentPtr, None),
         ]
         if isinstance(ptr, PersistentPtr):
             fields += [
-                ("trigobj.rid", ptr.rid, int),
-                ("trigobj.db_name", ptr.db_name, str),
+                ("trigobj.rid", ptr.rid, int, _I64_RANGE),
+                ("trigobj.db_name", ptr.db_name, str, _NAME_MAX),
             ]
         fields += [
-            ("trigobjtype", self.trigobjtype, str),
-            ("params", self.params, dict),
+            ("trigobjtype", self.trigobjtype, str, _NAME_MAX),
+            ("params", self.params, dict, None),
         ]
-        for name, value, expected in fields:
-            if not isinstance(value, expected) or (
-                expected is int and isinstance(value, bool)
-            ):
-                return (
-                    f"trigger-state field {name!r} is {type(value).__name__} "
-                    f"({value!r}), expected {expected.__name__}"
-                )
-            if expected is int and value not in _I64_RANGE:
-                return f"trigger-state field {name!r} = {value} does not fit in 64 bits"
-            if expected is str and len(value.encode("utf-8")) > _NAME_MAX:
-                return (
-                    f"trigger-state field {name!r} is longer than "
-                    f"{_NAME_MAX} UTF-8 bytes"
-                )
-        return "trigger state cannot be encoded"
+        problem = _first_problem("trigger-state", fields)
+        return problem or "trigger state cannot be encoded"
 
     @classmethod
     def decode(cls, raw: bytes) -> "TriggerState":
-        """Decode a state record; anything that is not one — a truncated
-        or bit-flipped record, or another record kind — raises
-        :class:`TriggerError`, so fsck and ODE1xx can report instead of
-        crashing deep in the DFA advance."""
+        """Decode a one-state record (see :meth:`encode`); anything that is
+        not one raises :class:`TriggerError`."""
         try:
             mark, triggernum, statenum, rid, name_len, type_len = _HEAD.unpack_from(raw)
             if mark != _MARK:
@@ -177,3 +196,246 @@ class TriggerState:
     def arg_tuple(self, param_names: tuple[str, ...]) -> tuple[Any, ...]:
         """The activation arguments in declaration order."""
         return tuple(self.params[name] for name in param_names)
+
+
+@dataclasses.dataclass
+class TriggerGroup:
+    """In-memory image of one group record: the states active on one
+    object (the *anchor*), as ``(serial, state)`` pairs in activation
+    order, and the serial the next activation gets."""
+
+    anchor: PersistentPtr
+    next_serial: int
+    entries: list[tuple[int, TriggerState]]
+
+    def encode(self) -> bytes:
+        serials = [serial for serial, _ in self.entries]
+        states = [state for _, state in self.entries]
+        return encode_group(self.anchor, self.next_serial, serials, states)
+
+    @classmethod
+    def decode(cls, raw: bytes) -> "TriggerGroup":
+        """See :func:`decode_group`."""
+        anchor, next_serial, serials, states, _frame = decode_group(raw)
+        return cls(anchor, next_serial, list(zip(serials, states)))
+
+
+# The codec works on the entries as two parallel sequences, serials and
+# states, so the run time can hand over its machines' fields without
+# pairing them first.
+
+#: A group record but for its entry heads — everything an FSM advance
+#: leaves unchanged: ``(prefix, indexes, suffix)``, the head and names,
+#: each entry's index into the type table, and the params value.
+GroupFrame = tuple[bytes, tuple[int, ...], bytes]
+
+_triggernum = operator.attrgetter("triggernum")
+_statenum = operator.attrgetter("statenum")
+
+
+def frame_group(
+    anchor: PersistentPtr,
+    next_serial: int,
+    serials: Sequence[int],
+    states: Sequence[TriggerState],
+) -> GroupFrame:
+    """The frame of the group record of *states* (under *serials*) on
+    *anchor*.  Refuses, with :class:`SerializationError` naming the field,
+    anything that does not fit the layout — a value of the wrong type (a
+    ``bool`` where an int belongs included) or out of its field's range."""
+    types: dict[str, int] = {}
+    indexes = []
+    params = []
+    try:
+        for serial, state in zip(serials, states):
+            name = state.trigobjtype
+            index = types.get(name)
+            if index is None:
+                index = types[name] = len(types)
+            indexes.append(index)
+            entry_params = state.params
+            if (
+                type(serial) is bool
+                or type(state.triggernum) is bool
+                or type(state.statenum) is bool
+                or type(entry_params) is not dict
+            ):
+                raise TypeError
+            params.append(entry_params)
+        if (
+            type(next_serial) is bool
+            or len(serials) != len(states)
+            or len(types) > _TYPES_MAX
+        ):
+            raise TypeError
+        names = "\0".join([anchor.db_name, *types]).encode("utf-8")
+        if names.count(b"\0") != len(types):
+            raise TypeError  # a name holds a NUL
+        head = _GROUP_HEAD.pack(
+            _GROUP_MARK, anchor.rid, next_serial, len(indexes), len(names)
+        )
+        prefix = head + names
+    except (AttributeError, TypeError, struct.error):
+        raise SerializationError(
+            _unencodable_group(anchor, next_serial, serials, states)
+        ) from None
+    suffix = bytearray()
+    encode_value(params, suffix)
+    return prefix, tuple(indexes), bytes(suffix)
+
+
+def pack_group(
+    frame: GroupFrame, serials: Sequence[int], states: Sequence[TriggerState]
+) -> bytes:
+    """The group record: *frame* around the entry heads of *states* —
+    the states the frame was made from, which may have advanced since.
+    An advance rewrites a group without re-encoding its names or params."""
+    prefix, indexes, suffix = frame
+    try:
+        triggernums = map(_triggernum, states)
+        statenums = map(_statenum, states)
+        heads = b"".join(map(_ENTRY.pack, serials, triggernums, statenums, indexes))
+    except struct.error:
+        raise SerializationError(
+            _first_problem("trigger-group", _entry_fields(serials, states))
+            or "trigger group cannot be encoded"
+        ) from None
+    return prefix + heads + suffix
+
+
+def encode_group(
+    anchor: PersistentPtr,
+    next_serial: int,
+    serials: Sequence[int],
+    states: Sequence[TriggerState],
+) -> bytes:
+    """The group record of *states* on *anchor* (see :func:`frame_group`)."""
+    frame = frame_group(anchor, next_serial, serials, states)
+    return pack_group(frame, serials, states)
+
+
+def _unencodable_group(anchor, next_serial, serials, states) -> str:
+    """Why :func:`frame_group` refused, naming the field (its slow path)."""
+    fields: list[tuple[str, Any, type, Any]] = [
+        ("anchor", anchor, PersistentPtr, None),
+    ]
+    if isinstance(anchor, PersistentPtr):
+        fields += [
+            ("anchor.rid", anchor.rid, int, _I64_RANGE),
+            ("anchor.db_name", anchor.db_name, str, _NAME_MAX),
+        ]
+    fields += [
+        ("next_serial", next_serial, int, range(SERIAL_MAX + 1)),
+        ("states", list(states), list, range(SERIAL_MAX + 1)),
+    ]
+    if len(serials) != len(states):
+        return f"trigger group has {len(serials)} serials for {len(states)} states"
+    types = {s.trigobjtype for s in states if isinstance(s.trigobjtype, str)}
+    if len(types) > _TYPES_MAX:
+        return (
+            f"trigger group has {len(types)} defining types, "
+            f"at most {_TYPES_MAX} fit"
+        )
+    problem = _first_problem("trigger-group", fields + _entry_fields(serials, states))
+    if problem:
+        return problem
+    names = [anchor.db_name, *types]
+    if any("\0" in name for name in names):
+        return "trigger-group names cannot contain NUL"
+    if len("\0".join(names).encode("utf-8")) > _NAME_MAX:
+        return f"trigger-group names are longer than {_NAME_MAX} UTF-8 bytes"
+    return "trigger group cannot be encoded"
+
+
+def _entry_fields(serials, states) -> list[tuple[str, Any, type, Any]]:
+    fields: list[tuple[str, Any, type, Any]] = []
+    for position, (serial, state) in enumerate(zip(serials, states)):
+        where = f"entries[{position}]"
+        fields += [
+            (f"{where} serial", serial, int, range(SERIAL_MAX + 1)),
+            (f"{where} triggernum", state.triggernum, int, range(0x10000)),
+            (f"{where} statenum", state.statenum, int, range(-0x8000, 0x8000)),
+            (f"{where} trigobjtype", state.trigobjtype, str, None),
+            (f"{where} params", state.params, dict, None),
+        ]
+    return fields
+
+
+def decode_group(
+    raw: bytes,
+) -> tuple[PersistentPtr, int, list[int], list[TriggerState], GroupFrame]:
+    """``(anchor, next_serial, serials, states, frame)`` of a group record.
+    Anything that is not one — a truncated or bit-flipped record, or
+    another record kind — raises :class:`TriggerError`, so fsck and ODE1xx
+    can report instead of crashing deep in the DFA advance.  Serial order
+    and uniqueness are not checked here: ``verify_integrity`` reports
+    them."""
+    try:
+        mark, rid, next_serial, count, names_len = _GROUP_HEAD.unpack_from(raw)
+        if mark != _GROUP_MARK:
+            raise TriggerError(
+                f"corrupt trigger-group record: mark byte {mark:#04x}, "
+                f"expected {_GROUP_MARK:#04x}"
+            )
+        pos = _GROUP_HEAD.size + names_len
+        heads_end = pos + _ENTRY.size * count
+        if heads_end > len(raw):
+            raise TriggerError(
+                "corrupt trigger-group record: names or entries run past the end"
+            )
+        names = raw[_GROUP_HEAD.size : pos].decode("utf-8").split("\0")
+        anchor = PersistentPtr(names[0], rid)
+        heads = _ENTRY.iter_unpack(raw[pos:heads_end])
+        params, end = decode_value(raw, heads_end)
+        if end != len(raw):
+            raise TriggerError(
+                f"corrupt trigger-group record: {len(raw)} bytes, the fields span {end}"
+            )
+        if type(params) is not list or len(params) != count:
+            raise TriggerError(
+                "corrupt trigger-group record: params are not one value per entry"
+            )
+        serials = []
+        states = []
+        indexes = []
+        for (serial, triggernum, statenum, index), entry_params in zip(heads, params):
+            if type(entry_params) is not dict:
+                raise TriggerError(
+                    f"corrupt trigger-group record: entry {serial}'s params "
+                    "are not a mapping"
+                )
+            serials.append(serial)
+            indexes.append(index)
+            # names[0] is the db name; the type table follows it.
+            trigobjtype = names[index + 1]
+            states.append(
+                TriggerState(triggernum, anchor, statenum, trigobjtype, entry_params)
+            )
+    except (struct.error, UnicodeDecodeError, SerializationError, IndexError) as exc:
+        raise TriggerError(f"corrupt trigger-group record: {exc}") from None
+    frame = raw[:pos], tuple(indexes), raw[heads_end:]
+    return anchor, next_serial, serials, states, frame
+
+
+def _first_problem(kind: str, fields) -> str | None:
+    """Describe the first ``(name, value, type, bound)`` that cannot be
+    encoded (``None``: none).  *bound* is the allowed range of an int or of
+    a list's length, or the most UTF-8 bytes a str may take (``None``: no
+    bound)."""
+    for name, value, expected, bound in fields:
+        if not isinstance(value, expected) or (
+            expected is int and isinstance(value, bool)
+        ):
+            return (
+                f"{kind} field {name!r} is {type(value).__name__} "
+                f"({value!r}), expected {expected.__name__}"
+            )
+        if bound is None:
+            continue
+        if expected is int and value not in bound:
+            return f"{kind} field {name!r} = {value} is out of range"
+        if expected is str and len(value.encode("utf-8")) > bound:
+            return f"{kind} field {name!r} is longer than {bound} UTF-8 bytes"
+        if expected is list and len(value) not in bound:
+            return f"{kind} field {name!r} has {len(value)} items, too many"
+    return None

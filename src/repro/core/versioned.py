@@ -1,40 +1,48 @@
-"""Versioned TriggerState — the MVCC advance path (DESIGN.md §15).
+"""Versioned trigger groups — the MVCC advance path (DESIGN.md §15).
 
 The paper's Section 6 complaint is that *"triggers turn read access into
-write access"*: every FSM advance rewrites the persistent TriggerState
+write access"*: every FSM advance rewrites the persistent trigger state
 under an exclusive lock, so identical read-only client code starts waiting
 and deadlocking the moment triggers are active (experiment E6).  This
 module is the second concurrency-control scheme for trigger state —
 selected per open with ``Database.open(..., trigger_cc="mvcc")``, with
-strict 2PL (``"2pl"``) remaining the baseline:
+strict 2PL (``"2pl"``) remaining the baseline.  Its unit is the object's
+trigger group (:mod:`repro.core.trigger_state`):
 
-* **Advance buffer.**  A posting never writes the state record.  The
-  first advance of a machine in a transaction clones the latest
-  *committed* version of its TriggerState into a per-transaction
-  :class:`BufferEntry`; the FSM advances against that private copy, and
-  every ``(eventnum, occurrence, mask outcomes)`` it consumes is appended
-  to the entry — the outcomes are what the masks said *at posting time*,
-  so a commit-time replay cannot be skewed by later mutations of the
-  anchor object.  Read-only transactions therefore take **zero X locks**
-  on ``state:*`` records, and the E6 deadlock cycle cannot form.
+* **Advance buffer.**  A posting never writes the group record.  The
+  first touch of a group in a transaction clones the latest *committed*
+  version into a per-transaction :class:`BufferedGroup`; the FSMs advance
+  against that private copy, and every ``(eventnum, occurrence, mask
+  outcomes)`` a machine consumes is appended to its :class:`BufferEntry`
+  — the outcomes are what the masks said *at posting time*, so a
+  commit-time replay cannot be skewed by later mutations of the anchor
+  object.  Read-only transactions therefore take **zero X locks** on
+  ``state-group`` records, and the E6 deadlock cycle cannot form.
 
-* **Version chain.**  :class:`TriggerVersionManager` keeps, per state
-  rid, the head of its chain of immutable :class:`StateVersion`
+* **Membership changes.**  Once a group's creating transaction has
+  committed, its bytes are written only by the commit-time merge.  An
+  activation or deactivation on such a group X-locks its rid (so
+  membership changes serialize, as the index bucket they used to rewrite
+  did) and is buffered like an advance.
+
+* **Version chain.**  :class:`TriggerVersionManager` keeps, per group
+  rid, the head of its chain of immutable :class:`GroupVersion`
   snapshots — always the latest *committed* image; a superseded version
   is dropped when its successor is published.  Heads are created lazily
   from the storage engine's committed bytes (``storage.peek`` — no
   locks) and a new head is published only after the publishing
   transaction's commit record is durable.
 
-* **Commit-time merge.**  At commit, each buffered entry is validated
-  against the then-current head.  If the base version is still the head,
-  the working copy *is* the merged state (first-committer fast path).  On
-  a lost update — another transaction published a newer version since we
-  buffered — the merge re-advances the buffered event sequence
-  deterministically from the newer head (replay); a conflict never
-  aborts the transaction.  Merged states are written through the normal
-  WAL (``UPDATE`` records with before-images), so crash recovery,
-  ``fsck`` ODE1xx, and the abort path need no new machinery.
+* **Commit-time merge.**  At commit, each buffered group is merged onto
+  the then-current head: head → replayed advances → membership changes.
+  If the base version is still the head, an advanced machine's working
+  copy *is* its merged state (first-committer fast path); on a lost
+  update — another transaction published a newer version since we
+  buffered — the machine's buffered event sequence is re-advanced
+  deterministically from the newer head (replay); a conflict never aborts
+  the transaction.  Merged groups are written through the normal WAL
+  (``UPDATE`` records with before-images), so crash recovery, ``fsck``
+  ODE1xx, and the abort path need no new machinery.
 
 The merge → storage-commit → publish sequence runs under the manager's
 one ``commit_mutex`` (a :class:`threading.RLock`) so no other transaction
@@ -42,10 +50,11 @@ can validate against a head that is about to change.  A merge that
 *fails* (a storage error) rolls back under the same mutex — merged writes
 carry no record locks, so their WAL undo must not interleave with another
 committer's ``write_merged``.  Nothing inside that critical section can
-wait on the lock manager (fresh-insert writes re-acquire an X lock the
-inserting transaction already holds, which grants immediately, and the
-failure path defers its system-queue drain until the mutex is released),
-so the cooperative scheduler cannot wedge on it.
+wait on the lock manager (writes and deletes of a group whose membership
+this transaction changed re-acquire an X lock it already holds, which
+grants immediately, and the failure path defers its system-queue drain
+until the mutex is released), so the cooperative scheduler cannot wedge
+on it.
 
 Known semantic window: firings are dispatched optimistically at posting
 time from the buffered view.  A replay merge repairs the committed
@@ -63,13 +72,21 @@ from typing import TYPE_CHECKING
 from repro import obs
 from repro.core.posting import (
     STATE_STORE,
+    Group,
     Machine,
     PostingStats,
     StateStore,
     VolatileStates,
     advance_all,
 )
-from repro.core.trigger_state import TriggerState
+from repro.core.trigger_state import (
+    TriggerGroup,
+    TriggerState,
+    decode_group,
+    frame_group,
+    pack_group,
+)
+from repro.storage.locks import LockMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import TriggerSystem
@@ -77,16 +94,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.transactions.txn import Transaction
 
 
-@dataclasses.dataclass(frozen=True)
-class StateVersion:
-    """One immutable committed snapshot of a TriggerState record.
+class GroupVersion:
+    """One committed snapshot of a trigger group record, never mutated
+    after publication: the fields :func:`decode_group` returns — anchor,
+    ``next_serial``, the entries as serials and states, and the record's
+    frame — under a version id.
 
     Only the head is kept: validation compares a buffer's ``base_vid``
-    with the head's ``vid``, and no reader ever asks for an older state,
+    with the head's ``vid``, and no reader ever asks for an older image,
     so a superseded version is garbage as soon as it is replaced."""
 
-    vid: int
-    state: TriggerState  # never mutated after publication
+    __slots__ = ("vid", "anchor", "next_serial", "serials", "states", "frame")
+
+    def __init__(self, vid, anchor, next_serial, serials, states, frame):
+        self.vid = vid
+        self.anchor = anchor
+        self.next_serial = next_serial
+        self.serials = tuple(serials)
+        self.states = tuple(states)
+        self.frame = frame
+
+    @property
+    def image(self) -> TriggerGroup:
+        return TriggerGroup(
+            self.anchor, self.next_serial, list(zip(self.serials, self.states))
+        )
 
 
 class BufferEntry(Machine):
@@ -96,28 +128,62 @@ class BufferEntry(Machine):
     ordered ``(eventnum, occurrence, mask outcomes)`` log the commit-time
     merge replays on conflict — the outcomes dict snapshots what every
     mask evaluated to *when the event was posted*, so replay is immune to
-    the transaction mutating the anchor object afterwards.  ``obj`` is
-    kept only as a last-resort evaluation anchor for a mask whose
-    posting-time capture raised (the same per-transaction cached instance
-    posting used, so replay never dereferences — and never locks —
-    anything new at commit time).  ``fresh`` marks a machine activated by
-    this very transaction: its record was inserted (under the X lock
-    inserts always grant immediately) and has no committed base version
-    to validate against.
+    the transaction mutating the anchor object afterwards.  ``fresh``
+    marks a machine this very transaction activated: it has no committed
+    base to replay from.
     """
 
-    def __init__(self, rid, state, base_vid, obj, fresh=False):
-        super().__init__(rid, state)
-        self.base_vid = base_vid
-        self.obj = obj
+    __slots__ = ("events", "fresh")
+
+    def __init__(self, rid, serial, state):
+        super().__init__(rid, serial, state)
         self.events: list = []
-        self.fresh = fresh
+        self.fresh = False
+
+
+class BufferedGroup(Group):
+    """One group's working copy inside a transaction (MVCC).
+
+    ``base_vid`` is the head it was cloned from.  ``obj`` is the anchor
+    instance posting evaluated masks against — the same per-transaction
+    cached instance, kept only as a last-resort evaluation anchor for a
+    mask whose posting-time capture raised, so replay never dereferences
+    (and never locks) anything new at commit time.  ``locked``: this
+    transaction holds the group's X lock and so may change its membership;
+    ``added`` / ``removed`` are those changes.  ``fresh`` marks a group
+    this transaction created: its record was inserted (as ``inserted``),
+    is invisible to everyone else until commit, and has no committed head.
+    """
+
+    #: set by the first settled advance (so: ``None`` until one)
+    obj = None
+    inserted = b""
+
+    def __init__(
+        self, rid, anchor, next_serial, serials, states, frame, base_vid, fresh=False
+    ):
+        super().__init__(rid, anchor, next_serial, serials, states, frame, BufferEntry)
+        self.base_vid = base_vid
+        self.fresh = self.locked = fresh
+        self.added: list[BufferEntry] = []
+        self.removed: set[int] = set()
+
+    def sync(self, head: GroupVersion) -> None:
+        """Adopt the committed membership of *head* (its order), keeping
+        the working copies of machines still in it."""
+        mine = {machine.serial: machine for machine in self.machines}
+        self.machines = tuple(
+            mine.get(serial) or BufferEntry(self.rid, serial, state.clone())
+            for serial, state in zip(head.serials, head.states)
+        )
+        self.next_serial = max(self.next_serial, head.next_serial)
+        self.frame = None
 
 
 class AdvanceBuffer(StateStore):
     """The per-transaction advance buffer — the MVCC state store.
 
-    A posting never reads a state record under a lock and never writes
+    A posting never reads a group record under a lock and never writes
     one: the first touch clones the latest *committed* version (see
     :meth:`TriggerVersionManager.committed_head`), later touches reuse
     the working copy, and the commit-time merge does the writing.  Dies
@@ -132,29 +198,77 @@ class AdvanceBuffer(StateStore):
         self.db = system.db
         self.versions = system.versions
         self.txid = txn.txid
-        self.machines: dict[int, BufferEntry] = {}
-        #: rids this transaction deactivated/deleted; the merge skips
-        #: them and publication drops their chains.
-        self.deactivated: set[int] = set()
+        self.groups: dict[int, BufferedGroup] = {}
 
     def __bool__(self) -> bool:
-        return bool(self.machines or self.deactivated)
+        return bool(self.groups)
 
-    def load(self, rid, obj):
-        head = self.versions.committed_head(rid)
-        entry = self.machines[rid] = BufferEntry(rid, head.state.clone(), head.vid, obj)
-        return entry
+    def group(self, rid):
+        group = self.groups.get(rid)
+        if group is None:
+            head = self.versions.committed_head(rid)
+            group = self.groups[rid] = BufferedGroup(
+                rid,
+                head.anchor,
+                head.next_serial,
+                head.serials,
+                [state.clone() for state in head.states],
+                head.frame,
+                head.vid,
+            )
+        return group
 
-    def adopt(self, rid, state, obj):
-        # Same-transaction postings must find this machine here: its
-        # record is uncommitted, so no version chain can be loaded for it.
-        # The activation insert already holds the record's X lock; the
-        # merge re-writes it through the normal locked path, and the chain
-        # head is created only if the transaction commits.
-        self.machines[rid] = BufferEntry(rid, state, base_vid=0, obj=obj, fresh=True)
+    def create(self, anchor, state):
+        # The insert holds the record's X lock; same-transaction postings
+        # find the group here, and the merge writes its final image.
+        frame = frame_group(anchor, 1, (0,), (state,))
+        inserted = pack_group(frame, (0,), (state,))
+        rid = self.db.storage.insert(self.txid, inserted)
+        group = BufferedGroup(rid, anchor, 1, (0,), (state,), frame, 0, fresh=True)
+        self.groups[rid] = group
+        group.inserted = inserted
+        (machine,) = group.machines
+        machine.fresh = True
+        group.added.append(machine)
+        return group
 
-    def settle(self, entry, old_state, eventnum, occurrence, outcomes, span):
+    def activate(self, group, state):
+        self._lock(group)
+        machine = group.add(state, BufferEntry)
+        machine.fresh = True
+        group.added.append(machine)
+        return machine
+
+    def deactivate(self, group, serial):
+        self._lock(group)
+        machine = group.remove(serial)
+        if machine is not None:
+            if machine.fresh:
+                group.added.remove(machine)
+            else:
+                group.removed.add(serial)
+        return machine
+
+    def drop(self, group):
+        self._lock(group)
+        for machine in group.machines:
+            self.deactivate(group, machine.serial)
+
+    def _lock(self, group: BufferedGroup) -> None:
+        """Take the group's X lock before a membership change, then adopt
+        the membership committed meanwhile: it cannot move again until
+        this transaction commits."""
+        if group.locked:
+            return
+        self.db.storage.lock_manager.lock(self.txid, group.rid, LockMode.X)
+        group.locked = True
+        head = self.versions.committed_head(group.rid)
+        if head.vid != group.base_vid:
+            group.sync(head)
+
+    def settle(self, entry, obj, old_state, eventnum, occurrence, outcomes, span):
         versions = self.versions
+        self.groups[entry.rid].obj = obj
         if outcomes is None:
             outcomes = {}
         masks = entry.info.masks
@@ -170,7 +284,7 @@ class AdvanceBuffer(StateStore):
                 if mask_name not in outcomes:
                     try:
                         outcomes[mask_name] = bool(
-                            mask(entry.obj, entry.state.params, occurrence)
+                            mask(obj, entry.state.params, occurrence)
                         )
                     except Exception:
                         pass
@@ -180,20 +294,13 @@ class AdvanceBuffer(StateStore):
         with versions.stats._mutex:
             versions.stats.buffered_advances += 1
         if span and entry.state.statenum != old_state:
-            obs.emit("state.buffer", span, state_rid=entry.rid, trigger=entry.info.name)
-
-    def forget(self, rid):
-        self.machines.pop(rid, None)
-        self.deactivated.add(rid)
-
-    def read(self, rid):
-        # This transaction's own buffered advances are visible to it
-        # (read-your-writes); a clone, so callers can't mutate the working
-        # copy.
-        entry = self.machines.get(rid)
-        if entry is not None:
-            return entry.state.clone()
-        return TriggerState.decode(self.db.storage.read(self.txid, rid))
+            obs.emit(
+                "state.buffer",
+                span,
+                group_rid=entry.rid,
+                serial=entry.serial,
+                trigger=entry.info.name,
+            )
 
 
 @dataclasses.dataclass
@@ -244,12 +351,12 @@ class MvccStats:
 
 
 class TriggerVersionManager:
-    """Copy-on-write TriggerState versions for one database."""
+    """Copy-on-write trigger-group versions for one database."""
 
     def __init__(self, db: "Database"):
         self.db = db
-        #: state rid -> committed head version.
-        self._chains: dict[int, StateVersion] = {}
+        #: group rid -> committed head version.
+        self._chains: dict[int, GroupVersion] = {}
         self._chain_mutex = threading.Lock()
         self.stats = MvccStats()
         # Counter increments share the chain mutex (LockStats discipline):
@@ -267,42 +374,43 @@ class TriggerVersionManager:
 
     # -- the version chain -----------------------------------------------------
 
-    def committed_head(self, state_rid: int) -> StateVersion:
-        """The latest committed version of *state_rid*'s TriggerState.
+    def committed_head(self, group_rid: int) -> GroupVersion:
+        """The latest committed version of group *group_rid*.
 
         Chains are loaded lazily from the engine's committed bytes via
-        ``storage.peek`` — lock-free, which is sound because a state rid
-        only becomes visible to other transactions once its activating
+        ``storage.peek`` — lock-free, which is sound because a group rid
+        only becomes visible to other transactions once its creating
         transaction committed (the trigger index bucket is 2PL-locked),
-        and every later mutation goes through this manager, which keeps
-        the chain current.
+        and every later write goes through this manager's merge, which
+        keeps the chain current.
         """
         with self._chain_mutex:
-            head = self._chains.get(state_rid)
+            head = self._chains.get(group_rid)
         if head is not None:
             return head
-        raw = self.db.storage.peek(state_rid)
-        state = TriggerState.decode(raw)
+        decoded = decode_group(self.db.storage.peek(group_rid))
         with self._chain_mutex:
-            head = self._chains.get(state_rid)
+            head = self._chains.get(group_rid)
             if head is None:
-                head = StateVersion(next(self._vids), state)
-                self._chains[state_rid] = head
+                head = GroupVersion(next(self._vids), *decoded)
+                self._chains[group_rid] = head
                 self.stats.chains_loaded += 1
             return head
 
-    def head_or_none(self, state_rid: int) -> StateVersion | None:
+    def head_or_none(self, group_rid: int) -> GroupVersion | None:
         with self._chain_mutex:
-            return self._chains.get(state_rid)
+            return self._chains.get(group_rid)
 
     # -- commit-time merge ------------------------------------------------------
 
-    def commit_merge(self, txn: "Transaction") -> list[tuple[int, TriggerState]]:
-        """Validate and write *txn*'s buffered advances; returns the
-        ``(rid, merged state)`` pairs to publish after the storage commit.
+    def commit_merge(self, txn: "Transaction") -> list:
+        """Merge and write *txn*'s buffered groups; returns what to publish
+        after the storage commit: ``(rid, fields)`` pairs, *fields* being
+        :class:`GroupVersion`'s after the vid, or ``None`` for a group
+        deleted.
 
         Must run under :attr:`commit_mutex`.  A lost update is resolved
-        by replaying the entry's event log from the newer head, so a
+        by replaying the machine's event log from the newer head, so a
         conflict never fails the merge; only a storage error can, and
         the caller rolls back everything (including any merged WAL
         writes already applied, via their before-images).
@@ -311,70 +419,104 @@ class TriggerVersionManager:
         if buffer is None:
             return []
         storage = self.db.storage
-        publishes: list[tuple[int, TriggerState]] = []
-        for state_rid in sorted(buffer.machines):
-            if state_rid in buffer.deactivated:
+        publishes: list = []
+        for rid in sorted(buffer.groups):
+            group = buffer.groups[rid]
+            if group.fresh:
+                # Created by this transaction, which holds its X lock: the
+                # working copy is the whole truth.
+                if not group.machines:
+                    storage.delete(txn.txid, rid)
+                    continue
+                raw = group.encode()
+                if raw != group.inserted:
+                    storage.write(txn.txid, rid, raw)
+                publishes.append((rid, _fields(group, group.anchor, group.next_serial)))
                 continue
-            entry = buffer.machines[state_rid]
-            if entry.fresh:
-                # Activated by this transaction: the insert wrote the
-                # quiesced state and still holds the X lock, so this
-                # write grants immediately (no wait inside the mutex).
-                if entry.events:
-                    storage.write(txn.txid, state_rid, entry.state.encode())
-                publishes.append((state_rid, entry.state))
-                continue
-            if not entry.events:
+            if not group.locked and group.obj is None:
                 continue  # loaded but never advanced: nothing to merge
-            if not storage.exists(txn.txid, state_rid):
-                continue  # deactivated+committed elsewhere; chain already dropped
-            head = self.committed_head(state_rid)
-            if head.vid == entry.base_vid:
-                merged = entry.state
-                with self._chain_mutex:
-                    self.stats.merges += 1
+            if not storage.exists(txn.txid, rid):
+                continue  # deleted and committed elsewhere; chain dropped
+            head = self.committed_head(rid)
+            clean = head.vid == group.base_vid
+            with self._chain_mutex:
+                self.stats.merges += 1
+                if clean:
                     self.stats.clean_merges += 1
-            else:
-                with self._chain_mutex:
-                    self.stats.merges += 1
+                else:
                     self.stats.conflicts += 1
                     self.stats.replays += 1
-                if obs.ENABLED:
-                    obs.emit(
-                        "mvcc.conflict",
-                        txid=txn.txid,
-                        state_rid=state_rid,
-                        base_vid=entry.base_vid,
-                        head_vid=head.vid,
-                    )
-                merged = self._replay(entry, head.state)
-            # The WAL-logged, lock-free write: exclusion comes from the
-            # commit mutex, not the lock manager — this is exactly the
-            # "state:* stops being X-locked" property E6 measures.
-            storage.write_merged(txn.txid, state_rid, merged.encode())
-            publishes.append((state_rid, merged))
+            if not clean and obs.ENABLED:
+                obs.emit(
+                    "mvcc.conflict",
+                    txid=txn.txid,
+                    group_rid=rid,
+                    base_vid=group.base_vid,
+                    head_vid=head.vid,
+                )
+            if clean and not group.locked:
+                # Nothing committed since the copy was made and no
+                # membership changed: the working copy is the merge.
+                fields = _fields(group, head.anchor, head.next_serial)
+            else:
+                fields = self._merged(group, head, clean)
+            if fields[3]:
+                # The WAL-logged, lock-free write: exclusion comes from the
+                # commit mutex, not the lock manager — this is exactly the
+                # "state-group stops being X-locked" property E6 measures.
+                _anchor, _next, serials, states, frame = fields
+                storage.write_merged(txn.txid, rid, pack_group(frame, serials, states))
+                publishes.append((rid, fields))
+            else:
+                # Only a membership change empties a group, and it holds
+                # the X lock: this grants immediately.
+                storage.delete(txn.txid, rid)
+                publishes.append((rid, None))
         return publishes
 
-    def publish(
-        self, txn: "Transaction", publishes: list[tuple[int, TriggerState]]
-    ) -> None:
-        """Install the merged states as new committed heads.
+    def _merged(self, group: BufferedGroup, head: GroupVersion, clean: bool):
+        """Head → this transaction's advances → its membership changes."""
+        mine = {machine.serial: machine for machine in group.machines}
+        serials = []
+        states = []
+        for serial, state in zip(head.serials, head.states):
+            if serial in group.removed:
+                continue
+            machine = mine.get(serial)
+            if machine is not None and machine.events:
+                if clean:
+                    state = machine.state
+                else:
+                    state = self._replay(machine, state, group.obj)
+            serials.append(serial)
+            states.append(state)
+        serials += [machine.serial for machine in group.added]
+        states += [machine.state for machine in group.added]
+        next_serial = max(head.next_serial, group.next_serial)
+        frame = head.frame
+        if group.added or group.removed or next_serial != head.next_serial:
+            frame = frame_group(head.anchor, next_serial, serials, states)
+        return head.anchor, next_serial, serials, states, frame
+
+    def publish(self, publishes: list) -> None:
+        """Install the merged groups as new committed heads (dropping the
+        chains of deleted groups); *publishes* is what
+        :meth:`commit_merge` returned.
 
         Called under :attr:`commit_mutex`, *after* the storage commit is
         durable — a published head must never precede its durability.
         """
-        buffer = txn.attachments.get(STATE_STORE)
         with self._chain_mutex:
-            for state_rid, state in publishes:
-                self._chains[state_rid] = StateVersion(next(self._vids), state)
-                self.stats.versions_published += 1
-            if buffer is not None:
-                for state_rid in buffer.deactivated:
-                    self._chains.pop(state_rid, None)
+            for rid, fields in publishes:
+                if fields is None:
+                    self._chains.pop(rid, None)
+                else:
+                    self._chains[rid] = GroupVersion(next(self._vids), *fields)
+                    self.stats.versions_published += 1
 
     # -- deterministic replay ---------------------------------------------------
 
-    def _replay(self, entry: BufferEntry, base: TriggerState) -> TriggerState:
+    def _replay(self, entry: BufferEntry, base: TriggerState, obj) -> TriggerState:
         """Re-advance *entry*'s buffered event log from *base*.
 
         Deterministic by construction: the event sequence and the mask
@@ -384,26 +526,37 @@ class TriggerVersionManager:
         a transaction that mutated the anchor object *after* posting
         cannot make the merge disagree with its own observed run.  Only a
         mask whose capture raised falls back to a live evaluation against
-        ``entry.obj`` (2PL on ordinary objects means nobody else changed
-        it under us).
+        *obj* (2PL on ordinary objects means nobody else changed it under
+        us).
         """
-        merged = Machine(entry.rid, base.clone())
+        merged = Machine(None, entry.serial, base.clone())
         merged.info, merged.defining = entry.info, entry.defining
-        store = VolatileStates({entry.rid: merged})
         # A re-advance at commit is not a posting: throw-away counters, and
         # no tier (generated closures evaluate masks live; replay must
         # answer from the recorded outcomes).
+        store = VolatileStates()
         scratch = PostingStats()
         for eventnum, occurrence, outcomes in entry.events:
             advance_all(
-                scratch, None, store, (entry.rid,),
-                eventnum, entry.obj, occurrence, replay=outcomes,
+                scratch, None, store, (merged,),
+                eventnum, obj, occurrence, replay=outcomes,
             )
         return merged.state
 
     # -- introspection ----------------------------------------------------------
 
     def heads(self) -> dict[int, int]:
-        """rid -> vid of its committed head (diagnostics/tests)."""
+        """group rid -> vid of its committed head (diagnostics/tests)."""
         with self._chain_mutex:
             return {rid: head.vid for rid, head in self._chains.items()}
+
+
+def _fields(group: BufferedGroup, anchor, next_serial) -> tuple:
+    """*group*'s working copy as :class:`GroupVersion` fields."""
+    machines = group.machines
+    serials = [m.serial for m in machines]
+    states = [m.state for m in machines]
+    frame = group.frame
+    if frame is None:
+        frame = group.frame = frame_group(anchor, next_serial, serials, states)
+    return anchor, next_serial, serials, states, frame

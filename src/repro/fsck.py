@@ -10,10 +10,10 @@ Two passes, modelled on a filesystem fsck:
 * **logical** — opens the database normally, which runs crash recovery
   first (exactly like an fsck replaying the journal), then checks: catalog
   referential integrity, B-tree invariants for every registered index,
-  persistent ``TriggerState`` ↔ trigger-index consistency (both
-  directions, including orphaned state records the index no longer
-  references), and the phoenix intention queue (well-formedness plus
-  dangling persistent pointers inside payloads).
+  trigger group ↔ trigger-index consistency (both directions, including
+  orphaned group records the index no longer references), and the phoenix
+  intention queue (well-formedness plus dangling persistent pointers
+  inside payloads).
 
 Every finding carries a *stable* ``ODE1xx`` code in the style of the
 static trigger analyzer (:mod:`repro.analysis.diagnostics`, codes
@@ -28,7 +28,7 @@ import os
 import zlib
 
 from repro.analysis.diagnostics import Severity
-from repro.core.trigger_state import TriggerState
+from repro.core.trigger_state import TriggerGroup
 from repro.errors import OdeError, TriggerError, WALError
 from repro.objects.oid import PersistentPtr
 from repro.objects.pmap import PersistentMap
@@ -67,7 +67,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "ODE120": (Severity.ERROR, "B-tree invariant violated"),
     "ODE121": (Severity.ERROR, "B-tree unreadable"),
     "ODE130": (Severity.ERROR, "trigger-state referential integrity violated"),
-    "ODE131": (Severity.WARNING, "orphaned TriggerState record"),
+    "ODE131": (Severity.WARNING, "orphaned trigger group record"),
     "ODE132": (Severity.INFO, "trigger type not importable here (check skipped)"),
     "ODE140": (Severity.ERROR, "malformed phoenix queue"),
     "ODE141": (Severity.WARNING, "phoenix intention references a missing object"),
@@ -357,7 +357,7 @@ def fsck_logical(db, report: FsckReport) -> None:
             except OdeError as exc:
                 report.add("ODE121", f"{key}: {exc}")
 
-        # Trigger index -> state records (missing/corrupt/mismatched).
+        # Trigger index -> group records (missing/corrupt/mismatched).
         # A type that simply is not imported in this process is an
         # environment gap, not corruption — report it as a skipped check.
         for problem in db.trigger_system.verify_integrity():
@@ -366,15 +366,15 @@ def fsck_logical(db, report: FsckReport) -> None:
             else:
                 report.add("ODE130", problem)
 
-        # Reverse direction: every TriggerState record must be indexed.
-        # A record is a state if it decodes as one.  pmap headers and
+        # Reverse direction: every group record must be indexed.  A
+        # record is a group if it decodes as one.  pmap headers and
         # buckets are raw struct arrays whose first byte can equal the
-        # state mark (a 165-entry bucket's count starts with 0xA5), so
+        # group mark (a 166-entry bucket's count starts with 0xA6), so
         # the rids the catalog already names — and every pmap's
         # buckets — are skipped rather than decoded.
-        indexed: set[int] = set()
-        for _, state_rids in db.trigger_system.index.entries(txn):
-            indexed.update(state_rids)
+        indexed = {
+            group_rid for _, group_rid in db.trigger_system.index.entries(txn)
+        }
         known = {db.catalog_rid, *catalog.values()}
         for key in catalog:
             if key.startswith("pmap:"):
@@ -384,15 +384,15 @@ def fsck_logical(db, report: FsckReport) -> None:
             if rid in known:
                 continue
             try:
-                tstate = TriggerState.decode(raw)
+                group = TriggerGroup.decode(raw)
             except TriggerError:
-                continue  # an object or B-tree record, not a state
-            report.trigger_states_scanned += 1
+                continue  # an object or B-tree record, not a group
+            report.trigger_states_scanned += len(group.entries)
             if rid not in indexed:
                 report.add(
                     "ODE131",
-                    f"rid {rid}: TriggerState for object "
-                    f"{tstate.trigobj} is not in the trigger index",
+                    f"rid {rid}: trigger group of object {group.anchor} "
+                    f"({len(group.entries)} state(s)) is not in the trigger index",
                 )
 
         # Phoenix queue: shape, pending count, dangling payload pointers.

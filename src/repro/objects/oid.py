@@ -48,3 +48,26 @@ class PersistentPtr:
 
 NULL_PTR = PersistentPtr("", -1)
 """The null persistent pointer (dereferencing it raises)."""
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class TriggerId(PersistentPtr):
+    """A trigger identifier: ``(database name, group rid, serial)``.
+
+    The paper's ``typedef persistent TriggerState *TriggerId``.  An
+    object's trigger states live in one group record, so the pointer part
+    names the group and *serial* names the state inside it; a serial is
+    never reused while its group lives.  Still a persistent pointer, so
+    ``Database.of`` resolves it and it can be stored in persistent fields
+    (it has its own tag in :mod:`repro.objects.serialize`)."""
+
+    serial: int
+
+    def encode(self) -> bytes:
+        return super().encode() + _RID.pack(self.serial)
+
+    @classmethod
+    def decode_from(cls, raw: bytes, pos: int) -> tuple["TriggerId", int]:
+        ptr, pos = PersistentPtr.decode_from(raw, pos)
+        (serial,) = _RID.unpack_from(raw, pos)
+        return cls(ptr.db_name, ptr.rid, serial), pos + _RID.size

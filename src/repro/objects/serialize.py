@@ -7,8 +7,8 @@ removing *triggers*, which are not fields at all — never forces a data
 conversion (paper design goal 5).
 
 The value encoding is a small recursive tagged format covering ``None``,
-ints, floats, bools, strings, bytes, persistent pointers, lists, and dicts
-with string keys.
+ints, floats, bools, strings, bytes, persistent pointers (trigger ids
+included), lists, and dicts with string keys.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import struct
 from typing import Any
 
 from repro.errors import SerializationError
-from repro.objects.oid import PersistentPtr
+from repro.objects.oid import PersistentPtr, TriggerId
 
 FORMAT_VERSION = 1
 
@@ -36,6 +36,7 @@ _TAG_PTR = 6
 _TAG_LIST = 7
 _TAG_DICT = 8
 _TAG_TUPLE = 9
+_TAG_TRIGGER_ID = 10
 
 #: Object-header flag: the object has (or once had) active triggers.  The
 #: paper (footnote 3) keeps this in the object's control information so
@@ -76,6 +77,9 @@ def encode_value(value: Any, out: bytearray) -> None:
         out += _U8.pack(_TAG_BYTES)
         out += _U32.pack(len(value))
         out += value
+    elif isinstance(value, TriggerId):  # before PersistentPtr: a subclass
+        out += _U8.pack(_TAG_TRIGGER_ID)
+        out += value.encode()
     elif isinstance(value, PersistentPtr):
         out += _U8.pack(_TAG_PTR)
         out += value.encode()
@@ -104,6 +108,27 @@ def decode_value(raw: bytes, pos: int) -> tuple[Any, int]:
     """Decode one tagged value from *raw* at *pos*; returns (value, new pos)."""
     (tag,) = _U8.unpack_from(raw, pos)
     pos += _U8.size
+    # Containers first: a trigger group's params (a list of dicts) are
+    # decoded on every object's first posting in a transaction.
+    if tag == _TAG_DICT:
+        (count,) = _U32.unpack_from(raw, pos)
+        pos += _U32.size
+        result: dict[str, Any] = {}
+        for _ in range(count):
+            (klen,) = _U32.unpack_from(raw, pos)
+            pos += _U32.size
+            key = raw[pos : pos + klen].decode("utf-8")
+            pos += klen
+            result[key], pos = decode_value(raw, pos)
+        return result, pos
+    if tag == _TAG_LIST or tag == _TAG_TUPLE:
+        (count,) = _U32.unpack_from(raw, pos)
+        pos += _U32.size
+        items = []
+        for _ in range(count):
+            item, pos = decode_value(raw, pos)
+            items.append(item)
+        return (tuple(items) if tag == _TAG_TUPLE else items), pos
     if tag == _TAG_NONE:
         return None, pos
     if tag == _TAG_BOOL:
@@ -125,25 +150,8 @@ def decode_value(raw: bytes, pos: int) -> tuple[Any, int]:
         return bytes(raw[pos : pos + length]), pos + length
     if tag == _TAG_PTR:
         return PersistentPtr.decode_from(raw, pos)
-    if tag in (_TAG_LIST, _TAG_TUPLE):
-        (count,) = _U32.unpack_from(raw, pos)
-        pos += _U32.size
-        items = []
-        for _ in range(count):
-            item, pos = decode_value(raw, pos)
-            items.append(item)
-        return (tuple(items) if tag == _TAG_TUPLE else items), pos
-    if tag == _TAG_DICT:
-        (count,) = _U32.unpack_from(raw, pos)
-        pos += _U32.size
-        result: dict[str, Any] = {}
-        for _ in range(count):
-            (klen,) = _U32.unpack_from(raw, pos)
-            pos += _U32.size
-            key = raw[pos : pos + klen].decode("utf-8")
-            pos += klen
-            result[key], pos = decode_value(raw, pos)
-        return result, pos
+    if tag == _TAG_TRIGGER_ID:
+        return TriggerId.decode_from(raw, pos)
     raise SerializationError(f"unknown value tag {tag}")
 
 

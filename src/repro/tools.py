@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 from typing import TYPE_CHECKING
 
-from repro.core.trigger_state import TriggerState
+from repro.core.trigger_state import TriggerGroup
 from repro.objects.serialize import FLAG_HAS_TRIGGERS, decode_object
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,7 +35,7 @@ def describe_objects(db: "Database") -> list[str]:
         try:
             type_name, fields, flags = decode_object(raw)
         except Exception:
-            continue  # catalog/index/state records are not object records
+            continue  # catalog/index/group records are not object records
         if not isinstance(fields, dict):
             continue
         tag = " [triggers]" if flags & FLAG_HAS_TRIGGERS else ""
@@ -49,10 +49,9 @@ def describe_triggers(db: "Database") -> list[str]:
     txn = db.txn_manager.current()
     lines = []
     index = db.trigger_system.index
-    for key, state_rids in sorted(index.entries(txn)):
-        for state_rid in state_rids:
-            raw = db.storage.read(txn.txid, state_rid)
-            tstate = TriggerState.decode(raw)
+    for key, group_rid in sorted(index.entries(txn)):
+        group = TriggerGroup.decode(db.storage.read(txn.txid, group_rid))
+        for serial, tstate in group.entries:
             try:
                 info = db.registry.find(tstate.trigobjtype).trigger_info(
                     tstate.triggernum
@@ -68,7 +67,8 @@ def describe_triggers(db: "Database") -> list[str]:
                 detail = f"state {tstate.statenum}"
             params = f" params={tstate.params}" if tstate.params else ""
             lines.append(
-                f"object {key}: {name} ({detail}){params} -> TriggerId rid {state_rid}"
+                f"object {key}: {name} ({detail}){params} "
+                f"-> TriggerId group {group_rid} serial {serial}"
             )
     return lines
 

@@ -160,7 +160,7 @@ class TransactionManager:
             self.db.flush_transaction(txn)
             if versions is not None and versions.pending(txn):
                 # MVCC commit-time merge (DESIGN.md §15): validate and
-                # write the buffered TriggerState advances, make the
+                # write the buffered trigger-group changes, make the
                 # transaction durable, then publish the new version heads
                 # — all under the one commit mutex, so no concurrent
                 # committer can validate against a head that is about to
@@ -185,7 +185,7 @@ class TransactionManager:
                         txn.state = TxnState.ACTIVE
                         self.abort(txn, explicit=False, drain=False)
                         raise
-                    versions.publish(txn, publishes)
+                    versions.publish(publishes)
             else:
                 self.db.storage.commit_transaction(txn.txid)
         except BaseException:

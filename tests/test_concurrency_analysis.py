@@ -193,20 +193,20 @@ class TestFootprintInference:
         (info,) = metatype.trigger_infos
         fp = infer_lock_footprint(info, metatype)
         # The paper's Section 5.4.5 posting path, in acquisition order:
-        # dereference, index lookup, state read, state write-back.
+        # dereference, index lookup, group read, group write-back.
         assert [(s.resource, s.mode) for s in fp.steps] == [
             ("object:HotObject", "S"),
             ("meta:index", "S"),
-            ("state:HotObject.Watch", "S"),
-            ("state:HotObject.Watch", "X"),
+            ("state-group:HotObject", "S"),
+            ("state-group:HotObject", "X"),
         ]
         assert fp.advancing == frozenset({"Ping", "Pong"})
         assert fp.readonly_postable >= frozenset({"Ping", "Pong"})
         assert not fp.detached_action
         assert fp.upgrades() == (
-            ("state:HotObject.Watch", ("object:HotObject", "meta:index")),
+            ("state-group:HotObject", ("object:HotObject", "meta:index")),
         )
-        assert "X(state:HotObject.Watch)" in fp.describe()
+        assert "X(state-group:HotObject)" in fp.describe()
 
     def test_watched_writer_takes_object_exclusive(self):
         metatype = WriterOnlyGadget.__metatype__
@@ -246,7 +246,7 @@ class TestStaticPasses:
         findings = _ode3(report)
         assert [d.code for d in findings] == ["ODE300"]
         message = findings[0].message
-        assert "X(state:AmplifyGadget.Amp)" in message
+        assert "X(state-group:AmplifyGadget)" in message
         assert "'Go'" in message
         assert "read access becomes write access" in message
 
@@ -258,7 +258,7 @@ class TestStaticPasses:
         report = analyze_classes([CycleGadget], concurrency=True)
         findings = _ode3(report)
         assert [d.code for d in findings] == ["ODE301"]
-        assert "state:CycleGadget.Spin" in findings[0].message
+        assert "state-group:CycleGadget" in findings[0].message
         assert "POSSIBLE" in findings[0].message
 
     def test_ode301_confirmed_by_witness(self):
@@ -275,7 +275,7 @@ class TestStaticPasses:
         )
         (finding,) = _ode3(report)
         assert finding.code == "ODE302"
-        assert "state:UpgradeGadget.Up" in finding.message
+        assert "state-group:UpgradeGadget" in finding.message
         assert "CONFIRMED" in finding.message
 
     def test_no_triggers_no_findings(self):
@@ -303,7 +303,7 @@ class TestStaticPasses:
         assert {"ODE300", "ODE301", "ODE302"} <= codes
         (ode300,) = report.by_code("ODE300")
         assert str(ode300.location) == "HotObject.Watch"
-        assert "X(state:HotObject.Watch)" in ode300.message
+        assert "X(state-group:HotObject)" in ode300.message
         assert "'Ping', 'Pong'" in ode300.message
         assert any(
             "CONFIRMED" in d.message for d in report.by_code("ODE301")
@@ -424,7 +424,7 @@ class TestDynamicLockset:
 
     def test_observed_profile_within_static_locksim(self, locksim_trace):
         """Property: footprint inference over-approximates every traced
-        object/state acquisition (meta records are engine plumbing the
+        object/group acquisition (meta records are engine plumbing the
         per-posting footprints do not name rid-by-rid)."""
         trace, _ = locksim_trace
         metatypes = [HotObject.__metatype__]
@@ -432,12 +432,12 @@ class TestDynamicLockset:
         static = static_lock_profile(metatypes)
         checked = 0
         for cls, modes in observed.items():
-            if cls.split(":", 1)[0] not in ("object", "state"):
+            if cls.split(":", 1)[0] not in ("object", "state-group"):
                 continue
             checked += 1
             assert modes <= static.get(cls, set()), cls
-        assert checked >= 2  # object:HotObject and state:HotObject.Watch
-        assert "X" in observed["state:HotObject.Watch"]
+        assert checked >= 2  # object:HotObject and state-group:HotObject
+        assert "X" in observed["state-group:HotObject"]
 
     def test_observed_profile_within_static_credit_card(self, mm_db):
         workload = CreditCardWorkload(seed=7)

@@ -14,7 +14,7 @@ import pytest
 from repro.core.declarations import trigger
 from repro.errors import TransactionAbort
 from repro.objects.database import Database
-from repro.objects.oid import NULL_PTR, PersistentPtr
+from repro.objects.oid import NULL_PTR, PersistentPtr, TriggerId
 from repro.objects.persistent import Persistent
 from repro.objects.pmap import PersistentMap
 from repro.objects.schema import field
@@ -68,6 +68,11 @@ class IndexFresh(Persistent):
     ``pnew`` creates the class's cluster and so X-locks the catalog."""
 
     value = field(int, default=0)
+
+
+def _ids(db, machines):
+    """The TriggerIds of a lookup's machines."""
+    return tuple(TriggerId(db.name, m.rid, m.serial) for m in machines)
 
 
 def _committed_header(db):
@@ -168,18 +173,21 @@ def test_lookup_follows_this_transactions_add_remove_and_drop_all(any_engine_db)
         ptr = db.pnew(IndexRelay, label="x").ptr
 
     def stored(txn):
-        return tuple(index._map.get(txn, str(ptr.rid), ()))
+        return index._map.get(txn, str(ptr.rid), None)
 
     with db.transaction() as txn:
         assert index.lookup(txn, ptr.rid) == ()
         seen = db.deref(ptr).Seen()
-        assert index.lookup(txn, ptr.rid) == (seen.rid,) == stored(txn)
+        assert _ids(db, index.lookup(txn, ptr.rid)) == (seen,)
+        assert stored(txn) == seen.rid
         count = db.deref(ptr).Count()
-        assert index.lookup(txn, ptr.rid) == (seen.rid, count.rid) == stored(txn)
+        assert _ids(db, index.lookup(txn, ptr.rid)) == (seen, count)
+        assert count.rid == seen.rid == stored(txn)  # one group, written once
         db.trigger_system.deactivate(seen)
-        assert index.lookup(txn, ptr.rid) == (count.rid,) == stored(txn)
+        assert _ids(db, index.lookup(txn, ptr.rid)) == (count,)
         db.pdelete(ptr)
-        assert index.lookup(txn, ptr.rid) == () == stored(txn)
+        assert index.lookup(txn, ptr.rid) == ()
+        assert stored(txn) is None
     with db.transaction() as txn:
         assert index.lookup(txn, ptr.rid) == ()
         assert db.trigger_system.verify_integrity() == []
@@ -325,8 +333,9 @@ def test_the_canonical_transaction_reads_three_records_and_takes_four_locks(
     db_path,
 ):
     """Ping/Pong on one watched object (the ``canon_mm`` transaction):
-    the object, its bucket and its state — nothing else once the index's
-    rids are learned, however many postings the transaction makes."""
+    the object, its bucket and its trigger group — nothing else once the
+    index's rids are learned, however many postings the transaction
+    makes."""
     db = Database.open(db_path, engine="mm")
     try:
         with db.transaction():
@@ -363,7 +372,7 @@ def test_a_reopened_database_starts_with_an_empty_memo(db_path, engine):
         state = handle.Watch()
         ptr = handle.ptr
     with db.transaction() as txn:
-        assert db.trigger_system.index.lookup(txn, ptr.rid) == (state.rid,)
+        assert _ids(db, db.trigger_system.index.lookup(txn, ptr.rid)) == (state,)
     assert db.trigger_system.index._map._known_buckets
     db.simulate_crash()
 
@@ -373,7 +382,7 @@ def test_a_reopened_database_starts_with_an_empty_memo(db_path, engine):
         assert index._map._known_header is None
         assert index._map._known_buckets == {}
         with db.transaction() as txn:
-            assert index.lookup(txn, ptr.rid) == (state.rid,)
+            assert _ids(db, index.lookup(txn, ptr.rid)) == (state,)
             db.deref(ptr).post_event("Ping")
         assert index._map._known_header == _committed_header(db)
     finally:

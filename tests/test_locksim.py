@@ -11,7 +11,7 @@ from repro.workloads.locksim import HotObject, run_hot_set
 
 class TestHotObject:
     def test_watch_fsm_flips_on_every_posting(self, mm_db):
-        """relative(Ping, Pong) writes its TriggerState on each event."""
+        """relative(Ping, Pong) writes its trigger state on each event."""
         db = mm_db
         with db.transaction():
             handle = db.pnew(HotObject)
@@ -73,7 +73,9 @@ class TestWorkload:
         assert result.state_writes > 0  # amplification without contention
 
     def test_amplification_monotone_in_trigger_count(self):
-        """More active triggers per object -> more X locks, more waiting."""
+        """More active triggers per object -> more state writes, while the
+        X locks stay one per object: every trigger on an object lives in
+        its one group record."""
         results = [
             run_hot_set(4, triggers, n_sessions=6, transactions=60, seed=5)
             for triggers in (0, 1, 4)
@@ -81,7 +83,7 @@ class TestWorkload:
         assert results[0].wait_fraction == 0.0
         assert results[1].wait_fraction > 0.0
         assert results[0].x_locks == 0
-        assert results[2].x_locks > results[1].x_locks
+        assert results[2].x_locks == results[1].x_locks > 0
         assert results[2].state_writes > results[1].state_writes
 
     def test_deterministic_given_seed(self):

@@ -1,4 +1,4 @@
-"""The versioned TriggerState scheme (DESIGN.md §15) and its satellites.
+"""The versioned trigger-group scheme (DESIGN.md §15) and its satellites.
 
 Covers:
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import sys
 import threading
 import time
-import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,7 +36,7 @@ from repro.errors import (
     StorageError,
     TriggerError,
 )
-from repro.core.trigger_state import TriggerState
+from repro.core.trigger_state import TriggerGroup, TriggerState
 from repro.objects.database import Database
 from repro.objects.oid import PersistentPtr
 from repro.objects.persistent import Persistent
@@ -340,12 +339,10 @@ def test_replay_uses_posting_time_mask_outcomes():
 
         # Simulate a concurrent committer: republish the head (same state,
         # new vid) so this transaction's merge takes the replay path.
-        (state_rid,) = versions.heads()
-        head = versions.head_or_none(state_rid)
-        versions.publish(
-            types.SimpleNamespace(attachments={}),
-            [(state_rid, head.state.clone())],
-        )
+        (group_rid,) = versions.heads()
+        head = versions.head_or_none(group_rid)
+        fields = head.anchor, head.next_serial, head.serials, head.states, head.frame
+        versions.publish([(group_rid, fields)])
         db.txn_manager.commit(txn)
 
         assert versions.stats.replays == 1
@@ -393,12 +390,9 @@ def test_failed_merge_rolls_back_under_the_commit_mutex():
         assert owned_at_abort == [True]
         # The rollback restored the committed bytes: storage agrees with
         # the published head, and the failed merge left no trace.
-        (state_rid,) = versions.heads()
-        head = versions.head_or_none(state_rid)
-        assert (
-            TriggerState.decode(storage.peek(state_rid)).statenum
-            == head.state.statenum
-        )
+        (group_rid,) = versions.heads()
+        head = versions.head_or_none(group_rid)
+        assert TriggerGroup.decode(storage.peek(group_rid)) == head.image
         # The engine is healthy: the next transaction merges normally
         # (Pong fires and re-arms the machine, flipping the statenum).
         before = _statenums(db, ptr)
@@ -462,11 +456,10 @@ def _run_pair_storm(db, ptrs, workers=6, steps=12):
 
 def _assert_storage_matches_heads(db):
     versions = db.trigger_system.versions
-    for state_rid in versions.heads():
-        head = versions.head_or_none(state_rid)
+    for group_rid in versions.heads():
+        head = versions.head_or_none(group_rid)
         assert (
-            TriggerState.decode(db.storage.peek(state_rid)).statenum
-            == head.state.statenum
+            TriggerGroup.decode(db.storage.peek(group_rid)) == head.image
         ), "storage bytes diverged from the published head"
 
 
@@ -553,7 +546,7 @@ def test_ten_thousand_commits_retain_one_version_per_rid():
     so however many commits advance a machine, one version stays live."""
     import gc
 
-    from repro.core.versioned import StateVersion
+    from repro.core.versioned import GroupVersion
 
     db = _open(trigger_cc="mvcc")
     try:
@@ -565,7 +558,7 @@ def test_ten_thousand_commits_retain_one_version_per_rid():
         assert versions.stats.versions_published >= 10_000
         assert len(versions.heads()) == 2
         gc.collect()
-        live = sum(isinstance(obj, StateVersion) for obj in gc.get_objects())
+        live = sum(isinstance(obj, GroupVersion) for obj in gc.get_objects())
         assert live == 2
     finally:
         db.close()
@@ -775,13 +768,13 @@ class TestDecodeValidation:
         try:
             ptr = _setup_watched(db)
             with db.transaction() as txn:
-                (state_rid,) = db.trigger_system.index.lookup(txn, ptr.rid)
-                truncated = db.storage.read(txn.txid, state_rid)[:-1]
-                db.storage.write(txn.txid, state_rid, truncated)
+                group_rid = db.trigger_system.index.group(txn, ptr.rid).rid
+                truncated = db.storage.read(txn.txid, group_rid)[:-1]
+                db.storage.write(txn.txid, group_rid, truncated)
             with db.transaction():
                 problems = db.trigger_system.verify_integrity()
             assert any(
-                f"state {state_rid}: corrupt" in p for p in problems
+                f"group {group_rid}: corrupt" in p for p in problems
             ), problems
         finally:
             db.close()

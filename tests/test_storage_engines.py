@@ -604,17 +604,19 @@ class TestRecoveryWithoutBegin:
     "log records address by rid (ROADMAP: redo must never allocate)",
 )
 def test_disk_recovers_a_population_that_spills_its_page(tmp_path):
-    """perf/README.md's repro: 200 watched objects in one transaction,
+    """perf/README.md's repro: watched objects created in one transaction,
     crash, reopen — the reopen's redo dies in ``PagedRecords.put`` with
-    ``slot 31 is occupied``.  The name matters: it is embedded in every
-    record, so it moves record sizes and slot boundaries."""
+    ``slot N is occupied``.  The name and the count matter: they move
+    record sizes and slot boundaries (perf/README.md's 200 objects stopped
+    reaching the bug when trigger groups made the records smaller; 300
+    still do)."""
     from repro import Database
     from repro.workloads.locksim import HotObject
 
     path = str(tmp_path / "db")
     db = Database.open(path, engine="disk")
     with db.transaction():
-        for _ in range(200):
+        for _ in range(300):
             db.pnew(HotObject).Watch()
     db.simulate_crash()
     Database.open(path, engine="disk").close()

@@ -42,8 +42,8 @@ class TestVerifyIntegrity:
         with db.transaction():
             widget = db.pnew(Widget)
             trigger_id = widget.OnPoke()
-            # Corrupt on purpose: delete the state record but leave the
-            # index entry behind.
+            # Corrupt on purpose: delete the group record (the id's rid)
+            # but leave the index entry behind.
             db.storage.delete(db.txn_manager.current().txid, trigger_id.rid)
             problems = db.trigger_system.verify_integrity()
             assert any("missing" in p for p in problems)
@@ -62,15 +62,14 @@ class TestVerifyIntegrity:
 
     def test_detects_unresolvable_type(self, any_engine_db):
         db = any_engine_db
-        from repro.core.trigger_state import TriggerState
-        from repro.objects.oid import PersistentPtr
+        from repro.core.trigger_state import TriggerGroup, TriggerState
 
-        with db.transaction():
+        with db.transaction() as txn:
             widget = db.pnew(Widget)
-            txid = db.txn_manager.current().txid
             ghost = TriggerState(0, widget.ptr, 0, "VanishedClass", {})
-            rid = db.storage.insert(txid, ghost.encode())
-            db.trigger_system.index.add(db.txn_manager.current(), widget.ptr.rid, rid)
+            group = TriggerGroup(widget.ptr, 1, [(0, ghost)])
+            rid = db.storage.insert(txn.txid, group.encode())
+            db.trigger_system.index._map.put(txn, str(widget.ptr.rid), rid)
             problems = db.trigger_system.verify_integrity()
             assert any("VanishedClass" in p for p in problems)
 

@@ -70,7 +70,7 @@ class MonitoredCard(Persistent):
     # trio: commit events (`before tcomplete`) are posted by read-only
     # transactions too, yet any FSM advance writes the TriggerState back
     # (ODE300, the paper's Section 6 amplification), and that S->X
-    # write-back under the object/index locks is the standard upgrade and
+    # write-back under the object lock is the standard upgrade and
     # lock-order deadlock exposure (ODE301/ODE302).  Fraud monitoring
     # wants per-card state on the hot path; the cost is the feature.
     _CONCURRENCY_OK = ("ODE300", "ODE301", "ODE302")

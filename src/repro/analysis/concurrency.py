@@ -12,14 +12,15 @@ The analysis lifts each trigger's inferred :class:`EffectSet` (see
 :mod:`repro.analysis.effects`) plus its FSM structure to an *ordered*
 :class:`LockFootprint` — the sequence of S/X acquisitions one posting
 performs under strict 2PL (paper Section 5.4.5: dereference the object,
-look the trigger index up, read the object's trigger group, write it
-back on a state change, then run the action's own writes).  Resources are
-symbolic *classes*, not instances:
+read the trigger group its header names, X-lock it on a state change —
+the write itself waits for commit — then run the action's own writes).
+Resources are symbolic *classes*, not instances:
 
 * ``object:<Type>``  — the monitored object's record
 * ``state-group:<Type>`` — the object's trigger group: one record holding
   every active trigger state of the object, whichever trigger it is
-* ``meta:index`` / ``meta:catalog`` — trigger-index buckets, catalog
+* ``meta:index`` / ``meta:catalog`` — trigger-index buckets (activation,
+  fsck and tooling only: a posting locks none), catalog
 
 Footprints feed four passes:
 
@@ -311,10 +312,10 @@ def infer_lock_footprint(
             push(obj, X, f"watched member function {decl.name}() writes the object")
             break
     for resource, mode in _index_steps():
-        push(resource, mode, "trigger-index bucket lookup")
+        push(resource, mode, "trigger-index lookup")
     push(group, S, "trigger group read")
     if advancing:
-        push(group, X, "trigger group write-back on FSM advance")
+        push(group, X, "trigger group X-locked on FSM advance (written at commit)")
 
     detached = info.coupling in (CouplingMode.DEPENDENT, CouplingMode.INDEPENDENT)
     if not detached:

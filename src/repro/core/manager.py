@@ -49,7 +49,7 @@ from repro.errors import (
 )
 from repro.events.fsm import DEAD
 from repro.objects.oid import PersistentPtr
-from repro.objects.serialize import FLAG_HAS_TRIGGERS
+from repro.objects.serialize import FLAG_HAS_TRIGGERS, FORMAT_VERSION, decode_object
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
@@ -57,6 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.transactions.txn import Transaction
 
 TX_EVENT_OBJECTS = "trigger:tx_event_objects"
+
+#: An object record's first byte: its format version.
+_OBJECT_RECORD = bytes([FORMAT_VERSION])
 
 
 class TriggerSystem:
@@ -119,8 +122,10 @@ class TriggerSystem:
         This is the run-time half of the generated static activation
         function of Section 5.4.1: create the TriggerState, store the
         arguments, put the machine in its start state (evaluating any
-        start-state masks), and add it to the object's trigger group —
-        creating the group, and its index entry, on the first activation.
+        start-state masks), and add it to the object's trigger group.  The
+        first activation creates the group, indexes it, and makes the
+        object's header name it (the has-triggers flag and the group rid:
+        one object write, X-locking the object).
         """
         txn = db.txn_manager.current()
         handle = db.deref(ptr)
@@ -131,7 +136,7 @@ class TriggerSystem:
                 f"{type(handle.obj).__name__} is not derived from it"
             )
         params, statenum = start_machine(self.stats, info, handle.obj, args)
-        group = self.index.group(txn, ptr.rid)
+        group = self.index.group(txn, ptr.rid, handle.obj)
         tstate = TriggerState(
             triggernum=info.triggernum,
             trigobj=ptr if group is None else group.anchor,
@@ -143,6 +148,7 @@ class TriggerSystem:
         if group is None:
             group = store.create(ptr, tstate)
             self.index.add(txn, ptr.rid, group)
+            db.set_trigger_group(ptr, group.rid)
             machine = group.machines[0]
         else:
             machine = store.activate(group, tstate)
@@ -156,17 +162,13 @@ class TriggerSystem:
                 serial=machine.serial,
                 start_state=tstate.statenum,
             )
-        # Flip the object's control bit so PostEvent stops skipping it.
-        flags = handle.obj.__dict__.get("_p_flags", 0)
-        if not flags & FLAG_HAS_TRIGGERS:
-            db.set_object_flags(ptr, flags | FLAG_HAS_TRIGGERS)
         return TriggerId(db.name, group_rid, machine.serial)
 
     def deactivate(self, trigger_id: TriggerId, *, missing_ok: bool = False) -> None:
         """Remove an active trigger (paper ``deactivate(TriggerId)``).
 
         The last one on an object deletes its group and index entry and
-        clears the object's has-triggers bit."""
+        clears the object's header (the has-triggers bit and group rid)."""
         db = self.db
         txn = db.txn_manager.current()
         store = self.states(txn)
@@ -189,9 +191,8 @@ class TriggerSystem:
             handle = db.deref(anchor)
         except Exception:
             return  # object already deleted
-        flags = handle.obj.__dict__.get("_p_flags", 0)
-        if flags & FLAG_HAS_TRIGGERS:
-            db.set_object_flags(anchor, flags & ~FLAG_HAS_TRIGGERS)
+        if handle.obj.__dict__.get("_p_flags", 0) & FLAG_HAS_TRIGGERS:
+            db.set_trigger_group(anchor, None)
 
     def active_triggers(
         self, ptr: PersistentPtr
@@ -210,21 +211,33 @@ class TriggerSystem:
         return result
 
     def verify_integrity(self) -> list[str]:
-        """Cross-check the trigger index against the group records.
+        """Cross-check the trigger index, the group records, and the
+        object headers that name the groups.
 
         Returns a list of problem descriptions (empty = consistent):
         index entries pointing at missing/corrupt groups, groups anchored
         at another object than the one indexing them or whose anchor is
         gone, empty groups, duplicate serials or serials at or past the
         group's ``next_serial``, entries whose ``trigobjtype`` or
-        ``triggernum`` no longer resolves, and FSM state numbers outside
-        the compiled machine.  Reads storage (not this transaction's
-        working copies) in the current transaction.
+        ``triggernum`` no longer resolves, FSM state numbers outside the
+        compiled machine; and object headers that disagree — a flagged
+        object with no index entry, or whose header names another group
+        than its entry, an indexed object whose flag is clear, a header
+        naming a missing group.
+
+        Reads storage (not this transaction's working copies) in the
+        current transaction, so mid-transaction it does not see trigger
+        groups this transaction changed but has not written yet: strict
+        2PL writes them at commit, MVCC merges them there.  The one
+        exception is the header of an object this transaction dirtied,
+        read from its instance — the index entry written beside it is
+        already in storage.
         """
         db = self.db
         txn = db.txn_manager.current()
         problems: list[str] = []
-        for obj_rid, group_rid in self.index.entries(txn):
+        indexed = dict(self.index.entries(txn))
+        for obj_rid, group_rid in indexed.items():
             where = f"group {group_rid}"
             try:
                 raw = db.storage.read(txn.txid, group_rid)
@@ -272,6 +285,56 @@ class TriggerSystem:
                         f"{where} serial {serial}: FSM state {tstate.statenum} "
                         f"out of range for {info.name} ({len(info.fsm)} states)"
                     )
+        problems += self._header_problems(txn, indexed)
+        return problems
+
+    def _header_problems(self, txn: "Transaction", indexed: dict[int, int]) -> list[str]:
+        """What the object headers say against the index *indexed*.
+
+        Headers are peeked, not S-locked: locking every object would hold
+        one lock per object in the caller's transaction.  That is sound for
+        the flag and the group rid because they change only together with
+        the object's index entry (first activation, last deactivation,
+        ``pdelete``), and *indexed* was read under S locks held to commit
+        — every such change is serialized wholly before that read, or
+        waits until this transaction ends.  An object this transaction
+        dirtied is judged by its instance's header, which is what the
+        commit writes (the index entry already is)."""
+        storage = self.db.storage
+        problems: list[str] = []
+        for rid, raw in storage.peek_scan():
+            if raw[:1] != _OBJECT_RECORD:
+                continue
+            mine = txn.cache.get(rid) if rid in txn.dirty else None
+            if mine is not None:
+                flags = mine.__dict__.get("_p_flags", 0)
+                group_rid = mine.__dict__.get("_p_group", -1)
+            else:
+                try:
+                    _type_name, _fields, flags, group_rid = decode_object(raw)
+                except Exception:
+                    continue  # a map bucket or B-tree node, not an object
+            entry = indexed.get(rid)
+            if not flags & FLAG_HAS_TRIGGERS:
+                if entry is not None:
+                    problems.append(
+                        f"object {rid}: indexed under group {entry} but its "
+                        "has-triggers flag is clear"
+                    )
+                continue
+            if entry is None:
+                problems.append(
+                    f"object {rid}: has-triggers flag set but no trigger-index entry"
+                )
+            elif entry != group_rid:
+                problems.append(
+                    f"object {rid}: header names group {group_rid}, "
+                    f"index entry says {entry}"
+                )
+            if not storage.exists(txn.txid, group_rid):
+                problems.append(
+                    f"object {rid}: header names group {group_rid}, which is missing"
+                )
         return problems
 
     def on_pdelete(self, db: "Database", ptr: PersistentPtr) -> None:
@@ -282,6 +345,13 @@ class TriggerSystem:
         if group is not None:
             self.index.remove(txn, ptr.rid)
             self.states(txn).drop(group)
+
+    def write_back(self, txn: "Transaction") -> None:
+        """Write *txn*'s trigger groups its store deferred to commit
+        (``Database.flush_transaction`` calls this)."""
+        store = txn.attachments.get(STATE_STORE)
+        if store is not None:
+            store.write_back()
 
     # -- firing-order guard (DESIGN.md §9) ---------------------------------------
 

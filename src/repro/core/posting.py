@@ -4,11 +4,13 @@ Posting a basic event to an object:
 
 1. Skip immediately if the object's control information says it has no
    active triggers (footnote 3) — the common, cheap case.
-2. Look up the object's active triggers in the trigger index: its
-   *trigger group*, one record holding every active ``TriggerState`` of
-   the object, read once per transaction (see
-   :mod:`repro.core.trigger_state`).
-3. Advance each one's integer-keyed FSM and record where it now stands.
+2. Otherwise the same control information names the object's *trigger
+   group*, one record holding every active ``TriggerState`` of the
+   object, read once per transaction (see
+   :mod:`repro.core.trigger_state`).  No trigger-index bucket is read: a
+   posting touches the object it was handed and its group, nothing else.
+3. Advance each one's integer-keyed FSM and record where it now stands
+   (under strict 2PL: X-lock the group now, write it once at commit).
 4. Only after *all* active triggers have seen the event are the ready ones
    fired — "to prevent the action of one trigger from affecting the mask of
    another trigger".  Immediate triggers run now (sequentially, in
@@ -329,7 +331,8 @@ class StateStore:
     moved, :meth:`settle` after an advance that moved a machine — after
     every advance if ``logs_ignored_events`` — and :meth:`flush` once at
     the end of a call that settled anything.  The trigger system calls
-    :meth:`create`, :meth:`activate`, :meth:`deactivate` and :meth:`drop`.
+    :meth:`create`, :meth:`activate`, :meth:`deactivate` and :meth:`drop`,
+    and :meth:`write_back` from ``Database.flush_transaction``.
     """
 
     logs_ignored_events = False
@@ -374,6 +377,10 @@ class StateStore:
         """Make the settled advances of *machines* (one group's) as
         durable as this store is."""
 
+    def write_back(self) -> None:
+        """Write what this store deferred to commit (nothing, unless it
+        says otherwise)."""
+
 
 class LockInPlaceStates(StateStore):
     """Strict 2PL: a group's states are its storage record.
@@ -381,12 +388,16 @@ class LockInPlaceStates(StateStore):
     The first touch reads the record and keeps the decoded group for the
     rest of the transaction.  Sound under two-phase locking — the read
     takes a shared lock held to commit, so within one transaction nobody
-    else can change the record, and our own writes go through the cached
-    group.  The store dies with the transaction, so aborts need no
-    special handling.  A posting that moved any machine rewrites the
-    group once, acquiring a **write lock**: the "triggers turn read
-    access into write access" effect of Section 6 that experiment E6
-    measures.  Activation and deactivation rewrite it too.
+    else can change the record, and our own changes go to the cached
+    group.  A posting that moved any machine takes the group's **write
+    lock** at once — the "triggers turn read access into write access"
+    effect of Section 6 that experiment E6 measures — and marks it dirty;
+    activation and deactivation on an existing group do the same.
+    :meth:`write_back`, run by ``Database.flush_transaction`` after every
+    before-commit hook, writes each dirty group once, as objects are
+    written.  An abort therefore logs nothing for a group it only
+    advanced; the store dies with the transaction.  ``create`` and
+    ``drop`` still insert and delete at once.
     """
 
     def __init__(self, system: "TriggerSystem", txn: "Transaction"):
@@ -395,7 +406,9 @@ class LockInPlaceStates(StateStore):
         self.stats = system.stats
         self.txid = txn.txid
         self.groups: dict[int, Group] = {}
-        #: machines settled since the last flush (counted once written)
+        #: group rid -> group, X-locked and awaiting :meth:`write_back`
+        self.dirty: dict[int, Group] = {}
+        #: machines settled since the last flush (counted at the flush)
         self._moved = 0
 
     def group(self, rid):
@@ -412,14 +425,14 @@ class LockInPlaceStates(StateStore):
 
     def activate(self, group, state):
         machine = group.add(state)
-        self._write(group)
+        self._mark(group)
         return machine
 
     def deactivate(self, group, serial):
         machine = group.remove(serial)
         if machine is not None:
             if group.machines:
-                self._write(group)
+                self._mark(group)
             else:
                 self.drop(group)
         return machine
@@ -427,6 +440,7 @@ class LockInPlaceStates(StateStore):
     def drop(self, group):
         self.storage.delete(self.txid, group.rid)
         del self.groups[group.rid]
+        self.dirty.pop(group.rid, None)
 
     def settle(self, machine, obj, old_state, eventnum, occurrence, outcomes, span):
         self._moved += 1
@@ -440,12 +454,19 @@ class LockInPlaceStates(StateStore):
             )
 
     def flush(self, machines, span):
-        self._write(self.groups[machines[0].rid])
+        self._mark(self.groups[machines[0].rid])
         self.stats.state_writes += self._moved
         self._moved = 0
 
-    def _write(self, group: Group) -> None:
-        self.storage.write(self.txid, group.rid, group.encode())
+    def write_back(self):
+        for rid, group in self.dirty.items():
+            self.storage.write(self.txid, rid, group.encode())
+        self.dirty.clear()
+
+    def _mark(self, group: Group) -> None:
+        """X-lock *group* where writing it would, and write it at commit."""
+        self.storage.lock_for_write(self.txid, group.rid)
+        self.dirty[group.rid] = group
 
 
 class VolatileStates(StateStore):
@@ -600,18 +621,17 @@ def advance_all(
 
 
 def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
-    """The posting loop: per posting, skip on the control bit, look up
-    the object's machines (its trigger group), advance them all, *then*
-    fire.
+    """The posting loop: per posting, skip on the control bit, find the
+    object's machines through the group its header names, advance them
+    all, *then* fire.
 
     What a batch can share — the current transaction and its state store,
     the serving tier, the ``obs.ENABLED`` check — is resolved once; the
     tier and the check are resolved again after any posting that fired,
-    because an immediate action can flip obs or the compiled tier.  Index
-    lookups need no such rule: the trigger index memoizes the object's
-    group per transaction and activation and deactivation change that
-    group in place, so a machine an action activates or deactivates is
-    seen by the very next posting.
+    because an immediate action can flip obs or the compiled tier.  The
+    machines need no such rule: activation and deactivation change the
+    store's group in place and the object's header with it, so a machine
+    an action activates or deactivates is seen by the very next posting.
     """
     stats = system.stats
     total = 0
@@ -636,7 +656,7 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
                 batched=batched,
             )
         # Footnote 3: the persistent object's control information says
-        # whether any triggers are active — if not, no index lookup.
+        # whether any triggers are active — if not, no group to read.
         if not obj.__dict__.get("_p_flags", 0) & FLAG_HAS_TRIGGERS:
             stats.skipped_no_triggers += 1
             if span:
@@ -645,7 +665,7 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
         if txn is None:
             txn = db.txn_manager.current()
             store = system.states(txn)
-        machines = system.index.lookup(txn, ptr.rid)
+        machines = system.index.lookup(txn, ptr.rid, obj)
         if span:
             obs.emit(
                 "index.lookup", span, rid=ptr.rid, txid=txn.txid, states=len(machines)

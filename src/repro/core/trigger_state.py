@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 #: First byte of a one-state record.  Object records start with their
-#: format version (1) and tagged values with a tag (0-10), so neither can
+#: format version (2) and tagged values with a tag (0-10), so neither can
 #: be taken for a state.
 _MARK = 0xA5
 _HEAD = struct.Struct("<BqqqHH")

@@ -22,8 +22,10 @@ trigger group (:mod:`repro.core.trigger_state`):
 * **Membership changes.**  Once a group's creating transaction has
   committed, its bytes are written only by the commit-time merge.  An
   activation or deactivation on such a group X-locks its rid (so
-  membership changes serialize, as the index bucket they used to rewrite
-  did) and is buffered like an advance.
+  membership changes serialize) and is buffered like an advance.  The
+  first activation and the last one's removal also X-lock the anchor
+  object, whose header names the group: that lock is what keeps a group
+  invisible to every other transaction until its creator commits.
 
 * **Version chain.**  :class:`TriggerVersionManager` keeps, per group
   rid, the head of its chain of immutable :class:`GroupVersion`
@@ -380,9 +382,10 @@ class TriggerVersionManager:
         Chains are loaded lazily from the engine's committed bytes via
         ``storage.peek`` — lock-free, which is sound because a group rid
         only becomes visible to other transactions once its creating
-        transaction committed (the trigger index bucket is 2PL-locked),
-        and every later write goes through this manager's merge, which
-        keeps the chain current.
+        transaction committed (a posting finds it in the anchor object's
+        header, and the creator X-locks that object until commit), and
+        every later write goes through this manager's merge, which keeps
+        the chain current.
         """
         with self._chain_mutex:
             head = self._chains.get(group_rid)

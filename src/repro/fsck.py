@@ -10,8 +10,10 @@ Two passes, modelled on a filesystem fsck:
 * **logical** — opens the database normally, which runs crash recovery
   first (exactly like an fsck replaying the journal), then checks: catalog
   referential integrity, B-tree invariants for every registered index,
-  trigger group ↔ trigger-index consistency (both directions, including
-  orphaned group records the index no longer references), and the phoenix
+  trigger group ↔ trigger-index ↔ object-header consistency (both
+  directions, including orphaned group records the index no longer
+  references, and headers whose group rid or has-triggers flag disagrees
+  with the index), and the phoenix
   intention queue (well-formedness plus dangling persistent pointers
   inside payloads).
 
@@ -357,9 +359,10 @@ def fsck_logical(db, report: FsckReport) -> None:
             except OdeError as exc:
                 report.add("ODE121", f"{key}: {exc}")
 
-        # Trigger index -> group records (missing/corrupt/mismatched).
-        # A type that simply is not imported in this process is an
-        # environment gap, not corruption — report it as a skipped check.
+        # Trigger index -> group records (missing/corrupt/mismatched), and
+        # object headers against both.  A type that simply is not
+        # imported in this process is an environment gap, not corruption
+        # — report it as a skipped check.
         for problem in db.trigger_system.verify_integrity():
             if "is not registered in this process" in problem:
                 report.add("ODE132", problem)

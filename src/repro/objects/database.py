@@ -5,11 +5,16 @@ a transaction manager, the phoenix intention queue, and — attached at open
 time — the trigger system.  Objects are cached per transaction: ``deref``
 returns the same instance for the same rid within a transaction, mutation
 marks it dirty, and the transaction manager writes dirty objects back right
-before the storage commit.  Aborts simply drop the cache; everything that
-*was* written through the storage manager (trigger states, index buckets,
-catalog updates) is rolled back by the engine, which is exactly how the
-paper gets event roll-back "using standard transaction roll-back of the
-triggers' states" (Section 5.5).
+before the storage commit — and, under strict 2PL, the trigger groups
+postings advanced, each once.  Aborts simply drop the cache; everything
+that *was* written through the storage manager (new trigger groups, index
+buckets, catalog updates) is rolled back by the engine, which is exactly
+how the paper gets event roll-back "using standard transaction roll-back of
+the triggers' states" (Section 5.5).
+
+An object's header is its control information (paper footnote 3): the
+has-triggers flag and, while it is set, the rid of the object's trigger
+group, kept on the instance as ``_p_flags`` and ``_p_group``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,13 @@ from repro.objects.handle import PersistentHandle
 from repro.objects.metatype import TypeRegistry, global_type_registry
 from repro.objects.oid import PersistentPtr
 from repro.objects.persistent import Persistent
-from repro.objects.serialize import decode_object, decode_value, encode_object, encode_value
+from repro.objects.serialize import (
+    FLAG_HAS_TRIGGERS,
+    decode_object,
+    decode_value,
+    encode_object,
+    encode_value,
+)
 from repro.sessions.session import Session, SessionStats, current_ambient_session
 from repro.storage import open_storage
 from repro.storage.locks import LockMode
@@ -240,11 +251,13 @@ class Database:
                 raw = self.storage.read(txn.txid, ptr.rid)
             except RecordNotFoundError:
                 raise DanglingPointerError(f"{ptr!r} points to no object") from None
-            type_name, fields, flags = decode_object(raw)
+            type_name, fields, flags, group = decode_object(raw)
             cls = self.registry.find(type_name).pyclass
             instance = cls.from_fields(fields)
             instance.__dict__["_p_ptr"] = ptr
             instance.__dict__["_p_flags"] = flags
+            if flags & FLAG_HAS_TRIGGERS:
+                instance.__dict__["_p_group"] = group
             txn.cache[ptr.rid] = instance
             if self.trigger_system is not None:
                 self.trigger_system.on_access(txn, ptr, instance)
@@ -364,7 +377,9 @@ class Database:
         txn.mark_dirty(ptr.rid)
 
     def flush_transaction(self, txn: Transaction) -> None:
-        """Write every dirty cached object back to storage (pre-commit)."""
+        """Write every dirty cached object back to storage, then the
+        trigger groups the transaction changed but has not written yet
+        (pre-commit, after every before-commit hook)."""
         for rid in sorted(txn.dirty):
             instance = txn.cache.get(rid)
             if instance is None:
@@ -379,15 +394,31 @@ class Database:
                         old_fields.get(index.field_name),
                         instance.__dict__.get(index.field_name),
                     )
-            flags = instance.__dict__.get("_p_flags", 0)
-            data = encode_object(type(instance).__name__, instance.to_fields(), flags)
+            header = instance.__dict__
+            data = encode_object(
+                type(instance).__name__,
+                instance.to_fields(),
+                header.get("_p_flags", 0),
+                header.get("_p_group", -1),
+            )
             self.storage.write(txn.txid, rid, data)
         txn.dirty.clear()
+        if self.trigger_system is not None:
+            self.trigger_system.write_back(txn)
 
-    def set_object_flags(self, ptr: PersistentPtr, flags: int) -> None:
-        """Update an object's control-information flags (persisted at commit)."""
+    def set_trigger_group(self, ptr: PersistentPtr, group_rid: int | None) -> None:
+        """Make *ptr*'s header name its trigger group (``None``: it has
+        none) — the has-triggers flag and the group's rid, persisted at
+        commit."""
         handle = self.deref(ptr)
-        handle.obj.__dict__["_p_flags"] = flags
+        header = handle.obj.__dict__
+        flags = header.get("_p_flags", 0)
+        if group_rid is None:
+            header["_p_flags"] = flags & ~FLAG_HAS_TRIGGERS
+            header.pop("_p_group", None)
+        else:
+            header["_p_flags"] = flags | FLAG_HAS_TRIGGERS
+            header["_p_group"] = group_rid
         self.mark_dirty(handle.obj)
 
     # -- clusters -------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Typed serialization of persistent objects.
 
 Objects are stored as self-describing records: a header (format version,
-type name, flags) followed by named, tagged field values.  Decoding is by
-field *name*, so adding or removing fields — and, crucially, adding or
-removing *triggers*, which are not fields at all — never forces a data
-conversion (paper design goal 5).
+flags, the trigger group's rid when the object has active triggers, type
+name) followed by named, tagged field values.  Decoding is by field
+*name*, so adding or removing fields — and, crucially, adding or removing
+*triggers*, which are not fields at all — never forces a data conversion
+(paper design goal 5).
 
 The value encoding is a small recursive tagged format covering ``None``,
 ints, floats, bools, strings, bytes, persistent pointers (trigger ids
@@ -19,12 +20,18 @@ from typing import Any
 from repro.errors import SerializationError
 from repro.objects.oid import PersistentPtr, TriggerId
 
-FORMAT_VERSION = 1
+#: 2: the trigger group's rid follows the flags when the object has
+#: active triggers.  A version-1 record is refused, not misread.
+FORMAT_VERSION = 2
 
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+#: An object record's header up to its type name: version, flags, name
+#: length — and, with the has-triggers flag, the group rid before the length.
+_HEAD = struct.Struct("<BBI")
+_GROUP_HEAD = struct.Struct("<BBqI")
 
 _TAG_NONE = 0
 _TAG_INT = 1
@@ -38,9 +45,10 @@ _TAG_DICT = 8
 _TAG_TUPLE = 9
 _TAG_TRIGGER_ID = 10
 
-#: Object-header flag: the object has (or once had) active triggers.  The
-#: paper (footnote 3) keeps this in the object's control information so
-#: PostEvent can skip the trigger-index lookup for trigger-free objects.
+#: Object-header flag: the object has active triggers, and the header names
+#: their trigger group.  The paper (footnote 3) keeps this in the object's
+#: control information so PostEvent can skip trigger-free objects; the
+#: first activation sets it and the last deactivation clears it.
 FLAG_HAS_TRIGGERS = 0x01
 
 
@@ -160,13 +168,24 @@ def decode_value(raw: bytes, pos: int) -> tuple[Any, int]:
 # ---------------------------------------------------------------------------
 
 
-def encode_object(type_name: str, fields: dict[str, Any], flags: int = 0) -> bytes:
-    """Serialize an object's fields under its stored *type_name*."""
-    out = bytearray()
-    out += _U8.pack(FORMAT_VERSION)
-    out += _U8.pack(flags)
+def encode_object(
+    type_name: str, fields: dict[str, Any], flags: int = 0, group: int = -1
+) -> bytes:
+    """Serialize an object's fields under its stored *type_name*.  *group*,
+    the rid of the object's trigger group, is stored only when *flags*
+    has :data:`FLAG_HAS_TRIGGERS`, so a trigger-free record carries none."""
     raw_name = type_name.encode("utf-8")
-    out += _U32.pack(len(raw_name))
+    if flags & FLAG_HAS_TRIGGERS:
+        try:
+            out = bytearray(
+                _GROUP_HEAD.pack(FORMAT_VERSION, flags, group, len(raw_name))
+            )
+        except struct.error:
+            raise SerializationError(
+                f"header field 'group' = {group!r} is not a 64-bit rid"
+            ) from None
+    else:
+        out = bytearray(_HEAD.pack(FORMAT_VERSION, flags, len(raw_name)))
     out += raw_name
     out += _U32.pack(len(fields))
     for name, value in fields.items():
@@ -180,16 +199,18 @@ def encode_object(type_name: str, fields: dict[str, Any], flags: int = 0) -> byt
     return bytes(out)
 
 
-def decode_object(raw: bytes) -> tuple[str, dict[str, Any], int]:
-    """Deserialize a record into ``(type_name, fields, flags)``."""
-    (version,) = _U8.unpack_from(raw, 0)
+def decode_object(raw: bytes) -> tuple[str, dict[str, Any], int, int]:
+    """Deserialize a record into ``(type_name, fields, flags, group)``;
+    *group* is -1 unless *flags* has :data:`FLAG_HAS_TRIGGERS`."""
+    version, flags, nlen = _HEAD.unpack_from(raw)
     if version != FORMAT_VERSION:
         raise SerializationError(f"unsupported object format version {version}")
-    pos = _U8.size
-    (flags,) = _U8.unpack_from(raw, pos)
-    pos += _U8.size
-    (nlen,) = _U32.unpack_from(raw, pos)
-    pos += _U32.size
+    if flags & FLAG_HAS_TRIGGERS:
+        _version, _flags, group, nlen = _GROUP_HEAD.unpack_from(raw)
+        pos = _GROUP_HEAD.size
+    else:
+        group = -1
+        pos = _HEAD.size
     type_name = raw[pos : pos + nlen].decode("utf-8")
     pos += nlen
     (count,) = _U32.unpack_from(raw, pos)
@@ -201,7 +222,7 @@ def decode_object(raw: bytes) -> tuple[str, dict[str, Any], int]:
         name = raw[pos : pos + flen].decode("utf-8")
         pos += flen
         fields[name], pos = decode_value(raw, pos)
-    return type_name, fields, flags
+    return type_name, fields, flags, group
 
 
 def peek_flags(raw: bytes) -> int:

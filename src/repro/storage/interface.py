@@ -373,6 +373,15 @@ class StorageManager:
         self._locks.lock(txid, rid, LockMode.X)
         self._update(txid, rid, bytes(data))
 
+    def lock_for_write(self, txid: int, rid: int) -> None:
+        """What :meth:`write` does before it changes anything: refuse on
+        a read-only store, then X-lock *rid*.  A caller that defers its
+        write to commit (a 2PL trigger group) takes the lock here, when it
+        changes the record, so lock waits and deadlocks stay where a write
+        would put them."""
+        self._check_mutable(txid)
+        self._locks.lock(txid, rid, LockMode.X)
+
     def write_merged(self, txid: int, rid: int, data: bytes) -> None:
         """Replace the record at *rid* **without acquiring its lock**.
 
@@ -428,10 +437,21 @@ class StorageManager:
         """Yield every ``(rid, data)`` pair (shared-locking each record)."""
         self._check_open()
         self._require_active(txid)
+        return self._scan(txid)
+
+    def peek_scan(self) -> Iterator[tuple[int, bytes]]:
+        """Yield every ``(rid, data)`` pair as :meth:`peek` sees it: no
+        locks, no transaction.  Sound only for what the caller has
+        serialized some other way."""
+        self._check_open()
+        return self._scan(None)
+
+    def _scan(self, txid: int | None) -> Iterator[tuple[int, bytes]]:
         with self._mutex:
             rids = list(self._records.rids())
         for rid in rids:
-            self._locks.lock(txid, rid, LockMode.S)
+            if txid is not None:
+                self._locks.lock(txid, rid, LockMode.S)
             with self._mutex:
                 if not self._records.has(rid):
                     continue  # deleted since the listing

@@ -2,7 +2,8 @@
 
 ``python -m repro.tools <path> [--engine disk|mm]`` prints a human-readable
 summary of a database: every persistent object with its fields and control
-flags, every active trigger with its FSM position, the catalog, and any
+information (``[triggers → group N]``: the has-triggers flag and the
+trigger group the header names), every active trigger with its FSM position, the catalog, and any
 static-analyzer findings.  ``python -m repro.tools lint ...`` forwards to
 the trigger linter (see :mod:`repro.analysis`); ``python -m repro.tools
 fsck <path>`` runs the storage integrity checker (see :mod:`repro.fsck`)
@@ -33,12 +34,12 @@ def describe_objects(db: "Database") -> list[str]:
     lines = []
     for rid, raw in db.storage.scan(txn.txid):
         try:
-            type_name, fields, flags = decode_object(raw)
+            type_name, fields, flags, group = decode_object(raw)
         except Exception:
             continue  # catalog/index/group records are not object records
         if not isinstance(fields, dict):
             continue
-        tag = " [triggers]" if flags & FLAG_HAS_TRIGGERS else ""
+        tag = f" [triggers → group {group}]" if flags & FLAG_HAS_TRIGGERS else ""
         body = ", ".join(f"{k}={v!r}" for k, v in sorted(fields.items()))
         lines.append(f"rid {rid}: {type_name}({body}){tag}")
     return lines

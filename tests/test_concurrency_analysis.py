@@ -193,19 +193,17 @@ class TestFootprintInference:
         (info,) = metatype.trigger_infos
         fp = infer_lock_footprint(info, metatype)
         # The paper's Section 5.4.5 posting path, in acquisition order:
-        # dereference, index lookup, group read, group write-back.
+        # dereference, read the group the object's header names, X-lock
+        # it on an advance.  A posting locks no trigger-index bucket.
         assert [(s.resource, s.mode) for s in fp.steps] == [
             ("object:HotObject", "S"),
-            ("meta:index", "S"),
             ("state-group:HotObject", "S"),
             ("state-group:HotObject", "X"),
         ]
         assert fp.advancing == frozenset({"Ping", "Pong"})
         assert fp.readonly_postable >= frozenset({"Ping", "Pong"})
         assert not fp.detached_action
-        assert fp.upgrades() == (
-            ("state-group:HotObject", ("object:HotObject", "meta:index")),
-        )
+        assert fp.upgrades() == (("state-group:HotObject", ("object:HotObject",)),)
         assert "X(state-group:HotObject)" in fp.describe()
 
     def test_watched_writer_takes_object_exclusive(self):

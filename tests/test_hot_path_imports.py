@@ -22,9 +22,12 @@ HOT_PATH = [
     ("repro.sessions.session", ("Session", "current_txn_or_raise")),
     ("repro.transactions.manager", ("TransactionManager", "current")),
     ("repro.objects.database", ("Database", "deref")),
+    ("repro.objects.database", ("Database", "flush_transaction")),
     ("repro.core.wrappers", ("make_method_wrapper", "wrapper")),
     ("repro.core.posting", ("_post",)),
     ("repro.core.posting", ("advance_all",)),
+    ("repro.core.manager", ("TriggerSystem", "write_back")),
+    ("repro.core.posting", ("LockInPlaceStates", "write_back")),
 ]
 
 _SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)

@@ -2,8 +2,9 @@
 
 A :class:`~repro.objects.pmap.PersistentMap` remembers its header rid and
 its allocated bucket rids, learned only from reads made under a shared
-lock; the :class:`~repro.core.trigger_index.TriggerIndex` memoizes each
-transaction's lookups.  These tests pin the rules that make both sound
+lock.  A posting reads no index at all — the object's header names its
+trigger group — so only a lookup by bare rid (tooling, fsck) and an
+activation touch the map.  These tests pin the rules that make both sound
 (DESIGN §17 "What a map remembers") on both engines.
 """
 
@@ -252,18 +253,22 @@ def test_post_many_sees_machines_an_action_changes_later_in_the_batch(
 # -- what a remembered lookup no longer waits for ------------------------------------
 
 
-def _race(db, waiter_body):
-    """A creator transaction X-locks the catalog (its ``pnew`` creates a
-    new class's cluster) and yields while holding it; *waiter_body* runs
-    in a second session meanwhile.  Returns the event order and the
-    scheduler."""
+def _create_fresh(session):
+    session.pnew(IndexFresh)
+
+
+def _race(db, waiter_body, writer_body=_create_fresh):
+    """A writer transaction runs *writer_body* — by default it X-locks the
+    catalog (its ``pnew`` creates a new class's cluster) — and yields
+    while holding its locks; *waiter_body* runs in a second session
+    meanwhile.  Returns the event order and the scheduler."""
     order = []
     creator, waiter = db.session("creator"), db.session("waiter")
     scheduler = CooperativeScheduler()
 
     def create():
         with creator.transaction():
-            creator.pnew(IndexFresh)
+            writer_body(creator)
             order.append("created")
             scheduler.yield_now()
         order.append("committed")
@@ -283,20 +288,77 @@ def _race(db, waiter_body):
 
 def test_a_remembered_lookup_does_not_wait_for_a_catalog_writer(any_engine_db):
     db = any_engine_db
+    index = db.trigger_system.index
     with db.transaction():
         handle = db.pnew(HotObject)
         handle.Watch()
         ptr = handle.ptr
-    with db.transaction():
-        db.deref(ptr).post_event("Ping")  # learns the index's rids
-    assert db.trigger_system.index._map._known_header is not None
+    with db.transaction() as txn:
+        # By bare rid, the object not dereferenced: reads its bucket, and
+        # so learns the index's rids.
+        assert len(index.lookup(txn, ptr.rid)) == 1
+    assert index._map._known_header is not None
+    found = []
 
-    def post(session, _txn):
-        session.deref(ptr).post_event("Pong")
+    def look(_session, txn):
+        found.append(len(index.lookup(txn, ptr.rid)))
 
-    order, scheduler = _race(db, post)
+    order, scheduler = _race(db, look)
     assert order == ["created", "waiter done", "committed"]
     assert ("block", "waiter") not in scheduler.log
+    assert found == [1]
+
+
+def _same_bucket(db, count):
+    """*count* fresh ``HotObject`` pointers whose index entries share one
+    bucket, and a watched one in that bucket too (so it is allocated)."""
+    index = db.trigger_system.index
+    by_bucket: dict[int, list] = {}
+    with db.transaction():
+        for _ in range(8 * index._map.bucket_count):
+            ptr = db.pnew(HotObject).ptr
+            by_bucket.setdefault(index._map._bucket_for(str(ptr.rid)), []).append(ptr)
+        watched, *fresh = next(p for p in by_bucket.values() if len(p) > count)
+        db.deref(watched).Watch()
+    return watched, fresh[:count]
+
+
+def test_a_posting_never_waits_on_an_index_writer(any_engine_db):
+    """A first activation holds the bucket X until commit; a posting to
+    another watched object in that bucket reads no bucket (a lookup by
+    bare rid would), so it does not wait."""
+    db = any_engine_db
+    watched, (fresh,) = _same_bucket(db, 1)
+    stats = db.trigger_system.stats
+    firings = stats.firings
+
+    def post(session, _txn):
+        handle = session.deref(watched)
+        handle.post_event("Ping")
+        handle.post_event("Pong")
+
+    order, scheduler = _race(db, post, lambda s: s.deref(fresh).Watch())
+    assert order == ["created", "waiter done", "committed"]
+    assert ("block", "waiter") not in scheduler.log
+    assert stats.firings == firings + 1
+
+
+def test_an_activation_still_waits_on_an_index_writer(any_engine_db):
+    """Two first activations whose objects share a bucket: the second
+    writes the bucket too, so it waits for the first to commit."""
+    db = any_engine_db
+    _watched, (first, second) = _same_bucket(db, 2)
+    index = db.trigger_system.index
+
+    def activate(session, _txn):
+        session.deref(second).Watch()
+
+    order, scheduler = _race(db, activate, lambda s: s.deref(first).Watch())
+    assert order == ["created", "committed", "waiter done"]
+    assert ("block", "waiter") in scheduler.log
+    with db.transaction() as txn:
+        assert len(index.lookup(txn, first.rid)) == len(index.lookup(txn, second.rid)) == 1
+        assert db.trigger_system.verify_integrity() == []
 
 
 def test_a_lookup_that_must_read_the_catalog_still_waits(any_engine_db):
@@ -329,13 +391,13 @@ def test_a_lookup_that_must_read_the_catalog_still_waits(any_engine_db):
 # -- what it costs -----------------------------------------------------------------
 
 
-def test_the_canonical_transaction_reads_three_records_and_takes_four_locks(
+def test_the_canonical_transaction_reads_two_records_and_takes_three_locks(
     db_path,
 ):
     """Ping/Pong on one watched object (the ``canon_mm`` transaction):
-    the object, its bucket and its trigger group — nothing else once the
-    index's rids are learned, however many postings the transaction
-    makes."""
+    the object and the trigger group its header names — no index bucket,
+    however many postings the transaction makes — and the group, advanced
+    twice, is written once, at commit: one UPDATE and the COMMIT."""
     db = Database.open(db_path, engine="mm")
     try:
         with db.transaction():
@@ -349,7 +411,7 @@ def test_the_canonical_transaction_reads_three_records_and_takes_four_locks(
                 handle.post_event("Ping")
                 handle.post_event("Pong")
 
-        canonical()  # learns the index's header and bucket rids
+        canonical()
         before = db.metrics.snapshot()
         canonical()
         after = db.metrics.snapshot()
@@ -357,8 +419,10 @@ def test_the_canonical_transaction_reads_three_records_and_takes_four_locks(
         def delta(name):
             return after[name] - before[name]
 
-        assert delta("storage.reads") == 3
-        assert delta("locks.s_acquired") + delta("locks.x_acquired") == 4
+        assert delta("storage.reads") == 2
+        assert delta("locks.s_acquired") + delta("locks.x_acquired") == 3
+        assert delta("storage.log_records") == 2
+        assert delta("storage.writes") == 1
         assert delta("posting.state_writes") == 2
     finally:
         db.close()

@@ -1,5 +1,6 @@
-"""The fixed record layouts of the trigger layer: TriggerState, and the
-persistent map's header and bucket records (DESIGN.md "Record formats").
+"""The fixed record layouts of the trigger layer: TriggerState, the object
+header's trigger-group rid, and the persistent map's header and bucket
+records (DESIGN.md "Record formats").
 
 Round-trips at the edges of every field, point lookups checked against a
 full decode, corruption that must surface as ``TriggerError`` (never as a
@@ -22,7 +23,13 @@ from repro.objects.oid import PersistentPtr
 from repro.objects.persistent import Persistent
 from repro.objects.pmap import PersistentMap
 from repro.objects.schema import field
-from repro.objects.serialize import encode_value
+from repro.objects.serialize import (
+    FLAG_HAS_TRIGGERS,
+    FORMAT_VERSION,
+    decode_object,
+    encode_object,
+    encode_value,
+)
 
 _names = itertools.count()
 
@@ -104,9 +111,11 @@ def test_trigger_state_prefixes_and_byte_flips_never_leak(state):
 
 
 def test_trigger_state_rejects_other_record_kinds():
-    from repro.objects.serialize import encode_object
-
-    for raw in (b"", encode_object("HotObject", {"value": 1})):
+    for raw in (
+        b"",
+        encode_object("HotObject", {"value": 1}),
+        encode_object("HotObject", {"value": 1}, FLAG_HAS_TRIGGERS, 7),
+    ):
         with pytest.raises(TriggerError):
             TriggerState.decode(raw)
 
@@ -128,6 +137,33 @@ def test_trigger_state_head_out_of_range_names_the_field(overrides, field_name):
     fields.update(overrides)
     with pytest.raises(SerializationError, match=field_name):
         TriggerState(**fields).encode()
+
+
+# ---------------------------------------------------------------------------
+# Object records: the header names the trigger group
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    fields=st.dictionaries(st.text(max_size=6), _VALUES, max_size=4),
+    flags=st.sampled_from([0, FLAG_HAS_TRIGGERS, 0x80, FLAG_HAS_TRIGGERS | 0x80]),
+    group=_I64,
+)
+@example(fields={}, flags=FLAG_HAS_TRIGGERS, group=-(2**63))
+@example(fields={"n": 1}, flags=FLAG_HAS_TRIGGERS, group=2**63 - 1)
+def test_object_header_roundtrip(fields, flags, group):
+    """Four fields back; the group rid only when the flag stores one."""
+    raw = encode_object("Gadget", fields, flags, group)
+    assert raw[0] == FORMAT_VERSION
+    stored = group if flags & FLAG_HAS_TRIGGERS else -1
+    assert decode_object(raw) == ("Gadget", fields, flags, stored)
+
+
+@pytest.mark.parametrize("group", [2**63, -(2**63) - 1, None])
+def test_object_header_refuses_a_group_rid_that_is_not_64_bits(group):
+    with pytest.raises(SerializationError, match="'group'"):
+        encode_object("Gadget", {}, FLAG_HAS_TRIGGERS, group)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Serialization tests: tagged values, object records, pointers."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from repro.errors import SerializationError
 from repro.objects.oid import NULL_PTR, PersistentPtr
 from repro.objects.serialize import (
     FLAG_HAS_TRIGGERS,
+    FORMAT_VERSION,
     decode_object,
     decode_value,
     encode_object,
@@ -102,16 +105,30 @@ class TestObjectRecords:
     def test_roundtrip(self):
         fields = {"name": "Narain", "balance": 12.5, "tags": ["a", "b"]}
         raw = encode_object("CredCard", fields, flags=0)
-        type_name, decoded, flags = decode_object(raw)
+        type_name, decoded, flags, group = decode_object(raw)
         assert type_name == "CredCard"
         assert decoded == fields
         assert flags == 0
+        assert group == -1
 
     def test_flags_roundtrip_and_peek(self):
-        raw = encode_object("T", {}, flags=FLAG_HAS_TRIGGERS)
+        raw = encode_object("T", {"v": 1}, flags=FLAG_HAS_TRIGGERS, group=4242)
+        assert raw[0] == FORMAT_VERSION == 2
         assert peek_flags(raw) == FLAG_HAS_TRIGGERS
-        _, _, flags = decode_object(raw)
-        assert flags == FLAG_HAS_TRIGGERS
+        _, fields, flags, group = decode_object(raw)
+        assert (fields, flags, group) == ({"v": 1}, FLAG_HAS_TRIGGERS, 4242)
+
+    def test_the_group_rid_defaults_to_minus_one(self):
+        raw = encode_object("CredCard", {"v": 1}, FLAG_HAS_TRIGGERS)
+        assert decode_object(raw)[2:] == (FLAG_HAS_TRIGGERS, -1)
+
+    def test_a_group_rid_is_stored_only_with_the_flag(self):
+        fields = {"v": 1}
+        plain = encode_object("T", fields, 0, group=4242)
+        assert plain == encode_object("T", fields)
+        assert decode_object(plain)[2:] == (0, -1)
+        flagged = encode_object("T", fields, FLAG_HAS_TRIGGERS, group=4242)
+        assert len(flagged) == len(plain) + 8
 
     def test_bad_version_raises(self):
         raw = bytearray(encode_object("T", {}))
@@ -119,9 +136,42 @@ class TestObjectRecords:
         with pytest.raises(SerializationError):
             decode_object(bytes(raw))
 
+    def test_a_version_one_record_is_refused_not_misread(self):
+        # Version 1 had no group rid: its flagged records would be misread.
+        raw = bytearray(encode_object("T", {"v": 1}, FLAG_HAS_TRIGGERS, group=7))
+        raw[0] = 1
+        with pytest.raises(SerializationError, match="version 1"):
+            decode_object(bytes(raw))
+
     def test_field_error_names_field(self):
         with pytest.raises(SerializationError, match="bad_field"):
             encode_object("T", {"bad_field": object()})
+
+
+def _version_one_record(type_name, fields, flags):
+    """The record format 1 wrote: version, flags, type name, fields."""
+    out = bytearray(struct.pack("<BB", 1, flags))
+    raw_name = type_name.encode("utf-8")
+    out += struct.pack("<I", len(raw_name)) + raw_name
+    out += struct.pack("<I", len(fields))
+    for name, value in fields.items():
+        raw = name.encode("utf-8")
+        out += struct.pack("<I", len(raw)) + raw
+        encode_value(value, out)
+    return bytes(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    type_name=st.text(max_size=12),
+    fields=st.dictionaries(st.text(max_size=8), _VALUES, max_size=4),
+)
+def test_a_trigger_free_record_changed_only_its_version_byte(type_name, fields):
+    raw = encode_object(type_name, fields)
+    before = _version_one_record(type_name, fields, 0)
+    assert raw[0] == FORMAT_VERSION and before[0] == 1
+    assert raw[1:] == before[1:]
+    assert decode_object(raw) == (type_name, fields, 0, -1)
 
 
 class TestPointer:

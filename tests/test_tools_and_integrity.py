@@ -86,10 +86,11 @@ class TestDumpTool:
             db.close()
 
     def test_describe_objects_lists_fields_and_flag(self, populated):
-        with populated.transaction():
+        with populated.transaction() as txn:
             lines = describe_objects(populated)
+            ((_, group_rid),) = populated.trigger_system.index.entries(txn)
         assert any("Widget" in line and "size=7" in line for line in lines)
-        assert any("[triggers]" in line for line in lines)
+        assert any(f"[triggers → group {group_rid}]" in line for line in lines)
 
     def test_describe_triggers_shows_state_and_mode(self, populated):
         with populated.transaction():

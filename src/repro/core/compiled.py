@@ -2,9 +2,10 @@
 
 The interpreter in :mod:`repro.core.posting` pays, per active trigger per
 posting: a fresh ``evaluate`` closure and :meth:`IntFsm.advance`'s linear
-transition search plus one pseudo-int dictionary hop per mask (the decode
-and registry lookup are the state store's, once per transaction, in both
-modes).  For triggers the ODE4xx pass
+transition search plus one pseudo-int dictionary hop per mask (the group
+decode and the registry lookup are memoized for both modes: the decode's
+write-once blocks per content, the resolution per trigger kind).  For
+triggers the ODE4xx pass
 (:mod:`repro.analysis.compilable`) proves COMPILABLE — pure masks, a
 resolvable free-name environment, a machine small enough to specialize,
 and no immediate action that re-enters posting mid-advance — all of that
@@ -36,6 +37,7 @@ import dataclasses
 import threading
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.core.declarations import mask_arity
 from repro.errors import FSMError
 from repro.events.fsm import DEAD, MAX_PSEUDO_STEPS
 
@@ -126,7 +128,7 @@ class _Budget:
 
 def _unroll(
     fsm: "IntFsm",
-    mask_ids: dict[str, str],
+    mask_calls: dict[str, str],
     current: int,
     steps: int,
     seen: bool,
@@ -171,7 +173,7 @@ def _unroll(
             seen = seen or (current != DEAD and fsm.states[current].accept)
             continue
         budget.charge()
-        lines.append(f"{indent}if {mask_ids[mask]}(obj, params, event):")
+        lines.append(f"{indent}if {mask_calls[mask]}:")
         for outcome in (True, False):
             arm_indent = indent + "    "
             if not outcome:
@@ -186,7 +188,7 @@ def _unroll(
             arm_seen = seen or (nxt != DEAD and fsm.states[nxt].accept)
             _unroll(
                 fsm,
-                mask_ids,
+                mask_calls,
                 nxt,
                 steps + 1,
                 arm_seen,
@@ -199,9 +201,10 @@ def _unroll(
 
 
 def generate_advance_source(
-    fsm: "IntFsm", mask_ids: dict[str, str]
+    fsm: "IntFsm", mask_calls: dict[str, str]
 ) -> str:
-    """Generate the specialized ``_advance`` source for one machine.
+    """Generate the specialized ``_advance`` source for one machine;
+    *mask_calls* maps each mask name to the expression that calls it.
 
     The function mirrors :meth:`IntFsm.advance` exactly — same returned
     ``(state, consumed, accepted, pseudo_steps)`` quadruple, same
@@ -219,7 +222,7 @@ def generate_advance_source(
             lines.append(f"        if eventnum == {tr.eventnum}:")
             nxt = tr.newstate
             seen = nxt != DEAD and fsm.states[nxt].accept
-            _unroll(fsm, mask_ids, nxt, 0, seen, {}, " " * 12, lines, budget)
+            _unroll(fsm, mask_calls, nxt, 0, seen, {}, " " * 12, lines, budget)
         # Event not in the sparse transition list: anchored machines die
         # on in-alphabet misses, everything else ignores the event.
         if fsm.anchored:
@@ -240,13 +243,18 @@ def plan_unroll(fsm: "IntFsm") -> int:
     it is exactly the generator, so the judgment can never drift from
     what the tier can actually compile.
     """
-    mask_ids = {
-        name: f"_m{i}"
-        for i, name in enumerate(
-            sorted({m for s in fsm.states for m in s.masks})
-        )
+    mask_calls = {
+        name: f"_m{i}(obj, params, event)" for i, name in enumerate(_used_masks(fsm))
     }
-    return len(generate_advance_source(fsm, mask_ids).splitlines())
+    return len(generate_advance_source(fsm, mask_calls).splitlines())
+
+
+def _used_masks(fsm: "IntFsm") -> list[str]:
+    return sorted({m for s in fsm.states for m in s.masks})
+
+
+#: The arguments a mask of each arity is called with (see ``mask_arity``).
+_MASK_ARGS = {1: "obj", 2: "obj, params", 3: "obj, params, event"}
 
 
 @dataclasses.dataclass
@@ -262,15 +270,20 @@ class CompiledArtifact:
 def generate_advance(info: "TriggerInfo") -> CompiledArtifact:
     """Compile *info*'s machine into a :class:`CompiledArtifact`."""
     fsm = info.fsm
-    used_masks = sorted({m for s in fsm.states for m in s.masks})
-    mask_ids = {name: f"_m{i}" for i, name in enumerate(used_masks)}
-    source = generate_advance_source(fsm, mask_ids)
     namespace: dict = {
         "FSMError": FSMError,
         "_ALPHA": fsm.alphabet_ints,
     }
-    for name, ident in mask_ids.items():
-        namespace[ident] = info.masks[name]
+    mask_calls = {}
+    for i, name in enumerate(_used_masks(fsm)):
+        ident = f"_m{i}"
+        # Call the mask as declared, not through ``_adapt_mask``'s shim;
+        # a mask with no declared form (a bridge's) takes the adapted one.
+        mask = info.mask_specs.get(name)
+        arity = 3 if mask is None else min(mask_arity(mask), 3)
+        namespace[ident] = info.masks[name] if mask is None else mask
+        mask_calls[name] = f"{ident}({_MASK_ARGS[arity]})"
+    source = generate_advance_source(fsm, mask_calls)
     code = compile(
         source,
         f"<ode-compiled:{info.defining_type}.{info.name}>",

@@ -116,6 +116,20 @@ def strict_analysis_enabled() -> bool:
     return _STRICT_ANALYSIS
 
 
+def mask_arity(fn: Callable[..., bool]) -> int:
+    """How many positional parameters mask callable *fn* declares (0 when
+    it has no inspectable signature).  A mask is called with that many of
+    ``(self, params, event)``, all three from 3 up."""
+    try:
+        parameters = inspect.signature(fn).parameters.values()
+    except (TypeError, ValueError):
+        return 0
+    return sum(
+        p.kind in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        for p in parameters
+    )
+
+
 def _adapt_mask(name: str, fn: Callable[..., bool]) -> Callable[..., bool]:
     """Normalize a mask callable to the (instance, params, event) form.
 
@@ -126,16 +140,7 @@ def _adapt_mask(name: str, fn: Callable[..., bool]) -> Callable[..., bool]:
     "allowing each member function event to look at the parameters passed
     to the corresponding member function, at least in masks").
     """
-    try:
-        parameters = [
-            p
-            for p in inspect.signature(fn).parameters.values()
-            if p.kind
-            in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-        ]
-    except (TypeError, ValueError):
-        parameters = []
-    arity = len(parameters)
+    arity = mask_arity(fn)
     if arity >= 3:
         return fn
     if arity == 2:

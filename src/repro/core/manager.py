@@ -19,17 +19,21 @@ transaction, and implements the Section 5.5 transaction integration:
 from __future__ import annotations
 
 import functools
+import operator
+from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.core.compiled import global_compiled_tier
+from repro.core.compiled import CompiledTier, global_compiled_tier, schema_version
 from repro.core.posting import (
     DEPENDENT_LIST,
     END_LIST,
     INDEPENDENT_LIST,
     STATE_STORE,
     LockInPlaceStates,
+    Machine,
     PostingStats,
+    Resolution,
     StateStore,
     TriggerContext,
     drain,
@@ -61,6 +65,9 @@ TX_EVENT_OBJECTS = "trigger:tx_event_objects"
 #: An object record's first byte: its format version.
 _OBJECT_RECORD = bytes([FORMAT_VERSION])
 
+#: A trigger state's kind: what it resolves through.
+_KIND = operator.attrgetter("trigobjtype", "triggernum")
+
 
 class TriggerSystem:
     """Run-time trigger facilities for one database."""
@@ -82,6 +89,10 @@ class TriggerSystem:
         # any withheld ODE4xx proof falls back to the interpreter.
         self.compiled = global_compiled_tier()
         self.compiled_enabled = True
+        # (trigobjtype, triggernum) -> Resolution under ``_resolved_at``,
+        # the schema version the memo was started under (see _memo()).
+        self._resolutions: dict[tuple[str, int], Resolution] = {}
+        self._resolved_at = schema_version()
         # The trigger-state concurrency-control A/B switch (DESIGN.md §15)
         # picks each transaction's state store: strict 2PL (the baseline —
         # advances X-lock and rewrite the record in place), or advances that
@@ -103,6 +114,52 @@ class TriggerSystem:
         if store is None:
             store = txn.attachments[STATE_STORE] = self._store_type(self, txn)
         return store
+
+    # -- trigger resolution, memoized per trigger kind ------------------------------
+
+    def _memo(self, version: int) -> dict[tuple[str, int], Resolution]:
+        """The resolution memo, started afresh when the schema version
+        moved.  Its hygiene is not what keeps a stale trigger from firing:
+        every :class:`Resolution` carries its own version, a machine takes
+        it along, and the kernel re-resolves any machine whose version is
+        not the current one."""
+        if self._resolved_at != version:
+            self._resolutions = {}
+            self._resolved_at = version
+        return self._resolutions
+
+    def resolve(self, state: TriggerState) -> Resolution:
+        """What *state*'s trigger kind resolves to under the current
+        schema version: the registry and the defining metatype are asked
+        once per kind, not once per machine."""
+        version = schema_version()
+        memo = self._memo(version)
+        kind = _KIND(state)
+        resolution = memo.get(kind)
+        if resolution is None:
+            defining = self.db.registry.find(state.trigobjtype)
+            info = defining.trigger_info(state.triggernum)
+            resolution = memo[kind] = Resolution(version, defining, info)
+        return resolution
+
+    def resolved(self, states) -> Iterator[Resolution | None]:
+        """Each of *states*' memoized resolution, ``None`` where its kind
+        has none yet.  Never resolves: a group loads on a database whose
+        classes this process has not imported (tooling), and its machines
+        are resolved when the kernel first advances them."""
+        return map(self._memo(schema_version()).get, map(_KIND, states))
+
+    def advancer(self, tier: CompiledTier, machine: Machine):
+        """*machine*'s generated closure from *tier*, ``None`` if the proof
+        is withheld — asked once per trigger kind and remembered with its
+        resolution.  A machine resolved apart from the memo (under another
+        schema version) asks *tier* itself."""
+        resolution = self._resolutions.get(_KIND(machine.state))
+        if resolution is None or resolution.info is not machine.info:
+            return tier.advancer_for(machine.info, machine.defining)
+        if resolution.advance is None:
+            resolution.advance = tier.advancer_for(resolution.info, resolution.defining)
+        return resolution.advance
 
     # -- transaction hook installation ----------------------------------------
 

@@ -34,7 +34,7 @@ read serves every trigger on the object.  DESIGN.md §14.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
@@ -244,6 +244,23 @@ class PostingStats:
         return {k: v - before.get(k, 0) for k, v in self.snapshot().items()}
 
 
+class Resolution:
+    """What one trigger kind — a ``(trigobjtype, triggernum)`` pair —
+    resolves to under one trigger-schema ``version``: the ``defining``
+    metatype, its ``TriggerInfo``, and the generated closure ``advance``
+    (``None``: the tier not asked yet, or its proof withheld).  The trigger
+    system memoizes one per kind (``TriggerSystem.resolve``), shared by
+    every machine of that kind in every transaction."""
+
+    __slots__ = ("version", "defining", "info", "advance")
+
+    def __init__(self, version: int, defining, info: TriggerInfo):
+        self.version = version
+        self.defining = defining
+        self.info = info
+        self.advance = None
+
+
 class Machine:
     """One active trigger at run time: its working ``TriggerState``, where
     it is stored (its group's rid and its serial there — together its
@@ -256,16 +273,25 @@ class Machine:
     withheld) and ``version`` the trigger-schema version ``info``,
     ``defining`` and ``advance`` were resolved against; the kernel resolves
     them again when it moves, so a class redefined mid-transaction fires
-    neither a stale closure nor a stale action.
+    neither a stale closure nor a stale action.  A machine loaded with its
+    kind's memoized *resolution* starts out resolved.
     """
 
     __slots__ = ("rid", "serial", "state", "info", "defining", "advance", "version")
 
-    def __init__(self, rid: int | None, serial: int, state):
+    def __init__(
+        self, rid: int | None, serial: int, state, resolution: Resolution | None = None
+    ):
         self.rid = rid
         self.serial = serial
         self.state = state
-        self.info = self.defining = self.advance = self.version = None
+        if resolution is None:
+            self.info = self.defining = self.advance = self.version = None
+        else:
+            self.version = resolution.version
+            self.defining = resolution.defining
+            self.info = resolution.info
+            self.advance = resolution.advance
 
 
 class Group:
@@ -273,7 +299,9 @@ class Group:
     record's rid, its head, and one :class:`Machine` per entry in
     activation order (``machines``, a tuple the trigger index hands to the
     kernel as is).  ``frame`` is the record's frame while the membership
-    is unchanged, so writing back an advance packs only the entry heads."""
+    is unchanged, so writing back an advance packs only the entry heads.
+    *resolutions* gives each entry's memoized :class:`Resolution` (or
+    ``None``), in entry order."""
 
     def __init__(
         self,
@@ -284,12 +312,17 @@ class Group:
         states: Sequence[TriggerState],
         frame: GroupFrame | None = None,
         machine: type = Machine,
+        resolutions: Iterable[Resolution | None] | None = None,
     ):
         self.rid = rid
         self.anchor = anchor
         self.next_serial = next_serial
         self.frame = frame
-        self.machines: tuple = tuple(map(machine, repeat(rid), serials, states))
+        if resolutions is None:
+            resolutions = repeat(None)
+        self.machines: tuple = tuple(
+            map(machine, repeat(rid), serials, states, resolutions)
+        )
 
     def encode(self) -> bytes:
         machines = self.machines
@@ -326,16 +359,19 @@ class StateStore:
     """Where the machines of one posting scope live — the seam.
 
     The trigger index asks :meth:`group` for an object's machines (the
-    whole group is loaded on first touch).  The kernel, handed the
-    machines of one group, calls :meth:`refresh` when the schema version
-    moved, :meth:`settle` after an advance that moved a machine — after
-    every advance if ``logs_ignored_events`` — and :meth:`flush` once at
-    the end of a call that settled anything.  The trigger system calls
-    :meth:`create`, :meth:`activate`, :meth:`deactivate` and :meth:`drop`,
-    and :meth:`write_back` from ``Database.flush_transaction``.
+    whole group is loaded on first touch, each machine taking its kind's
+    memoized resolution).  The kernel, handed the machines of one group,
+    calls :meth:`refresh` when the schema version moved, :meth:`advancer`
+    for a machine without a closure, :meth:`settle` after an advance that
+    moved a machine — after every advance if ``logs_ignored_events`` —
+    and :meth:`flush` once at the end of a call that settled anything.
+    The trigger system calls :meth:`create`, :meth:`activate`,
+    :meth:`deactivate` and :meth:`drop`, and :meth:`write_back` from
+    ``Database.flush_transaction``.
     """
 
     logs_ignored_events = False
+    system: "TriggerSystem"
 
     def group(self, rid: int) -> Group:
         """The working copy of group *rid* (loaded on first touch)."""
@@ -361,10 +397,18 @@ class StateStore:
 
     def refresh(self, machine: Machine) -> None:
         """Resolve the ``TriggerInfo`` through ``trigobjtype`` — needed
-        because an object can carry triggers from several base classes."""
-        state = machine.state
-        machine.defining = self.db.registry.find(state.trigobjtype)
-        machine.info = machine.defining.trigger_info(state.triggernum)
+        because an object can carry triggers from several base classes —
+        under the current schema version (the trigger system's memo)."""
+        resolution = self.system.resolve(machine.state)
+        machine.version = resolution.version
+        machine.defining = resolution.defining
+        machine.info = resolution.info
+        machine.advance = resolution.advance
+
+    def advancer(self, tier: "CompiledTier", machine: Machine):
+        """*machine*'s generated closure, ``None`` if *tier* withholds it
+        (the trigger system's memo asks *tier* once per trigger kind)."""
+        return self.system.advancer(tier, machine)
 
     def settle(
         self, machine, obj, old_state, eventnum, occurrence, outcomes, span
@@ -401,7 +445,7 @@ class LockInPlaceStates(StateStore):
     """
 
     def __init__(self, system: "TriggerSystem", txn: "Transaction"):
-        self.db = system.db
+        self.system = system
         self.storage = system.db.storage
         self.stats = system.stats
         self.txid = txn.txid
@@ -414,8 +458,13 @@ class LockInPlaceStates(StateStore):
     def group(self, rid):
         group = self.groups.get(rid)
         if group is None:
-            group = Group(rid, *decode_group(self.storage.read(self.txid, rid)))
-            self.groups[rid] = group
+            anchor, next_serial, serials, states, frame = decode_group(
+                self.storage.read(self.txid, rid)
+            )
+            group = self.groups[rid] = Group(
+                rid, anchor, next_serial, serials, states, frame,
+                resolutions=self.system.resolved(states),
+            )
         return group
 
     def create(self, anchor, state):
@@ -472,11 +521,15 @@ class LockInPlaceStates(StateStore):
 class VolatileStates(StateStore):
     """Local rules (Section 8) and commit-time replay: states are plain
     memory, so advancing is an assignment — no record, no lock, no log.
-    Its owner hands the kernel the machines and has no registry to ask
-    again."""
+    Its owner hands the kernel the machines already resolved, and has no
+    registry to ask again."""
 
     def refresh(self, machine):
-        pass
+        machine.version = schema_version()
+        machine.advance = None
+
+    def advancer(self, tier, machine):
+        return tier.advancer_for(machine.info, machine.defining)
 
 
 def start_machine(stats: PostingStats, info: TriggerInfo, obj: Any, args: tuple):
@@ -551,16 +604,13 @@ def advance_all(
         for machine in machines:
             if machine.version != version:
                 store.refresh(machine)
-                machine.version = version
-                machine.advance = None
             state = machine.state
             old_state = state.statenum
             advance = None
             if compiled:
                 advance = machine.advance
                 if advance is None:
-                    advance = tier.advancer_for(machine.info, machine.defining)
-                    machine.advance = advance
+                    advance = machine.advance = store.advancer(tier, machine)
                     if advance is None:
                         stats.compiled_fallbacks += 1
             if advance is not None:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 import struct
+import threading
 from collections.abc import Sequence
 from typing import Any
 
@@ -80,6 +81,19 @@ _ENTRY = struct.Struct("<HHhB")
 #: Serials are ``H``: a group admits this many activations over its life.
 SERIAL_MAX = 0xFFFF
 _TYPES_MAX = 0xFF  # a type index is ``B``
+
+#: :func:`decode_group`'s memos of the two blocks an advance never changes,
+#: keyed by their bytes: the names block -> the names, and the params
+#: block -> the entries' params.  Each holds at most ``_MEMO_ENTRIES``
+#: blocks (it is emptied when full) of at most ``_MEMO_BLOCK_BYTES`` each.
+_MEMO_ENTRIES = 256
+_MEMO_BLOCK_BYTES = 1024
+_NAMES_MEMO: dict[bytes, tuple[str, ...]] = {}
+_PARAMS_MEMO: dict[bytes, tuple[dict[str, Any], ...]] = {}
+_MEMO_LOCK = threading.Lock()
+#: Param values a memoized dict may hold: a caller gets a fresh dict, and
+#: these cannot be changed through it.
+_IMMUTABLE = frozenset({type(None), bool, int, float, str, bytes, PersistentPtr, TriggerId})
 
 
 @dataclasses.dataclass
@@ -369,7 +383,12 @@ def decode_group(
     another record kind — raises :class:`TriggerError`, so fsck and ODE1xx
     can report instead of crashing deep in the DFA advance.  Serial order
     and uniqueness are not checked here: ``verify_integrity`` reports
-    them."""
+    them.
+
+    The names block and the params block are decoded once per distinct
+    content (the memos above); every check that involves the rest of the
+    record runs on every call, and each call's states get their own
+    params dicts."""
     try:
         mark, rid, next_serial, count, names_len = _GROUP_HEAD.unpack_from(raw)
         if mark != _GROUP_MARK:
@@ -383,14 +402,24 @@ def decode_group(
             raise TriggerError(
                 "corrupt trigger-group record: names or entries run past the end"
             )
-        names = raw[_GROUP_HEAD.size : pos].decode("utf-8").split("\0")
+        names_block = raw[_GROUP_HEAD.size : pos]
+        names = _NAMES_MEMO.get(names_block)
+        if names is None:
+            names = tuple(names_block.decode("utf-8").split("\0"))
+            _remember(_NAMES_MEMO, names_block, names)
         anchor = PersistentPtr(names[0], rid)
         heads = _ENTRY.iter_unpack(raw[pos:heads_end])
-        params, end = decode_value(raw, heads_end)
-        if end != len(raw):
-            raise TriggerError(
-                f"corrupt trigger-group record: {len(raw)} bytes, the fields span {end}"
-            )
+        suffix = raw[heads_end:]
+        memoized = _PARAMS_MEMO.get(suffix)
+        if memoized is None:
+            params, end = decode_value(raw, heads_end)
+            if end != len(raw):
+                raise TriggerError(
+                    f"corrupt trigger-group record: {len(raw)} bytes, "
+                    f"the fields span {end}"
+                )
+        else:
+            params = [entry_params.copy() for entry_params in memoized]
         if type(params) is not list or len(params) != count:
             raise TriggerError(
                 "corrupt trigger-group record: params are not one value per entry"
@@ -413,8 +442,24 @@ def decode_group(
             )
     except (struct.error, UnicodeDecodeError, SerializationError, IndexError) as exc:
         raise TriggerError(f"corrupt trigger-group record: {exc}") from None
-    frame = raw[:pos], tuple(indexes), raw[heads_end:]
+    if memoized is None and all(
+        type(value) in _IMMUTABLE
+        for entry_params in params
+        for value in entry_params.values()
+    ):
+        _remember(_PARAMS_MEMO, suffix, tuple(map(dict, params)))
+    frame = raw[:pos], tuple(indexes), suffix
     return anchor, next_serial, serials, states, frame
+
+
+def _remember(memo: dict, block: bytes, value) -> None:
+    """Memoize *value* — what *block* decodes to — within the bound."""
+    if len(block) > _MEMO_BLOCK_BYTES:
+        return
+    with _MEMO_LOCK:  # sessions decode on several threads
+        if len(memo) >= _MEMO_ENTRIES:
+            memo.clear()
+        memo[block] = value
 
 
 def _first_problem(kind: str, fields) -> str | None:

@@ -137,8 +137,8 @@ class BufferEntry(Machine):
 
     __slots__ = ("events", "fresh")
 
-    def __init__(self, rid, serial, state):
-        super().__init__(rid, serial, state)
+    def __init__(self, rid, serial, state, resolution=None):
+        super().__init__(rid, serial, state, resolution)
         self.events: list = []
         self.fresh = False
 
@@ -162,21 +162,33 @@ class BufferedGroup(Group):
     inserted = b""
 
     def __init__(
-        self, rid, anchor, next_serial, serials, states, frame, base_vid, fresh=False
+        self,
+        rid,
+        anchor,
+        next_serial,
+        serials,
+        states,
+        frame,
+        base_vid,
+        fresh=False,
+        resolutions=None,
     ):
-        super().__init__(rid, anchor, next_serial, serials, states, frame, BufferEntry)
+        super().__init__(
+            rid, anchor, next_serial, serials, states, frame, BufferEntry, resolutions
+        )
         self.base_vid = base_vid
         self.fresh = self.locked = fresh
         self.added: list[BufferEntry] = []
         self.removed: set[int] = set()
 
-    def sync(self, head: GroupVersion) -> None:
+    def sync(self, head: GroupVersion, resolutions) -> None:
         """Adopt the committed membership of *head* (its order), keeping
-        the working copies of machines still in it."""
+        the working copies of machines still in it; *resolutions* are the
+        memoized ones of *head*'s states."""
         mine = {machine.serial: machine for machine in self.machines}
         self.machines = tuple(
-            mine.get(serial) or BufferEntry(self.rid, serial, state.clone())
-            for serial, state in zip(head.serials, head.states)
+            mine.get(serial) or BufferEntry(self.rid, serial, state.clone(), resolution)
+            for serial, state, resolution in zip(head.serials, head.states, resolutions)
         )
         self.next_serial = max(self.next_serial, head.next_serial)
         self.frame = None
@@ -197,6 +209,7 @@ class AdvanceBuffer(StateStore):
     logs_ignored_events = True
 
     def __init__(self, system: "TriggerSystem", txn: "Transaction"):
+        self.system = system
         self.db = system.db
         self.versions = system.versions
         self.txid = txn.txid
@@ -217,6 +230,7 @@ class AdvanceBuffer(StateStore):
                 [state.clone() for state in head.states],
                 head.frame,
                 head.vid,
+                resolutions=self.system.resolved(head.states),
             )
         return group
 
@@ -266,7 +280,7 @@ class AdvanceBuffer(StateStore):
         group.locked = True
         head = self.versions.committed_head(group.rid)
         if head.vid != group.base_vid:
-            group.sync(head)
+            group.sync(head, self.system.resolved(head.states))
 
     def settle(self, entry, obj, old_state, eventnum, occurrence, outcomes, span):
         versions = self.versions

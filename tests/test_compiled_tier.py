@@ -15,6 +15,7 @@ Three families:
   cleanly, and `CompiledTier.explain` names the reason.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -24,10 +25,12 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.analysis.compilable import classify_trigger
 from repro.core.compiled import (
+    generate_advance,
     global_compiled_tier,
     last_bump_reason,
     schema_version,
 )
+from repro.core.constraints import CONSTRAINT_PREFIX
 from repro.core.declarations import set_strict_analysis, trigger
 from repro.core.monitored import LocalTriggerSystem, Monitored
 from repro.objects.database import Database
@@ -41,15 +44,24 @@ _PROBES: list[int] = []
 
 
 def _gadget_declarations():
-    """Differential fixture: sequences, pure masks, params, once-only,
-    deferred coupling, and one deliberately non-compilable trigger."""
+    """Differential fixture: sequences, pure masks of every arity, params,
+    once-only, deferred coupling, one deliberately non-compilable trigger,
+    and a constraint (whose mask the tier does not compile either)."""
     return {
         "__events__": ["Tick", "Tock", "Bump"],
         "__masks__": {
             "hot": lambda self: self.n > 3,
             "low": lambda self, params: self.n < params["floor"],
+            "odd": lambda self, params, event: self.n % 2 == 1 and not event.args,
         },
+        "__constraints__": {"bounded": lambda self: self.n < 1000},
         "__triggers__": [
+            trigger(
+                "Odd",
+                "Tock & odd",
+                action=lambda self, ctx: _FIRED.append("Odd"),
+                perpetual=True,
+            ),
             trigger(
                 "Pair",
                 "Tick, Tock",
@@ -105,7 +117,10 @@ _BATCH = st.lists(
 )
 _SCRIPT = st.lists(_BATCH, min_size=1, max_size=8)
 
-COMPILABLE_TRIGGERS = ("Pair", "Hot", "Low", "Deferred")
+COMPILABLE_TRIGGERS = ("Odd", "Pair", "Hot", "Low", "Deferred")
+#: The gadget's constraint trigger, activated by ``pnew`` (ODE404: its
+#: mask calls the declared predicate, a bare name).
+BOUNDED = CONSTRAINT_PREFIX + "bounded"
 
 
 def _posting_runs(batch):
@@ -119,6 +134,7 @@ def _posting_runs(batch):
 
 
 def _activate_all(handle):
+    handle.Odd()
     handle.Pair()
     handle.Hot()
     handle.Low(5)
@@ -176,6 +192,7 @@ def _replay_local(script, compiled_enabled):
     system.compiled_enabled = compiled_enabled
     obj = LocalGadget()
     handle = system.monitor(obj)
+    getattr(handle, BOUNDED)()  # what pnew does for a persistent object
     _activate_all(handle)
     _FIRED.clear()
     trajectory = []
@@ -240,10 +257,11 @@ def test_every_store_tier_and_entry_point_agrees(tmp_path_factory, script):
             # neither writes a state record from the posting path.
             assert stats["state_writes"] == 0, cell
         if compiled:
-            # Every posting advances the always-active Impure machine, whose
-            # ODE400 verdict falls back once per advance; the rest hit.
-            assert tier["compiled_fallbacks"] == posted, cell
-            assert tier["compiled_hits"] == stats["fsm_advances"] - posted, cell
+            # Every posting advances the always-active Impure and constraint
+            # machines, whose ODE400/ODE404 verdicts fall back once per
+            # advance each; the rest hit.
+            assert tier["compiled_fallbacks"] == 2 * posted, cell
+            assert tier["compiled_hits"] == stats["fsm_advances"] - 2 * posted, cell
         else:
             assert tier == {"compiled_hits": 0, "compiled_fallbacks": 0}, cell
 
@@ -282,6 +300,39 @@ def test_verdicts_match_tier_behaviour():
     verdict = classify_trigger(metatype.trigger_by_name("Impure"), metatype)
     assert not verdict.compilable
     assert "ODE400" in verdict.codes
+
+
+class _Occurrence:
+    args = ()
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [("Hot", "_m0(obj)"), ("Low", "_m0(obj, params)"), ("Odd", "_m0(obj, params, event)")],
+)
+def test_generated_code_calls_each_mask_as_declared(name, call):
+    """The closure calls a mask with as many arguments as it declares; one
+    with no declared form (a run-time bridge's) goes through the adapter.
+    Either closure agrees with the interpreter on every state and event."""
+    info = TierGadget.__metatype__.trigger_by_name(name)
+    declared = generate_advance(info)
+    adapted = generate_advance(dataclasses.replace(info, mask_specs={}))
+    assert call in declared.source
+    assert "_m0(obj, params, event)" in adapted.source
+    events = sorted(info.fsm.alphabet_ints)
+    for n, statenum, eventnum in itertools.product(
+        range(6), range(len(info.fsm)), events
+    ):
+        obj = TierGadget(n=n)
+        params = {"floor": 3}
+
+        def evaluate(mask_name):
+            return bool(info.masks[mask_name](obj, params, _Occurrence))
+
+        result = info.fsm.advance(statenum, eventnum, evaluate)
+        expected = (result.state, result.consumed, result.accepted, result.pseudo_steps)
+        for artifact in (declared, adapted):
+            assert artifact.advance(statenum, eventnum, obj, params, _Occurrence) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +397,16 @@ def test_bump_evicts_cached_artifacts():
 
 
 def test_redefined_class_never_fires_stale_closure(tmp_path):
+    _never_fires_stale_closure(str(tmp_path / "stale"), "2pl")
+
+
+def test_redefined_class_never_fires_stale_closure_under_mvcc(tmp_path):
+    _never_fires_stale_closure(str(tmp_path / "stale"), "mvcc")
+
+
+def _never_fires_stale_closure(path, trigger_cc):
     _define_stale_demo("v1")
-    db = Database.open(str(tmp_path / "stale"), engine="mm")
+    db = Database.open(path, engine="mm", trigger_cc=trigger_cc)
     try:
         cls_v1 = db.registry.find("StaleDemo").pyclass
         with db.transaction():
@@ -394,7 +453,7 @@ def test_deactivation_purges_txn_cache(tmp_path):
                 info.name
                 for _, _ts, info in db.trigger_system.active_triggers(ptr)
             ]
-        assert names == ["Pair"]
+        assert names == [BOUNDED, "Pair"]
     finally:
         db.close()
 

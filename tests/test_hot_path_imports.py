@@ -28,6 +28,12 @@ HOT_PATH = [
     ("repro.core.posting", ("advance_all",)),
     ("repro.core.manager", ("TriggerSystem", "write_back")),
     ("repro.core.posting", ("LockInPlaceStates", "write_back")),
+    ("repro.core.trigger_state", ("decode_group",)),
+    ("repro.core.posting", ("LockInPlaceStates", "group")),
+    ("repro.core.versioned", ("AdvanceBuffer", "group")),
+    ("repro.core.posting", ("StateStore", "refresh")),
+    ("repro.core.manager", ("TriggerSystem", "resolve")),
+    ("repro.core.manager", ("TriggerSystem", "resolved")),
 ]
 
 _SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)

@@ -13,11 +13,13 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro.core.compiled import CompiledTier
 from repro.core.declarations import trigger
 from repro.core.trigger_state import TriggerGroup
 from repro.errors import StorageError
 from repro.fsck import fsck_database
 from repro.objects.database import Database
+from repro.objects.metatype import Metatype, TypeRegistry
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 from repro.objects.serialize import FLAG_HAS_TRIGGERS, decode_object
@@ -143,6 +145,97 @@ def test_a_posting_reads_its_object_and_its_group_and_no_bucket(cell, monkeypatc
     assert delta("posting.events_posted") == delta("posting.fsm_advances") == 2
     assert delta("posting.state_writes") == (2 if two_phase else 0)
     assert delta("posting.firings") == 1
+
+
+class FanGadget(Persistent):
+    """Two trigger kinds: ``Gate`` never passes its mask, ``Step`` moves."""
+
+    n = field(int, default=0)
+
+    __events__ = ["Tick"]
+    __masks__ = {"armed": lambda self: self.n > 0}
+    __triggers__ = [
+        trigger("Gate", "Tick & armed", action=lambda s, c: None, perpetual=True),
+        trigger("Step", "Tick, Tick, Tick", action=lambda s, c: None, perpetual=True),
+    ]
+
+
+class UnimportedBase(Persistent):
+    """Its name is dropped from the registry to play a class a tool has
+    not imported; ``UnimportedChild`` objects carry its trigger."""
+
+    __events__ = ["Tick"]
+    __triggers__ = [trigger("Watch", "Tick", action=lambda s, c: None, perpetual=True)]
+
+
+class UnimportedChild(UnimportedBase):
+    pass
+
+
+def _count_calls(monkeypatch, calls: list, owner: type, name: str) -> None:
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_a_warm_posting_resolves_no_trigger(cell, monkeypatch):
+    """Resolution is memoized per trigger kind: once a kind has posted, a
+    later transaction's 16 machines are loaded resolved, closure and all —
+    no registry, metatype or compiled-tier call."""
+    _, db = cell
+    with db.transaction():
+        handle = db.pnew(FanGadget)
+        for _ in range(8):
+            handle.Gate()
+            handle.Step()
+        ptr = handle.ptr
+    with db.transaction():
+        db.deref(ptr).post_event("Tick")  # warms the memo
+    calls: list[str] = []
+    _count_calls(monkeypatch, calls, TypeRegistry, "find")
+    _count_calls(monkeypatch, calls, Metatype, "trigger_info")
+    _count_calls(monkeypatch, calls, CompiledTier, "advancer_for")
+    before = db.trigger_system.stats.snapshot()
+    with db.transaction() as txn:
+        handle = db.deref(ptr)  # a deref resolves the object's own class
+        del calls[:]
+        machines = db.trigger_system.index.lookup(txn, ptr.rid)
+        assert all(m.advance is not None for m in machines)  # resolved at load
+        for _ in range(4):
+            handle.post_event("Tick")
+    stats = db.trigger_system.stats.diff(before)
+    assert calls == []
+    assert stats["fsm_advances"] == stats["compiled_hits"] == 4 * 16
+    # From the 3rd Tick on (the 2nd here), each Tick completes every Step.
+    assert stats["firings"] == 3 * 8
+
+
+def test_a_lookup_by_rid_loads_a_group_whose_class_is_not_registered(cell, monkeypatch):
+    """Loading never resolves: tooling on a database whose trigger classes
+    are not imported reads the machines (unresolved) as before; only
+    advancing one needs its class."""
+    open_db, db = cell
+    with db.transaction():
+        handle = db.pnew(UnimportedChild)
+        handle.Watch()
+        ptr = handle.ptr
+    db.close()
+    db = open_db()
+    try:
+        monkeypatch.delitem(db.registry._by_name, "UnimportedBase")
+        with db.transaction() as txn:
+            (machine,) = db.trigger_system.index.lookup(txn, ptr.rid)
+        assert machine.state.trigobjtype == "UnimportedBase"
+        assert machine.info is None
+        with pytest.raises(repro.errors.UnknownTypeError):
+            with db.transaction():
+                db.deref(ptr).post_event("Tick")
+    finally:
+        db.close()
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,10 @@ class TriggerSystem:
         # the schema version the memo was started under (see _memo()).
         self._resolutions: dict[tuple[str, int], Resolution] = {}
         self._resolved_at = schema_version()
+        # metatype -> whether its class declares a transaction event
+        # (``before tcomplete``/``tabort``): asked once per class, not per
+        # dereference.
+        self._tx_event_types: dict = {}
         # The trigger-state concurrency-control A/B switch (DESIGN.md §15)
         # picks each transaction's state store: strict 2PL (the baseline —
         # advances X-lock and rewrite the record in place), or advances that
@@ -503,7 +507,12 @@ class TriggerSystem:
     ) -> None:
         """First-access bookkeeping: build the transaction-event object list."""
         metatype = type(obj).__metatype__
-        if any(decl.is_transaction_event for decl in metatype.declared_events):
+        interested = self._tx_event_types.get(metatype)
+        if interested is None:
+            interested = self._tx_event_types[metatype] = any(
+                decl.is_transaction_event for decl in metatype.declared_events
+            )
+        if interested:
             txn.attachment(TX_EVENT_OBJECTS, dict)[ptr.rid] = (ptr, obj)
 
     def _post_tx_event(self, txn: "Transaction", name: str) -> None:
@@ -524,6 +533,9 @@ class TriggerSystem:
     # -- coupling-mode hooks ------------------------------------------------------------
 
     def _before_commit(self, txn: "Transaction") -> None:
+        attachments = txn.attachments
+        if END_LIST not in attachments and TX_EVENT_OBJECTS not in attachments:
+            return  # no end action queued, no transaction-event object
         # 1. Scan the end list, executing deferred actions (which may
         #    themselves fire more triggers, growing the list — drain it).
         end_list = txn.attachment(END_LIST, list)

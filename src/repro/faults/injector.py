@@ -288,7 +288,7 @@ DEFAULT_RETRY = RetryPolicy()
 
 
 def with_retry(
-    op: Callable[[], object],
+    op: Callable[..., object],
     policy: RetryPolicy = DEFAULT_RETRY,
     on_retry: Callable[[], None] | None = None,
 ):
@@ -299,16 +299,36 @@ def with_retry(
     dead medium or a dead process is meaningless.  The last ``OSError`` is
     re-raised once the attempt budget is exhausted.
     """
+    try:
+        return op()
+    except OSError as error:
+        return retry_failed(error, op, policy=policy, on_retry=on_retry)
+
+
+def retry_failed(
+    error: OSError,
+    op: Callable[..., object],
+    *args: object,
+    policy: RetryPolicy = DEFAULT_RETRY,
+    on_retry: Callable[[], None] | None = None,
+):
+    """Continue :func:`with_retry` after ``op(*args)``'s first attempt
+    raised *error*: the remaining attempts of *policy*'s budget, each after
+    one *on_retry* call and the backoff.
+
+    The I/O paths make their first attempt inline and call this only from
+    their ``except OSError`` — the common, successful path builds no
+    closure and enters no retry loop.
+    """
     delay = policy.backoff
-    for attempt in range(policy.attempts):
+    for _ in range(policy.attempts - 1):
+        if on_retry is not None:
+            on_retry()
+        if delay > 0:
+            time.sleep(delay)
+        delay *= policy.multiplier
         try:
-            return op()
-        except OSError:
-            if attempt == policy.attempts - 1:
-                raise
-            if on_retry is not None:
-                on_retry()
-            if delay > 0:
-                time.sleep(delay)
-            delay *= policy.multiplier
-    raise AssertionError("unreachable")  # pragma: no cover
+            return op(*args)
+        except OSError as again:
+            error = again
+    raise error

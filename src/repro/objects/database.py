@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Iterator
-from contextlib import contextmanager
 from typing import Any
 
 from repro import obs
@@ -50,7 +49,7 @@ from repro.objects.serialize import (
 from repro.sessions.session import Session, SessionStats, current_ambient_session
 from repro.storage import open_storage
 from repro.storage.locks import LockMode
-from repro.transactions.manager import TransactionManager
+from repro.transactions.manager import TransactionBlock, TransactionManager
 from repro.transactions.phoenix import PhoenixQueue
 from repro.transactions.txn import Transaction
 
@@ -244,7 +243,8 @@ class Database:
             raise DanglingPointerError("cannot dereference the null pointer")
         if ptr.db_name != self.name:
             return Database.named(ptr.db_name).deref(ptr)
-        txn = self.txn_manager.current()
+        session = self.current_session()
+        txn = session.current_txn_or_raise()
         instance = txn.cache.get(ptr.rid)
         if instance is None:
             try:
@@ -261,7 +261,7 @@ class Database:
             txn.cache[ptr.rid] = instance
             if self.trigger_system is not None:
                 self.trigger_system.on_access(txn, ptr, instance)
-        return PersistentHandle(self, ptr, instance, self.current_session())
+        return PersistentHandle(self, ptr, instance, session)
 
     def post_many(self, items) -> int:
         """Post a batch of user-defined events in the current transaction.
@@ -498,11 +498,9 @@ class Database:
 
     # -- transactions -----------------------------------------------------------------------
 
-    @contextmanager
-    def transaction(self):
+    def transaction(self) -> TransactionBlock:
         """O++ transaction block: commit on success, ``tabort`` aborts quietly."""
-        with self.txn_manager.transaction() as txn:
-            yield txn
+        return self.txn_manager.transaction()
 
     # -- static analysis ----------------------------------------------------------------------
 

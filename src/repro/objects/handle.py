@@ -20,7 +20,9 @@ rewrite, so dereferencing returns a :class:`PersistentHandle` proxy:
 A handle is **bound to the session that dereferenced it**: every operation
 through the handle runs with that session ambient, so its reads, writes,
 lock acquisitions, and event postings land in the owning session's
-transaction even if the handle escapes to other code.  (Serial programs
+transaction even if the handle escapes to other code.  Inside its own
+session's transaction block the session already is ambient, and the
+handle calls straight through.  (Serial programs
 never notice — their handles are bound to the default session.)
 
 Volatile instances never see a handle, so they pay zero trigger overhead —
@@ -33,7 +35,7 @@ import functools
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import TriggerError
-from repro.sessions.session import ambient_session
+from repro.sessions.session import ambient_session, is_ambient
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
@@ -80,10 +82,12 @@ class PersistentHandle:
         return self._session
 
     def _scoped(self, fn, *args: Any, **kwargs: Any) -> Any:
-        """Run *fn* with this handle's session ambient."""
-        if self._session is None:
+        """Run *fn* with this handle's session ambient (pushing it only
+        when it is not already the thread's ambient session)."""
+        session = self._session
+        if session is None or is_ambient(session):
             return fn(*args, **kwargs)
-        with ambient_session(self._session):
+        with ambient_session(session):
             return fn(*args, **kwargs)
 
     # -- attribute protocol ------------------------------------------------------

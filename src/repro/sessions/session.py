@@ -26,9 +26,8 @@ import random
 import threading
 import time
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields, asdict
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro import obs
 from repro.errors import (
@@ -50,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
     from repro.objects.handle import PersistentHandle
     from repro.objects.oid import PersistentPtr
+    from repro.transactions.manager import TransactionBlock
     from repro.transactions.txn import Transaction
 
 
@@ -81,23 +81,72 @@ class SessionStats:
 _ambient = threading.local()
 
 
+def _ambient_stack() -> list:
+    """The calling thread's ambient-session stack (created on first use)."""
+    try:
+        return _ambient.stack
+    except AttributeError:
+        stack = _ambient.stack = []
+        return stack
+
+
 def current_ambient_session() -> "Session | None":
     """The session the calling thread is executing in, if any."""
     stack = getattr(_ambient, "stack", None)
     return stack[-1] if stack else None
 
 
-@contextmanager
-def ambient_session(session: "Session") -> Iterator["Session"]:
-    """Make *session* the calling thread's ambient session for the block."""
+def is_ambient(session: "Session") -> bool:
+    """Whether *session* is already the calling thread's ambient session."""
     stack = getattr(_ambient, "stack", None)
-    if stack is None:
-        stack = _ambient.stack = []
-    stack.append(session)
-    try:
-        yield session
-    finally:
-        stack.pop()
+    return bool(stack) and stack[-1] is session
+
+
+class ambient_session:  # noqa: N801 - used like the function it replaced
+    """Make *session* the calling thread's ambient session for the block."""
+
+    __slots__ = ("session", "_stack")
+
+    def __init__(self, session: "Session"):
+        self.session = session
+
+    def __enter__(self) -> "Session":
+        stack = self._stack = _ambient_stack()
+        stack.append(self.session)
+        return self.session
+
+    def __exit__(self, *exc_info) -> None:
+        self._stack.pop()
+
+
+class SessionTransaction:
+    """:meth:`Session.transaction`'s block: the session is ambient from
+    ``__enter__`` to ``__exit__`` — one push per transaction — around the
+    manager's :class:`~repro.transactions.manager.TransactionBlock`, which
+    carries the O++ semantics."""
+
+    __slots__ = ("_session", "_block", "_stack")
+
+    def __init__(self, session: "Session", block: "TransactionBlock"):
+        self._session = session
+        self._block = block
+
+    def __enter__(self) -> "Transaction":
+        session = self._session
+        session._check_open()
+        stack = self._stack = _ambient_stack()
+        stack.append(session)
+        try:
+            return self._block.__enter__()
+        except BaseException:
+            stack.pop()
+            raise
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        try:
+            return self._block.__exit__(exc_type, exc, tb)
+        finally:
+            self._stack.pop()
 
 
 class Session:
@@ -122,14 +171,12 @@ class Session:
 
     # -- transactions ---------------------------------------------------------
 
-    @contextmanager
-    def transaction(self, *, system: bool = False) -> Iterator["Transaction"]:
+    def transaction(self, *, system: bool = False) -> SessionTransaction:
         """A transaction block in this session (O++ semantics, see
-        :meth:`repro.transactions.manager.TransactionManager.transaction`)."""
-        self._check_open()
-        with ambient_session(self):
-            with self.db.txn_manager.transaction(system=system, session=self) as txn:
-                yield txn
+        :class:`repro.transactions.manager.TransactionBlock`)."""
+        return SessionTransaction(
+            self, self.db.txn_manager.transaction(system=system, session=self)
+        )
 
     def begin(self, *, system: bool = False) -> "Transaction":
         self._check_open()
@@ -250,6 +297,8 @@ class Session:
             return self.db.pnew(cls, *args, **kwargs)
 
     def deref(self, ptr: "PersistentPtr") -> "PersistentHandle":
+        if is_ambient(self):
+            return self.db.deref(ptr)
         with ambient_session(self):
             return self.db.deref(ptr)
 
@@ -268,6 +317,8 @@ class Session:
     def post_many(self, items) -> int:
         """Batch-post ``(handle_or_ptr, event_name)`` pairs in this
         session's transaction (see :meth:`Database.post_many`)."""
+        if is_ambient(self):
+            return self.db.post_many(items)
         with ambient_session(self):
             return self.db.post_many(items)
 

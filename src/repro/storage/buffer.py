@@ -13,7 +13,8 @@ Robustness hooks threaded through this layer:
   raise :class:`~repro.errors.PageChecksumError` instead of decoding
   garbage;
 * transient ``OSError``s around ``pread``/``pwrite``/``fsync`` are retried
-  with bounded exponential backoff (:func:`repro.faults.with_retry`);
+  with bounded exponential backoff (:func:`repro.faults.injector.retry_failed`
+  after an inline first attempt);
 * named failpoints (``page.read``, ``page.write``, ``page.sync``,
   ``pool.evict``) let the fault injector crash, corrupt, or fail each
   physical operation deterministically.
@@ -28,7 +29,7 @@ from collections import OrderedDict
 
 from repro import obs
 from repro.errors import BufferPoolError, PageChecksumError, PageError
-from repro.faults.injector import NULL_INJECTOR, FaultInjector, with_retry
+from repro.faults.injector import NULL_INJECTOR, FaultInjector, retry_failed
 from repro.storage.page import CHECKSUM, PAGE_SIZE, USABLE_END, SlottedPage
 
 
@@ -88,29 +89,20 @@ class PagedFile:
         page_no = self._num_pages
         raw = bytearray(PAGE_SIZE)
         stamp_checksum(raw)
-
-        def op():
-            data, crash_after = self.injector.fire_write(
-                "page.write", bytes(raw), page_no=page_no, allocate=True
-            )
-            os.pwrite(self._fd, data, page_no * PAGE_SIZE)
-            if crash_after:
-                os.fsync(self._fd)
-                self.injector.crash_pending("page.write")
-
-        with_retry(op, on_retry=self._count_retry)
+        self._write_raw(page_no, bytes(raw))
         self._num_pages += 1
         return page_no
 
     def read_page(self, page_no: int) -> bytearray:
         if not 0 <= page_no < self._num_pages:
             raise PageError(f"page {page_no} out of range (have {self._num_pages})")
-
-        def op():
-            self.injector.fire("page.read", page_no=page_no)
-            return os.pread(self._fd, PAGE_SIZE, page_no * PAGE_SIZE)
-
-        data = bytearray(with_retry(op, on_retry=self._count_retry))
+        try:
+            raw = self._pread(page_no)
+        except OSError as error:
+            raw = retry_failed(
+                error, self._pread, page_no, on_retry=self._count_retry
+            )
+        data = bytearray(raw)
         if not checksum_ok(data):
             (stored,) = CHECKSUM.unpack_from(data, USABLE_END)
             raise PageChecksumError(
@@ -125,26 +117,43 @@ class PagedFile:
             raise PageError(f"page {page_no} out of range (have {self._num_pages})")
         stamped = bytearray(raw)
         stamp_checksum(stamped)
-
-        def op():
-            # Faults mangle the bytes *after* the checksum is stamped, so
-            # injected corruption is always detectable on the next read.
-            data, crash_after = self.injector.fire_write(
-                "page.write", bytes(stamped), page_no=page_no
-            )
-            os.pwrite(self._fd, data, page_no * PAGE_SIZE)
-            if crash_after:
-                os.fsync(self._fd)
-                self.injector.crash_pending("page.write")
-
-        with_retry(op, on_retry=self._count_retry)
+        # Faults mangle the bytes *after* the checksum is stamped, so
+        # injected corruption is always detectable on the next read.
+        self._write_raw(page_no, bytes(stamped))
 
     def sync(self) -> None:
-        def op():
-            self.injector.fire("page.sync")
-            os.fsync(self._fd)
+        try:
+            self._fsync()
+        except OSError as error:
+            retry_failed(error, self._fsync, on_retry=self._count_retry)
 
-        with_retry(op, on_retry=self._count_retry)
+    def _write_raw(self, page_no: int, raw: bytes) -> None:
+        try:
+            self._pwrite(page_no, raw)
+        except OSError as error:
+            retry_failed(
+                error, self._pwrite, page_no, raw, on_retry=self._count_retry
+            )
+
+    # One attempt at each physical operation; the callers above retry a
+    # transient OSError through retry_failed.
+
+    def _pread(self, page_no: int) -> bytes:
+        self.injector.fire("page.read", page_no=page_no)
+        return os.pread(self._fd, PAGE_SIZE, page_no * PAGE_SIZE)
+
+    def _pwrite(self, page_no: int, raw: bytes) -> None:
+        data, crash_after = self.injector.fire_write(
+            "page.write", raw, page_no=page_no
+        )
+        os.pwrite(self._fd, data, page_no * PAGE_SIZE)
+        if crash_after:
+            os.fsync(self._fd)
+            self.injector.crash_pending("page.write")
+
+    def _fsync(self) -> None:
+        self.injector.fire("page.sync")
+        os.fsync(self._fd)
 
     def close(self) -> None:
         if not self._closed:

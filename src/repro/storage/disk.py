@@ -235,7 +235,7 @@ class PagedRecords:
             return None
         page = self._pool.fetch(page_no)
         try:
-            return page.read(slot_no) if page.is_live(slot_no) else None
+            return page.get(slot_no)
         finally:
             self._pool.unpin(page_no, dirty=False)
 

@@ -219,7 +219,7 @@ class LockManager:
         current = entry.holders.get(txid)
         if current is not None and current >= mode:
             return True  # already held at this strength
-        if any(w == txid for w, _ in entry.waiters):
+        if entry.waiters and any(w == txid for w, _ in entry.waiters):
             return False  # queued: only a release's grant retry grants it
         # An upgrader already holds the resource, so it conceptually sits at
         # the head of the queue: only the holders can block it.
@@ -269,10 +269,25 @@ class LockManager:
 
         The single-session database uses this path: with one transaction at a
         time a conflict indicates a bug rather than contention, so the
-        request is neither queued nor counted as a wait.
+        request is neither queued nor counted as a wait.  A request on a
+        resource with no table entry — no holder, no waiter — is granted
+        with one insert, skipping the grantability scan.
         """
         with self._mutex:
-            entry = self._entry_locked(resource)
+            entry = self._table.get(resource)
+            if entry is None:
+                # Uncontended: nobody holds or awaits *resource*.
+                entry = self._table[resource] = _LockEntry()
+                self._grant(entry, txid, resource, mode)
+                if obs.ENABLED:
+                    obs.emit(
+                        "lock.acquire",
+                        txid=txid,
+                        resource=resource,
+                        mode=mode.name,
+                        upgrade=False,
+                    )
+                return
             if self._try_grant_locked(entry, txid, resource, mode):
                 return
             holders = sorted(entry.holders)
@@ -446,6 +461,8 @@ class LockManager:
         for holder, held in entry.holders.items():
             if holder != txid and not held.compatible(mode):
                 return False
+        if not entry.waiters:
+            return True
         ahead = entry.waiters if position is None else entry.waiters[:position]
         for waiter, wmode in ahead:
             if waiter != txid and not (

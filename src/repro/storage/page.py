@@ -151,12 +151,16 @@ class SlottedPage:
         self._set_header(self.slot_count, new_end)
         self._set_slot(slot_no, new_end, len(data))
 
-    def read(self, slot_no: int) -> bytes:
-        """Return the record stored at *slot_no*."""
-        offset, length = self._slot(slot_no)
+    def get(self, slot_no: int) -> bytes | None:
+        """The record stored at *slot_no*, or ``None`` when the slot is
+        out of range or tombstoned — one header and one slot unpack."""
+        raw = self.raw
+        if not 0 <= slot_no < PAGE_HEADER.unpack_from(raw, 0)[0]:
+            return None
+        offset, length = SLOT.unpack_from(raw, _HEADER_SIZE + slot_no * _SLOT_SIZE)
         if offset == TOMBSTONE:
-            raise PageError(f"slot {slot_no} is deleted")
-        return bytes(self.raw[offset : offset + length])
+            return None
+        return bytes(raw[offset : offset + length])
 
     def update(self, slot_no: int, data: bytes) -> None:
         """Replace the record at *slot_no* with *data* (may relocate it)."""
@@ -187,13 +191,6 @@ class SlottedPage:
             raise PageError(f"slot {slot_no} is already deleted")
         self._set_slot(slot_no, TOMBSTONE, length)
 
-    def is_live(self, slot_no: int) -> bool:
-        """Whether *slot_no* currently holds a record."""
-        if not 0 <= slot_no < self.slot_count:
-            return False
-        offset, _ = self._slot(slot_no)
-        return offset != TOMBSTONE
-
     def records(self) -> Iterator[tuple[int, bytes]]:
         """Yield ``(slot_no, data)`` for every live record."""
         for slot_no in range(self.slot_count):
@@ -204,9 +201,9 @@ class SlottedPage:
     def compact(self) -> None:
         """Repack live records against the page tail, erasing fragmentation."""
         live = [
-            (slot_no, self.read(slot_no))
+            (slot_no, data)
             for slot_no in range(self.slot_count)
-            if self.is_live(slot_no)
+            if (data := self.get(slot_no)) is not None
         ]
         end = USABLE_END
         for slot_no, data in live:

@@ -45,7 +45,12 @@ from collections.abc import Iterator
 
 from repro import obs
 from repro.errors import WALError
-from repro.faults.injector import NULL_INJECTOR, FaultInjector, with_retry
+from repro.faults.injector import (
+    NULL_INJECTOR,
+    FaultInjector,
+    retry_failed,
+    with_retry,
+)
 
 _FRAME = struct.Struct("<II")  # payload_len, crc
 _PAYLOAD_HEAD = struct.Struct("<QQBq")  # lsn, txid, kind, rid
@@ -205,22 +210,17 @@ class WriteAheadLog:
             )
             self._next_lsn += 1
             frame = record.encode()
-
-            def op():
-                data, crash_after = self.injector.fire_write(
-                    "wal.append", frame, lsn=record.lsn, kind=kind.name
+            try:
+                self._write_frame(frame, record.lsn, kind)
+            except OSError as error:
+                retry_failed(
+                    error,
+                    self._write_frame,
+                    frame,
+                    record.lsn,
+                    kind,
+                    on_retry=self._count_retry,
                 )
-                os.write(self._fd, data)
-                self._size += len(data)
-                if crash_after:
-                    # A torn append the power cut made durable: fsync the
-                    # partial frame so the simulated crash keeps it and
-                    # recovery has a real torn tail to truncate.
-                    os.fsync(self._fd)
-                    self._synced_size = self._size
-                    self.injector.crash_pending("wal.append")
-
-            with_retry(op, on_retry=self._count_retry)
         if self._stats is not None:
             self._stats.log_records += 1
         if obs.ENABLED:
@@ -233,6 +233,21 @@ class WriteAheadLog:
                 bytes=len(frame),
             )
         return record
+
+    def _write_frame(self, frame: bytes, lsn: int, kind: LogRecordKind) -> None:
+        """One attempt at appending *frame* (mutex held)."""
+        data, crash_after = self.injector.fire_write(
+            "wal.append", frame, lsn=lsn, kind=kind.name
+        )
+        os.write(self._fd, data)
+        self._size += len(data)
+        if crash_after:
+            # A torn append the power cut made durable: fsync the partial
+            # frame so the simulated crash keeps it and recovery has a
+            # real torn tail to truncate.
+            os.fsync(self._fd)
+            self._synced_size = self._size
+            self.injector.crash_pending("wal.append")
 
     def force(self) -> None:
         """Make every byte appended so far durable (the only fsync path).
@@ -252,11 +267,10 @@ class WriteAheadLog:
                     self._stats.group_piggybacks += 1
                 return
 
-        def op():
-            self.injector.fire("wal.force")  # crash here: the goal is not durable
-            os.fsync(self._fd)
-
-        with_retry(op, on_retry=self._count_retry)
+        try:
+            self._fsync()
+        except OSError as error:
+            retry_failed(error, self._fsync, on_retry=self._count_retry)
         with self._mutex:
             if truncations == self._truncations and goal > self._synced_size:
                 self._synced_size = goal
@@ -269,6 +283,11 @@ class WriteAheadLog:
     #: An alias, not a second body: ``perf/micro.py`` and ``perf/trace.py``
     #: name it.
     force_now = force
+
+    def _fsync(self) -> None:
+        """One attempt at :meth:`force`'s fsync."""
+        self.injector.fire("wal.force")  # crash here: the goal is not durable
+        os.fsync(self._fd)
 
     # -- reading -----------------------------------------------------------------
 

@@ -16,7 +16,17 @@ from repro.transactions.txn import TxnState
 
 
 class CommitDependencyGraph:
-    """child txid -> parent txids it may only commit after."""
+    """child txid -> parent txids it may only commit after.
+
+    Outcomes come from :attr:`TransactionManager.outcomes`, which remembers
+    only the last :data:`~repro.transactions.manager.OUTCOME_WINDOW`
+    finished transactions.  The engine schedules a dependent action in its
+    parent's after-commit hook, and the committing thread drains the queue
+    right after, before that session's next transaction; only the other
+    sessions' transactions can finish in between, so a parent is inside
+    the window when its child commits.  A parent outside it reads as
+    unknown — not committed — exactly like a txid that never finished.
+    """
 
     def __init__(self) -> None:
         self._parents: dict[int, set[int]] = defaultdict(set)
@@ -36,7 +46,10 @@ class CommitDependencyGraph:
         A parent with no recorded outcome is treated as not-committed: the
         dependency is on a completed commit, not an in-flight transaction.
         """
-        for parent in self._parents.get(child, set()):
+        parents = self._parents.get(child)
+        if not parents:
+            return
+        for parent in parents:
             outcome = outcomes.get(parent)
             if outcome is not TxnState.COMMITTED:
                 raise CommitDependencyError(

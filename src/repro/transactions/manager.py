@@ -32,8 +32,7 @@ detached-mode hooks schedule their system transactions.
 from __future__ import annotations
 
 import threading
-from collections import deque
-from contextlib import contextmanager
+from collections import OrderedDict, deque
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
@@ -41,6 +40,7 @@ from repro.errors import (
     CommitDependencyError,
     DatabaseClosedError,
     NestedTransactionError,
+    NoActiveTransactionError,
     TransactionAbort,
     TransactionError,
 )
@@ -50,6 +50,13 @@ from repro.transactions.txn import Transaction, TxnState
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
     from repro.sessions.session import Session
+
+#: How many finished transactions' outcomes :attr:`TransactionManager.
+#: outcomes` keeps (oldest evicted first).  A commit dependency is checked
+#: within a drain or two of its parent's commit, so the window only has to
+#: cover the transactions other sessions finish meanwhile; a parent that
+#: fell out of it reads as unknown, i.e. not committed.
+OUTCOME_WINDOW = 1024
 
 
 class TransactionManager:
@@ -61,7 +68,9 @@ class TransactionManager:
         self._txid_lock = threading.Lock()
         #: txid -> transaction, for every ACTIVE/COMMITTING transaction.
         self._active: dict[int, Transaction] = {}
-        self.outcomes: dict[int, TxnState] = {}
+        #: txid -> final state of the last :data:`OUTCOME_WINDOW` finished
+        #: transactions, in finishing order.
+        self.outcomes: OrderedDict[int, TxnState] = OrderedDict()
         self.dependencies = CommitDependencyGraph()
         self._begin_listeners: list[Callable[[Transaction], None]] = []
         # Detached trigger actions wait here until some session is between
@@ -125,8 +134,6 @@ class TransactionManager:
         return self.db.current_session().current_txn_or_raise()
 
     def current_or_none(self) -> Transaction | None:
-        from repro.errors import NoActiveTransactionError
-
         try:
             return self.current()
         except NoActiveTransactionError:
@@ -249,7 +256,10 @@ class TransactionManager:
         return txn.state
 
     def _finish(self, txn: Transaction) -> None:
-        self.outcomes[txn.txid] = txn.state
+        outcomes = self.outcomes
+        outcomes[txn.txid] = txn.state
+        if len(outcomes) > OUTCOME_WINDOW:
+            outcomes.popitem(last=False)
         self.dependencies.forget(txn.txid)
         self._active.pop(txn.txid, None)
         sess = txn.session
@@ -267,29 +277,12 @@ class TransactionManager:
 
     # -- conveniences -----------------------------------------------------------------
 
-    @contextmanager
     def transaction(
         self, *, system: bool = False, session: "Session | None" = None
-    ):
-        """``with`` block with O++ transaction-block semantics.
-
-        ``tabort`` (a :class:`TransactionAbort` escaping the block) aborts
-        and is swallowed — execution continues after the block, as in O++.
-        Any other exception aborts and propagates.
-        """
-        txn = self.begin(system=system, session=session)
-        try:
-            yield txn
-        except TransactionAbort:
-            if txn.is_active:
-                self.abort(txn, explicit=True)
-        except BaseException:
-            if txn.is_active:
-                self.abort(txn, explicit=False)
-            raise
-        else:
-            if txn.is_active:
-                self.commit(txn)
+    ) -> "TransactionBlock":
+        """``with`` block with O++ transaction-block semantics (see
+        :class:`TransactionBlock`)."""
+        return TransactionBlock(self, system, session)
 
     def run_system_transaction(
         self,
@@ -349,6 +342,8 @@ class TransactionManager:
         are picked up by the outer loop.  A scheduled body whose commit
         dependency failed is discarded (the *dependent* contract).
         """
+        if not self._system_queue:
+            return 0
         if getattr(self._draining, "active", False):
             return 0
         if self.db.closed:
@@ -360,7 +355,7 @@ class TransactionManager:
             while True:
                 try:
                     body, depends_on = self._system_queue.popleft()
-                except IndexError:
+                except IndexError:  # another session drained it meanwhile
                     break
                 try:
                     self.run_system_transaction(
@@ -372,3 +367,48 @@ class TransactionManager:
         finally:
             self._draining.active = False
         return ran
+
+
+class TransactionBlock:
+    """One ``with`` block with O++ transaction-block semantics.
+
+    ``__enter__`` begins the transaction and returns it.  ``__exit__``:
+
+    * a clean exit commits;
+    * ``tabort`` (a :class:`TransactionAbort` escaping the block) aborts
+      explicitly and is swallowed — execution continues after the block,
+      as in O++;
+    * any other exception aborts implicitly and propagates.
+
+    A transaction the body already finished (committed or aborted itself)
+    is left alone.  This is the only implementation of those rules:
+    :meth:`Database.transaction`, :meth:`Session.transaction` and
+    :meth:`Session.run` all go through it.
+    """
+
+    __slots__ = ("_manager", "_system", "_session", "txn")
+
+    def __init__(
+        self, manager: TransactionManager, system: bool, session: "Session | None"
+    ):
+        self._manager = manager
+        self._system = system
+        self._session = session
+        self.txn: Transaction | None = None
+
+    def __enter__(self) -> Transaction:
+        txn = self.txn = self._manager.begin(
+            system=self._system, session=self._session
+        )
+        return txn
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        txn = self.txn
+        if exc_type is None:
+            if txn.state is TxnState.ACTIVE:
+                self._manager.commit(txn)
+            return False
+        tabort = issubclass(exc_type, TransactionAbort)
+        if txn.state is TxnState.ACTIVE:
+            self._manager.abort(txn, explicit=tabort)
+        return tabort

@@ -180,7 +180,6 @@ class TestDependent:
             obj = db.pnew(Recorder)
             ptr = obj.ptr
             obj.Dep()
-        detecting_txn_ids = set(db.txn_manager.outcomes)
         with db.transaction():
             db.deref(ptr).post_event("Go")
         with db.transaction():

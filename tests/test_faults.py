@@ -16,7 +16,11 @@ from repro.faults import (
     RetryPolicy,
     with_retry,
 )
+from repro.faults.injector import DEFAULT_RETRY
 from repro.objects.database import Database
+from repro.storage.buffer import PagedFile
+from repro.storage.interface import StorageStats
+from repro.storage.wal import LogRecordKind, WriteAheadLog
 from repro.workloads.credit_card import CredCard
 
 
@@ -117,6 +121,44 @@ class TestWithRetry:
         with pytest.raises(UnrecoverableMediaError):
             with_retry(media, RetryPolicy(attempts=4, backoff=0.0))
         assert len(calls) == 1  # retrying a dead medium is meaningless
+
+
+class TestInlineFirstAttempt:
+    """Each WAL and page operation makes its first attempt inline and
+    retries through ``retry_failed``: the same budget (four attempts), one
+    ``io_retries`` per retry, and exactly one failpoint hit per attempt."""
+
+    @staticmethod
+    def operate(point, tmp_path, injector, stats):
+        if point.startswith("wal."):
+            wal = WriteAheadLog(str(tmp_path / "log"), stats=stats, injector=injector)
+            wal.append(1, LogRecordKind.UPDATE, 7, b"a", b"b")
+            if point == "wal.force":
+                wal.force()
+            return
+        paged = PagedFile(str(tmp_path / "data"), injector=injector, stats=stats)
+        page_no = paged.allocate_page()
+        if point == "page.read":
+            paged.read_page(page_no)
+        elif point == "page.sync":
+            paged.sync()
+
+    @pytest.mark.parametrize(
+        "point", ["wal.append", "wal.force", "page.write", "page.read", "page.sync"]
+    )
+    @pytest.mark.parametrize("failures", [1, 3, 4])
+    def test_budget_and_counts(self, tmp_path, point, failures):
+        fault = Fault(point, FaultKind.IO_ERROR, count=failures)
+        injector = FaultInjector([fault])
+        stats = StorageStats()
+        if failures < DEFAULT_RETRY.attempts:
+            self.operate(point, tmp_path, injector, stats)
+        else:
+            with pytest.raises(TransientIOError):
+                self.operate(point, tmp_path, injector, stats)
+        attempts = min(failures + 1, DEFAULT_RETRY.attempts)
+        assert stats.io_retries == attempts - 1
+        assert fault._seen == attempts  # hits of *point*, one per attempt
 
 
 class TestEngineUnderFaults:

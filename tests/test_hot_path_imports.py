@@ -34,6 +34,20 @@ HOT_PATH = [
     ("repro.core.posting", ("StateStore", "refresh")),
     ("repro.core.manager", ("TriggerSystem", "resolve")),
     ("repro.core.manager", ("TriggerSystem", "resolved")),
+    ("repro.transactions.manager", ("TransactionBlock", "__enter__")),
+    ("repro.transactions.manager", ("TransactionBlock", "__exit__")),
+    ("repro.sessions.session", ("SessionTransaction", "__enter__")),
+    ("repro.sessions.session", ("SessionTransaction", "__exit__")),
+    ("repro.sessions.session", ("Session", "deref")),
+    ("repro.objects.handle", ("PersistentHandle", "_scoped")),
+    ("repro.transactions.manager", ("TransactionManager", "current_or_none")),
+    ("repro.transactions.manager", ("TransactionManager", "commit")),
+    ("repro.transactions.manager", ("TransactionManager", "drain_system_queue")),
+    ("repro.core.manager", ("TriggerSystem", "_before_commit")),
+    ("repro.core.manager", ("TriggerSystem", "on_access")),
+    ("repro.storage.locks", ("LockManager", "acquire_or_raise")),
+    ("repro.storage.disk", ("PagedRecords", "_payload")),
+    ("repro.storage.page", ("SlottedPage", "get")),
 ]
 
 _SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)

@@ -305,3 +305,87 @@ class TestFIFOProperty:
         for txid in sorted(set(t for q in arrival.values() for t in q)):
             lm.release_all(txid)
         assert lm.waits_for_edges() == {}
+
+
+class TestUncontendedFastPath:
+    """``acquire_or_raise`` grants a request on a resource with no table
+    entry with one insert; everything it records must equal what the
+    general grant path (``_try_grant_locked``) records for the same
+    request sequence."""
+
+    # (txid, resource, mode): fresh S, repeated S, S→X, fresh X, a second
+    # reader, then a request behind a queued writer.
+    SEQUENCE = [
+        (1, "a", LockMode.S),
+        (1, "a", LockMode.S),
+        (1, "a", LockMode.X),
+        (1, "b", LockMode.X),
+        (2, "c", LockMode.S),
+        (4, "c", LockMode.S),
+    ]
+
+    @staticmethod
+    def general_acquire_or_raise(lm, txid, resource, mode):
+        """The grant path without the fast path: table entry first, then
+        the grantability scan."""
+        with lm._mutex:
+            entry = lm._entry_locked(resource)
+            if lm._try_grant_locked(entry, txid, resource, mode):
+                return
+            holders = sorted(entry.holders)
+        raise LockError(f"transaction {txid} blocked on {resource!r} held by {holders}")
+
+    def run(self, acquire):
+        from repro import obs
+
+        lm = LockManager()
+        log = lm.start_order_trace()
+        outcomes = []
+        with obs.enabled() as recorder:
+            for step, (txid, resource, mode) in enumerate(self.SEQUENCE):
+                if step == len(self.SEQUENCE) - 1:
+                    # A writer queues behind reader 2 on "c" (general path
+                    # on both sides), so the last request waits behind it.
+                    assert lm.acquire(3, "c", LockMode.X) is LockRequestStatus.WAIT
+                try:
+                    acquire(lm, txid, resource, mode)
+                    outcomes.append("granted")
+                except LockError:
+                    outcomes.append("refused")
+            records = [
+                (r.kind, r.data)
+                for r in recorder.records()
+                if r.kind == "lock.acquire"
+            ]
+        return outcomes, lm.stats.snapshot(), list(log), records
+
+    def test_stats_order_log_and_records_match_the_general_path(self):
+        fast = self.run(LockManager.acquire_or_raise)
+        general = self.run(self.general_acquire_or_raise)
+        assert fast == general
+        outcomes, stats, log, records = fast
+        assert outcomes == ["granted"] * 5 + ["refused"]
+        assert stats["s_acquired"] == 2 and stats["x_acquired"] == 2
+        assert stats["upgrades"] == 1 and stats["waits"] == 1
+        assert log == [
+            (1, "a", "S", False),
+            (1, "a", "X", True),
+            (1, "b", "X", False),
+            (2, "c", "S", False),
+        ]
+        assert len(records) == 4
+        assert [dict(data)["upgrade"] for _kind, data in records] == [
+            False,
+            True,
+            False,
+            False,
+        ]
+
+    def test_fresh_request_creates_one_entry_held_by_the_requester(self, lm):
+        lm.acquire_or_raise(7, "r", LockMode.S)
+        entry = lm._table["r"]
+        assert entry.holders == {7: LockMode.S}
+        assert entry.waiters == []
+        assert lm.locks_held(7) == frozenset({"r"})
+        lm.release_all(7)
+        assert lm._table == {}

@@ -19,8 +19,7 @@ def test_new_page_is_empty():
 def test_insert_and_read():
     page = SlottedPage()
     slot = page.insert(b"hello")
-    assert page.read(slot) == b"hello"
-    assert page.is_live(slot)
+    assert page.get(slot) == b"hello"
 
 
 def test_insert_returns_distinct_slots():
@@ -28,24 +27,35 @@ def test_insert_returns_distinct_slots():
     slots = [page.insert(f"rec-{i}".encode()) for i in range(10)]
     assert len(set(slots)) == 10
     for i, slot in enumerate(slots):
-        assert page.read(slot) == f"rec-{i}".encode()
+        assert page.get(slot) == f"rec-{i}".encode()
 
 
-def test_read_bad_slot_raises():
+def test_get_missing_slot_is_none():
     page = SlottedPage()
-    with pytest.raises(PageError):
-        page.read(0)
+    assert page.get(0) is None  # an empty page
+    page.insert(b"only")
+    assert page.get(1) is None  # past the slot count
+    assert page.get(-1) is None  # negative: never indexes from the end
+    assert page.get(0) == b"only"
 
 
 def test_delete_tombstones_slot():
     page = SlottedPage()
     slot = page.insert(b"doomed")
     page.delete(slot)
-    assert not page.is_live(slot)
-    with pytest.raises(PageError):
-        page.read(slot)
+    assert page.get(slot) is None
     with pytest.raises(PageError):
         page.delete(slot)
+
+
+def test_get_tombstoned_slot_is_none_but_keeps_its_number():
+    page = SlottedPage()
+    a = page.insert(b"a")
+    b = page.insert(b"b")
+    page.delete(a)
+    assert page.get(a) is None
+    assert page.slot_count == 2
+    assert page.get(b) == b"b"
 
 
 def test_delete_keeps_other_slot_numbers_stable():
@@ -53,7 +63,7 @@ def test_delete_keeps_other_slot_numbers_stable():
     a = page.insert(b"a")
     b = page.insert(b"b")
     page.delete(a)
-    assert page.read(b) == b"b"
+    assert page.get(b) == b"b"
 
 
 def test_insert_reuses_tombstoned_slot():
@@ -63,14 +73,14 @@ def test_insert_reuses_tombstoned_slot():
     page.delete(a)
     c = page.insert(b"c")
     assert c == a
-    assert page.read(c) == b"c"
+    assert page.get(c) == b"c"
 
 
 def test_update_in_place_shrink():
     page = SlottedPage()
     slot = page.insert(b"longer-record")
     page.update(slot, b"tiny")
-    assert page.read(slot) == b"tiny"
+    assert page.get(slot) == b"tiny"
 
 
 def test_update_grow_relocates_within_page():
@@ -78,8 +88,8 @@ def test_update_grow_relocates_within_page():
     slot = page.insert(b"small")
     other = page.insert(b"other")
     page.update(slot, b"x" * 200)
-    assert page.read(slot) == b"x" * 200
-    assert page.read(other) == b"other"
+    assert page.get(slot) == b"x" * 200
+    assert page.get(other) == b"other"
 
 
 def test_update_deleted_slot_raises():
@@ -117,7 +127,7 @@ def test_compact_reclaims_dead_space():
     page.compact()
     assert page.free_space() > free_before
     for slot in slots[1::2]:
-        assert page.read(slot) == b"z" * 300
+        assert page.get(slot) == b"z" * 300
 
 
 def test_update_grow_after_fragmentation_compacts():
@@ -127,16 +137,16 @@ def test_update_grow_after_fragmentation_compacts():
     for slot in doomed:
         page.delete(slot)
     page.update(keep, b"K" * 3000)  # needs compaction to fit
-    assert page.read(keep) == b"K" * 3000
+    assert page.get(keep) == b"K" * 3000
 
 
 def test_insert_at_specific_slot():
     page = SlottedPage()
     page.insert_at(3, b"at-three")
-    assert page.read(3) == b"at-three"
+    assert page.get(3) == b"at-three"
     assert page.slot_count == 4
     for slot in range(3):
-        assert not page.is_live(slot)
+        assert page.get(slot) is None
 
 
 def test_insert_at_occupied_raises():
@@ -150,7 +160,7 @@ def test_roundtrip_through_raw_bytes():
     page = SlottedPage()
     slot = page.insert(b"persist-me")
     page2 = SlottedPage(bytearray(page.raw))
-    assert page2.read(slot) == b"persist-me"
+    assert page2.get(slot) == b"persist-me"
 
 
 def test_wrong_size_raises():
@@ -194,6 +204,8 @@ def test_page_matches_model(ops):
                     continue
                 model[slot] = op[2]
     assert dict(page.records()) == model
+    for slot in range(page.slot_count + 1):
+        assert page.get(slot) == model.get(slot)
     # Compaction never changes contents.
     page.compact()
     assert dict(page.records()) == model

@@ -1,5 +1,8 @@
 """Transaction-manager tests: lifecycle, tabort, hooks, dependencies, system txns."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -12,6 +15,7 @@ from repro.errors import (
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 from repro.transactions.dependencies import CommitDependencyGraph
+from repro.transactions.manager import OUTCOME_WINDOW
 from repro.transactions.txn import TxnState
 
 
@@ -236,3 +240,76 @@ class TestDependencyGraph:
         graph.add(2, 1)
         graph.forget(2)
         assert graph.parents_of(2) == frozenset()
+
+
+class TestOutcomeWindow:
+    """``TransactionManager.outcomes`` is bounded: long runs hold bounded
+    memory, and dependencies behave the same inside the window."""
+
+    def test_five_thousand_transactions_keep_at_most_the_window(
+        self, any_engine_db
+    ):
+        db = any_engine_db
+        manager = db.txn_manager
+        last = None
+        for _ in range(5000):
+            last = manager.begin()
+            manager.commit(last)
+        assert len(manager.outcomes) <= OUTCOME_WINDOW
+        # The newest outcomes are the ones kept, in finishing order.
+        assert next(reversed(manager.outcomes)) == last.txid
+        assert manager.outcomes[last.txid] is TxnState.COMMITTED
+        assert list(manager.outcomes) == sorted(manager.outcomes)
+
+    def test_parent_inside_the_window_still_satisfies_its_dependent(
+        self, any_engine_db
+    ):
+        db = any_engine_db
+        manager = db.txn_manager
+        parent = manager.begin()
+        manager.commit(parent)
+        for _ in range(OUTCOME_WINDOW - 1):
+            manager.commit(manager.begin())
+        assert parent.txid in manager.outcomes
+        txn = manager.run_system_transaction(lambda t: None, depends_on=parent.txid)
+        assert txn.committed
+
+    def test_parent_outside_the_window_reads_as_unknown(self, any_engine_db):
+        db = any_engine_db
+        manager = db.txn_manager
+        parent = manager.begin()
+        manager.commit(parent)
+        for _ in range(OUTCOME_WINDOW):
+            manager.commit(manager.begin())
+        assert parent.txid not in manager.outcomes
+        with pytest.raises(CommitDependencyError, match="unknown"):
+            manager.run_system_transaction(lambda t: None, depends_on=parent.txid)
+
+    def test_threaded_committers_keep_the_window_bounded(self, any_engine_db):
+        db = any_engine_db
+        sessions = [db.session(f"w{i}") for i in range(4)]
+        errors = []
+
+        def work(session):
+            try:
+                for _ in range(400):
+                    session.run(lambda txn: None)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(s,)) for s in sessions]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        outcomes = db.txn_manager.outcomes
+        # Racing evictions may each drop one entry, never more.
+        assert OUTCOME_WINDOW - len(threads) <= len(outcomes) <= OUTCOME_WINDOW
+        assert all(state is TxnState.COMMITTED for state in outcomes.values())

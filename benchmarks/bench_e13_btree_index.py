@@ -1,11 +1,12 @@
-"""E13 — B-tree indexes vs cluster scans (the disk-Ode-only facility).
+"""E13 — B-tree indexes vs extent scans (the disk-Ode-only facility).
 
 Section 5.6 notes MM-Ode ships "with full Ode functionality (except for
 B-trees which do not exist in Dali)" — disk Ode has them.  This experiment
 measures what they buy: point-lookup latency by B-tree vs scanning the
-class cluster, as the extent grows.
+class extent — one pass over the object records, keeping those that name
+the class — as the extent grows.
 
-Expected shape: the scan grows linearly with the extent; the index stays
+Expected shape: the scan grows linearly with the records; the index stays
 near-flat (logarithmic node path), so the gap widens with N.  The MM
 engine's refusal to create an index is asserted as the fidelity check.
 """
@@ -82,7 +83,7 @@ def test_mm_ode_has_no_btrees(benchmark):
 def teardown_module(module):
     emit_table(
         "E13",
-        f"point lookup: B-tree index vs cluster scan ({LOOKUPS} lookups)",
+        f"point lookup: B-tree index vs extent scan ({LOOKUPS} lookups)",
         ["extent", "index us/lookup", "scan us/lookup", "scan/index"],
         _RESULTS,
         notes=(

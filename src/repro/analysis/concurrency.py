@@ -19,8 +19,12 @@ Resources are symbolic *classes*, not instances:
 * ``object:<Type>``  — the monitored object's record
 * ``state-group:<Type>`` — the object's trigger group: one record holding
   every active trigger state of the object, whichever trigger it is
-* ``meta:index`` / ``meta:catalog`` — trigger-index buckets (activation,
-  fsck and tooling only: a posting locks none), catalog
+* ``extent:<Type>`` — a class's extent, a symbolic lock (no record):
+  ``pnew``/``pdelete`` take it X, an ``objects()`` scan S; an action whose
+  allocations are not typed statically is charged ``extent:*``
+* ``meta`` — in an observed trace, every lock on neither an object nor a
+  group: trigger-index buckets (activation, fsck and tooling only: a
+  posting locks none), the catalog, extents
 
 Footprints feed four passes:
 
@@ -326,7 +330,7 @@ def infer_lock_footprint(
         ):
             push("object:*", X, "action writes other objects")
         if effects.db_ops:
-            push("meta:catalog", X, "action allocates/deletes persistent records")
+            push("extent:*", X, "action allocates/deletes persistent records")
 
     return LockFootprint(
         type_name=type_name,

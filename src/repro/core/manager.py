@@ -53,7 +53,7 @@ from repro.errors import (
 )
 from repro.events.fsm import DEAD
 from repro.objects.oid import PersistentPtr
-from repro.objects.serialize import FLAG_HAS_TRIGGERS, FORMAT_VERSION, decode_object
+from repro.objects.serialize import FLAG_HAS_TRIGGERS, peek_object
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
@@ -61,9 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.transactions.txn import Transaction
 
 TX_EVENT_OBJECTS = "trigger:tx_event_objects"
-
-#: An object record's first byte: its format version.
-_OBJECT_RECORD = bytes([FORMAT_VERSION])
 
 #: A trigger state's kind: what it resolves through.
 _KIND = operator.attrgetter("trigobjtype", "triggernum")
@@ -364,17 +361,15 @@ class TriggerSystem:
         storage = self.db.storage
         problems: list[str] = []
         for rid, raw in storage.peek_scan():
-            if raw[:1] != _OBJECT_RECORD:
+            header = peek_object(raw)
+            if header is None:
                 continue
             mine = txn.cache.get(rid) if rid in txn.dirty else None
             if mine is not None:
                 flags = mine.__dict__.get("_p_flags", 0)
                 group_rid = mine.__dict__.get("_p_group", -1)
             else:
-                try:
-                    _type_name, _fields, flags, group_rid = decode_object(raw)
-                except Exception:
-                    continue  # a map bucket or B-tree node, not an object
+                _type_name, flags, group_rid = header
             entry = indexed.get(rid)
             if not flags & FLAG_HAS_TRIGGERS:
                 if entry is not None:

@@ -10,7 +10,8 @@ through those pointers.  This package reproduces that model in Python:
   trigger machinery.
 * :class:`~repro.objects.oid.PersistentPtr` — the persistent pointer.
 * :class:`~repro.objects.database.Database` — ``pnew`` / ``pdelete`` /
-  ``deref``, transactions, clusters, and a catalog persisted through a
+  ``deref``, transactions, class extents (a scan of the object records,
+  each of which names its type), and a catalog persisted through a
   :class:`~repro.storage.interface.StorageManager` (disk or main-memory,
   exactly like Ode vs. MM-Ode).
 * :class:`~repro.objects.handle.PersistentHandle` — the proxy returned by
@@ -20,7 +21,6 @@ through those pointers.  This package reproduces that model in Python:
   design goal that volatile objects pay no trigger overhead.
 """
 
-from repro.objects.cluster import Cluster
 from repro.objects.database import Database
 from repro.objects.handle import PersistentHandle
 from repro.objects.metatype import Metatype, TypeRegistry, global_type_registry
@@ -30,7 +30,6 @@ from repro.objects.schema import Field, field
 
 __all__ = [
     "NULL_PTR",
-    "Cluster",
     "Database",
     "Field",
     "Metatype",

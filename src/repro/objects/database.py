@@ -1,4 +1,4 @@
-"""The database: ``pnew`` / ``pdelete`` / ``deref``, catalog, clusters.
+"""The database: ``pnew`` / ``pdelete`` / ``deref``, catalog, extents.
 
 A :class:`Database` ties together a storage manager (disk or main-memory),
 a transaction manager, the phoenix intention queue, and — attached at open
@@ -7,14 +7,20 @@ returns the same instance for the same rid within a transaction, mutation
 marks it dirty, and the transaction manager writes dirty objects back right
 before the storage commit — and, under strict 2PL, the trigger groups
 postings advanced, each once.  Aborts simply drop the cache; everything
-that *was* written through the storage manager (new trigger groups, index
-buckets, catalog updates) is rolled back by the engine, which is exactly
-how the paper gets event roll-back "using standard transaction roll-back of
-the triggers' states" (Section 5.5).
+that *was* written through the storage manager (new objects, trigger
+groups, index buckets, catalog updates) is rolled back by the engine,
+which is exactly how the paper gets event roll-back "using standard
+transaction roll-back of the triggers' states" (Section 5.5).
 
 An object's header is its control information (paper footnote 3): the
 has-triggers flag and, while it is set, the rid of the object's trigger
 group, kept on the instance as ``_p_flags`` and ``_p_group``.
+
+A class's extent — the "clusters of persistent objects" O++ iterates
+(paper Section 1) — is stored nowhere: each object record names its type,
+so :meth:`Database.objects` is one pass over the records under the
+symbolic lock ``extent:<Class>`` that ``pnew`` and ``pdelete`` take
+exclusively (DESIGN §17 "Extents").
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from repro.errors import (
     SessionError,
     TriggerError,
 )
-from repro.objects.cluster import Cluster
 from repro.objects.handle import PersistentHandle
 from repro.objects.metatype import TypeRegistry, global_type_registry
 from repro.objects.oid import PersistentPtr
@@ -45,6 +50,7 @@ from repro.objects.serialize import (
     decode_value,
     encode_object,
     encode_value,
+    peek_object,
 )
 from repro.sessions.session import Session, SessionStats, current_ambient_session
 from repro.storage import open_storage
@@ -109,8 +115,6 @@ class Database:
             self.txn_manager = TransactionManager(self)
             self.phoenix = PhoenixQueue(self)
             self._catalog_rid: int | None = None
-            self._clusters: dict[str, Cluster] = {}
-            self._clusters_lock = threading.Lock()
             self._closed = False
             # Sessions: the default one carries the serial API; Database.
             # session() opens more, flipping the lock manager to blocking.
@@ -219,11 +223,11 @@ class Database:
         txn = self.txn_manager.current()
         instance = cls(*args, **kwargs)
         data = encode_object(cls.__name__, instance.to_fields(), flags=0)
+        self.storage.lock_manager.lock(txn.txid, _extent(cls.__name__), LockMode.X)
         rid = self.storage.insert(txn.txid, data)
         ptr = PersistentPtr(self.name, rid)
         instance.__dict__["_p_ptr"] = ptr
         instance.__dict__["_p_flags"] = 0
-        self.cluster(cls).add(txn, rid)
         txn.cache[rid] = instance
         for index in self._indexes_for(txn, cls):
             index.on_insert(txn, rid, instance.__dict__.get(index.field_name))
@@ -293,14 +297,15 @@ class Database:
         self._check_open()
         txn = self.txn_manager.current()
         handle = self.deref(ptr)  # also validates the pointer
-        for index in self._indexes_for(txn, type(handle.obj)):
+        cls = type(handle.obj)
+        self.storage.lock_manager.lock(txn.txid, _extent(cls.__name__), LockMode.X)
+        for index in self._indexes_for(txn, cls):
             index.on_delete(
                 txn, ptr.rid, handle.obj.__dict__.get(index.field_name)
             )
         if self.trigger_system is not None:
             self.trigger_system.on_pdelete(self, ptr)
         self.storage.delete(txn.txid, ptr.rid)
-        self.cluster(type(handle.obj)).discard(txn, ptr.rid)
         txn.cache.pop(ptr.rid, None)
         txn.dirty.discard(ptr.rid)
 
@@ -421,28 +426,29 @@ class Database:
             header["_p_group"] = group_rid
         self.mark_dirty(handle.obj)
 
-    # -- clusters -------------------------------------------------------------------------
-
-    def cluster(self, cls: type) -> Cluster:
-        name = cls.__name__ if isinstance(cls, type) else str(cls)
-        cluster = self._clusters.get(name)
-        if cluster is None:
-            with self._clusters_lock:
-                cluster = self._clusters.get(name)
-                if cluster is None:
-                    cluster = self._clusters[name] = Cluster(self, name)
-        return cluster
+    # -- extents -------------------------------------------------------------------------
 
     def objects(self, cls: type, include_derived: bool = True) -> Iterator[PersistentHandle]:
-        """Iterate the persistent objects of *cls* (and subclasses) as handles."""
+        """Iterate the persistent objects of *cls* (and, by default, of its
+        registered subclasses) as handles, in ascending rid order.
+
+        One pass over the records for those whose stored type name is
+        listed, after S-locking ``extent:<Class>`` for each listed class.
+        ``pnew`` and ``pdelete`` X-lock their class's extent, so the pass
+        sees exactly the committed objects plus this transaction's own
+        creations and deletions."""
         self._check_open()
         txn = self.txn_manager.current()
         metatype = self.registry.require_by_class(cls)
         metatypes = (
             self.registry.subclasses_of(metatype) if include_derived else [metatype]
         )
-        for mt in metatypes:
-            for rid in self.cluster(mt.pyclass).rids(txn):
+        names = {mt.name for mt in metatypes}
+        for name in sorted(names):
+            self.storage.lock_manager.lock(txn.txid, _extent(name), LockMode.S)
+        for rid, raw in self.storage.peek_scan():
+            header = peek_object(raw)
+            if header is not None and header[0] in names:
                 yield self.deref(PersistentPtr(self.name, rid))
 
     # -- sessions (DESIGN.md §11) -------------------------------------------------
@@ -617,3 +623,8 @@ class Database:
         self.metrics.counter("faults.degraded").inc()
         if obs.ENABLED:
             obs.emit("storage.degraded", db=self.name, engine=self.engine)
+
+
+def _extent(class_name: str) -> str:
+    """The symbolic lock resource standing for *class_name*'s extent."""
+    return f"extent:{class_name}"

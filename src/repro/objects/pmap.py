@@ -1,4 +1,4 @@
-"""A small persistent hash map, used for clusters and the trigger index.
+"""A small persistent hash map, used for the trigger index.
 
 Keys are strings without NUL, values anything
 :mod:`repro.objects.serialize` encodes.  Entries are spread over a fixed

@@ -225,6 +225,31 @@ def decode_object(raw: bytes) -> tuple[str, dict[str, Any], int, int]:
     return type_name, fields, flags, group
 
 
-def peek_flags(raw: bytes) -> int:
-    """Return just the header flags without decoding the fields."""
-    return _U8.unpack_from(raw, _U8.size)[0]
+def peek_object(raw: bytes) -> tuple[str, int, int] | None:
+    """An object record's ``(type_name, flags, group)`` read from its
+    header alone, or ``None`` when *raw* is no object record — the
+    catalog, a trigger group, an index header or bucket, a B-tree node,
+    the phoenix queue.  The one place that decides what is an object
+    record: the format version, no unknown flag, and a type name that fits
+    before the field count and is an identifier."""
+    if len(raw) < _HEAD.size or raw[0] != FORMAT_VERSION:
+        return None
+    flags = raw[1]
+    if flags & ~FLAG_HAS_TRIGGERS:
+        return None
+    if flags & FLAG_HAS_TRIGGERS:
+        if len(raw) < _GROUP_HEAD.size:
+            return None
+        _version, _flags, group, nlen = _GROUP_HEAD.unpack_from(raw)
+        pos = _GROUP_HEAD.size
+    else:
+        _version, _flags, nlen = _HEAD.unpack_from(raw)
+        group = -1
+        pos = _HEAD.size
+    if pos + nlen + _U32.size > len(raw):
+        return None
+    try:
+        type_name = raw[pos : pos + nlen].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return (type_name, flags, group) if type_name.isidentifier() else None

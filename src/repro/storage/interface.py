@@ -31,6 +31,7 @@ from typing import Protocol
 
 from repro.errors import (
     ReadOnlyStorageError,
+    RecordNotFoundError,
     StorageError,
     UnrecoverableMediaError,
 )
@@ -453,9 +454,10 @@ class StorageManager:
             if txid is not None:
                 self._locks.lock(txid, rid, LockMode.S)
             with self._mutex:
-                if not self._records.has(rid):
+                try:
+                    data = self._records.get(rid)
+                except RecordNotFoundError:
                     continue  # deleted since the listing
-                data = self._records.get(rid)
             yield rid, data
 
     # -- root pointer ---------------------------------------------------------

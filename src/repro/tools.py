@@ -22,7 +22,7 @@ import argparse
 from typing import TYPE_CHECKING
 
 from repro.core.trigger_state import TriggerGroup
-from repro.objects.serialize import FLAG_HAS_TRIGGERS, decode_object
+from repro.objects.serialize import FLAG_HAS_TRIGGERS, decode_object, peek_object
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
@@ -33,12 +33,9 @@ def describe_objects(db: "Database") -> list[str]:
     txn = db.txn_manager.current()
     lines = []
     for rid, raw in db.storage.scan(txn.txid):
-        try:
-            type_name, fields, flags, group = decode_object(raw)
-        except Exception:
-            continue  # catalog/index/group records are not object records
-        if not isinstance(fields, dict):
+        if peek_object(raw) is None:
             continue
+        type_name, fields, flags, group = decode_object(raw)
         tag = f" [triggers → group {group}]" if flags & FLAG_HAS_TRIGGERS else ""
         body = ", ".join(f"{k}={v!r}" for k, v in sorted(fields.items()))
         lines.append(f"rid {rid}: {type_name}({body}){tag}")

@@ -1,4 +1,4 @@
-"""Database tests: pnew/deref/pdelete, caching, clusters, catalog, pmap."""
+"""Database tests: pnew/deref/pdelete, caching, extents, catalog, pmap."""
 
 import inspect
 
@@ -10,6 +10,7 @@ from repro.errors import (
     DatabaseError,
     NoActiveTransactionError,
     ObjectError,
+    TransactionAbort,
 )
 from repro.objects.database import Database
 from repro.objects.oid import PersistentPtr
@@ -161,6 +162,22 @@ class TestClusters:
         with db2.transaction():
             assert [h.name for h in db2.objects(Item)] == ["persisted"]
         db2.close()
+
+    def test_objects_sees_own_uncommitted_pnew_and_misses_own_pdelete(
+        self, any_engine_db
+    ):
+        db = any_engine_db
+        with db.transaction():
+            doomed = db.pnew(Item, name="doomed").ptr
+            db.pnew(Item, name="keep")
+        with db.transaction():
+            mine = db.pnew(SpecialItem, name="mine").ptr
+            db.pdelete(doomed)
+            assert sorted(h.name for h in db.objects(Item)) == ["keep", "mine"]
+            assert [h.ptr for h in db.objects(SpecialItem)] == [mine]
+            raise TransactionAbort("roll back")
+        with db.transaction():
+            assert sorted(h.name for h in db.objects(Item)) == ["doomed", "keep"]
 
 
 class TestOpenClose:

@@ -64,13 +64,6 @@ class IndexPlain(Persistent):
     value = field(int, default=0)
 
 
-class IndexFresh(Persistent):
-    """Never allocated before the test's creator transaction: its first
-    ``pnew`` creates the class's cluster and so X-locks the catalog."""
-
-    value = field(int, default=0)
-
-
 def _ids(db, machines):
     """The TriggerIds of a lookup's machines."""
     return tuple(TriggerId(db.name, m.rid, m.serial) for m in machines)
@@ -253,15 +246,15 @@ def test_post_many_sees_machines_an_action_changes_later_in_the_batch(
 # -- what a remembered lookup no longer waits for ------------------------------------
 
 
-def _create_fresh(session):
-    session.pnew(IndexFresh)
+def _write_catalog(session):
+    db = session.db
+    db.catalog_set(db.txn_manager.current(), "race", 0)
 
 
-def _race(db, waiter_body, writer_body=_create_fresh):
+def _race(db, waiter_body, writer_body=_write_catalog):
     """A writer transaction runs *writer_body* — by default it X-locks the
-    catalog (its ``pnew`` creates a new class's cluster) — and yields
-    while holding its locks; *waiter_body* runs in a second session
-    meanwhile.  Returns the event order and the scheduler."""
+    catalog — and yields while holding its locks; *waiter_body* runs in a
+    second session meanwhile.  Returns the event order and the scheduler."""
     order = []
     creator, waiter = db.session("creator"), db.session("waiter")
     scheduler = CooperativeScheduler()

@@ -15,7 +15,7 @@ from repro.objects.serialize import (
     decode_value,
     encode_object,
     encode_value,
-    peek_flags,
+    peek_object,
 )
 
 
@@ -114,9 +114,27 @@ class TestObjectRecords:
     def test_flags_roundtrip_and_peek(self):
         raw = encode_object("T", {"v": 1}, flags=FLAG_HAS_TRIGGERS, group=4242)
         assert raw[0] == FORMAT_VERSION == 2
-        assert peek_flags(raw) == FLAG_HAS_TRIGGERS
+        assert peek_object(raw) == ("T", FLAG_HAS_TRIGGERS, 4242)
         _, fields, flags, group = decode_object(raw)
         assert (fields, flags, group) == ({"v": 1}, FLAG_HAS_TRIGGERS, 4242)
+
+    def test_peek_object_reads_the_header_and_refuses_other_records(self):
+        raw = encode_object("CredCard", {"v": 1})
+        assert peek_object(raw) == ("CredCard", 0, -1)
+        catalog = bytearray()
+        encode_value({"pmap:trigger_index": 7}, catalog)
+        not_objects = [
+            b"",
+            bytes(catalog),  # the catalog, a B-tree node, the phoenix queue
+            struct.pack("<II", 2, 0),  # a two-entry index bucket
+            bytes([0xA6]) + raw[1:],  # a trigger group's mark
+            bytes([FORMAT_VERSION, 0x80]) + raw[2:],  # an unknown flag
+            raw[:8],  # a name running past the record
+            encode_object("not a name", {}),
+            raw[:6] + b"\xff" + raw[7:],  # a name that is not UTF-8
+        ]
+        for record in not_objects:
+            assert peek_object(record) is None, record
 
     def test_the_group_rid_defaults_to_minus_one(self):
         raw = encode_object("CredCard", {"v": 1}, FLAG_HAS_TRIGGERS)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.errors import (
-    PageError,
+    PageFullError,
     ReadOnlyStorageError,
     RecordNotFoundError,
     StorageError,
@@ -597,19 +597,22 @@ class TestRecoveryWithoutBegin:
         sm.close()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=PageError,
-    reason="known: disk redo places body segments in free slots that later "
-    "log records address by rid (ROADMAP: redo must never allocate)",
+_REDO_ALLOCATES = (
+    "known: disk redo places body segments in free slots that later log "
+    "records address by rid (DESIGN §8; ROADMAP: redo must never allocate)"
 )
+
+
+@pytest.mark.xfail(strict=True, raises=PageFullError, reason=_REDO_ALLOCATES)
 def test_disk_recovers_a_population_that_spills_its_page(tmp_path):
     """perf/README.md's repro: watched objects created in one transaction,
-    crash, reopen — the reopen's redo dies in ``PagedRecords.put`` with
-    ``slot N is occupied``.  The name and the count matter: they move
-    record sizes and slot boundaries (perf/README.md's 200 objects stopped
-    reaching the bug when trigger groups made the records smaller; 300
-    still do)."""
+    crash, reopen — the reopen's redo dies in ``PagedRecords.put``, now
+    with ``no room to extend slot directory`` (``slot N is occupied`` while
+    each class also kept an extent map).  The name and the count matter:
+    they move record sizes and slot boundaries (perf/README.md's 200
+    objects stopped reaching the bug when trigger groups made the records
+    smaller; 300 still do).  The trigger index's buckets still outgrow a
+    page here."""
     from repro import Database
     from repro.workloads.locksim import HotObject
 
@@ -618,5 +621,33 @@ def test_disk_recovers_a_population_that_spills_its_page(tmp_path):
     with db.transaction():
         for _ in range(300):
             db.pnew(HotObject).Watch()
+    db.simulate_crash()
+    Database.open(path, engine="disk").close()
+
+
+class RedoBlob(Persistent):
+    payload = field(str, default="")
+
+
+@pytest.mark.xfail(strict=True, raises=RecordNotFoundError, reason=_REDO_ALLOCATES)
+def test_disk_recovers_large_records_grown_deleted_and_reinserted(tmp_path):
+    """The same redo bug with no persistent map written at all: records
+    whose bodies span pages are grown, deleted and re-inserted, then the
+    process dies — the reopen's redo breaks a body chain."""
+    from repro import Database
+
+    path = str(tmp_path / "db")
+    db = Database.open(path, engine="disk")
+    with db.transaction():
+        ptrs = [db.pnew(RedoBlob, payload="a" * 5000).ptr for _ in range(200)]
+    with db.transaction():
+        for ptr in ptrs[:66]:
+            db.deref(ptr).payload = "b" * 10000
+    with db.transaction():
+        for ptr in ptrs[66:132]:
+            db.pdelete(ptr)
+    with db.transaction():
+        for _ in range(66):
+            db.pnew(RedoBlob, payload="c" * 5000)
     db.simulate_crash()
     Database.open(path, engine="disk").close()

@@ -194,9 +194,9 @@ class TestThreadedDisk:
 
 
 class TestThreadedIndexMemo:
-    """Sessions allocate index and cluster buckets (some in transactions
-    that abort) while others post through remembered rids: every rid a
-    map remembers must still be its committed header's."""
+    """Sessions allocate index buckets (some in transactions that abort)
+    while others post through remembered rids: every rid the index map
+    remembers must still be its committed header's."""
 
     @pytest.mark.parametrize("engine", ["mm", "disk"])
     def test_remembered_rids_match_the_committed_headers(self, db_path, engine):
@@ -234,12 +234,12 @@ class TestThreadedIndexMemo:
         index = db.trigger_system.index
         try:
             with db.transaction() as txn:
-                for pmap in (index._map, db.cluster(HotObject)._map):
-                    header = db.catalog_get(pmap._catalog_key)
-                    assert pmap._known_header in (None, header)
-                    slots = pmap._buckets(txn, header)
-                    for slot, rid in pmap._known_buckets.items():
-                        assert slots[slot] == rid
+                pmap = index._map
+                header = db.catalog_get(pmap._catalog_key)
+                assert pmap._known_header in (None, header)
+                slots = pmap._buckets(txn, header)
+                for slot, rid in pmap._known_buckets.items():
+                    assert slots[slot] == rid
                 assert db.trigger_system.verify_integrity() == []
                 objects = list(db.objects(HotObject))
                 assert len(objects) == 8 + 2 * sessions * (txns - txns // 3)

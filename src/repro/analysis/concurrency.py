@@ -23,8 +23,7 @@ Resources are symbolic *classes*, not instances:
   ``pnew``/``pdelete`` take it X, an ``objects()`` scan S; an action whose
   allocations are not typed statically is charged ``extent:*``
 * ``meta`` — in an observed trace, every lock on neither an object nor a
-  group: trigger-index buckets (activation, fsck and tooling only: a
-  posting locks none), the catalog, extents
+  group: the catalog, extents, secondary-index B-trees, the phoenix queue
 
 Footprints feed four passes:
 
@@ -262,12 +261,6 @@ def _readonly_reason(metatype: "Metatype", decl) -> Optional[str]:
     return f"member function {decl.name}() has no inferred writes"
 
 
-def _index_steps() -> tuple[tuple[str, str], ...]:
-    from repro.core.trigger_index import TriggerIndex
-
-    return TriggerIndex.lock_footprint()
-
-
 def infer_lock_footprint(
     info: "TriggerInfo",
     metatype: "Metatype",
@@ -315,8 +308,6 @@ def infer_lock_footprint(
         if any(not w.startswith("*.") for w in meff.writes):
             push(obj, X, f"watched member function {decl.name}() writes the object")
             break
-    for resource, mode in _index_steps():
-        push(resource, mode, "trigger-index lookup")
     push(group, S, "trigger group read")
     if advancing:
         push(group, X, "trigger group X-locked on FSM advance (written at commit)")
@@ -790,7 +781,7 @@ def _classify_rids(
     Objects are named by ``post.begin`` records (which carry the type),
     trigger groups by ``state.write`` / ``trigger.activate`` records (which
     carry the trigger name, resolved to its defining type).  Everything
-    else — index buckets, pmap headers, catalog records — is ``meta``.
+    else — catalog records, extents, B-tree nodes — is ``meta``.
     """
     owner: dict[str, str] = {}
     for metatype in metatypes:
@@ -915,7 +906,7 @@ def check_lock_trace(
         for _, cls, mode, upgrade in sequences[txid]:
             kind = cls.split(":", 1)[0]
             if kind not in _PER_INSTANCE_KINDS:
-                continue  # meta records (buckets, catalog) are shared plumbing
+                continue  # meta records (catalog, extents) are shared plumbing
             if mode == X and cls not in static_x:
                 flag(
                     "x",

@@ -285,8 +285,8 @@ def analyze_database(db: "Database") -> AnalysisReport:
 
     Declaration-level defects are caught before activation; this inspects
     the *persistent* trigger states — an anchored trigger whose match
-    window passed sits in the dead state forever, still consuming an index
-    entry and a lock on every posting (ODE050).
+    window passed sits in the dead state forever, still consuming a group
+    entry and an advance on every posting (ODE050).
     """
     report = AnalysisReport()
     manager = db.txn_manager

@@ -14,6 +14,7 @@ Layout mirrors Section 5 of the paper:
 * :mod:`repro.core.trigger_state` — the persistent ``TriggerState``
   (Section 5.4.1), stored one trigger group per object,
 * :mod:`repro.core.trigger_index` — the object → trigger-group index,
+  kept in the object headers (Section 5.4.1),
 * :mod:`repro.core.wrappers` — generated member-function wrappers that
   post events (Section 5.3),
 * :mod:`repro.core.posting` — ``PostEvent`` (Section 5.4.5),

@@ -1,8 +1,9 @@
 """The trigger system: activation, deactivation, coupling modes, tx events.
 
 One :class:`TriggerSystem` is attached to each open database.  It owns the
-persistent trigger index, installs the coupling-mode hooks on every
-transaction, and implements the Section 5.5 transaction integration:
+trigger index (kept in the object headers), installs the coupling-mode
+hooks on every transaction, and implements the Section 5.5 transaction
+integration:
 
 * **end** (deferred) actions run inside the committing transaction,
   *immediately before* the ``before tcomplete`` events are posted;
@@ -181,9 +182,9 @@ class TriggerSystem:
         function of Section 5.4.1: create the TriggerState, store the
         arguments, put the machine in its start state (evaluating any
         start-state masks), and add it to the object's trigger group.  The
-        first activation creates the group, indexes it, and makes the
-        object's header name it (the has-triggers flag and the group rid:
-        one object write, X-locking the object).
+        first activation creates the group and makes the object's header
+        name it (its trigger-index entry: the has-triggers flag and the
+        group rid, one object write, X-locking the object).
         """
         txn = db.txn_manager.current()
         handle = db.deref(ptr)
@@ -206,7 +207,6 @@ class TriggerSystem:
         if group is None:
             group = store.create(ptr, tstate)
             self.index.add(txn, ptr.rid, group)
-            db.set_trigger_group(ptr, group.rid)
             machine = group.machines[0]
         else:
             machine = store.activate(group, tstate)
@@ -225,8 +225,8 @@ class TriggerSystem:
     def deactivate(self, trigger_id: TriggerId, *, missing_ok: bool = False) -> None:
         """Remove an active trigger (paper ``deactivate(TriggerId)``).
 
-        The last one on an object deletes its group and index entry and
-        clears the object's header (the has-triggers bit and group rid)."""
+        The last one on an object deletes its group and clears the
+        object's header (the has-triggers bit and group rid)."""
         db = self.db
         txn = db.txn_manager.current()
         store = self.states(txn)
@@ -241,16 +241,8 @@ class TriggerSystem:
             if missing_ok:
                 return
             raise TriggerNotActiveError(f"{trigger_id!r} is not active")
-        if group.machines:
-            return
-        anchor = group.anchor
-        self.index.remove(txn, anchor.rid)
-        try:
-            handle = db.deref(anchor)
-        except Exception:
-            return  # object already deleted
-        if handle.obj.__dict__.get("_p_flags", 0) & FLAG_HAS_TRIGGERS:
-            db.set_trigger_group(anchor, None)
+        if not group.machines:
+            self.index.remove(txn, group.anchor.rid)
 
     def active_triggers(
         self, ptr: PersistentPtr
@@ -269,51 +261,33 @@ class TriggerSystem:
         return result
 
     def verify_integrity(self) -> list[str]:
-        """Cross-check the trigger index, the group records, and the
-        object headers that name the groups.
+        """Cross-check the trigger group records and the object headers
+        that name them.
 
         Returns a list of problem descriptions (empty = consistent):
-        index entries pointing at missing/corrupt groups, groups anchored
-        at another object than the one indexing them or whose anchor is
-        gone, empty groups, duplicate serials or serials at or past the
-        group's ``next_serial``, entries whose ``trigobjtype`` or
+        groups whose anchor object is gone or whose anchor's header names
+        another group, empty groups, duplicate serials or serials at or
+        past the group's ``next_serial``, entries whose ``trigobjtype`` or
         ``triggernum`` no longer resolves, FSM state numbers outside the
-        compiled machine; and object headers that disagree — a flagged
-        object with no index entry, or whose header names another group
-        than its entry, an indexed object whose flag is clear, a header
-        naming a missing group.
+        compiled machine; and flagged object headers naming a group that
+        is missing, is no group record, or is anchored at another object.
+        A group whose anchor's header names no group is an orphan, which
+        fsck reports on its own (ODE131).
 
         Reads storage (not this transaction's working copies) in the
         current transaction, so mid-transaction it does not see trigger
         groups this transaction changed but has not written yet: strict
         2PL writes them at commit, MVCC merges them there.  The one
         exception is the header of an object this transaction dirtied,
-        read from its instance — the index entry written beside it is
-        already in storage.
+        read from its instance — the group it names is already in storage.
         """
         db = self.db
         txn = db.txn_manager.current()
         problems: list[str] = []
-        indexed = dict(self.index.entries(txn))
-        for obj_rid, group_rid in indexed.items():
+        anchors = {group: anchor for anchor, group in self.index.entries(txn)}
+        for group_rid, anchor_rid in anchors.items():
             where = f"group {group_rid}"
-            try:
-                raw = db.storage.read(txn.txid, group_rid)
-            except RecordNotFoundError:
-                problems.append(
-                    f"index entry {obj_rid} -> {group_rid}: group record missing"
-                )
-                continue
-            try:
-                group = TriggerGroup.decode(raw)
-            except TriggerError as exc:
-                problems.append(f"{where}: corrupt ({exc})")
-                continue
-            anchor_rid = group.anchor.rid
-            if anchor_rid != obj_rid:
-                problems.append(
-                    f"{where}: anchored at {anchor_rid}, indexed under {obj_rid}"
-                )
+            group = TriggerGroup.decode(db.storage.read(txn.txid, group_rid))
             if not db.storage.exists(txn.txid, anchor_rid):
                 problems.append(f"{where}: anchor object {anchor_rid} deleted")
             if not group.entries:
@@ -343,23 +317,28 @@ class TriggerSystem:
                         f"{where} serial {serial}: FSM state {tstate.statenum} "
                         f"out of range for {info.name} ({len(info.fsm)} states)"
                     )
-        problems += self._header_problems(txn, indexed)
+        problems += self._header_problems(txn, anchors)
         return problems
 
-    def _header_problems(self, txn: "Transaction", indexed: dict[int, int]) -> list[str]:
-        """What the object headers say against the index *indexed*.
+    def _header_problems(self, txn: "Transaction", anchors: dict[int, int]) -> list[str]:
+        """What the object headers say against the group records
+        *anchors* (group rid -> anchor rid).
 
         Headers are peeked, not S-locked: locking every object would hold
-        one lock per object in the caller's transaction.  That is sound for
-        the flag and the group rid because they change only together with
-        the object's index entry (first activation, last deactivation,
-        ``pdelete``), and *indexed* was read under S locks held to commit
-        — every such change is serialized wholly before that read, or
-        waits until this transaction ends.  An object this transaction
-        dirtied is judged by its instance's header, which is what the
-        commit writes (the index entry already is)."""
+        one lock per object in the caller's transaction.  That is sound
+        for the flag and the group rid because they change only together
+        with the insert or delete of the group they name (first
+        activation, last deactivation, ``pdelete``), and every group in
+        *anchors* was read under an S lock held to commit — a change to
+        the header naming it is serialized wholly before that read, or
+        waits until this transaction ends.  A header naming a group not in
+        *anchors* is read again under the object's S lock, which waits out
+        the transaction that is making it name a new group.  An object
+        this transaction dirtied is judged by its instance's header, which
+        is what the commit writes."""
         storage = self.db.storage
         problems: list[str] = []
+        named: dict[int, int] = {}  # object rid -> the group its header names
         for rid, raw in storage.peek_scan():
             header = peek_object(raw)
             if header is None:
@@ -369,37 +348,52 @@ class TriggerSystem:
                 flags = mine.__dict__.get("_p_flags", 0)
                 group_rid = mine.__dict__.get("_p_group", -1)
             else:
+                if header[1] & FLAG_HAS_TRIGGERS and header[2] not in anchors:
+                    try:
+                        header = peek_object(storage.read(txn.txid, rid))
+                    except RecordNotFoundError:
+                        header = None
+                    if header is None:
+                        continue  # deleted while we waited
                 _type_name, flags, group_rid = header
-            entry = indexed.get(rid)
             if not flags & FLAG_HAS_TRIGGERS:
-                if entry is not None:
-                    problems.append(
-                        f"object {rid}: indexed under group {entry} but its "
-                        "has-triggers flag is clear"
-                    )
                 continue
-            if entry is None:
-                problems.append(
-                    f"object {rid}: has-triggers flag set but no trigger-index entry"
-                )
-            elif entry != group_rid:
+            named[rid] = group_rid
+            anchor_rid = anchors.get(group_rid)
+            if anchor_rid is None:
+                try:
+                    raw = storage.read(txn.txid, group_rid)
+                    anchor_rid = TriggerGroup.decode(raw).anchor.rid
+                except RecordNotFoundError:
+                    problems.append(
+                        f"object {rid}: header names group {group_rid}, which is missing"
+                    )
+                    continue
+                except TriggerError as exc:
+                    problems.append(
+                        f"group {group_rid}: corrupt ({exc}), named by object {rid}"
+                    )
+                    continue
+            if anchor_rid != rid:
                 problems.append(
                     f"object {rid}: header names group {group_rid}, "
-                    f"index entry says {entry}"
+                    f"anchored at {anchor_rid}"
                 )
-            if not storage.exists(txn.txid, group_rid):
+        for group_rid, anchor_rid in anchors.items():
+            other = named.get(anchor_rid, group_rid)
+            if other != group_rid:
                 problems.append(
-                    f"object {rid}: header names group {group_rid}, which is missing"
+                    f"group {group_rid}: anchored at {anchor_rid}, whose header "
+                    f"names group {other}"
                 )
         return problems
 
     def on_pdelete(self, db: "Database", ptr: PersistentPtr) -> None:
         """Deactivate everything anchored at a deleted object: its group
-        and its index entry go."""
+        goes with it."""
         txn = db.txn_manager.current()
         group = self.index.group(txn, ptr.rid)
         if group is not None:
-            self.index.remove(txn, ptr.rid)
             self.states(txn).drop(group)
 
     def write_back(self, txn: "Transaction") -> None:
@@ -435,8 +429,8 @@ class TriggerSystem:
     def order_ready(self, ready: list, cls: type) -> list:
         """Canonical firing order for one posting's ready set.
 
-        The documented order is *activation order* — exactly what the
-        trigger index yields — so the list is returned unchanged.  The
+        The documented order is *activation order* — the order of the
+        object's trigger group — so the list is returned unchanged.  The
         guard's job is detection: when the set contains a pair the
         analyzer proved non-confluent, the posting is counted in
         ``stats.nonconfluent_firing_sets`` (ODE202 flags the same pair

@@ -7,8 +7,9 @@ Posting a basic event to an object:
 2. Otherwise the same control information names the object's *trigger
    group*, one record holding every active ``TriggerState`` of the
    object, read once per transaction (see
-   :mod:`repro.core.trigger_state`).  No trigger-index bucket is read: a
-   posting touches the object it was handed and its group, nothing else.
+   :mod:`repro.core.trigger_state`).  That field is the object's
+   trigger-index entry: a posting touches the object it was handed and
+   its group, nothing else.
 3. Advance each one's integer-keyed FSM and record where it now stands
    (under strict 2PL: X-lock the group now, write it once at commit).
 4. Only after *all* active triggers have seen the event are the ready ones
@@ -729,7 +730,7 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
             # mask of another trigger".  When more than one detection
             # completed on the same posting, consult the static confluence
             # verdict: non-confluent sets keep the documented canonical
-            # order (activation order, as yielded by the index) and are
+            # order (activation order, as the group holds it) and are
             # counted, so racy schedules are observable in the stats.
             records = [
                 FiringRecord(TriggerId(db.name, m.rid, m.serial), m.state, m.info)

@@ -55,6 +55,7 @@ from repro.objects.oid import PersistentPtr, TriggerId
 from repro.objects.serialize import decode_value, encode_value
 
 __all__ = [
+    "GROUP_MARK",
     "SERIAL_MAX",
     "GroupFrame",
     "TriggerGroup",
@@ -75,7 +76,7 @@ _I64_RANGE = range(-(2**63), 2**63)
 _NAME_MAX = 0xFFFF  # the head stores each name length as ``H``
 
 #: First byte of a group record (distinct from the one-state mark too).
-_GROUP_MARK = 0xA6
+GROUP_MARK = 0xA6
 _GROUP_HEAD = struct.Struct("<BqHHH")
 _ENTRY = struct.Struct("<HHhB")
 #: Serials are ``H``: a group admits this many activations over its life.
@@ -286,7 +287,7 @@ def frame_group(
         if names.count(b"\0") != len(types):
             raise TypeError  # a name holds a NUL
         head = _GROUP_HEAD.pack(
-            _GROUP_MARK, anchor.rid, next_serial, len(indexes), len(names)
+            GROUP_MARK, anchor.rid, next_serial, len(indexes), len(names)
         )
         prefix = head + names
     except (AttributeError, TypeError, struct.error):
@@ -391,10 +392,10 @@ def decode_group(
     params dicts."""
     try:
         mark, rid, next_serial, count, names_len = _GROUP_HEAD.unpack_from(raw)
-        if mark != _GROUP_MARK:
+        if mark != GROUP_MARK:
             raise TriggerError(
                 f"corrupt trigger-group record: mark byte {mark:#04x}, "
-                f"expected {_GROUP_MARK:#04x}"
+                f"expected {GROUP_MARK:#04x}"
             )
         pos = _GROUP_HEAD.size + names_len
         heads_end = pos + _ENTRY.size * count

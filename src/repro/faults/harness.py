@@ -185,7 +185,7 @@ def run_workload(
         # frames (covers the pool.evict failpoint on the disk engine).
         fillers = [
             db.pnew(Customer, name=f"filler-{i}-" + "x" * 1500).ptr
-            for i in range(6)
+            for i in range(8)
         ]
         card_ptr, ledger_rid = card.ptr, ledger.ptr.rid
         oracle.attempt(created=True)

@@ -10,12 +10,11 @@ Two passes, modelled on a filesystem fsck:
 * **logical** — opens the database normally, which runs crash recovery
   first (exactly like an fsck replaying the journal), then checks: catalog
   referential integrity, B-tree invariants for every registered index,
-  trigger group ↔ trigger-index ↔ object-header consistency (both
-  directions, including orphaned group records the index no longer
-  references, and headers whose group rid or has-triggers flag disagrees
-  with the index), and the phoenix
-  intention queue (well-formedness plus dangling persistent pointers
-  inside payloads).
+  trigger group ↔ object-header consistency (both directions: a header
+  naming a missing group or another object's, a group whose anchor is
+  gone or names another group, and orphaned group records no header
+  names), and the phoenix intention queue (well-formedness plus dangling
+  persistent pointers inside payloads).
 
 Every finding carries a *stable* ``ODE1xx`` code in the style of the
 static trigger analyzer (:mod:`repro.analysis.diagnostics`, codes
@@ -31,10 +30,9 @@ import zlib
 
 from repro.analysis.diagnostics import Severity
 from repro.core.trigger_state import TriggerGroup
-from repro.errors import OdeError, TriggerError, WALError
+from repro.errors import OdeError, WALError
 from repro.objects.oid import PersistentPtr
-from repro.objects.pmap import PersistentMap
-from repro.objects.serialize import decode_value
+from repro.objects.serialize import FLAG_HAS_TRIGGERS, decode_value, peek_object
 from repro.storage.buffer import checksum_ok
 from repro.storage.disk import (
     FLAG_FORWARD,
@@ -69,7 +67,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "ODE120": (Severity.ERROR, "B-tree invariant violated"),
     "ODE121": (Severity.ERROR, "B-tree unreadable"),
     "ODE130": (Severity.ERROR, "trigger-state referential integrity violated"),
-    "ODE131": (Severity.WARNING, "orphaned trigger group record"),
+    "ODE131": (Severity.WARNING, "trigger group record that no header names"),
     "ODE132": (Severity.INFO, "trigger type not importable here (check skipped)"),
     "ODE140": (Severity.ERROR, "malformed phoenix queue"),
     "ODE141": (Severity.WARNING, "phoenix intention references a missing object"),
@@ -359,8 +357,8 @@ def fsck_logical(db, report: FsckReport) -> None:
             except OdeError as exc:
                 report.add("ODE121", f"{key}: {exc}")
 
-        # Trigger index -> group records (missing/corrupt/mismatched), and
-        # object headers against both.  A type that simply is not
+        # Group records against the object headers that name them, both
+        # ways (missing/corrupt/mismatched).  A type that simply is not
         # imported in this process is an environment gap, not corruption
         # — report it as a skipped check.
         for problem in db.trigger_system.verify_integrity():
@@ -369,35 +367,24 @@ def fsck_logical(db, report: FsckReport) -> None:
             else:
                 report.add("ODE130", problem)
 
-        # Reverse direction: every group record must be indexed.  A
-        # record is a group if it decodes as one.  pmap headers and
-        # buckets are raw struct arrays whose first byte can equal the
-        # group mark (a 166-entry bucket's count starts with 0xA6), so
-        # the rids the catalog already names — and every pmap's
-        # buckets — are skipped rather than decoded.
-        indexed = {
-            group_rid for _, group_rid in db.trigger_system.index.entries(txn)
-        }
-        known = {db.catalog_rid, *catalog.values()}
-        for key in catalog:
-            if key.startswith("pmap:"):
-                known |= PersistentMap(db, key[len("pmap:") :]).rids(txn)
-        phoenix_rid = catalog.get("phoenix_queue")
-        for rid, raw in db.storage.scan(txn.txid):
-            if rid in known:
-                continue
-            try:
-                group = TriggerGroup.decode(raw)
-            except TriggerError:
-                continue  # an object or B-tree record, not a group
+        # Reverse direction: every group record must be named by an
+        # object header.
+        named = set()
+        for _rid, raw in db.storage.scan(txn.txid):
+            header = peek_object(raw)
+            if header is not None and header[1] & FLAG_HAS_TRIGGERS:
+                named.add(header[2])
+        for _anchor_rid, rid in db.trigger_system.index.entries(txn):
+            group = TriggerGroup.decode(db.storage.read(txn.txid, rid))
             report.trigger_states_scanned += len(group.entries)
-            if rid not in indexed:
+            if rid not in named:
                 report.add(
                     "ODE131",
                     f"rid {rid}: trigger group of object {group.anchor} "
-                    f"({len(group.entries)} state(s)) is not in the trigger index",
+                    f"({len(group.entries)} state(s)) is named by no object header",
                 )
 
+        phoenix_rid = catalog.get("phoenix_queue")
         # Phoenix queue: shape, pending count, dangling payload pointers.
         if phoenix_rid is not None:
             try:

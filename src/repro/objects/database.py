@@ -8,7 +8,7 @@ marks it dirty, and the transaction manager writes dirty objects back right
 before the storage commit — and, under strict 2PL, the trigger groups
 postings advanced, each once.  Aborts simply drop the cache; everything
 that *was* written through the storage manager (new objects, trigger
-groups, index buckets, catalog updates) is rolled back by the engine,
+groups, secondary-index nodes, catalog updates) is rolled back by the engine,
 which is exactly how the paper gets event roll-back "using standard
 transaction roll-back of the triggers' states" (Section 5.5).
 
@@ -275,8 +275,8 @@ class Database:
         :class:`~repro.objects.oid.PersistentPtr`.  Equivalent to
         ``handle.post_event(name)`` per pair — same order, same firing
         semantics — but the per-posting fixed costs (transaction
-        resolution, trigger-index lookups, compiled-tier cache probes)
-        are amortized across the batch; see
+        resolution, compiled-tier cache probes) are amortized across the
+        batch; see
         :func:`repro.core.posting.post_many`.  Returns total firings.
         """
         self._check_open()
@@ -410,21 +410,6 @@ class Database:
         txn.dirty.clear()
         if self.trigger_system is not None:
             self.trigger_system.write_back(txn)
-
-    def set_trigger_group(self, ptr: PersistentPtr, group_rid: int | None) -> None:
-        """Make *ptr*'s header name its trigger group (``None``: it has
-        none) — the has-triggers flag and the group's rid, persisted at
-        commit."""
-        handle = self.deref(ptr)
-        header = handle.obj.__dict__
-        flags = header.get("_p_flags", 0)
-        if group_rid is None:
-            header["_p_flags"] = flags & ~FLAG_HAS_TRIGGERS
-            header.pop("_p_group", None)
-        else:
-            header["_p_flags"] = flags | FLAG_HAS_TRIGGERS
-            header["_p_group"] = group_rid
-        self.mark_dirty(handle.obj)
 
     # -- extents -------------------------------------------------------------------------
 

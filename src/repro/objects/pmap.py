@@ -1,11 +1,12 @@
-"""A small persistent hash map, used for the trigger index.
+"""A small persistent hash map.  No engine code uses it: the trigger
+index it once held is the object headers now (DESIGN §17 "The header is
+the index").  It is kept only for the benchmark's ``perf/micro.py`` and
+``perf/trace.py``, which import it, until the benchmark stops doing so.
 
 Keys are strings without NUL, values anything
 :mod:`repro.objects.serialize` encodes.  Entries are spread over a fixed
 number of bucket records so that updates touch (and lock) only one bucket,
-not the whole map — the trigger index is updated on every
-activation/deactivation and every FSM advance would otherwise serialize on
-a single hot record.
+not the whole map.
 
 Layout: the catalog stores ``pmap:<name>`` -> header rid.  The header
 record is a packed ``<q`` array of bucket rids (-1 = bucket not yet

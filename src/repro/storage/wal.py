@@ -101,16 +101,16 @@ class LogRecord:
         Logged (and applied) by the engines' abort paths so that crash
         recovery can replay aborted transactions with plain redo.
         """
-        kind_map = {
+        inverse_kind = {
             LogRecordKind.INSERT: LogRecordKind.DELETE,
             LogRecordKind.DELETE: LogRecordKind.INSERT,
             LogRecordKind.UPDATE: LogRecordKind.UPDATE,
             LogRecordKind.SET_ROOT: LogRecordKind.SET_ROOT,
         }
-        if self.kind not in kind_map:
+        if self.kind not in inverse_kind:
             raise WALError(f"{self.kind.name} records have no inverse")
         return LogRecord(
-            0, self.txid, kind_map[self.kind], self.rid, self.after, self.before
+            0, self.txid, inverse_kind[self.kind], self.rid, self.after, self.before
         )
 
     @classmethod

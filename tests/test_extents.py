@@ -202,22 +202,20 @@ def test_two_scans_in_one_transaction_return_the_same_set(any_engine_db):
 
 
 def test_only_object_records_are_listed_among_every_internal_record_kind(disk_db):
-    """Catalog, trigger group, index header and bucket, B-tree header and
-    node, phoenix queue: each is on disk, and neither ``objects()`` nor
+    """Catalog, trigger group, B-tree header and node, phoenix queue: each
+    is on disk, and neither ``objects()`` nor
     the dump tool lists any of them."""
     db = disk_db
     with db.transaction() as txn:
         items = [db.pnew(ExtentItem, name=f"i{i}", qty=i).ptr for i in range(5)]
         special = db.pnew(SpecialExtentItem, name="s").ptr
         hot = db.pnew(HotObject)
-        hot.Watch()  # a trigger group, the index header and a bucket
+        hot.Watch()  # a trigger group
         db.create_index(ExtentItem, "qty")  # a B-tree header and node
         db.phoenix.enqueue(txn, "never-handled", {"note": "stays queued"})
     with db.transaction() as txn:
         catalog = db._read_catalog(txn)
-        assert {"pmap:trigger_index", "index:ExtentItem.qty", "phoenix_queue"} <= set(
-            catalog
-        )
+        assert {"index:ExtentItem.qty", "phoenix_queue"} <= set(catalog)
         assert [h.ptr for h in db.objects(ExtentItem)] == items + [special]
         assert [h.ptr for h in db.objects(HotObject)] == [hot.ptr]
         lines = describe_objects(db)
@@ -225,9 +223,9 @@ def test_only_object_records_are_listed_among_every_internal_record_kind(disk_db
     assert [line.split(":")[0] for line in lines] == [
         f"rid {ptr.rid}" for ptr in created
     ]
-    # The catalog, group, index header and bucket, B-tree header and node,
-    # and the phoenix queue are all there.
-    assert sum(1 for _ in db.storage.peek_scan()) >= len(created) + 7
+    # The catalog, group, B-tree header and node, and the phoenix queue
+    # are all there.
+    assert sum(1 for _ in db.storage.peek_scan()) >= len(created) + 5
 
 
 # -- population is linear ---------------------------------------------------------

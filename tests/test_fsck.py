@@ -13,6 +13,7 @@ import pytest
 from repro import tools
 from repro.fsck import fsck, fsck_database
 from repro.objects.database import Database
+from repro.objects.serialize import decode_object, encode_object
 from repro.storage.page import PAGE_SIZE
 from repro.storage.wal import _FRAME
 from repro.workloads.credit_card import CredCard
@@ -81,13 +82,13 @@ class TestSeededCorruption:
         assert not report.ok
 
     def test_orphaned_trigger_state_is_detected(self, db_path):
-        """Keep the TriggerState record but surgically drop its trigger
-        index entry: the reverse scan must flag the orphan."""
-        _, db = _build(db_path, close=False)
+        """Keep the trigger group record but surgically clear the
+        has-triggers flag in its object's header: the reverse scan must
+        flag the orphan."""
+        ptr, db = _build(db_path, close=False)
         with db.txn_manager.transaction(system=True) as txn:
-            index = db.trigger_system.index
-            for key, _rids in list(index._map.items(txn)):
-                index._map.remove(txn, key)
+            type_name, fields, _flags, _group = decode_object(db.storage.read(txn.txid, ptr.rid))
+            db.storage.write(txn.txid, ptr.rid, encode_object(type_name, fields))
         report = fsck_database(db)
         assert report.by_code("ODE131")
         assert not report.ok

@@ -1,14 +1,17 @@
 """What a trigger-index lookup reads, and why what it skips is safe.
 
-A :class:`~repro.objects.pmap.PersistentMap` remembers its header rid and
-its allocated bucket rids, learned only from reads made under a shared
-lock.  A posting reads no index at all — the object's header names its
-trigger group — so only a lookup by bare rid (tooling, fsck) and an
-activation touch the map.  These tests pin the rules that make both sound
-(DESIGN §17 "What a map remembers") on both engines.
+The index is the objects' headers: a header names the object's trigger
+group, so a lookup reads the object (or finds it in the transaction) and
+then its group, and an activation writes only the object and the group.
+No shared record stands between two objects any more.  These tests pin
+that on both engines, plus the rules that make the
+:class:`~repro.objects.pmap.PersistentMap`'s memo sound (DESIGN §17):
+the map is no longer the index, but it stays.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import pytest
 
@@ -58,20 +61,9 @@ class IndexRelay(Persistent):
     ]
 
 
-class IndexPlain(Persistent):
-    """Never carries a trigger."""
-
-    value = field(int, default=0)
-
-
 def _ids(db, machines):
     """The TriggerIds of a lookup's machines."""
     return tuple(TriggerId(db.name, m.rid, m.serial) for m in machines)
-
-
-def _committed_header(db):
-    with db.transaction():
-        return db.catalog_get("pmap:trigger_index")
 
 
 def _key_in_another_slot(pmap: PersistentMap, key: str) -> str:
@@ -157,7 +149,30 @@ def test_own_catalog_set_and_bucket_allocation_do_not_populate_the_memo(
         assert twin._known_header == db.catalog_get("pmap:own-writes")
 
 
-# -- the index's per-transaction memo ----------------------------------------------
+@pytest.mark.parametrize("engine", ["disk", "mm"])
+def test_a_reopened_database_starts_with_an_empty_memo(db_path, engine):
+    db = Database.open(db_path, engine=engine)
+    pmap = PersistentMap(db, "reopened", bucket_count=4)
+    with db.transaction() as txn:
+        pmap.put(txn, "a", 1)
+    with db.transaction() as txn:
+        assert pmap.get(txn, "a") == 1  # learns the header and a's bucket
+    assert pmap._known_header is not None and pmap._known_buckets
+    db.simulate_crash()
+
+    db = Database.open(db_path, engine=engine)
+    try:
+        pmap = PersistentMap(db, "reopened", bucket_count=4)
+        assert pmap._known_header is None and pmap._known_buckets == {}
+        with db.transaction() as txn:
+            assert pmap.get(txn, "a") == 1
+        with db.transaction():
+            assert pmap._known_header == db.catalog_get("pmap:reopened")
+    finally:
+        db.close()
+
+
+# -- what a lookup sees within a transaction ----------------------------------------
 
 
 def test_lookup_follows_this_transactions_add_remove_and_drop_all(any_engine_db):
@@ -167,7 +182,10 @@ def test_lookup_follows_this_transactions_add_remove_and_drop_all(any_engine_db)
         ptr = db.pnew(IndexRelay, label="x").ptr
 
     def stored(txn):
-        return index._map.get(txn, str(ptr.rid), None)
+        """The group *ptr*'s header names in *txn* (``None``: none, or
+        the object is gone)."""
+        obj = txn.cache.get(ptr.rid)
+        return None if obj is None else obj.__dict__.get("_p_group")
 
     with db.transaction() as txn:
         assert index.lookup(txn, ptr.rid) == ()
@@ -243,7 +261,7 @@ def test_post_many_sees_machines_an_action_changes_later_in_the_batch(
         ]
 
 
-# -- what a remembered lookup no longer waits for ------------------------------------
+# -- what a lookup and an activation wait for ---------------------------------------
 
 
 def _write_catalog(session):
@@ -280,17 +298,14 @@ def _race(db, waiter_body, writer_body=_write_catalog):
 
 
 def test_a_remembered_lookup_does_not_wait_for_a_catalog_writer(any_engine_db):
+    """A lookup by bare rid reads the object's header and its group; the
+    catalog is not on its path."""
     db = any_engine_db
     index = db.trigger_system.index
     with db.transaction():
         handle = db.pnew(HotObject)
         handle.Watch()
         ptr = handle.ptr
-    with db.transaction() as txn:
-        # By bare rid, the object not dereferenced: reads its bucket, and
-        # so learns the index's rids.
-        assert len(index.lookup(txn, ptr.rid)) == 1
-    assert index._map._known_header is not None
     found = []
 
     def look(_session, txn):
@@ -302,24 +317,29 @@ def test_a_remembered_lookup_does_not_wait_for_a_catalog_writer(any_engine_db):
     assert found == [1]
 
 
+#: The deleted persistent index kept its entries in this many buckets.
+_INDEX_BUCKETS = 32
+
+
 def _same_bucket(db, count):
-    """*count* fresh ``HotObject`` pointers whose index entries share one
-    bucket, and a watched one in that bucket too (so it is allocated)."""
-    index = db.trigger_system.index
+    """*count* fresh ``HotObject`` pointers whose entries the deleted
+    persistent index would have kept in one bucket (``crc32`` of the rid's
+    decimal key), and a watched one in that bucket too."""
     by_bucket: dict[int, list] = {}
     with db.transaction():
-        for _ in range(8 * index._map.bucket_count):
+        for _ in range(8 * _INDEX_BUCKETS):
             ptr = db.pnew(HotObject).ptr
-            by_bucket.setdefault(index._map._bucket_for(str(ptr.rid)), []).append(ptr)
+            bucket = zlib.crc32(str(ptr.rid).encode("utf-8")) % _INDEX_BUCKETS
+            by_bucket.setdefault(bucket, []).append(ptr)
         watched, *fresh = next(p for p in by_bucket.values() if len(p) > count)
         db.deref(watched).Watch()
     return watched, fresh[:count]
 
 
 def test_a_posting_never_waits_on_an_index_writer(any_engine_db):
-    """A first activation holds the bucket X until commit; a posting to
-    another watched object in that bucket reads no bucket (a lookup by
-    bare rid would), so it does not wait."""
+    """A posting to a watched object does not wait for a first activation
+    on another object, even one whose entry shared its bucket when the
+    index was a map."""
     db = any_engine_db
     watched, (fresh,) = _same_bucket(db, 1)
     stats = db.trigger_system.stats
@@ -336,49 +356,51 @@ def test_a_posting_never_waits_on_an_index_writer(any_engine_db):
     assert stats.firings == firings + 1
 
 
-def test_an_activation_still_waits_on_an_index_writer(any_engine_db):
-    """Two first activations whose objects share a bucket: the second
-    writes the bucket too, so it waits for the first to commit."""
-    db = any_engine_db
-    _watched, (first, second) = _same_bucket(db, 2)
-    index = db.trigger_system.index
+CELLS = [("disk", "2pl"), ("disk", "mvcc"), ("mm", "2pl"), ("mm", "mvcc")]
 
-    def activate(session, _txn):
-        session.deref(second).Watch()
 
-    order, scheduler = _race(db, activate, lambda s: s.deref(first).Watch())
-    assert order == ["created", "committed", "waiter done"]
-    assert ("block", "waiter") in scheduler.log
-    with db.transaction() as txn:
-        assert len(index.lookup(txn, first.rid)) == len(index.lookup(txn, second.rid)) == 1
-        assert db.trigger_system.verify_integrity() == []
+@pytest.mark.parametrize("engine, cc", CELLS, ids=["-".join(cell) for cell in CELLS])
+def test_first_activations_that_shared_a_bucket_never_wait(db_path, engine, cc):
+    """Two first activations on objects whose entries shared one bucket of
+    the persistent index: each writes only its own object and group, so
+    neither waits for the other, however they interleave."""
+    db = Database.open(db_path, engine=engine, trigger_cc=cc)
+    try:
+        _watched, (first, second) = _same_bucket(db, 2)
+        index = db.trigger_system.index
+
+        def activate(session, _txn):
+            session.deref(second).Watch()
+
+        order, scheduler = _race(db, activate, lambda s: s.deref(first).Watch())
+        assert order == ["created", "waiter done", "committed"]
+        assert ("block", "waiter") not in scheduler.log
+        with db.transaction() as txn:
+            assert len(index.lookup(txn, first.rid)) == len(index.lookup(txn, second.rid)) == 1
+            assert db.trigger_system.verify_integrity() == []
+    finally:
+        db.close()
 
 
 def test_a_lookup_that_must_read_the_catalog_still_waits(any_engine_db):
-    """Nothing learned yet and the object's bucket unallocated: the lookup
-    reads the catalog, so it waits for the writer as it always did."""
+    """A map that has learned nothing reads the catalog for its header, so
+    its lookup waits for a catalog writer as it always did."""
     db = any_engine_db
-    index = db.trigger_system.index
-    with db.transaction():
-        watched = db.pnew(HotObject)
-        watched.Watch()  # creates the index map: X held, nothing learned
-        taken = index._map._bucket_for(str(watched.ptr.rid))
-        plain = next(
-            ptr
-            for ptr in (db.pnew(IndexPlain).ptr for _ in range(64))
-            if index._map._bucket_for(str(ptr.rid)) != taken
-        )
-    assert index._map._known_header is None
+    pmap = PersistentMap(db, "waits", bucket_count=4)
+    with db.transaction() as txn:
+        pmap.put(txn, "a", 1)  # creates the map: X held, nothing learned
+    assert pmap._known_header is None
     found = []
 
     def look(_session, txn):
-        found.append(index.lookup(txn, plain.rid))
+        found.append(pmap.get(txn, "a"))
 
     order, scheduler = _race(db, look)
     assert order == ["created", "committed", "waiter done"]
     assert ("block", "waiter") in scheduler.log
-    assert found == [()]
-    assert index._map._known_header == _committed_header(db)
+    assert found == [1]
+    with db.transaction():
+        assert pmap._known_header == db.catalog_get("pmap:waits")
 
 
 # -- what it costs -----------------------------------------------------------------
@@ -422,25 +444,24 @@ def test_the_canonical_transaction_reads_two_records_and_takes_three_locks(
 
 
 @pytest.mark.parametrize("engine", ["disk", "mm"])
-def test_a_reopened_database_starts_with_an_empty_memo(db_path, engine):
+def test_a_reopened_database_finds_each_group_through_its_header(db_path, engine):
+    """Nothing about the index lives outside the records: after a crash,
+    a lookup by bare rid and a posting find the group the header names."""
     db = Database.open(db_path, engine=engine)
     with db.transaction():
         handle = db.pnew(HotObject)
         state = handle.Watch()
         ptr = handle.ptr
-    with db.transaction() as txn:
-        assert _ids(db, db.trigger_system.index.lookup(txn, ptr.rid)) == (state,)
-    assert db.trigger_system.index._map._known_buckets
     db.simulate_crash()
 
     db = Database.open(db_path, engine=engine)
     try:
         index = db.trigger_system.index
-        assert index._map._known_header is None
-        assert index._map._known_buckets == {}
         with db.transaction() as txn:
             assert _ids(db, index.lookup(txn, ptr.rid)) == (state,)
+            assert dict(index.entries(txn)) == {ptr.rid: state.rid}
             db.deref(ptr).post_event("Ping")
-        assert index._map._known_header == _committed_header(db)
+            db.deref(ptr).post_event("Pong")
+        assert db.trigger_system.stats.firings == 1
     finally:
         db.close()

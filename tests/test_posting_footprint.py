@@ -1,7 +1,7 @@
 """A posting touches only its object and its group (DESIGN §14, §17).
 
-The object's header names its trigger group, so a posting reads no
-trigger-index bucket.  Under strict 2PL a group a posting advanced is
+The object's header names its trigger group, so a posting reads its
+object and that group and nothing else.  Under strict 2PL a group a posting advanced is
 X-locked at the posting and written once, by ``Database.flush_transaction``
 after every before-commit hook; MVCC merges it at commit as before.
 Pinned on both engines under both trigger concurrency-control schemes,
@@ -115,7 +115,7 @@ def _clean(db) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_a_posting_reads_its_object_and_its_group_and_no_bucket(cell, monkeypatch):
+def test_a_posting_reads_its_object_and_its_group_and_no_bucket(cell):
     """The ``canon_mm`` transaction.  2PL: the object and its group are
     read (3 lock acquires: S object, S and X group), and the group,
     advanced twice, is written once — one UPDATE and the COMMIT.  MVCC:
@@ -124,11 +124,6 @@ def test_a_posting_reads_its_object_and_its_group_and_no_bucket(cell, monkeypatc
     _, db = cell
     ptr = _watched(db)
     _canonical(db, ptr)  # MVCC: loads the group's chain
-    gets = []
-    real_get = db.trigger_system.index._map.get
-    monkeypatch.setattr(
-        db.trigger_system.index._map, "get", lambda *a: gets.append(a) or real_get(*a)
-    )
     before = db.metrics.snapshot()
     _canonical(db, ptr)
     after = db.metrics.snapshot()
@@ -137,7 +132,6 @@ def test_a_posting_reads_its_object_and_its_group_and_no_bucket(cell, monkeypatc
         return after[name] - before[name]
 
     two_phase = db.trigger_cc == "2pl"
-    assert gets == []
     assert delta("storage.reads") == (2 if two_phase else 1)
     assert delta("locks.s_acquired") + delta("locks.x_acquired") == (3 if two_phase else 1)
     assert delta("storage.log_records") == 2

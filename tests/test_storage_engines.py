@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.errors import (
-    PageFullError,
     ReadOnlyStorageError,
     RecordNotFoundError,
     StorageError,
@@ -603,26 +602,32 @@ _REDO_ALLOCATES = (
 )
 
 
-@pytest.mark.xfail(strict=True, raises=PageFullError, reason=_REDO_ALLOCATES)
-def test_disk_recovers_a_population_that_spills_its_page(tmp_path):
+@pytest.mark.parametrize(
+    "count", [300, 1000, pytest.param(3000, marks=pytest.mark.crash_matrix)]
+)
+def test_disk_recovers_a_population_that_spills_its_page(tmp_path, count):
     """perf/README.md's repro: watched objects created in one transaction,
-    crash, reopen — the reopen's redo dies in ``PagedRecords.put``, now
-    with ``no room to extend slot directory`` (``slot N is occupied`` while
-    each class also kept an extent map).  The name and the count matter:
-    they move record sizes and slot boundaries (perf/README.md's 200
-    objects stopped reaching the bug when trigger groups made the records
-    smaller; 300 still do).  The trigger index's buckets still outgrow a
-    page here."""
+    crash, reopen.  Its reopen died in the redo bug below while the
+    trigger index kept its entries in a bucketed map: the buckets grew
+    with the population, outgrew their page and became body chains.  An
+    object's header is its index entry now, so no record grows with the
+    population and every one of them comes back."""
     from repro import Database
     from repro.workloads.locksim import HotObject
 
     path = str(tmp_path / "db")
     db = Database.open(path, engine="disk")
     with db.transaction():
-        for _ in range(300):
+        for _ in range(count):
             db.pnew(HotObject).Watch()
     db.simulate_crash()
-    Database.open(path, engine="disk").close()
+    db = Database.open(path, engine="disk")
+    try:
+        with db.transaction() as txn:
+            assert len(dict(db.trigger_system.index.entries(txn))) == count
+            assert db.trigger_system.verify_integrity() == []
+    finally:
+        db.close()
 
 
 class RedoBlob(Persistent):

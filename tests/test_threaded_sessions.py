@@ -193,13 +193,13 @@ class TestThreadedDisk:
             reopened.close()
 
 
-class TestThreadedIndexMemo:
-    """Sessions allocate index buckets (some in transactions that abort)
-    while others post through remembered rids: every rid the index map
-    remembers must still be its committed header's."""
+class TestThreadedActivations:
+    """Sessions make first activations (some in transactions that abort)
+    while others post: every committed object's header must name its own
+    group, and every group must be named."""
 
     @pytest.mark.parametrize("engine", ["mm", "disk"])
-    def test_remembered_rids_match_the_committed_headers(self, db_path, engine):
+    def test_every_committed_header_names_its_own_group(self, db_path, engine):
         from repro.errors import TransactionAbort
         from repro.workloads.locksim import HotObject
 
@@ -210,17 +210,14 @@ class TestThreadedIndexMemo:
             for handle in watched:
                 handle.Watch()
             watched = [handle.ptr for handle in watched]
-        with db.transaction():
-            for ptr in watched:
-                db.deref(ptr).post_event("Ping")  # learn the index's rids
 
         def make_body(session, index, txn_index):
             def body(txn):
                 session.deref(watched[(index + txn_index) % 8]).post_event("Pong")
-                for _ in range(2):  # the second re-reads headers the first wrote
+                for _ in range(2):
                     session.pnew(HotObject).Watch()
                 if txn_index % 3 == 0:
-                    raise TransactionAbort("roll back the new buckets")
+                    raise TransactionAbort("roll back the new groups")
 
             return body
 
@@ -234,16 +231,13 @@ class TestThreadedIndexMemo:
         index = db.trigger_system.index
         try:
             with db.transaction() as txn:
-                pmap = index._map
-                header = db.catalog_get(pmap._catalog_key)
-                assert pmap._known_header in (None, header)
-                slots = pmap._buckets(txn, header)
-                for slot, rid in pmap._known_buckets.items():
-                    assert slots[slot] == rid
                 assert db.trigger_system.verify_integrity() == []
                 objects = list(db.objects(HotObject))
                 assert len(objects) == 8 + 2 * sessions * (txns - txns // 3)
-                for handle in objects:
-                    assert len(index.lookup(txn, handle.ptr.rid)) == 1
+                groups = {index.group(txn, handle.ptr.rid).rid for handle in objects}
+                assert dict(index.entries(txn)) == {
+                    handle.ptr.rid: handle.obj.__dict__["_p_group"] for handle in objects
+                }
+                assert len(groups) == len(objects)
         finally:
             db.close()

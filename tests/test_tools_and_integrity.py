@@ -7,6 +7,7 @@ from repro.core.declarations import trigger
 from repro.objects.database import Database
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
+from repro.objects.serialize import FLAG_HAS_TRIGGERS
 from repro.tools import describe_catalog, describe_objects, describe_triggers, dump_database
 
 
@@ -43,7 +44,7 @@ class TestVerifyIntegrity:
             widget = db.pnew(Widget)
             trigger_id = widget.OnPoke()
             # Corrupt on purpose: delete the group record (the id's rid)
-            # but leave the index entry behind.
+            # but leave the header naming it.
             db.storage.delete(db.txn_manager.current().txid, trigger_id.rid)
             problems = db.trigger_system.verify_integrity()
             assert any("missing" in p for p in problems)
@@ -69,7 +70,8 @@ class TestVerifyIntegrity:
             ghost = TriggerState(0, widget.ptr, 0, "VanishedClass", {})
             group = TriggerGroup(widget.ptr, 1, [(0, ghost)])
             rid = db.storage.insert(txn.txid, group.encode())
-            db.trigger_system.index._map.put(txn, str(widget.ptr.rid), rid)
+            widget.obj.__dict__.update(_p_flags=FLAG_HAS_TRIGGERS, _p_group=rid)
+            db.mark_dirty(widget.obj)
             problems = db.trigger_system.verify_integrity()
             assert any("VanishedClass" in p for p in problems)
 
@@ -103,8 +105,7 @@ class TestDumpTool:
     def test_describe_catalog_shows_internal_maps(self, populated):
         with populated.transaction():
             lines = describe_catalog(populated)
-        assert any("trigger_index" in line for line in lines)
-        assert not any("cluster:" in line for line in lines)  # extents are scans
+        assert lines == []  # the trigger index is the headers, extents are scans
 
     def test_dump_database_opens_own_transaction(self, populated):
         text = dump_database(populated)

@@ -288,7 +288,7 @@ def test_deactivating_the_last_trigger_deletes_the_group(cell):
     assert _group_rid(db, ptr) is None
     with db.transaction() as txn:
         assert not db.storage.exists(txn.txid, gate.rid)
-        assert db.trigger_system.index._map.get(txn, str(ptr.rid)) is None
+        assert ptr.rid not in dict(db.trigger_system.index.entries(txn))
         assert not db.deref(ptr).obj.__dict__["_p_flags"] & FLAG_HAS_TRIGGERS
         assert db.trigger_system.verify_integrity() == []
         with pytest.raises(repro.errors.TriggerNotActiveError):
@@ -306,7 +306,7 @@ def test_pdelete_drops_the_group(cell):
         db.pdelete(ptr)
     with db.transaction() as txn:
         assert not db.storage.exists(txn.txid, gate.rid)
-        assert db.trigger_system.index._map.get(txn, str(ptr.rid)) is None
+        assert ptr.rid not in dict(db.trigger_system.index.entries(txn))
         assert db.trigger_system.verify_integrity() == []
 
 
@@ -340,7 +340,7 @@ def test_verify_integrity_reports_each_group_defect(cell):
         ),
         (
             TriggerGroup(PersistentPtr(db.name, other_ptr.rid), 1, [(0, state)]),
-            f"anchored at {other_ptr.rid}, indexed under {ptr.rid}",
+            f"header names group {gate.rid}, anchored at {other_ptr.rid}",
         ),
         (None, "corrupt"),
     ]
@@ -356,7 +356,7 @@ def test_verify_integrity_reports_each_group_defect(cell):
     with db.transaction() as txn:
         db.storage.delete(txn.txid, gate.rid)
         problems = db.trigger_system.verify_integrity()
-        assert any("group record missing" in p for p in problems), problems
+        assert any("which is missing" in p for p in problems), problems
         raise repro.TransactionAbort("undo the damage")
     with db.transaction():
         assert db.trigger_system.verify_integrity() == []
@@ -369,9 +369,9 @@ def test_verify_integrity_reports_each_group_defect(cell):
 
 def test_sixteen_triggers_cost_one_group_read_and_lock(cell, monkeypatch):
     """Posting to an object with 16 triggers reads and locks its group
-    once (MVCC: not at all — the committed head serves it) and reads no
-    index bucket, and activating the 2nd … 16th trigger inserts no record
-    and leaves the index alone."""
+    once (MVCC: not at all — the committed head serves it) and reads
+    nothing else, and activating the 2nd … 16th trigger inserts no record
+    and leaves the object's header alone."""
     _, db = cell
     storage = db.storage
     index = db.trigger_system.index
@@ -380,22 +380,21 @@ def test_sixteen_triggers_cost_one_group_read_and_lock(cell, monkeypatch):
         ptr = gadget.ptr
         gadget.Gate()
         inserts = storage.stats.inserts
-        puts = []
-        real_put = index._map.put
-        monkeypatch.setattr(index._map, "put", lambda *a: puts.append(a) or real_put(*a))
+        adds = []
+        real_add = index.add
+        monkeypatch.setattr(index, "add", lambda *a: adds.append(a) or real_add(*a))
         for _ in range(15):
             gadget.Gate()
         assert storage.stats.inserts == inserts
-        assert puts == []
+        assert adds == []
     group_rid = _group_rid(db, ptr)
     with db.transaction():
         db.deref(ptr).post_event("Tick")  # load the chain
 
-    reads, locks, gets = [], [], []
+    reads, locks = [], []
     lock_stats = storage.lock_manager.stats
-    real_read, real_lock, real_get = storage.read, LockManager.lock, index._map.get
+    real_read, real_lock = storage.read, LockManager.lock
     monkeypatch.setattr(storage, "read", lambda txid, rid: reads.append(rid) or real_read(txid, rid))
-    monkeypatch.setattr(index._map, "get", lambda *a: gets.append(a) or real_get(*a))
 
     def lock(manager, txid, resource, mode):
         locks.append(resource)
@@ -409,12 +408,11 @@ def test_sixteen_triggers_cost_one_group_read_and_lock(cell, monkeypatch):
         for _ in range(3):
             handle.post_event("Tick")
         # The group alone, whatever the number of postings: the header
-        # named it, so no index bucket is read or locked.
+        # named it.
         expected = 0 if db.trigger_cc == "mvcc" else 1
         assert storage.stats.reads - reads_before == expected
         assert lock_stats.s_acquired + lock_stats.x_acquired - locks_before == expected
         assert len(db.trigger_system.index.lookup(db.txn_manager.current(), ptr.rid)) == 16
-    assert gets == []
     assert reads.count(group_rid) == expected
     assert locks.count(group_rid) == expected
     assert db.trigger_system.stats.fsm_advances >= 48

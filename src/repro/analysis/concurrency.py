@@ -70,7 +70,7 @@ from repro.analysis.effects import (
     infer_callable_effects,
     infer_trigger_effects,
 )
-from repro.events.fsm import DEAD
+from repro.events.minimize import reachable_states
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.trigger_def import TriggerInfo
@@ -184,63 +184,38 @@ class LockFootprint:
 # footprint inference
 
 
-def _reachable_states(fsm) -> list:
-    by_num = {state.statenum: state for state in fsm.states}
-    frontier = [fsm.start]
-    seen = {fsm.start}
-    while frontier:
-        state = by_num.get(frontier.pop())
-        if state is None:
-            continue
-        for target in state.transitions.values():
-            if target != DEAD and target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return [by_num[n] for n in sorted(seen) if n in by_num]
-
-
-def _advances_from(state, symbol: str, compiled: "CompiledMachine", by_num) -> bool:
-    """Whether consuming *symbol* in *state* may change the stored state.
+def _advances_from(statenum: int, symbol: str, compiled: "CompiledMachine") -> bool:
+    """Whether consuming *symbol* in *statenum* may change the stored state.
 
     A missing transition leaves the state put (or kills an anchored
     machine); a consumed transition that lands on a *masked* state may
     move further during the same quiesce pass, so it counts as advancing
     even when it is a self-loop.
     """
-    target = state.transitions.get(symbol)
+    target = compiled.fsm.states[statenum].transitions.get(symbol)
     if target is None:
         return compiled.anchored  # any alphabet symbol drives anchored -> DEAD
-    if target != state.statenum:
-        return True
-    landed = by_num.get(target)
-    return bool(landed is not None and landed.masks)
+    return target != statenum or bool(compiled.fsm.states[target].masks)
 
 
 def advancing_symbols(compiled: "CompiledMachine") -> frozenset[str]:
     """Watched symbols whose posting can write the trigger state back
     (i.e. change the stored state number from some reachable state)."""
-    fsm = compiled.fsm
-    by_num = {state.statenum: state for state in fsm.states}
-    out = set()
-    for state in _reachable_states(fsm):
-        for symbol in compiled.event_symbols:
-            if _advances_from(state, symbol, compiled, by_num):
-                out.add(symbol)
-    return frozenset(out)
+    return frozenset(
+        symbol
+        for statenum in reachable_states(compiled.fsm)
+        for symbol in compiled.event_symbols
+        if _advances_from(statenum, symbol, compiled)
+    )
 
 
 def start_advancing_symbols(compiled: "CompiledMachine") -> frozenset[str]:
     """Watched symbols that advance the machine *from the start state* —
     the ones a witness can post first to take the X lock immediately."""
-    fsm = compiled.fsm
-    by_num = {state.statenum: state for state in fsm.states}
-    start = by_num.get(fsm.start)
-    if start is None:
-        return frozenset()
     return frozenset(
         symbol
         for symbol in compiled.event_symbols
-        if _advances_from(start, symbol, compiled, by_num)
+        if _advances_from(compiled.fsm.start, symbol, compiled)
     )
 
 

@@ -18,15 +18,36 @@ sides of that trade.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.core.trigger_def import IntFsm
-from repro.events.fsm import DEAD
+from repro.events.fsm import Fsm
 
 #: Sentinel meaning "no transition" inside the dense array.
 NO_TRANSITION = -2
 
 
-class DenseFsm:
-    """An :class:`IntFsm` re-encoded as a dense ``next[state][event]`` array."""
+@dataclasses.dataclass(frozen=True)
+class DenseState:
+    """One row of the dense array: ``row[eventnum]`` is the next state."""
+
+    statenum: int
+    accept: bool
+    masks: tuple[str, ...]
+    row: list[int]
+
+    def next_state(self, eventnum: int) -> int | None:
+        """O(1) indexing, where the sparse list searches linearly."""
+        if 0 <= eventnum < len(self.row):
+            nxt = self.row[eventnum]
+            if nxt != NO_TRANSITION:
+                return nxt
+        return None
+
+
+class DenseFsm(Fsm):
+    """An :class:`IntFsm` re-encoded as a dense ``next[state][event]`` array;
+    it steps by the same :class:`~repro.events.fsm.Fsm` rule."""
 
     def __init__(self, fsm: IntFsm, global_event_count: int):
         """Build from *fsm*, sized for *global_event_count* event integers.
@@ -37,35 +58,21 @@ class DenseFsm:
         """
         if global_event_count < 1:
             raise ValueError("global_event_count must be positive")
-        self.anchored = fsm.anchored
-        self.start = fsm.start
         self.width = global_event_count + 1  # event ints are 1-based
-        self.next: list[list[int]] = []
+        states = []
         for state in fsm.states:
             row = [NO_TRANSITION] * self.width
             for transition in state.transfunc:
                 if transition.eventnum < self.width:
                     row[transition.eventnum] = transition.newstate
-            self.next.append(row)
-        self.accept = [state.accept for state in fsm.states]
-
-    def move(self, statenum: int, eventnum: int) -> tuple[int, bool]:
-        """O(1) dense lookup with the same ignore/dead semantics as IntFsm."""
-        if statenum == DEAD:
-            return DEAD, False
-        if 0 <= eventnum < self.width:
-            nxt = self.next[statenum][eventnum]
-            if nxt != NO_TRANSITION:
-                return nxt, True
-        if self.anchored:
-            return DEAD, True
-        return statenum, False
+            states.append(DenseState(state.statenum, state.accept, state.masks, row))
+        super().__init__(states, fsm.start, fsm.alphabet, fsm.anchored, fsm.pseudo)
 
     # -- accounting ---------------------------------------------------------------
 
     def cells(self) -> int:
         """Total array cells (the dense memory footprint driver)."""
-        return len(self.next) * self.width
+        return len(self.states) * self.width
 
     def approx_bytes(self) -> int:
         """Approximate memory, at 8 bytes per cell (C ``int``-ish, rounded up)."""
@@ -74,7 +81,7 @@ class DenseFsm:
     def used_cells(self) -> int:
         """Cells holding a real transition (what the sparse form stores)."""
         return sum(
-            1 for row in self.next for cell in row if cell != NO_TRANSITION
+            1 for state in self.states for cell in state.row if cell != NO_TRANSITION
         )
 
     def occupancy(self) -> float:

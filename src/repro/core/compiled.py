@@ -13,13 +13,12 @@ can be burned into one generated Python function per trigger:
 
 * the sparse transition dispatch becomes branchy ``if eventnum == k``
   code over the concrete event integers;
-* the §5.4.5 pseudo-event quiesce walk is unrolled at compile time into a
+* the mask cascade — the rule stated once in :mod:`repro.events.fsm`,
+  where the interpreter runs it — is unrolled at compile time into a
   decision tree over mask outcomes, with the mask predicates called
-  inline;
-* because compiled masks are *proven pure*, an outcome already decided on
-  the current path is reused rather than re-evaluated — the pseudo-step
-  counter still advances exactly as the interpreter's would, so the
-  ``posting.masks_evaluated_posting`` metric is preserved.
+  inline.  The tree follows the rule's memo and revisit check, so it
+  calls each mask at most once per path and the
+  ``posting.masks_evaluated_posting`` count means the same in both tiers.
 
 Artifacts are cached per ``TriggerInfo`` and keyed by a process-global
 **schema version** (the edgedb ``edb/server/compiler`` artifact-cache
@@ -38,8 +37,7 @@ import threading
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.declarations import mask_arity
-from repro.errors import FSMError
-from repro.events.fsm import DEAD, MAX_PSEUDO_STEPS
+from repro.events.fsm import DEAD
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.trigger_def import IntFsm, TriggerInfo
@@ -130,70 +128,49 @@ def _unroll(
     fsm: "IntFsm",
     mask_calls: dict[str, str],
     current: int,
-    steps: int,
+    calls: int,
     seen: bool,
     fixed: dict[str, bool],
+    visited: frozenset[int],
     indent: str,
     lines: list[str],
     budget: _Budget,
 ) -> None:
-    """Emit the quiesce walk from *current* (mirrors ``_quiesce_tracking``).
+    """Emit the mask cascade from *current*, which the walk has just
+    entered: :meth:`repro.events.fsm.Fsm._quiesce_tracking` with each
+    first-asked mask turned into an ``if``.
 
-    ``fixed`` pins mask outcomes already observed on this path: a compiled
-    mask is proven pure, so within one posting instant it cannot change
-    its mind — the generated code follows the pinned arm while still
-    advancing the step counter the interpreter would have charged for the
-    re-evaluation.
+    ``fixed`` holds the outcomes already asked on this path (the rule's
+    memo: the walk follows the pinned arm and calls nothing), ``visited``
+    the states already entered before *current*; *calls* counts the masks
+    called so far on the path, which each emitted ``return`` reports.
     """
     while True:
-        if current == DEAD or not fsm.states[current].masks:
+        if current == DEAD or not fsm.states[current].masks or current in visited:
             budget.charge()
-            lines.append(f"{indent}return ({current}, True, {seen}, {steps})")
+            lines.append(f"{indent}return ({current}, True, {seen}, {calls})")
             return
-        if steps >= MAX_PSEUDO_STEPS:
-            # The pinned outcomes force a cycle; the interpreter raises
-            # after MAX_PSEUDO_STEPS evaluations and so do we.
-            budget.charge()
-            lines.append(
-                f"{indent}raise FSMError('mask cascade did not quiesce')"
-            )
-            return
+        visited = visited | {current}
         mask = fsm.states[current].masks[0]
         if mask in fixed:
-            outcome = fixed[mask]
-            nxt, consumed = fsm.move(current, fsm.pseudo_ints[(mask, outcome)])
-            steps += 1
-            if not consumed:
-                budget.charge()
-                lines.append(
-                    f"{indent}return ({current}, True, {seen}, {steps})"
-                )
-                return
-            current = nxt
+            current = fsm.move(current, fsm.pseudo[(mask, fixed[mask])])[0]
             seen = seen or (current != DEAD and fsm.states[current].accept)
             continue
         budget.charge()
         lines.append(f"{indent}if {mask_calls[mask]}:")
         for outcome in (True, False):
-            arm_indent = indent + "    "
             if not outcome:
                 lines.append(f"{indent}else:")
-            nxt, consumed = fsm.move(current, fsm.pseudo_ints[(mask, outcome)])
-            if not consumed:
-                budget.charge()
-                lines.append(
-                    f"{arm_indent}return ({current}, True, {seen}, {steps + 1})"
-                )
-                continue
-            arm_seen = seen or (nxt != DEAD and fsm.states[nxt].accept)
+            nxt = fsm.move(current, fsm.pseudo[(mask, outcome)])[0]
             _unroll(
                 fsm,
                 mask_calls,
                 nxt,
-                steps + 1,
-                arm_seen,
+                calls + 1,
+                seen or (nxt != DEAD and fsm.states[nxt].accept),
                 {**fixed, mask: outcome},
-                arm_indent,
+                visited,
+                indent + "    ",
                 lines,
                 budget,
             )
@@ -206,11 +183,11 @@ def generate_advance_source(
     """Generate the specialized ``_advance`` source for one machine;
     *mask_calls* maps each mask name to the expression that calls it.
 
-    The function mirrors :meth:`IntFsm.advance` exactly — same returned
-    ``(state, consumed, accepted, pseudo_steps)`` quadruple, same
-    anchored-death rule, same acceptance-of-visited-states semantics —
-    with the transition search and quiesce loop resolved at compile time.
-    Raises :class:`PlanError` when the decision tree blows the budget.
+    The function computes what :meth:`IntFsm.advance` does — the
+    stepping rule of :mod:`repro.events.fsm` — and returns
+    ``(state, consumed, accepted, masks_called)``, with the transition
+    search and the mask cascade resolved at compile time.  Raises
+    :class:`PlanError` when the decision tree blows the budget.
     """
     budget = _Budget(UNROLL_BUDGET)
     lines = ["def _advance(statenum, eventnum, obj, params, event):"]
@@ -222,9 +199,10 @@ def generate_advance_source(
             lines.append(f"        if eventnum == {tr.eventnum}:")
             nxt = tr.newstate
             seen = nxt != DEAD and fsm.states[nxt].accept
-            _unroll(fsm, mask_calls, nxt, 0, seen, {}, " " * 12, lines, budget)
-        # Event not in the sparse transition list: anchored machines die
-        # on in-alphabet misses, everything else ignores the event.
+            _unroll(
+                fsm, mask_calls, nxt, 0, seen, {}, frozenset(), " " * 12, lines, budget
+            )
+        # Event not in the sparse transition list: the ignore/dead rule.
         if fsm.anchored:
             lines.append("        if eventnum in _ALPHA:")
             lines.append("            return (-1, True, False, 0)")
@@ -270,10 +248,7 @@ class CompiledArtifact:
 def generate_advance(info: "TriggerInfo") -> CompiledArtifact:
     """Compile *info*'s machine into a :class:`CompiledArtifact`."""
     fsm = info.fsm
-    namespace: dict = {
-        "FSMError": FSMError,
-        "_ALPHA": fsm.alphabet_ints,
-    }
+    namespace: dict = {"_ALPHA": fsm.alphabet}
     mask_calls = {}
     for i, name in enumerate(_used_masks(fsm)):
         ident = f"_m{i}"

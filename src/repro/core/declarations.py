@@ -43,7 +43,12 @@ import inspect
 from typing import Any, Callable
 
 from repro.core.registry import global_event_registry
-from repro.core.trigger_def import CouplingMode, IntFsm, TriggerDecl, TriggerInfo
+from repro.core.trigger_def import (
+    CouplingMode,
+    TriggerDecl,
+    TriggerInfo,
+    build_int_fsm,
+)
 from repro.core.wrappers import make_method_wrapper
 from repro.errors import TriggerDeclarationError
 from repro.events.compile import compile_expression
@@ -284,23 +289,18 @@ def process_active_class(cls: type, strict: bool | None = None) -> None:
             declared,
             known_masks=trigger_masks.keys(),
         )
-        symbol_to_int = {
-            symbol: metatype.event_ints[symbol] for symbol in compiled.event_symbols
-        }
-        pseudo_ints = {}
-        for mask in compiled.masks:
-            pseudo_ints[(mask, True)] = event_registry.assign(
-                cls.__name__, f"true:{decl.name}:{mask}"
-            )
-            pseudo_ints[(mask, False)] = event_registry.assign(
-                cls.__name__, f"false:{decl.name}:{mask}"
-            )
         info = TriggerInfo(
             name=decl.name,
             triggernum=len(own_infos),
             defining_type=cls.__name__,
             compiled=compiled,
-            fsm=IntFsm(compiled, symbol_to_int, pseudo_ints),
+            fsm=build_int_fsm(
+                compiled,
+                metatype.event_ints,
+                event_registry,
+                cls.__name__,
+                f"{decl.name}:",
+            ),
             action=_adapt_action(cls.__name__, decl),
             perpetual=decl.perpetual,
             coupling=CouplingMode.parse(decl.coupling),

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.declarations import trigger as trigger_decl
 from repro.core.registry import global_event_registry
-from repro.core.trigger_def import CouplingMode, IntFsm, TriggerInfo
+from repro.core.trigger_def import CouplingMode, TriggerInfo, build_int_fsm
 from repro.errors import TriggerDeclarationError, TriggerError
 from repro.events.compile import compile_expression
 from repro.objects.oid import PersistentPtr
@@ -183,18 +183,9 @@ class InterObjectTrigger:
             compiled = compile_expression(
                 fragment, anchor_meta.declared_events, known_masks=raw_masks.keys()
             )
-            symbol_to_int = {
-                symbol: anchor_meta.event_ints[symbol]
-                for symbol in compiled.event_symbols
-            }
-            pseudo_ints = {}
-            for mask in compiled.masks:
-                pseudo_ints[(mask, True)] = event_registry.assign(
-                    bridge_type, f"true:{mask}"
-                )
-                pseudo_ints[(mask, False)] = event_registry.assign(
-                    bridge_type, f"false:{mask}"
-                )
+            fsm = build_int_fsm(
+                compiled, anchor_meta.event_ints, event_registry, bridge_type
+            )
 
             def bridge_action(handle, ctx, _alias=alias, _coord=coordinator):
                 coord_handle = db.deref(_coord)
@@ -205,7 +196,7 @@ class InterObjectTrigger:
                 triggernum=0,
                 defining_type=bridge_type,
                 compiled=compiled,
-                fsm=IntFsm(compiled, symbol_to_int, pseudo_ints),
+                fsm=fsm,
                 action=bridge_action,
                 perpetual=True,
                 coupling=CouplingMode.IMMEDIATE,

@@ -599,7 +599,7 @@ def advance_all(
     ready: list[Machine] = []
     # The generated path's counts, flushed once per call (also when a mask
     # raises): per-machine attribute updates are real money at fan-out 128.
-    hits = steps_taken = 0
+    hits = masks_called = 0
     settled = False
     try:
         for machine in machines:
@@ -616,10 +616,10 @@ def advance_all(
                         stats.compiled_fallbacks += 1
             if advance is not None:
                 outcomes = None
-                new_state, _consumed, accepted, steps = advance(
+                new_state, _consumed, accepted, called = advance(
                     old_state, eventnum, obj, state.params, occurrence
                 )
-                steps_taken += steps
+                masks_called += called
                 hits += 1
             else:
                 info = machine.info
@@ -665,7 +665,7 @@ def advance_all(
     finally:
         stats.compiled_hits += hits
         stats.fsm_advances += hits
-        stats.masks_evaluated_posting += steps_taken
+        stats.masks_evaluated_posting += masks_called
         if settled:
             store.flush(machines, span)
     return ready

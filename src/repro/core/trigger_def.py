@@ -8,8 +8,9 @@ coupling mode — stored in the defining class's metatype.
 
 :class:`IntFsm` is the run-time machine keyed by the globally-unique event
 integers: each state carries a *sparse* transition list searched linearly,
-exactly the representation of Section 5.4.3 ("Any event which does not
-appear in a state's Transition list is ignored").
+exactly the representation of Section 5.4.3.  How it steps — the
+ignore/dead rule and the mask cascade — is :class:`repro.events.fsm.Fsm`'s,
+stated once in that module; :func:`build_int_fsm` assigns its integers.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import dataclasses
 import enum
 from typing import Any, Callable
 
-from repro.errors import FSMError, TriggerDeclarationError
+from repro.core.registry import EventRegistry
+from repro.errors import TriggerDeclarationError
 from repro.events.compile import CompiledMachine
-from repro.events.fsm import DEAD, MAX_PSEUDO_STEPS, AdvanceResult
+from repro.events.fsm import FALSE_PREFIX, TRUE_PREFIX, Fsm
 
 
 class CouplingMode(enum.Enum):
@@ -98,8 +100,12 @@ class IntState:
         return None
 
 
-class IntFsm:
-    """A compiled machine whose alphabet is globally-unique event integers."""
+class IntFsm(Fsm):
+    """A compiled machine whose alphabet is globally-unique event integers.
+
+    *symbol_to_int* maps each event symbol to its integer, *pseudo_ints*
+    each ``(mask, outcome)`` to its pseudo-event integer.
+    """
 
     def __init__(
         self,
@@ -109,12 +115,6 @@ class IntFsm:
     ):
         self.compiled = compiled
         self.symbol_to_int = dict(symbol_to_int)
-        self.pseudo_ints = dict(pseudo_ints)
-        self.anchored = compiled.anchored
-        self.start = compiled.fsm.start
-        self.alphabet_ints = frozenset(symbol_to_int.values()) | frozenset(
-            pseudo_ints.values()
-        )
         states = []
         for state in compiled.fsm.states:
             transfunc = tuple(
@@ -125,85 +125,47 @@ class IntFsm:
                 IntTransition(pseudo_ints[key], dst)
                 for key, dst in sorted(
                     (
-                        ((sym.split(":", 1)[1], sym.startswith("true:")), dst)
+                        ((sym.split(":", 1)[1], sym.startswith(TRUE_PREFIX)), dst)
                         for sym, dst in state.transitions.items()
-                        if sym.startswith(("true:", "false:"))
+                        if sym.startswith((TRUE_PREFIX, FALSE_PREFIX))
                     )
                 )
             )
             states.append(
                 IntState(state.statenum, state.accept, state.masks, transfunc)
             )
-        self.states: tuple[IntState, ...] = tuple(states)
-
-    def __len__(self) -> int:
-        return len(self.states)
+        super().__init__(
+            states,
+            compiled.fsm.start,
+            frozenset(symbol_to_int.values()) | frozenset(pseudo_ints.values()),
+            compiled.anchored,
+            dict(pseudo_ints),
+        )
 
     def transition_count(self) -> int:
         return sum(len(s.transfunc) for s in self.states)
 
-    def move(self, statenum: int, eventnum: int) -> tuple[int, bool]:
-        """One transition on an event integer; missing = ignored (or dead)."""
-        if statenum == DEAD:
-            return DEAD, False
-        nxt = self.states[statenum].next_state(eventnum)
-        if nxt is not None:
-            return nxt, True
-        if self.anchored and eventnum in self.alphabet_ints:
-            return DEAD, True
-        return statenum, False
 
-    def quiesce(
-        self, statenum: int, evaluate_mask: Callable[[str], bool]
-    ) -> tuple[int, int]:
-        """Evaluate pending masks, feeding pseudo-events back in."""
-        current, steps, _ = self._quiesce_tracking(statenum, evaluate_mask)
-        return current, steps
-
-    def _quiesce_tracking(
-        self, statenum: int, evaluate_mask: Callable[[str], bool]
-    ) -> tuple[int, int, bool]:
-        """Quiesce, tracking whether any visited state accepts (see
-        :meth:`repro.events.fsm.Fsm._quiesce_tracking`)."""
-        current = statenum
-        steps = 0
-        seen_accept = current != DEAD and self.states[current].accept
-        while current != DEAD and self.states[current].masks:
-            if steps >= MAX_PSEUDO_STEPS:
-                raise FSMError("mask cascade did not quiesce")
-            mask = self.states[current].masks[0]
-            outcome = bool(evaluate_mask(mask))
-            pseudo = self.pseudo_ints[(mask, outcome)]
-            nxt, consumed = self.move(current, pseudo)
-            steps += 1
-            if not consumed:
-                break
-            current = nxt
-            seen_accept = seen_accept or (
-                current != DEAD and self.states[current].accept
-            )
-        return current, steps, seen_accept
-
-    def advance(
-        self,
-        statenum: int,
-        eventnum: int,
-        evaluate_mask: Callable[[str], bool],
-    ) -> AdvanceResult:
-        """Post one basic event integer (paper Section 5.4.5, steps a–c).
-
-        Acceptance counts any state *visited* while processing the posting
-        — an accept state passed through during the mask cascade still
-        fires (footnote 5: at most once per posting either way).
-        """
-        current, consumed = self.move(statenum, eventnum)
-        steps = 0
-        seen_accept = False
-        if consumed:
-            current, steps, seen_accept = self._quiesce_tracking(
-                current, evaluate_mask
-            )
-        return AdvanceResult(current, consumed, consumed and seen_accept, steps)
+def build_int_fsm(
+    compiled: CompiledMachine,
+    event_ints: dict[str, int],
+    registry: EventRegistry,
+    owner: str,
+    scope: str = "",
+) -> IntFsm:
+    """The run-time machine for *compiled*: each event symbol takes its
+    integer from *event_ints* (the class's), and each mask outcome a fresh
+    pseudo-event integer assigned in *registry* to *owner* under the name
+    ``true:<scope><mask>`` / ``false:<scope><mask>``."""
+    symbol_to_int = {symbol: event_ints[symbol] for symbol in compiled.event_symbols}
+    pseudo_ints = {
+        (mask, outcome): registry.assign(
+            owner, f"{TRUE_PREFIX if outcome else FALSE_PREFIX}{scope}{mask}"
+        )
+        for mask in compiled.masks
+        for outcome in (True, False)
+    }
+    return IntFsm(compiled, symbol_to_int, pseudo_ints)
 
 
 @dataclasses.dataclass

@@ -2,24 +2,40 @@
 
 This is the paper's Section 5.4.3 structure, symbol-keyed: each state has a
 number, an accept flag, the (ordered) masks it must evaluate, and a sparse
-transition table.  "Any event which does not appear in a state's Transition
-list is ignored" (Section 5.4.3) — for *unanchored* machines that never
-happens for alphabet symbols (the implicit ``(*any)`` prefix makes the DFA
-complete), and out-of-alphabet events (e.g. derived-class events posted to
-a base-class trigger) are ignored by construction.  *Anchored* machines
-(``^``) treat a missing alphabet transition as the dead state: the match
-window started at activation and has been missed for good.
+transition table.  It is also the one place the run-time stepping rule is
+written: :class:`repro.core.trigger_def.IntFsm` (the same machine over
+global event integers) and :class:`repro.baselines.dense_fsm.DenseFsm` (the
+dense-array baseline) subclass :class:`Fsm` and supply only their states'
+``next_state`` lookup and their pseudo-event table.
 
-Mask states drive the ``True``/``False`` pseudo-event protocol of
-Section 5.1.2: :meth:`Fsm.advance` evaluates pending masks and feeds the
-pseudo-events back into the machine until it quiesces, then reports whether
-an accept state was reached.
+The ignore/dead rule of :meth:`Fsm.move`: "Any event which does not
+appear in a state's Transition list is ignored" (Section 5.4.3) — for
+*unanchored* machines that never happens for alphabet symbols (the
+implicit ``(*any)`` prefix makes the DFA complete), and out-of-alphabet
+events (e.g. derived-class events posted to a base-class trigger) are
+ignored by construction.  *Anchored* machines (``^``) treat a missing
+alphabet transition as the dead state: the match window started at
+activation and has been missed for good.
+
+The mask cascade (Section 5.4.5 step (b), the ``True``/``False``
+pseudo-event protocol of Section 5.1.2): while the machine rests on a
+state with a pending mask, evaluate the state's first mask and feed the
+matching pseudo-event back in.  A mask predicate is evaluated against a
+single instant — no events intervene during the cascade — so each mask
+is asked at most once per cascade and keeps that one value.  With its
+outcomes fixed the cascade is a deterministic walk over finitely many
+states: it stops on a mask-free state, on an ignored pseudo-event, or on
+a state it already visited — a fixpoint (a mask on a nullable loop, e.g.
+``relative((*a) & m, b)``, restarts its own obligation), where the
+machine rests until the next real event.  Any accept state *visited* on
+the way counts (step (c): an accept state "has been reached").  The
+compiled tier (:mod:`repro.core.compiled`) unrolls this same walk.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 
 from repro.errors import EventError, FSMError
 
@@ -28,11 +44,6 @@ FALSE_PREFIX = "false:"
 
 #: Sentinel state number for the dead state of anchored machines.
 DEAD = -1
-
-#: Safety valve for pathological mask cascades (e.g. ``*(any & m)`` with a
-#: constant mask); the paper notes "potentially, multiple mask events must
-#: be posted before the system quiesces" — we bound "multiple".
-MAX_PSEUDO_STEPS = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,6 +111,10 @@ class FsmState:
         )
         return f"state {self.statenum}{mask}{acc}: {edges or '<none>'}"
 
+    def next_state(self, symbol: str) -> int | None:
+        """The transition on *symbol*, or ``None`` when there is none."""
+        return self.transitions.get(symbol)
+
 
 @dataclasses.dataclass(frozen=True)
 class AdvanceResult:
@@ -112,19 +127,32 @@ class AdvanceResult:
 
 
 class Fsm:
-    """A compiled (deterministic, extended) event machine."""
+    """A compiled (deterministic, extended) event machine.
+
+    *pseudo* maps ``(mask, outcome)`` to the pseudo-event the cascade
+    feeds back in; it defaults to the ``true:``/``false:`` symbols.
+    """
 
     def __init__(
         self,
         states: Sequence[FsmState],
         start: int,
-        alphabet: frozenset[str],
+        alphabet: frozenset[Hashable],
         anchored: bool,
+        pseudo: dict[tuple[str, bool], Hashable] | None = None,
     ):
         self.states = list(states)
         self.start = start
         self.alphabet = alphabet
         self.anchored = anchored
+        if pseudo is None:
+            pseudo = {
+                (mask, outcome): (TRUE_PREFIX if outcome else FALSE_PREFIX) + mask
+                for state in self.states
+                for mask in state.masks
+                for outcome in (True, False)
+            }
+        self.pseudo = pseudo
 
     # -- structure -------------------------------------------------------------
 
@@ -153,19 +181,13 @@ class Fsm:
         )
         return "\n".join([header] + [s.describe() for s in self.states])
 
-    # -- run-time semantics ------------------------------------------------------
+    # -- run-time semantics (the module docstring states the rules) --------------
 
-    def move(self, statenum: int, symbol: str) -> tuple[int, bool]:
-        """One raw transition; returns ``(newstate, consumed)``.
-
-        Missing transitions: ignored for unanchored machines and for
-        symbols outside the alphabet; dead for anchored machines on
-        alphabet symbols.
-        """
+    def move(self, statenum: int, symbol: Hashable) -> tuple[int, bool]:
+        """One raw transition; returns ``(newstate, consumed)``."""
         if statenum == DEAD:
             return DEAD, False
-        state = self.states[statenum]
-        nxt = state.transitions.get(symbol)
+        nxt = self.states[statenum].next_state(symbol)
         if nxt is not None:
             return nxt, True
         if self.anchored and symbol in self.alphabet:
@@ -177,7 +199,7 @@ class Fsm:
         statenum: int,
         evaluate_mask: Callable[[str], bool],
     ) -> tuple[int, int]:
-        """Evaluate pending masks until none remain; ``(state, steps)``.
+        """Run the mask cascade from *statenum*; ``(state, steps)``.
 
         Needed at trigger activation: an expression like ``(*a) & m`` puts
         the *start* state under a mask obligation before any event arrives.
@@ -190,72 +212,56 @@ class Fsm:
         statenum: int,
         evaluate_mask: Callable[[str], bool],
     ) -> tuple[int, int, bool]:
-        """Quiesce, also reporting whether any *visited* state accepts.
+        """The mask cascade; ``(state, pseudo_steps, accept_seen)``.
 
         An accept state may simultaneously carry a mask obligation for an
         overlapping next match (e.g. ``+((a & m), a)``: the accept state
-        awaits *m* for the iteration the final ``a`` could restart).  The
-        paper's step (c) checks whether an accept state "has been reached",
-        so passing *through* one during the pseudo-event cascade must still
-        fire the trigger even when a failed mask then moves the machine on.
-
-        A mask predicate is evaluated against a single instant — no events
-        intervene during the cascade — so each mask has exactly one value
-        here (memoized; the rescan oracle likewise records one outcome per
-        posting).  With outcomes fixed the cascade is a deterministic walk
-        over finitely many states: it either reaches a mask-free state or
-        revisits a state, and a revisited state is a fixpoint (a mask on a
-        nullable loop, e.g. ``relative((*a) & m, b)``, restarts its own
-        obligation) — re-checking cannot change anything, so quiescing
-        stops there and the machine rests until the next real event.
+        awaits *m* for the iteration the final ``a`` could restart), so
+        passing *through* one must fire even when a failed mask then moves
+        the machine on.  An ignored pseudo-event leaves the machine where
+        it is, which the revisit check ends like any other fixpoint.
         """
+        if statenum == DEAD:
+            return DEAD, 0, False
+        states = self.states
+        state = states[statenum]
+        seen_accept = state.accept
+        if not state.masks:
+            return statenum, 0, seen_accept
         current = statenum
-        pseudo_steps = 0
-        seen_accept = current != DEAD and self.states[current].accept
+        steps = 0
         outcomes: dict[str, bool] = {}
-        visited = {current}
-        while current != DEAD and self.states[current].masks:
-            if pseudo_steps >= MAX_PSEUDO_STEPS:  # pragma: no cover - backstop
-                raise FSMError(
-                    f"mask cascade did not quiesce after {MAX_PSEUDO_STEPS} "
-                    "pseudo-events; the expression loops on a mask"
-                )
-            mask = self.states[current].masks[0]
+        visited: set[int] = set()
+        while True:
+            visited.add(current)
+            mask = state.masks[0]
             outcome = outcomes.get(mask)
             if outcome is None:
                 outcome = outcomes[mask] = bool(evaluate_mask(mask))
-            pseudo = (TRUE_PREFIX if outcome else FALSE_PREFIX) + mask
-            nxt, pseudo_consumed = self.move(current, pseudo)
-            pseudo_steps += 1
-            if not pseudo_consumed:
-                break
-            current = nxt
-            seen_accept = seen_accept or (
-                current != DEAD and self.states[current].accept
-            )
-            if current in visited:
-                break  # pseudo-cycle: this instant's fixpoint
-            visited.add(current)
-        return current, pseudo_steps, seen_accept
+            current = self.move(current, self.pseudo[(mask, outcome)])[0]
+            steps += 1
+            if current == DEAD:
+                return current, steps, seen_accept
+            state = states[current]
+            seen_accept = seen_accept or state.accept
+            if current in visited or not state.masks:
+                return current, steps, seen_accept
 
     def advance(
         self,
         statenum: int,
-        symbol: str,
+        symbol: Hashable,
         evaluate_mask: Callable[[str], bool],
     ) -> AdvanceResult:
-        """Post one basic event: move, quiesce mask pseudo-events, report.
+        """Post one basic event: move, run the mask cascade, report
+        (Section 5.4.5, steps a–c).
 
-        *evaluate_mask* is called with a mask name and must return a bool;
-        the machine feeds the corresponding ``True``/``False`` pseudo-event
-        back in, repeating while the current state is a mask state
-        (Section 5.4.5 step (b)).
+        *evaluate_mask* is called with a mask name and must return a bool.
+        Acceptance counts any state visited while processing the posting —
+        at most once per posting either way (footnote 5).
         """
         current, consumed = self.move(statenum, symbol)
-        pseudo_steps = 0
-        seen_accept = False
-        if consumed:
-            current, pseudo_steps, seen_accept = self._quiesce_tracking(
-                current, evaluate_mask
-            )
-        return AdvanceResult(current, consumed, consumed and seen_accept, pseudo_steps)
+        if not consumed:
+            return AdvanceResult(current, False, False, 0)
+        current, steps, seen_accept = self._quiesce_tracking(current, evaluate_mask)
+        return AdvanceResult(current, True, seen_accept, steps)

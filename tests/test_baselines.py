@@ -12,7 +12,7 @@ from repro.baselines import (
     SentinelEventTable,
 )
 from repro.core.registry import EventRegistry
-from repro.core.trigger_def import IntFsm
+from repro.core.trigger_def import build_int_fsm
 from repro.errors import EventError
 from repro.events.compile import compile_expression
 from repro.events.parser import parse
@@ -112,19 +112,21 @@ class TestDenseFsm:
     def _int_fsm(self, text):
         cm = compile_expression(text, DECLS)
         registry = EventRegistry()
-        symbol_to_int = {s: registry.assign("T", s) for s in cm.event_symbols}
-        pseudo = {}
-        for mask in cm.masks:
-            pseudo[(mask, True)] = registry.assign("T", "true:" + mask)
-            pseudo[(mask, False)] = registry.assign("T", "false:" + mask)
-        return IntFsm(cm, symbol_to_int, pseudo), registry
+        event_ints = {s: registry.assign("T", s) for s in cm.event_symbols}
+        return build_int_fsm(cm, event_ints, registry, "T"), registry
 
     def test_dense_matches_sparse_moves(self):
-        fsm, registry = self._int_fsm("A, B")
-        dense = DenseFsm(fsm, len(registry))
-        for state in range(len(fsm)):
-            for eventnum in range(1, len(registry) + 1):
-                assert dense.move(state, eventnum) == fsm.move(state, eventnum)
+        """Same move on every state and event integer, anchored or not —
+        including an event outside the alphabet, which both ignore, and
+        integers beyond the dense array's width."""
+        for text in ("A, B", "^(A, B)"):
+            fsm, registry = self._int_fsm(text)
+            unrelated = registry.assign("U", "Unrelated")
+            dense = DenseFsm(fsm, len(registry))
+            assert fsm.move(fsm.start, unrelated) == (fsm.start, False)
+            for state in range(len(fsm)):
+                for eventnum in range(len(registry) + 3):
+                    assert dense.move(state, eventnum) == fsm.move(state, eventnum)
 
     def test_dense_cells_scale_with_global_events(self):
         fsm, registry = self._int_fsm("A, B")

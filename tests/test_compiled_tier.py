@@ -33,6 +33,8 @@ from repro.core.compiled import (
 from repro.core.constraints import CONSTRAINT_PREFIX
 from repro.core.declarations import set_strict_analysis, trigger
 from repro.core.monitored import LocalTriggerSystem, Monitored
+from repro.core.trigger_def import IntFsm
+from repro.events.fsm import Fsm, FsmState
 from repro.objects.database import Database
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
@@ -306,33 +308,66 @@ class _Occurrence:
     args = ()
 
 
+def _hot_twice():
+    """``Hot`` re-wired by hand so one cascade crosses the mask ``hot`` at
+    two states: after a Tick, state 1 asks ``hot`` and state 2 asks it
+    again — accepting at 3 when it holds, revisiting 1 when it does not."""
+    info = TierGadget.__metatype__.trigger_by_name("Hot")
+    states = [
+        FsmState(0, False, (), {"Tick": 1}),
+        FsmState(1, False, ("hot",), {"true:hot": 2, "false:hot": 2}),
+        FsmState(2, False, ("hot",), {"true:hot": 3, "false:hot": 1}),
+        FsmState(3, True, (), {"Tick": 1}),
+    ]
+    machine = Fsm(states, 0, info.compiled.fsm.alphabet, anchored=False)
+    compiled = dataclasses.replace(info.compiled, fsm=machine)
+    fsm = IntFsm(compiled, info.fsm.symbol_to_int, info.fsm.pseudo)
+    return dataclasses.replace(info, compiled=compiled, fsm=fsm)
+
+
 @pytest.mark.parametrize(
     "name, call",
-    [("Hot", "_m0(obj)"), ("Low", "_m0(obj, params)"), ("Odd", "_m0(obj, params, event)")],
+    [
+        ("Hot", "_m0(obj)"),
+        ("Low", "_m0(obj, params)"),
+        ("Odd", "_m0(obj, params, event)"),
+        ("HotTwice", "_m0(obj)"),
+    ],
 )
 def test_generated_code_calls_each_mask_as_declared(name, call):
     """The closure calls a mask with as many arguments as it declares; one
     with no declared form (a run-time bridge's) goes through the adapter.
-    Either closure agrees with the interpreter on every state and event."""
-    info = TierGadget.__metatype__.trigger_by_name(name)
+    Either closure agrees with the interpreter on every state and event,
+    and reports as many mask calls as the interpreter makes — the count
+    ``posting.masks_evaluated_posting`` adds up in both tiers, also when a
+    cascade meets one mask twice (``HotTwice``)."""
+    if name == "HotTwice":
+        info = _hot_twice()
+    else:
+        info = TierGadget.__metatype__.trigger_by_name(name)
     declared = generate_advance(info)
     adapted = generate_advance(dataclasses.replace(info, mask_specs={}))
     assert call in declared.source
     assert "_m0(obj, params, event)" in adapted.source
-    events = sorted(info.fsm.alphabet_ints)
+    events = sorted(info.fsm.alphabet)
+    crossed_twice = False
     for n, statenum, eventnum in itertools.product(
         range(6), range(len(info.fsm)), events
     ):
         obj = TierGadget(n=n)
         params = {"floor": 3}
+        calls = []
 
         def evaluate(mask_name):
+            calls.append(mask_name)
             return bool(info.masks[mask_name](obj, params, _Occurrence))
 
         result = info.fsm.advance(statenum, eventnum, evaluate)
-        expected = (result.state, result.consumed, result.accepted, result.pseudo_steps)
+        crossed_twice = crossed_twice or result.pseudo_steps > len(calls)
+        expected = (result.state, result.consumed, result.accepted, len(calls))
         for artifact in (declared, adapted):
             assert artifact.advance(statenum, eventnum, obj, params, _Occurrence) == expected
+    assert crossed_twice == (name == "HotTwice")
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,49 @@
 
 import pytest
 
+from repro.core.declarations import trigger
+from repro.core.monitored import LocalTriggerSystem, Monitored
 from repro.errors import FSMError
 from repro.events.compile import compile_expression
 from repro.events.fsm import DEAD
+from repro.objects.database import Database
+from repro.objects.persistent import Persistent
+from repro.objects.schema import field
 
 DECLS = ["A", "B", "C"]
+
+#: Firings of the ``relative((*A) & m, A)`` watchers below.
+_LOOP_FIRED: list[str] = []
+
+
+def _nullable_loop_declarations():
+    return {
+        "__events__": ["A", "B"],
+        "__masks__": {"m": lambda self: self.armed},
+        "__triggers__": [
+            trigger(
+                "Watch",
+                "relative((*A) & m, A)",
+                action=lambda self, ctx: _LOOP_FIRED.append("Watch"),
+                perpetual=True,
+            )
+        ],
+    }
+
+
+NullableLoopWatch = type(
+    "NullableLoopWatch",
+    (Persistent,),
+    {"armed": field(bool, default=False), **_nullable_loop_declarations()},
+)
+LocalNullableLoopWatch = type(
+    "LocalNullableLoopWatch",
+    (Monitored,),
+    {
+        "__init__": lambda self: setattr(self, "armed", False),
+        **_nullable_loop_declarations(),
+    },
+)
 
 
 def drive(fsm, stream, mask_values=None):
@@ -173,6 +211,52 @@ class TestMasks:
         # with the mask true the match completes on the next A
         state, _ = fsm.quiesce(fsm.start, lambda name: True)
         assert fsm.advance(state, "A", lambda name: True).accepted
+
+
+class TestMaskOnNullableLoopEndToEnd:
+    """The same machine as a trigger: it activates and rests while *m* is
+    false, then fires once *m* holds — in the interpreter, the generated
+    closure and a local rule alike."""
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("engine", ["mm", "disk"])
+    def test_persistent_trigger(self, db_path, engine, compiled):
+        _LOOP_FIRED.clear()
+        db = Database.open(db_path, engine=engine)
+        try:
+            db.trigger_system.compiled_enabled = compiled
+            with db.transaction():
+                h = db.pnew(NullableLoopWatch)
+                ptr = h.ptr
+                h.Watch()
+            with db.transaction():
+                h = db.deref(ptr)
+                for event in ["A", "B", "A"]:
+                    h.post_event(event)
+            assert _LOOP_FIRED == []
+            with db.transaction():
+                h = db.deref(ptr)
+                h.armed = True
+                h.post_event("A")
+                h.post_event("A")
+            assert _LOOP_FIRED == ["Watch"]
+            assert (db.trigger_system.stats.compiled_hits > 0) == compiled
+        finally:
+            db.close()
+
+    def test_local_rule(self):
+        _LOOP_FIRED.clear()
+        system = LocalTriggerSystem()
+        obj = LocalNullableLoopWatch()
+        handle = system.monitor(obj)
+        handle.Watch()
+        for event in ["A", "B", "A"]:
+            handle.post_event(event)
+        assert _LOOP_FIRED == []
+        obj.armed = True
+        handle.post_event("A")
+        handle.post_event("A")
+        assert _LOOP_FIRED == ["Watch"]
 
 
 class TestAcceptDuringCascade:

@@ -4,18 +4,21 @@ The sampled-expression tests elsewhere check a fixed family; here
 hypothesis builds arbitrary ASTs (sequences, unions, stars, plus, masks,
 relative) and verifies:
 
-* the compiled FSM agrees with the naive rescanning oracle on random
-  streams (with random-but-recorded mask outcomes);
+* the compiled FSM, and the run-time machine re-keyed by event integers,
+  agree with the naive rescanning oracle on random streams (with
+  random-but-recorded mask outcomes);
 * minimization preserves behaviour and never grows the machine;
 * unparse∘parse is the identity on the AST;
 * anchored machines accept a strict subset of unanchored ones.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.rescan import RescanDetector
+from repro.core.registry import EventRegistry
+from repro.core.trigger_def import build_int_fsm
 from repro.events.ast import (
     BasicEvent,
     EventExpr,
@@ -74,20 +77,42 @@ class _RecordedMasks:
         return self.current[name]
 
 
+def _run_time_machine(compiled):
+    """The integer-keyed machine the engine builds from *compiled*, and
+    the map from stream symbols to its event integers."""
+    registry = EventRegistry()
+    event_ints = {symbol: registry.assign("T", symbol) for symbol in SYMBOLS}
+    return build_int_fsm(compiled, event_ints, registry, "T"), event_ints
+
+
+#: ``(*A) & m1, B`` puts the start state under ``m1``, whose false edge
+#: restarts the same obligation: a cascade that must stop at its fixpoint.
+_NULLABLE_LOOP_MASK = Seq(
+    (Masked(Star(BasicEvent("user", "A")), "m1"), BasicEvent("user", "B"))
+)
+
+
+@pytest.mark.parametrize("machine", ["symbols", "event-ints"])
 @settings(max_examples=200, deadline=None)
 @given(expr=EXPRS.filter(_non_nullable), stream=STREAMS, seed=MASK_SEEDS)
-def test_fsm_agrees_with_rescan_oracle(expr, stream, seed):
+@example(expr=_NULLABLE_LOOP_MASK, stream=["A", "B", "A", "B"], seed=0)
+def test_fsm_agrees_with_rescan_oracle(machine, expr, stream, seed):
+    """Both the symbol-keyed machine and the run-time machine built from
+    it agree with the oracle (seed 0 makes ``m1`` false at activation)."""
     compiled = compile_expression(expr, SYMBOLS)
+    fsm, event_of = compiled.fsm, {symbol: symbol for symbol in SYMBOLS}
+    if machine == "event-ints":
+        fsm, event_of = _run_time_machine(compiled)
     masks = _RecordedMasks(seed)
-    state = compiled.fsm.start
+    state = fsm.start
     # Quiesce once for expressions with start-state obligations; the
     # oracle gets the same activation-time snapshot.
     activation = masks.fresh()
     oracle = RescanDetector(expr, activation_masks=activation)
-    state, _ = compiled.fsm.quiesce(state, masks.evaluate)
+    state, _ = fsm.quiesce(state, masks.evaluate)
     for symbol in stream:
         outcomes = masks.fresh()
-        result = compiled.fsm.advance(state, symbol, masks.evaluate)
+        result = fsm.advance(state, event_of[symbol], masks.evaluate)
         state = result.state
         oracle_hit = oracle.post(symbol, outcomes)
         assert result.accepted == oracle_hit, (

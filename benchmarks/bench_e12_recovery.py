@@ -19,7 +19,7 @@ Two halves:
 
 import pytest
 
-from repro.faults.harness import crash_and_verify, record_trace, select_hits
+from repro.faults.harness import Cards, crash_and_verify, record_trace, select_hits
 from repro.objects.database import Database
 from repro.workloads.credit_card import CredCard
 
@@ -105,7 +105,7 @@ def test_recovery_under_injected_faults(benchmark, tmp_path):
     """Crash the standard harness workload at one representative hit per
     failpoint family and report each recovery's stats."""
     base = str(tmp_path / "e12-faults")
-    trace = record_trace(base + "-trace")
+    trace = record_trace(base + "-trace", Cards())
     # First hit of each distinct failpoint, one per family, in hit order.
     seen_families: set[str] = set()
     picks: list[int] = []
@@ -117,7 +117,7 @@ def test_recovery_under_injected_faults(benchmark, tmp_path):
 
     def run_picks():
         return [
-            crash_and_verify(f"{base}-h{i}", i, trace[i].point)
+            crash_and_verify(f"{base}-h{i}", i, trace[i].point, Cards())
             for i in picks
         ]
 

@@ -8,17 +8,17 @@
   ``OSError`` hiccups and permanent media failures at specific hit counts.
 * :mod:`repro.faults.harness` — the crash-matrix explorer: run a workload
   in recording mode to discover every failpoint hit, then re-run it once
-  per hit with a crash armed there, reopen, recover, and check invariants.
-* :mod:`repro.faults.concurrent` — the same discipline against the
-  multi-session engine: N interleaved sessions, lock-manager poisoning on
-  crash (waiters wake, never hang), a per-session oracle.
+  per hit with a crash armed there, reopen, recover, and check the
+  workload's oracle.  Two workloads: the serial credit-card run, and N
+  interleaved chaos sessions (lock-manager poisoning on crash, so waiters
+  wake, never hang; a per-session oracle).
 * :mod:`repro.faults.retry` — the unified retry classifier: deadlocks,
   lock timeouts, and transient I/O share one jittered-backoff policy with
   per-class budgets (consumed by :meth:`repro.sessions.session.Session.run`).
 
 The injector and retry classifier are dependency-light (they import only
 :mod:`repro.errors`), so the storage and session layers can import them
-without cycles.  The harnesses import the full database stack and must
+without cycles.  The harness imports the full database stack and must
 only be imported by tests/tools.
 """
 

@@ -1,119 +1,130 @@
-"""Crash-matrix exploration: crash at every failpoint, recover, verify.
+"""The crash matrix: crash at every failpoint hit, recover, verify.
 
-The harness runs a fixed trigger-posting workload (the paper's Section 4
-credit-card domain: FSM-bearing triggers, a B-tree index, phoenix
-intentions, a mid-run checkpoint, an aborted transaction) twice over:
+One driver runs any *workload* — a constant database name, a ``reset()``
+that starts a fresh oracle, a ``run(db)`` that drives the database while
+updating that oracle, and a ``verify(recovered, where)`` that checks the
+recovered database against it — on either engine under either
+``trigger_cc``:
 
 1. **Record** — one fault-free run with a recording
    :class:`~repro.faults.FaultInjector` produces the *trace*: the ordered
    list of every failpoint hit the workload generates.
-2. **Explore** — for each selected hit index, a fresh copy of the
-   workload runs with ``crash_at`` set to that index.  The injected
-   crash kills the "process" mid-operation; the database is then
-   reopened *without* an injector (normal crash recovery), drained, and
-   checked against the oracle:
+2. **Explore** — for each selected hit index, a fresh run crashes at that
+   hit.  The "process" dies mid-operation (``simulate_crash`` drops every
+   unforced byte); the database is reopened *without* an injector under
+   the same ``trigger_cc`` (normal crash recovery), phoenix is drained,
+   and the recovered state must pass the workload's ``verify`` and
+   :mod:`repro.fsck`, open and closed.
 
-   * every transaction confirmed committed before the crash is durable,
-     the one in flight either committed whole or rolled back whole
-     (state must equal the confirmed model or the pending model — never
-     anything in between);
-   * the B-tree index still finds the card under its current key;
-   * each phoenix intention from the surviving model ran **exactly once
-     at the application level** (the at-least-once drain plus an
-     idempotent handler — the paper's phoenix contract);
-   * :func:`repro.fsck.fsck` reports the recovered database clean.
+Two workloads:
 
-The workload is deterministic, so the trace — and therefore the whole
-matrix — is reproducible run to run.
+* :class:`Cards` — one committer over the paper's Section 4 credit-card
+  domain: FSM-bearing triggers, a B-tree index, phoenix intentions, a
+  mid-run checkpoint, an aborted transaction;
+* :class:`Chaos` — N sessions of :mod:`repro.workloads.chaos`, either
+  interleaved by a deterministic cooperative scheduler or on real
+  threads.
+
+A workload whose runs replay (cards; cooperative chaos) must crash
+exactly where the trace says; the driver asserts it.  The database name
+is part of the record bytes, so each workload opens under a constant
+name: a name that varied run to run would shift record sizes and page
+boundaries, and hit *k* would stop meaning the same failpoint.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
+import json
+import threading
+from typing import Any, Callable, Generic, Protocol, TypeVar
 
-from repro.errors import TransactionAbort
+from repro.errors import InjectedCrashError, TransactionAbort, WaitPoisonedError
 from repro.faults.injector import FaultInjector, HitRecord
 from repro.objects.index import load_index
+from repro.objects.oid import PersistentPtr
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
+from repro.workloads import chaos
 from repro.workloads.credit_card import CredCard, Customer
 
-_CARD_KEY = "app:card"
-_LEDGER_KEY = "app:ledger"
-_SETTLE = "settle"
+T = TypeVar("T")
 
 
-class SettlementLedger(Persistent):
-    """Application-side record of settled phoenix tokens (exactly-once)."""
+class CommitModel(Generic[T]):
+    """One committer's confirmed/pending pair.
 
-    tokens = field(list, default=[])
-
-
-@dataclasses.dataclass(frozen=True)
-class ModelState:
-    """The oracle's logical state: what the database must look like."""
-
-    created: bool = False
-    purchases: int = 0
-    balance: float = 0.0
-    tokens: tuple[str, ...] = ()
-
-    def matches_db(self, db) -> bool:
-        with db.transaction():
-            card_rid = db.catalog_get(_CARD_KEY)
-            if card_rid is None:
-                return not self.created
-            if not self.created:
-                return False
-            from repro.objects.oid import PersistentPtr
-
-            card = db.deref(PersistentPtr(db.name, card_rid))
-            return (
-                card.purchases == self.purchases
-                and abs(card.curr_bal - self.balance) < 1e-9
-            )
-
-
-class Oracle:
-    """Tracks the confirmed/pending model pair around every commit.
-
-    Transactions are strictly sequential, so a single crash interrupts at
-    most one: the recovered database must equal ``confirmed`` (the crash
-    hit before the commit became durable) or ``pending`` (after).
+    A committer's transactions are sequential, so a crash interrupts at
+    most one of them: the recovered state must equal ``confirmed`` (the
+    crash hit before the commit became durable) or ``pending`` (after) —
+    never anything in between.
     """
 
-    def __init__(self) -> None:
-        self.confirmed = ModelState()
-        self.pending = ModelState()
+    def __init__(self, initial: T) -> None:
+        self.confirmed = self.pending = initial
 
-    def attempt(self, **changes: Any) -> None:
-        self.pending = dataclasses.replace(self.confirmed, **changes)
+    def attempt(self, state: T) -> None:
+        self.pending = state
 
     def confirm(self) -> None:
         self.confirmed = self.pending
 
     @property
-    def acceptable(self) -> tuple[ModelState, ...]:
+    def candidates(self) -> dict[str, T]:
+        """The states a crash may leave, by label."""
         if self.pending == self.confirmed:
-            return (self.confirmed,)
-        return (self.confirmed, self.pending)
+            return {"confirmed": self.confirmed}
+        return {"confirmed": self.confirmed, "pending": self.pending}
+
+    def match(self, holds: Callable[[T], bool]) -> str | None:
+        """The label of the first candidate *holds* accepts, else None."""
+        return next((k for k, s in self.candidates.items() if holds(s)), None)
+
+
+def settle_handler(db) -> Callable:
+    """The idempotent phoenix executor: settle a token at most once."""
+
+    def settle(txn, payload):
+        ledger = db.deref(PersistentPtr(db.name, payload["ledger"]))
+        token = payload["token"]
+        if token not in ledger.tokens:
+            ledger.tokens = ledger.tokens + [token]
+
+    return settle
+
+
+class Workload(Protocol):
+    name: str  # the database name, constant across runs
+    label: str
+    sessions: int
+    settle_kind: str
+    replays: bool  # does hit k land on the same failpoint every run?
+
+    def reset(self) -> None: ...  # a fresh oracle, before the open
+
+    def run(self, db) -> None: ...
+
+    def verify(self, recovered, where: str) -> tuple[str, dict[str, Any]]: ...
 
 
 @dataclasses.dataclass
 class CrashOutcome:
-    """What happened when the workload crashed at one trace hit."""
+    """What happened when a workload crashed at one trace hit."""
 
     hit: int
     point: str
-    matched: str  # "confirmed" | "pending"
-    recovery: Any  # storage recovery stats, engine-dependent
+    matched: str  # "pending" if an in-flight commit survived, else "confirmed"
+    state: dict[str, Any]  # what the workload's verify read back
     drained: int
+    recovery: Any  # the storage's RecoveryStats
     fsck_findings: list[str]
 
 
 @dataclasses.dataclass
 class MatrixResult:
+    workload: Workload
+    engine: str
+    trigger_cc: str
     trace: list[HitRecord]
     explored: list[CrashOutcome]
 
@@ -126,50 +137,89 @@ class MatrixResult:
         """Failpoint families ("wal", "page", "checkpoint", ...)."""
         return {p.split(".", 1)[0] for p in self.points_explored}
 
+    def survival_report(self) -> dict[str, Any]:
+        """The JSON document the CI chaos job archives."""
+        return {
+            "workload": self.workload.label,
+            "engine": self.engine,
+            "trigger_cc": self.trigger_cc,
+            "sessions": self.workload.sessions,
+            "trace_hits": len(self.trace),
+            "crashes_explored": len(self.explored),
+            "points_explored": sorted(self.points_explored),
+            "families_explored": sorted(self.families_explored),
+            "recovered": len(self.explored),  # explore raises on any failure
+            "survival_rate": 1.0 if self.explored else None,
+            "outcomes": [dataclasses.asdict(o) for o in self.explored],
+        }
+
 
 # ---------------------------------------------------------------------------
-# The workload under test
+# The cards workload: one committer
 # ---------------------------------------------------------------------------
 
-
-def _settle_handler(db):
-    """The idempotent phoenix executor: settle a token at most once."""
-    from repro.objects.oid import PersistentPtr
-
-    def settle(txn, payload):
-        ledger = db.deref(PersistentPtr(db.name, payload["ledger"]))
-        token = payload["token"]
-        if token not in ledger.tokens:
-            ledger.tokens = ledger.tokens + [token]
-
-    return settle
+_CARD_KEY = "app:card"
+_LEDGER_KEY = "app:ledger"
 
 
-def run_workload(
-    path: str,
-    injector: FaultInjector,
-    oracle: Oracle,
-    *,
-    engine: str = "disk",
-    buffer_capacity: int = 3,
-    trigger_cc: str = "2pl",
-) -> None:
-    """One deterministic pass of the trigger-posting workload.
+class SettlementLedger(Persistent):
+    """Application-side record of settled phoenix tokens (exactly-once)."""
 
-    Raises :class:`~repro.errors.InjectedCrashError` when *injector* is
-    armed with a crash; the caller owns cleanup and recovery.
+    tokens = field(list, default=[])
 
-    *trigger_cc* selects the TriggerState concurrency-control scheme; the
-    MVCC merge writes through the same WAL as 2PL, so the whole matrix
-    must hold unchanged under ``"mvcc"``.
-    """
-    from repro.objects.database import Database
 
-    kwargs: dict[str, Any] = {"injector": injector, "trigger_cc": trigger_cc}
-    if engine == "disk":
-        kwargs["buffer_capacity"] = buffer_capacity
-    db = Database.open(path, engine=engine, name=f"matrix:{path}", **kwargs)
-    try:
+@dataclasses.dataclass(frozen=True)
+class ModelState:
+    """The cards oracle's logical state: what the database must look like."""
+
+    created: bool = False
+    purchases: int = 0
+    balance: float = 0.0
+    tokens: tuple[str, ...] = ()
+
+    def bought(self, amount: float, token: str | None = None) -> "ModelState":
+        tokens = self.tokens if token is None else self.tokens + (token,)
+        return dataclasses.replace(
+            self,
+            purchases=self.purchases + 1,
+            balance=self.balance + amount,
+            tokens=tokens,
+        )
+
+    def matches_db(self, db) -> bool:
+        with db.transaction():
+            card_rid = db.catalog_get(_CARD_KEY)
+            if card_rid is None:
+                return not self.created
+            if not self.created:
+                return False
+            card = db.deref(PersistentPtr(db.name, card_rid))
+            return (
+                card.purchases == self.purchases
+                and abs(card.curr_bal - self.balance) < 1e-9
+            )
+
+
+class Cards:
+    """The serial credit-card workload: strictly sequential transactions,
+    so one :class:`CommitModel` of :class:`ModelState` is the oracle."""
+
+    name = "cards"
+    label = "cards"
+    sessions = 1
+    settle_kind = "settle"
+    replays = True
+
+    def reset(self) -> None:
+        self.model = CommitModel(ModelState())
+
+    def _commit(self, db, txn, state: ModelState) -> None:
+        """Commit *txn*, whose durable effect is *state*."""
+        self.model.attempt(state)
+        db.txn_manager.commit(txn)
+        self.model.confirm()
+
+    def run(self, db) -> None:
         manager = db.txn_manager
 
         # Setup: card + AutoRaiseLimit FSM + ledger + index, one txn.
@@ -179,7 +229,7 @@ def run_workload(
         ledger = db.pnew(SettlementLedger)
         db.catalog_set(txn, _CARD_KEY, card.ptr.rid)
         db.catalog_set(txn, _LEDGER_KEY, ledger.ptr.rid)
-        if engine == "disk":
+        if db.engine == "disk":
             db.create_index(CredCard, "purchases")
         # Page-spanning filler so the small buffer pool must evict dirty
         # frames (covers the pool.evict failpoint on the disk engine).
@@ -188,29 +238,19 @@ def run_workload(
             for i in range(8)
         ]
         card_ptr, ledger_rid = card.ptr, ledger.ptr.rid
-        oracle.attempt(created=True)
-        manager.commit(txn)
-        oracle.confirm()
+        self._commit(db, txn, ModelState(created=True))
         # Touch the filler spread: dirties several pages in one txn.
         txn = manager.begin()
         for ptr in fillers:
-            handle = db.deref(ptr)
-            handle.address = "updated"
-        oracle.attempt()  # no modelled fields change
-        manager.commit(txn)
-        oracle.confirm()
-        db.phoenix.register_handler(_SETTLE, _settle_handler(db))
+            db.deref(ptr).address = "updated"
+        self._commit(db, txn, self.model.confirmed)  # no modelled change
+        db.phoenix.register_handler(self.settle_kind, settle_handler(db))
 
         # A run of buys; enough to arm MoreCred (balance > 80% of limit).
-        for i in range(4):
+        for _ in range(4):
             txn = manager.begin()
             db.deref(card_ptr).buy(None, 3.0)
-            oracle.attempt(
-                purchases=oracle.confirmed.purchases + 1,
-                balance=oracle.confirmed.balance + 3.0,
-            )
-            manager.commit(txn)
-            oracle.confirm()
+            self._commit(db, txn, self.model.confirmed.bought(3.0))
 
         # Two phoenix intentions, drained as they would be after tcommit.
         for k in range(2):
@@ -218,23 +258,18 @@ def run_workload(
             txn = manager.begin()
             db.deref(card_ptr).buy(None, 1.0)
             db.phoenix.enqueue(
-                txn, _SETTLE, {"ledger": ledger_rid, "token": token}
+                txn, self.settle_kind, {"ledger": ledger_rid, "token": token}
             )
-            oracle.attempt(
-                purchases=oracle.confirmed.purchases + 1,
-                balance=oracle.confirmed.balance + 1.0,
-                tokens=oracle.confirmed.tokens + (token,),
-            )
-            manager.commit(txn)
-            oracle.confirm()
+            self._commit(db, txn, self.model.confirmed.bought(1.0, token))
             db.phoenix.drain()
 
         # pay_bill completes AutoRaiseLimit's relative event: FSM accepts.
         txn = manager.begin()
         db.deref(card_ptr).pay_bill(2.0)
-        oracle.attempt(balance=oracle.confirmed.balance - 2.0)
-        manager.commit(txn)
-        oracle.confirm()
+        paid = self.model.confirmed.balance - 2.0
+        self._commit(
+            db, txn, dataclasses.replace(self.model.confirmed, balance=paid)
+        )
 
         # An aborted transaction: its logged writes must never survive.
         with db.transaction():
@@ -245,12 +280,241 @@ def run_workload(
         db.storage.checkpoint()
         txn = manager.begin()
         db.deref(card_ptr).buy(None, 3.0)
-        oracle.attempt(
-            purchases=oracle.confirmed.purchases + 1,
-            balance=oracle.confirmed.balance + 3.0,
+        self._commit(db, txn, self.model.confirmed.bought(3.0))
+
+    def verify(self, recovered, where: str) -> tuple[str, dict[str, Any]]:
+        # Invariant 1: atomic transactions — state is one of the models.
+        label = self.model.match(lambda state: state.matches_db(recovered))
+        assert label is not None, (
+            f"{where}: recovered state matches neither the confirmed nor "
+            f"the in-flight model: {self.model.candidates}"
         )
-        manager.commit(txn)
-        oracle.confirm()
+        model = self.model.candidates[label]
+
+        with recovered.transaction() as txn:
+            # Invariant 2: the index still finds the card under its key.
+            card_rid = recovered.catalog_get(_CARD_KEY)
+            if recovered.engine == "disk" and model.created:
+                index = load_index(recovered, "CredCard", "purchases")
+                if index is not None:  # in-flight setup txn may have rolled back
+                    card = recovered.deref(PersistentPtr(recovered.name, card_rid))
+                    assert card_rid in index.lookup(txn, card.purchases), (
+                        f"{where}: index lost the card"
+                    )
+
+            # Invariant 3: phoenix exactly-once at the application level.
+            ledger_rid = recovered.catalog_get(_LEDGER_KEY)
+            settled: list[str] = []
+            if ledger_rid is not None:
+                settled = list(
+                    recovered.deref(PersistentPtr(recovered.name, ledger_rid)).tokens
+                )
+            assert len(settled) == len(set(settled)), (
+                f"{where}: token settled twice: {settled}"
+            )
+            assert sorted(settled) == sorted(model.tokens), (
+                f"{where}: settled {settled} but the {label} model "
+                f"enqueued {model.tokens}"
+            )
+        return label, dataclasses.asdict(model)
+
+
+# ---------------------------------------------------------------------------
+# The chaos workload: N sessions
+# ---------------------------------------------------------------------------
+
+
+class Chaos:
+    """N sessions of :mod:`repro.workloads.chaos`.
+
+    Any subset of sessions can be mid-commit when the crash lands, so each
+    session carries its own :class:`CommitModel` of its committed count;
+    the cross-session obligations (shared sum, ledger contents) are
+    derived from the per-session recovered values.  The setup is one
+    transaction, so its own model says whether every chaos key exists.
+
+    ``mode="cooperative"`` interleaves the sessions on a deterministic
+    scheduler, so the trace — including every deadlock-retry the
+    contention produced — replays exactly.  ``mode="threaded"`` runs the
+    same programs on real threads: no trace can predict where hit *k*
+    lands, but whatever it interrupted, recovery must pass the same
+    oracle.
+    """
+
+    name = "chaos-run"
+    settle_kind = chaos.SETTLE_KIND
+
+    def __init__(self, sessions: int = 4, txns: int = 3, mode: str = "cooperative"):
+        self.sessions = sessions
+        self.txns = txns
+        self.mode = mode
+        self.label = f"chaos/{mode}"
+        self.replays = mode == "cooperative"
+
+    def reset(self) -> None:
+        self.setup = CommitModel(False)
+        self.models = {
+            name: CommitModel(0) for name in chaos.session_names(self.sessions)
+        }
+
+    def run(self, db) -> None:
+        from repro.sessions.scheduler import CooperativeScheduler
+
+        fixture = chaos.setup_chaos(db, self.setup, self.sessions)
+        db.phoenix.register_handler(self.settle_kind, settle_handler(db))
+
+        deaths: list[BaseException] = []
+        deaths_lock = threading.Lock()
+
+        def guarded(program, session):
+            """The process-death boundary of one session.
+
+            The first session to observe the injected crash poisons the
+            lock manager so everyone parked behind its locks wakes (the
+            concurrent analogue of the whole process dying); the poisoned
+            waiters' own deaths are recorded the same way.  Any session
+            that keeps running dies at its own next failpoint, because
+            the injector is poisoned too.
+            """
+
+            def run():
+                try:
+                    return program()
+                except (InjectedCrashError, WaitPoisonedError) as exc:
+                    db.storage.lock_manager.poison(
+                        f"session {session.name!r} died: {exc}"
+                    )
+                    with deaths_lock:
+                        deaths.append(exc)
+                    return None
+
+            return run
+
+        scheduler = CooperativeScheduler() if self.mode == "cooperative" else None
+        sessions = [db.session(name) for name in self.models]
+        programs = [
+            chaos.chaos_program(
+                session,
+                self.models[session.name],
+                fixture,
+                n_txns=self.txns,
+                scheduler=scheduler,
+            )
+            for session in sessions
+        ]
+        if scheduler is not None:
+            for session, program in zip(sessions, programs):
+                scheduler.spawn(
+                    guarded(program, session), name=session.name, session=session
+                )
+            scheduler.run()
+        else:
+            threads = [
+                threading.Thread(
+                    target=guarded(program, session), name=session.name, daemon=True
+                )
+                for session, program in zip(sessions, programs)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), (
+                    f"chaos session thread {thread.name} failed to return"
+                )
+
+        if deaths:
+            # The process died mid-run; re-raise the first recorded crash
+            # so the driver treats every mode uniformly.
+            raise deaths[0]
+        db.storage.checkpoint()  # quiesced: checkpoint (snapshot on mm)
+
+    def verify(self, recovered, where: str) -> tuple[str, dict[str, Any]]:
+        matched = "confirmed"
+        accounts: dict[str, int] = {}
+        shared_value = 0
+        settled: list[str] = []
+        with recovered.transaction():
+            shared_rid = recovered.catalog_get(chaos.SHARED_KEY)
+            if shared_rid is None:
+                # Setup rolled back whole: nothing may exist, and no
+                # session can have confirmed anything.
+                assert not self.setup.confirmed, (
+                    f"{where}: setup confirmed but its records are gone"
+                )
+                assert recovered.catalog_get(chaos.LEDGER_KEY) is None, (
+                    f"{where}: partial setup survived (ledger without shared)"
+                )
+                for model in self.models.values():
+                    assert model.confirmed == 0
+            else:
+                # Invariant 1: per-session atomicity and durability.
+                for name, model in self.models.items():
+                    rid = recovered.catalog_get(chaos.ACCOUNT_KEY.format(name=name))
+                    assert rid is not None, f"{where}: account {name} missing"
+                    actual = recovered.deref(PersistentPtr(recovered.name, rid)).value
+                    label = model.match(lambda count: count == actual)
+                    assert label is not None, (
+                        f"{where}: session {name} has {actual} committed "
+                        f"txns, oracle accepts {model.candidates}"
+                    )
+                    if label == "pending":
+                        matched = "pending"
+                    accounts[name] = actual
+
+                # Invariant 2: cross-record atomicity under interleaving.
+                shared_value = recovered.deref(
+                    PersistentPtr(recovered.name, shared_rid)
+                ).value
+                assert shared_value == sum(accounts.values()), (
+                    f"{where}: shared counter {shared_value} != "
+                    f"sum of per-session accounts {accounts}"
+                )
+
+                # Invariant 3: phoenix exactly-once at the application level.
+                ledger_rid = recovered.catalog_get(chaos.LEDGER_KEY)
+                assert ledger_rid is not None, f"{where}: ledger missing"
+                settled = list(
+                    recovered.deref(PersistentPtr(recovered.name, ledger_rid)).tokens
+                )
+                assert len(settled) == len(set(settled)), (
+                    f"{where}: token settled twice: {settled}"
+                )
+                expected = sorted(
+                    token
+                    for name, actual in accounts.items()
+                    for token in chaos.tokens_for(name, actual)
+                )
+                assert sorted(settled) == expected, (
+                    f"{where}: settled {sorted(settled)}, expected {expected}"
+                )
+        return matched, {
+            "accounts": accounts,
+            "shared": shared_value,
+            "settled": len(settled),
+        }
+
+
+# ---------------------------------------------------------------------------
+# The driver: record, crash, verify, explore
+# ---------------------------------------------------------------------------
+
+
+def _run(path: str, workload: Workload, injector, *, engine, trigger_cc) -> None:
+    """One process lifetime: open, run, close.
+
+    Raises :class:`InjectedCrashError` when *injector*'s crash fired,
+    leaving the files exactly as the dead process would.
+    """
+    from repro.objects.database import Database
+
+    kwargs: dict[str, Any] = {"injector": injector, "trigger_cc": trigger_cc}
+    if engine == "disk":
+        kwargs["buffer_capacity"] = 3
+    workload.reset()  # before the open: the open itself can crash
+    db = Database.open(path, engine=engine, name=workload.name, **kwargs)
+    try:
+        workload.run(db)
         db.close()  # inside the guard: the close-time checkpoint can crash too
     except BaseException:
         # Injected crash (or any failure): the "process" dies here.
@@ -259,20 +523,12 @@ def run_workload(
         raise
 
 
-# ---------------------------------------------------------------------------
-# Record + explore
-# ---------------------------------------------------------------------------
-
-
 def record_trace(
-    path: str,
-    *,
-    engine: str = "disk",
-    trigger_cc: str = "2pl",
+    path: str, workload: Workload, *, engine: str = "disk", trigger_cc: str = "2pl"
 ) -> list[HitRecord]:
     """The fault-free run: every failpoint hit, in order."""
     injector = FaultInjector(recording=True)
-    run_workload(path, injector, Oracle(), engine=engine, trigger_cc=trigger_cc)
+    _run(path, workload, injector, engine=engine, trigger_cc=trigger_cc)
     return injector.trace
 
 
@@ -299,88 +555,62 @@ def crash_and_verify(
     path: str,
     crash_at: int,
     point: str,
+    workload: Workload,
     *,
     engine: str = "disk",
     trigger_cc: str = "2pl",
-) -> CrashOutcome:
-    """Run the workload crashing at trace index *crash_at*, then recover
-    and check every invariant.  Raises AssertionError on violation."""
-    from repro.errors import InjectedCrashError
+    require_crash: bool = True,
+) -> CrashOutcome | None:
+    """Run *workload* crashing at trace index *crash_at*, then recover and
+    check every invariant.  Raises AssertionError on violation.
+
+    A workload that does not replay may crash anywhere or, with
+    *require_crash* false, not at all if its run generated fewer hits
+    (then nothing is verified and the result is None).
+    """
     from repro.fsck import fsck, fsck_database
     from repro.objects.database import Database
-    from repro.objects.oid import PersistentPtr
 
     injector = FaultInjector(crash_at=crash_at)
-    oracle = Oracle()
     try:
-        run_workload(path, injector, oracle, engine=engine, trigger_cc=trigger_cc)
-    except InjectedCrashError:
-        pass
+        _run(path, workload, injector, engine=engine, trigger_cc=trigger_cc)
+    except InjectedCrashError as exc:
+        crashed = exc
     else:
-        raise AssertionError(f"crash_at={crash_at} never fired")
+        if require_crash:
+            raise AssertionError(f"crash_at={crash_at} never fired")
+        return None
+    # Report where the crash actually landed — from the injector's record
+    # of the *first* crash, because the exception caught here can be a
+    # later poisoned re-raise (the abort path the original crash
+    # triggered hits its own failpoints).
+    actual = injector.crash_point or crashed.point or point
+    if workload.replays and require_crash:
+        assert actual == point, (
+            f"crash_at={crash_at} fired at {actual!r}, but the trace "
+            f"recorded {point!r} — the replay diverged"
+        )
+    where = f"crash@{crash_at} ({actual}, {workload.label}, {engine}/{trigger_cc})"
 
     # -- recovery (no injector: the next process boots on real I/O) -------
-    # Recovery deliberately reopens with the same trigger_cc: the merged
-    # TriggerState bytes are plain WAL'd records either way.
     kwargs: dict[str, Any] = {"trigger_cc": trigger_cc}
     if engine == "disk":
         kwargs["buffer_capacity"] = 8
     recovered = Database.open(
-        path, engine=engine, name=f"matrix-recovered:{path}", **kwargs
+        path, engine=engine, name=f"{workload.name}-recovered", **kwargs
     )
     try:
-        recovery_stats = getattr(recovered.storage, "last_recovery", None)
-        recovered.phoenix.register_handler(_SETTLE, _settle_handler(recovered))
-        drained = recovered.phoenix.drain()
-
-        # Invariant 1: atomic transactions — state is one of the models.
-        candidates = [("confirmed", oracle.confirmed)]
-        if oracle.pending != oracle.confirmed:
-            candidates.append(("pending", oracle.pending))
-        matched = None
-        for label, model in candidates:
-            if model.matches_db(recovered):
-                matched = (label, model)
-                break
-        assert matched is not None, (
-            f"crash@{crash_at} ({point}): recovered state matches neither "
-            f"the confirmed nor the in-flight model: {oracle.acceptable}"
+        recovery = recovered.storage.last_recovery
+        recovered.phoenix.register_handler(
+            workload.settle_kind, settle_handler(recovered)
         )
-        label, model = matched
-
-        with recovered.transaction() as txn:
-            # Invariant 2: the index still finds the card under its key.
-            card_rid = recovered.catalog_get(_CARD_KEY)
-            if engine == "disk" and model.created:
-                index = load_index(recovered, "CredCard", "purchases")
-                if index is not None:  # in-flight setup txn may have rolled back
-                    card = recovered.deref(PersistentPtr(recovered.name, card_rid))
-                    assert card_rid in index.lookup(txn, card.purchases), (
-                        f"crash@{crash_at} ({point}): index lost the card"
-                    )
-
-            # Invariant 3: phoenix exactly-once at the application level.
-            ledger_rid = recovered.catalog_get(_LEDGER_KEY)
-            settled: list[str] = []
-            if ledger_rid is not None:
-                settled = list(
-                    recovered.deref(
-                        PersistentPtr(recovered.name, ledger_rid)
-                    ).tokens
-                )
-            assert len(settled) == len(set(settled)), (
-                f"crash@{crash_at} ({point}): token settled twice: {settled}"
-            )
-            assert sorted(settled) == sorted(model.tokens), (
-                f"crash@{crash_at} ({point}): settled {settled} but the "
-                f"{label} model enqueued {model.tokens}"
-            )
+        drained = recovered.phoenix.drain()
+        matched, state = workload.verify(recovered, where)
 
         # Invariant 4: fsck is clean while open (trigger/index/phoenix).
         report = fsck_database(recovered)
         assert report.ok, (
-            f"crash@{crash_at} ({point}): fsck: "
-            + "; ".join(f.render() for f in report.findings)
+            f"{where}: fsck: " + "; ".join(f.render() for f in report.findings)
         )
     finally:
         recovered.close()
@@ -388,21 +618,23 @@ def crash_and_verify(
     # Invariant 5: fsck of the closed files (physical + logical) is clean.
     report = fsck(path, engine=engine)
     assert report.ok, (
-        f"crash@{crash_at} ({point}): post-close fsck: "
+        f"{where}: post-close fsck: "
         + "; ".join(f.render() for f in report.findings)
     )
     return CrashOutcome(
         hit=crash_at,
-        point=point,
-        matched=label,
-        recovery=recovery_stats,
+        point=actual,
+        matched=matched,
+        state=state,
         drained=drained,
+        recovery=recovery,
         fsck_findings=[f.render() for f in report.findings],
     )
 
 
 def explore(
     base_path: str,
+    workload: Workload,
     *,
     engine: str = "disk",
     limit: int | None = None,
@@ -413,16 +645,40 @@ def explore(
     *base_path* is a directory-like prefix: each run gets its own file
     set (``<base_path>-trace``, ``<base_path>-h<i>``).
     """
-    trace = record_trace(f"{base_path}-trace", engine=engine, trigger_cc=trigger_cc)
-    outcomes = []
-    for i in select_hits(trace, limit):
-        outcomes.append(
-            crash_and_verify(
-                f"{base_path}-h{i}",
-                i,
-                trace[i].point,
-                engine=engine,
-                trigger_cc=trigger_cc,
-            )
+    trace = record_trace(
+        f"{base_path}-trace", workload, engine=engine, trigger_cc=trigger_cc
+    )
+    explored = [
+        crash_and_verify(
+            f"{base_path}-h{i}",
+            i,
+            trace[i].point,
+            workload,
+            engine=engine,
+            trigger_cc=trigger_cc,
         )
-    return MatrixResult(trace=trace, explored=outcomes)
+        for i in select_hits(trace, limit)
+    ]
+    return MatrixResult(
+        workload=workload,
+        engine=engine,
+        trigger_cc=trigger_cc,
+        trace=trace,
+        explored=explored,
+    )
+
+
+def write_survival_report(results: list[MatrixResult], out_path: str) -> dict[str, Any]:
+    """Merge per-engine matrix results into one JSON survival report."""
+    document = {
+        "matrices": [r.survival_report() for r in results],
+        "points_total": sorted(set().union(*(r.points_explored for r in results)))
+        if results
+        else [],
+        "all_recovered": all(
+            len(r.explored) > 0 or len(r.trace) == 0 for r in results
+        ),
+    }
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2)
+    return document

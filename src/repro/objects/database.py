@@ -95,10 +95,7 @@ class Database:
         self.path = str(path) if path is not None else None
         self.engine = engine
         self.registry = type_registry or global_type_registry()
-        if engine == "mm":
-            self.storage = open_storage(path, engine="mm", **engine_kwargs)
-        else:
-            self.storage = open_storage(path, engine=engine, **engine_kwargs)
+        self.storage = open_storage(path, engine=engine, **engine_kwargs)
         try:
             # One metrics namespace per database: the per-layer stats
             # dataclasses mount here (posting.* joins when the trigger

@@ -221,7 +221,7 @@ def trace_main(argv: list[str]) -> int:
 def chaos_main(argv: list[str]) -> int:
     """``python -m repro.tools chaos [--engine ...] [--limit N] [--out report.json]``.
 
-    Runs the concurrent crash matrix (cooperative mode: record the
+    Runs the crash matrix's chaos workload (cooperative mode: record the
     failpoint trace at N sessions, then crash-recover-verify at the
     selected hits) and writes a JSON survival report.  Exits non-zero if
     any crash fails to recover cleanly — the CI chaos job runs the capped
@@ -229,7 +229,7 @@ def chaos_main(argv: list[str]) -> int:
     """
     import tempfile
 
-    from repro.faults.concurrent import explore_concurrent, write_survival_report
+    from repro.faults.harness import Chaos, explore, write_survival_report
 
     parser = argparse.ArgumentParser(
         prog="repro.tools chaos",
@@ -262,12 +262,11 @@ def chaos_main(argv: list[str]) -> int:
     try:
         results = []
         for engine in engines:
-            result = explore_concurrent(
+            result = explore(
                 f"{workdir}/chaos-{engine}",
+                Chaos(sessions=args.sessions, txns=args.txns),
                 engine=engine,
                 limit=args.limit,
-                n_sessions=args.sessions,
-                txns_per_session=args.txns,
             )
             results.append(result)
             print(

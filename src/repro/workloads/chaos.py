@@ -1,12 +1,11 @@
 """The concurrent chaos workload: N sessions, one crash-checkable oracle.
 
-The serial crash matrix (:mod:`repro.faults.harness`) proves recovery when
-transactions are strictly sequential.  This workload is its concurrent
-counterpart: *n* sessions over one database each run a mixed stream of
-trigger-posting transactions while the harness (:mod:`repro.faults.
-concurrent`) crashes the "process" at storage failpoints.  The oracle must
-therefore accept any interleaving the scheduler produced, which shapes the
-transaction design:
+The crash matrix (:mod:`repro.faults.harness`) runs this workload next to
+the serial credit-card one: *n* sessions over one database each run a
+mixed stream of trigger-posting transactions while the driver crashes the
+"process" at storage failpoints.  The oracle (the harness's
+:class:`~repro.faults.harness.Chaos`) must therefore accept any
+interleaving the scheduler produced, which shapes the transaction design:
 
 * every transaction of session *i* increments **its own account** and the
   **shared account** in the same transaction — so after recovery the
@@ -39,6 +38,7 @@ from repro.objects.schema import field
 from repro.workloads.locksim import HotObject
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.harness import CommitModel
     from repro.objects.database import Database
     from repro.objects.oid import PersistentPtr
     from repro.sessions.scheduler import CooperativeScheduler
@@ -82,55 +82,6 @@ def tokens_for(name: str, committed: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# The oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class SessionModel:
-    """Commit progress of one session: txns confirmed vs. in flight."""
-
-    confirmed: int = 0
-    pending: int = 0
-
-    def attempt(self) -> None:
-        self.pending = self.confirmed + 1
-
-    def confirm(self) -> None:
-        self.confirmed = self.pending
-
-    @property
-    def acceptable(self) -> tuple[int, ...]:
-        if self.pending == self.confirmed:
-            return (self.confirmed,)
-        return (self.confirmed, self.pending)
-
-
-class ChaosOracle:
-    """What the recovered database must look like, per session.
-
-    Unlike the serial oracle's single confirmed/pending pair, any subset
-    of sessions can be mid-commit when the crash lands, so each session
-    carries its own pair; the cross-session consistency obligations
-    (shared sum, ledger contents) are derived from the per-session actual
-    values at verification time.
-    """
-
-    def __init__(self, n_sessions: int):
-        self.models = {name: SessionModel() for name in session_names(n_sessions)}
-        #: "none" → setup not attempted, "pending" → setup txn in flight,
-        #: "confirmed" → setup committed.  The setup is one transaction,
-        #: so the recovered catalog has either all chaos keys or none.
-        self.setup = "none"
-
-    def attempt_setup(self) -> None:
-        self.setup = "pending"
-
-    def confirm_setup(self) -> None:
-        self.setup = "confirmed"
-
-
-# ---------------------------------------------------------------------------
 # Setup and per-session programs
 # ---------------------------------------------------------------------------
 
@@ -145,28 +96,15 @@ class ChaosFixture:
     hubs: list["PersistentPtr"]
 
 
-def settle_handler(db: "Database") -> Callable:
-    """The idempotent phoenix executor: settle a token at most once."""
-    from repro.objects.oid import PersistentPtr
-
-    def settle(txn, payload):
-        ledger = db.deref(PersistentPtr(db.name, payload["ledger"]))
-        token = payload["token"]
-        if token not in ledger.tokens:
-            ledger.tokens = ledger.tokens + [token]
-
-    return settle
-
-
 def setup_chaos(
-    db: "Database", oracle: ChaosOracle, n_sessions: int, *, fillers: int = 6
+    db: "Database", setup: "CommitModel[bool]", n_sessions: int, *, fillers: int = 6
 ) -> ChaosFixture:
     """Create accounts, hubs (with Watch triggers), and the ledger.
 
     Two transactions: one atomic create (the oracle's all-or-nothing
     setup), then a filler touch that dirties several pages without
-    changing modelled state — the same eviction pressure the serial
-    harness applies.
+    changing modelled state — the same eviction pressure the cards
+    workload applies.  *setup* is the create's confirmed/pending pair.
     """
     manager = db.txn_manager
     txn = manager.begin()
@@ -195,9 +133,9 @@ def setup_chaos(
         ledger_rid=ledger.ptr.rid,
         hubs=hubs,
     )
-    oracle.attempt_setup()
+    setup.attempt(True)
     manager.commit(txn)
-    oracle.confirm_setup()
+    setup.confirm()
 
     txn = manager.begin()
     for ptr in filler_ptrs:
@@ -230,7 +168,7 @@ def drain_retrying(db: "Database", scheduler: "CooperativeScheduler | None") -> 
 
 def chaos_program(
     session: "Session",
-    oracle: ChaosOracle,
+    model: "CommitModel[int]",
     fixture: ChaosFixture,
     *,
     n_txns: int,
@@ -242,13 +180,13 @@ def chaos_program(
 
     Transaction *k*: increment the own account and the shared account,
     post ``Ping``/``Pong`` on hub ``(index + k) % N_HUBS``, and on odd *k*
-    enqueue the phoenix token ``f"{name}:{k}"`` — then drain.  The oracle
-    attempt happens at the end of the body (just before commit), the
-    confirm after :meth:`Session.run` returns.
+    enqueue the phoenix token ``f"{name}:{k}"`` — then drain.  *model* is
+    the session's confirmed/pending pair: the attempt happens at the end
+    of the body (just before commit), the confirm after
+    :meth:`Session.run` returns.
     """
     db = session.db
     name = session.name
-    model = oracle.models[name]
     index = int(name[1:])
 
     def maybe_yield() -> None:
@@ -285,7 +223,7 @@ def chaos_program(
                     db.phoenix.enqueue(
                         txn, SETTLE_KIND, {"ledger": fixture.ledger_rid, "token": token}
                     )
-                model.attempt()
+                model.attempt(model.confirmed + 1)
 
             session.run(body, retries=retries, deadline=deadline)
             model.confirm()

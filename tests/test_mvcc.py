@@ -955,20 +955,37 @@ class TestMvccStatsSynchronization:
 
 
 def test_mvcc_crash_quick_subset_mm(tmp_path):
-    from repro.faults.harness import explore
+    from repro.faults.harness import Cards, explore
 
     result = explore(
-        str(tmp_path / "mvcc-mm"), engine="mm", limit=10, trigger_cc="mvcc"
+        str(tmp_path / "mvcc-mm"), Cards(), engine="mm", limit=10, trigger_cc="mvcc"
     )
     assert len(result.explored) >= 10
     assert {"wal", "checkpoint"} <= result.families_explored
 
 
 def test_mvcc_crash_quick_subset_disk(tmp_path):
-    from repro.faults.harness import explore
+    from repro.faults.harness import Cards, explore
 
     result = explore(
-        str(tmp_path / "mvcc-disk"), engine="disk", limit=12, trigger_cc="mvcc"
+        str(tmp_path / "mvcc-disk"), Cards(), engine="disk", limit=12, trigger_cc="mvcc"
     )
     assert len(result.explored) >= 12
     assert {"wal", "page", "txn"} <= result.families_explored
+
+
+@pytest.mark.parametrize("engine,limit", [("disk", 8), ("mm", 6)])
+def test_mvcc_crash_quick_subset_chaos(tmp_path, engine, limit):
+    """Four cooperative sessions under mvcc: concurrent merges of the hubs'
+    Watch groups must recover like any other WAL record."""
+    from repro.faults.harness import Chaos, explore
+
+    result = explore(
+        str(tmp_path / f"mvcc-chaos-{engine}"),
+        Chaos(),
+        engine=engine,
+        limit=limit,
+        trigger_cc="mvcc",
+    )
+    assert len(result.explored) >= 10
+    assert {"wal", "txn", "phoenix", "checkpoint"} <= result.families_explored

@@ -42,12 +42,13 @@ def test_recovery_after_crash(benchmark, tmp_path, n_txns):
             db.deref(ptr).buy(None, 1.0)
     # One uncommitted transaction in flight at the crash: this buy pushes
     # the balance over 80% of the limit, so MoreCred arms the FSM — a
-    # logged TriggerState write that recovery must undo.  The explicit
-    # force stands in for another commit or a page eviction persisting the
-    # loser's records (STEAL): without it, simulate_crash drops the
-    # unforced tail and there is nothing to undo.
+    # logged trigger-group write that recovery must undo.  The object and
+    # its group are written only when the transaction flushes, at commit;
+    # the explicit flush and force stand in for a page eviction persisting
+    # the loser's records (STEAL): without them, there is nothing to undo.
     txn = db.txn_manager.begin()
     db.deref(ptr).buy(None, 2e9)
+    db.flush_transaction(txn)
     db.storage._wal.force()
     db.simulate_crash()
 

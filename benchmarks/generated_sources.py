@@ -1,5 +1,7 @@
 """Print the compiled tier's generated ``_advance`` source for the triggers
-the benchmark workloads (``perf/workloads.py``) post to.
+the benchmark workloads (``perf/workloads.py``) post to, then the
+``_advance_group`` source of the two group signatures the fan-out and
+session workloads post to (16 x ``PerfGate.Gate``, 1 x ``HotObject.Watch``).
 
 A change to the FSM or to the code generator that must not move the
 benchmark should leave this output byte-identical.  Run it in two
@@ -9,14 +11,14 @@ checkouts and compare::
     (cd ../parent && PYTHONPATH=src:. python benchmarks/generated_sources.py) > before.txt
     diff before.txt after.txt
 
-Each trigger's section starts with a header line naming it and the
-SHA-256 of its source.
+Each section starts with a header line naming its trigger (or its group
+signature) and the SHA-256 of its source.
 """
 
 import hashlib
 
 from perf.workloads import CredCard, HotObject, PerfGate, PerfPassive
-from repro.core.compiled import generate_advance
+from repro.core.compiled import generate_advance, generate_group_advance
 
 TRIGGERS = [
     (CredCard, "AutoPayDown"),
@@ -27,14 +29,27 @@ TRIGGERS = [
     (PerfPassive, "OnTouch"),
 ]
 
+#: ``(class, trigger name, entries)``: one group of *entries* of that kind.
+GROUPS = [
+    (PerfGate, "Gate", 16),
+    (HotObject, "Watch", 1),
+]
+
+
+def _section(title: str, source: str) -> None:
+    digest = hashlib.sha256(source.encode()).hexdigest()
+    print(f"== {title} sha256={digest}")
+    print(source, end="")
+
 
 def main() -> None:
     for cls, name in TRIGGERS:
         info = cls.__metatype__.trigger_by_name(name)
-        source = generate_advance(info).source
-        digest = hashlib.sha256(source.encode()).hexdigest()
-        print(f"== {cls.__name__}.{name} sha256={digest}")
-        print(source, end="")
+        _section(f"{cls.__name__}.{name}", generate_advance(info).source)
+    for cls, name, entries in GROUPS:
+        info = cls.__metatype__.trigger_by_name(name)
+        source = generate_group_advance([info] * entries)[1]
+        _section(f"group {entries} x {cls.__name__}.{name}", source)
 
 
 if __name__ == "__main__":

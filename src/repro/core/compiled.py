@@ -20,6 +20,17 @@ can be burned into one generated Python function per trigger:
   calls each mask at most once per path and the
   ``posting.masks_evaluated_posting`` count means the same in both tiers.
 
+A group whose every entry compiles gets one more function, generated per
+group *signature* — its ``(trigobjtype, triggernum)`` kinds in entry order
+— by :func:`generate_group_advance`: each entry's decision tree inlined in
+entry order, the same :func:`_unroll` emitting them with a leaf that
+writes the new state into the group's ``statenums`` in place and notes
+the move, the acceptance and the masks called, where the per-trigger
+closure's leaf returns them.  One call then advances the whole group, as
+§5.4.5's PostEvent does, with no per-entry call, tuple or machine.  The
+trigger system memoizes it per signature beside its resolutions
+(``TriggerSystem.group_kernel``).
+
 Artifacts are cached per ``TriggerInfo`` and keyed by a process-global
 **schema version** (the edgedb ``edb/server/compiler`` artifact-cache
 shape): any trigger add/remove (class (re)compilation, shim registration)
@@ -34,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.declarations import mask_arity
@@ -46,11 +58,14 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CompiledArtifact",
     "CompiledTier",
+    "GROUP_UNROLL_BUDGET",
     "PlanError",
     "UNROLL_BUDGET",
     "bump_schema_version",
     "generate_advance",
     "generate_advance_source",
+    "generate_group_advance",
+    "generate_group_source",
     "global_compiled_tier",
     "last_bump_reason",
     "plan_unroll",
@@ -61,6 +76,9 @@ __all__ = [
 #: one machine's quiesce cascades.  Real expression-compiled machines sit
 #: far below this; blowing the budget is the ODE402 "too dense" judgment.
 UNROLL_BUDGET = 256
+#: Cap on the nodes of one group function: the sum of its entries' trees.
+#: A larger group is advanced by the kernel loop, closure by closure.
+GROUP_UNROLL_BUDGET = 4096
 
 
 class PlanError(Exception):
@@ -110,18 +128,24 @@ def bump_schema_version(reason: str = "") -> int:
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    __slots__ = ("limit", "remaining")
 
     def __init__(self, limit: int):
-        self.remaining = limit
+        self.limit = self.remaining = limit
 
     def charge(self, n: int = 1) -> None:
         self.remaining -= n
         if self.remaining < 0:
             raise PlanError(
                 "unrolled mask-cascade decision tree exceeds "
-                f"{UNROLL_BUDGET} nodes"
+                f"{self.limit} nodes"
             )
+
+
+#: Emits the code at the end of one path of a cascade: ``leaf(lines,
+#: indent, state, accepted, masks_called)`` appends what the generated
+#: code does when the walk comes to rest in *state*.
+Leaf = Callable[[list, str, int, bool, int], None]
 
 
 def _unroll(
@@ -135,20 +159,21 @@ def _unroll(
     indent: str,
     lines: list[str],
     budget: _Budget,
+    leaf: Leaf,
 ) -> None:
     """Emit the mask cascade from *current*, which the walk has just
     entered: :meth:`repro.events.fsm.Fsm._quiesce_tracking` with each
-    first-asked mask turned into an ``if``.
+    first-asked mask turned into an ``if``, and *leaf* at each end.
 
     ``fixed`` holds the outcomes already asked on this path (the rule's
     memo: the walk follows the pinned arm and calls nothing), ``visited``
     the states already entered before *current*; *calls* counts the masks
-    called so far on the path, which each emitted ``return`` reports.
+    called so far on the path, which each leaf reports.
     """
     while True:
         if current == DEAD or not fsm.states[current].masks or current in visited:
             budget.charge()
-            lines.append(f"{indent}return ({current}, True, {seen}, {calls})")
+            leaf(lines, indent, current, seen, calls)
             return
         visited = visited | {current}
         mask = fsm.states[current].masks[0]
@@ -173,8 +198,20 @@ def _unroll(
                 indent + "    ",
                 lines,
                 budget,
+                leaf,
             )
         return
+
+
+def _return_leaf(lines: list, indent: str, state: int, seen: bool, calls: int) -> None:
+    """The per-trigger closure's leaf: return the advance's outcome."""
+    lines.append(f"{indent}return ({state}, True, {seen}, {calls})")
+
+
+def _entered(fsm: "IntFsm", tr) -> tuple[int, bool]:
+    """The state a transition enters and whether it accepts there."""
+    nxt = tr.newstate
+    return nxt, nxt != DEAD and fsm.states[nxt].accept
 
 
 def generate_advance_source(
@@ -197,10 +234,10 @@ def generate_advance_source(
         lines.append(f"    if statenum == {state.statenum}:")
         for tr in state.transfunc:
             lines.append(f"        if eventnum == {tr.eventnum}:")
-            nxt = tr.newstate
-            seen = nxt != DEAD and fsm.states[nxt].accept
+            nxt, seen = _entered(fsm, tr)
             _unroll(
-                fsm, mask_calls, nxt, 0, seen, {}, frozenset(), " " * 12, lines, budget
+                fsm, mask_calls, nxt, 0, seen, {}, frozenset(), " " * 12, lines,
+                budget, _return_leaf,
             )
         # Event not in the sparse transition list: the ignore/dead rule.
         if fsm.anchored:
@@ -211,6 +248,85 @@ def generate_advance_source(
         "    raise IndexError('compiled advance: state %r out of range'"
         " % (statenum,))"
     )
+    return "\n".join(lines) + "\n"
+
+
+def _group_leaf(entry: int, old: int) -> Leaf:
+    """The group function's leaf for *entry* walking from state *old*:
+    record the move in place, the acceptance, and the masks called."""
+
+    def leaf(lines: list, indent: str, state: int, seen: bool, calls: int) -> None:
+        body = []
+        if state != old:
+            body += [f"statenums[{entry}] = {state}", f"moved.append(({entry}, {old}))"]
+        if seen:
+            body.append(f"accepted.append({entry})")
+        if calls:
+            body.append(f"calls += {calls}")
+        lines.extend(indent + line for line in body or ["pass"])
+
+    return leaf
+
+
+def generate_group_source(entries: Sequence[tuple["IntFsm", dict[str, str], str]]) -> str:
+    """Generate the ``_advance_group`` source for a group whose entries,
+    in entry order, are *entries*: each one's machine, its mask calls (as
+    for :func:`generate_advance_source`, over ``params[i]``) and the name
+    its alphabet is bound to.
+
+    ``_advance_group(statenums, eventnum, obj, params, event, moved,
+    stats)`` advances entry *i* from ``statenums[i]`` as the per-trigger
+    closure would, one entry after the other, and writes the new state
+    back in place; it appends ``(i, old state)`` to *moved* for each entry
+    that moved and returns the list of the entries that accepted.  It
+    adds the entries it advanced and the masks they called to *stats*'s
+    ``compiled_hits``, ``fsm_advances`` and ``masks_evaluated_posting``
+    on the way out, also when a mask raises: an entry whose cascade
+    raised is neither advanced nor counted, as in the kernel loop.
+    Raises :class:`PlanError` when the entries' decision trees together
+    blow :data:`GROUP_UNROLL_BUDGET`.
+    """
+    budget = _Budget(GROUP_UNROLL_BUDGET)
+    lines = [
+        "def _advance_group(statenums, eventnum, obj, params, event, moved, stats):",
+        "    accepted = []",
+        "    calls = done = 0",
+        "    try:",
+    ]
+    for entry, (fsm, mask_calls, alpha) in enumerate(entries):
+        lines.append(f"        s = statenums[{entry}]")
+        keyword = "if"
+        for state in fsm.states:
+            lines.append(f"        {keyword} s == {state.statenum}:")
+            keyword = "elif"
+            branch = "if"
+            for tr in state.transfunc:
+                lines.append(f"            {branch} eventnum == {tr.eventnum}:")
+                branch = "elif"
+                nxt, seen = _entered(fsm, tr)
+                _unroll(
+                    fsm, mask_calls, nxt, 0, seen, {}, frozenset(), " " * 16, lines,
+                    budget, _group_leaf(entry, state.statenum),
+                )
+            if fsm.anchored:
+                lines.append(f"            {branch} eventnum in {alpha}:")
+                branch = "elif"
+                _group_leaf(entry, state.statenum)(lines, " " * 16, DEAD, False, 0)
+            if branch == "if":
+                lines.append("            pass")
+        lines.append("        elif s != -1:")
+        lines.append(
+            "            raise IndexError('compiled group advance: entry %d state %r"
+            f" out of range' % ({entry}, s))"
+        )
+        lines.append(f"        done = {entry + 1}")
+    lines += [
+        "    finally:",
+        "        stats.compiled_hits += done",
+        "        stats.fsm_advances += done",
+        "        stats.masks_evaluated_posting += calls",
+        "    return accepted",
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -231,8 +347,22 @@ def _used_masks(fsm: "IntFsm") -> list[str]:
     return sorted({m for s in fsm.states for m in s.masks})
 
 
-#: The arguments a mask of each arity is called with (see ``mask_arity``).
-_MASK_ARGS = {1: "obj", 2: "obj, params", 3: "obj, params, event"}
+def _bind_masks(info: "TriggerInfo", prefix: str, params: str, namespace: dict) -> dict:
+    """Bind *info*'s masks into *namespace* as ``{prefix}0``, ``{prefix}1``
+    … and return each mask's call expression, with *params* the
+    expression of the trigger's params.  A mask is called as declared,
+    not through ``_adapt_mask``'s shim, with as many arguments as it
+    declares (see ``mask_arity``); one with no declared form (a bridge's)
+    takes the adapted one."""
+    args = ("obj", params, "event")
+    calls = {}
+    for i, name in enumerate(_used_masks(info.fsm)):
+        ident = f"{prefix}{i}"
+        mask = info.mask_specs.get(name)
+        arity = 3 if mask is None else min(mask_arity(mask), 3)
+        namespace[ident] = info.masks[name] if mask is None else mask
+        calls[name] = f"{ident}({', '.join(args[:arity])})"
+    return calls
 
 
 @dataclasses.dataclass
@@ -249,15 +379,7 @@ def generate_advance(info: "TriggerInfo") -> CompiledArtifact:
     """Compile *info*'s machine into a :class:`CompiledArtifact`."""
     fsm = info.fsm
     namespace: dict = {"_ALPHA": fsm.alphabet}
-    mask_calls = {}
-    for i, name in enumerate(_used_masks(fsm)):
-        ident = f"_m{i}"
-        # Call the mask as declared, not through ``_adapt_mask``'s shim;
-        # a mask with no declared form (a bridge's) takes the adapted one.
-        mask = info.mask_specs.get(name)
-        arity = 3 if mask is None else min(mask_arity(mask), 3)
-        namespace[ident] = info.masks[name] if mask is None else mask
-        mask_calls[name] = f"{ident}({_MASK_ARGS[arity]})"
+    mask_calls = _bind_masks(info, "_m", "params", namespace)
     source = generate_advance_source(fsm, mask_calls)
     code = compile(
         source,
@@ -271,6 +393,27 @@ def generate_advance(info: "TriggerInfo") -> CompiledArtifact:
         source=source,
         version=schema_version(),
     )
+
+
+def generate_group_advance(infos: Sequence["TriggerInfo"]) -> tuple[Callable, str]:
+    """Compile the group function of a group whose entries, in entry
+    order, are of the kinds *infos* (see :func:`generate_group_source`):
+    ``(function, source)``.  Each distinct kind's masks and alphabet are
+    bound once."""
+    namespace: dict = {}
+    kinds: dict[int, int] = {}
+    entries = []
+    for entry, info in enumerate(infos):
+        kind = kinds.setdefault(id(info), len(kinds))
+        alpha = f"_A{kind}"
+        namespace[alpha] = info.fsm.alphabet
+        mask_calls = _bind_masks(info, f"_k{kind}m", f"params[{entry}]", namespace)
+        entries.append((info.fsm, mask_calls, alpha))
+    source = generate_group_source(entries)
+    names = ",".join(f"{info.defining_type}.{info.name}" for info in infos[:4])
+    code = compile(source, f"<ode-compiled-group:{names}:{len(infos)}>", "exec")
+    exec(code, namespace)
+    return namespace["_advance_group"], source
 
 
 # ---------------------------------------------------------------------------

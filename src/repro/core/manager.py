@@ -25,7 +25,12 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.core.compiled import CompiledTier, global_compiled_tier, schema_version
+from repro.core.compiled import (
+    CompiledTier,
+    generate_group_advance,
+    global_compiled_tier,
+    schema_version,
+)
 from repro.core.posting import (
     DEPENDENT_LIST,
     END_LIST,
@@ -65,6 +70,10 @@ TX_EVENT_OBJECTS = "trigger:tx_event_objects"
 
 #: A trigger state's kind: what it resolves through.
 _KIND = operator.attrgetter("trigobjtype", "triggernum")
+#: Most group signatures whose group function one trigger system keeps
+#: per schema version.
+KERNEL_MEMO_MAX = 256
+_UNSET = object()
 
 
 class TriggerSystem:
@@ -87,9 +96,12 @@ class TriggerSystem:
         # any withheld ODE4xx proof falls back to the interpreter.
         self.compiled = global_compiled_tier()
         self.compiled_enabled = True
-        # (trigobjtype, triggernum) -> Resolution under ``_resolved_at``,
-        # the schema version the memo was started under (see _memo()).
+        # (trigobjtype, triggernum) -> Resolution, and a group signature
+        # (its kinds in entry order) -> its group function or None, both
+        # under ``_resolved_at``, the schema version the memos were
+        # started under (see _memo()).
         self._resolutions: dict[tuple[str, int], Resolution] = {}
+        self._kernels: dict[tuple, Any] = {}
         self._resolved_at = schema_version()
         # metatype -> whether its class declares a transaction event
         # (``before tcomplete``/``tabort``): asked once per class, not per
@@ -120,13 +132,14 @@ class TriggerSystem:
     # -- trigger resolution, memoized per trigger kind ------------------------------
 
     def _memo(self, version: int) -> dict[tuple[str, int], Resolution]:
-        """The resolution memo, started afresh when the schema version
-        moved.  Its hygiene is not what keeps a stale trigger from firing:
-        every :class:`Resolution` carries its own version, a machine takes
-        it along, and the kernel re-resolves any machine whose version is
-        not the current one."""
+        """The resolution memo, started afresh (with the group-function
+        memo) when the schema version moved.  Its hygiene is not what
+        keeps a stale trigger from firing: every :class:`Resolution`
+        carries its own version, a machine takes it along, and the kernel
+        re-resolves any machine whose version is not the current one."""
         if self._resolved_at != version:
             self._resolutions = {}
+            self._kernels = {}
             self._resolved_at = version
         return self._resolutions
 
@@ -134,15 +147,50 @@ class TriggerSystem:
         """What *state*'s trigger kind resolves to under the current
         schema version: the registry and the defining metatype are asked
         once per kind, not once per machine."""
+        return self._resolve(_KIND(state))
+
+    def _resolve(self, kind: tuple[str, int]) -> Resolution:
         version = schema_version()
         memo = self._memo(version)
-        kind = _KIND(state)
         resolution = memo.get(kind)
         if resolution is None:
-            defining = self.db.registry.find(state.trigobjtype)
-            info = defining.trigger_info(state.triggernum)
+            trigobjtype, triggernum = kind
+            defining = self.db.registry.find(trigobjtype)
+            info = defining.trigger_info(triggernum)
             resolution = memo[kind] = Resolution(version, defining, info)
         return resolution
+
+    def group_kernel(self, tier: CompiledTier, kinds: tuple):
+        """The group function of a group whose entries are of *kinds*
+        (its signature), or ``None`` when the kernel loop must serve it:
+        some kind's ODE4xx proof is withheld, or the group is too large to
+        unroll.  Generated once per signature per schema version; past
+        ``KERNEL_MEMO_MAX`` signatures a new one is served by the loop
+        rather than compiled again and again."""
+        self._memo(schema_version())
+        kernels = self._kernels
+        kernel = kernels.get(kinds, _UNSET)
+        if kernel is _UNSET:
+            kernel = self._compile_group(tier, kinds)
+            if len(kernels) < KERNEL_MEMO_MAX:
+                kernels[kinds] = kernel
+        return kernel
+
+    def _compile_group(self, tier: CompiledTier, kinds: tuple):
+        resolutions = {kind: self._resolve(kind) for kind in kinds}
+        for resolution in resolutions.values():
+            if resolution.advance is None:
+                resolution.advance = tier.advancer_for(
+                    resolution.info, resolution.defining
+                )
+                if resolution.advance is None:
+                    return None
+        try:
+            return generate_group_advance([resolutions[kind].info for kind in kinds])[0]
+        except Exception:
+            # Like a trigger's own closure: a group that cannot be
+            # generated (too large) is served by the loop.
+            return None
 
     def resolved(self, states) -> Iterator[Resolution | None]:
         """Each of *states*' memoized resolution, ``None`` where its kind
@@ -250,8 +298,9 @@ class TriggerSystem:
         """The triggers currently active on the object at *ptr*, in
         activation order (each state a copy)."""
         txn = self.db.txn_manager.current()
+        group = self.index.group(txn, ptr.rid)
         result = []
-        for machine in self.index.lookup(txn, ptr.rid):
+        for machine in () if group is None else group.machines:
             tstate = machine.state
             info = self.db.registry.find(tstate.trigobjtype).trigger_info(
                 tstate.triggernum

@@ -28,8 +28,19 @@ modes is *where the state lives*, and that is the seam: a
 :class:`StateStore` — :class:`LockInPlaceStates` (strict 2PL),
 :class:`~repro.core.versioned.AdvanceBuffer` (MVCC) or
 :class:`VolatileStates` (local rules, replay).  A persistent store hands
-out an object's machines a whole :class:`Group` at a time, so one group
-read serves every trigger on the object.  DESIGN.md §14.
+out an object's triggers a whole :class:`Group` at a time, so one group
+read serves every trigger on the object.
+
+A 2PL group is loaded lazily — its entry heads, no machines — and when
+every entry's kind holds an ODE4xx proof and the compile tier serves,
+step 3 is one call of the group's generated function
+(:func:`advance_group`: every entry advanced in place, a machine built
+only for an entry that accepted).  It computes exactly what
+:func:`advance_all` computes with each entry's closure — the same
+states, moves, acceptances and counters, also when a mask raises — so
+the firing set cannot depend on which ran.  Any other group, and a 2PL
+group whose machines a caller has built, goes through
+:func:`advance_all`.  DESIGN.md §14.
 """
 
 from __future__ import annotations
@@ -45,12 +56,14 @@ from repro.core.trigger_def import CouplingMode, TriggerInfo
 from repro.core.trigger_state import (
     SERIAL_MAX,
     GroupFrame,
+    GroupHeads,
     TriggerId,
     TriggerState,
-    decode_group,
+    decode_heads,
     encode_group,
     frame_group,
     pack_group,
+    pack_heads,
 )
 from repro.errors import (
     SerializationError,
@@ -289,20 +302,43 @@ class Machine:
         if resolution is None:
             self.info = self.defining = self.advance = self.version = None
         else:
-            self.version = resolution.version
-            self.defining = resolution.defining
-            self.info = resolution.info
-            self.advance = resolution.advance
+            self.adopt(resolution)
+
+    def adopt(self, resolution: Resolution) -> None:
+        """Take *resolution*'s version, defining metatype, info and closure."""
+        self.version = resolution.version
+        self.defining = resolution.defining
+        self.info = resolution.info
+        self.advance = resolution.advance
 
 
 class Group:
     """One object's trigger group as a transaction works on it: the
-    record's rid, its head, and one :class:`Machine` per entry in
-    activation order (``machines``, a tuple the trigger index hands to the
-    kernel as is).  ``frame`` is the record's frame while the membership
-    is unchanged, so writing back an advance packs only the entry heads.
+    record's rid, its head, and its entries in activation order.
+
+    ``machines`` is one :class:`Machine` per entry, a tuple the kernel
+    loop iterates (as does iterating the group itself); ``len()`` is the
+    entry count.  ``frame`` is the record's frame while the membership is
+    unchanged, so writing back an advance packs only the entry heads.
     *resolutions* gives each entry's memoized :class:`Resolution` (or
-    ``None``), in entry order."""
+    ``None``), in entry order.
+
+    A group the 2PL store loads (:meth:`load`) starts out *lazy*: its
+    entries are the parallel sequences :func:`decode_heads` returns, and
+    ``statenums`` is the working state the group function advances in
+    place.  :meth:`entry` builds one entry's machine (the kernel asks for
+    the entries that accepted); the first read of ``machines`` builds the
+    rest, reusing those, and from then on the machines are the working
+    state and ``statenums`` is ``None`` — the group never goes back to
+    the group function.  A group built from states (``__init__``) is
+    materialized from the start."""
+
+    #: the lazy entries' working states; ``None`` once materialized
+    statenums = None
+    #: the group function serving this group and the schema version it
+    #: was asked under (see ``LockInPlaceStates.kernel``)
+    kernel = None
+    kernel_version = None
 
     def __init__(
         self,
@@ -321,12 +357,83 @@ class Group:
         self.frame = frame
         if resolutions is None:
             resolutions = repeat(None)
-        self.machines: tuple = tuple(
+        self._machines: tuple | None = tuple(
             map(machine, repeat(rid), serials, states, resolutions)
         )
 
+    @classmethod
+    def load(cls, rid: int, heads: GroupHeads, resolved) -> "Group":
+        """A lazy group over *heads* (what :func:`decode_heads` returned);
+        *resolved* maps states to their memoized resolutions when the
+        machines are built."""
+        group = cls.__new__(cls)
+        group.rid = rid
+        (
+            group.anchor,
+            group.next_serial,
+            group.serials,
+            group.triggernums,
+            group.statenums,
+            group.types,
+            group.params,
+            group.frame,
+        ) = heads
+        group._machines = None
+        group._built = {}
+        group._resolved = resolved
+        return group
+
+    @property
+    def kinds(self) -> tuple:
+        """A lazy group's ``(trigobjtype, triggernum)`` per entry, in
+        entry order: its signature."""
+        return tuple(zip(self.types, self.triggernums))
+
+    @property
+    def machines(self) -> tuple:
+        machines = self._machines
+        if machines is None:
+            entries = list(map(self.entry, range(len(self.serials))))
+            resolutions = self._resolved([m.state for m in entries])
+            for machine, resolution in zip(entries, resolutions):
+                if machine.version is None and resolution is not None:
+                    machine.adopt(resolution)
+            machines = self._machines = tuple(entries)
+            self.statenums = None
+        return machines
+
+    @machines.setter
+    def machines(self, machines: tuple) -> None:
+        self._machines = machines
+
+    def __len__(self) -> int:
+        machines = self._machines
+        return len(self.serials) if machines is None else len(machines)
+
+    def __iter__(self):
+        return iter(self.machines)
+
+    def entry(self, index: int) -> Machine:
+        """A lazy group's machine for entry *index*, built on first ask
+        (unresolved) and brought up to the entry's working state."""
+        machine = self._built.get(index)
+        if machine is None:
+            state = TriggerState(
+                self.triggernums[index],
+                self.anchor,
+                self.statenums[index],
+                self.types[index],
+                self.params[index],
+            )
+            machine = self._built[index] = Machine(self.rid, self.serials[index], state)
+        else:
+            machine.state.statenum = self.statenums[index]
+        return machine
+
     def encode(self) -> bytes:
-        machines = self.machines
+        if self._machines is None:
+            return pack_heads(self.frame, self.serials, self.triggernums, self.statenums)
+        machines = self._machines
         serials = [m.serial for m in machines]
         states = [m.state for m in machines]
         if self.frame is None:
@@ -359,14 +466,16 @@ class Group:
 class StateStore:
     """Where the machines of one posting scope live — the seam.
 
-    The trigger index asks :meth:`group` for an object's machines (the
+    The trigger index asks :meth:`group` for an object's group (the
     whole group is loaded on first touch, each machine taking its kind's
-    memoized resolution).  The kernel, handed the machines of one group,
-    calls :meth:`refresh` when the schema version moved, :meth:`advancer`
-    for a machine without a closure, :meth:`settle` after an advance that
-    moved a machine — after every advance if ``logs_ignored_events`` —
-    and :meth:`flush` once at the end of a call that settled anything.
-    The trigger system calls :meth:`create`, :meth:`activate`,
+    memoized resolution when it is built).  The posting loop asks
+    :meth:`kernel` for the group function that serves a group; where there
+    is none, the kernel loop, handed the group's machines, calls
+    :meth:`refresh` when the schema version moved, :meth:`advancer` for a
+    machine without a closure and :meth:`settle` after an advance that
+    moved a machine — after every advance if ``logs_ignored_events``.
+    Either way :meth:`flush` runs once at the end of a call that moved
+    anything.  The trigger system calls :meth:`create`, :meth:`activate`,
     :meth:`deactivate` and :meth:`drop`, and :meth:`write_back` from
     ``Database.flush_transaction``.
     """
@@ -400,16 +509,17 @@ class StateStore:
         """Resolve the ``TriggerInfo`` through ``trigobjtype`` — needed
         because an object can carry triggers from several base classes —
         under the current schema version (the trigger system's memo)."""
-        resolution = self.system.resolve(machine.state)
-        machine.version = resolution.version
-        machine.defining = resolution.defining
-        machine.info = resolution.info
-        machine.advance = resolution.advance
+        machine.adopt(self.system.resolve(machine.state))
 
     def advancer(self, tier: "CompiledTier", machine: Machine):
         """*machine*'s generated closure, ``None`` if *tier* withholds it
         (the trigger system's memo asks *tier* once per trigger kind)."""
         return self.system.advancer(tier, machine)
+
+    def kernel(self, group, tier: "CompiledTier"):
+        """The group function that advances *group* as a whole, or
+        ``None``: the kernel loop serves it.  Only the 2PL store has one."""
+        return None
 
     def settle(
         self, machine, obj, old_state, eventnum, occurrence, outcomes, span
@@ -418,9 +528,10 @@ class StateStore:
         what each evaluated mask said, or ``None`` when the generated
         closure ran."""
 
-    def flush(self, machines, span: int) -> None:
-        """Make the settled advances of *machines* (one group's) as
-        durable as this store is."""
+    def flush(self, group, moved: int) -> None:
+        """Make the *moved* advances of *group* (a :class:`Group`, or the
+        machines a volatile owner handed over) as durable as this store
+        is."""
 
     def write_back(self) -> None:
         """Write what this store deferred to commit (nothing, unless it
@@ -453,20 +564,27 @@ class LockInPlaceStates(StateStore):
         self.groups: dict[int, Group] = {}
         #: group rid -> group, X-locked and awaiting :meth:`write_back`
         self.dirty: dict[int, Group] = {}
-        #: machines settled since the last flush (counted at the flush)
-        self._moved = 0
 
     def group(self, rid):
         group = self.groups.get(rid)
         if group is None:
-            anchor, next_serial, serials, states, frame = decode_group(
-                self.storage.read(self.txid, rid)
-            )
-            group = self.groups[rid] = Group(
-                rid, anchor, next_serial, serials, states, frame,
-                resolutions=self.system.resolved(states),
+            group = self.groups[rid] = Group.load(
+                rid, decode_heads(self.storage.read(self.txid, rid)), self.system.resolved
             )
         return group
+
+    def kernel(self, group, tier):
+        """The serving rule: a group loaded lazily whose machines no caller
+        has built (``statenums`` is set), and whose every entry's kind the
+        tier compiles (``TriggerSystem.group_kernel``).  Asked once per
+        group per schema version."""
+        if not isinstance(group, Group) or group.statenums is None:
+            return None
+        version = schema_version()
+        if group.kernel_version != version:
+            group.kernel = self.system.group_kernel(tier, group.kinds)
+            group.kernel_version = version
+        return group.kernel
 
     def create(self, anchor, state):
         rid = self.storage.insert(self.txid, encode_group(anchor, 1, (0,), (state,)))
@@ -493,7 +611,6 @@ class LockInPlaceStates(StateStore):
         self.dirty.pop(group.rid, None)
 
     def settle(self, machine, obj, old_state, eventnum, occurrence, outcomes, span):
-        self._moved += 1
         if span:
             obs.emit(
                 "state.write",
@@ -503,10 +620,9 @@ class LockInPlaceStates(StateStore):
                 trigger=machine.info.name,
             )
 
-    def flush(self, machines, span):
-        self._mark(self.groups[machines[0].rid])
-        self.stats.state_writes += self._moved
-        self._moved = 0
+    def flush(self, group, moved):
+        self._mark(group)
+        self.stats.state_writes += moved
 
     def write_back(self):
         for rid, group in self.dirty.items():
@@ -580,10 +696,11 @@ def advance_all(
     span: int = 0,
     replay: Mapping | None = None,
 ) -> list[Machine]:
-    """The posting kernel: advance every machine in *machines* — one
-    group's, or volatile ones — on one event and return the ones that
-    accepted, in order.  Nothing fires here; the moved ones are settled
-    with *store*, which is flushed once at the end.
+    """The posting kernel loop: advance every machine in *machines* — a
+    :class:`Group` (iterating it builds its machines), or volatile ones —
+    on one event and return the ones that accepted, in order.  Nothing
+    fires here; the moved ones are settled with *store*, which is flushed
+    once at the end.
 
     With a *tier* a machine runs its generated closure (a withheld ODE4xx
     proof counts one ``compiled_fallbacks`` per advance); otherwise its
@@ -599,8 +716,7 @@ def advance_all(
     ready: list[Machine] = []
     # The generated path's counts, flushed once per call (also when a mask
     # raises): per-machine attribute updates are real money at fan-out 128.
-    hits = masks_called = 0
-    settled = False
+    hits = masks_called = settled = 0
     try:
         for machine in machines:
             if machine.version != version:
@@ -659,7 +775,7 @@ def advance_all(
             if new_state != old_state or log_ignored:
                 state.statenum = new_state
                 settle(machine, obj, old_state, eventnum, occurrence, outcomes, span)
-                settled = True
+                settled += 1
             if accepted:
                 ready.append(machine)
     finally:
@@ -667,14 +783,50 @@ def advance_all(
         stats.fsm_advances += hits
         stats.masks_evaluated_posting += masks_called
         if settled:
-            store.flush(machines, span)
+            store.flush(machines, settled)
+    return ready
+
+
+def advance_group(
+    stats: PostingStats,
+    kernel,
+    store: StateStore,
+    group: Group,
+    eventnum: int,
+    obj: Any,
+    occurrence: EventOccurrence,
+) -> list[Machine]:
+    """What :func:`advance_all` does for a *group* that *kernel* — its
+    group function — serves: one call advances every entry's working
+    state in place (and counts the advances, hits and mask calls in
+    *stats*, also when a mask raises); the moved entries are flushed with
+    *store*; a machine is built only for each entry that accepted, and
+    re-resolved if the schema version moved since it was built."""
+    moved: list = []
+    try:
+        accepted = kernel(
+            group.statenums, eventnum, obj, group.params, occurrence, moved, stats
+        )
+    finally:
+        if moved:
+            store.flush(group, len(moved))
+    if not accepted:
+        return accepted
+    version = schema_version()
+    ready = []
+    for index in accepted:
+        machine = group.entry(index)
+        if machine.version != version:
+            store.refresh(machine)
+        ready.append(machine)
     return ready
 
 
 def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
     """The posting loop: per posting, skip on the control bit, find the
-    object's machines through the group its header names, advance them
-    all, *then* fire.
+    object's group through its header, advance every entry — by the
+    group's function where the store has one, else by the kernel loop —
+    *then* fire.
 
     What a batch can share — the current transaction and its state store,
     the serving tier, the ``obs.ENABLED`` check — is resolved once; the
@@ -716,14 +868,20 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
         if txn is None:
             txn = db.txn_manager.current()
             store = system.states(txn)
-        machines = system.index.lookup(txn, ptr.rid, obj)
+        group = system.index.lookup(txn, ptr.rid, obj)
         if span:
             obs.emit(
-                "index.lookup", span, rid=ptr.rid, txid=txn.txid, states=len(machines)
+                "index.lookup", span, rid=ptr.rid, txid=txn.txid, states=len(group)
             )
-        ready = advance_all(
-            stats, tier, store, machines, eventnum, obj, occurrence, span
-        )
+        kernel = None if tier is None else store.kernel(group, tier)
+        if kernel is None:
+            ready = advance_all(
+                stats, tier, store, group, eventnum, obj, occurrence, span
+            )
+        else:
+            ready = advance_group(
+                stats, kernel, store, group, eventnum, obj, occurrence
+            )
         if ready:
             # Fire only after every trigger has had the basic event posted
             # — "to prevent the action of one trigger from affecting the

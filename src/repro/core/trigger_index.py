@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.trigger_state import GROUP_MARK, decode_group
+from repro.core.trigger_state import GROUP_MARK, decode_heads
 from repro.errors import DanglingPointerError, RecordNotFoundError, TriggerError
 from repro.objects.oid import PersistentPtr
 from repro.objects.serialize import FLAG_HAS_TRIGGERS, peek_object
@@ -65,11 +65,13 @@ class TriggerIndex:
 
     def lookup(
         self, txn: "Transaction", obj_rid: int, obj: "Persistent | None" = None
-    ) -> tuple:
-        """The machines active on *obj_rid*, in activation order (see
-        :meth:`group` for *obj*)."""
+    ) -> "Group | tuple":
+        """What is active on *obj_rid*: its :class:`Group` (``len()`` is
+        the number of active triggers; iterating it yields the machines
+        in activation order, building them), or ``()`` (see :meth:`group`
+        for *obj*)."""
         group = self.group(txn, obj_rid, obj)
-        return () if group is None else group.machines
+        return () if group is None else group
 
     def entries(self, txn: "Transaction"):
         """Iterate ``(anchor_rid, group_rid)`` over every trigger group
@@ -84,7 +86,7 @@ class TriggerIndex:
             if not raw or raw[0] != GROUP_MARK:
                 continue
             try:
-                anchor = decode_group(storage.read(txn.txid, rid))[0]
+                anchor = decode_heads(storage.read(txn.txid, rid))[0]
             except (RecordNotFoundError, TriggerError):
                 continue  # deleted since the pass began, or not a group
             yield anchor.rid, rid

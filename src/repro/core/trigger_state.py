@@ -39,6 +39,12 @@ fields never change, so it needs no per-field names)::
 Every entry's ``trigobj`` is the anchor, stored once.  A one-entry group
 is one byte shorter than the one-state record :meth:`TriggerState.encode`
 writes.
+
+:func:`decode_heads` is the one parser: it returns the entries as parallel
+sequences (the heads are one ``struct`` unpack), which is all the 2PL
+store needs to advance a group with its generated function and write it
+back (:func:`pack_heads`); :func:`decode_group` builds a ``TriggerState``
+per entry from it for everyone else.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ import operator
 import struct
 import threading
 from collections.abc import Sequence
+from itertools import repeat
 from typing import Any
 
 from repro.errors import SerializationError, TriggerError
@@ -58,13 +65,16 @@ __all__ = [
     "GROUP_MARK",
     "SERIAL_MAX",
     "GroupFrame",
+    "GroupHeads",
     "TriggerGroup",
     "TriggerId",
     "TriggerState",
     "decode_group",
+    "decode_heads",
     "encode_group",
     "frame_group",
     "pack_group",
+    "pack_heads",
 ]
 
 #: First byte of a one-state record.  Object records start with their
@@ -83,15 +93,18 @@ _ENTRY = struct.Struct("<HHhB")
 SERIAL_MAX = 0xFFFF
 _TYPES_MAX = 0xFF  # a type index is ``B``
 
-#: :func:`decode_group`'s memos of the two blocks an advance never changes,
-#: keyed by their bytes: the names block -> the names, and the params
-#: block -> the entries' params.  Each holds at most ``_MEMO_ENTRIES``
-#: blocks (it is emptied when full) of at most ``_MEMO_BLOCK_BYTES`` each.
+#: :func:`decode_heads`'s memos of the two blocks an advance never
+#: changes, keyed by their bytes: the names block -> the db name and the
+#: type table, and the params block -> the entries' params.  Each holds
+#: at most ``_MEMO_ENTRIES`` blocks (it is emptied when full) of at most
+#: ``_MEMO_BLOCK_BYTES`` each.
 _MEMO_ENTRIES = 256
 _MEMO_BLOCK_BYTES = 1024
-_NAMES_MEMO: dict[bytes, tuple[str, ...]] = {}
+_NAMES_MEMO: dict[bytes, tuple[str, tuple[str, ...]]] = {}
 _PARAMS_MEMO: dict[bytes, tuple[dict[str, Any], ...]] = {}
 _MEMO_LOCK = threading.Lock()
+#: entry count -> the ``struct`` of that many entry heads
+_HEADS_STRUCTS: dict[int, struct.Struct] = {}
 #: Param values a memoized dict may hold: a caller gets a fresh dict, and
 #: these cannot be changed through it.
 _IMMUTABLE = frozenset({type(None), bool, int, float, str, bytes, PersistentPtr, TriggerId})
@@ -244,6 +257,19 @@ class TriggerGroup:
 #: each entry's index into the type table, and the params value.
 GroupFrame = tuple[bytes, tuple[int, ...], bytes]
 
+#: What :func:`decode_heads` returns: ``(anchor, next_serial, serials,
+#: triggernums, statenums, trigobjtypes, params, frame)``.
+GroupHeads = tuple[
+    PersistentPtr,
+    int,
+    tuple[int, ...],
+    tuple[int, ...],
+    list[int],
+    tuple[str, ...],
+    list[dict[str, Any]],
+    GroupFrame,
+]
+
 _triggernum = operator.attrgetter("triggernum")
 _statenum = operator.attrgetter("statenum")
 
@@ -305,14 +331,33 @@ def pack_group(
     """The group record: *frame* around the entry heads of *states* —
     the states the frame was made from, which may have advanced since.
     An advance rewrites a group without re-encoding its names or params."""
+    return pack_heads(
+        frame, serials, list(map(_triggernum, states)), list(map(_statenum, states))
+    )
+
+
+def pack_heads(
+    frame: GroupFrame,
+    serials: Sequence[int],
+    triggernums: Sequence[int],
+    statenums: Sequence[int],
+) -> bytes:
+    """:func:`pack_group` of the entry heads as three parallel sequences
+    (what :func:`decode_heads` returns), for a group whose states were
+    never built."""
     prefix, indexes, suffix = frame
     try:
-        triggernums = map(_triggernum, states)
-        statenums = map(_statenum, states)
         heads = b"".join(map(_ENTRY.pack, serials, triggernums, statenums, indexes))
     except struct.error:
         raise SerializationError(
-            _first_problem("trigger-group", _entry_fields(serials, states))
+            _first_problem(
+                "trigger-group",
+                [
+                    field
+                    for position, head in enumerate(zip(serials, triggernums, statenums))
+                    for field in _head_fields(position, *head)
+                ],
+            )
             or "trigger group cannot be encoded"
         ) from None
     return prefix + heads + suffix
@@ -366,30 +411,53 @@ def _entry_fields(serials, states) -> list[tuple[str, Any, type, Any]]:
     fields: list[tuple[str, Any, type, Any]] = []
     for position, (serial, state) in enumerate(zip(serials, states)):
         where = f"entries[{position}]"
+        fields += _head_fields(position, serial, state.triggernum, state.statenum)
         fields += [
-            (f"{where} serial", serial, int, range(SERIAL_MAX + 1)),
-            (f"{where} triggernum", state.triggernum, int, range(0x10000)),
-            (f"{where} statenum", state.statenum, int, range(-0x8000, 0x8000)),
             (f"{where} trigobjtype", state.trigobjtype, str, None),
             (f"{where} params", state.params, dict, None),
         ]
     return fields
 
 
+def _head_fields(
+    position, serial, triggernum, statenum
+) -> list[tuple[str, Any, type, Any]]:
+    where = f"entries[{position}]"
+    return [
+        (f"{where} serial", serial, int, range(SERIAL_MAX + 1)),
+        (f"{where} triggernum", triggernum, int, range(0x10000)),
+        (f"{where} statenum", statenum, int, range(-0x8000, 0x8000)),
+    ]
+
+
 def decode_group(
     raw: bytes,
 ) -> tuple[PersistentPtr, int, list[int], list[TriggerState], GroupFrame]:
-    """``(anchor, next_serial, serials, states, frame)`` of a group record.
-    Anything that is not one — a truncated or bit-flipped record, or
-    another record kind — raises :class:`TriggerError`, so fsck and ODE1xx
-    can report instead of crashing deep in the DFA advance.  Serial order
-    and uniqueness are not checked here: ``verify_integrity`` reports
-    them.
+    """``(anchor, next_serial, serials, states, frame)`` of a group record:
+    :func:`decode_heads` with each entry's ``TriggerState`` built."""
+    anchor, next_serial, serials, triggernums, statenums, types, params, frame = (
+        decode_heads(raw)
+    )
+    states = list(map(TriggerState, triggernums, repeat(anchor), statenums, types, params))
+    return anchor, next_serial, list(serials), states, frame
+
+
+def decode_heads(raw: bytes) -> GroupHeads:
+    """Parse a group record into its entries as parallel sequences —
+    ``(anchor, next_serial, serials, triggernums, statenums, trigobjtypes,
+    params, frame)`` — building no ``TriggerState``: the entry heads are
+    one ``struct`` call, ``statenums`` is a fresh list its caller may
+    advance in place, and each entry's params dict is the caller's own.
+
+    The one group parser.  Anything that is not a group record — a
+    truncated or bit-flipped one, or another record kind — raises
+    :class:`TriggerError`, so fsck and ODE1xx can report instead of
+    crashing deep in the DFA advance.  Serial order and uniqueness are
+    not checked here: ``verify_integrity`` reports them.
 
     The names block and the params block are decoded once per distinct
     content (the memos above); every check that involves the rest of the
-    record runs on every call, and each call's states get their own
-    params dicts."""
+    record runs on every call."""
     try:
         mark, rid, next_serial, count, names_len = _GROUP_HEAD.unpack_from(raw)
         if mark != GROUP_MARK:
@@ -406,10 +474,20 @@ def decode_group(
         names_block = raw[_GROUP_HEAD.size : pos]
         names = _NAMES_MEMO.get(names_block)
         if names is None:
-            names = tuple(names_block.decode("utf-8").split("\0"))
+            db_name, *table = names_block.decode("utf-8").split("\0")
+            names = db_name, tuple(table)
             _remember(_NAMES_MEMO, names_block, names)
-        anchor = PersistentPtr(names[0], rid)
-        heads = _ENTRY.iter_unpack(raw[pos:heads_end])
+        db_name, table = names
+        anchor = PersistentPtr(db_name, rid)
+        heads = _heads_struct(count).unpack_from(raw, pos)
+        serials = heads[0::4]
+        indexes = heads[3::4]
+        if indexes and max(indexes) >= len(table):
+            raise TriggerError("corrupt trigger-group record: type index out of range")
+        if len(table) == 1:
+            types = table * count
+        else:
+            types = tuple(map(table.__getitem__, indexes))
         suffix = raw[heads_end:]
         memoized = _PARAMS_MEMO.get(suffix)
         if memoized is None:
@@ -419,38 +497,44 @@ def decode_group(
                     f"corrupt trigger-group record: {len(raw)} bytes, "
                     f"the fields span {end}"
                 )
-        else:
-            params = [entry_params.copy() for entry_params in memoized]
-        if type(params) is not list or len(params) != count:
+            if type(params) is not list or len(params) != count:
+                raise TriggerError(
+                    "corrupt trigger-group record: params are not one value per entry"
+                )
+            for serial, entry_params in zip(serials, params):
+                if type(entry_params) is not dict:
+                    raise TriggerError(
+                        f"corrupt trigger-group record: entry {serial}'s params "
+                        "are not a mapping"
+                    )
+            if all(
+                type(value) in _IMMUTABLE
+                for entry_params in params
+                for value in entry_params.values()
+            ):
+                _remember(_PARAMS_MEMO, suffix, tuple(map(dict, params)))
+        elif len(memoized) != count:
             raise TriggerError(
                 "corrupt trigger-group record: params are not one value per entry"
             )
-        serials = []
-        states = []
-        indexes = []
-        for (serial, triggernum, statenum, index), entry_params in zip(heads, params):
-            if type(entry_params) is not dict:
-                raise TriggerError(
-                    f"corrupt trigger-group record: entry {serial}'s params "
-                    "are not a mapping"
-                )
-            serials.append(serial)
-            indexes.append(index)
-            # names[0] is the db name; the type table follows it.
-            trigobjtype = names[index + 1]
-            states.append(
-                TriggerState(triggernum, anchor, statenum, trigobjtype, entry_params)
-            )
+        else:
+            params = list(map(dict.copy, memoized))
     except (struct.error, UnicodeDecodeError, SerializationError, IndexError) as exc:
         raise TriggerError(f"corrupt trigger-group record: {exc}") from None
-    if memoized is None and all(
-        type(value) in _IMMUTABLE
-        for entry_params in params
-        for value in entry_params.values()
-    ):
-        _remember(_PARAMS_MEMO, suffix, tuple(map(dict, params)))
-    frame = raw[:pos], tuple(indexes), suffix
-    return anchor, next_serial, serials, states, frame
+    frame = raw[:pos], indexes, suffix
+    return (
+        anchor, next_serial, serials, heads[1::4], list(heads[2::4]), types, params, frame
+    )
+
+
+def _heads_struct(count: int) -> struct.Struct:
+    """The ``struct`` of *count* entry heads (memoized per count)."""
+    heads = _HEADS_STRUCTS.get(count)
+    if heads is None:
+        heads = struct.Struct("<" + "HHhB" * count)
+        if len(_HEADS_STRUCTS) < _MEMO_ENTRIES:
+            _HEADS_STRUCTS[count] = heads
+    return heads
 
 
 def _remember(memo: dict, block: bytes, value) -> None:

@@ -17,6 +17,7 @@ Three families:
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +27,7 @@ from repro import obs
 from repro.analysis.compilable import classify_trigger
 from repro.core.compiled import (
     generate_advance,
+    generate_group_advance,
     global_compiled_tier,
     last_bump_reason,
     schema_version,
@@ -33,6 +35,7 @@ from repro.core.compiled import (
 from repro.core.constraints import CONSTRAINT_PREFIX
 from repro.core.declarations import set_strict_analysis, trigger
 from repro.core.monitored import LocalTriggerSystem, Monitored
+from repro.core.posting import PostingStats
 from repro.core.trigger_def import IntFsm
 from repro.events.fsm import Fsm, FsmState
 from repro.objects.database import Database
@@ -368,6 +371,350 @@ def test_generated_code_calls_each_mask_as_declared(name, call):
         for artifact in (declared, adapted):
             assert artifact.advance(statenum, eventnum, obj, params, _Occurrence) == expected
     assert crossed_twice == (name == "HotTwice")
+
+
+# ---------------------------------------------------------------------------
+# The group function: kernel == loop
+# ---------------------------------------------------------------------------
+
+
+#: A fully compilable group fixture (no constraint, so ``pnew`` activates
+#: nothing): a sequence, a mask of each arity, a mask that raises at
+#: n == 13, one impure trigger and one once-only trigger.
+KernelGadget = type(
+    "KernelGadget",
+    (Persistent,),
+    {
+        "n": field(int, default=0),
+        "__events__": ["Tick", "Tock"],
+        "__masks__": {
+            "hot": lambda self: self.n > 3,
+            "low": lambda self, params: self.n < params["floor"],
+            "odd": lambda self, params, event: self.n % 2 == 1,
+            "shaky": lambda self: 10 // (self.n - 13) > 0,
+        },
+        "__triggers__": [
+            trigger("Seq", "Tick, Tock", action=lambda s, c: _FIRED.append("Seq"),
+                    perpetual=True),
+            trigger("Hot", "Tick & hot", action=lambda s, c: _FIRED.append("Hot"),
+                    perpetual=True),
+            trigger("Low", "Tock & low", action=lambda s, c: _FIRED.append("Low"),
+                    params=("floor",), perpetual=True),
+            trigger("Odd", "Tock & odd", action=lambda s, c: _FIRED.append("Odd"),
+                    coupling="end", perpetual=True),
+            trigger("Shaky", "Tick & shaky",
+                    action=lambda s, c: _FIRED.append("Shaky"), perpetual=True),
+            trigger("Noisy", "Tick & noisy",
+                    action=lambda s, c: _FIRED.append("Noisy"),
+                    masks={"noisy": lambda self: (_PROBES.append(1), True)[1]},
+                    perpetual=True),
+            trigger("Once", "Tock, Tock", action=lambda s, c: _FIRED.append("Once")),
+        ],
+    },
+)
+
+#: Activation calls per fixture group, in entry order.
+_INTERLEAVED = [("Seq",), ("Seq",), ("Hot",), ("Seq",), ("Low", 5), ("Odd",), ("Once",)]
+_WITHHELD = [("Seq",), ("Hot",), ("Noisy",), ("Seq",)]
+_SHAKY = [("Seq",), ("Seq",), ("Shaky",), ("Seq",)]
+
+#: Each transaction's ops: an event name, ("n", value) or "materialize".
+_MIXED_SCRIPT = [
+    ["Tick", "Tock", ("n", 1), "Tock"],
+    [("n", 5), "Tick", "Tick", "Tock", "Tock"],
+    ["Tock", ("n", 2), "Tick", "Tock"],
+    [("n", 4), "Tick", "materialize", "Tock", "Tick"],
+    ["Tick", "Tock", "Tock"],
+]
+
+
+@pytest.fixture(params=["mm", "disk"])
+def engine(request):
+    return request.param
+
+
+def _kernel_calls(monkeypatch) -> list:
+    """Count the postings the group function serves."""
+    from repro.core import posting
+
+    calls = []
+    real = posting.advance_group
+
+    def counted(*args):
+        calls.append(args[3].rid)
+        return real(*args)
+
+    monkeypatch.setattr(posting, "advance_group", counted)
+    return calls
+
+
+def _stored_statenums(db, ptr):
+    with db.transaction() as txn:
+        return [m.state.statenum for m in db.trigger_system.index.lookup(txn, ptr.rid)]
+
+
+def _run_group(path, engine, activations, script, loop, cls=KernelGadget):
+    """Run *script* on one object carrying *activations*; with *loop*,
+    every transaction first builds the group's machines, so the kernel
+    loop serves it.  Returns what must not depend on which one did:
+    firings, each transaction's (statenums, stats delta, whether the
+    group was marked dirty), and the committed statenums."""
+    db = Database.open(path, engine=engine)
+    try:
+        with db.transaction():
+            h = db.pnew(cls)
+            ptr = h.ptr
+            for name, *args in activations:
+                getattr(h, name)(*args)
+        _FIRED.clear()
+        system = db.trigger_system
+        seen = []
+        for ops in script:
+            before = system.stats.snapshot()
+            with db.transaction() as txn:
+                h = db.deref(ptr)
+                if loop:
+                    list(system.index.lookup(txn, ptr.rid))
+                raised = []
+                for op in ops:
+                    if op == "materialize":
+                        system.active_triggers(ptr)
+                    elif isinstance(op, tuple):
+                        h.n = op[1]
+                    else:
+                        try:
+                            h.post_event(op)
+                        except ZeroDivisionError:
+                            raised.append(op)  # caught inside the transaction
+                group = system.index.lookup(txn, ptr.rid)
+                dirty = group.rid in system.states(txn).dirty
+                statenums = [m.state.statenum for m in group]
+            seen.append((statenums, system.stats.diff(before), dirty, raised))
+        return list(_FIRED), seen, _stored_statenums(db, ptr)
+    finally:
+        db.close()
+
+
+def _kernel_equals_loop(tmp_path, monkeypatch, engine, activations, script):
+    calls = _kernel_calls(monkeypatch)
+    looped = _run_group(str(tmp_path / "loop"), engine, activations, script, True)
+    assert calls == []
+    served = _run_group(str(tmp_path / "kernel"), engine, activations, script, False)
+    assert served == looped
+    return served, calls
+
+
+def test_group_function_matches_each_closure():
+    """The generated group function against the per-trigger closures, one
+    entry after the other, on every state of every entry and every event:
+    the same new states, moves, acceptances and mask calls."""
+    metatype = KernelGadget.__metatype__
+    infos = [metatype.trigger_by_name(name) for name, *_ in _INTERLEAVED]
+    function, source = generate_group_advance(infos)
+    assert source.count("s = statenums[") == len(infos)
+    closures = [generate_advance(info).advance for info in infos]
+    params = [{"floor": 5} if info.params else {} for info in infos]
+    events = sorted(set().union(*(info.fsm.alphabet for info in infos)))
+    rng = random.Random(1996)
+    starts = [
+        [rng.randrange(-1, len(info.fsm)) for info in infos] for _ in range(100)
+    ]
+    for n, statenums in itertools.product((1, 4, 6), starts):
+        obj = KernelGadget(n=n)
+        for eventnum in events:
+            expected_states, expected_moved, expected_accepted = [], [], []
+            expected_calls = 0
+            for i, (closure, old) in enumerate(zip(closures, statenums)):
+                new, _consumed, accepted, calls = closure(
+                    old, eventnum, obj, params[i], _Occurrence
+                )
+                expected_states.append(new)
+                if new != old:
+                    expected_moved.append((i, old))
+                if accepted:
+                    expected_accepted.append(i)
+                expected_calls += calls
+            working, moved = list(statenums), []
+            stats = PostingStats()
+            accepted = function(working, eventnum, obj, params, _Occurrence, moved, stats)
+            assert (working, moved, accepted) == (
+                expected_states, expected_moved, expected_accepted
+            )
+            assert stats.compiled_hits == stats.fsm_advances == len(infos)
+            assert stats.masks_evaluated_posting == expected_calls
+
+
+def test_interleaved_kinds_kernel_equals_loop(tmp_path, monkeypatch, engine):
+    """Kinds interleaved in one group (Seq, Seq, Hot, Seq, ...), with a
+    deferred, a once-only and a params mask: the group function serves
+    every posting of a transaction until its machines are built — by a
+    caller ("materialize") or by the once-only trigger's deactivation —
+    and changes nothing anyone can see."""
+    (fired, seen, _stored), calls = _kernel_equals_loop(
+        tmp_path, monkeypatch, engine, _INTERLEAVED, _MIXED_SCRIPT
+    )
+    assert {"Seq", "Hot", "Low", "Odd", "Once"} <= set(fired)
+    assert calls
+    for _statenums, delta, _dirty, _raised in seen:
+        assert delta["compiled_fallbacks"] == 0
+        assert delta["compiled_hits"] == delta["fsm_advances"]
+
+
+def test_a_withheld_proof_sends_the_whole_group_to_the_loop(
+    tmp_path, monkeypatch, engine
+):
+    """One entry without an ODE4xx proof in the middle of the group: no
+    group function, every entry advances in the kernel loop, and
+    ``compiled_fallbacks`` counts that entry once per advance."""
+    script = [["Tick", ("n", 5), "Tick", "Tock"], ["Tock", "Tick"]]
+    (fired, seen, _stored), calls = _kernel_equals_loop(
+        tmp_path, monkeypatch, engine, _WITHHELD, script
+    )
+    assert calls == []
+    assert "Noisy" in fired
+    for ops, (_statenums, delta, _dirty, _raised) in zip(script, seen):
+        posted = sum(isinstance(op, str) for op in ops)
+        assert delta["compiled_fallbacks"] == posted
+        assert delta["compiled_hits"] == 3 * posted
+
+
+def test_a_mask_raising_mid_group_leaves_what_the_loop_leaves(
+    tmp_path, monkeypatch, engine
+):
+    """Shaky's mask raises at n == 13, third in the group; the transaction
+    catches it and goes on.  The entries before it advanced, moved (so the
+    group is X-locked and dirty) and are counted; Shaky and the entry
+    after it are not — in the group function as in the kernel loop."""
+    script = [
+        [("n", 13), "Tick", ("n", 14), "Tock", "Tick"],
+        ["Tick", ("n", 13), "Tock", "Tick"],
+    ]
+    (_fired, seen, _stored), calls = _kernel_equals_loop(
+        tmp_path, monkeypatch, engine, _SHAKY, script
+    )
+    assert calls
+    assert [raised for *_, raised in seen] == [["Tick"], ["Tick"]]
+    first = _run_group(
+        str(tmp_path / "first"), engine, _SHAKY, [[("n", 13), "Tick"]], False
+    )[1][0]
+    assert first[0] == [1, 1, 0, 0]  # Seq, Seq advanced; Shaky raised; the last not
+    assert first[1]["fsm_advances"] == first[1]["compiled_hits"] == 2
+    assert first[1]["masks_evaluated_posting"] == 0
+    assert first[1]["state_writes"] == 2
+    assert first[2]
+
+
+def test_a_group_too_large_to_unroll_takes_the_loop(tmp_path, monkeypatch, engine):
+    """Past ``GROUP_UNROLL_BUDGET`` nodes a signature gets no group
+    function: its groups advance closure by closure in the kernel loop,
+    every advance still a compiled hit."""
+    from repro.core import compiled
+
+    monkeypatch.setattr(compiled, "GROUP_UNROLL_BUDGET", 10)
+    script = [["Tick", "Tock"], [("n", 5), "Tick"]]
+    (fired, seen, _stored), calls = _kernel_equals_loop(
+        tmp_path, monkeypatch, engine, _INTERLEAVED[:4], script
+    )
+    assert calls == []
+    assert fired == ["Seq"] * 3 + ["Hot"]
+    for ops, (_statenums, delta, _dirty, _raised) in zip(script, seen):
+        posted = sum(isinstance(op, str) for op in ops)
+        assert delta["compiled_fallbacks"] == 0
+        assert delta["compiled_hits"] == delta["fsm_advances"] == 4 * posted
+
+
+def _define_stale_group(tag):
+    """(Re)define StaleGroupDemo, whose actions log *tag* and their name."""
+    return type(
+        "StaleGroupDemo",
+        (Persistent,),
+        {
+            "__events__": ["Ping", "Pong"],
+            "__triggers__": [
+                trigger("W", "Ping", perpetual=True,
+                        action=lambda s, c, _tag=tag: _FIRED.append((_tag, "W"))),
+                trigger("X", "Pong", perpetual=True,
+                        action=lambda s, c, _tag=tag: _FIRED.append((_tag, "X"))),
+            ],
+        },
+    )
+
+
+@pytest.mark.parametrize("loop", [False, True], ids=["kernel", "loop"])
+def test_a_schema_bump_after_a_lazy_load_and_after_a_partial_build(
+    tmp_path, monkeypatch, engine, loop
+):
+    """A group loaded lazily, then the class is redefined: the next
+    posting fires the new actions.  Then X's machine is built (it
+    accepted), the class is redefined again, and X fires the newest action
+    — the built machine is re-resolved before it fires — as do the W
+    entries the group function never built."""
+    calls = _kernel_calls(monkeypatch)
+    _define_stale_group("v1")
+    db = Database.open(str(tmp_path / "bump"), engine=engine)
+    try:
+        cls = db.registry.find("StaleGroupDemo").pyclass
+        with db.transaction():
+            h = db.pnew(cls)
+            ptr = h.ptr
+            for name in ("W", "W", "X", "W"):
+                getattr(h, name)()
+        _FIRED.clear()
+        with db.transaction() as txn:
+            h = db.deref(ptr)
+            group = db.trigger_system.index.lookup(txn, ptr.rid)
+            assert len(group) == 4
+            if loop:
+                list(group)
+            _define_stale_group("v2")  # after the lazy load
+            h.post_event("Pong")
+            h.post_event("Ping")
+            _define_stale_group("v3")  # after X's machine was built
+            h.post_event("Pong")
+            h.post_event("Ping")
+            assert (group.statenums is None) == loop
+        assert _FIRED == (
+            [("v2", "X")] + [("v2", "W")] * 3 + [("v3", "X")] + [("v3", "W")] * 3
+        )
+        assert bool(calls) != loop
+    finally:
+        db.close()
+
+
+def test_a_materialized_group_never_goes_back_to_the_group_function(
+    tmp_path, monkeypatch, engine
+):
+    """Once a caller has built a group's machines (``index.lookup``
+    iterated, ``active_triggers``), every later posting in the transaction
+    runs the kernel loop over them — starting from the states the group
+    function left — and the next transaction loads the group lazily
+    again."""
+    calls = _kernel_calls(monkeypatch)
+    db = Database.open(str(tmp_path / "materialize"), engine=engine)
+    try:
+        with db.transaction():
+            h = db.pnew(KernelGadget)
+            ptr = h.ptr
+            for name, *args in _INTERLEAVED[:4]:
+                getattr(h, name)(*args)
+        system = db.trigger_system
+        with db.transaction() as txn:
+            h = db.deref(ptr)
+            h.post_event("Tick")  # the group function: Seq entries 0 -> 1
+            assert len(calls) == 1
+            group = system.index.lookup(txn, ptr.rid)
+            assert [m.state.statenum for m in group] == [1, 1, 0, 1]
+            assert group.statenums is None
+            _FIRED.clear()
+            h.post_event("Tock")
+            assert len(calls) == 1  # the loop served it
+            assert _FIRED == ["Seq"] * 3
+        assert _stored_statenums(db, ptr) == [2, 2, 0, 2]
+        with db.transaction():
+            db.deref(ptr).post_event("Tick")
+        assert len(calls) == 2
+    finally:
+        db.close()
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,22 @@ HOT_PATH = [
     ("repro.core.wrappers", ("make_method_wrapper", "wrapper")),
     ("repro.core.posting", ("_post",)),
     ("repro.core.posting", ("advance_all",)),
+    ("repro.core.posting", ("advance_group",)),
+    ("repro.core.posting", ("LockInPlaceStates", "kernel")),
+    ("repro.core.posting", ("Group", "load")),
+    ("repro.core.posting", ("Group", "entry")),
     ("repro.core.manager", ("TriggerSystem", "write_back")),
     ("repro.core.posting", ("LockInPlaceStates", "write_back")),
     ("repro.core.trigger_state", ("decode_group",)),
+    ("repro.core.trigger_state", ("decode_heads",)),
+    ("repro.core.trigger_state", ("pack_heads",)),
     ("repro.core.posting", ("LockInPlaceStates", "group")),
     ("repro.core.versioned", ("AdvanceBuffer", "group")),
     ("repro.core.posting", ("StateStore", "refresh")),
     ("repro.core.manager", ("TriggerSystem", "resolve")),
     ("repro.core.manager", ("TriggerSystem", "resolved")),
+    ("repro.core.manager", ("TriggerSystem", "_resolve")),
+    ("repro.core.manager", ("TriggerSystem", "group_kernel")),
     ("repro.transactions.manager", ("TransactionBlock", "__enter__")),
     ("repro.transactions.manager", ("TransactionBlock", "__exit__")),
     ("repro.sessions.session", ("SessionTransaction", "__enter__")),

@@ -3,7 +3,8 @@
 The ODE4xx-gated compile tier (DESIGN.md §14) replaces the posting
 kernel's per-machine interpretation — a fresh mask-evaluation closure,
 the linear transition search, one pseudo-event hop per mask — with one
-cached generated closure per COMPILABLE trigger machine.  The decoded
+call of a cached generated function per group per posting, every
+COMPILABLE trigger machine's cascade inlined in it.  The decoded
 state and the registry resolution are cached per transaction by the state
 store for *both* modes (they used to be the tier's alone, which is why
 this table once read 6.65x), so what is measured here is code generation

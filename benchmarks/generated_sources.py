@@ -1,7 +1,8 @@
-"""Print the compiled tier's generated ``_advance`` source for the triggers
-the benchmark workloads (``perf/workloads.py``) post to, then the
-``_advance_group`` source of the two group signatures the fan-out and
-session workloads post to (16 x ``PerfGate.Gate``, 1 x ``HotObject.Watch``).
+"""Print the compiled tier's generated ``_advance_group`` source for a
+one-entry group of each trigger the benchmark workloads
+(``perf/workloads.py``) post to, then for the two group signatures the
+fan-out and session workloads post to (16 x ``PerfGate.Gate``,
+1 x ``HotObject.Watch``).
 
 A change to the FSM or to the code generator that must not move the
 benchmark should leave this output byte-identical.  Run it in two
@@ -18,7 +19,7 @@ signature) and the SHA-256 of its source.
 import hashlib
 
 from perf.workloads import CredCard, HotObject, PerfGate, PerfPassive
-from repro.core.compiled import generate_advance, generate_group_advance
+from repro.core.compiled import generate_group_advance
 
 TRIGGERS = [
     (CredCard, "AutoPayDown"),
@@ -45,7 +46,7 @@ def _section(title: str, source: str) -> None:
 def main() -> None:
     for cls, name in TRIGGERS:
         info = cls.__metatype__.trigger_by_name(name)
-        _section(f"{cls.__name__}.{name}", generate_advance(info).source)
+        _section(f"{cls.__name__}.{name}", generate_group_advance([info])[1])
     for cls, name, entries in GROUPS:
         info = cls.__metatype__.trigger_by_name(name)
         source = generate_group_advance([info] * entries)[1]

@@ -1,11 +1,11 @@
 """The ODE4xx compilability pass: may this trigger take the fast path?
 
 The compile tier (:mod:`repro.core.compiled`) specializes a trigger's
-FSM + mask predicates into one generated Python function and lets the
-posting loop call it instead of the interpreter.  That is only sound
-when we can *prove*, statically, that the generated code is observably
-identical to interpreted posting.  This pass makes that judgment per
-trigger and renders every refusal as a stable diagnostic:
+FSM + mask predicates into its entry of a generated group function,
+which the posting loop calls instead of the interpreter.  That is only
+sound when we can *prove*, statically, that the generated code is
+observably identical to interpreted posting.  This pass makes that
+judgment per trigger and renders every refusal as a stable diagnostic:
 
 ``ODE400``
     A mask has effects beyond reads per the ODE2xx effect lattice

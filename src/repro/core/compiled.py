@@ -9,7 +9,7 @@ triggers the ODE4xx pass
 (:mod:`repro.analysis.compilable`) proves COMPILABLE — pure masks, a
 resolvable free-name environment, a machine small enough to specialize,
 and no immediate action that re-enters posting mid-advance — all of that
-can be burned into one generated Python function per trigger:
+can be burned into generated Python:
 
 * the sparse transition dispatch becomes branchy ``if eventnum == k``
   code over the concrete event integers;
@@ -20,30 +20,30 @@ can be burned into one generated Python function per trigger:
   calls each mask at most once per path and the
   ``posting.masks_evaluated_posting`` count means the same in both tiers.
 
-A group whose every entry compiles gets one more function, generated per
-group *signature* — its ``(trigobjtype, triggernum)`` kinds in entry order
-— by :func:`generate_group_advance`: each entry's decision tree inlined in
-entry order, the same :func:`_unroll` emitting them with a leaf that
-writes the new state into the group's ``statenums`` in place and notes
-the move, the acceptance and the masks called, where the per-trigger
-closure's leaf returns them.  One call then advances the whole group, as
-§5.4.5's PostEvent does, with no per-entry call, tuple or machine.  The
-trigger system memoizes it per signature beside its resolutions
-(``TriggerSystem.group_kernel``).
+§5.4.5's PostEvent advances every active trigger on an object before any
+fires, so the unit of generated code is the object's group: one function
+per group *signature* — its entries' ``TriggerInfo`` objects in entry order —
+by :func:`generate_group_advance`, each entry's decision tree inlined in
+entry order, writing the new state into the group's ``statenums`` in
+place.  An entry whose kind holds no proof is one call of the
+interpreter step (:func:`repro.core.posting.interpret`) inside the same
+function, so one impure mask keeps no other trigger of its group from
+being compiled.  One call then advances the whole group, with no
+per-entry call, tuple or machine.
 
-Artifacts are cached per ``TriggerInfo`` and keyed by a process-global
-**schema version** (the edgedb ``edb/server/compiler`` artifact-cache
-shape): any trigger add/remove (class (re)compilation, shim registration)
-or strict-mode flip bumps the version and evicts every artifact, so a
-stale closure can never fire for a redefined trigger.  Correctness never
-depends on codegen — whenever the pass withholds its proof (or obs
-tracing wants per-mask events) the posting loop falls back to the
-interpreter and counts ``posting.compiled_fallbacks``.
+The :class:`CompiledTier` keeps the per-trigger verdicts and memoizes the
+group functions, both keyed by a process-global **schema version** (the
+edgedb ``edb/server/compiler`` artifact-cache shape): any trigger
+add/remove (class (re)compilation, shim registration) or strict-mode flip
+bumps the version and evicts everything, so a stale function can never
+fire for a redefined trigger.  Correctness never depends on codegen —
+where the tier has no function for a group (tracing wants per-mask
+events, the group is too large to unroll, too many signatures) the
+posting loop interprets it and counts ``posting.compiled_fallbacks``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Callable, Optional
@@ -56,14 +56,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.metatype import Metatype
 
 __all__ = [
-    "CompiledArtifact",
     "CompiledTier",
     "GROUP_UNROLL_BUDGET",
+    "KERNEL_MEMO_MAX",
     "PlanError",
     "UNROLL_BUDGET",
     "bump_schema_version",
-    "generate_advance",
-    "generate_advance_source",
     "generate_group_advance",
     "generate_group_source",
     "global_compiled_tier",
@@ -77,8 +75,11 @@ __all__ = [
 #: far below this; blowing the budget is the ODE402 "too dense" judgment.
 UNROLL_BUDGET = 256
 #: Cap on the nodes of one group function: the sum of its entries' trees.
-#: A larger group is advanced by the kernel loop, closure by closure.
+#: A larger group is interpreted, entry by entry.
 GROUP_UNROLL_BUDGET = 4096
+#: Most group signatures whose function the tier keeps per schema
+#: version; a group of a new signature past it is interpreted.
+KERNEL_MEMO_MAX = 256
 
 
 class PlanError(Exception):
@@ -104,7 +105,8 @@ def last_bump_reason() -> str:
 
 
 def bump_schema_version(reason: str = "") -> int:
-    """Invalidate every compiled artifact (trigger set or mode changed).
+    """Invalidate every verdict and group function (trigger set or mode
+    changed).
 
     Called from the three places the trigger universe can shift under a
     running process: :func:`repro.core.declarations.process_active_class`
@@ -112,8 +114,8 @@ def bump_schema_version(reason: str = "") -> int:
     :meth:`repro.objects.metatype.TypeRegistry.register_shim` (a run-time
     bridge trigger appeared), and
     :func:`repro.core.declarations.set_strict_analysis` (the analysis
-    regime flipped).  Bumping is cheap; artifact caches re-validate
-    lazily against the counter.
+    regime flipped).  Bumping is cheap; the tier re-validates lazily
+    against the counter.
     """
     global _SCHEMA_VERSION, _LAST_BUMP_REASON
     with _VERSION_LOCK:
@@ -142,15 +144,26 @@ class _Budget:
             )
 
 
-#: Emits the code at the end of one path of a cascade: ``leaf(lines,
-#: indent, state, accepted, masks_called)`` appends what the generated
-#: code does when the walk comes to rest in *state*.
-Leaf = Callable[[list, str, int, bool, int], None]
+def _leaf(
+    lines: list, indent: str, entry: int, old: int, state: int, seen: bool, calls: int
+) -> None:
+    """The end of one path of *entry*'s cascade from state *old*: record
+    the move in place, the acceptance, and the masks called."""
+    body = []
+    if state != old:
+        body += [f"statenums[{entry}] = {state}", f"moved.append(({entry}, {old}))"]
+    if seen:
+        body.append(f"accepted.append({entry})")
+    if calls:
+        body.append(f"calls += {calls}")
+    lines.extend(indent + line for line in body or ["pass"])
 
 
 def _unroll(
     fsm: "IntFsm",
     mask_calls: dict[str, str],
+    entry: int,
+    old: int,
     current: int,
     calls: int,
     seen: bool,
@@ -159,11 +172,11 @@ def _unroll(
     indent: str,
     lines: list[str],
     budget: _Budget,
-    leaf: Leaf,
 ) -> None:
-    """Emit the mask cascade from *current*, which the walk has just
-    entered: :meth:`repro.events.fsm.Fsm._quiesce_tracking` with each
-    first-asked mask turned into an ``if``, and *leaf* at each end.
+    """Emit *entry*'s mask cascade from *current*, which the walk has
+    just entered from state *old*:
+    :meth:`repro.events.fsm.Fsm._quiesce_tracking` with each first-asked
+    mask turned into an ``if``, and a :func:`_leaf` at each end.
 
     ``fixed`` holds the outcomes already asked on this path (the rule's
     memo: the walk follows the pinned arm and calls nothing), ``visited``
@@ -173,7 +186,7 @@ def _unroll(
     while True:
         if current == DEAD or not fsm.states[current].masks or current in visited:
             budget.charge()
-            leaf(lines, indent, current, seen, calls)
+            _leaf(lines, indent, entry, old, current, seen, calls)
             return
         visited = visited | {current}
         mask = fsm.states[current].masks[0]
@@ -190,6 +203,8 @@ def _unroll(
             _unroll(
                 fsm,
                 mask_calls,
+                entry,
+                old,
                 nxt,
                 calls + 1,
                 seen or (nxt != DEAD and fsm.states[nxt].accept),
@@ -198,149 +213,127 @@ def _unroll(
                 indent + "    ",
                 lines,
                 budget,
-                leaf,
             )
         return
 
 
-def _return_leaf(lines: list, indent: str, state: int, seen: bool, calls: int) -> None:
-    """The per-trigger closure's leaf: return the advance's outcome."""
-    lines.append(f"{indent}return ({state}, True, {seen}, {calls})")
-
-
-def _entered(fsm: "IntFsm", tr) -> tuple[int, bool]:
-    """The state a transition enters and whether it accepts there."""
-    nxt = tr.newstate
-    return nxt, nxt != DEAD and fsm.states[nxt].accept
-
-
-def generate_advance_source(
-    fsm: "IntFsm", mask_calls: dict[str, str]
-) -> str:
-    """Generate the specialized ``_advance`` source for one machine;
-    *mask_calls* maps each mask name to the expression that calls it.
-
-    The function computes what :meth:`IntFsm.advance` does — the
-    stepping rule of :mod:`repro.events.fsm` — and returns
-    ``(state, consumed, accepted, masks_called)``, with the transition
-    search and the mask cascade resolved at compile time.  Raises
-    :class:`PlanError` when the decision tree blows the budget.
-    """
-    budget = _Budget(UNROLL_BUDGET)
-    lines = ["def _advance(statenum, eventnum, obj, params, event):"]
-    lines.append("    if statenum == -1:")
-    lines.append("        return (-1, False, False, 0)")
+def _compiled_entry(
+    lines: list, entry: int, fsm: "IntFsm", mask_calls: dict, alpha: str, budget
+) -> None:
+    """Entry *entry*'s advance with its transitions and cascades unrolled."""
+    lines.append(f"        s = statenums[{entry}]")
+    keyword = "if"
     for state in fsm.states:
-        lines.append(f"    if statenum == {state.statenum}:")
+        lines.append(f"        {keyword} s == {state.statenum}:")
+        keyword = "elif"
+        branch = "if"
         for tr in state.transfunc:
-            lines.append(f"        if eventnum == {tr.eventnum}:")
-            nxt, seen = _entered(fsm, tr)
+            lines.append(f"            {branch} eventnum == {tr.eventnum}:")
+            branch = "elif"
+            nxt = tr.newstate
+            seen = nxt != DEAD and fsm.states[nxt].accept
             _unroll(
-                fsm, mask_calls, nxt, 0, seen, {}, frozenset(), " " * 12, lines,
-                budget, _return_leaf,
+                fsm, mask_calls, entry, state.statenum, nxt, 0, seen, {},
+                frozenset(), " " * 16, lines, budget,
             )
         # Event not in the sparse transition list: the ignore/dead rule.
         if fsm.anchored:
-            lines.append("        if eventnum in _ALPHA:")
-            lines.append("            return (-1, True, False, 0)")
-        lines.append(f"        return ({state.statenum}, False, False, 0)")
+            lines.append(f"            {branch} eventnum in {alpha}:")
+            branch = "elif"
+            _leaf(lines, " " * 16, entry, state.statenum, DEAD, False, 0)
+        if branch == "if":
+            lines.append("            pass")
+    lines.append("        elif s != -1:")
     lines.append(
-        "    raise IndexError('compiled advance: state %r out of range'"
-        " % (statenum,))"
+        "            raise IndexError('compiled group advance: entry %d state %r"
+        f" out of range' % ({entry}, s))"
     )
-    return "\n".join(lines) + "\n"
 
 
-def _group_leaf(entry: int, old: int) -> Leaf:
-    """The group function's leaf for *entry* walking from state *old*:
-    record the move in place, the acceptance, and the masks called."""
+def _interpreted_entry(lines: list, entry: int, info: str) -> None:
+    """Entry *entry*'s advance as one call of the interpreter step over
+    the ``TriggerInfo`` bound to *info* — a kind without an ODE4xx proof."""
+    lines += [
+        f"        s = statenums[{entry}]",
+        "        stats.compiled_fallbacks += 1",
+        f"        n, a = _step(stats, {info}, s, eventnum, obj, params[{entry}], event,"
+        f" None if log is None else log.setdefault({entry}, {{}}))",
+        "        if n != s:",
+        f"            statenums[{entry}] = n",
+        f"            moved.append(({entry}, s))",
+        "        if a:",
+        f"            accepted.append({entry})",
+    ]
 
-    def leaf(lines: list, indent: str, state: int, seen: bool, calls: int) -> None:
-        body = []
-        if state != old:
-            body += [f"statenums[{entry}] = {state}", f"moved.append(({entry}, {old}))"]
-        if seen:
-            body.append(f"accepted.append({entry})")
-        if calls:
-            body.append(f"calls += {calls}")
-        lines.extend(indent + line for line in body or ["pass"])
 
-    return leaf
-
-
-def generate_group_source(entries: Sequence[tuple["IntFsm", dict[str, str], str]]) -> str:
+def generate_group_source(entries: Sequence[tuple], limit: int | None = None) -> str:
     """Generate the ``_advance_group`` source for a group whose entries,
-    in entry order, are *entries*: each one's machine, its mask calls (as
-    for :func:`generate_advance_source`, over ``params[i]``) and the name
-    its alphabet is bound to.
+    in entry order, are *entries*: ``(fsm, mask_calls, name)`` each, with
+    *mask_calls* mapping each mask to the expression that calls it (over
+    ``params[i]``) and *name* the name its alphabet is bound to — or,
+    for an entry to interpret, ``(None, None, name)`` with *name* bound
+    to its ``TriggerInfo``.
 
     ``_advance_group(statenums, eventnum, obj, params, event, moved,
-    stats)`` advances entry *i* from ``statenums[i]`` as the per-trigger
-    closure would, one entry after the other, and writes the new state
-    back in place; it appends ``(i, old state)`` to *moved* for each entry
-    that moved and returns the list of the entries that accepted.  It
-    adds the entries it advanced and the masks they called to *stats*'s
+    stats, log)`` advances entry *i* from ``statenums[i]`` — the stepping
+    rule of :mod:`repro.events.fsm`, as the interpreter would — one entry
+    after the other, and writes the new state back in place; it appends
+    ``(i, old state)`` to *moved* for each entry that moved and returns
+    the list of the entries that accepted.  It adds the compiled entries
+    it advanced and the masks they called to *stats*'s
     ``compiled_hits``, ``fsm_advances`` and ``masks_evaluated_posting``
     on the way out, also when a mask raises: an entry whose cascade
-    raised is neither advanced nor counted, as in the kernel loop.
-    Raises :class:`PlanError` when the entries' decision trees together
-    blow :data:`GROUP_UNROLL_BUDGET`.
+    raised is neither advanced nor counted, as in the kernel loop (an
+    interpreted entry counts itself, and one ``compiled_fallbacks``).
+    *log* is ``None``, or a dict for a store that logs every advance:
+    each interpreted entry's mask outcomes go under its index, and the
+    number of entries advanced under ``-1``.  Raises :class:`PlanError`
+    when the entries' decision trees together blow *limit* nodes
+    (default :data:`GROUP_UNROLL_BUDGET`).
     """
-    budget = _Budget(GROUP_UNROLL_BUDGET)
+    budget = _Budget(GROUP_UNROLL_BUDGET if limit is None else limit)
     lines = [
-        "def _advance_group(statenums, eventnum, obj, params, event, moved, stats):",
+        "def _advance_group(statenums, eventnum, obj, params, event, moved, stats, log):",
         "    accepted = []",
         "    calls = done = 0",
         "    try:",
     ]
-    for entry, (fsm, mask_calls, alpha) in enumerate(entries):
-        lines.append(f"        s = statenums[{entry}]")
-        keyword = "if"
-        for state in fsm.states:
-            lines.append(f"        {keyword} s == {state.statenum}:")
-            keyword = "elif"
-            branch = "if"
-            for tr in state.transfunc:
-                lines.append(f"            {branch} eventnum == {tr.eventnum}:")
-                branch = "elif"
-                nxt, seen = _entered(fsm, tr)
-                _unroll(
-                    fsm, mask_calls, nxt, 0, seen, {}, frozenset(), " " * 16, lines,
-                    budget, _group_leaf(entry, state.statenum),
-                )
-            if fsm.anchored:
-                lines.append(f"            {branch} eventnum in {alpha}:")
-                branch = "elif"
-                _group_leaf(entry, state.statenum)(lines, " " * 16, DEAD, False, 0)
-            if branch == "if":
-                lines.append("            pass")
-        lines.append("        elif s != -1:")
-        lines.append(
-            "            raise IndexError('compiled group advance: entry %d state %r"
-            f" out of range' % ({entry}, s))"
-        )
+    hits = [0]
+    for entry, (fsm, mask_calls, name) in enumerate(entries):
+        if fsm is None:
+            _interpreted_entry(lines, entry, name)
+        else:
+            _compiled_entry(lines, entry, fsm, mask_calls, name, budget)
         lines.append(f"        done = {entry + 1}")
+        hits.append(hits[-1] + (fsm is not None))
+    # Compiled entries among the first ``done``: ``done`` itself when
+    # every entry is compiled.
+    advanced = "done" if hits == list(range(len(hits))) else f"{tuple(hits)}[done]"
     lines += [
         "    finally:",
-        "        stats.compiled_hits += done",
-        "        stats.fsm_advances += done",
+        f"        stats.compiled_hits += {advanced}",
+        f"        stats.fsm_advances += {advanced}",
         "        stats.masks_evaluated_posting += calls",
+        "        if log is not None:",
+        "            log[-1] = done",
         "    return accepted",
     ]
     return "\n".join(lines) + "\n"
 
 
 def plan_unroll(fsm: "IntFsm") -> int:
-    """Dry-run the unroll, returning the emitted line count.
+    """Dry-run the unroll of a one-entry group of *fsm* within
+    :data:`UNROLL_BUDGET`, returning the emitted line count.
 
     The ODE4xx pass uses this to judge ODE402 without keeping the code;
     it is exactly the generator, so the judgment can never drift from
     what the tier can actually compile.
     """
     mask_calls = {
-        name: f"_m{i}(obj, params, event)" for i, name in enumerate(_used_masks(fsm))
+        name: f"_m{i}(obj, params[0], event)" for i, name in enumerate(_used_masks(fsm))
     }
-    return len(generate_advance_source(fsm, mask_calls).splitlines())
+    source = generate_group_source([(fsm, mask_calls, "_A0")], UNROLL_BUDGET)
+    return len(source.splitlines())
 
 
 def _used_masks(fsm: "IntFsm") -> list[str]:
@@ -365,50 +358,31 @@ def _bind_masks(info: "TriggerInfo", prefix: str, params: str, namespace: dict) 
     return calls
 
 
-@dataclasses.dataclass
-class CompiledArtifact:
-    """One trigger's generated advance function plus its provenance."""
-
-    info: "TriggerInfo"
-    advance: Callable[..., tuple]
-    source: str
-    version: int
-
-
-def generate_advance(info: "TriggerInfo") -> CompiledArtifact:
-    """Compile *info*'s machine into a :class:`CompiledArtifact`."""
-    fsm = info.fsm
-    namespace: dict = {"_ALPHA": fsm.alphabet}
-    mask_calls = _bind_masks(info, "_m", "params", namespace)
-    source = generate_advance_source(fsm, mask_calls)
-    code = compile(
-        source,
-        f"<ode-compiled:{info.defining_type}.{info.name}>",
-        "exec",
-    )
-    exec(code, namespace)
-    return CompiledArtifact(
-        info=info,
-        advance=namespace["_advance"],
-        source=source,
-        version=schema_version(),
-    )
-
-
-def generate_group_advance(infos: Sequence["TriggerInfo"]) -> tuple[Callable, str]:
+def generate_group_advance(
+    infos: Sequence["TriggerInfo"], proofs: Sequence[bool] | None = None
+) -> tuple[Callable, str]:
     """Compile the group function of a group whose entries, in entry
     order, are of the kinds *infos* (see :func:`generate_group_source`):
-    ``(function, source)``.  Each distinct kind's masks and alphabet are
+    ``(function, source)``.  *proofs* says per entry whether its kind
+    holds an ODE4xx proof (default: every one does); an entry without one
+    is interpreted.  Each distinct kind's masks, alphabet and info are
     bound once."""
-    namespace: dict = {}
+    # Imported here: the interpreter's module imports this one.
+    from repro.core.posting import interpret
+
+    namespace: dict = {"_step": interpret}
     kinds: dict[int, int] = {}
     entries = []
     for entry, info in enumerate(infos):
         kind = kinds.setdefault(id(info), len(kinds))
-        alpha = f"_A{kind}"
-        namespace[alpha] = info.fsm.alphabet
-        mask_calls = _bind_masks(info, f"_k{kind}m", f"params[{entry}]", namespace)
-        entries.append((info.fsm, mask_calls, alpha))
+        if proofs is None or proofs[entry]:
+            alpha = f"_A{kind}"
+            namespace[alpha] = info.fsm.alphabet
+            mask_calls = _bind_masks(info, f"_k{kind}m", f"params[{entry}]", namespace)
+            entries.append((info.fsm, mask_calls, alpha))
+        else:
+            namespace[f"_I{kind}"] = info
+            entries.append((None, None, f"_I{kind}"))
     source = generate_group_source(entries)
     names = ",".join(f"{info.defining_type}.{info.name}" for info in infos[:4])
     code = compile(source, f"<ode-compiled-group:{names}:{len(infos)}>", "exec")
@@ -417,27 +391,33 @@ def generate_group_advance(infos: Sequence["TriggerInfo"]) -> tuple[Callable, st
 
 
 # ---------------------------------------------------------------------------
-# Artifact cache
+# Verdicts and the group-function memo
 # ---------------------------------------------------------------------------
 
 _UNSET = object()
 
 
 class CompiledTier:
-    """Verdict + artifact cache gating the posting fast path.
+    """The ODE4xx verdicts and the group functions gating the posting
+    fast path.
 
-    Lookups are id-keyed on the ``TriggerInfo`` (a strong reference is
-    pinned so ids stay unique) and validated against the process schema
-    version: the first lookup after any bump drops everything.  Negative
-    verdicts are cached too — the ODE4xx classification runs once per
-    trigger per schema version, not once per posting.
+    A verdict is kept per ``TriggerInfo``, a group function per
+    signature — its entries' ``TriggerInfo`` objects in entry order, so a
+    local rule, which has no registry to resolve a kind through, keys the
+    same way a persistent group does.  Both are id-keyed (a strong
+    reference is pinned so ids stay unique) and validated against the
+    process schema version: the first lookup after any bump drops
+    everything.  A withheld proof and a signature that cannot be
+    generated are memoized too, so classification and codegen run once
+    per trigger and per signature per schema version, not once per
+    posting.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._version = schema_version()
-        self._artifacts: dict[int, Optional[CompiledArtifact]] = {}
         self._verdicts: dict[int, object] = {}
+        self._functions: dict[tuple, Optional[Callable]] = {}
         self._pins: dict[int, "TriggerInfo"] = {}
 
     # -- invalidation ------------------------------------------------------
@@ -446,44 +426,72 @@ class CompiledTier:
         if self._version != _SCHEMA_VERSION:
             with self._lock:
                 if self._version != _SCHEMA_VERSION:
-                    self._artifacts.clear()
+                    self._functions.clear()
                     self._verdicts.clear()
                     self._pins.clear()
                     self._version = _SCHEMA_VERSION
 
-    @property
-    def version(self) -> int:
-        """Current validated version (evicts first if the world moved)."""
-        self._maybe_evict()
-        return self._version
-
     def cached_count(self) -> int:
+        """How many signatures have a memoized group function."""
         self._maybe_evict()
-        return len(self._artifacts)
+        with self._lock:
+            return sum(function is not None for function in self._functions.values())
 
     # -- lookup ------------------------------------------------------------
 
-    def advancer_for(
-        self, info: "TriggerInfo", metatype: Optional["Metatype"] = None
-    ) -> Optional[Callable[..., tuple]]:
-        """The compiled advance for *info*, or None (proof withheld)."""
+    def compiles(self, info: "TriggerInfo", metatype: Optional["Metatype"] = None) -> bool:
+        """Whether *info* holds an ODE4xx proof (classified once per
+        schema version, against its defining *metatype*)."""
         self._maybe_evict()
-        key = id(info)
-        artifact = self._artifacts.get(key, _UNSET)
-        if artifact is _UNSET:
-            with self._lock:
-                artifact = self._artifacts.get(key, _UNSET)
-                if artifact is _UNSET:
-                    artifact = self._classify_and_compile(info, metatype)
-                    self._pins[key] = info
-                    self._artifacts[key] = artifact
-        return None if artifact is None else artifact.advance
+        verdict = self._verdicts.get(id(info), _UNSET)
+        if verdict is _UNSET:
+            try:
+                from repro.analysis.compilable import classify_trigger
 
-    def artifact_for(self, info: "TriggerInfo") -> Optional[CompiledArtifact]:
-        """The cached artifact (for tests and dump introspection)."""
-        self._maybe_evict()
-        artifact = self._artifacts.get(id(info))
-        return artifact if isinstance(artifact, CompiledArtifact) else None
+                verdict = classify_trigger(info, metatype)
+            except Exception:
+                # A classification failure withholds the proof — the tier
+                # must never take posting down.
+                verdict = None
+            with self._lock:
+                self._pins[id(info)] = info
+                self._verdicts[id(info)] = verdict
+        return bool(getattr(verdict, "compilable", False))
+
+    def group_function(
+        self, key: tuple, entries: Callable[[], Sequence]
+    ) -> Optional[Callable]:
+        """The group function of a group whose signature is *key* — the
+        ids of its entries' ``TriggerInfo`` objects, in entry order — or
+        ``None``: the group is interpreted.  That is the case when its
+        trees blow :data:`GROUP_UNROLL_BUDGET`, when generating it fails,
+        and for a new signature once :data:`KERNEL_MEMO_MAX` are memoized.
+        *entries* is called only to generate: it returns the entries, each
+        with the ``info`` of *key* and the ``defining`` metatype it
+        resolved to."""
+        if self._version != _SCHEMA_VERSION:
+            self._maybe_evict()
+        function = self._functions.get(key, _UNSET)
+        if function is not _UNSET:
+            return function
+        version = self._version
+        if len(self._functions) >= KERNEL_MEMO_MAX:
+            return None
+        entries = entries()
+        infos = [entry.info for entry in entries]
+        proofs = [self.compiles(entry.info, entry.defining) for entry in entries]
+        try:
+            function = generate_group_advance(infos, proofs)[0]
+        except Exception:
+            # Too large to unroll (or any codegen failure): interpreted.
+            function = None
+        with self._lock:
+            # A key from before a schema bump names infos that may be gone.
+            if self._version == version and key == tuple(map(id, infos)):
+                for info in infos:
+                    self._pins[id(info)] = info
+                self._functions[key] = function
+        return function
 
     def explain(self, info: "TriggerInfo") -> tuple:
         """The ODE4xx diagnostics naming why the proof was withheld
@@ -492,27 +500,11 @@ class CompiledTier:
         verdict = self._verdicts.get(id(info))
         return tuple(getattr(verdict, "diagnostics", ()))
 
-    def _classify_and_compile(
-        self, info: "TriggerInfo", metatype: Optional["Metatype"]
-    ) -> Optional[CompiledArtifact]:
-        try:
-            from repro.analysis.compilable import classify_trigger
-
-            verdict = classify_trigger(info, metatype)
-            self._verdicts[id(info)] = verdict
-            if not verdict.compilable:
-                return None
-            return generate_advance(info)
-        except Exception:
-            # Codegen and classification failures degrade to the
-            # interpreter — the tier must never take posting down.
-            return None
-
 
 _GLOBAL_TIER = CompiledTier()
 
 
 def global_compiled_tier() -> CompiledTier:
-    """The artifact cache shared by every trigger system in the process
-    (trigger infos are process-global, so their artifacts are too)."""
+    """The tier shared by every trigger system in the process (trigger
+    infos are process-global, so their verdicts and functions are too)."""
     return _GLOBAL_TIER

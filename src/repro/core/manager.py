@@ -25,19 +25,13 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.core.compiled import (
-    CompiledTier,
-    generate_group_advance,
-    global_compiled_tier,
-    schema_version,
-)
+from repro.core.compiled import global_compiled_tier, schema_version
 from repro.core.posting import (
     DEPENDENT_LIST,
     END_LIST,
     INDEPENDENT_LIST,
     STATE_STORE,
     LockInPlaceStates,
-    Machine,
     PostingStats,
     Resolution,
     StateStore,
@@ -70,10 +64,6 @@ TX_EVENT_OBJECTS = "trigger:tx_event_objects"
 
 #: A trigger state's kind: what it resolves through.
 _KIND = operator.attrgetter("trigobjtype", "triggernum")
-#: Most group signatures whose group function one trigger system keeps
-#: per schema version.
-KERNEL_MEMO_MAX = 256
-_UNSET = object()
 
 
 class TriggerSystem:
@@ -90,18 +80,19 @@ class TriggerSystem:
         # metatype id -> frozenset of non-confluent trigger-name pairs.
         self._confluence_cache: dict[int, frozenset[frozenset[str]]] = {}
         # The generated-code posting fast path (DESIGN.md §14).  The tier
-        # is process-global (trigger infos and their artifacts are); the
-        # flag is per-system so a database can opt out (benchmarks use it
-        # for interpreted baselines).  Correctness never depends on it:
-        # any withheld ODE4xx proof falls back to the interpreter.
+        # is process-global (trigger infos and their group functions
+        # are); the flag is per-system so a database can opt out
+        # (benchmarks use it for interpreted baselines).  Correctness
+        # never depends on it: an entry without an ODE4xx proof is
+        # interpreted.
         self.compiled = global_compiled_tier()
         self.compiled_enabled = True
-        # (trigobjtype, triggernum) -> Resolution, and a group signature
-        # (its kinds in entry order) -> its group function or None, both
-        # under ``_resolved_at``, the schema version the memos were
-        # started under (see _memo()).
+        # (trigobjtype, triggernum) -> Resolution, and -> the id of its
+        # TriggerInfo (what keys a group function in the tier), both under
+        # ``_resolved_at``, the schema version the memos were started
+        # under (see _memo()).
         self._resolutions: dict[tuple[str, int], Resolution] = {}
-        self._kernels: dict[tuple, Any] = {}
+        self._info_ids: dict[tuple[str, int], int] = {}
         self._resolved_at = schema_version()
         # metatype -> whether its class declares a transaction event
         # (``before tcomplete``/``tabort``): asked once per class, not per
@@ -132,14 +123,14 @@ class TriggerSystem:
     # -- trigger resolution, memoized per trigger kind ------------------------------
 
     def _memo(self, version: int) -> dict[tuple[str, int], Resolution]:
-        """The resolution memo, started afresh (with the group-function
-        memo) when the schema version moved.  Its hygiene is not what
-        keeps a stale trigger from firing: every :class:`Resolution`
-        carries its own version, a machine takes it along, and the kernel
-        re-resolves any machine whose version is not the current one."""
+        """The resolution memo, started afresh when the schema version
+        moved.  Its hygiene is not what keeps a stale trigger from firing:
+        every :class:`Resolution` carries its own version, a machine takes
+        it along, and the kernel re-resolves any machine whose version is
+        not the current one."""
         if self._resolved_at != version:
             self._resolutions = {}
-            self._kernels = {}
+            self._info_ids = {}
             self._resolved_at = version
         return self._resolutions
 
@@ -158,39 +149,23 @@ class TriggerSystem:
             defining = self.db.registry.find(trigobjtype)
             info = defining.trigger_info(triggernum)
             resolution = memo[kind] = Resolution(version, defining, info)
+            self._info_ids[kind] = id(info)
         return resolution
 
-    def group_kernel(self, tier: CompiledTier, kinds: tuple):
-        """The group function of a group whose entries are of *kinds*
-        (its signature), or ``None`` when the kernel loop must serve it:
-        some kind's ODE4xx proof is withheld, or the group is too large to
-        unroll.  Generated once per signature per schema version; past
-        ``KERNEL_MEMO_MAX`` signatures a new one is served by the loop
-        rather than compiled again and again."""
+    def signature(self, kinds: list) -> tuple[int, ...]:
+        """The ids of *kinds*' ``TriggerInfo`` objects, resolving what the memo
+        lacks: the key of their group function in the compile tier.  One
+        lookup per kind, so a group load pays no more than its kinds."""
         self._memo(schema_version())
-        kernels = self._kernels
-        kernel = kernels.get(kinds, _UNSET)
-        if kernel is _UNSET:
-            kernel = self._compile_group(tier, kinds)
-            if len(kernels) < KERNEL_MEMO_MAX:
-                kernels[kinds] = kernel
-        return kernel
-
-    def _compile_group(self, tier: CompiledTier, kinds: tuple):
-        resolutions = {kind: self._resolve(kind) for kind in kinds}
-        for resolution in resolutions.values():
-            if resolution.advance is None:
-                resolution.advance = tier.advancer_for(
-                    resolution.info, resolution.defining
-                )
-                if resolution.advance is None:
-                    return None
         try:
-            return generate_group_advance([resolutions[kind].info for kind in kinds])[0]
-        except Exception:
-            # Like a trigger's own closure: a group that cannot be
-            # generated (too large) is served by the loop.
-            return None
+            return tuple(map(self._info_ids.__getitem__, kinds))
+        except KeyError:
+            return tuple([id(self._resolve(kind).info) for kind in kinds])
+
+    def resolutions(self, kinds: list) -> list[Resolution]:
+        """The resolution of each of *kinds*: the entries the compile tier
+        generates a group function from."""
+        return [self._resolve(kind) for kind in kinds]
 
     def resolved(self, states) -> Iterator[Resolution | None]:
         """Each of *states*' memoized resolution, ``None`` where its kind
@@ -198,18 +173,6 @@ class TriggerSystem:
         classes this process has not imported (tooling), and its machines
         are resolved when the kernel first advances them."""
         return map(self._memo(schema_version()).get, map(_KIND, states))
-
-    def advancer(self, tier: CompiledTier, machine: Machine):
-        """*machine*'s generated closure from *tier*, ``None`` if the proof
-        is withheld — asked once per trigger kind and remembered with its
-        resolution.  A machine resolved apart from the memo (under another
-        schema version) asks *tier* itself."""
-        resolution = self._resolutions.get(_KIND(machine.state))
-        if resolution is None or resolution.info is not machine.info:
-            return tier.advancer_for(machine.info, machine.defining)
-        if resolution.advance is None:
-            resolution.advance = tier.advancer_for(resolution.info, resolution.defining)
-        return resolution.advance
 
     # -- transaction hook installation ----------------------------------------
 

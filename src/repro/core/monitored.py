@@ -39,6 +39,7 @@ from repro.core.posting import (
     TriggerContext,
     VolatileStates,
     advance_all,
+    advance_group,
     drain,
     serving_tier,
     start_machine,
@@ -147,7 +148,7 @@ class LocalTriggerSystem:
         self._end_list: list[LocalTriggerState] = []
         self.stats = PostingStats()
         # Local states live in memory, so the compiled tier only saves the
-        # dispatch work — but it is the same artifact cache and the same
+        # dispatch work — but it is the same group functions and the same
         # ODE4xx gate as the persistent path (DESIGN.md §14).
         self.compiled = global_compiled_tier()
         self.compiled_enabled = True
@@ -220,12 +221,18 @@ class LocalTriggerSystem:
             return 0
         # The same kernel as persistent posting, over in-memory states: no
         # write lock, no log.  Fire only after every rule has seen the event.
-        states = self._states
-        ready = advance_all(
-            self.stats, serving_tier(self), self._store,
-            [states[local_id] for local_id in local_ids],
-            eventnum, obj, occurrence,
-        )
+        machines = [self._states[local_id] for local_id in local_ids]
+        tier = serving_tier(self)
+        kernel = None if tier is None else self._store.kernel(machines, tier)
+        if kernel is None:
+            ready = advance_all(
+                self.stats, self._store, machines, eventnum, obj, occurrence,
+                fallback=tier is not None,
+            )
+        else:
+            ready = advance_group(
+                self.stats, kernel, self._store, machines, eventnum, obj, occurrence
+            )
         for machine in ready:
             state = machine.state
             if state.info.coupling is CouplingMode.END:

@@ -22,25 +22,24 @@ Posting a basic event to an object:
 
 One kernel over one seam.  Steps 1, 2 and 4 are :func:`_post`, the loop
 behind :func:`post_event` (a batch of one) and :func:`post_many`; step 3
-is :func:`advance_all`, the only place a machine steps, which the MVCC
-commit-time replay and local rules call too.  What differs between those
-modes is *where the state lives*, and that is the seam: a
-:class:`StateStore` — :class:`LockInPlaceStates` (strict 2PL),
-:class:`~repro.core.versioned.AdvanceBuffer` (MVCC) or
+is :func:`advance_group` or :func:`advance_all`, which local rules call
+too.  What differs between those modes is *where the state lives*, and
+that is the seam: a :class:`StateStore` — :class:`LockInPlaceStates`
+(strict 2PL), :class:`~repro.core.versioned.AdvanceBuffer` (MVCC) or
 :class:`VolatileStates` (local rules, replay).  A persistent store hands
 out an object's triggers a whole :class:`Group` at a time, so one group
 read serves every trigger on the object.
 
-A 2PL group is loaded lazily — its entry heads, no machines — and when
-every entry's kind holds an ODE4xx proof and the compile tier serves,
-step 3 is one call of the group's generated function
-(:func:`advance_group`: every entry advanced in place, a machine built
-only for an entry that accepted).  It computes exactly what
-:func:`advance_all` computes with each entry's closure — the same
-states, moves, acceptances and counters, also when a mask raises — so
-the firing set cannot depend on which ran.  Any other group, and a 2PL
-group whose machines a caller has built, goes through
-:func:`advance_all`.  DESIGN.md §14.
+When the compile tier serves, step 3 is one call of the group's
+generated function on every store (:func:`advance_group`): every entry
+advanced in place, an entry whose kind holds no ODE4xx proof by the
+interpreter step :func:`interpret` inside it.  A 2PL group is loaded
+lazily — its entry heads, no machines — and a machine is built only for
+an entry that accepted.  Otherwise — the tier off or tracing, MVCC
+replay, a group the tier has no function for — :func:`advance_all`
+interprets the group machine by machine.  Both compute the same states,
+moves, acceptances and counters, also when a mask raises, so the firing
+set cannot depend on which ran.  DESIGN.md §14.
 """
 
 from __future__ import annotations
@@ -261,37 +260,34 @@ class PostingStats:
 class Resolution:
     """What one trigger kind — a ``(trigobjtype, triggernum)`` pair —
     resolves to under one trigger-schema ``version``: the ``defining``
-    metatype, its ``TriggerInfo``, and the generated closure ``advance``
-    (``None``: the tier not asked yet, or its proof withheld).  The trigger
-    system memoizes one per kind (``TriggerSystem.resolve``), shared by
-    every machine of that kind in every transaction."""
+    metatype and its ``TriggerInfo``.  The trigger system memoizes one
+    per kind (``TriggerSystem.resolve``), shared by every machine of that
+    kind in every transaction."""
 
-    __slots__ = ("version", "defining", "info", "advance")
+    __slots__ = ("version", "defining", "info")
 
     def __init__(self, version: int, defining, info: TriggerInfo):
         self.version = version
         self.defining = defining
         self.info = info
-        self.advance = None
 
 
 class Machine:
     """One active trigger at run time: its working ``TriggerState``, where
     it is stored (its group's rid and its serial there — together its
-    ``TriggerId``; local rules have no group), plus what the registry and
-    the compile tier resolved for it.  A machine does not point back at
-    its :class:`Group`, so a transaction's groups hold no reference cycle
-    and are freed by reference counting when it ends.
+    ``TriggerId``; local rules have no group), plus what the registry
+    resolved for it.  A machine does not point back at its
+    :class:`Group`, so a transaction's groups hold no reference cycle and
+    are freed by reference counting when it ends.
 
-    ``advance`` is the generated closure (``None``: not asked yet, or proof
-    withheld) and ``version`` the trigger-schema version ``info``,
-    ``defining`` and ``advance`` were resolved against; the kernel resolves
-    them again when it moves, so a class redefined mid-transaction fires
-    neither a stale closure nor a stale action.  A machine loaded with its
-    kind's memoized *resolution* starts out resolved.
+    ``version`` is the trigger-schema version ``info`` and ``defining``
+    were resolved against; the kernel resolves them again before a
+    machine fires (the loop: before it moves), so a class redefined
+    mid-transaction never fires a stale action.  A machine loaded with
+    its kind's memoized *resolution* starts out resolved.
     """
 
-    __slots__ = ("rid", "serial", "state", "info", "defining", "advance", "version")
+    __slots__ = ("rid", "serial", "state", "info", "defining", "version")
 
     def __init__(
         self, rid: int | None, serial: int, state, resolution: Resolution | None = None
@@ -300,16 +296,15 @@ class Machine:
         self.serial = serial
         self.state = state
         if resolution is None:
-            self.info = self.defining = self.advance = self.version = None
+            self.info = self.defining = self.version = None
         else:
             self.adopt(resolution)
 
     def adopt(self, resolution: Resolution) -> None:
-        """Take *resolution*'s version, defining metatype, info and closure."""
+        """Take *resolution*'s version, defining metatype and info."""
         self.version = resolution.version
         self.defining = resolution.defining
         self.info = resolution.info
-        self.advance = resolution.advance
 
 
 class Group:
@@ -329,14 +324,15 @@ class Group:
     place.  :meth:`entry` builds one entry's machine (the kernel asks for
     the entries that accepted); the first read of ``machines`` builds the
     rest, reusing those, and from then on the machines are the working
-    state and ``statenums`` is ``None`` — the group never goes back to
-    the group function.  A group built from states (``__init__``) is
+    state and ``statenums`` is ``None``: the group function is handed
+    their states instead.  A group built from states (``__init__``) is
     materialized from the start."""
 
     #: the lazy entries' working states; ``None`` once materialized
     statenums = None
     #: the group function serving this group and the schema version it
-    #: was asked under (see ``LockInPlaceStates.kernel``)
+    #: was asked under (see ``StateStore.kernel``); a membership change
+    #: asks again
     kernel = None
     kernel_version = None
 
@@ -384,10 +380,12 @@ class Group:
         return group
 
     @property
-    def kinds(self) -> tuple:
-        """A lazy group's ``(trigobjtype, triggernum)`` per entry, in
-        entry order: its signature."""
-        return tuple(zip(self.types, self.triggernums))
+    def kinds(self) -> list:
+        """Each entry's ``(trigobjtype, triggernum)``, in entry order."""
+        machines = self._machines
+        if machines is None:
+            return list(zip(self.types, self.triggernums))
+        return [(m.state.trigobjtype, m.state.triggernum) for m in machines]
 
     @property
     def machines(self) -> tuple:
@@ -405,6 +403,7 @@ class Group:
     @machines.setter
     def machines(self, machines: tuple) -> None:
         self._machines = machines
+        self.kernel_version = None
 
     def __len__(self) -> int:
         machines = self._machines
@@ -469,14 +468,17 @@ class StateStore:
     The trigger index asks :meth:`group` for an object's group (the
     whole group is loaded on first touch, each machine taking its kind's
     memoized resolution when it is built).  The posting loop asks
-    :meth:`kernel` for the group function that serves a group; where there
-    is none, the kernel loop, handed the group's machines, calls
-    :meth:`refresh` when the schema version moved, :meth:`advancer` for a
-    machine without a closure and :meth:`settle` after an advance that
-    moved a machine — after every advance if ``logs_ignored_events``.
-    Either way :meth:`flush` runs once at the end of a call that moved
-    anything.  The trigger system calls :meth:`create`, :meth:`activate`,
-    :meth:`deactivate` and :meth:`drop`, and :meth:`write_back` from
+    :meth:`kernel` for the group function that serves a group.  Either
+    way :meth:`refresh` runs on a machine resolved under an older schema
+    version before it fires; the kernel loop, handed the group's
+    machines, refreshes each before it moves and calls :meth:`settle`
+    after an advance that moved a machine.  If ``logs_ignored_events``,
+    every advance is settled, by either path; otherwise the group
+    function only writes the moved states back (it runs untraced, and no
+    other store's ``settle`` does more than trace).  :meth:`flush` runs
+    once at the end of a call that moved anything.  The trigger system
+    calls :meth:`create`, :meth:`activate`, :meth:`deactivate` and
+    :meth:`drop`, and :meth:`write_back` from
     ``Database.flush_transaction``.
     """
 
@@ -511,22 +513,29 @@ class StateStore:
         under the current schema version (the trigger system's memo)."""
         machine.adopt(self.system.resolve(machine.state))
 
-    def advancer(self, tier: "CompiledTier", machine: Machine):
-        """*machine*'s generated closure, ``None`` if *tier* withholds it
-        (the trigger system's memo asks *tier* once per trigger kind)."""
-        return self.system.advancer(tier, machine)
-
     def kernel(self, group, tier: "CompiledTier"):
         """The group function that advances *group* as a whole, or
-        ``None``: the kernel loop serves it.  Only the 2PL store has one."""
-        return None
+        ``None``: the kernel loop interprets it.  *tier* is asked once per
+        group per schema version and membership, with the group's
+        signature, and with its entries' resolutions if it has no function
+        for it yet (both from the trigger system's memo)."""
+        if not isinstance(group, Group):
+            return None  # no group: nothing is active
+        version = schema_version()
+        if group.kernel_version != version:
+            kinds, system = group.kinds, self.system
+            group.kernel = tier.group_function(
+                system.signature(kinds), lambda: system.resolutions(kinds)
+            )
+            group.kernel_version = version
+        return group.kernel
 
     def settle(
         self, machine, obj, old_state, eventnum, occurrence, outcomes, span
     ) -> None:
         """Record an advance (already in the working copy).  *outcomes* is
-        what each evaluated mask said, or ``None`` when the generated
-        closure ran."""
+        what each interpreted mask said, or ``None`` when the entry's
+        generated code ran."""
 
     def flush(self, group, moved: int) -> None:
         """Make the *moved* advances of *group* (a :class:`Group`, or the
@@ -572,19 +581,6 @@ class LockInPlaceStates(StateStore):
                 rid, decode_heads(self.storage.read(self.txid, rid)), self.system.resolved
             )
         return group
-
-    def kernel(self, group, tier):
-        """The serving rule: a group loaded lazily whose machines no caller
-        has built (``statenums`` is set), and whose every entry's kind the
-        tier compiles (``TriggerSystem.group_kernel``).  Asked once per
-        group per schema version."""
-        if not isinstance(group, Group) or group.statenums is None:
-            return None
-        version = schema_version()
-        if group.kernel_version != version:
-            group.kernel = self.system.group_kernel(tier, group.kinds)
-            group.kernel_version = version
-        return group.kernel
 
     def create(self, anchor, state):
         rid = self.storage.insert(self.txid, encode_group(anchor, 1, (0,), (state,)))
@@ -639,14 +635,14 @@ class VolatileStates(StateStore):
     """Local rules (Section 8) and commit-time replay: states are plain
     memory, so advancing is an assignment — no record, no lock, no log.
     Its owner hands the kernel the machines already resolved, and has no
-    registry to ask again."""
+    registry to ask again: the tier is asked with the machines
+    themselves, per posting."""
 
     def refresh(self, machine):
         machine.version = schema_version()
-        machine.advance = None
 
-    def advancer(self, tier, machine):
-        return tier.advancer_for(machine.info, machine.defining)
+    def kernel(self, machines, tier):
+        return tier.group_function(tuple([id(m.info) for m in machines]), lambda: machines)
 
 
 def start_machine(stats: PostingStats, info: TriggerInfo, obj: Any, args: tuple):
@@ -685,9 +681,57 @@ def serving_tier(system) -> "CompiledTier | None":
     return system.compiled if system.compiled_enabled and not obs.ENABLED else None
 
 
+def interpret(
+    stats: PostingStats,
+    info: TriggerInfo,
+    statenum: int,
+    eventnum: int,
+    obj: Any,
+    params,
+    occurrence: EventOccurrence,
+    outcomes: dict | None = None,
+    replay: Mapping | None = None,
+    span: int = 0,
+) -> tuple[int, bool]:
+    """The interpreter step: advance a machine of kind *info* from
+    *statenum* on one event — its integer-keyed FSM, evaluating masks and
+    feeding the ``True``/``False`` pseudo-events until quiescent — and
+    return ``(new state, accepted)``.  :func:`advance_all` runs it per
+    machine, the group function per entry whose kind holds no ODE4xx
+    proof.  *outcomes*, if given, gets what each evaluated mask said.
+    *replay* maps mask names to the outcomes recorded when the event was
+    first posted: the step answers from it and evaluates live only what
+    it lacks."""
+
+    def evaluate(mask_name: str) -> bool:
+        if replay is not None and mask_name in replay:
+            return replay[mask_name]
+        outcome = bool(info.masks[mask_name](obj, params, occurrence))
+        # Counted once it returned, as the generated code counts: a mask
+        # that raises is no evaluation.
+        stats.masks_evaluated_posting += 1
+        if outcomes is not None:
+            outcomes[mask_name] = outcome
+        if obs.ENABLED:
+            obs.emit(
+                "mask.eval", span, mask=mask_name, trigger=info.name,
+                outcome=outcome, phase="posting",
+            )
+        return outcome
+
+    result = info.fsm.advance(statenum, eventnum, evaluate)
+    if span:
+        obs.emit(
+            "fsm.advance", span, trigger=info.name, from_state=statenum,
+            to_state=result.state, consumed=result.consumed,
+            accepted=result.accepted, pseudo_steps=result.pseudo_steps,
+        )
+    stats.fsm_advances += 1
+    return result.state, result.accepted
+
+
 def advance_all(
     stats: PostingStats,
-    tier: "CompiledTier | None",
     store: StateStore,
     machines,
     eventnum: int,
@@ -695,83 +739,34 @@ def advance_all(
     occurrence: EventOccurrence,
     span: int = 0,
     replay: Mapping | None = None,
+    fallback: bool = False,
 ) -> list[Machine]:
-    """The posting kernel loop: advance every machine in *machines* — a
+    """The kernel loop: interpret every machine in *machines* — a
     :class:`Group` (iterating it builds its machines), or volatile ones —
     on one event and return the ones that accepted, in order.  Nothing
     fires here; the moved ones are settled with *store*, which is flushed
-    once at the end.
-
-    With a *tier* a machine runs its generated closure (a withheld ODE4xx
-    proof counts one ``compiled_fallbacks`` per advance); otherwise its
-    integer-keyed FSM is interpreted, evaluating masks and feeding the
-    ``True``/``False`` pseudo-events until quiescent.  *replay* maps mask
-    names to the outcomes recorded when the event was first posted: the
-    interpreter answers from it and evaluates live only what it lacks.
+    once at the end.  With *fallback* each advance counts one
+    ``compiled_fallbacks`` (the tier serves, but has no group function
+    for this group); *replay* is :func:`interpret`'s.
     """
     settle = store.settle
     log_ignored = store.logs_ignored_events
-    compiled = tier is not None and replay is None
     version = schema_version()
     ready: list[Machine] = []
-    # The generated path's counts, flushed once per call (also when a mask
-    # raises): per-machine attribute updates are real money at fan-out 128.
-    hits = masks_called = settled = 0
+    settled = 0
     try:
         for machine in machines:
             if machine.version != version:
                 store.refresh(machine)
             state = machine.state
             old_state = state.statenum
-            advance = None
-            if compiled:
-                advance = machine.advance
-                if advance is None:
-                    advance = machine.advance = store.advancer(tier, machine)
-                    if advance is None:
-                        stats.compiled_fallbacks += 1
-            if advance is not None:
-                outcomes = None
-                new_state, _consumed, accepted, called = advance(
-                    old_state, eventnum, obj, state.params, occurrence
-                )
-                masks_called += called
-                hits += 1
-            else:
-                info = machine.info
-                outcomes = {}
-
-                def evaluate(mask_name: str) -> bool:
-                    if replay is not None and mask_name in replay:
-                        return replay[mask_name]
-                    stats.masks_evaluated_posting += 1
-                    outcome = bool(info.masks[mask_name](obj, state.params, occurrence))
-                    outcomes[mask_name] = outcome
-                    if obs.ENABLED:
-                        obs.emit(
-                            "mask.eval",
-                            span,
-                            mask=mask_name,
-                            trigger=info.name,
-                            outcome=outcome,
-                            phase="posting",
-                        )
-                    return outcome
-
-                result = info.fsm.advance(old_state, eventnum, evaluate)
-                new_state, accepted = result.state, result.accepted
-                if span:
-                    obs.emit(
-                        "fsm.advance",
-                        span,
-                        trigger=info.name,
-                        from_state=old_state,
-                        to_state=new_state,
-                        consumed=result.consumed,
-                        accepted=accepted,
-                        pseudo_steps=result.pseudo_steps,
-                    )
-                stats.fsm_advances += 1
+            if fallback:
+                stats.compiled_fallbacks += 1
+            outcomes = {} if log_ignored else None
+            new_state, accepted = interpret(
+                stats, machine.info, old_state, eventnum, obj, state.params,
+                occurrence, outcomes, replay, span,
+            )
             if new_state != old_state or log_ignored:
                 state.statenum = new_state
                 settle(machine, obj, old_state, eventnum, occurrence, outcomes, span)
@@ -779,9 +774,6 @@ def advance_all(
             if accepted:
                 ready.append(machine)
     finally:
-        stats.compiled_hits += hits
-        stats.fsm_advances += hits
-        stats.masks_evaluated_posting += masks_called
         if settled:
             store.flush(machines, settled)
     return ready
@@ -791,31 +783,62 @@ def advance_group(
     stats: PostingStats,
     kernel,
     store: StateStore,
-    group: Group,
+    group,
     eventnum: int,
     obj: Any,
     occurrence: EventOccurrence,
 ) -> list[Machine]:
-    """What :func:`advance_all` does for a *group* that *kernel* — its
-    group function — serves: one call advances every entry's working
-    state in place (and counts the advances, hits and mask calls in
-    *stats*, also when a mask raises); the moved entries are flushed with
-    *store*; a machine is built only for each entry that accepted, and
-    re-resolved if the schema version moved since it was built."""
+    """What :func:`advance_all` does, by one call of *kernel*, the group
+    function serving *group*: a lazy :class:`Group` is advanced in its
+    own ``statenums``; built machines (a materialized group, or volatile
+    ones) hand their states in and get the moved ones back, and a store
+    that logs every advance settles each entry advanced, under the
+    current schema version.  A machine is built only for each entry of a
+    lazy group that accepted, and re-resolved if the schema version moved
+    since it was."""
     moved: list = []
-    try:
-        accepted = kernel(
-            group.statenums, eventnum, obj, group.params, occurrence, moved, stats
-        )
-    finally:
-        if moved:
-            store.flush(group, len(moved))
+    if isinstance(group, Group) and group.statenums is not None:
+        try:
+            accepted = kernel(
+                group.statenums, eventnum, obj, group.params, occurrence, moved, stats, None
+            )
+        finally:
+            if moved:
+                store.flush(group, len(moved))
+        entry = group.entry
+    else:
+        machines = group.machines if isinstance(group, Group) else group
+        statenums = [m.state.statenum for m in machines]
+        log = {} if store.logs_ignored_events else None
+        try:
+            accepted = kernel(
+                statenums, eventnum, obj, [m.state.params for m in machines],
+                occurrence, moved, stats, log,
+            )
+        finally:
+            for index, _old in moved:
+                machines[index].state.statenum = statenums[index]
+            settled = len(moved)
+            if log is not None:
+                settled = log.get(-1, 0)
+                olds = dict(moved)
+                version = schema_version()
+                for index, machine in enumerate(machines[:settled]):
+                    if machine.version != version:
+                        store.refresh(machine)
+                    store.settle(
+                        machine, obj, olds.get(index, statenums[index]), eventnum,
+                        occurrence, log.get(index), 0,
+                    )
+            if settled:
+                store.flush(group, settled)
+        entry = machines.__getitem__
     if not accepted:
         return accepted
     version = schema_version()
     ready = []
     for index in accepted:
-        machine = group.entry(index)
+        machine = entry(index)
         if machine.version != version:
             store.refresh(machine)
         ready.append(machine)
@@ -825,8 +848,8 @@ def advance_group(
 def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
     """The posting loop: per posting, skip on the control bit, find the
     object's group through its header, advance every entry — by the
-    group's function where the store has one, else by the kernel loop —
-    *then* fire.
+    group function where the tier serves and has one for the group, else
+    by the kernel loop — *then* fire.
 
     What a batch can share — the current transaction and its state store,
     the serving tier, the ``obs.ENABLED`` check — is resolved once; the
@@ -876,12 +899,11 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
         kernel = None if tier is None else store.kernel(group, tier)
         if kernel is None:
             ready = advance_all(
-                stats, tier, store, group, eventnum, obj, occurrence, span
+                stats, store, group, eventnum, obj, occurrence, span,
+                fallback=tier is not None,
             )
         else:
-            ready = advance_group(
-                stats, kernel, store, group, eventnum, obj, occurrence
-            )
+            ready = advance_group(stats, kernel, store, group, eventnum, obj, occurrence)
         if ready:
             # Fire only after every trigger has had the basic event posted
             # — "to prevent the action of one trigger from affecting the

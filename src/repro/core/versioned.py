@@ -273,12 +273,20 @@ class AdvanceBuffer(StateStore):
     def _lock(self, group: BufferedGroup) -> None:
         """Take the group's X lock before a membership change, then adopt
         the membership committed meanwhile: it cannot move again until
-        this transaction commits."""
+        this transaction commits.
+
+        The head is read under the commit mutex: a committer releases its
+        locks in the storage commit, before it publishes its head, so the
+        X lock alone can be granted while the last change to the group is
+        not yet the head — and a serial read from the old head would be
+        handed out twice.  Nothing inside the mutex waits on the lock
+        manager, so this cannot deadlock."""
         if group.locked:
             return
         self.db.storage.lock_manager.lock(self.txid, group.rid, LockMode.X)
         group.locked = True
-        head = self.versions.committed_head(group.rid)
+        with self.versions.commit_mutex:
+            head = self.versions.committed_head(group.rid)
         if head.vid != group.base_vid:
             group.sync(head, self.system.resolved(head.states))
 
@@ -549,14 +557,13 @@ class TriggerVersionManager:
         merged = Machine(None, entry.serial, base.clone())
         merged.info, merged.defining = entry.info, entry.defining
         # A re-advance at commit is not a posting: throw-away counters, and
-        # no tier (generated closures evaluate masks live; replay must
+        # the interpreter (generated code evaluates masks live; replay must
         # answer from the recorded outcomes).
         store = VolatileStates()
         scratch = PostingStats()
         for eventnum, occurrence, outcomes in entry.events:
             advance_all(
-                scratch, None, store, (merged,),
-                eventnum, obj, occurrence, replay=outcomes,
+                scratch, store, (merged,), eventnum, obj, occurrence, replay=outcomes
             )
         return merged.state
 

@@ -9,8 +9,9 @@ Three families:
   posting stats — one posting kernel, so one property rather than one
   per pair of modes.
 * **Invalidation**: any trigger add/remove/strict-mode flip bumps the
-  schema version and evicts compiled artifacts; a redefined class must
-  never fire a stale closure — including mid-transaction.
+  schema version and evicts the tier's verdicts and group functions; a
+  redefined class must never fire a stale action — including
+  mid-transaction.
 * **Judgments**: each ODE400–ODE404 refusal has a fixture, falls back
   cleanly, and `CompiledTier.explain` names the reason.
 """
@@ -18,6 +19,7 @@ Three families:
 import dataclasses
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,7 +28,6 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.analysis.compilable import classify_trigger
 from repro.core.compiled import (
-    generate_advance,
     generate_group_advance,
     global_compiled_tier,
     last_bump_reason,
@@ -289,11 +290,10 @@ def test_fast_path_engages_and_impure_falls_back(tmp_path):
     metatype = TierGadget.__metatype__
     for name in COMPILABLE_TRIGGERS:
         info = metatype.trigger_by_name(name)
+        assert tier.compiles(info, metatype)
         assert tier.explain(info) == ()
-        assert tier.artifact_for(info) is not None
-        assert "def _advance" in tier.artifact_for(info).source
     impure = metatype.trigger_by_name("Impure")
-    assert tier.artifact_for(impure) is None
+    assert not tier.compiles(impure, metatype)
     assert [d.code for d in tier.explain(impure)] == ["ODE400"]
 
 
@@ -338,20 +338,21 @@ def _hot_twice():
     ],
 )
 def test_generated_code_calls_each_mask_as_declared(name, call):
-    """The closure calls a mask with as many arguments as it declares; one
-    with no declared form (a run-time bridge's) goes through the adapter.
-    Either closure agrees with the interpreter on every state and event,
-    and reports as many mask calls as the interpreter makes — the count
+    """A one-entry group function calls the mask (bound as ``_k0m0``, its
+    params ``params[0]``) with as many arguments as it declares; one with
+    no declared form (a run-time bridge's) goes through the adapter.
+    Either function agrees with the interpreter on every state and event,
+    and counts as many mask calls as the interpreter makes — the count
     ``posting.masks_evaluated_posting`` adds up in both tiers, also when a
     cascade meets one mask twice (``HotTwice``)."""
     if name == "HotTwice":
         info = _hot_twice()
     else:
         info = TierGadget.__metatype__.trigger_by_name(name)
-    declared = generate_advance(info)
-    adapted = generate_advance(dataclasses.replace(info, mask_specs={}))
-    assert call in declared.source
-    assert "_m0(obj, params, event)" in adapted.source
+    declared = generate_group_advance([info])
+    adapted = generate_group_advance([dataclasses.replace(info, mask_specs={})])
+    assert call.replace("_m0", "_k0m0").replace("params", "params[0]") in declared[1]
+    assert "_k0m0(obj, params[0], event)" in adapted[1]
     events = sorted(info.fsm.alphabet)
     crossed_twice = False
     for n, statenum, eventnum in itertools.product(
@@ -367,9 +368,11 @@ def test_generated_code_calls_each_mask_as_declared(name, call):
 
         result = info.fsm.advance(statenum, eventnum, evaluate)
         crossed_twice = crossed_twice or result.pseudo_steps > len(calls)
-        expected = (result.state, result.consumed, result.accepted, len(calls))
-        for artifact in (declared, adapted):
-            assert artifact.advance(statenum, eventnum, obj, params, _Occurrence) == expected
+        expected = (result.state, result.accepted, len(calls))
+        for function, _source in (declared, adapted):
+            working, stats = [statenum], PostingStats()
+            accepted = function(working, eventnum, obj, [params], _Occurrence, [], stats, None)
+            assert (working[0], accepted == [0], stats.masks_evaluated_posting) == expected
     assert crossed_twice == (name == "HotTwice")
 
 
@@ -408,6 +411,11 @@ KernelGadget = type(
                     action=lambda s, c: _FIRED.append("Noisy"),
                     masks={"noisy": lambda self: (_PROBES.append(1), True)[1]},
                     perpetual=True),
+            trigger("Brittle", "Tick & brittle",
+                    action=lambda s, c: _FIRED.append("Brittle"),
+                    masks={"brittle": lambda self: (
+                        _PROBES.append(1), 10 // (self.n - 13) > 0)[1]},
+                    perpetual=True),
             trigger("Once", "Tock, Tock", action=lambda s, c: _FIRED.append("Once")),
         ],
     },
@@ -417,6 +425,7 @@ KernelGadget = type(
 _INTERLEAVED = [("Seq",), ("Seq",), ("Hot",), ("Seq",), ("Low", 5), ("Odd",), ("Once",)]
 _WITHHELD = [("Seq",), ("Hot",), ("Noisy",), ("Seq",)]
 _SHAKY = [("Seq",), ("Seq",), ("Shaky",), ("Seq",)]
+_BRITTLE = [("Seq",), ("Seq",), ("Brittle",), ("Seq",)]
 
 #: Each transaction's ops: an event name, ("n", value) or "materialize".
 _MIXED_SCRIPT = [
@@ -434,17 +443,18 @@ def engine(request):
 
 
 def _kernel_calls(monkeypatch) -> list:
-    """Count the postings the group function serves."""
-    from repro.core import posting
+    """Count the postings the group function serves, persistent or local."""
+    from repro.core import monitored, posting
 
     calls = []
     real = posting.advance_group
 
     def counted(*args):
-        calls.append(args[3].rid)
+        calls.append(getattr(args[3], "rid", None))
         return real(*args)
 
     monkeypatch.setattr(posting, "advance_group", counted)
+    monkeypatch.setattr(monitored, "advance_group", counted)
     return calls
 
 
@@ -455,10 +465,10 @@ def _stored_statenums(db, ptr):
 
 def _run_group(path, engine, activations, script, loop, cls=KernelGadget):
     """Run *script* on one object carrying *activations*; with *loop*,
-    every transaction first builds the group's machines, so the kernel
-    loop serves it.  Returns what must not depend on which one did:
-    firings, each transaction's (statenums, stats delta, whether the
-    group was marked dirty), and the committed statenums."""
+    the compile tier is off, so the kernel loop interprets every posting.
+    Returns what must not depend on which one served: firings, each
+    transaction's (statenums, stats delta, whether the group was marked
+    dirty), and the committed statenums."""
     db = Database.open(path, engine=engine)
     try:
         with db.transaction():
@@ -468,13 +478,12 @@ def _run_group(path, engine, activations, script, loop, cls=KernelGadget):
                 getattr(h, name)(*args)
         _FIRED.clear()
         system = db.trigger_system
+        system.compiled_enabled = not loop
         seen = []
         for ops in script:
             before = system.stats.snapshot()
             with db.transaction() as txn:
                 h = db.deref(ptr)
-                if loop:
-                    list(system.index.lookup(txn, ptr.rid))
                 raised = []
                 for op in ops:
                     if op == "materialize":
@@ -495,24 +504,53 @@ def _run_group(path, engine, activations, script, loop, cls=KernelGadget):
         db.close()
 
 
+#: What the tier counts, which the interpreted reference leaves at 0.
+_TIER_COUNTERS = ("compiled_hits", "compiled_fallbacks")
+
+
+def _without_tier_counters(run):
+    fired, seen, stored = run
+    return fired, [
+        (statenums, {k: v for k, v in delta.items() if k not in _TIER_COUNTERS},
+         dirty, raised)
+        for statenums, delta, dirty, raised in seen
+    ], stored
+
+
 def _kernel_equals_loop(tmp_path, monkeypatch, engine, activations, script):
+    """Run *script* interpreted, then compiled: everything but the tier's
+    own counters must agree.  Returns the compiled run and the postings
+    the group function served."""
     calls = _kernel_calls(monkeypatch)
     looped = _run_group(str(tmp_path / "loop"), engine, activations, script, True)
     assert calls == []
     served = _run_group(str(tmp_path / "kernel"), engine, activations, script, False)
-    assert served == looped
+    assert _without_tier_counters(served) == _without_tier_counters(looped)
     return served, calls
 
 
+def _postings(script):
+    return sum(isinstance(op, str) and op != "materialize" for ops in script for op in ops)
+
+
 def test_group_function_matches_each_closure():
-    """The generated group function against the per-trigger closures, one
-    entry after the other, on every state of every entry and every event:
-    the same new states, moves, acceptances and mask calls."""
+    """The generated group function against the interpreter
+    (``info.fsm.advance`` with the same masks), one entry after the
+    other, on every state of every entry and every event: the same new
+    states, moves, acceptances and mask calls — with every entry
+    compiled, and with some entries run by the interpreter step inside
+    the function."""
     metatype = KernelGadget.__metatype__
     infos = [metatype.trigger_by_name(name) for name, *_ in _INTERLEAVED]
-    function, source = generate_group_advance(infos)
+    for interpreted in ((), (2,), (0, 3, 6)):
+        _group_function_matches_the_interpreter(infos, interpreted)
+
+
+def _group_function_matches_the_interpreter(infos, interpreted):
+    proofs = [i not in interpreted for i in range(len(infos))]
+    function, source = generate_group_advance(infos, proofs)
     assert source.count("s = statenums[") == len(infos)
-    closures = [generate_advance(info).advance for info in infos]
+    assert source.count("_step(") == len(interpreted)
     params = [{"floor": 5} if info.params else {} for info in infos]
     events = sorted(set().union(*(info.fsm.alphabet for info in infos)))
     rng = random.Random(1996)
@@ -524,37 +562,45 @@ def test_group_function_matches_each_closure():
         for eventnum in events:
             expected_states, expected_moved, expected_accepted = [], [], []
             expected_calls = 0
-            for i, (closure, old) in enumerate(zip(closures, statenums)):
-                new, _consumed, accepted, calls = closure(
-                    old, eventnum, obj, params[i], _Occurrence
-                )
-                expected_states.append(new)
-                if new != old:
+            for i, (info, old) in enumerate(zip(infos, statenums)):
+                calls = []
+
+                def evaluate(mask_name, info=info, i=i, calls=calls):
+                    calls.append(mask_name)
+                    return bool(info.masks[mask_name](obj, params[i], _Occurrence))
+
+                result = info.fsm.advance(old, eventnum, evaluate)
+                expected_states.append(result.state)
+                if result.state != old:
                     expected_moved.append((i, old))
-                if accepted:
+                if result.accepted:
                     expected_accepted.append(i)
-                expected_calls += calls
+                expected_calls += len(calls)
             working, moved = list(statenums), []
             stats = PostingStats()
-            accepted = function(working, eventnum, obj, params, _Occurrence, moved, stats)
+            accepted = function(
+                working, eventnum, obj, params, _Occurrence, moved, stats, None
+            )
             assert (working, moved, accepted) == (
                 expected_states, expected_moved, expected_accepted
             )
-            assert stats.compiled_hits == stats.fsm_advances == len(infos)
+            assert stats.fsm_advances == len(infos)
+            assert stats.compiled_hits == len(infos) - len(interpreted)
+            assert stats.compiled_fallbacks == len(interpreted)
             assert stats.masks_evaluated_posting == expected_calls
 
 
 def test_interleaved_kinds_kernel_equals_loop(tmp_path, monkeypatch, engine):
     """Kinds interleaved in one group (Seq, Seq, Hot, Seq, ...), with a
     deferred, a once-only and a params mask: the group function serves
-    every posting of a transaction until its machines are built — by a
+    every posting, also after the group's machines are built — by a
     caller ("materialize") or by the once-only trigger's deactivation —
     and changes nothing anyone can see."""
     (fired, seen, _stored), calls = _kernel_equals_loop(
         tmp_path, monkeypatch, engine, _INTERLEAVED, _MIXED_SCRIPT
     )
     assert {"Seq", "Hot", "Low", "Odd", "Once"} <= set(fired)
-    assert calls
+    assert len(calls) == _postings(_MIXED_SCRIPT)
     for _statenums, delta, _dirty, _raised in seen:
         assert delta["compiled_fallbacks"] == 0
         assert delta["compiled_hits"] == delta["fsm_advances"]
@@ -563,14 +609,15 @@ def test_interleaved_kinds_kernel_equals_loop(tmp_path, monkeypatch, engine):
 def test_a_withheld_proof_sends_the_whole_group_to_the_loop(
     tmp_path, monkeypatch, engine
 ):
-    """One entry without an ODE4xx proof in the middle of the group: no
-    group function, every entry advances in the kernel loop, and
-    ``compiled_fallbacks`` counts that entry once per advance."""
+    """One entry without an ODE4xx proof in the middle of the group: the
+    group function still serves every posting, that entry interpreted
+    inside it, and ``compiled_fallbacks`` counts that entry once per
+    advance."""
     script = [["Tick", ("n", 5), "Tick", "Tock"], ["Tock", "Tick"]]
     (fired, seen, _stored), calls = _kernel_equals_loop(
         tmp_path, monkeypatch, engine, _WITHHELD, script
     )
-    assert calls == []
+    assert len(calls) == _postings(script)
     assert "Noisy" in fired
     for ops, (_statenums, delta, _dirty, _raised) in zip(script, seen):
         posted = sum(isinstance(op, str) for op in ops)
@@ -604,23 +651,144 @@ def test_a_mask_raising_mid_group_leaves_what_the_loop_leaves(
     assert first[2]
 
 
+def test_an_interpreted_mask_raising_between_compiled_entries(
+    tmp_path, monkeypatch, engine
+):
+    """Brittle has no ODE4xx proof (its mask is impure) and its mask
+    raises at n == 13, between compiled entries.  The group function
+    interprets it in place and leaves what the loop leaves: the entries
+    before it moved (the group dirty) and are counted, Brittle and the
+    entry after it are not advanced, and the raising call is no mask
+    evaluation."""
+    script = [
+        [("n", 13), "Tick", ("n", 14), "Tock", "Tick"],
+        ["Tick", ("n", 13), "Tock", "Tick"],
+    ]
+    (_fired, seen, _stored), calls = _kernel_equals_loop(
+        tmp_path, monkeypatch, engine, _BRITTLE, script
+    )
+    assert len(calls) == _postings(script)
+    assert [raised for *_, raised in seen] == [["Tick"], ["Tick"]]
+    first = _run_group(
+        str(tmp_path / "first"), engine, _BRITTLE, [[("n", 13), "Tick"]], False
+    )[1][0]
+    assert first[0] == [1, 1, 0, 0]  # Seq, Seq advanced; Brittle raised; the last not
+    assert first[1]["fsm_advances"] == first[1]["compiled_hits"] == 2
+    assert first[1]["compiled_fallbacks"] == 1
+    assert first[1]["masks_evaluated_posting"] == 0
+    assert first[1]["state_writes"] == 2
+    assert first[2]
+
+
 def test_a_group_too_large_to_unroll_takes_the_loop(tmp_path, monkeypatch, engine):
     """Past ``GROUP_UNROLL_BUDGET`` nodes a signature gets no group
-    function: its groups advance closure by closure in the kernel loop,
-    every advance still a compiled hit."""
+    function: its groups are interpreted in the kernel loop, every
+    advance a counted fallback."""
     from repro.core import compiled
 
     monkeypatch.setattr(compiled, "GROUP_UNROLL_BUDGET", 10)
+    compiled.bump_schema_version("test: a smaller group budget")
     script = [["Tick", "Tock"], [("n", 5), "Tick"]]
-    (fired, seen, _stored), calls = _kernel_equals_loop(
-        tmp_path, monkeypatch, engine, _INTERLEAVED[:4], script
-    )
+    try:
+        (fired, seen, _stored), calls = _kernel_equals_loop(
+            tmp_path, monkeypatch, engine, _INTERLEAVED[:4], script
+        )
+    finally:
+        monkeypatch.undo()
+        compiled.bump_schema_version("test: the group budget restored")
     assert calls == []
     assert fired == ["Seq"] * 3 + ["Hot"]
     for ops, (_statenums, delta, _dirty, _raised) in zip(script, seen):
         posted = sum(isinstance(op, str) for op in ops)
-        assert delta["compiled_fallbacks"] == 0
-        assert delta["compiled_hits"] == delta["fsm_advances"] == 4 * posted
+        assert delta["compiled_hits"] == 0
+        assert delta["compiled_fallbacks"] == delta["fsm_advances"] == 4 * posted
+
+
+def test_past_the_memo_cap_a_new_signature_takes_the_loop(tmp_path, monkeypatch):
+    """Once ``KERNEL_MEMO_MAX`` signatures are memoized, a group of a new
+    signature is interpreted, each advance a counted fallback."""
+    from repro.core import compiled
+
+    monkeypatch.setattr(compiled, "KERNEL_MEMO_MAX", 0)
+    compiled.bump_schema_version("test: a full group-function memo")
+    script = [["Tick", "Tock"]]
+    try:
+        (_fired, seen, _stored), calls = _kernel_equals_loop(
+            tmp_path, monkeypatch, "mm", _INTERLEAVED[:4], script
+        )
+    finally:
+        monkeypatch.undo()
+    assert calls == []
+    (_statenums, delta, _dirty, _raised), = seen
+    assert delta["compiled_hits"] == 0
+    assert delta["compiled_fallbacks"] == delta["fsm_advances"] == 8
+
+
+#: A monitored twin of KernelGadget's Seq, Hot and Noisy, for local rules.
+LocalKernelGadget = type(
+    "LocalKernelGadget",
+    (Monitored,),
+    {
+        "__init__": lambda self: setattr(self, "n", 5),
+        "__events__": ["Tick", "Tock"],
+        "__masks__": {"hot": lambda self: self.n > 3},
+        "__triggers__": [
+            trigger("Seq", "Tick, Tock", action=lambda s, c: _FIRED.append("Seq"),
+                    perpetual=True),
+            trigger("Hot", "Tick & hot", action=lambda s, c: _FIRED.append("Hot"),
+                    perpetual=True),
+            trigger("Noisy", "Tick & noisy",
+                    action=lambda s, c: _FIRED.append("Noisy"),
+                    masks={"noisy": lambda self: (_PROBES.append(1), True)[1]},
+                    perpetual=True),
+        ],
+    },
+)
+
+
+@pytest.mark.parametrize("cell", ["lazy", "listed", "activated", "mvcc", "local"])
+def test_the_group_function_serves_every_store(tmp_path, monkeypatch, cell):
+    """One group function per posting in every compiled cell: a lazily
+    loaded 2PL group, a 2PL group whose machines ``active_triggers`` or an
+    activation built, an MVCC buffered group and local rules — each with
+    an entry (Noisy) interpreted inside it."""
+    calls = _kernel_calls(monkeypatch)
+    _FIRED.clear()
+    if cell == "local":
+        system = LocalTriggerSystem()
+        handle = system.monitor(LocalKernelGadget())
+        handle.Seq()
+        handle.Hot()
+        handle.Noisy()
+        handle.post_event("Tick")
+        handle.post_event("Tock")
+        stats = system.stats.snapshot()
+    else:
+        cc = "mvcc" if cell == "mvcc" else "2pl"
+        db = Database.open(str(tmp_path / cell), engine="mm", trigger_cc=cc)
+        try:
+            with db.transaction():
+                h = db.pnew(KernelGadget)
+                ptr = h.ptr
+                for name in ("Seq", "Hot", "Noisy"):
+                    getattr(h, name)()
+            db.trigger_system.stats.reset()
+            with db.transaction():
+                h = db.deref(ptr)
+                h.n = 5
+                if cell == "listed":
+                    db.trigger_system.active_triggers(ptr)
+                elif cell == "activated":
+                    h.Seq()
+                h.post_event("Tick")
+                h.post_event("Tock")
+            stats = db.trigger_system.stats.snapshot()
+        finally:
+            db.close()
+    assert len(calls) == 2
+    assert sorted(_FIRED) == ["Hot", "Noisy", "Seq"] + (["Seq"] if cell == "activated" else [])
+    assert stats["compiled_fallbacks"] == 2
+    assert stats["compiled_hits"] == stats["fsm_advances"] - 2
 
 
 def _define_stale_group(tag):
@@ -648,7 +816,8 @@ def test_a_schema_bump_after_a_lazy_load_and_after_a_partial_build(
     posting fires the new actions.  Then X's machine is built (it
     accepted), the class is redefined again, and X fires the newest action
     — the built machine is re-resolved before it fires — as do the W
-    entries the group function never built."""
+    entries the group function never built.  With *loop* every machine
+    is built before the first bump, and is re-resolved the same way."""
     calls = _kernel_calls(monkeypatch)
     _define_stale_group("v1")
     db = Database.open(str(tmp_path / "bump"), engine=engine)
@@ -676,18 +845,19 @@ def test_a_schema_bump_after_a_lazy_load_and_after_a_partial_build(
         assert _FIRED == (
             [("v2", "X")] + [("v2", "W")] * 3 + [("v3", "X")] + [("v3", "W")] * 3
         )
-        assert bool(calls) != loop
+        assert len(calls) == 4
     finally:
         db.close()
 
 
-def test_a_materialized_group_never_goes_back_to_the_group_function(
+def test_a_materialized_group_is_served_from_the_states_it_holds(
     tmp_path, monkeypatch, engine
 ):
     """Once a caller has built a group's machines (``index.lookup``
     iterated, ``active_triggers``), every later posting in the transaction
-    runs the kernel loop over them — starting from the states the group
-    function left — and the next transaction loads the group lazily
+    hands the group function the machines' states — starting from the
+    states the group function left in place — and writes the moved ones
+    back into the machines; the next transaction loads the group lazily
     again."""
     calls = _kernel_calls(monkeypatch)
     db = Database.open(str(tmp_path / "materialize"), engine=engine)
@@ -707,12 +877,13 @@ def test_a_materialized_group_never_goes_back_to_the_group_function(
             assert group.statenums is None
             _FIRED.clear()
             h.post_event("Tock")
-            assert len(calls) == 1  # the loop served it
+            assert len(calls) == 2  # served from the built machines
+            assert [m.state.statenum for m in group] == [2, 2, 0, 2]
             assert _FIRED == ["Seq"] * 3
         assert _stored_statenums(db, ptr) == [2, 2, 0, 2]
         with db.transaction():
             db.deref(ptr).post_event("Tick")
-        assert len(calls) == 2
+        assert len(calls) == 3
     finally:
         db.close()
 
@@ -768,14 +939,16 @@ def test_register_shim_bumps_schema_version():
 
 
 def test_bump_evicts_cached_artifacts():
+    """A schema bump empties the tier's group-function memo."""
     tier = global_compiled_tier()
     metatype = TierGadget.__metatype__
     info = metatype.trigger_by_name("Pair")
-    assert tier.advancer_for(info, metatype) is not None
+    entries = [types.SimpleNamespace(info=info, defining=metatype)]
+    assert tier.group_function((id(info),), lambda: entries) is not None
     assert tier.cached_count() > 0
     _define_stale_demo("evict")
     assert tier.cached_count() == 0  # version check dropped everything
-    assert tier.advancer_for(info, metatype) is not None  # recompiles
+    assert tier.group_function((id(info),), lambda: entries) is not None  # again
 
 
 def test_redefined_class_never_fires_stale_closure(tmp_path):

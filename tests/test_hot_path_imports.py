@@ -26,8 +26,11 @@ HOT_PATH = [
     ("repro.core.wrappers", ("make_method_wrapper", "wrapper")),
     ("repro.core.posting", ("_post",)),
     ("repro.core.posting", ("advance_all",)),
+    ("repro.core.posting", ("interpret",)),
     ("repro.core.posting", ("advance_group",)),
-    ("repro.core.posting", ("LockInPlaceStates", "kernel")),
+    ("repro.core.posting", ("StateStore", "kernel")),
+    ("repro.core.posting", ("VolatileStates", "kernel")),
+    ("repro.core.compiled", ("CompiledTier", "group_function")),
     ("repro.core.posting", ("Group", "load")),
     ("repro.core.posting", ("Group", "entry")),
     ("repro.core.manager", ("TriggerSystem", "write_back")),
@@ -41,7 +44,7 @@ HOT_PATH = [
     ("repro.core.manager", ("TriggerSystem", "resolve")),
     ("repro.core.manager", ("TriggerSystem", "resolved")),
     ("repro.core.manager", ("TriggerSystem", "_resolve")),
-    ("repro.core.manager", ("TriggerSystem", "group_kernel")),
+    ("repro.core.manager", ("TriggerSystem", "signature")),
     ("repro.transactions.manager", ("TransactionBlock", "__enter__")),
     ("repro.transactions.manager", ("TransactionBlock", "__exit__")),
     ("repro.sessions.session", ("SessionTransaction", "__enter__")),

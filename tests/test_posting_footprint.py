@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro.core import compiled, posting
 from repro.core.compiled import CompiledTier
 from repro.core.declarations import trigger
 from repro.core.trigger_state import TriggerGroup
@@ -177,9 +178,12 @@ def _count_calls(monkeypatch, calls: list, owner: type, name: str) -> None:
 
 
 def test_a_warm_posting_resolves_no_trigger(cell, monkeypatch):
-    """Resolution is memoized per trigger kind: once a kind has posted, a
-    later transaction's 16 machines are loaded resolved, closure and all —
-    no registry, metatype or compiled-tier call."""
+    """Resolution is memoized per trigger kind and the group function per
+    signature: once a group has posted, a later transaction's 16 machines
+    are loaded resolved and served by the group function with no
+    registry or metatype call, no ODE4xx classification and no code
+    generation — the tier is asked once, for the group's memoized
+    function."""
     _, db = cell
     with db.transaction():
         handle = db.pnew(FanGadget)
@@ -188,21 +192,24 @@ def test_a_warm_posting_resolves_no_trigger(cell, monkeypatch):
             handle.Step()
         ptr = handle.ptr
     with db.transaction():
-        db.deref(ptr).post_event("Tick")  # warms the memo
+        db.deref(ptr).post_event("Tick")  # warms the memos
     calls: list[str] = []
     _count_calls(monkeypatch, calls, TypeRegistry, "find")
     _count_calls(monkeypatch, calls, Metatype, "trigger_info")
-    _count_calls(monkeypatch, calls, CompiledTier, "advancer_for")
+    _count_calls(monkeypatch, calls, CompiledTier, "compiles")
+    _count_calls(monkeypatch, calls, CompiledTier, "group_function")
+    _count_calls(monkeypatch, calls, compiled, "generate_group_advance")
+    _count_calls(monkeypatch, calls, posting, "advance_group")
     before = db.trigger_system.stats.snapshot()
     with db.transaction() as txn:
         handle = db.deref(ptr)  # a deref resolves the object's own class
         del calls[:]
         machines = db.trigger_system.index.lookup(txn, ptr.rid)
-        assert all(m.advance is not None for m in machines)  # resolved at load
+        assert all(m.info is not None for m in machines)  # resolved at load
         for _ in range(4):
             handle.post_event("Tick")
     stats = db.trigger_system.stats.diff(before)
-    assert calls == []
+    assert calls == ["group_function"] + ["advance_group"] * 4
     assert stats["fsm_advances"] == stats["compiled_hits"] == 4 * 16
     # From the 3rd Tick on (the 2nd here), each Tick completes every Step.
     assert stats["firings"] == 3 * 8

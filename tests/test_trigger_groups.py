@@ -516,3 +516,67 @@ def test_threaded_mvcc_activation_and_posting_keep_storage_equal_to_heads(db_pat
     finally:
         sys.setswitchinterval(interval)
         db.close()
+
+
+def test_an_activation_between_a_commit_and_its_publish_takes_a_fresh_serial(
+    db_path, monkeypatch
+):
+    """A committer releases its locks in the storage commit and publishes
+    its head after.  An activator granted the group's X lock in that
+    window must not read the old head and hand the committer's serial out
+    again.  The first committer's publish is held until the second
+    session has activated, or for 1 s — which is what happens when the
+    activation waits for the publish, as it must."""
+    db = Database.open(db_path, engine="mm", trigger_cc="mvcc")
+    try:
+        with db.transaction():
+            gadget = db.pnew(GroupGadget)
+            gadget.Watch()
+            ptr = gadget.ptr
+        versions = db.trigger_system.versions
+        real_publish = versions.publish
+        publishing = threading.Event()
+        activated = threading.Event()
+
+        def held_publish(publishes):
+            publishing.set()
+            activated.wait(timeout=1.0)
+            real_publish(publishes)
+
+        monkeypatch.setattr(versions, "publish", held_publish)
+        errors: list[Exception] = []
+
+        def activate(session, tag):
+            session.deref(ptr).Tagged(tag)
+
+        def second():
+            session = db.session("second")
+            try:
+                assert publishing.wait(timeout=30)
+                session.run(lambda txn: activate(session, "second"))
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+            finally:
+                activated.set()
+                session.close()
+
+        thread = threading.Thread(target=second)
+        thread.start()
+        first = db.session("first")
+        try:
+            first.run(lambda txn: activate(first, "first"))
+        finally:
+            first.close()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert not errors, errors
+
+        (group_rid,) = versions.heads()
+        head = versions.head_or_none(group_rid).image
+        assert [serial for serial, _ in head.entries] == [0, 1, 2]
+        assert head.next_serial == 3
+        assert TriggerGroup.decode(db.storage.peek(group_rid)) == head
+        with db.transaction():
+            assert db.trigger_system.verify_integrity() == []
+    finally:
+        db.close()

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.errors import (
+    PageError,
     ReadOnlyStorageError,
     RecordNotFoundError,
     StorageError,
@@ -654,5 +655,29 @@ def test_disk_recovers_large_records_grown_deleted_and_reinserted(tmp_path):
     with db.transaction():
         for _ in range(66):
             db.pnew(RedoBlob, payload="c" * 5000)
+    db.simulate_crash()
+    Database.open(path, engine="disk").close()
+
+
+@pytest.mark.xfail(strict=True, raises=PageError, reason=_REDO_ALLOCATES)
+def test_disk_recovers_cards_activated_in_batches(tmp_path):
+    """The same redo bug from an ordinary population: 600 cards created
+    in transactions of 100, each activating two triggers.  A first
+    activation grows the object's header and its group on pages that
+    the inserts filled, so records move behind forward pointers into
+    body segments that redo re-places; the reopen finds a slot a later
+    log record addresses already taken.  The same 600 cards in one
+    transaction, or 300 in transactions of 100, recover."""
+    from repro import Database
+    from repro.workloads.credit_card import CredCard
+
+    path = str(tmp_path / "db")
+    db = Database.open(path, engine="disk")
+    for _ in range(6):
+        with db.transaction():
+            for _ in range(100):
+                card = db.pnew(CredCard)
+                card.DenyCredit()
+                card.AutoRaiseLimit(500.0)
     db.simulate_crash()
     Database.open(path, engine="disk").close()

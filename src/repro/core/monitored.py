@@ -41,6 +41,7 @@ from repro.core.posting import (
     advance_all,
     advance_group,
     drain,
+    plain_occurrence,
     serving_tier,
     start_machine,
     user_event_int,
@@ -112,14 +113,14 @@ class MonitoredHandle:
                     self._system.post(
                         self._obj,
                         before,
-                        EventOccurrence(before, name, args, dict(kwargs)),
+                        EventOccurrence(before, name, args, kwargs),
                     )
                 result = method(*args, **kwargs)
                 if after is not None:
                     self._system.post(
                         self._obj,
                         after,
-                        EventOccurrence(after, name, args, dict(kwargs)),
+                        EventOccurrence(after, name, args, kwargs),
                     )
                 return result
 
@@ -213,7 +214,7 @@ class LocalTriggerSystem:
     def post(self, obj: Any, eventnum: int, occurrence=None) -> int:
         """Post a basic event integer to a volatile object."""
         if occurrence is None:
-            occurrence = EventOccurrence(eventnum=eventnum)
+            occurrence = plain_occurrence(eventnum)
         self.stats.events_posted += 1
         local_ids = self._by_obj.get(id(obj))
         if not local_ids:

@@ -150,6 +150,11 @@ class EventOccurrence:
     records — observe.  This also makes occurrences hashable/comparable by
     value, which the frozen dataclass always promised but a raw ``dict``
     field silently broke.
+
+    Being values, they are shared where they carry nothing but the event:
+    every posting without a method or arguments gets the one
+    :func:`plain_occurrence` of its event integer.  Member-function
+    occurrences carry their call's arguments and are built per call.
     """
 
     eventnum: int
@@ -169,6 +174,25 @@ class EventOccurrence:
 
 #: Occurrence used when masks run outside any posting (trigger activation).
 NULL_OCCURRENCE = EventOccurrence(eventnum=0)
+
+#: Bound on :func:`plain_occurrence`'s memo; past it occurrences are built
+#: fresh (equal, no longer identical).
+PLAIN_MEMO_MAX = 4096
+_PLAIN_OCCURRENCES: dict[int, EventOccurrence] = {0: NULL_OCCURRENCE}
+
+
+def plain_occurrence(eventnum: int) -> EventOccurrence:
+    """The one occurrence of a posting with no method and no arguments.
+
+    Occurrences are frozen values, so every plain posting of *eventnum*
+    can share one — the paper's posting carries nothing but the integer.
+    """
+    occurrence = _PLAIN_OCCURRENCES.get(eventnum)
+    if occurrence is None:
+        occurrence = EventOccurrence(eventnum=eventnum)
+        if len(_PLAIN_OCCURRENCES) < PLAIN_MEMO_MAX:
+            occurrence = _PLAIN_OCCURRENCES.setdefault(eventnum, occurrence)
+    return occurrence
 
 
 @dataclasses.dataclass
@@ -869,7 +893,7 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
         if batched:
             stats.batched += 1
         if occurrence is None:
-            occurrence = EventOccurrence(eventnum=eventnum)
+            occurrence = plain_occurrence(eventnum)
         span = 0
         if tracing:
             span = obs.begin_span(

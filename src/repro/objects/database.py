@@ -275,12 +275,30 @@ class Database:
         resolution, compiled-tier cache probes) are amortized across the
         batch; see
         :func:`repro.core.posting.post_many`.  Returns total firings.
+
+        A pointer into this database whose object the transaction has
+        already loaded is resolved from ``txn.cache`` as it is.  A handle
+        is used as it is, and any other pointer (null, foreign, not yet
+        loaded, dangling) goes through :meth:`deref`, errors included.
         """
         self._check_open()
         if self.trigger_system is None:
             raise TriggerError("this database has no trigger system attached")
         resolved = []
+        cache = None
         for target, name in items:
+            instance = None
+            if (
+                type(target) is PersistentPtr
+                and target.db_name == self.name
+                and not target.is_null()
+            ):
+                if cache is None:
+                    cache = self.current_session().current_txn_or_raise().cache
+                instance = cache.get(target.rid)
+            if instance is not None:
+                resolved.append((target, instance, name))
+                continue
             handle = (
                 target
                 if isinstance(target, PersistentHandle)

@@ -56,10 +56,12 @@ class PersistentHandle:
         obj: "Persistent",
         session: "Session | None" = None,
     ):
-        object.__setattr__(self, "_db", db)
-        object.__setattr__(self, "_ptr", ptr)
-        object.__setattr__(self, "_obj", obj)
-        object.__setattr__(self, "_session", session)
+        # The slots' own setters, bound once below: __setattr__ is the
+        # field-write path.
+        _set_db(self, db)
+        _set_ptr(self, ptr)
+        _set_obj(self, obj)
+        _set_session(self, session)
 
     # -- identity ------------------------------------------------------------
 
@@ -161,3 +163,8 @@ class PersistentHandle:
 
     def __repr__(self) -> str:
         return f"<PersistentHandle {self._ptr!r} -> {self._obj!r}>"
+
+
+_set_db, _set_ptr, _set_obj, _set_session = (
+    PersistentHandle.__dict__[slot].__set__ for slot in PersistentHandle.__slots__
+)

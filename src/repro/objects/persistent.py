@@ -52,12 +52,31 @@ class Persistent:
         metatype = type(self).__metatype__
         for name, fld in metatype.fields.items():
             if name in kwargs:
-                setattr(self, name, kwargs.pop(name))
+                fld.assign(self, kwargs.pop(name))
             elif fld.has_default():
-                setattr(self, name, fld.default_value())
+                fld.assign(self, fld.default_value())
         if kwargs:
             unknown = ", ".join(sorted(kwargs))
             raise SchemaError(f"{type(self).__name__} has no field(s): {unknown}")
+
+    # -- field protocol ---------------------------------------------------------
+    # Fields are non-data descriptors (reads are instance-dict hits), so the
+    # write check lives here: a declared field goes through Field.assign,
+    # any other name is an ordinary attribute.
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        fld = type(self).__metatype__.fields.get(name)
+        if fld is None:
+            object.__setattr__(self, name, value)
+        else:
+            fld.assign(self, value)
+
+    def __delattr__(self, name: str) -> None:
+        if name in type(self).__metatype__.fields:
+            raise AttributeError(
+                f"field {name!r} of {type(self).__name__} cannot be deleted"
+            )
+        object.__delattr__(self, name)
 
     # -- serialization support --------------------------------------------------
 

@@ -7,10 +7,14 @@ A persistent class declares its stored state with :func:`field`::
         cred_lim = field(float, default=0.0)
         curr_bal = field(float, default=0.0)
 
-:class:`Field` is a data descriptor: values live in the instance
-``__dict__`` (so volatile use is just attribute access), with a light type
-check on assignment so schema violations surface at the write site rather
-than at serialization time.
+:class:`Field` is a *non-data* descriptor: values live in the instance
+``__dict__``, which Python consults before a non-data descriptor, so
+reading a set field is one dict hit — what a mask pays for ``self.n``.
+The descriptor runs only for an unset field.  Writes are type-checked by
+:meth:`Field.assign`, which :meth:`Persistent.__setattr__
+<repro.objects.persistent.Persistent.__setattr__>` calls for declared
+fields, so schema violations surface at the write site rather than at
+serialization time.
 
 Note the paper's design goal 5 is structural here: triggers and events are
 *not* fields, so adding or removing them never changes the stored layout.
@@ -40,7 +44,12 @@ ALLOWED_TYPES: dict[type, str] = {
 
 
 class Field:
-    """A typed, defaultable data descriptor collected into the class schema."""
+    """A typed, defaultable field collected into the class schema.
+
+    Only ``__get__`` is defined, so a set value in the instance ``__dict__``
+    wins the attribute lookup and the descriptor is reached only for an
+    unset field (or class access, which returns the :class:`Field`).
+    """
 
     __slots__ = ("ftype", "default", "name", "nullable")
 
@@ -86,24 +95,25 @@ class Field:
                 f"got {type(value).__name__}"
             )
 
+    def assign(self, instance, value) -> None:
+        """Check *value* and store it on *instance* (an int stored in a
+        float field becomes a float)."""
+        ftype = self.ftype
+        if type(value) is not ftype:  # an exact match always passes check()
+            self.check(value)
+            if ftype is float and isinstance(value, int):
+                value = float(value)  # check() has already refused a bool
+        instance.__dict__[self.name] = value
+
     # -- descriptor protocol ---------------------------------------------------
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        try:
-            return instance.__dict__[self.name]
-        except KeyError:
-            raise AttributeError(
-                f"field {self.name!r} of {owner.__name__ if owner else '?'} "
-                "is not set"
-            ) from None
-
-    def __set__(self, instance, value) -> None:
-        self.check(value)
-        if self.ftype is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        instance.__dict__[self.name] = value
+        # A set field is found in the instance dict before this runs.
+        raise AttributeError(
+            f"field {self.name!r} of {owner.__name__ if owner else '?'} is not set"
+        )
 
     def __repr__(self) -> str:
         return f"field({self.ftype.__name__}, name={self.name!r})"

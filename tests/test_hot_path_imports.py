@@ -59,6 +59,12 @@ HOT_PATH = [
     ("repro.storage.locks", ("LockManager", "acquire_or_raise")),
     ("repro.storage.disk", ("PagedRecords", "_payload")),
     ("repro.storage.page", ("SlottedPage", "get")),
+    ("repro.objects.persistent", ("Persistent", "__setattr__")),
+    ("repro.objects.schema", ("Field", "assign")),
+    ("repro.core.posting", ("plain_occurrence",)),
+    ("repro.objects.database", ("Database", "post_many")),
+    ("repro.objects.handle", ("PersistentHandle", "__init__")),
+    ("repro.objects.handle", ("PersistentHandle", "__getattr__")),
 ]
 
 _SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)

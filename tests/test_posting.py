@@ -3,7 +3,16 @@
 import pytest
 
 from repro.core.declarations import trigger
-from repro.errors import TransactionAbort, UnknownEventError
+from repro.core.monitored import LocalTriggerSystem, Monitored
+from repro.core.posting import EventOccurrence, plain_occurrence
+from repro.errors import (
+    DanglingPointerError,
+    NoActiveTransactionError,
+    TransactionAbort,
+    UnknownEventError,
+)
+from repro.objects.database import Database
+from repro.objects.oid import NULL_PTR, PersistentPtr
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 
@@ -551,3 +560,192 @@ class TestPostMany:
             assert db.trigger_system.versions.stats.buffered_advances >= 2
         finally:
             db.close()
+
+
+#: What OccurrenceProbe's masks were handed, in posting order.
+SEEN: list = []
+
+
+def _record(self, params, event):
+    SEEN.append(event)
+    return False
+
+
+class OccurrenceProbe(Persistent):
+    """Fixture for the occurrence tests: its masks record the occurrence."""
+
+    n = field(int, default=0)
+    __events__ = ["Tick", "after bump"]
+    __masks__ = {"seen": _record}
+    __triggers__ = [
+        trigger("OnTick", "Tick & seen", action=lambda s, c: None, perpetual=True),
+        trigger(
+            "OnBump", "after bump & seen", action=lambda s, c: None, perpetual=True
+        ),
+    ]
+
+    def bump(self, by, note=""):
+        self.n += by
+
+
+class LocalProbe(Monitored):
+    __events__ = ["Tick"]
+    __masks__ = {"seen": _record}
+    __triggers__ = [
+        trigger("OnTick", "Tick & seen", action=lambda s, c: None, perpetual=True)
+    ]
+
+
+class TestOccurrenceSharing:
+    def test_plain_postings_share_one_occurrence(self, any_engine_db):
+        db = any_engine_db
+        with db.transaction():
+            probe = db.pnew(OccurrenceProbe)
+            probe.OnTick()
+            ptr = probe.ptr
+        SEEN.clear()
+        with db.transaction():
+            probe = db.deref(ptr)
+            probe.post_event("Tick")
+            probe.post_event("Tick")
+            db.post_many([(ptr, "Tick"), (probe, "Tick")])
+        assert len(SEEN) == 4
+        first = SEEN[0]
+        assert all(event == first and event is first for event in SEEN)
+        assert (first.method, first.args, dict(first.kwargs)) == ("", (), {})
+        assert plain_occurrence(first.eventnum) is first
+
+    def test_local_plain_postings_share_one_occurrence(self):
+        system = LocalTriggerSystem()
+        probe = LocalProbe()
+        handle = system.monitor(probe)
+        handle.OnTick()
+        SEEN.clear()
+        handle.post_event("Tick")
+        handle.post_event("Tick")
+        assert len(SEEN) == 2
+        assert SEEN[0] == SEEN[1] and SEEN[0] is SEEN[1]
+        assert plain_occurrence(SEEN[0].eventnum) is SEEN[0]
+
+    def test_member_function_occurrences_are_fresh(self, any_engine_db):
+        db = any_engine_db
+        with db.transaction():
+            probe = db.pnew(OccurrenceProbe)
+            probe.OnBump()
+            SEEN.clear()
+            probe.bump(2, note="a")
+            probe.bump(2, note="a")
+        assert len(SEEN) == 2
+        assert SEEN[0] == SEEN[1] and SEEN[0] is not SEEN[1]
+        assert (SEEN[0].method, SEEN[0].args, dict(SEEN[0].kwargs)) == (
+            "bump", (2,), {"note": "a"}
+        )
+        assert SEEN[0] is not plain_occurrence(SEEN[0].eventnum)
+
+    def test_caller_kwargs_mutation_leaves_the_occurrence(self, any_engine_db):
+        db = any_engine_db
+        kwargs = {"note": "a"}
+        with db.transaction():
+            probe = db.pnew(OccurrenceProbe)
+            probe.OnBump()
+            SEEN.clear()
+            probe.bump(1, **kwargs)
+        kwargs["note"] = "b"
+        assert SEEN[0].kwargs == {"note": "a"}
+        direct = EventOccurrence(SEEN[0].eventnum, "bump", (1,), kwargs)
+        kwargs["note"] = "c"
+        assert direct.kwargs == {"note": "b"}
+
+
+class TestBatchTargets:
+    """Which targets ``post_many`` resolves from the transaction cache and
+    which go through ``deref``, and that the errors do not move."""
+
+    def _counter(self, db):
+        with db.transaction():
+            handle = db.pnew(BatchCounter)
+            handle.OnAlert()
+            return handle.ptr
+
+    def test_empty_batch_outside_a_transaction(self, any_engine_db):
+        assert any_engine_db.post_many([]) == 0
+
+    def test_null_pointer_is_dangling_outside_and_inside(self, any_engine_db):
+        db = any_engine_db
+        for null in (NULL_PTR, PersistentPtr(db.name, -1)):
+            with pytest.raises(DanglingPointerError):
+                db.post_many([(null, "Alert")])
+            with db.transaction():
+                with pytest.raises(DanglingPointerError):
+                    db.post_many([(null, "Alert")])
+
+    def test_pointer_outside_a_transaction_raises(self, any_engine_db):
+        db = any_engine_db
+        ptr = self._counter(db)
+        with pytest.raises(NoActiveTransactionError):
+            db.post_many([(ptr, "Alert")])
+
+    def test_deleted_object_is_dangling(self, any_engine_db):
+        db = any_engine_db
+        ptr = self._counter(db)
+        with db.transaction():
+            db.deref(ptr)
+            db.pdelete(ptr)
+            with pytest.raises(DanglingPointerError):
+                db.post_many([(ptr, "Alert")])
+        with db.transaction():
+            with pytest.raises(DanglingPointerError):
+                db.post_many([(ptr, "Alert")])
+
+    def test_mixed_handles_and_pointers(self, any_engine_db):
+        db = any_engine_db
+        a_ptr, b_ptr = self._counter(db), self._counter(db)
+        with db.transaction():
+            a = db.deref(a_ptr)
+            fired = db.post_many(
+                [(a, "Alert"), (b_ptr, "Alert"), (a_ptr, "Alert"), (b_ptr, "Alert")]
+            )
+            assert fired == 4
+            assert a.count == 2
+        with db.transaction():
+            assert (db.deref(a_ptr).count, db.deref(b_ptr).count) == (2, 2)
+
+    def test_foreign_pointer_goes_through_its_database(self, any_engine_db, tmp_path):
+        db = any_engine_db
+        other = Database.open(str(tmp_path / "other"), engine="mm")
+        ptr = self._counter(other)
+        calls = []
+        real = other.deref
+
+        def deref(target):
+            calls.append(target)
+            return real(target)
+
+        other.deref = deref
+        with db.transaction():
+            with pytest.raises(NoActiveTransactionError):
+                db.post_many([(ptr, "Alert")])
+        assert calls == [ptr]
+
+    def test_first_named_object_is_loaded_once(self, any_engine_db, monkeypatch):
+        db = any_engine_db
+        ptr = self._counter(db)
+        reads, accesses = [], []
+        read, on_access = db.storage.read, db.trigger_system.on_access
+
+        def counting_read(txid, rid):
+            reads.append(rid)
+            return read(txid, rid)
+
+        def counting_access(txn, target, obj):
+            accesses.append(target)
+            return on_access(txn, target, obj)
+
+        monkeypatch.setattr(db.storage, "read", counting_read)
+        monkeypatch.setattr(db.trigger_system, "on_access", counting_access)
+        with db.transaction():
+            assert db.post_many([(ptr, "Alert")] * 3) == 3
+            assert reads.count(ptr.rid) == 1
+            assert accesses == [ptr]
+            assert db.deref(ptr).count == 3
+        assert reads.count(ptr.rid) == 1

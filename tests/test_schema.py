@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.core.monitored import LocalTriggerSystem
 from repro.errors import SchemaError
 from repro.objects.metatype import global_type_registry
 from repro.objects.oid import NULL_PTR, PersistentPtr
 from repro.objects.persistent import Persistent, fields_of
-from repro.objects.schema import collect_fields, field
+from repro.objects.schema import Field, collect_fields, field
 
 
 class Point(Persistent):
@@ -42,21 +43,33 @@ class TestFieldDescriptor:
 
     def test_type_check_on_assignment(self):
         p = Point()
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="'label' expects str"):
             p.label = 42
+        assert p.label == "origin"
+        with pytest.raises(SchemaError):
+            Point(label=42)
 
     def test_int_accepted_for_float_and_coerced(self):
         p = Point(x=2)
         assert p.x == 2.0
         assert isinstance(p.x, float)
+        p.y = 3
+        assert type(p.y) is float
+        with pytest.raises(SchemaError):
+            p.y = True  # a bool is not a number here, although it is an int
+        assert p.y == 3.0
 
     def test_bool_rejected_for_int_field(self):
         class Counted(Persistent):
             n = field(int, default=0)
 
         c = Counted()
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="bool is not an int"):
             c.n = True
+        with pytest.raises(SchemaError):
+            Counted(n=False)
+        c.n = 4
+        assert type(c.n) is int
 
     def test_none_allowed_when_nullable(self):
         class Maybe(Persistent):
@@ -74,8 +87,9 @@ class TestFieldDescriptor:
 
     def test_unset_field_raises_attribute_error(self):
         item = Labeled.__new__(Labeled)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="field 'name' of Labeled is not set"):
             _ = item.name
+        assert not hasattr(item, "name")
 
     def test_container_defaults_not_shared(self):
         a = Labeled(name="a")
@@ -134,3 +148,67 @@ class TestRoundtripHelpers:
 
     def test_repr_shows_fields(self):
         assert "label='origin'" in repr(Point())
+
+
+class TestFieldProtocol:
+    """What a field read, write and delete observe — the same whether the
+    write check runs in the descriptor or in ``Persistent.__setattr__``
+    (the type-check cases are in TestFieldDescriptor)."""
+
+    def test_set_field_reads_its_value(self):
+        p = Point(x=1.5)
+        assert p.x == 1.5
+        p.x = 2.5
+        assert p.x == 2.5
+
+    def test_del_of_a_declared_field_raises(self):
+        p = Point(x=1.0)
+        with pytest.raises(AttributeError):
+            del p.x
+        assert p.x == 1.0
+        item = Labeled.__new__(Labeled)
+        with pytest.raises(AttributeError):
+            del item.name
+
+    def test_class_access_returns_the_field(self):
+        assert isinstance(Point.x, Field)
+        assert Point.x is Point.__metatype__.fields["x"]
+        assert Derived.x is Point.x
+
+    def test_non_field_attributes_are_plain(self):
+        p = Point()
+        p.note = 42
+        assert p.note == 42
+        assert "note" not in p.to_fields()
+        del p.note
+        assert not hasattr(p, "note")
+
+    def test_inherited_fields_checked_in_subclass(self):
+        d = Derived()
+        with pytest.raises(SchemaError):
+            d.x = "far"
+        with pytest.raises(SchemaError):
+            Derived(label=1)
+        d.z = 1
+        assert type(d.z) is float
+
+    def test_monitored_handle_write_type_checks(self):
+        point = Point()
+        handle = LocalTriggerSystem().monitor(point)
+        with pytest.raises(SchemaError):
+            handle.label = 7
+        handle.x = 2
+        assert point.x == 2.0 and type(point.x) is float
+
+    def test_persistent_handle_write_type_checks(self, any_engine_db):
+        db = any_engine_db
+        with db.transaction():
+            handle = db.pnew(Point)
+            with pytest.raises(SchemaError):
+                handle.label = 7
+            handle.x = 2
+            ptr = handle.ptr
+        with db.transaction():
+            point = db.deref(ptr)
+            assert point.label == "origin"
+            assert point.x == 2.0 and type(point.x) is float

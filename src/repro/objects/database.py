@@ -28,6 +28,8 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Iterator
+from itertools import groupby
+from operator import itemgetter
 from typing import Any
 
 from repro import obs
@@ -280,11 +282,17 @@ class Database:
         already loaded is resolved from ``txn.cache`` as it is.  A handle
         is used as it is, and any other pointer (null, foreign, not yet
         loaded, dangling) goes through :meth:`deref`, errors included.
+
+        A target in another database is posted through that database's
+        trigger system, as its handle's ``post_event`` would post it: such
+        a batch is split into maximal runs of one database, in order, and
+        each run is one ``post_many`` of its own database.
         """
         self._check_open()
         if self.trigger_system is None:
             raise TriggerError("this database has no trigger system attached")
         resolved = []
+        foreign = None  # index in *resolved* -> its database, if not this one
         cache = None
         for target, name in items:
             instance = None
@@ -304,8 +312,20 @@ class Database:
                 if isinstance(target, PersistentHandle)
                 else self.deref(target)
             )
+            if handle.database is not self:
+                if foreign is None:
+                    foreign = {}
+                foreign[len(resolved)] = handle.database
             resolved.append((handle.ptr, handle.obj, name))
-        return self.trigger_system.post_many(self, resolved)
+        if foreign is None:
+            return self.trigger_system.post_many(self, resolved)
+        firings = 0
+        keyed = [(foreign.get(i, self), item) for i, item in enumerate(resolved)]
+        for db, run in groupby(keyed, key=itemgetter(0)):
+            if db.trigger_system is None:
+                raise TriggerError("this database has no trigger system attached")
+            firings += db.trigger_system.post_many(db, [item for _, item in run])
+        return firings
 
     def pdelete(self, ptr: PersistentPtr) -> None:
         """Free a persistent object (O++ ``pdelete``)."""

@@ -221,6 +221,21 @@ class BufferPool:
         frame.pin_count += 1
         return frame.page
 
+    def slot(self, page_no: int, slot_no: int) -> bytes | None:
+        """The bytes in one slot of *page_no* (``None`` when the slot is out
+        of range or tombstoned): fetch, read and unpin under one mutex hold.
+
+        The page is loaded, counted and checked exactly as :meth:`fetch`
+        does it, and its pin is dropped before returning, so the caller
+        never holds one.
+        """
+        with self._mutex:
+            page = self._fetch_locked(page_no)
+            try:
+                return page.get(slot_no)
+            finally:
+                self._frames[page_no].pin_count -= 1
+
     def unpin(self, page_no: int, *, dirty: bool) -> None:
         with self._mutex:
             frame = self._frames.get(page_no)

@@ -233,11 +233,7 @@ class PagedRecords:
         page_no, slot_no = unpack_rid(rid)
         if not 1 <= page_no < self._file.num_pages:
             return None
-        page = self._pool.fetch(page_no)
-        try:
-            return page.get(slot_no)
-        finally:
-            self._pool.unpin(page_no, dirty=False)
+        return self._pool.slot(page_no, slot_no)
 
     def _head(self, rid: int) -> bytes | None:
         """*rid*'s slot bytes if it holds a record (not a body), else None."""

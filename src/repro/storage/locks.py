@@ -19,6 +19,11 @@ The manager serves two callers:
   :meth:`lock`, switched by the :attr:`blocking` flag the database flips
   when a second session opens.
 
+Both callers start with the same grant-now step (:meth:`LockManager.
+_grant_now`): a request that needs no wait costs the same in either mode,
+and only what must wait differs — the serial path raises, the blocking
+path queues and sleeps.
+
 There is one lock table, guarded by one ``threading.RLock``; its
 ``threading.Condition`` is what a blocked session sleeps on (real
 ``threading`` concurrency).  A cooperative scheduler instead installs
@@ -264,33 +269,43 @@ class LockManager:
             raise DeadlockError(txid, cycle)
         return LockRequestStatus.WAIT
 
+    def _grant_now(self, txid: int, resource: object, mode: LockMode) -> bool:
+        """Grant *mode* if no wait is needed; whether *txid* now holds it.
+
+        The one fast path of both modes, under one mutex hold.  A resource
+        with no table entry — no holder, no waiter — is granted with one
+        insert, skipping the grantability scan; any other request goes
+        through :meth:`_try_grant_locked` (held at this strength, queued,
+        or grantable — a sole holder's upgrade included).  Nothing is
+        queued or counted as a wait here.
+        """
+        with self._mutex:
+            entry = self._table.get(resource)
+            if entry is not None:
+                return self._try_grant_locked(entry, txid, resource, mode)
+            # Uncontended: nobody holds or awaits *resource*.
+            entry = self._table[resource] = _LockEntry()
+            self._grant(entry, txid, resource, mode)
+            if obs.ENABLED:
+                obs.emit(
+                    "lock.acquire",
+                    txid=txid,
+                    resource=resource,
+                    mode=mode.name,
+                    upgrade=False,
+                )
+            return True
+
     def acquire_or_raise(self, txid: int, resource: object, mode: LockMode) -> None:
         """Acquire, raising :class:`LockError` on conflict.
 
         The single-session database uses this path: with one transaction at a
         time a conflict indicates a bug rather than contention, so the
-        request is neither queued nor counted as a wait.  A request on a
-        resource with no table entry — no holder, no waiter — is granted
-        with one insert, skipping the grantability scan.
+        request is neither queued nor counted as a wait.
         """
-        with self._mutex:
-            entry = self._table.get(resource)
-            if entry is None:
-                # Uncontended: nobody holds or awaits *resource*.
-                entry = self._table[resource] = _LockEntry()
-                self._grant(entry, txid, resource, mode)
-                if obs.ENABLED:
-                    obs.emit(
-                        "lock.acquire",
-                        txid=txid,
-                        resource=resource,
-                        mode=mode.name,
-                        upgrade=False,
-                    )
-                return
-            if self._try_grant_locked(entry, txid, resource, mode):
-                return
-            holders = sorted(entry.holders)
+        if self._grant_now(txid, resource, mode):
+            return
+        holders = sorted(self.holders_of(resource))
         raise LockError(
             f"transaction {txid} blocked on {resource!r} held by {holders}"
         )
@@ -312,7 +327,14 @@ class LockManager:
         and :class:`WaitPoisonedError` when the manager is poisoned while
         the caller is parked.  An already-satisfiable request is granted
         even past a deadline or poison — only *waiting* is cancelled.
+
+        A request that needs no wait is granted by :meth:`_grant_now`, the
+        same step the serial path takes; only one that must wait looks up
+        the thread's wait hooks and enters the loop below, which queues it
+        (with the deadlock check) on its first pass.
         """
+        if self._grant_now(txid, resource, mode):
+            return
         hooks = current_wait_hooks()
         wait_deadline = None
         while True:

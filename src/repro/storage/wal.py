@@ -20,6 +20,10 @@ means committed history was damaged; :meth:`WriteAheadLog.replay` raises
 :class:`~repro.errors.WALError` carrying salvage info rather than silently
 dropping committed transactions.
 
+A :class:`LogRecord` is a named tuple, so an append builds one tuple, and
+copies an image only when it is not already ``bytes``; one ``struct``
+packs the payload head through ``before_len``.
+
 The log tracks its last-fsynced offset so :meth:`WriteAheadLog.crash` can
 simulate a real process death: everything after the last force is dropped,
 exactly what the page cache would lose at power-off.
@@ -35,13 +39,13 @@ is exactly as durable as one covered by its own.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import os
 import struct
 import threading
 import zlib
 from collections.abc import Iterator
+from typing import NamedTuple
 
 from repro import obs
 from repro.errors import WALError
@@ -53,7 +57,7 @@ from repro.faults.injector import (
 )
 
 _FRAME = struct.Struct("<II")  # payload_len, crc
-_PAYLOAD_HEAD = struct.Struct("<QQBq")  # lsn, txid, kind, rid
+_PAYLOAD_HEAD = struct.Struct("<QQBqI")  # lsn, txid, kind, rid, before_len
 _LEN = struct.Struct("<I")
 
 #: Upper bound on a sane payload length, used when re-synchronizing after
@@ -74,9 +78,8 @@ class LogRecordKind(enum.IntEnum):
     SET_ROOT = 8
 
 
-@dataclasses.dataclass(frozen=True)
-class LogRecord:
-    """One entry in the write-ahead log."""
+class LogRecord(NamedTuple):
+    """One entry in the write-ahead log (read-only, as any tuple)."""
 
     lsn: int
     txid: int
@@ -86,12 +89,14 @@ class LogRecord:
     after: bytes = b""
 
     def encode(self) -> bytes:
-        payload = (
-            _PAYLOAD_HEAD.pack(self.lsn, self.txid, int(self.kind), self.rid)
-            + _LEN.pack(len(self.before))
-            + self.before
-            + _LEN.pack(len(self.after))
-            + self.after
+        lsn, txid, kind, rid, before, after = self
+        payload = b"".join(
+            (
+                _PAYLOAD_HEAD.pack(lsn, txid, kind, rid, len(before)),
+                before,
+                _LEN.pack(len(after)),
+                after,
+            )
         )
         return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
@@ -115,10 +120,8 @@ class LogRecord:
 
     @classmethod
     def decode(cls, payload: bytes) -> "LogRecord":
-        lsn, txid, kind, rid = _PAYLOAD_HEAD.unpack_from(payload, 0)
+        lsn, txid, kind, rid, blen = _PAYLOAD_HEAD.unpack_from(payload, 0)
         pos = _PAYLOAD_HEAD.size
-        (blen,) = _LEN.unpack_from(payload, pos)
-        pos += _LEN.size
         before = payload[pos : pos + blen]
         pos += blen
         (alen,) = _LEN.unpack_from(payload, pos)
@@ -206,7 +209,12 @@ class WriteAheadLog:
             raise WALError("log is closed")
         with self._mutex:
             record = LogRecord(
-                self._next_lsn, txid, kind, rid, bytes(before), bytes(after)
+                self._next_lsn,
+                txid,
+                kind,
+                rid,
+                before if before.__class__ is bytes else bytes(before),
+                after if after.__class__ is bytes else bytes(after),
             )
             self._next_lsn += 1
             frame = record.encode()

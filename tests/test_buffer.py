@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import BufferPoolError, PageError
+from repro.errors import BufferPoolError, InjectedCrashError, PageError
+from repro.faults.injector import FaultInjector
 from repro.storage.buffer import BufferPool, PagedFile, checksum_ok
 from repro.storage.interface import StorageStats
 from repro.storage.page import PAGE_SIZE, USABLE_END, SlottedPage
@@ -174,3 +175,90 @@ class TestBufferPool:
     def test_capacity_must_be_positive(self, paged_file):
         with pytest.raises(BufferPoolError):
             BufferPool(paged_file, capacity=0)
+
+
+class TestSlotRead:
+    """``BufferPool.slot`` is ``fetch`` + ``page.get`` + ``unpin`` under
+    one mutex hold: it must count, load and check exactly as they do."""
+
+    @staticmethod
+    def _pages(paged_file, count, pool):
+        pages = [paged_file.allocate_page() for _ in range(count)]
+        for page_no in pages:
+            page = pool.fetch(page_no)
+            page.insert(b"page-%d" % page_no)
+            pool.unpin(page_no, dirty=True)
+        pool.flush_all()
+        pool.drop_all()
+        return pages
+
+    def test_reads_the_slot_and_leaves_no_pin(self, paged_file):
+        pool = BufferPool(paged_file, capacity=2)
+        pages = self._pages(paged_file, 3, pool)
+        for page_no in pages:
+            assert pool.slot(page_no, 0) == b"page-%d" % page_no
+        assert all(frame.pin_count == 0 for frame in pool._frames.values())
+        pool.drop_all()
+        assert len(pool) == 0
+
+    def test_counters_move_as_fetch_and_unpin_move_them(self, paged_file):
+        pages = self._pages(paged_file, 3, BufferPool(paged_file, capacity=2))
+        reads = [0, 1, 0, 2, 1, 1, 0]
+
+        def run(read):
+            stats = StorageStats()
+            pool = BufferPool(paged_file, capacity=2, stats=stats)
+            got = [read(pool, pages[i]) for i in reads]
+            return got, (stats.page_hits, stats.page_misses, stats.page_evictions)
+
+        def via_fetch(pool, page_no):
+            page = pool.fetch(page_no)
+            try:
+                return page.get(0)
+            finally:
+                pool.unpin(page_no, dirty=False)
+
+        fused = run(lambda pool, page_no: pool.slot(page_no, 0))
+        assert fused == run(via_fetch)
+        assert fused[1] == (2, 5, 3)
+
+    def test_a_miss_fires_the_page_read_failpoint(self, tmp_path):
+        injector = FaultInjector(recording=True)
+        paged_file = PagedFile(str(tmp_path / "data.pages"), injector=injector)
+        try:
+            pool = BufferPool(paged_file, capacity=2)
+            page_no = paged_file.allocate_page()
+            before = [hit.point for hit in injector.trace].count("page.read")
+            pool.slot(page_no, 0)  # miss
+            pool.slot(page_no, 0)  # hit
+            reads = [hit.point for hit in injector.trace].count("page.read")
+            assert reads == before + 1
+        finally:
+            paged_file.close()
+
+    def test_a_failed_read_leaves_no_pin(self, tmp_path):
+        injector = FaultInjector()
+        paged_file = PagedFile(str(tmp_path / "data.pages"), injector=injector)
+        try:
+            pool = BufferPool(paged_file, capacity=2)
+            page_no = paged_file.allocate_page()
+            injector.crash_on("page.read")
+            with pytest.raises(InjectedCrashError):
+                pool.slot(page_no, 0)
+            pool.drop_all()
+        finally:
+            paged_file.close()
+
+    def test_out_of_range_and_tombstoned_slots_are_none(self, paged_file):
+        pool = BufferPool(paged_file, capacity=2)
+        page_no = paged_file.allocate_page()
+        page = pool.fetch(page_no)
+        kept = page.insert(b"kept")
+        gone = page.insert(b"gone")
+        page.delete(gone)
+        pool.unpin(page_no, dirty=True)
+        assert pool.slot(page_no, kept) == b"kept"
+        assert pool.slot(page_no, gone) is None
+        assert pool.slot(page_no, 99) is None
+        assert pool._frames[page_no].pin_count == 0
+        pool.drop_all()

@@ -57,6 +57,10 @@ HOT_PATH = [
     ("repro.core.manager", ("TriggerSystem", "_before_commit")),
     ("repro.core.manager", ("TriggerSystem", "on_access")),
     ("repro.storage.locks", ("LockManager", "acquire_or_raise")),
+    ("repro.storage.locks", ("LockManager", "acquire_blocking")),
+    ("repro.storage.buffer", ("BufferPool", "slot")),
+    ("repro.storage.wal", ("WriteAheadLog", "append")),
+    ("repro.storage.wal", ("LogRecord", "encode")),
     ("repro.storage.disk", ("PagedRecords", "_payload")),
     ("repro.storage.page", ("SlottedPage", "get")),
     ("repro.objects.persistent", ("Persistent", "__setattr__")),

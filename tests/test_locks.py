@@ -2,12 +2,19 @@
 
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DeadlockError, LockError
+from repro.errors import (
+    DeadlockError,
+    LockError,
+    LockTimeoutError,
+    TransactionDeadlineError,
+    WaitPoisonedError,
+)
 from repro.storage.locks import LockManager, LockMode, LockRequestStatus
 
 
@@ -389,3 +396,110 @@ class TestUncontendedFastPath:
         assert lm.locks_held(7) == frozenset({"r"})
         lm.release_all(7)
         assert lm._table == {}
+
+    # Both modes of ``lock()`` start with the same grant-now step; the
+    # general path is what each mode does without it.
+
+    @staticmethod
+    def lock_in_mode(blocking):
+        def acquire(lm, txid, resource, mode):
+            lm.blocking = blocking
+            lm.wait_timeout = 0.05
+            lm.lock(txid, resource, mode)
+
+        return acquire
+
+    @staticmethod
+    def general_acquire_blocking(lm, txid, resource, mode):
+        """The blocking path without the grant-now step: the wait loop's
+        first pass grants, or queues and times out."""
+        lm.wait_timeout = 0.05
+        lm._grant_now = lambda *request: False
+        try:
+            lm.acquire_blocking(txid, resource, mode)
+        finally:
+            del lm._grant_now
+
+    def test_serial_lock_matches_the_general_path(self):
+        assert self.run(self.lock_in_mode(False)) == self.run(
+            self.general_acquire_or_raise
+        )
+
+    def test_blocking_lock_matches_the_general_path(self):
+        fast = self.run(self.lock_in_mode(True))
+        general = self.run(self.general_acquire_blocking)
+        assert fast == general
+        outcomes, stats, log, records = fast
+        # The last request waited behind the queued writer and timed out.
+        assert outcomes == ["granted"] * 5 + ["refused"]
+        # One wait is the queued writer's, one the timed-out reader's.
+        assert stats["upgrades"] == 1 and stats["waits"] == 2
+        assert stats["timeouts"] == 1
+        assert log == [
+            (1, "a", "S", False),
+            (1, "a", "X", True),
+            (1, "b", "X", False),
+            (2, "c", "S", False),
+        ]
+        assert [dict(data)["upgrade"] for _kind, data in records] == [
+            False,
+            True,
+            False,
+            False,
+        ]
+
+    def test_blocking_reader_does_not_overtake_a_queued_writer(self, lm):
+        lm.blocking = True
+        lm.wait_timeout = 0.05
+        lm.lock(2, "c", LockMode.S)
+        assert lm.acquire(3, "c", LockMode.X) is WAIT
+        with pytest.raises(LockTimeoutError):
+            lm.lock(4, "c", LockMode.S)
+        assert lm.holders_of("c") == {2}
+        assert lm._table["c"].waiters == [(3, LockMode.X)]
+
+    def test_blocking_reader_is_granted_only_after_the_writer(self, lm):
+        lm.blocking = True
+        lm.lock(2, "c", LockMode.S)
+        assert lm.acquire(3, "c", LockMode.X) is WAIT
+        granted = threading.Event()
+
+        def reader():
+            lm.lock(4, "c", LockMode.S)
+            granted.set()
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            assert not granted.wait(0.05)
+            lm.release_all(2)  # the writer is granted, the reader still waits
+            assert lm.mode_held(3, "c") is LockMode.X
+            assert not granted.wait(0.05)
+            lm.release_all(3)
+            assert granted.wait(5)
+        finally:
+            lm.poison("test over")
+            thread.join(5)
+        assert lm.mode_held(4, "c") is LockMode.S
+
+    def test_grantable_request_on_a_poisoned_manager_is_granted(self, lm):
+        lm.blocking = True
+        lm.lock(1, "a", LockMode.S)
+        lm.poison("closing")
+        lm.lock(1, "a", LockMode.X)  # sole-holder upgrade
+        lm.lock(2, "b", LockMode.S)  # fresh resource
+        assert lm.mode_held(1, "a") is LockMode.X
+        assert lm.mode_held(2, "b") is LockMode.S
+        with pytest.raises(WaitPoisonedError):
+            lm.lock(2, "a", LockMode.S)  # must wait: refused
+
+    def test_grantable_request_past_its_deadline_is_granted(self, lm):
+        lm.blocking = True
+        lm.lock(1, "a", LockMode.S)
+        lm.set_deadline(1, time.monotonic() - 1)
+        lm.lock(1, "a", LockMode.X)
+        lm.lock(1, "b", LockMode.X)
+        assert lm.locks_held(1) == frozenset({"a", "b"})
+        lm.set_deadline(2, time.monotonic() - 1)
+        with pytest.raises(TransactionDeadlineError):
+            lm.lock(2, "a", LockMode.S)

@@ -727,6 +727,38 @@ class TestBatchTargets:
                 db.post_many([(ptr, "Alert")])
         assert calls == [ptr]
 
+    def test_foreign_targets_post_through_their_own_database(self, tmp_path):
+        """A batch that names two databases posts each target through its
+        own database's trigger system: the counters and the firings equal
+        what per-handle ``post_event`` gives."""
+        opened = []
+
+        def pair(tag):
+            a = Database.open(str(tmp_path / f"{tag}_a"), engine="mm")
+            b = Database.open(str(tmp_path / f"{tag}_b"), engine="mm")
+            opened.extend((a, b))
+            return a, b, self._counter(a), self._counter(b)
+
+        def firings(*dbs):
+            return [db.trigger_system.stats.firings for db in dbs]
+
+        try:
+            a, b, a_ptr, b_ptr = pair("batch")
+            with a.transaction(), b.transaction():
+                fired = a.post_many([(b_ptr, "Alert"), (a_ptr, "Alert")])
+            c, d, c_ptr, d_ptr = pair("single")
+            with c.transaction(), d.transaction():
+                d.deref(d_ptr).post_event("Alert")
+                c.deref(c_ptr).post_event("Alert")
+            assert firings(a, b) == firings(c, d) == [1, 1]
+            assert fired == sum(firings(c, d))
+            with a.transaction(), b.transaction():
+                assert a.deref(a_ptr).count == 1
+                assert b.deref(b_ptr).count == 1
+        finally:
+            for db in opened:
+                db.close()
+
     def test_first_named_object_is_loaded_once(self, any_engine_db, monkeypatch):
         db = any_engine_db
         ptr = self._counter(db)

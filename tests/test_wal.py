@@ -148,6 +148,84 @@ def test_record_encode_decode_roundtrip(txid, rid, before, after, kind):
     assert decoded == record
 
 
+class TestGoldenBytes:
+    """The frame of every record kind, byte for byte: any change to how a
+    record is built or encoded must leave the log format as it is."""
+
+    K = LogRecordKind
+    GOLDEN = [
+        (
+            LogRecord(1, 7, K.BEGIN),
+            "21000000af1016920100000000000000070000000000000001ffffffffffffffff"
+            "0000000000000000",
+        ),
+        (
+            LogRecord(2, 7, K.INSERT, 65537, b"", b"new"),
+            "24000000b054efa0020000000000000007000000000000000201000100000000"
+            "0000000000030000006e6577",
+        ),
+        (
+            LogRecord(3, 7, K.UPDATE, 65537, b"new", b"newer!"),
+            "2a000000be2eb5a8030000000000000007000000000000000301000100000000"
+            "00030000006e6577060000006e6577657221",
+        ),
+        (
+            LogRecord(4, 7, K.DELETE, 65537, b"newer!", b""),
+            "27000000cc524bdf040000000000000007000000000000000401000100000000"
+            "00060000006e657765722100000000",
+        ),
+        (
+            LogRecord(5, 7, K.SET_ROOT, -1, bytes(8), b"\x01\x00\x01" + bytes(5)),
+            "310000002b5aa35e0500000000000000070000000000000008ffffffffffffffff"
+            "080000000000000000000000080000000100010000000000",
+        ),
+        (
+            LogRecord(6, 7, K.COMMIT),
+            "21000000b9c5c3610600000000000000070000000000000005ffffffffffffffff"
+            "0000000000000000",
+        ),
+        (
+            LogRecord(2**40, 2**33, K.ABORT, -1),
+            "21000000dffc57af0000000000010000000000000200000006ffffffffffffffff"
+            "0000000000000000",
+        ),
+    ]
+
+    def test_every_kind_is_covered(self):
+        assert {record.kind for record, _ in self.GOLDEN} == set(LogRecordKind)
+
+    @pytest.mark.parametrize("record, frame", GOLDEN)
+    def test_encode_matches_the_golden_frame(self, record, frame):
+        assert record.encode().hex() == frame
+        assert LogRecord.decode(bytes.fromhex(frame)[8:]) == record
+
+    def test_append_writes_the_golden_frames(self, tmp_path):
+        path = str(tmp_path / "golden.wal")
+        log = WriteAheadLog(path)
+        for record, _ in self.GOLDEN[:6]:
+            # Images that are not bytes are copied; the frame is the same.
+            appended = log.append(
+                record.txid,
+                record.kind,
+                record.rid,
+                bytearray(record.before),
+                memoryview(record.after),
+            )
+            assert appended == record
+            assert type(appended.before) is bytes and type(appended.after) is bytes
+        log.close()
+        with open(path, "rb") as fh:
+            assert fh.read().hex() == "".join(frame for _, frame in self.GOLDEN[:6])
+
+    def test_fields_cannot_be_assigned(self):
+        record = LogRecord(1, 7, LogRecordKind.UPDATE, 3, b"a", b"b")
+        with pytest.raises(AttributeError):
+            record.lsn = 2
+        with pytest.raises(AttributeError):
+            record.after = b"c"
+        assert record == LogRecord(1, 7, LogRecordKind.UPDATE, 3, b"a", b"b")
+
+
 def test_interior_corruption_raises_with_salvage_info(tmp_path):
     """A bad frame with valid frames after it means committed history was
     damaged in place — replay must refuse, not silently drop the rest."""

@@ -37,9 +37,9 @@ edgedb ``edb/server/compiler`` artifact-cache shape): any trigger
 add/remove (class (re)compilation, shim registration) or strict-mode flip
 bumps the version and evicts everything, so a stale function can never
 fire for a redefined trigger.  Correctness never depends on codegen —
-where the tier has no function for a group (tracing wants per-mask
-events, the group is too large to unroll, too many signatures) the
-posting loop interprets it and counts ``posting.compiled_fallbacks``.
+where the tier has no function for a group (too large to unroll, too
+many signatures, a codegen failure) :func:`repro.core.posting.interpreted`
+serves it, counting ``posting.compiled_fallbacks``.
 """
 
 from __future__ import annotations
@@ -283,8 +283,8 @@ def generate_group_source(entries: Sequence[tuple], limit: int | None = None) ->
     it advanced and the masks they called to *stats*'s
     ``compiled_hits``, ``fsm_advances`` and ``masks_evaluated_posting``
     on the way out, also when a mask raises: an entry whose cascade
-    raised is neither advanced nor counted, as in the kernel loop (an
-    interpreted entry counts itself, and one ``compiled_fallbacks``).
+    raised is neither advanced nor counted, as in ``posting.interpreted``
+    (an interpreted entry counts itself, and one ``compiled_fallbacks``).
     *log* is ``None``, or a dict for a store that logs every advance:
     each interpreted entry's mask outcomes go under its index, and the
     number of entries advanced under ``-1``.  Raises :class:`PlanError`

@@ -38,7 +38,6 @@ from repro.core.posting import (
     PostingStats,
     TriggerContext,
     VolatileStates,
-    advance_all,
     advance_group,
     drain,
     plain_occurrence,
@@ -223,17 +222,10 @@ class LocalTriggerSystem:
         # The same kernel as persistent posting, over in-memory states: no
         # write lock, no log.  Fire only after every rule has seen the event.
         machines = [self._states[local_id] for local_id in local_ids]
-        tier = serving_tier(self)
-        kernel = None if tier is None else self._store.kernel(machines, tier)
-        if kernel is None:
-            ready = advance_all(
-                self.stats, self._store, machines, eventnum, obj, occurrence,
-                fallback=tier is not None,
-            )
-        else:
-            ready = advance_group(
-                self.stats, kernel, self._store, machines, eventnum, obj, occurrence
-            )
+        kernel = self._store.kernel(machines, serving_tier(self))
+        ready = advance_group(
+            self.stats, kernel, self._store, machines, eventnum, obj, occurrence
+        )
         for machine in ready:
             state = machine.state
             if state.info.coupling is CouplingMode.END:

@@ -78,8 +78,7 @@ from repro.core.posting import (
     Machine,
     PostingStats,
     StateStore,
-    VolatileStates,
-    advance_all,
+    interpret,
 )
 from repro.core.trigger_state import (
     TriggerGroup,
@@ -554,18 +553,17 @@ class TriggerVersionManager:
         *obj* (2PL on ordinary objects means nobody else changed it under
         us).
         """
-        merged = Machine(None, entry.serial, base.clone())
-        merged.info, merged.defining = entry.info, entry.defining
+        state = base.clone()
         # A re-advance at commit is not a posting: throw-away counters, and
-        # the interpreter (generated code evaluates masks live; replay must
-        # answer from the recorded outcomes).
-        store = VolatileStates()
+        # the interpreter step (generated code evaluates masks live; replay
+        # must answer from the recorded outcomes).
         scratch = PostingStats()
         for eventnum, occurrence, outcomes in entry.events:
-            advance_all(
-                scratch, store, (merged,), eventnum, obj, occurrence, replay=outcomes
-            )
-        return merged.state
+            state.statenum = interpret(
+                scratch, entry.info, state.statenum, eventnum, obj, state.params,
+                occurrence, replay=outcomes,
+            )[0]
+        return state
 
     # -- introspection ----------------------------------------------------------
 

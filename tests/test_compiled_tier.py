@@ -458,6 +458,22 @@ def _kernel_calls(monkeypatch) -> list:
     return calls
 
 
+def _tier_answers(monkeypatch) -> list:
+    """Record what the tier answers each time it is asked for a group
+    function (``None``: it has none, the group is interpreted)."""
+    from repro.core.compiled import CompiledTier
+
+    answers = []
+    real = CompiledTier.group_function
+
+    def asked(self, key, entries):
+        answers.append(real(self, key, entries))
+        return answers[-1]
+
+    monkeypatch.setattr(CompiledTier, "group_function", asked)
+    return answers
+
+
 def _stored_statenums(db, ptr):
     with db.transaction() as txn:
         return [m.state.statenum for m in db.trigger_system.index.lookup(txn, ptr.rid)]
@@ -465,7 +481,7 @@ def _stored_statenums(db, ptr):
 
 def _run_group(path, engine, activations, script, loop, cls=KernelGadget):
     """Run *script* on one object carrying *activations*; with *loop*,
-    the compile tier is off, so the kernel loop interprets every posting.
+    the compile tier is off, so the interpreter serves every posting.
     Returns what must not depend on which one served: firings, each
     transaction's (statenums, stats delta, whether the group was marked
     dirty), and the committed statenums."""
@@ -521,9 +537,10 @@ def _kernel_equals_loop(tmp_path, monkeypatch, engine, activations, script):
     """Run *script* interpreted, then compiled: everything but the tier's
     own counters must agree.  Returns the compiled run and the postings
     the group function served."""
-    calls = _kernel_calls(monkeypatch)
+    answers = _tier_answers(monkeypatch)
     looped = _run_group(str(tmp_path / "loop"), engine, activations, script, True)
-    assert calls == []
+    assert answers == []  # the tier off is never asked
+    calls = _kernel_calls(monkeypatch)
     served = _run_group(str(tmp_path / "kernel"), engine, activations, script, False)
     assert _without_tier_counters(served) == _without_tier_counters(looped)
     return served, calls
@@ -631,7 +648,8 @@ def test_a_mask_raising_mid_group_leaves_what_the_loop_leaves(
     """Shaky's mask raises at n == 13, third in the group; the transaction
     catches it and goes on.  The entries before it advanced, moved (so the
     group is X-locked and dirty) and are counted; Shaky and the entry
-    after it are not — in the group function as in the kernel loop."""
+    after it are not — in the generated group function as in the
+    interpreted one."""
     script = [
         [("n", 13), "Tick", ("n", 14), "Tock", "Tick"],
         ["Tick", ("n", 13), "Tock", "Tick"],
@@ -682,26 +700,54 @@ def test_an_interpreted_mask_raising_between_compiled_entries(
 
 def test_a_group_too_large_to_unroll_takes_the_loop(tmp_path, monkeypatch, engine):
     """Past ``GROUP_UNROLL_BUDGET`` nodes a signature gets no group
-    function: its groups are interpreted in the kernel loop, every
-    advance a counted fallback."""
+    function: its groups are interpreted, entry by entry, every advance a
+    counted fallback."""
     from repro.core import compiled
 
     monkeypatch.setattr(compiled, "GROUP_UNROLL_BUDGET", 10)
     compiled.bump_schema_version("test: a smaller group budget")
+    answers = _tier_answers(monkeypatch)
     script = [["Tick", "Tock"], [("n", 5), "Tick"]]
     try:
-        (fired, seen, _stored), calls = _kernel_equals_loop(
+        (fired, seen, _stored), _calls = _kernel_equals_loop(
             tmp_path, monkeypatch, engine, _INTERLEAVED[:4], script
         )
     finally:
         monkeypatch.undo()
         compiled.bump_schema_version("test: the group budget restored")
-    assert calls == []
+    assert answers and not any(answers)  # asked, and no function for any group
     assert fired == ["Seq"] * 3 + ["Hot"]
     for ops, (_statenums, delta, _dirty, _raised) in zip(script, seen):
         posted = sum(isinstance(op, str) for op in ops)
         assert delta["compiled_hits"] == 0
         assert delta["compiled_fallbacks"] == delta["fsm_advances"] == 4 * posted
+
+
+def test_a_tier_flip_mid_transaction_switches_the_group_function(tmp_path, engine):
+    """The interpreter's function is kept on a group beside the tier's:
+    flipping ``compiled_enabled`` between two postings to one group in
+    one transaction serves the next posting by the other one."""
+    db = Database.open(str(tmp_path / "flip"), engine=engine)
+    try:
+        with db.transaction():
+            h = db.pnew(KernelGadget)
+            ptr = h.ptr
+            for name, *args in _INTERLEAVED[:4]:
+                getattr(h, name)(*args)
+        system = db.trigger_system
+        deltas = []
+        with db.transaction():
+            h = db.deref(ptr)
+            for enabled in (True, False, True, False):
+                system.compiled_enabled = enabled
+                before = system.stats.snapshot()
+                h.post_event("Tick")
+                deltas.append(system.stats.diff(before))
+    finally:
+        db.close()
+    assert [d["compiled_hits"] for d in deltas] == [4, 0, 4, 0]
+    assert [d["fsm_advances"] for d in deltas] == [4] * 4
+    assert [d["compiled_fallbacks"] for d in deltas] == [0] * 4
 
 
 def test_past_the_memo_cap_a_new_signature_takes_the_loop(tmp_path, monkeypatch):
@@ -711,14 +757,15 @@ def test_past_the_memo_cap_a_new_signature_takes_the_loop(tmp_path, monkeypatch)
 
     monkeypatch.setattr(compiled, "KERNEL_MEMO_MAX", 0)
     compiled.bump_schema_version("test: a full group-function memo")
+    answers = _tier_answers(monkeypatch)
     script = [["Tick", "Tock"]]
     try:
-        (_fired, seen, _stored), calls = _kernel_equals_loop(
+        (_fired, seen, _stored), _calls = _kernel_equals_loop(
             tmp_path, monkeypatch, "mm", _INTERLEAVED[:4], script
         )
     finally:
         monkeypatch.undo()
-    assert calls == []
+    assert answers and not any(answers)  # asked, and no function for any group
     (_statenums, delta, _dirty, _raised), = seen
     assert delta["compiled_hits"] == 0
     assert delta["compiled_fallbacks"] == delta["fsm_advances"] == 8

@@ -25,7 +25,7 @@ HOT_PATH = [
     ("repro.objects.database", ("Database", "flush_transaction")),
     ("repro.core.wrappers", ("make_method_wrapper", "wrapper")),
     ("repro.core.posting", ("_post",)),
-    ("repro.core.posting", ("advance_all",)),
+    ("repro.core.posting", ("interpreted",)),
     ("repro.core.posting", ("interpret",)),
     ("repro.core.posting", ("advance_group",)),
     ("repro.core.posting", ("StateStore", "kernel")),

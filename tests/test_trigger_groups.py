@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core.declarations import trigger
 from repro.core.trigger_state import (
+    GROUP_MARK,
     SERIAL_MAX,
     TriggerGroup,
     TriggerId,
@@ -293,6 +294,55 @@ def test_deactivating_the_last_trigger_deletes_the_group(cell):
         assert db.trigger_system.verify_integrity() == []
         with pytest.raises(repro.errors.TriggerNotActiveError):
             db.trigger_system.deactivate(gate)
+
+
+def test_a_stale_trigger_id_is_not_active_after_its_slot_is_reused(cell):
+    """A deleted group's rid may be handed to a new record (the disk
+    engine reuses the slot): deactivating the old id then finds no group
+    record there, and says the trigger is not active."""
+    _, db = cell
+    with db.transaction():
+        gate = db.pnew(GroupGadget).Gate()
+    with db.transaction():
+        db.trigger_system.deactivate(gate)
+    with db.transaction():
+        for _ in range(5):
+            db.pnew(GroupGadget)
+    with db.transaction():
+        with pytest.raises(repro.errors.TriggerNotActiveError):
+            db.trigger_system.deactivate(gate)
+        db.trigger_system.deactivate(gate, missing_ok=True)
+
+
+def test_a_trigger_id_naming_an_object_record_is_not_active(cell):
+    _, db = cell
+    with db.transaction():
+        ptr = db.pnew(GroupGadget).ptr
+    stray = TriggerId(db.name, ptr.rid, 0)
+    with db.transaction():
+        with pytest.raises(repro.errors.TriggerNotActiveError):
+            db.trigger_system.deactivate(stray)
+        db.trigger_system.deactivate(stray, missing_ok=True)
+        assert db.deref(ptr).n == 0
+
+
+def test_a_corrupt_group_record_still_raises_on_deactivate(cell):
+    """Only a record that is no group at all means "not active": one with
+    the group mark that fails to decode is reported, ``missing_ok`` or
+    not."""
+    open_db, db = cell
+    with db.transaction():
+        gate = db.pnew(GroupGadget).Gate()
+    db.close()
+    db = open_db()
+    try:
+        with db.transaction() as txn:
+            db.storage.write(txn.txid, gate.rid, bytes([GROUP_MARK, 0]))
+        with db.transaction():
+            with pytest.raises(TriggerError, match="corrupt trigger-group record"):
+                db.trigger_system.deactivate(gate, missing_ok=True)
+    finally:
+        db.close()
 
 
 def test_pdelete_drops_the_group(cell):

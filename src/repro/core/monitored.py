@@ -8,9 +8,11 @@
 
 :class:`LocalTriggerSystem` implements both ideas:
 
-* *local rules* — trigger states live in transient memory (a list), so
-  activation, FSM advancing, and firing never touch the storage manager:
-  no records, no logging, no locks.  Experiment E9 measures the saving.
+* *local rules* — trigger states live in transient memory, one
+  :class:`LocalRules` group per object in the persistent groups' working
+  form, so activation, FSM advancing, and firing never touch the storage
+  manager: no records, no logging, no locks.  Experiment E9 measures the
+  saving.
 * *monitored classes* — any class (persistent or plain) whose declarations
   went through the active-class processor can be monitored: wrap an
   instance with :meth:`monitor` and method calls through the
@@ -34,6 +36,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.compiled import global_compiled_tier
 from repro.core.posting import (
     EventOccurrence,
+    Group,
     Machine,
     PostingStats,
     TriggerContext,
@@ -72,13 +75,46 @@ class Monitored:
 
 @dataclasses.dataclass
 class LocalTriggerState:
-    """A transient trigger state (no persistent record, no locks)."""
+    """A transient trigger state (no persistent record, no locks): what a
+    local rule's view holds."""
 
     local_id: int
     info: TriggerInfo
     obj: Any
     statenum: int
     params: dict[str, Any]
+
+
+class LocalRules(Group):
+    """One volatile object's local rules: a group in the working form of
+    the persistent ones — serials are the rules' local ids — with no
+    record, and each entry's ``TriggerInfo`` kept alongside in ``infos``
+    (there is no registry to resolve it through)."""
+
+    def __init__(self, obj: Any):
+        super().__init__(None, (None, 0, [], [], [], [], [], None))
+        self.obj = obj
+        self.infos: list[TriggerInfo] = []
+
+    def add_rule(self, local_id: int, info: TriggerInfo, statenum: int, params) -> None:
+        self.append(local_id, (info.triggernum, statenum, info.defining_type, params))
+        self.infos.append(info)
+
+    def remove(self, serial):
+        index = super().remove(serial)
+        if index is not None:
+            del self.infos[index]
+        return index
+
+    def _view(self, index):
+        info = self.infos[index]
+        state = LocalTriggerState(
+            self.serials[index], info, self.obj, self.statenums[index], self.params[index]
+        )
+        machine = Machine(None, state.local_id, state)
+        machine.info = info
+        machine.defining = getattr(type(self.obj), "__metatype__", None)
+        return machine
 
 
 class MonitoredHandle:
@@ -140,10 +176,11 @@ class LocalTriggerSystem:
     """Transient trigger states for volatile objects — zero storage cost."""
 
     def __init__(self, db: "Database | None" = None):
-        #: local id -> Machine whose ``state`` is a :class:`LocalTriggerState`
-        self._states: dict[int, Machine] = {}
+        #: id of a monitored object -> its rules
+        self._groups: dict[int, LocalRules] = {}
+        #: local id -> the rules holding it
+        self._owners: dict[int, LocalRules] = {}
         self._store = VolatileStates()
-        self._by_obj: dict[int, list[int]] = {}
         self._next_id = 1
         self._end_list: list[LocalTriggerState] = []
         self.stats = PostingStats()
@@ -181,31 +218,32 @@ class LocalTriggerSystem:
                 f"{info.coupling.value} (detached modes need transactions)"
             )
         params, statenum = start_machine(self.stats, info, obj, args)
-        state = LocalTriggerState(self._next_id, info, obj, statenum, params)
+        local_id = self._next_id
         self._next_id += 1
-        machine = self._states[state.local_id] = Machine(None, state.local_id, state)
-        machine.info = info
-        machine.defining = getattr(type(obj), "__metatype__", None)
-        self._by_obj.setdefault(id(obj), []).append(state.local_id)
-        return state.local_id
+        group = self._groups.get(id(obj))
+        if group is None:
+            group = self._groups[id(obj)] = LocalRules(obj)
+        group.add_rule(local_id, info, statenum, params)
+        self._owners[local_id] = group
+        return local_id
 
     def deactivate(self, local_id: int) -> None:
-        machine = self._states.pop(local_id, None)
-        if machine is None:
+        group = self._owners.pop(local_id, None)
+        if group is None:
             raise TriggerNotActiveError(f"local trigger {local_id} is not active")
-        owners = self._by_obj.get(id(machine.state.obj), [])
-        if local_id in owners:
-            owners.remove(local_id)
+        group.remove(local_id)
+        if not group:
+            del self._groups[id(group.obj)]
 
     def active_count(self, obj: Any | None = None) -> int:
         if obj is None:
-            return len(self._states)
-        return len(self._by_obj.get(id(obj), []))
+            return len(self._owners)
+        return len(self._groups.get(id(obj), ()))
 
     def clear(self) -> None:
         """End-of-transaction deallocation of every local state."""
-        self._states.clear()
-        self._by_obj.clear()
+        self._groups.clear()
+        self._owners.clear()
         self._end_list.clear()
 
     # -- posting --------------------------------------------------------------------
@@ -215,16 +253,15 @@ class LocalTriggerSystem:
         if occurrence is None:
             occurrence = plain_occurrence(eventnum)
         self.stats.events_posted += 1
-        local_ids = self._by_obj.get(id(obj))
-        if not local_ids:
+        group = self._groups.get(id(obj))
+        if not group:
             self.stats.skipped_no_triggers += 1
             return 0
         # The same kernel as persistent posting, over in-memory states: no
         # write lock, no log.  Fire only after every rule has seen the event.
-        machines = [self._states[local_id] for local_id in local_ids]
-        kernel = self._store.kernel(machines, serving_tier(self))
+        kernel = self._store.kernel(group, serving_tier(self))
         ready = advance_group(
-            self.stats, kernel, self._store, machines, eventnum, obj, occurrence
+            self.stats, kernel, self._store, group, eventnum, obj, occurrence
         )
         for machine in ready:
             state = machine.state
@@ -251,14 +288,14 @@ class LocalTriggerSystem:
         )
         handle = MonitoredHandle(self, state.obj)
         state.info.action(handle, ctx)
-        if not state.info.perpetual and state.local_id in self._states:
+        if not state.info.perpetual and state.local_id in self._owners:
             self.deactivate(state.local_id)
 
     def drain_end_list(self) -> None:
         """Run queued end-mode local actions (commit does; standalone use must)."""
 
         def run(state: LocalTriggerState) -> None:
-            if state.local_id in self._states or not state.info.perpetual:
+            if state.local_id in self._owners or not state.info.perpetual:
                 self._run(state)
 
         drain(self._end_list, run)

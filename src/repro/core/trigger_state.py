@@ -41,16 +41,16 @@ is one byte shorter than the one-state record :meth:`TriggerState.encode`
 writes.
 
 :func:`decode_heads` is the one parser: it returns the entries as parallel
-sequences (the heads are one ``struct`` unpack), which is all the 2PL
-store needs to advance a group with its generated function and write it
-back (:func:`pack_heads`); :func:`decode_group` builds a ``TriggerState``
-per entry from it for everyone else.
+sequences (the heads are one ``struct`` unpack), and those sequences are
+the run time's one working form of a group — every state store advances
+them with the group's function and writes them back (:func:`frame_group`
+and :func:`pack_heads`).  :func:`decode_group` builds a ``TriggerState``
+per entry from them for the tools, which want states.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import operator
 import struct
 import threading
 from collections.abc import Sequence
@@ -71,9 +71,7 @@ __all__ = [
     "TriggerState",
     "decode_group",
     "decode_heads",
-    "encode_group",
     "frame_group",
-    "pack_group",
     "pack_heads",
 ]
 
@@ -211,8 +209,7 @@ class TriggerState:
         )
 
     def clone(self) -> "TriggerState":
-        """An independent working copy (the MVCC buffer advances clones,
-        never the immutable committed snapshots)."""
+        """An independent copy (what ``active_triggers`` hands out)."""
         return TriggerState(
             triggernum=self.triggernum,
             trigobj=self.trigobj,
@@ -237,9 +234,16 @@ class TriggerGroup:
     entries: list[tuple[int, TriggerState]]
 
     def encode(self) -> bytes:
-        serials = [serial for serial, _ in self.entries]
         states = [state for _, state in self.entries]
-        return encode_group(self.anchor, self.next_serial, serials, states)
+        heads = (
+            [serial for serial, _ in self.entries],
+            [state.triggernum for state in states],
+            [state.statenum for state in states],
+            [state.trigobjtype for state in states],
+            [state.params for state in states],
+        )
+        frame = frame_group(self.anchor, self.next_serial, *heads)
+        return pack_heads(frame, *heads[:3])
 
     @classmethod
     def decode(cls, raw: bytes) -> "TriggerGroup":
@@ -247,10 +251,17 @@ class TriggerGroup:
         anchor, next_serial, serials, states, _frame = decode_group(raw)
         return cls(anchor, next_serial, list(zip(serials, states)))
 
+    @classmethod
+    def of(cls, heads: "GroupHeads") -> "TriggerGroup":
+        """The image of a group in its working form (*heads*, as
+        :func:`decode_heads` returns them)."""
+        anchor, next_serial, serials, *_entries, _frame = heads
+        return cls(anchor, next_serial, list(zip(serials, _states(heads))))
 
-# The codec works on the entries as two parallel sequences, serials and
-# states, so the run time can hand over its machines' fields without
-# pairing them first.
+
+# The codec works on the entries as parallel sequences — serials,
+# triggernums, statenums, trigobjtypes and params — the form every state
+# store advances, so a group is written back without building a state.
 
 #: A group record but for its entry heads — everything an FSM advance
 #: leaves unchanged: ``(prefix, indexes, suffix)``, the head and names,
@@ -258,59 +269,59 @@ class TriggerGroup:
 GroupFrame = tuple[bytes, tuple[int, ...], bytes]
 
 #: What :func:`decode_heads` returns: ``(anchor, next_serial, serials,
-#: triggernums, statenums, trigobjtypes, params, frame)``.
+#: triggernums, statenums, trigobjtypes, params, frame)``.  A group built
+#: at run time has the same shape, its frame ``None`` until it is framed.
 GroupHeads = tuple[
     PersistentPtr,
     int,
-    tuple[int, ...],
-    tuple[int, ...],
-    list[int],
-    tuple[str, ...],
-    list[dict[str, Any]],
-    GroupFrame,
+    Sequence[int],
+    Sequence[int],
+    Sequence[int],
+    Sequence[str],
+    Sequence[dict[str, Any]],
+    GroupFrame | None,
 ]
-
-_triggernum = operator.attrgetter("triggernum")
-_statenum = operator.attrgetter("statenum")
 
 
 def frame_group(
     anchor: PersistentPtr,
     next_serial: int,
     serials: Sequence[int],
-    states: Sequence[TriggerState],
+    triggernums: Sequence[int],
+    statenums: Sequence[int],
+    types: Sequence[str],
+    params: Sequence[dict[str, Any]],
 ) -> GroupFrame:
-    """The frame of the group record of *states* (under *serials*) on
-    *anchor*.  Refuses, with :class:`SerializationError` naming the field,
-    anything that does not fit the layout — a value of the wrong type (a
-    ``bool`` where an int belongs included) or out of its field's range."""
-    types: dict[str, int] = {}
+    """The frame of the group record on *anchor* whose entries are the
+    parallel sequences *serials* … *params*.  Refuses, with
+    :class:`SerializationError` naming the field, anything that does not
+    fit the layout — a value of the wrong type (a ``bool`` where an int
+    belongs included) or out of its field's range."""
+    type_table: dict[str, int] = {}
     indexes = []
-    params = []
     try:
-        for serial, state in zip(serials, states):
-            name = state.trigobjtype
-            index = types.get(name)
+        for serial, triggernum, statenum, name, entry_params in zip(
+            serials, triggernums, statenums, types, params
+        ):
+            index = type_table.get(name)
             if index is None:
-                index = types[name] = len(types)
+                index = type_table[name] = len(type_table)
             indexes.append(index)
-            entry_params = state.params
             if (
                 type(serial) is bool
-                or type(state.triggernum) is bool
-                or type(state.statenum) is bool
+                or type(triggernum) is bool
+                or type(statenum) is bool
                 or type(entry_params) is not dict
             ):
                 raise TypeError
-            params.append(entry_params)
         if (
             type(next_serial) is bool
-            or len(serials) != len(states)
-            or len(types) > _TYPES_MAX
+            or _ragged(serials, triggernums, statenums, types, params)
+            or len(type_table) > _TYPES_MAX
         ):
             raise TypeError
-        names = "\0".join([anchor.db_name, *types]).encode("utf-8")
-        if names.count(b"\0") != len(types):
+        names = "\0".join([anchor.db_name, *type_table]).encode("utf-8")
+        if names.count(b"\0") != len(type_table):
             raise TypeError  # a name holds a NUL
         head = _GROUP_HEAD.pack(
             GROUP_MARK, anchor.rid, next_serial, len(indexes), len(names)
@@ -318,22 +329,18 @@ def frame_group(
         prefix = head + names
     except (AttributeError, TypeError, struct.error):
         raise SerializationError(
-            _unencodable_group(anchor, next_serial, serials, states)
+            _unencodable_group(
+                anchor, next_serial, serials, triggernums, statenums, types, params
+            )
         ) from None
     suffix = bytearray()
-    encode_value(params, suffix)
+    encode_value(list(params), suffix)
     return prefix, tuple(indexes), bytes(suffix)
 
 
-def pack_group(
-    frame: GroupFrame, serials: Sequence[int], states: Sequence[TriggerState]
-) -> bytes:
-    """The group record: *frame* around the entry heads of *states* —
-    the states the frame was made from, which may have advanced since.
-    An advance rewrites a group without re-encoding its names or params."""
-    return pack_heads(
-        frame, serials, list(map(_triggernum, states)), list(map(_statenum, states))
-    )
+def _ragged(serials, *columns) -> bool:
+    """Whether a column has other than one value per serial."""
+    return any(len(column) != len(serials) for column in columns)
 
 
 def pack_heads(
@@ -342,9 +349,9 @@ def pack_heads(
     triggernums: Sequence[int],
     statenums: Sequence[int],
 ) -> bytes:
-    """:func:`pack_group` of the entry heads as three parallel sequences
-    (what :func:`decode_heads` returns), for a group whose states were
-    never built."""
+    """The group record: *frame* around the entry heads — the entries the
+    frame was made from, whose statenums may have advanced since.  An
+    advance rewrites a group without re-encoding its names or params."""
     prefix, indexes, suffix = frame
     try:
         heads = b"".join(map(_ENTRY.pack, serials, triggernums, statenums, indexes))
@@ -363,18 +370,9 @@ def pack_heads(
     return prefix + heads + suffix
 
 
-def encode_group(
-    anchor: PersistentPtr,
-    next_serial: int,
-    serials: Sequence[int],
-    states: Sequence[TriggerState],
-) -> bytes:
-    """The group record of *states* on *anchor* (see :func:`frame_group`)."""
-    frame = frame_group(anchor, next_serial, serials, states)
-    return pack_group(frame, serials, states)
-
-
-def _unencodable_group(anchor, next_serial, serials, states) -> str:
+def _unencodable_group(
+    anchor, next_serial, serials, triggernums, statenums, types, params
+) -> str:
     """Why :func:`frame_group` refused, naming the field (its slow path)."""
     fields: list[tuple[str, Any, type, Any]] = [
         ("anchor", anchor, PersistentPtr, None),
@@ -386,20 +384,21 @@ def _unencodable_group(anchor, next_serial, serials, states) -> str:
         ]
     fields += [
         ("next_serial", next_serial, int, range(SERIAL_MAX + 1)),
-        ("states", list(states), list, range(SERIAL_MAX + 1)),
+        ("states", list(statenums), list, range(SERIAL_MAX + 1)),
     ]
-    if len(serials) != len(states):
-        return f"trigger group has {len(serials)} serials for {len(states)} states"
-    types = {s.trigobjtype for s in states if isinstance(s.trigobjtype, str)}
-    if len(types) > _TYPES_MAX:
+    if _ragged(serials, triggernums, statenums, types, params):
+        return f"trigger group has {len(serials)} serials for {len(statenums)} states"
+    type_names = {name for name in types if isinstance(name, str)}
+    if len(type_names) > _TYPES_MAX:
         return (
-            f"trigger group has {len(types)} defining types, "
+            f"trigger group has {len(type_names)} defining types, "
             f"at most {_TYPES_MAX} fit"
         )
-    problem = _first_problem("trigger-group", fields + _entry_fields(serials, states))
+    entries = zip(serials, triggernums, statenums, types, params)
+    problem = _first_problem("trigger-group", fields + _entry_fields(entries))
     if problem:
         return problem
-    names = [anchor.db_name, *types]
+    names = [anchor.db_name, *type_names]
     if any("\0" in name for name in names):
         return "trigger-group names cannot contain NUL"
     if len("\0".join(names).encode("utf-8")) > _NAME_MAX:
@@ -407,14 +406,14 @@ def _unencodable_group(anchor, next_serial, serials, states) -> str:
     return "trigger group cannot be encoded"
 
 
-def _entry_fields(serials, states) -> list[tuple[str, Any, type, Any]]:
+def _entry_fields(entries) -> list[tuple[str, Any, type, Any]]:
     fields: list[tuple[str, Any, type, Any]] = []
-    for position, (serial, state) in enumerate(zip(serials, states)):
+    for position, (serial, triggernum, statenum, name, params) in enumerate(entries):
         where = f"entries[{position}]"
-        fields += _head_fields(position, serial, state.triggernum, state.statenum)
+        fields += _head_fields(position, serial, triggernum, statenum)
         fields += [
-            (f"{where} trigobjtype", state.trigobjtype, str, None),
-            (f"{where} params", state.params, dict, None),
+            (f"{where} trigobjtype", name, str, None),
+            (f"{where} params", params, dict, None),
         ]
     return fields
 
@@ -435,11 +434,15 @@ def decode_group(
 ) -> tuple[PersistentPtr, int, list[int], list[TriggerState], GroupFrame]:
     """``(anchor, next_serial, serials, states, frame)`` of a group record:
     :func:`decode_heads` with each entry's ``TriggerState`` built."""
-    anchor, next_serial, serials, triggernums, statenums, types, params, frame = (
-        decode_heads(raw)
-    )
-    states = list(map(TriggerState, triggernums, repeat(anchor), statenums, types, params))
-    return anchor, next_serial, list(serials), states, frame
+    heads = decode_heads(raw)
+    anchor, next_serial, serials, *_entries, frame = heads
+    return anchor, next_serial, list(serials), _states(heads), frame
+
+
+def _states(heads: GroupHeads) -> list[TriggerState]:
+    """Each entry of *heads* as a ``TriggerState`` of its own."""
+    anchor, _next, _serials, triggernums, statenums, types, params, _frame = heads
+    return list(map(TriggerState, triggernums, repeat(anchor), statenums, types, params))
 
 
 def decode_heads(raw: bytes) -> GroupHeads:

@@ -341,8 +341,7 @@ def test_replay_uses_posting_time_mask_outcomes():
         # new vid) so this transaction's merge takes the replay path.
         (group_rid,) = versions.heads()
         head = versions.head_or_none(group_rid)
-        fields = head.anchor, head.next_serial, head.serials, head.states, head.frame
-        versions.publish([(group_rid, fields)])
+        versions.publish([(group_rid, head.heads)])
         db.txn_manager.commit(txn)
 
         assert versions.stats.replays == 1

@@ -68,7 +68,7 @@ def test_index_vs_scan(benchmark, tmp_path, extent):
 
 
 def test_mm_ode_has_no_btrees(benchmark):
-    db = Database.open(None, engine="mm", name="e13-mm", durable=False)
+    db = Database.open(None, engine="mm", name="e13-mm")
     try:
         def attempt():
             with db.transaction():

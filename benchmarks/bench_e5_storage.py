@@ -27,7 +27,7 @@ _OUTCOMES: dict[str, tuple] = {}
 
 def _run_workload(tmp_path, engine, durable, tag):
     if engine == "mm" and not durable:
-        db = Database.open(None, engine="mm", name=f"e5-{tag}", durable=False)
+        db = Database.open(None, engine="mm", name=f"e5-{tag}")
     else:
         db = Database.open(str(tmp_path / f"e5-{tag}"), engine=engine)
     try:

@@ -1,7 +1,7 @@
 """The Dali-like main-memory storage manager (MM-Ode's substrate).
 
 Records live in a plain dictionary; transactions keep in-memory undo lists.
-Durability (optional, on by default when a path is given) follows Dali's
+Durability (whenever a path is given) follows Dali's
 checkpoint + redo-log design: mutations are appended to an operation log,
 and :meth:`checkpoint` writes a snapshot of the committed store and
 truncates the log.  Reopening loads the snapshot and replays the log.
@@ -10,8 +10,8 @@ shell in :mod:`repro.storage.interface` — the same code the disk engine
 runs, mirroring how MM-Ode "shares a great deal of run-time system code"
 with disk Ode (paper Section 5.6).
 
-With ``durable=False`` the engine is purely volatile (no files touched),
-which is the configuration the performance experiments use to isolate
+Without a path the engine is purely volatile (no files touched), which
+is the configuration the performance experiments use to isolate
 main-memory costs.
 """
 
@@ -33,22 +33,13 @@ _MAGIC = b"ODEREPMM"
 class MainMemoryStorageManager(StorageManager):
     """Transactional in-memory record store with optional durability."""
 
-    def __init__(
-        self,
-        path: str | None = None,
-        durable: bool | None = None,
-        injector: FaultInjector = NULL_INJECTOR,
-    ):
+    def __init__(self, path: str | None = None, injector: FaultInjector = NULL_INJECTOR):
         path = str(path) if path is not None else None
-        if durable is None:
-            durable = path is not None
-        if durable and path is None:
-            raise StorageError("a durable main-memory store needs a path")
         super().__init__(
             path,
-            path + ".oplog" if durable else None,
+            path + ".oplog" if path is not None else None,
             injector,
-            lambda wal, stats: HeapRecords(path if durable else None, injector),
+            lambda wal, stats: HeapRecords(path, injector),
         )
 
     # perf/trace.py wraps these by ``vars(cls)[name]``, so each engine

@@ -10,7 +10,7 @@ from repro.storage.mainmem import MainMemoryStorageManager
 
 @pytest.fixture
 def store():
-    sm = MainMemoryStorageManager(None, durable=False)
+    sm = MainMemoryStorageManager(None)
     sm.begin_transaction(1)
     yield sm
     try:
@@ -112,7 +112,7 @@ class TestDelete:
 
 class TestTransactional:
     def test_abort_rolls_back_inserts(self):
-        sm = MainMemoryStorageManager(None, durable=False)
+        sm = MainMemoryStorageManager(None)
         sm.begin_transaction(1)
         tree = BTree.create(sm, 1, order=4)
         header = tree.header_rid
@@ -169,7 +169,7 @@ class TestTransactional:
 )
 def test_btree_matches_model(ops):
     """Random insert/delete sequences behave like a dict of sets."""
-    sm = MainMemoryStorageManager(None, durable=False)
+    sm = MainMemoryStorageManager(None)
     sm.begin_transaction(1)
     tree = BTree.create(sm, 1, order=4)
     model: dict[bytes, set[int]] = {}

@@ -233,7 +233,7 @@ class TestOpenClose:
             "trigger_cc",
         }
         assert options(DiskStorageManager.__init__) == {"buffer_capacity", "injector"}
-        assert options(MainMemoryStorageManager.__init__) == {"durable", "injector"}
+        assert options(MainMemoryStorageManager.__init__) == {"injector"}
 
 
 class TestCatalog:

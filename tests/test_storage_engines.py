@@ -332,17 +332,13 @@ class TestDiskSpecific:
 
 class TestMainMemorySpecific:
     def test_non_durable_touches_no_files(self, tmp_path):
-        sm = MainMemoryStorageManager(None, durable=False)
+        sm = MainMemoryStorageManager(None)
         sm.begin_transaction(1)
         rid = sm.insert(1, b"volatile")
         assert sm.read(1, rid) == b"volatile"
         sm.commit_transaction(1)
         sm.close()
         assert list(tmp_path.iterdir()) == []
-
-    def test_durable_requires_path(self):
-        with pytest.raises(StorageError):
-            MainMemoryStorageManager(None, durable=True)
 
     def test_snapshot_plus_oplog_recovery(self, tmp_path):
         path = str(tmp_path / "dali")

@@ -67,9 +67,8 @@ class TriggerIndex:
         self, txn: "Transaction", obj_rid: int, obj: "Persistent | None" = None
     ) -> "Group | tuple":
         """What is active on *obj_rid*: its :class:`Group` (``len()`` is
-        the number of active triggers; iterating it yields the machines
-        in activation order, building them), or ``()`` (see :meth:`group`
-        for *obj*)."""
+        the number of active triggers; iterating it yields a view of each
+        in activation order), or ``()`` (see :meth:`group` for *obj*)."""
         group = self.group(txn, obj_rid, obj)
         return () if group is None else group
 

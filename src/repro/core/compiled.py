@@ -40,11 +40,19 @@ fire for a redefined trigger.  Correctness never depends on codegen —
 where the tier has no function for a group (too large to unroll, too
 many signatures, a codegen failure) :func:`repro.core.posting.interpreted`
 serves it, counting ``posting.compiled_fallbacks``.
+
+The generated code emits no trace records, and tracing does not switch
+it off: for a traced posting :func:`recording` rebinds the function's
+mask names to wrappers that record each outcome of that one call, over
+the same code object, and the posting module's one emitter steps each
+advanced entry's FSM over them (DESIGN.md §10).  The source, and so the
+untraced call, stays exactly what it is.
 """
 
 from __future__ import annotations
 
 import threading
+import types
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -65,8 +73,10 @@ __all__ = [
     "generate_group_advance",
     "generate_group_source",
     "global_compiled_tier",
+    "kind_numbers",
     "last_bump_reason",
     "plan_unroll",
+    "recording",
     "schema_version",
 ]
 
@@ -340,22 +350,60 @@ def _used_masks(fsm: "IntFsm") -> list[str]:
     return sorted({m for s in fsm.states for m in s.masks})
 
 
-def _bind_masks(info: "TriggerInfo", prefix: str, params: str, namespace: dict) -> dict:
-    """Bind *info*'s masks into *namespace* as ``{prefix}0``, ``{prefix}1``
-    … and return each mask's call expression, with *params* the
-    expression of the trigger's params.  A mask is called as declared,
-    not through ``_adapt_mask``'s shim, with as many arguments as it
-    declares (see ``mask_arity``); one with no declared form (a bridge's)
-    takes the adapted one."""
+def _bind_masks(
+    info: "TriggerInfo", kind: int, params: str, namespace: dict, masks: dict
+) -> dict:
+    """Bind *info*'s masks into *namespace* as ``_k{kind}m0``,
+    ``_k{kind}m1`` … and return each mask's call expression, with
+    *params* the expression of the trigger's params; *masks* maps each
+    name bound to ``(kind, mask)``.  A mask is called as declared, not
+    through ``_adapt_mask``'s shim, with as many arguments as it declares
+    (see ``mask_arity``); one with no declared form (a bridge's) takes
+    the adapted one."""
     args = ("obj", params, "event")
     calls = {}
     for i, name in enumerate(_used_masks(info.fsm)):
-        ident = f"{prefix}{i}"
+        ident = f"_k{kind}m{i}"
+        masks[ident] = (kind, name)
         mask = info.mask_specs.get(name)
         arity = 3 if mask is None else min(mask_arity(mask), 3)
         namespace[ident] = info.masks[name] if mask is None else mask
         calls[name] = f"{ident}({', '.join(args[:arity])})"
     return calls
+
+
+def kind_numbers(infos: Sequence["TriggerInfo"]) -> list[int]:
+    """Each entry's kind number in the group function of a group of the
+    kinds *infos*: the distinct ``TriggerInfo``s numbered in order of
+    first appearance."""
+    kinds: dict[int, int] = {}
+    return [kinds.setdefault(id(info), len(kinds)) for info in infos]
+
+
+def recording(function: Callable) -> tuple[Callable, list]:
+    """The group function *function* ready to record one call:
+    ``(function, calls)``, the function over the same code with each
+    compiled mask rebound to a wrapper that appends ``((kind, mask),
+    outcome)`` to *calls*, in call order.  A function with no compiled
+    mask (``masks``, set by :func:`generate_group_advance`) is returned
+    as it is."""
+    calls: list = []
+    masks = getattr(function, "masks", None)
+    if not masks:
+        return function, calls
+    namespace = dict(function.__globals__)
+    for ident, mask in masks.items():
+        namespace[ident] = _recorder(mask, namespace[ident], calls)
+    return types.FunctionType(function.__code__, namespace), calls
+
+
+def _recorder(mask: tuple, predicate: Callable, calls: list) -> Callable:
+    def record(*args):
+        outcome = bool(predicate(*args))
+        calls.append((mask, outcome))
+        return outcome
+
+    return record
 
 
 def generate_group_advance(
@@ -366,19 +414,19 @@ def generate_group_advance(
     ``(function, source)``.  *proofs* says per entry whether its kind
     holds an ODE4xx proof (default: every one does); an entry without one
     is interpreted.  Each distinct kind's masks, alphabet and info are
-    bound once."""
+    bound once; the function's ``masks`` maps each compiled mask's name
+    to its ``(kind, mask)`` (:func:`recording` reads it)."""
     # Imported here: the interpreter's module imports this one.
     from repro.core.posting import interpret
 
     namespace: dict = {"_step": interpret}
-    kinds: dict[int, int] = {}
+    masks: dict[str, tuple[int, str]] = {}
     entries = []
-    for entry, info in enumerate(infos):
-        kind = kinds.setdefault(id(info), len(kinds))
+    for entry, (info, kind) in enumerate(zip(infos, kind_numbers(infos))):
         if proofs is None or proofs[entry]:
             alpha = f"_A{kind}"
             namespace[alpha] = info.fsm.alphabet
-            mask_calls = _bind_masks(info, f"_k{kind}m", f"params[{entry}]", namespace)
+            mask_calls = _bind_masks(info, kind, f"params[{entry}]", namespace, masks)
             entries.append((info.fsm, mask_calls, alpha))
         else:
             namespace[f"_I{kind}"] = info
@@ -387,7 +435,9 @@ def generate_group_advance(
     names = ",".join(f"{info.defining_type}.{info.name}" for info in infos[:4])
     code = compile(source, f"<ode-compiled-group:{names}:{len(infos)}>", "exec")
     exec(code, namespace)
-    return namespace["_advance_group"], source
+    function = namespace["_advance_group"]
+    function.masks = masks
+    return function, source
 
 
 # ---------------------------------------------------------------------------

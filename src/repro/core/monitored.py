@@ -33,6 +33,7 @@ import dataclasses
 import functools
 from typing import TYPE_CHECKING, Any
 
+from repro import obs
 from repro.core.compiled import global_compiled_tier
 from repro.core.posting import (
     EventOccurrence,
@@ -259,9 +260,11 @@ class LocalTriggerSystem:
             return 0
         # The same kernel as persistent posting, over in-memory states: no
         # write lock, no log.  Fire only after every rule has seen the event.
+        # Traced, local rules post without a span of their own.
         kernel = self._store.kernel(group, serving_tier(self))
+        span = obs.NO_SPAN if obs.ENABLED else None
         ready = advance_group(
-            self.stats, kernel, self._store, group, eventnum, obj, occurrence
+            self.stats, kernel, self._store, group, eventnum, obj, occurrence, span
         )
         for machine in ready:
             state = machine.state

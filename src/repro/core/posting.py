@@ -41,8 +41,15 @@ Every store's group has one working form, its entry heads as
 :func:`~repro.core.trigger_state.decode_heads` returns them: the group
 function advances ``statenums`` in place, and a :class:`Machine` is only
 a view of one entry, built for an entry that accepted (or, traced,
-moved), is fired or is listed.  MVCC's commit-time replay calls
+advanced), is fired or is listed.  MVCC's commit-time replay calls
 :func:`interpret` itself.  DESIGN.md §14.
+
+Tracing does not choose the function: a traced posting calls the one
+that would serve it untraced, its compiled masks rebound to record
+their outcomes for that call, and :func:`_trace_advance`, the one
+emitter of the per-entry records, steps each advanced entry's FSM again
+over what its masks said.  So :func:`interpret` and the generated code
+emit nothing, and a trace watches the code that serves.  DESIGN.md §10.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.core.compiled import schema_version
+from repro.core.compiled import kind_numbers, recording, schema_version
 from repro.core.trigger_def import CouplingMode, TriggerInfo
 from repro.core.trigger_state import (
     SERIAL_MAX,
@@ -476,9 +483,9 @@ class StateStore:
     :meth:`kernel` for the group function that serves a group, and
     :func:`advance_group` calls it.  :meth:`refresh` runs on a machine
     not resolved under the current schema version before it fires or is
-    settled.  :meth:`settle` runs for each entry an advance moved while
-    tracing (no other store's ``settle`` does more than trace), and for
-    every entry advanced if ``logs_ignored_events``.  :meth:`flush` runs
+    settled.  :meth:`settle` runs for each entry an advance moved under
+    a live span (no other store's ``settle`` does more than trace), and
+    for every entry advanced if ``logs_ignored_events``.  :meth:`flush` runs
     once at the end of a call that moved anything.  The trigger system
     calls :meth:`create`, :meth:`activate`, :meth:`deactivate` and
     :meth:`drop`, and :meth:`write_back` from
@@ -516,19 +523,16 @@ class StateStore:
         under the current schema version (the trigger system's memo)."""
         machine.adopt(self.system.resolve(machine.state))
 
-    def kernel(self, group: Group, tier: "CompiledTier | None", span: int = 0):
+    def kernel(self, group: Group, tier: "CompiledTier | None"):
         """The group function that advances *group* as a whole, kept on
         the group per schema version and membership.  *tier* is asked for
         it with the group's signature, and with its entries' resolutions
         if it has no function for it yet (both from the trigger system's
         memo); where it has none, :func:`interpreted` serves, counting
-        fallbacks.  With no *tier* (off, or tracing) :func:`interpreted`
-        serves, kept under the version's complement, or built for the
-        posting's live *span*."""
+        fallbacks.  With no *tier* (off) :func:`interpreted` serves, kept
+        under the version's complement."""
         version = schema_version()
         if tier is None:
-            if span:
-                return interpreted([r.info for r in self.system.resolutions(group.kinds)], span)
             version = ~version  # the interpreter's own slot: a tier flip asks again
         if group.kernel_version != version:
             kinds, system = group.kinds, self.system
@@ -547,7 +551,8 @@ class StateStore:
     ) -> None:
         """Record an advance (already in the working copy).  *outcomes* is
         what each interpreted mask said, or ``None`` when the entry's
-        generated code ran."""
+        generated code ran; *span* is the posting's trace span (falsy:
+        none)."""
 
     def flush(self, group, moved: int) -> None:
         """Make the *moved* advances of *group* as durable as this store
@@ -652,10 +657,10 @@ class VolatileStates(StateStore):
     def refresh(self, machine):
         machine.version = schema_version()
 
-    def kernel(self, group, tier, span=0):
+    def kernel(self, group, tier):
         infos = group.infos
         if tier is None:
-            return interpreted(infos, span)
+            return interpreted(infos)
         kernel = tier.group_function(tuple(map(id, infos)), lambda: list(group))
         return interpreted(infos, fallback=True) if kernel is None else kernel
 
@@ -690,10 +695,9 @@ def start_machine(stats: PostingStats, info: TriggerInfo, obj: Any, args: tuple)
 
 
 def serving_tier(system) -> "CompiledTier | None":
-    """The compile tier when it serves this posting, else ``None``: it
-    must be enabled on *system*, and obs must be quiet — tracing wants the
-    interpreter's per-mask events."""
-    return system.compiled if system.compiled_enabled and not obs.ENABLED else None
+    """The compile tier when it serves this posting (it is enabled on
+    *system*), else ``None``.  Tracing serves from the same tier."""
+    return system.compiled if system.compiled_enabled else None
 
 
 def interpret(
@@ -706,7 +710,6 @@ def interpret(
     occurrence: EventOccurrence,
     outcomes: dict | None = None,
     replay: Mapping | None = None,
-    span: int = 0,
 ) -> tuple[int, bool]:
     """The interpreter step: advance a machine of kind *info* from
     *statenum* on one event — its integer-keyed FSM, evaluating masks and
@@ -728,32 +731,21 @@ def interpret(
         stats.masks_evaluated_posting += 1
         if outcomes is not None:
             outcomes[mask_name] = outcome
-        if obs.ENABLED:
-            obs.emit(
-                "mask.eval", span, mask=mask_name, trigger=info.name,
-                outcome=outcome, phase="posting",
-            )
         return outcome
 
     result = info.fsm.advance(statenum, eventnum, evaluate)
-    if span:
-        obs.emit(
-            "fsm.advance", span, trigger=info.name, from_state=statenum,
-            to_state=result.state, consumed=result.consumed,
-            accepted=result.accepted, pseudo_steps=result.pseudo_steps,
-        )
     stats.fsm_advances += 1
     return result.state, result.accepted
 
 
-def interpreted(infos: Sequence[TriggerInfo], span: int = 0, fallback: bool = False):
+def interpreted(infos: Sequence[TriggerInfo], fallback: bool = False):
     """The interpreter as a group function: for a group whose entries, in
     entry order, are of the kinds *infos*, a function with the generated
     ``_advance_group``'s signature and contract
     (:func:`repro.core.compiled.generate_group_source`), each entry one
-    :func:`interpret` call.  It traces under *span*; with *fallback*
-    (the tier serves, but has no function for the group) each advance
-    counts one ``compiled_fallbacks``."""
+    :func:`interpret` call.  With *fallback* (the tier serves, but has no
+    function for the group) each advance counts one
+    ``compiled_fallbacks``."""
     infos = tuple(infos)
 
     def _advance_group(statenums, eventnum, obj, params, event, moved, stats, log):
@@ -766,7 +758,7 @@ def interpreted(infos: Sequence[TriggerInfo], span: int = 0, fallback: bool = Fa
                     stats.compiled_fallbacks += 1
                 new, accepts = interpret(
                     stats, info, old, eventnum, obj, params[entry], event,
-                    None if log is None else log.setdefault(entry, {}), None, span,
+                    None if log is None else log.setdefault(entry, {}),
                 )
                 if new != old:
                     statenums[entry] = new
@@ -790,54 +782,132 @@ def advance_group(
     eventnum: int,
     obj: Any,
     occurrence: EventOccurrence,
-    span: int = 0,
+    span: int | None = None,
 ) -> list[Machine]:
     """Step 3: advance every entry of *group* on one event by one call of
     *kernel*, its group function, in the group's own ``statenums``, and
-    return the views of the entries that accepted, in entry order.  Each
-    moved entry is settled under a live *span*, each advanced one if the
-    store logs every advance, and the store is flushed once.  A view is
-    built only for each entry that accepted (or is settled), and
+    return the views of the entries that accepted, in entry order.
+
+    *span* is ``None`` for an untraced posting, else the posting's trace
+    span (:data:`~repro.obs.NO_SPAN` for local rules, which post without
+    one).  A traced posting calls the same *kernel*, its compiled masks
+    recording what they return (:func:`~repro.core.compiled.recording`),
+    and :func:`_trace_advance` emits the advances.  Each moved entry is
+    then settled under a live *span*, each advanced one if the store logs
+    every advance, and the store is flushed once.  A view is built only
+    for each entry that accepted (or is settled or traced), and
     re-resolved if the schema version moved since it was."""
     moved: list = []
     statenums = group.statenums
-    log = {} if store.logs_ignored_events else None
+    logs = store.logs_ignored_events
+    log = {} if logs else None
+    if span is not None:
+        kernel, calls = recording(kernel)
+        log = {}
+        accepted = None
     try:
         accepted = kernel(
             statenums, eventnum, obj, group.params, occurrence, moved, stats, log
         )
     finally:
+        if span is not None:
+            _trace_advance(store, group, eventnum, moved, accepted, log, calls, span)
         settled = moved
-        if log is not None:
+        if logs:
             olds = dict(moved)
             settled = [(i, olds.get(i, statenums[i])) for i in range(log.get(-1, 0))]
         if settled:
-            if span or log is not None:
+            if span or logs:
                 _settle(store, group, settled, obj, eventnum, occurrence, log, span)
             store.flush(group, len(settled))
     if not accepted:
         return accepted
     version = schema_version()
-    ready = []
-    for index in accepted:
-        machine = group.entry(index)
-        if machine.version != version:
-            store.refresh(machine)
-        ready.append(machine)
-    return ready
+    return [_current(store, group, index, version) for index in accepted]
+
+
+def _current(store: StateStore, group: Group, index: int, version: int) -> Machine:
+    """The view of entry *index* of *group*, re-resolved by *store* if it
+    was resolved under another schema version than *version*."""
+    machine = group.entry(index)
+    if machine.version != version:
+        store.refresh(machine)
+    return machine
 
 
 def _settle(store, group, advanced, obj, eventnum, occurrence, log, span) -> None:
-    """Settle each ``(index, old state)`` of *advanced* with *store*, the
-    entry's view re-resolved first if the schema version moved; *log*
-    holds each interpreted entry's mask outcomes."""
+    """Settle each ``(index, old state)`` of *advanced* with *store*;
+    *log* holds each interpreted entry's mask outcomes."""
     version = schema_version()
     for index, old in advanced:
-        machine = group.entry(index)
-        if machine.version != version:
-            store.refresh(machine)
+        machine = _current(store, group, index, version)
         outcomes = None if log is None else log.get(index)
         store.settle(machine, obj, old, eventnum, occurrence, outcomes, span)
+
+
+def _trace_advance(store, group, eventnum, moved, accepted, log, calls, span) -> None:
+    """The trace emitter of one group-function call (DESIGN.md §10): for
+    each entry the call advanced (``log[-1]`` of them, also when a mask
+    raised), in entry order, the entry's ``mask.eval`` records and, under
+    a live *span*, its ``fsm.advance``.
+
+    Each entry's ``info.fsm.advance`` steps again from its old state over
+    what its masks said in the call: an interpreted entry's outcomes are
+    in *log* under its index, the compiled masks' in *calls*, in call
+    order.  Every replay must ask the masks the call called and land on
+    the state and acceptance the call produced (*accepted*: ``None`` if
+    it raised); otherwise nothing is emitted and ``RuntimeError`` is
+    raised."""
+    version = schema_version()
+    olds = dict(moved)
+    machines = [_current(store, group, index, version) for index in range(log.get(-1, 0))]
+    calls = iter(calls)
+    records = []
+    for index, (machine, kind) in enumerate(
+        zip(machines, kind_numbers([m.info for m in machines]))
+    ):
+        info, outcomes, said = machine.info, log.get(index), []
+
+        def evaluate(mask: str) -> bool:
+            if outcomes is None:
+                called, outcome = next(calls, (None, None))
+                if called != (kind, mask):
+                    raise _diverged(f"{info.name} asked {mask!r}, the call ran {called}")
+            else:
+                outcome = outcomes.get(mask)
+                if outcome is None:
+                    raise _diverged(f"{info.name} asked {mask!r}, the call did not")
+            said.append((mask, outcome))
+            return outcome
+
+        old = olds.get(index, group.statenums[index])
+        result = info.fsm.advance(old, eventnum, evaluate)
+        if result.state != group.statenums[index] or (
+            accepted is not None and result.accepted != (index in accepted)
+        ):
+            raise _diverged(
+                f"{info.name} replayed to {result}, the call to state "
+                f"{group.statenums[index]} (accepting {accepted})"
+            )
+        records.append((info.name, old, result, said))
+    if accepted is not None and next(calls, None) is not None:
+        raise _diverged("the call ran masks no entry replayed")
+    for name, old, result, said in records:
+        for mask, outcome in said:
+            obs.emit(
+                "mask.eval", span, mask=mask, trigger=name, outcome=outcome,
+                phase="posting",
+            )
+        if span:
+            obs.emit(
+                "fsm.advance", span, trigger=name, from_state=old,
+                to_state=result.state, consumed=result.consumed,
+                accepted=result.accepted, pseudo_steps=result.pseudo_steps,
+            )
+
+
+def _diverged(detail: str) -> RuntimeError:
+    return RuntimeError(f"trace replay diverged from the group function: {detail}")
 
 
 def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
@@ -848,7 +918,8 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
     What a batch can share — the current transaction and its state store,
     the serving tier, the ``obs.ENABLED`` check — is resolved once; the
     tier and the check are resolved again after any posting that fired,
-    because an immediate action can flip obs or the compiled tier.  The
+    because an immediate action can flip obs or the compiled tier.  A
+    traced posting opens a span and is served by the same tier.  The
     machines need no such rule: activation and deactivation change the
     store's group in place and the object's header with it, so a machine
     an action activates or deactivates is seen by the very next posting.
@@ -864,7 +935,7 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
             stats.batched += 1
         if occurrence is None:
             occurrence = plain_occurrence(eventnum)
-        span = 0
+        span = None
         if tracing:
             span = obs.begin_span(
                 "post",
@@ -892,7 +963,7 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
             )
         ready = ()
         if isinstance(group, Group):
-            kernel = store.kernel(group, tier, span)
+            kernel = store.kernel(group, tier)
             ready = advance_group(
                 stats, kernel, store, group, eventnum, obj, occurrence, span
             )

@@ -25,6 +25,7 @@ import collections
 import dataclasses
 import io
 import json
+import threading
 import time
 from typing import Any, Iterable
 
@@ -90,7 +91,12 @@ class TraceRecord:
 
 
 class TraceRecorder:
-    """Fixed-capacity ring of trace records."""
+    """Fixed-capacity ring of trace records.
+
+    Sessions trace on several threads: sequence numbers, span ids and
+    the :class:`ObsStats` counts are allocated under one lock, so each
+    record's ``seq`` and each span id is unique and the counts are exact.
+    """
 
     def __init__(self, capacity: int = 65536, clock=time.perf_counter):
         if capacity < 1:
@@ -103,31 +109,35 @@ class TraceRecorder:
         )
         self._next_seq = 1
         self._next_span = 1
+        self._lock = threading.Lock()
         self.stats = ObsStats()
 
     # -- emitting -------------------------------------------------------------
 
     def emit(self, kind: str, span: int = NO_SPAN, **data: Any) -> TraceRecord:
         """Append one record; drops the oldest when the ring is full."""
-        record = TraceRecord(
-            seq=self._next_seq,
-            ts=round(self._clock() - self._epoch, 9),
-            kind=kind,
-            span=span,
-            data=tuple((k, _jsonable(v)) for k, v in data.items()),
-        )
-        self._next_seq += 1
-        if len(self._ring) == self.capacity:
-            self.stats.records_dropped += 1
-        self._ring.append(record)
-        self.stats.records_emitted += 1
+        data = tuple((k, _jsonable(v)) for k, v in data.items())
+        with self._lock:
+            record = TraceRecord(
+                seq=self._next_seq,
+                ts=round(self._clock() - self._epoch, 9),
+                kind=kind,
+                span=span,
+                data=data,
+            )
+            self._next_seq += 1
+            if len(self._ring) == self.capacity:
+                self.stats.records_dropped += 1
+            self._ring.append(record)
+            self.stats.records_emitted += 1
         return record
 
     def begin_span(self, kind: str, **data: Any) -> int:
         """Emit ``<kind>.begin`` under a fresh span id; returns the id."""
-        span = self._next_span
-        self._next_span += 1
-        self.stats.spans_opened += 1
+        with self._lock:
+            span = self._next_span
+            self._next_span += 1
+            self.stats.spans_opened += 1
         self.emit(kind + ".begin", span, **data)
         return span
 
@@ -137,7 +147,8 @@ class TraceRecorder:
     # -- reading ---------------------------------------------------------------
 
     def records(self) -> list[TraceRecord]:
-        return list(self._ring)
+        with self._lock:
+            return list(self._ring)
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -148,13 +159,14 @@ class TraceRecorder:
     # -- JSONL ------------------------------------------------------------------
 
     def to_jsonl(self) -> str:
-        return records_to_jsonl(self._ring)
+        return records_to_jsonl(self.records())
 
     def export(self, path: str) -> int:
         """Write the buffer to *path* as JSONL; returns the record count."""
+        records = self.records()
         with open(path, "w") as fh:
-            fh.write(self.to_jsonl())
-        return len(self._ring)
+            fh.write(records_to_jsonl(records))
+        return len(records)
 
 
 def records_to_jsonl(records: Iterable[TraceRecord]) -> str:

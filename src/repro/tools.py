@@ -179,11 +179,12 @@ def trace_main(argv: list[str]) -> int:
                 ptrs = workload.setup(
                     db, args.cards, activate_deny=True, activate_raise=True
                 )
+                before = db.metrics.snapshot()
                 obs.enable(capacity=args.capacity)
                 result = workload.run(db, ptrs, args.ops)
                 recorder = obs.disable()
                 recorder.export(args.out)
-                delta = db.metrics.snapshot()
+                delta = db.metrics.delta_since(before)
                 print(
                     f"recorded {len(recorder.records())} record(s) "
                     f"({recorder.stats.records_dropped} dropped) -> {args.out}"
@@ -195,7 +196,9 @@ def trace_main(argv: list[str]) -> int:
                 print(
                     f"posting: {delta.get('posting.events_posted', 0)} events, "
                     f"{delta.get('posting.firings', 0)} firings, "
-                    f"{delta.get('posting.masks_evaluated_posting', 0)} masks"
+                    f"{delta.get('posting.masks_evaluated_posting', 0)} masks, "
+                    f"{delta.get('posting.compiled_hits', 0)} compiled_hits, "
+                    f"{delta.get('posting.compiled_fallbacks', 0)} compiled_fallbacks"
                 )
             finally:
                 db.close()

@@ -1068,7 +1068,8 @@ def test_deactivation_purges_txn_cache(tmp_path):
         db.close()
 
 
-def test_obs_tracing_forces_interpreter(tmp_path):
+def test_a_traced_posting_is_served_by_the_tier(tmp_path):
+    """Tracing watches the generated code: it does not switch it off."""
     db = Database.open(str(tmp_path / "traced"), engine="mm")
     try:
         with db.transaction():
@@ -1083,13 +1084,81 @@ def test_obs_tracing_forces_interpreter(tmp_path):
                 db.deref(ptr).post_event("Tick")
         finally:
             recorder = obs.disable()
-        assert stats.compiled_hits == 0  # tracing wants per-mask events
-        assert any(r.kind == "mask.eval" for r in recorder.records())
+        assert stats.compiled_hits == 1
+        # The constraint's entry (interpreted, ODE404) then Hot's (compiled).
+        masks = [r for r in recorder.records() if r.kind == "mask.eval"]
+        assert [(m.get("trigger"), m.get("mask")) for m in masks] == [
+            (BOUNDED, "violated_bounded"), ("Hot", "hot")
+        ]
+        stats.reset()
         with db.transaction():
             db.deref(ptr).post_event("Tick")
         assert stats.compiled_hits == 1
     finally:
         db.close()
+
+
+def _spans(recorder):
+    """Each span's records as ``(kind, data)``, in span order."""
+    assert recorder.stats.records_dropped == 0
+    spans: dict[int, list] = {}
+    for record in recorder.records():
+        if record.span:
+            spans.setdefault(record.span, []).append((record.kind, dict(record.data)))
+    return list(spans.values())
+
+
+def _traced_spans(base_path, script, compiled_enabled, trigger_cc):
+    """:func:`_replay` traced: its outcome and its spans."""
+    with obs.enabled() as recorder:
+        outcome = _replay(base_path, script, compiled_enabled, trigger_cc)
+    return outcome, _spans(recorder)
+
+
+@pytest.mark.parametrize("cc", ["2pl", "mvcc"])
+def test_traced_compiled_and_interpreted_runs_emit_the_same_spans(tmp_path, cc):
+    """A trace cannot tell which function served: with the tier on and
+    off, every span holds the same records, kinds and data — over a
+    group whose compiled entries surround the interpreted ``Impure`` and
+    constraint entries, with ``Low`` armed again mid-transaction."""
+    script = [
+        ["tick", "tock", "bump"],
+        ["inc", "tick", "tock", "arm", "bump", "bump"],
+        ["inc", "inc", "inc", "tick", "tick", "tock", "inc", "tock"],
+    ]
+    compiled, compiled_spans = _traced_spans(str(tmp_path / "on"), script, True, cc)
+    interpreted, interpreted_spans = _traced_spans(str(tmp_path / "off"), script, False, cc)
+    assert compiled[3]["compiled_hits"] > 0
+    assert interpreted[3] == {"compiled_hits": 0, "compiled_fallbacks": 0}
+    assert compiled[:3] == interpreted[:3]
+    assert compiled_spans == interpreted_spans
+    kinds = {kind for span in compiled_spans for kind, _data in span}
+    assert {"mask.eval", "fsm.advance", "fire"} <= kinds
+
+
+@pytest.mark.parametrize("activations", [_SHAKY, _BRITTLE], ids=["compiled", "interpreted"])
+def test_a_traced_posting_whose_mask_raises_emits_the_entries_it_completed(
+    tmp_path, activations
+):
+    """Traced, a posting whose third entry's mask raises emits the two
+    entries the call completed, and nothing of the entry that raised or
+    the one after it — from the generated function as from the
+    interpreter; the next posting emits all four."""
+    script = [[("n", 13), "Tick", ("n", 14), "Tick"]]
+    runs = []
+    for loop in (False, True):
+        with obs.enabled() as recorder:
+            _run_group(str(tmp_path / f"loop{loop:d}"), "mm", activations, script, loop)
+        runs.append(_spans(recorder))
+    assert runs[0] == runs[1]
+    raised, after = runs[0]
+    assert [data["trigger"] for kind, data in raised if kind == "fsm.advance"] == [
+        "Seq", "Seq"
+    ]
+    assert not [kind for kind, _ in raised if kind == "mask.eval"]
+    assert [data["trigger"] for kind, data in after if kind == "fsm.advance"] == [
+        "Seq", "Seq", activations[2][0], "Seq"
+    ]
 
 
 # ---------------------------------------------------------------------------

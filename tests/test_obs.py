@@ -1,17 +1,21 @@
 """Observability layer: metrics registry, trace recorder, instrumentation.
 
 Everything here is marked ``obs``.  The suite covers the registry and
-recorder as plain data structures, the posting-path instrumentation
-end-to-end (spans, mask evaluations, firing order), the per-transaction
-metrics delta, and the :class:`EventOccurrence` immutability regression
+recorder as plain data structures (also traced on several threads),
+the posting-path instrumentation end-to-end (spans, mask evaluations,
+firing order), the per-transaction metrics delta, the ``repro.tools
+trace`` CLI, and the :class:`EventOccurrence` immutability regression
 that motivated ``FrozenKwargs``.
 """
 
 import dataclasses
+import re
+import sys
+import threading
 
 import pytest
 
-from repro import obs
+from repro import obs, tools
 from repro.core.declarations import trigger
 from repro.core.monitored import LocalTriggerSystem, Monitored
 from repro.core.posting import EMPTY_KWARGS, EventOccurrence, FrozenKwargs
@@ -20,6 +24,7 @@ from repro.obs.metrics import Counter, Histogram, MetricsRegistry, describe
 from repro.obs.trace import (
     TraceRecord,
     TraceRecorder,
+    load_jsonl,
     records_from_jsonl,
     records_to_jsonl,
     render_record,
@@ -185,6 +190,41 @@ class TestTraceRecorder:
         for _ in range(4):
             recorder.emit("tick")
         assert [r.seq for r in recorder.records()] == [3, 4]
+
+    def test_threads_get_unique_seqs_and_spans_and_exact_counts(self):
+        """Sessions trace on several threads: no ``seq`` or span id is
+        handed out twice, and the recorder's own counts are exact."""
+        threads, per_thread, capacity = 4, 20_000, 79_000
+        recorder = TraceRecorder(capacity=capacity)
+        spans: list[list[int]] = [[] for _ in range(threads)]
+
+        def work(mine):
+            for i in range(per_thread):
+                if i % 8:
+                    recorder.emit("x")
+                else:
+                    mine.append(recorder.begin_span("post"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as CPython can
+        try:
+            workers = [threading.Thread(target=work, args=(spans[t],)) for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * per_thread
+        seqs = [r.seq for r in recorder.records()]
+        assert len(seqs) == len(set(seqs)) == capacity
+        assert sorted(seqs) == list(range(total - capacity + 1, total + 1))
+        opened = [span for mine in spans for span in mine]
+        assert sorted(opened) == list(range(1, total // 8 + 1))
+        assert recorder.stats.records_emitted == total
+        assert recorder.stats.records_dropped == total - capacity
+        assert recorder.stats.spans_opened == total // 8
 
     def test_jsonl_round_trip_is_identity(self):
         recorder = TraceRecorder()
@@ -371,9 +411,6 @@ class TestPostingInstrumentation:
 # -- EventOccurrence immutability regression ------------------------------------
 
 
-#: What only the compile tier counts: a traced posting is interpreted.
-_TIER_COUNTERS = ("compiled_hits", "compiled_fallbacks")
-
 _LOCAL_FIRED: list = []
 
 
@@ -397,13 +434,9 @@ class ObsThermostat(Monitored):
         self.t = t
 
 
-def _without_tier(stats) -> dict:
-    return {k: v for k, v in stats.snapshot().items() if k not in _TIER_COUNTERS}
-
-
 def _card_run(path, engine, cc):
     """A seeded credit-card run: what it did, the cards, their stored
-    trigger states and the ``posting.*`` counters but the tier's."""
+    trigger states and every ``posting.*`` counter."""
     db = Database.open(path, engine=engine, trigger_cc=cc)
     try:
         workload = CreditCardWorkload(seed=7)
@@ -420,7 +453,7 @@ def _card_run(path, engine, cc):
                  for m in db.trigger_system.index.lookup(txn, ptr.rid)]
                 for ptr in ptrs
             ]
-        return dataclasses.astuple(result), cards, states, _without_tier(db.trigger_system.stats)
+        return dataclasses.astuple(result), cards, states, db.trigger_system.stats.snapshot()
     finally:
         db.close()
 
@@ -436,7 +469,7 @@ def _local_run():
         handle.set(t)
         if t < 32:
             handle.post_event("Reset")
-    return list(_LOCAL_FIRED), _without_tier(system.stats)
+    return list(_LOCAL_FIRED), system.stats.snapshot()
 
 
 class TestTracingChangesNothing:
@@ -455,6 +488,8 @@ class TestTracingChangesNothing:
         assert traced == plain
         assert traced_local == plain_local
         assert plain[3]["firings"] > 0 and plain_local[0]  # the rules did fire
+        # The tier served both runs: tracing did not switch it off.
+        assert plain[3]["compiled_hits"] > 0 and plain_local[1]["compiled_hits"] > 0
 
         spans: dict[int, list] = {}
         for record in records:
@@ -484,6 +519,38 @@ class TestTracingChangesNothing:
         masks = [r.span for r in records if r.kind == "mask.eval" and r.get("phase") == "posting"]
         assert len([s for s in masks if s]) == traced[3]["masks_evaluated_posting"] > 0
         assert masks.count(0) == traced_local[1]["masks_evaluated_posting"] > 0
+
+
+class TestTraceCli:
+    def test_record_then_summary_then_show(self, tmp_path, capsys):
+        """``repro.tools trace``: record a traced credit-card run, count
+        its records by kind, pretty-print it; the compiled tier served."""
+        out = str(tmp_path / "trace.jsonl")
+        assert tools.main(["trace", "record", out, "--cards", "2", "--ops", "12"]) == 0
+        posting = re.search(
+            r"posting: (\d+) events, (\d+) firings, (\d+) masks, "
+            r"(\d+) compiled_hits, (\d+) compiled_fallbacks",
+            capsys.readouterr().out,
+        )
+        events, _firings, masks, hits, fallbacks = map(int, posting.groups())
+        assert events > 0 and hits > 0
+        records = load_jsonl(out)
+
+        assert tools.main(["trace", "summary", out]) == 0
+        counts = {
+            kind: int(n) for kind, n in map(str.split, capsys.readouterr().out.splitlines())
+        }
+        assert counts["total"] == len(records)
+        assert counts["post.begin"] == counts["post.end"] == events
+        assert counts["fsm.advance"] == hits + fallbacks
+        posting_masks = [r for r in records if r.kind == "mask.eval" and r.get("phase") == "posting"]
+        assert len(posting_masks) == masks
+
+        assert tools.main(["trace", "show", out]) == 0
+        shown = capsys.readouterr().out.splitlines()
+        assert len(shown) == len(records)  # one line per record
+        assert sum(" post span=" in line for line in shown) == events
+        assert sum("] fsm.advance " in line for line in shown) == hits + fallbacks
 
 
 class TestEventOccurrenceImmutability:

@@ -13,6 +13,8 @@ import threading
 
 import pytest
 
+from repro import obs
+from repro.core.declarations import trigger
 from repro.objects.database import Database
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
@@ -22,6 +24,22 @@ pytestmark = pytest.mark.concurrency
 
 class Tally(Persistent):
     value = field(int, default=0)
+
+
+class TracedDial(Persistent):
+    """Three mask-gated triggers the compiled tier serves: every object's
+    group has the one signature, so sessions share its group function."""
+
+    n = field(int, default=0)
+
+    __events__ = ["Tick"]
+    __masks__ = {"odd": lambda self: self.n % 2 == 1, "big": lambda self: self.n > 5}
+    __triggers__ = [
+        trigger("Odd", "Tick & odd", action=lambda s, c: None, perpetual=True),
+        trigger("Big", "Tick & big", action=lambda s, c: None, perpetual=True),
+        trigger("OddThenBig", "(Tick & odd), (Tick & big)",
+                action=lambda s, c: None, perpetual=True),
+    ]
 
 
 def run_threads(db, n_sessions, txns_each, make_body, retries=100):
@@ -164,6 +182,63 @@ class TestThreadedMvcc:
         finally:
             if not db.closed:
                 db.close()
+
+
+class TestThreadedTracing:
+    @pytest.mark.parametrize("cc", ["2pl", "mvcc"])
+    def test_sessions_trace_one_group_function_on_threads(self, db_path, cc):
+        """Two sessions post traced through the same generated group
+        function at once: each call records its own mask outcomes, so
+        every span holds one ``fsm.advance`` per active entry and one
+        ``mask.eval`` per mask its posting called."""
+        db = Database.open(db_path, engine="mm", name=f"th-trace-{cc}", trigger_cc=cc)
+        try:
+            sessions, txns = 2, 40
+            with db.transaction():
+                ptrs = []
+                for _ in range(sessions):
+                    handle = db.pnew(TracedDial)
+                    handle.Odd()
+                    handle.Big()
+                    handle.OddThenBig()
+                    ptrs.append(handle.ptr)
+
+            def make_body(session, index, txn_index):
+                def body(txn):
+                    dial = session.deref(ptrs[index])
+                    for _ in range(3):
+                        dial.n = dial.n + 1
+                        dial.post_event("Tick")
+
+                return body
+
+            stats = db.trigger_system.stats
+            before = stats.snapshot()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with obs.enabled(capacity=1 << 16) as recorder:
+                    run_threads(db, sessions, txns, make_body)
+            finally:
+                sys.setswitchinterval(interval)
+            delta = stats.diff(before)
+            assert delta["compiled_hits"] == sessions * txns * 3 * 3
+            assert recorder.stats.records_dropped == 0
+
+            spans: dict[int, list] = {}
+            for record in recorder.records():
+                if record.span:
+                    spans.setdefault(record.span, []).append(record)
+            posts = [b for b in spans.values() if b[0].kind == "post.begin"]
+            assert len(posts) == sessions * txns * 3
+            for block in posts:
+                (lookup,) = [r for r in block if r.kind == "index.lookup"]
+                advances = [r for r in block if r.kind == "fsm.advance"]
+                assert lookup.get("states") == len(advances) == 3
+            masks = [r for r in recorder.records() if r.kind == "mask.eval"]
+            assert len(masks) == delta["masks_evaluated_posting"] > 0
+        finally:
+            db.close()
 
 
 class TestThreadedDisk:

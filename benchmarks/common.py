@@ -8,9 +8,12 @@ stdout.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from collections.abc import Callable, Sequence
+
+from repro.core.compiled import CompiledTier
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench_results")
 
@@ -47,6 +50,21 @@ def emit_table(
     with open(os.path.join(RESULTS_DIR, f"{experiment}.txt"), "w") as fh:
         fh.write(text + "\n")
     return text
+
+
+@contextlib.contextmanager
+def interpreted_baseline():
+    """The interpreted baseline of a posting benchmark: inside, the
+    compile tier has no group function for any group, so
+    :func:`repro.core.posting.interpreted` serves every posting (each
+    advance a counted ``compiled_fallbacks``).  The engine has no such
+    setting; only a benchmark's comparison column needs it."""
+    real = CompiledTier.group_function
+    CompiledTier.group_function = lambda self, key, entries: None
+    try:
+        yield
+    finally:
+        CompiledTier.group_function = real
 
 
 def time_per_op(fn: Callable[[], object], ops: int, repeats: int = 3) -> float:

@@ -24,7 +24,7 @@ import operator
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.core.compiled import global_compiled_tier, schema_version
+from repro.core.compiled import schema_version
 from repro.core.posting import (
     DEPENDENT_LIST,
     END_LIST,
@@ -78,14 +78,6 @@ class TriggerSystem:
         # Static confluence verdicts, lazily computed per anchor class:
         # metatype id -> frozenset of non-confluent trigger-name pairs.
         self._confluence_cache: dict[int, frozenset[frozenset[str]]] = {}
-        # The generated-code posting fast path (DESIGN.md §14).  The tier
-        # is process-global (trigger infos and their group functions
-        # are); the flag is per-system so a database can opt out
-        # (benchmarks use it for interpreted baselines).  Correctness
-        # never depends on it: an entry without an ODE4xx proof is
-        # interpreted.
-        self.compiled = global_compiled_tier()
-        self.compiled_enabled = True
         # (trigobjtype, triggernum) -> Resolution, and -> the id of its
         # TriggerInfo (what keys a group function in the tier), both under
         # ``_resolved_at``, the schema version the memos were started

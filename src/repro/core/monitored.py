@@ -34,7 +34,6 @@ import functools
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.core.compiled import global_compiled_tier
 from repro.core.posting import (
     EventOccurrence,
     Group,
@@ -45,7 +44,6 @@ from repro.core.posting import (
     advance_group,
     drain,
     plain_occurrence,
-    serving_tier,
     start_machine,
     user_event_int,
 )
@@ -185,11 +183,6 @@ class LocalTriggerSystem:
         self._next_id = 1
         self._end_list: list[LocalTriggerState] = []
         self.stats = PostingStats()
-        # Local states live in memory, so the compiled tier only saves the
-        # dispatch work — but it is the same group functions and the same
-        # ODE4xx gate as the persistent path (DESIGN.md §14).
-        self.compiled = global_compiled_tier()
-        self.compiled_enabled = True
         self.db = db
         if db is not None:
             # Local states are deallocated at end-of-transaction.
@@ -261,7 +254,7 @@ class LocalTriggerSystem:
         # The same kernel as persistent posting, over in-memory states: no
         # write lock, no log.  Fire only after every rule has seen the event.
         # Traced, local rules post without a span of their own.
-        kernel = self._store.kernel(group, serving_tier(self))
+        kernel = self._store.kernel(group)
         span = obs.NO_SPAN if obs.ENABLED else None
         ready = advance_group(
             self.stats, kernel, self._store, group, eventnum, obj, occurrence, span

@@ -32,9 +32,9 @@ serves every trigger on the object.
 
 Step 3 is one call of a *group function* on every store, which
 :meth:`StateStore.kernel` picks: the group's generated function where
-the compile tier serves and has one (an entry whose kind holds no ODE4xx
-proof is one call of the interpreter step :func:`interpret` inside it),
-else :func:`interpreted`, the same contract with every entry one
+the compile tier has one (an entry whose kind holds no ODE4xx proof is
+one call of the interpreter step :func:`interpret` inside it), else
+:func:`interpreted`, the same contract with every entry one
 :func:`interpret` call.  So the interpreter exists once, as the
 per-entry step, and the firing set cannot depend on which function ran.
 Every store's group has one working form, its entry heads as
@@ -59,7 +59,7 @@ from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.core.compiled import kind_numbers, recording, schema_version
+from repro.core.compiled import global_compiled_tier, kind_numbers, recording, schema_version
 from repro.core.trigger_def import CouplingMode, TriggerInfo
 from repro.core.trigger_state import (
     SERIAL_MAX,
@@ -80,7 +80,6 @@ from repro.objects.oid import PersistentPtr
 from repro.objects.serialize import FLAG_HAS_TRIGGERS
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.compiled import CompiledTier
     from repro.core.manager import TriggerSystem
     from repro.objects.database import Database
     from repro.objects.persistent import Persistent
@@ -356,8 +355,8 @@ class Group:
     (:meth:`add`, :meth:`remove`) edit the sequences in place."""
 
     #: the group function serving this group and the schema version it
-    #: was chosen under (its complement for the untraced interpreter; see
-    #: ``StateStore.kernel``); a membership change chooses again
+    #: was chosen under (see ``StateStore.kernel``); a membership change
+    #: chooses again
     kernel = None
     kernel_version = None
 
@@ -376,14 +375,6 @@ class Group:
         #: serial -> the entry's view, once built
         self._built: dict[int, Machine] = {}
         self._resolved = resolved
-
-    @classmethod
-    def load(cls, rid: int, heads: GroupHeads, resolved) -> "Group":
-        """The group over *heads*, what :func:`decode_heads` returned for
-        record *rid*; *resolved* maps a kind to its memoized
-        :class:`Resolution` (or ``None``), which a view adopts when it is
-        built."""
-        return cls(rid, heads, resolved)
 
     @property
     def kinds(self) -> list:
@@ -431,11 +422,13 @@ class Group:
         return pack_heads(frame, self.serials, self.triggernums, self.statenums)
 
     def add(self, entry: Entry) -> int:
-        """Append *entry* under the next serial; returns the serial."""
+        """Append *entry* under the next serial; returns the serial.  The
+        record stores ``next_serial`` too, so the last serial that leaves
+        it storable is ``SERIAL_MAX - 1``."""
         serial = self.next_serial
-        if serial > SERIAL_MAX:
+        if serial >= SERIAL_MAX:
             raise SerializationError(
-                f"trigger group {self.rid} has used all {SERIAL_MAX + 1} serials"
+                f"trigger group {self.rid} has used all {SERIAL_MAX} serials"
             )
         self.append(serial, entry)
         self.next_serial = serial + 1
@@ -523,25 +516,21 @@ class StateStore:
         under the current schema version (the trigger system's memo)."""
         machine.adopt(self.system.resolve(machine.state))
 
-    def kernel(self, group: Group, tier: "CompiledTier | None"):
+    def kernel(self, group: Group):
         """The group function that advances *group* as a whole, kept on
-        the group per schema version and membership.  *tier* is asked for
-        it with the group's signature, and with its entries' resolutions
-        if it has no function for it yet (both from the trigger system's
-        memo); where it has none, :func:`interpreted` serves, counting
-        fallbacks.  With no *tier* (off) :func:`interpreted` serves, kept
-        under the version's complement."""
+        the group per schema version and membership.  The process's
+        compile tier is asked for it with the group's signature, and with
+        its entries' resolutions if it has no function for it yet (both
+        from the trigger system's memo); where it has none,
+        :func:`interpreted` serves."""
         version = schema_version()
-        if tier is None:
-            version = ~version  # the interpreter's own slot: a tier flip asks again
         if group.kernel_version != version:
             kinds, system = group.kinds, self.system
-            kernel = None if tier is None else tier.group_function(
+            kernel = global_compiled_tier().group_function(
                 system.signature(kinds), lambda: system.resolutions(kinds)
             )
             if kernel is None:
-                infos = [r.info for r in system.resolutions(kinds)]
-                kernel = interpreted(infos, fallback=tier is not None)
+                kernel = interpreted([r.info for r in system.resolutions(kinds)])
             group.kernel = kernel
             group.kernel_version = version
         return group.kernel
@@ -593,7 +582,7 @@ class LockInPlaceStates(StateStore):
     def group(self, rid):
         group = self.groups.get(rid)
         if group is None:
-            group = self.groups[rid] = Group.load(
+            group = self.groups[rid] = Group(
                 rid, decode_heads(self.storage.read(self.txid, rid)), self.system.resolved
             )
         return group
@@ -652,17 +641,18 @@ class VolatileStates(StateStore):
     """Local rules (Section 8): states are plain memory, so advancing is
     an assignment — no record, no lock, no log.  Its owner's groups carry
     their entries' infos already resolved, and it has no registry to ask
-    again: the tier is asked with those infos, per posting."""
+    again: the process's compile tier is asked with those infos, per
+    posting, and :func:`interpreted` serves where it has no function."""
 
     def refresh(self, machine):
         machine.version = schema_version()
 
-    def kernel(self, group, tier):
+    def kernel(self, group):
         infos = group.infos
-        if tier is None:
-            return interpreted(infos)
-        kernel = tier.group_function(tuple(map(id, infos)), lambda: list(group))
-        return interpreted(infos, fallback=True) if kernel is None else kernel
+        kernel = global_compiled_tier().group_function(
+            tuple(map(id, infos)), lambda: list(group)
+        )
+        return interpreted(infos) if kernel is None else kernel
 
 
 def start_machine(stats: PostingStats, info: TriggerInfo, obj: Any, args: tuple):
@@ -692,12 +682,6 @@ def start_machine(stats: PostingStats, info: TriggerInfo, obj: Any, args: tuple)
         return outcome
 
     return params, info.fsm.quiesce(info.fsm.start, evaluate)[0]
-
-
-def serving_tier(system) -> "CompiledTier | None":
-    """The compile tier when it serves this posting (it is enabled on
-    *system*), else ``None``.  Tracing serves from the same tier."""
-    return system.compiled if system.compiled_enabled else None
 
 
 def interpret(
@@ -738,13 +722,13 @@ def interpret(
     return result.state, result.accepted
 
 
-def interpreted(infos: Sequence[TriggerInfo], fallback: bool = False):
+def interpreted(infos: Sequence[TriggerInfo]):
     """The interpreter as a group function: for a group whose entries, in
     entry order, are of the kinds *infos*, a function with the generated
     ``_advance_group``'s signature and contract
     (:func:`repro.core.compiled.generate_group_source`), each entry one
-    :func:`interpret` call.  With *fallback* (the tier serves, but has no
-    function for the group) each advance counts one
+    :func:`interpret` call.  It serves where the compile tier has no
+    function for the group, so each advance counts one
     ``compiled_fallbacks``."""
     infos = tuple(infos)
 
@@ -754,8 +738,7 @@ def interpreted(infos: Sequence[TriggerInfo], fallback: bool = False):
         try:
             for entry, info in enumerate(infos):
                 old = statenums[entry]
-                if fallback:
-                    stats.compiled_fallbacks += 1
+                stats.compiled_fallbacks += 1
                 new, accepts = interpret(
                     stats, info, old, eventnum, obj, params[entry], event,
                     None if log is None else log.setdefault(entry, {}),
@@ -916,18 +899,16 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
     the group function serving it, *then* fire.
 
     What a batch can share — the current transaction and its state store,
-    the serving tier, the ``obs.ENABLED`` check — is resolved once; the
-    tier and the check are resolved again after any posting that fired,
-    because an immediate action can flip obs or the compiled tier.  A
-    traced posting opens a span and is served by the same tier.  The
-    machines need no such rule: activation and deactivation change the
+    the ``obs.ENABLED`` check — is resolved once; the check is resolved
+    again after any posting that fired, because an immediate action can
+    flip obs.  A traced posting opens a span and is served by the same
+    group function.  The machines need no such rule: activation and deactivation change the
     store's group in place and the object's header with it, so a machine
     an action activates or deactivates is seen by the very next posting.
     """
     stats = system.stats
     total = 0
     txn = store = None
-    tier = serving_tier(system)
     tracing = obs.ENABLED
     for eventnum, ptr, obj, occurrence in batch:
         stats.events_posted += 1
@@ -963,7 +944,7 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
             )
         ready = ()
         if isinstance(group, Group):
-            kernel = store.kernel(group, tier)
+            kernel = store.kernel(group)
             ready = advance_group(
                 stats, kernel, store, group, eventnum, obj, occurrence, span
             )
@@ -993,7 +974,6 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
                 dispatch_firing(system, db, txn, record)
                 stats.firings += 1
             total += len(records)
-            tier = serving_tier(system)
             tracing = obs.ENABLED
         if span:
             obs.end_span(span, "post", firings=len(ready))

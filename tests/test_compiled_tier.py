@@ -3,8 +3,10 @@
 Three families:
 
 * **Differential**: hypothesis-generated event scripts replayed through
-  every state store ({2pl, mvcc} persistent plus local rules), with the
-  compiled tier on and off, posting one event at a time and in batches,
+  every state store ({2pl, mvcc} persistent plus local rules), served by
+  the compiled tier and by the interpreted reference
+  (:func:`interpreted_reference`), posting one event at a time and in
+  batches,
   must produce identical firing orders, ``statenum`` trajectories and
   posting stats — one posting kernel, so one property rather than one
   per pair of modes.
@@ -16,6 +18,7 @@ Three families:
   cleanly, and `CompiledTier.explain` names the reason.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import random
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.analysis.compilable import classify_trigger
 from repro.core.compiled import (
+    CompiledTier,
     generate_group_advance,
     global_compiled_tier,
     last_bump_reason,
@@ -42,6 +46,17 @@ from repro.events.fsm import Fsm, FsmState
 from repro.objects.database import Database
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
+
+
+@contextlib.contextmanager
+def interpreted_reference():
+    """The interpreted reference: inside, the compile tier has no group
+    function for any group, so :func:`repro.core.posting.interpreted`
+    serves every posting (each advance a counted fallback)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CompiledTier, "group_function", lambda self, key, entries: None)
+        yield
+
 
 # Firing log shared by the fixture actions; cleared per replay.
 _FIRED: list[str] = []
@@ -160,13 +175,16 @@ def _outcome(fired, trajectory, stats):
     return fired, trajectory, snapshot, tier_counters
 
 
-def _replay(base_path, script, compiled_enabled, trigger_cc="2pl", batched=False):
-    """Run *script* on a fresh database; return (firings, per-transaction
-    (trigger, statenum) trajectory, posting stats, tier counters).  With
-    *batched*, each run of consecutive postings is one ``post_many``."""
-    db = Database.open(base_path, engine="mm", trigger_cc=trigger_cc)
-    try:
-        db.trigger_system.compiled_enabled = compiled_enabled
+def _replay(base_path, script, compiled, trigger_cc="2pl", batched=False):
+    """Run *script* on a fresh database, served by the compile tier or,
+    without *compiled*, by the interpreted reference; return (firings,
+    per-transaction (trigger, statenum) trajectory, posting stats, tier
+    counters).  With *batched*, each run of consecutive postings is one
+    ``post_many``."""
+    serving = contextlib.nullcontext() if compiled else interpreted_reference()
+    with serving, contextlib.closing(
+        Database.open(base_path, engine="mm", trigger_cc=trigger_cc)
+    ) as db:
         with db.transaction():
             h = db.pnew(TierGadget)
             ptr = h.ptr
@@ -194,33 +212,31 @@ def _replay(base_path, script, compiled_enabled, trigger_cc="2pl", batched=False
                     for _, ts, info in db.trigger_system.active_triggers(ptr)
                 ))
         return _outcome(list(_FIRED), trajectory, stats)
-    finally:
-        db.close()
 
 
-def _replay_local(script, compiled_enabled):
+def _replay_local(script, compiled):
     """The same script against local rules; "commit" drains the end list."""
     system = LocalTriggerSystem()
-    system.compiled_enabled = compiled_enabled
     obj = LocalGadget()
     handle = system.monitor(obj)
     getattr(handle, BOUNDED)()  # what pnew does for a persistent object
     _activate_all(handle)
     _FIRED.clear()
     trajectory = []
-    for batch in script:
-        for op in batch:
-            if op == "inc":
-                obj.n += 1
-            elif op == "arm":
-                handle.Low(5)
-            else:
-                handle.post_event(op.capitalize())
-        trajectory.append(sorted(
-            (machine.info.name, machine.state.statenum)
-            for machine in system._groups.get(id(obj), ())
-        ))
-        system.drain_end_list()
+    with contextlib.nullcontext() if compiled else interpreted_reference():
+        for batch in script:
+            for op in batch:
+                if op == "inc":
+                    obj.n += 1
+                elif op == "arm":
+                    handle.Low(5)
+                else:
+                    handle.post_event(op.capitalize())
+            trajectory.append(sorted(
+                (machine.info.name, machine.state.statenum)
+                for machine in system._groups.get(id(obj), ())
+            ))
+            system.drain_end_list()
     return _outcome(list(_FIRED), trajectory, system.stats)
 
 
@@ -278,13 +294,15 @@ def test_every_store_tier_and_entry_point_agrees(tmp_path_factory, script):
             assert tier["compiled_fallbacks"] == 2 * posted, cell
             assert tier["compiled_hits"] == stats["fsm_advances"] - 2 * posted, cell
         else:
-            assert tier == {"compiled_hits": 0, "compiled_fallbacks": 0}, cell
+            assert tier == {
+                "compiled_hits": 0, "compiled_fallbacks": stats["fsm_advances"]
+            }, cell
 
 
 def test_fast_path_engages_and_impure_falls_back(tmp_path):
     script = [["tick", "tock", "bump"], ["inc", "inc", "inc", "inc", "tick"]]
     fired, _trajectory, stats, tier_counters = _replay(
-        str(tmp_path / "engage"), script, compiled_enabled=True
+        str(tmp_path / "engage"), script, compiled=True
     )
     # Six postings saw 4 compilable machines; the Impure trigger fell
     # back on each with an ODE4xx verdict cached in the tier.
@@ -488,9 +506,9 @@ def _stored_statenums(db, ptr):
         return [m.state.statenum for m in db.trigger_system.index.lookup(txn, ptr.rid)]
 
 
-def _run_group(path, engine, activations, script, loop, cls=KernelGadget):
-    """Run *script* on one object carrying *activations*; with *loop*,
-    the compile tier is off, so the interpreter serves every posting.
+def _run_group(path, engine, activations, script, cls=KernelGadget):
+    """Run *script* on one object carrying *activations* (under
+    :func:`interpreted_reference`, the interpreter serves every posting).
     Returns what must not depend on which one served: firings, each
     transaction's (statenums, stats delta, whether the group was marked
     dirty), and the committed statenums."""
@@ -503,7 +521,6 @@ def _run_group(path, engine, activations, script, loop, cls=KernelGadget):
                 getattr(h, name)(*args)
         _FIRED.clear()
         system = db.trigger_system
-        system.compiled_enabled = not loop
         seen = []
         for ops in script:
             before = system.stats.snapshot()
@@ -529,7 +546,7 @@ def _run_group(path, engine, activations, script, loop, cls=KernelGadget):
         db.close()
 
 
-#: What the tier counts, which the interpreted reference leaves at 0.
+#: What the tier counts: which function served, not what it did.
 _TIER_COUNTERS = ("compiled_hits", "compiled_fallbacks")
 
 
@@ -546,11 +563,12 @@ def _kernel_equals_loop(tmp_path, monkeypatch, engine, activations, script):
     """Run *script* interpreted, then compiled: everything but the tier's
     own counters must agree.  Returns the compiled run and the postings
     the group function served."""
-    answers = _tier_answers(monkeypatch)
-    looped = _run_group(str(tmp_path / "loop"), engine, activations, script, True)
-    assert answers == []  # the tier off is never asked
+    with interpreted_reference(), pytest.MonkeyPatch.context() as patch:
+        answers = _tier_answers(patch)
+        looped = _run_group(str(tmp_path / "loop"), engine, activations, script)
+    assert answers and not any(answers)  # asked, and None for every group
     calls = _kernel_calls(monkeypatch)
-    served = _run_group(str(tmp_path / "kernel"), engine, activations, script, False)
+    served = _run_group(str(tmp_path / "kernel"), engine, activations, script)
     assert _without_tier_counters(served) == _without_tier_counters(looped)
     return served, calls
 
@@ -669,7 +687,7 @@ def test_a_mask_raising_mid_group_leaves_what_the_loop_leaves(
     assert calls
     assert [raised for *_, raised in seen] == [["Tick"], ["Tick"]]
     first = _run_group(
-        str(tmp_path / "first"), engine, _SHAKY, [[("n", 13), "Tick"]], False
+        str(tmp_path / "first"), engine, _SHAKY, [[("n", 13), "Tick"]]
     )[1][0]
     assert first[0] == [1, 1, 0, 0]  # Seq, Seq advanced; Shaky raised; the last not
     assert first[1]["fsm_advances"] == first[1]["compiled_hits"] == 2
@@ -697,7 +715,7 @@ def test_an_interpreted_mask_raising_between_compiled_entries(
     assert len(calls) == _postings(script)
     assert [raised for *_, raised in seen] == [["Tick"], ["Tick"]]
     first = _run_group(
-        str(tmp_path / "first"), engine, _BRITTLE, [[("n", 13), "Tick"]], False
+        str(tmp_path / "first"), engine, _BRITTLE, [[("n", 13), "Tick"]]
     )[1][0]
     assert first[0] == [1, 1, 0, 0]  # Seq, Seq advanced; Brittle raised; the last not
     assert first[1]["fsm_advances"] == first[1]["compiled_hits"] == 2
@@ -730,33 +748,6 @@ def test_a_group_too_large_to_unroll_takes_the_loop(tmp_path, monkeypatch, engin
         posted = sum(isinstance(op, str) for op in ops)
         assert delta["compiled_hits"] == 0
         assert delta["compiled_fallbacks"] == delta["fsm_advances"] == 4 * posted
-
-
-def test_a_tier_flip_mid_transaction_switches_the_group_function(tmp_path, engine):
-    """The interpreter's function is kept on a group beside the tier's:
-    flipping ``compiled_enabled`` between two postings to one group in
-    one transaction serves the next posting by the other one."""
-    db = Database.open(str(tmp_path / "flip"), engine=engine)
-    try:
-        with db.transaction():
-            h = db.pnew(KernelGadget)
-            ptr = h.ptr
-            for name, *args in _INTERLEAVED[:4]:
-                getattr(h, name)(*args)
-        system = db.trigger_system
-        deltas = []
-        with db.transaction():
-            h = db.deref(ptr)
-            for enabled in (True, False, True, False):
-                system.compiled_enabled = enabled
-                before = system.stats.snapshot()
-                h.post_event("Tick")
-                deltas.append(system.stats.diff(before))
-    finally:
-        db.close()
-    assert [d["compiled_hits"] for d in deltas] == [4, 0, 4, 0]
-    assert [d["fsm_advances"] for d in deltas] == [4] * 4
-    assert [d["compiled_fallbacks"] for d in deltas] == [0] * 4
 
 
 def test_past_the_memo_cap_a_new_signature_takes_the_loop(tmp_path, monkeypatch):
@@ -1108,19 +1099,20 @@ def _spans(recorder):
     return list(spans.values())
 
 
-def _traced_spans(base_path, script, compiled_enabled, trigger_cc):
+def _traced_spans(base_path, script, compiled, trigger_cc):
     """:func:`_replay` traced: its outcome and its spans."""
     with obs.enabled() as recorder:
-        outcome = _replay(base_path, script, compiled_enabled, trigger_cc)
+        outcome = _replay(base_path, script, compiled, trigger_cc)
     return outcome, _spans(recorder)
 
 
 @pytest.mark.parametrize("cc", ["2pl", "mvcc"])
 def test_traced_compiled_and_interpreted_runs_emit_the_same_spans(tmp_path, cc):
-    """A trace cannot tell which function served: with the tier on and
-    off, every span holds the same records, kinds and data — over a
-    group whose compiled entries surround the interpreted ``Impure`` and
-    constraint entries, with ``Low`` armed again mid-transaction."""
+    """A trace cannot tell which function served: from the tier and from
+    the interpreted reference, every span holds the same records, kinds
+    and data — over a group whose compiled entries surround the
+    interpreted ``Impure`` and constraint entries, with ``Low`` armed
+    again mid-transaction."""
     script = [
         ["tick", "tock", "bump"],
         ["inc", "tick", "tock", "arm", "bump", "bump"],
@@ -1129,7 +1121,9 @@ def test_traced_compiled_and_interpreted_runs_emit_the_same_spans(tmp_path, cc):
     compiled, compiled_spans = _traced_spans(str(tmp_path / "on"), script, True, cc)
     interpreted, interpreted_spans = _traced_spans(str(tmp_path / "off"), script, False, cc)
     assert compiled[3]["compiled_hits"] > 0
-    assert interpreted[3] == {"compiled_hits": 0, "compiled_fallbacks": 0}
+    assert interpreted[3] == {
+        "compiled_hits": 0, "compiled_fallbacks": interpreted[2]["fsm_advances"]
+    }
     assert compiled[:3] == interpreted[:3]
     assert compiled_spans == interpreted_spans
     kinds = {kind for span in compiled_spans for kind, _data in span}
@@ -1146,9 +1140,9 @@ def test_a_traced_posting_whose_mask_raises_emits_the_entries_it_completed(
     interpreter; the next posting emits all four."""
     script = [[("n", 13), "Tick", ("n", 14), "Tick"]]
     runs = []
-    for loop in (False, True):
-        with obs.enabled() as recorder:
-            _run_group(str(tmp_path / f"loop{loop:d}"), "mm", activations, script, loop)
+    for serving in (contextlib.nullcontext(), interpreted_reference()):
+        with obs.enabled() as recorder, serving:
+            _run_group(str(tmp_path / f"loop{len(runs)}"), "mm", activations, script)
         runs.append(_spans(recorder))
     assert runs[0] == runs[1]
     raised, after = runs[0]

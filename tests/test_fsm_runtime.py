@@ -1,5 +1,7 @@
 """Extended-FSM run-time semantics: advance, quiesce, masks, dead states."""
 
+import contextlib
+
 import pytest
 
 from repro.core.declarations import trigger
@@ -10,6 +12,7 @@ from repro.events.fsm import DEAD
 from repro.objects.database import Database
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
+from tests.test_compiled_tier import interpreted_reference
 
 DECLS = ["A", "B", "C"]
 
@@ -222,9 +225,8 @@ class TestMaskOnNullableLoopEndToEnd:
     @pytest.mark.parametrize("engine", ["mm", "disk"])
     def test_persistent_trigger(self, db_path, engine, compiled):
         _LOOP_FIRED.clear()
-        db = Database.open(db_path, engine=engine)
-        try:
-            db.trigger_system.compiled_enabled = compiled
+        serving = contextlib.nullcontext() if compiled else interpreted_reference()
+        with serving, contextlib.closing(Database.open(db_path, engine=engine)) as db:
             with db.transaction():
                 h = db.pnew(NullableLoopWatch)
                 ptr = h.ptr
@@ -241,8 +243,6 @@ class TestMaskOnNullableLoopEndToEnd:
                 h.post_event("A")
             assert _LOOP_FIRED == ["Watch"]
             assert (db.trigger_system.stats.compiled_hits > 0) == compiled
-        finally:
-            db.close()
 
     def test_local_rule(self):
         _LOOP_FIRED.clear()

@@ -31,7 +31,7 @@ HOT_PATH = [
     ("repro.core.posting", ("StateStore", "kernel")),
     ("repro.core.posting", ("VolatileStates", "kernel")),
     ("repro.core.compiled", ("CompiledTier", "group_function")),
-    ("repro.core.posting", ("Group", "load")),
+    ("repro.core.posting", ("Group", "__init__")),
     ("repro.core.posting", ("Group", "entry")),
     ("repro.core.manager", ("TriggerSystem", "write_back")),
     ("repro.core.posting", ("LockInPlaceStates", "write_back")),

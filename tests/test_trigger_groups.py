@@ -372,6 +372,44 @@ def test_an_activation_rolled_back_leaves_no_group(cell):
         assert not db.storage.exists(txn.txid, tid.rid)
 
 
+def test_a_group_out_of_serials_refuses_the_activation_and_changes_nothing(cell):
+    """A committed group whose ``next_serial`` is ``SERIAL_MAX`` has no
+    serial left that its record could store beside the next one: the
+    activation call itself raises, and after the abort the stored group
+    and the object's header are as they were."""
+    open_db, db = cell
+    with db.transaction():
+        gadget = db.pnew(GroupGadget)
+        ptr, gate = gadget.ptr, gadget.Gate()
+    image = _stored_group(db, gate.rid)
+    with db.transaction() as txn:
+        image.next_serial = SERIAL_MAX
+        db.storage.write(txn.txid, gate.rid, image.encode())
+    db.close()
+    db = open_db()  # MVCC loads the group's head from storage
+    try:
+        ptr = PersistentPtr(db.name, ptr.rid)
+
+        def stored():
+            with db.transaction() as txn:
+                return db.storage.read(txn.txid, gate.rid), db.storage.read(txn.txid, ptr.rid)
+
+        before = stored()
+        with db.transaction():
+            handle = db.deref(ptr)
+            with pytest.raises(
+                SerializationError, match=f"has used all {SERIAL_MAX} serials"
+            ):
+                handle.Watch()
+            raise repro.TransactionAbort("no serial left")
+        assert stored() == before
+        with db.transaction():
+            assert _names(db, ptr) == ["Gate"]
+            assert db.trigger_system.verify_integrity() == []
+    finally:
+        db.close()
+
+
 def test_verify_integrity_reports_each_group_defect(cell):
     _, db = cell
     with db.transaction():

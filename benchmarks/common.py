@@ -13,7 +13,7 @@ import os
 import time
 from collections.abc import Callable, Sequence
 
-from repro.core.compiled import CompiledTier
+from repro.core.compiled import CompiledTier, bump_schema_version
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench_results")
 
@@ -58,13 +58,20 @@ def interpreted_baseline():
     compile tier has no group function for any group, so
     :func:`repro.core.posting.interpreted` serves every posting (each
     advance a counted ``compiled_fallbacks``).  The engine has no such
-    setting; only a benchmark's comparison column needs it."""
+    setting; only a benchmark's comparison column needs it.
+
+    A trigger system keeps the function it chose for a kinds sequence,
+    and a group the function it was served, per schema version, so the
+    version is bumped on the way in and on the way out: a database
+    measured on both sides chooses afresh under each tier."""
     real = CompiledTier.group_function
+    bump_schema_version("interpreted baseline: in")
     CompiledTier.group_function = lambda self, key, entries: None
     try:
         yield
     finally:
         CompiledTier.group_function = real
+        bump_schema_version("interpreted baseline: out")
 
 
 def time_per_op(fn: Callable[[], object], ops: int, repeats: int = 3) -> float:

@@ -376,11 +376,6 @@ class Group:
         self._built: dict[int, Machine] = {}
         self._resolved = resolved
 
-    @property
-    def kinds(self) -> list:
-        """Each entry's ``(trigobjtype, triggernum)``, in entry order."""
-        return list(zip(self.types, self.triggernums))
-
     def __len__(self) -> int:
         return len(self.serials)
 
@@ -518,22 +513,20 @@ class StateStore:
 
     def kernel(self, group: Group):
         """The group function that advances *group* as a whole, kept on
-        the group per schema version and membership.  The process's
-        compile tier is asked for it with the group's signature, and with
-        its entries' resolutions if it has no function for it yet (both
-        from the trigger system's memo); where it has none,
-        :func:`interpreted` serves."""
+        the group per schema version and membership (a membership change
+        resets it), so each group asks :meth:`choose` once.  Every store
+        keeps it this way; they differ only in how they choose."""
         version = schema_version()
         if group.kernel_version != version:
-            kinds, system = group.kinds, self.system
-            kernel = global_compiled_tier().group_function(
-                system.signature(kinds), lambda: system.resolutions(kinds)
-            )
-            if kernel is None:
-                kernel = interpreted([r.info for r in system.resolutions(kinds)])
-            group.kernel = kernel
+            group.kernel = self.choose(group)
             group.kernel_version = version
         return group.kernel
+
+    def choose(self, group: Group):
+        """The group function for *group*: the trigger system's, memoized
+        per kinds (``TriggerSystem.kernel``), so a group of kinds already
+        served asks the compile tier nothing."""
+        return self.system.kernel(group.types, group.triggernums)
 
     def settle(
         self, machine, obj, old_state, eventnum, occurrence, outcomes, span
@@ -641,13 +634,14 @@ class VolatileStates(StateStore):
     """Local rules (Section 8): states are plain memory, so advancing is
     an assignment — no record, no lock, no log.  Its owner's groups carry
     their entries' infos already resolved, and it has no registry to ask
-    again: the process's compile tier is asked with those infos, per
-    posting, and :func:`interpreted` serves where it has no function."""
+    again: a group's function is kept on it as on every store, chosen by
+    asking the process's compile tier with those infos, and
+    :func:`interpreted` serves where it has no function."""
 
     def refresh(self, machine):
         machine.version = schema_version()
 
-    def kernel(self, group):
+    def choose(self, group):
         infos = group.infos
         kernel = global_compiled_tier().group_function(
             tuple(map(id, infos)), lambda: list(group)
@@ -899,17 +893,24 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
     the group function serving it, *then* fire.
 
     What a batch can share — the current transaction and its state store,
-    the ``obs.ENABLED`` check — is resolved once; the check is resolved
-    again after any posting that fired, because an immediate action can
-    flip obs.  A traced posting opens a span and is served by the same
-    group function.  The machines need no such rule: activation and deactivation change the
-    store's group in place and the object's header with it, so a machine
-    an action activates or deactivates is seen by the very next posting.
+    the ``obs.ENABLED`` check — is resolved once.  A batch also keeps, per
+    object rid, the instance posted to, its group and the group's
+    function, so a batch that posts to an object again finds its group
+    without the index (a traced posting still emits its ``index.lookup``
+    record); the instance must be the one kept.  Only an immediate
+    action can change what the batch kept — activate, deactivate or
+    delete a trigger, flip obs — so after any posting that fired the
+    batch forgets its groups and checks obs again, and the next posting
+    finds its target's group through the header, as one ``post_event``
+    would.  A traced posting opens a span and is served by the same group
+    function.  :func:`post_event`, a batch of one, keeps nothing.
     """
     stats = system.stats
     total = 0
     txn = store = None
     tracing = obs.ENABLED
+    # rid -> (instance, group, group function): a batch's only
+    seen = {} if batched else None
     for eventnum, ptr, obj, occurrence in batch:
         stats.events_posted += 1
         if batched:
@@ -937,14 +938,20 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
         if txn is None:
             txn = db.txn_manager.current()
             store = system.states(txn)
-        group = system.index.lookup(txn, ptr.rid, obj)
+        kept = seen.get(ptr.rid) if seen else None
+        if kept is not None and kept[0] is obj:
+            _obj, group, kernel = kept
+        else:
+            group = system.index.lookup(txn, ptr.rid, obj)
+            kernel = store.kernel(group) if isinstance(group, Group) else None
+            if seen is not None:
+                seen[ptr.rid] = obj, group, kernel
         if span:
             obs.emit(
                 "index.lookup", span, rid=ptr.rid, txid=txn.txid, states=len(group)
             )
         ready = ()
-        if isinstance(group, Group):
-            kernel = store.kernel(group)
+        if kernel is not None:
             ready = advance_group(
                 stats, kernel, store, group, eventnum, obj, occurrence, span
             )
@@ -975,6 +982,8 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
                 stats.firings += 1
             total += len(records)
             tracing = obs.ENABLED
+            if seen:
+                seen.clear()
         if span:
             obs.end_span(span, "post", firings=len(ready))
     return total

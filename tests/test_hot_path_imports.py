@@ -29,7 +29,9 @@ HOT_PATH = [
     ("repro.core.posting", ("interpret",)),
     ("repro.core.posting", ("advance_group",)),
     ("repro.core.posting", ("StateStore", "kernel")),
-    ("repro.core.posting", ("VolatileStates", "kernel")),
+    ("repro.core.posting", ("StateStore", "choose")),
+    ("repro.core.posting", ("VolatileStates", "choose")),
+    ("repro.core.manager", ("TriggerSystem", "kernel")),
     ("repro.core.compiled", ("CompiledTier", "group_function")),
     ("repro.core.posting", ("Group", "__init__")),
     ("repro.core.posting", ("Group", "entry")),

@@ -10,21 +10,30 @@ except where a rule is one scheme's.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import itertools
+import weakref
+
 import pytest
 
 import repro
-from repro.core import compiled, posting
+from repro.core import compiled, manager, posting
 from repro.core.compiled import CompiledTier
 from repro.core.declarations import trigger
+from repro.core.monitored import LocalTriggerSystem, Monitored
+from repro.core.trigger_index import TriggerIndex
 from repro.core.trigger_state import TriggerGroup
 from repro.errors import StorageError
 from repro.fsck import fsck_database
 from repro.objects.database import Database
 from repro.objects.metatype import Metatype, TypeRegistry
+from repro.objects.oid import NULL_PTR, PersistentPtr
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 from repro.objects.serialize import FLAG_HAS_TRIGGERS, decode_object
 from repro.workloads.locksim import HotObject
+from tests.test_compiled_tier import interpreted_reference
 
 CELLS = [("disk", "2pl"), ("disk", "mvcc"), ("mm", "2pl"), ("mm", "mvcc")]
 
@@ -66,6 +75,14 @@ def cell(request, db_path):
     yield open_db, db
     if not db.closed:
         db.close()
+
+
+@pytest.fixture(params=CELLS, ids=["-".join(cell) for cell in CELLS])
+def fresh(request, tmp_path):
+    """Open a fresh database called *name* on one engine × cc cell (the
+    caller closes it)."""
+    engine, cc = request.param
+    return lambda name: Database.open(str(tmp_path / name), engine=engine, trigger_cc=cc)
 
 
 @pytest.fixture(params=["disk", "mm"])
@@ -179,11 +196,10 @@ def _count_calls(monkeypatch, calls: list, owner: type, name: str) -> None:
 
 def test_a_warm_posting_resolves_no_trigger(cell, monkeypatch):
     """Resolution is memoized per trigger kind and the group function per
-    signature: once a group has posted, a later transaction's 16 machines
+    kinds: once a group has posted, a later transaction's 16 machines
     are loaded resolved and served by the group function with no
-    registry or metatype call, no ODE4xx classification and no code
-    generation — the tier is asked once, for the group's memoized
-    function."""
+    registry or metatype call, no ODE4xx classification, no code
+    generation and no question to the tier."""
     _, db = cell
     with db.transaction():
         handle = db.pnew(FanGadget)
@@ -209,7 +225,7 @@ def test_a_warm_posting_resolves_no_trigger(cell, monkeypatch):
         for _ in range(4):
             handle.post_event("Tick")
     stats = db.trigger_system.stats.diff(before)
-    assert calls == ["group_function"] + ["advance_group"] * 4
+    assert calls == ["advance_group"] * 4
     assert stats["fsm_advances"] == stats["compiled_hits"] == 4 * 16
     # From the 3rd Tick on (the 2nd here), each Tick completes every Step.
     assert stats["firings"] == 3 * 8
@@ -380,3 +396,331 @@ def test_crash_and_reopen_leave_every_header_naming_a_live_group(cell):
         _clean(db)
     finally:
         db.close()
+
+
+# ---------------------------------------------------------------------------
+# The kinds memo: a group function per kinds sequence, per trigger system
+# ---------------------------------------------------------------------------
+
+
+def _fan(db, pattern: str):
+    """A new ``FanGadget`` with one trigger per letter of *pattern* (``G``
+    a ``Gate``, ``S`` a ``Step``), in that order; returns its pointer."""
+    with db.transaction():
+        handle = db.pnew(FanGadget)
+        for letter in pattern:
+            (handle.Gate if letter == "G" else handle.Step)()
+        return handle.ptr
+
+
+def _tier_answers(monkeypatch) -> list:
+    """What the compile tier answers each time it is asked for a group
+    function (``None``: the group is interpreted)."""
+    answers = []
+    real = CompiledTier.group_function
+
+    def asked(self, key, entries):
+        answers.append(real(self, key, entries))
+        return answers[-1]
+
+    monkeypatch.setattr(CompiledTier, "group_function", asked)
+    return answers
+
+
+def _kernel_of(db, txn, ptr):
+    """The group function kept on *ptr*'s group in *txn*."""
+    system = db.trigger_system
+    return system.states(txn).kernel(system.index.group(txn, ptr.rid))
+
+
+def test_a_group_of_kinds_already_served_asks_the_tier_nothing(cell, monkeypatch):
+    """A second object whose group holds the same kinds, first loaded in
+    a later transaction than the first object's, is served by the same
+    function with no question to the tier, no ODE4xx classification and
+    no code generation."""
+    _, db = cell
+    first, second = _fan(db, "GS" * 8), _fan(db, "GS" * 8)
+    with db.transaction() as txn:
+        db.deref(first).post_event("Tick")
+        served = _kernel_of(db, txn, first)
+    calls: list[str] = []
+    _count_calls(monkeypatch, calls, CompiledTier, "compiles")
+    _count_calls(monkeypatch, calls, CompiledTier, "group_function")
+    _count_calls(monkeypatch, calls, compiled, "generate_group_advance")
+    _count_calls(monkeypatch, calls, posting, "advance_group")
+    before = db.trigger_system.stats.snapshot()
+    with db.transaction() as txn:
+        handle = db.deref(second)
+        for _ in range(2):
+            handle.post_event("Tick")
+        assert _kernel_of(db, txn, second) is served
+    stats = db.trigger_system.stats.diff(before)
+    assert calls == ["advance_group"] * 2
+    assert stats["fsm_advances"] == stats["compiled_hits"] == 2 * 16
+
+
+#: What the actions below ran: (object label, trigger name), in order.
+FIRED: list[tuple[str, str]] = []
+
+
+def _note(self, ctx) -> None:
+    FIRED.append((self.label, ctx.info.name))
+
+
+def _arm_peer(self, ctx) -> None:
+    """Flip the mask the peer's ``Watch`` reads."""
+    _note(self, ctx)
+    ctx.db.deref(self.peer).n = 1
+
+
+def _extend_peer(self, ctx) -> None:
+    """Activate a ``Pair`` on the peer."""
+    _note(self, ctx)
+    ctx.db.deref(self.peer).Pair()
+
+
+def _disarm_peer(self, ctx) -> None:
+    """Deactivate every trigger of the peer: its group goes."""
+    _note(self, ctx)
+    system = ctx.db.trigger_system
+    for trigger_id, _state, _info in system.active_triggers(self.peer):
+        system.deactivate(trigger_id)
+
+
+class KindsGadget(Persistent):
+    """``Watch`` fires on a Tick once armed, ``Pair`` on every Tick after
+    its first; ``Arm``, ``Extend`` and ``Disarm`` (once-only) fire on the
+    second Tick and change the peer."""
+
+    label = field(str, default="")
+    n = field(int, default=0)
+    peer = field(PersistentPtr, default=NULL_PTR)
+
+    __events__ = ["Tick"]
+    __masks__ = {"armed": lambda self: self.n > 0}
+    __triggers__ = [
+        trigger("Watch", "Tick & armed", action=_note, perpetual=True),
+        trigger("Pair", "Tick, Tick", action=_note, perpetual=True),
+        trigger("Arm", "Tick, Tick", action=_arm_peer),
+        trigger("Extend", "Tick, Tick", action=_extend_peer),
+        trigger("Disarm", "Tick, Tick", action=_disarm_peer),
+    ]
+
+
+def _statenums(db, txn, ptr) -> list[tuple[int, int]]:
+    """``(serial, statenum)`` of each entry of *ptr*'s group in *txn*."""
+    return [
+        (m.serial, m.state.statenum) for m in db.trigger_system.index.lookup(txn, ptr.rid)
+    ]
+
+
+def _without_tier_counters(delta: dict) -> dict:
+    return {
+        k: v for k, v in delta.items() if k not in ("compiled_hits", "compiled_fallbacks")
+    }
+
+
+def _membership_edits(db):
+    """Post, activate a second ``Pair``, post, deactivate ``Watch``, post —
+    all in one transaction on one loaded group."""
+    with db.transaction():
+        handle = db.pnew(KindsGadget, label="a", n=1)
+        watch = handle.Watch()
+        handle.Pair()
+        ptr = handle.ptr
+    FIRED.clear()
+    before = db.trigger_system.stats.snapshot()
+    with db.transaction() as txn:
+        handle = db.deref(ptr)
+        handle.post_event("Tick")  # loads the group and chooses its function
+        handle.Pair()
+        handle.post_event("Tick")
+        db.trigger_system.deactivate(watch)
+        handle.post_event("Tick")
+        states = _statenums(db, txn, ptr)
+    delta = _without_tier_counters(db.trigger_system.stats.diff(before))
+    return list(FIRED), states, delta
+
+
+def test_a_membership_change_mid_transaction_chooses_the_function_again(fresh):
+    """An activation and a deactivation on a group the transaction has
+    posted to: each following posting is served by the function of the
+    group's new kinds, as the interpreted reference serves it."""
+    with contextlib.closing(fresh("compiled")) as db:
+        served = _membership_edits(db)
+    with interpreted_reference(), contextlib.closing(fresh("interpreted")) as db:
+        reference = _membership_edits(db)
+    assert served == reference
+    fired, _states, delta = served
+    # The first Pair fires from the second Tick on; the second, added
+    # after the first Tick, fires on the third; Watch is gone by then.
+    assert fired == [("a", "Watch")] * 2 + [("a", "Pair")] * 3
+    assert delta["fsm_advances"] == 2 + 3 + 2
+
+
+def test_a_schema_bump_asks_the_tier_once_for_the_new_function(cell, monkeypatch):
+    """After ``bump_schema_version()`` the first group load asks the tier
+    again, once for its kinds, and every group of those kinds is served
+    by the new answer."""
+    _, db = cell
+    first, second = _fan(db, "GSG"), _fan(db, "GSG")
+    with db.transaction() as txn:
+        db.deref(first).post_event("Tick")
+        old = _kernel_of(db, txn, first)
+    compiled.bump_schema_version("test: the kinds memo starts afresh")
+    answers = _tier_answers(monkeypatch)
+    with db.transaction() as txn:
+        for ptr in (first, second):
+            db.deref(ptr).post_event("Tick")
+        served = {_kernel_of(db, txn, ptr) for ptr in (first, second)}
+    assert len(answers) == 1 and answers[0] is not None
+    assert served == {answers[0]} and answers[0] is not old
+
+
+def test_the_kinds_memo_dies_with_its_database(fresh):
+    """The memo lives on the trigger system: once its database is closed,
+    nothing keeps that trigger system alive."""
+    db = fresh("gone")
+    ptr = _fan(db, "GS")
+    with db.transaction():
+        db.deref(ptr).post_event("Tick")
+    system = weakref.ref(db.trigger_system)
+    db.close()
+    del db
+    gc.collect()
+    assert system() is None
+
+
+def test_the_kinds_memo_stays_within_its_bound(cell, monkeypatch):
+    """More distinct kinds sequences than the memo holds: it never holds
+    more than its bound, and every group is still served by its own
+    generated function."""
+    _, db = cell
+    monkeypatch.setattr(manager, "_KERNELS_MAX", 4)
+    patterns = ["".join(p) for p in itertools.product("GS", repeat=3)]
+    ptrs = [_fan(db, pattern) for pattern in patterns]
+    system = db.trigger_system
+    before = system.stats.snapshot()
+    for ptr in ptrs:
+        with db.transaction():
+            db.deref(ptr).post_event("Tick")
+        assert 0 < len(system._kernels) <= 4
+    stats = system.stats.diff(before)
+    assert stats["fsm_advances"] == stats["compiled_hits"] == 3 * len(patterns)
+
+
+LocalFan = type(
+    "LocalFan",
+    (Monitored,),
+    {
+        "__init__": lambda self: setattr(self, "n", 0),
+        "__events__": ["Tick"],
+        "__masks__": {"armed": lambda self: self.n > 0},
+        "__triggers__": [
+            trigger("Gate", "Tick & armed", action=lambda s, c: None, perpetual=True),
+            trigger("Step", "Tick, Tick", action=lambda s, c: None, perpetual=True),
+        ],
+    },
+)
+
+
+def test_local_rules_keep_their_function_until_a_rule_is_added(monkeypatch):
+    """Local rules keep their group function on their group as a
+    persistent store does: warm, a posting asks the tier nothing; a rule
+    added between postings gets a fresh choice."""
+    system = LocalTriggerSystem()
+    handle = system.monitor(LocalFan())
+    handle.Gate()
+    handle.Step()
+    handle.post_event("Tick")  # chooses
+    answers = _tier_answers(monkeypatch)
+    for _ in range(3):
+        handle.post_event("Tick")
+    assert answers == []
+    handle.Step()
+    for _ in range(2):
+        handle.post_event("Tick")
+    assert len(answers) == 1 and answers[0] is not None
+    assert system.stats.fsm_advances == system.stats.compiled_hits == 4 * 2 + 2 * 3
+
+
+# ---------------------------------------------------------------------------
+# The batch memo: a batch finds each object's group once
+# ---------------------------------------------------------------------------
+
+
+#: ``a``'s second Tick, the batch's third posting, fires its one trigger.
+_BATCH = [
+    ("a", "Tick"), ("b", "Tick"), ("a", "Tick"), ("b", "Tick"),
+    ("b", "Tick"), ("a", "Tick"), ("b", "Tick"),
+]
+
+
+def _batch_run(db, case: str, batched: bool):
+    """``a`` carries *case*, ``b`` an unarmed ``Watch``; post ``_BATCH``
+    as one ``post_many`` or one ``post_event`` per item."""
+    with db.transaction():
+        b = db.pnew(KindsGadget, label="b")
+        b.Watch()
+        a = db.pnew(KindsGadget, label="a", peer=b.ptr)
+        getattr(a, case)()
+        ptrs = {"a": a.ptr, "b": b.ptr}
+    FIRED.clear()
+    system = db.trigger_system
+    before = system.stats.snapshot()
+    with db.transaction() as txn:
+        if batched:
+            db.post_many([(ptrs[who], event) for who, event in _BATCH])
+        else:
+            for who, event in _BATCH:
+                db.deref(ptrs[who]).post_event(event)
+        states = {who: _statenums(db, txn, ptr) for who, ptr in ptrs.items()}
+    delta = _without_tier_counters(system.stats.diff(before))
+    del delta["batched"]
+    return list(FIRED), states, delta
+
+
+@pytest.mark.parametrize(
+    "case, fired",
+    [
+        ("Arm", [("a", "Arm")] + [("b", "Watch")] * 3),
+        ("Extend", [("a", "Extend")] + [("b", "Pair")] * 2),
+        ("Disarm", [("a", "Disarm")]),
+    ],
+)
+def test_a_batch_equals_its_postings_when_an_action_changes_a_later_target(
+    fresh, case, fired
+):
+    """The batch's third posting fires an immediate action that flips the
+    mask a later posting's object reads (``Arm``), activates a trigger on
+    the next posting's object (``Extend``) or deactivates its last
+    trigger, dropping its group (``Disarm``): the batch advances and
+    fires what one ``post_event`` per item does, compiled or
+    interpreted."""
+    runs = {}
+    for served, batched in itertools.product((True, False), repeat=2):
+        serving = contextlib.nullcontext() if served else interpreted_reference()
+        with serving, contextlib.closing(fresh(f"{case}{served:d}{batched:d}")) as db:
+            runs[served, batched] = _batch_run(db, case, batched)
+    reference = runs[True, False]
+    assert all(run == reference for run in runs.values()), runs
+    assert reference[0] == fired
+    if case == "Disarm":
+        assert reference[1]["b"] == []
+
+
+def test_a_fanout_batch_finds_each_objects_group_once(cell, monkeypatch):
+    """The ``fanout_mm`` transaction — 8 Ticks over 2 objects of 16
+    gated triggers, nothing fires — makes 2 index lookups, not 8, and
+    every posting still advances and masks all 16."""
+    _, db = cell
+    ptrs = [_fan(db, "G" * 16) for _ in range(2)]
+    calls: list[str] = []
+    _count_calls(monkeypatch, calls, TriggerIndex, "lookup")
+    before = db.trigger_system.stats.snapshot()
+    with db.transaction():
+        assert db.post_many([(ptrs[0], "Tick"), (ptrs[1], "Tick")] * 4) == 0
+    stats = db.trigger_system.stats.diff(before)
+    assert calls == ["lookup"] * 2
+    assert stats["events_posted"] == stats["batched"] == 8
+    assert stats["fsm_advances"] == stats["masks_evaluated_posting"] == 8 * 16

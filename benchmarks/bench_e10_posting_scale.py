@@ -13,8 +13,8 @@ state read + FSM advance + possible write) and linear in the mask chain
 length (one pseudo-event per mask).
 
 The engine always serves from the compiled tier; the "interp" columns
-are a bench-only baseline (``interpreted_baseline``: the tier answers no
-group function, so ``posting.interpreted`` serves every posting).
+are a bench-only baseline (``interpreted_baseline``: the tier generates
+no group function, so ``posting.interpreted`` serves every posting).
 """
 
 import pytest

@@ -10,7 +10,7 @@ store for *both* modes (they used to be the tier's alone, which is why
 this table once read 6.65x), so what is measured here is code generation
 by itself.  The engine always serves from the tier; the interpreted
 column is a bench-only baseline (``interpreted_baseline``: the tier
-answers no group function, so ``posting.interpreted`` serves every
+generates no group function, so ``posting.interpreted`` serves every
 posting, each advance a counted fallback).
 
 Two workloads, both at fan-out 1/8/32 active triggers on one object:

@@ -13,7 +13,7 @@ import os
 import time
 from collections.abc import Callable, Sequence
 
-from repro.core.compiled import CompiledTier, bump_schema_version
+from repro.core import compiled
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench_results")
 
@@ -52,26 +52,31 @@ def emit_table(
     return text
 
 
+def _refuse(infos, proofs=None):
+    raise compiled.PlanError("interpreted baseline: no generated code")
+
+
 @contextlib.contextmanager
 def interpreted_baseline():
     """The interpreted baseline of a posting benchmark: inside, the
-    compile tier has no group function for any group, so
-    :func:`repro.core.posting.interpreted` serves every posting (each
-    advance a counted ``compiled_fallbacks``).  The engine has no such
-    setting; only a benchmark's comparison column needs it.
+    compile tier generates no group function (``generate_group_advance``
+    refuses every group), so :func:`repro.core.posting.interpreted`
+    serves every posting (each advance a counted ``compiled_fallbacks``).
+    The engine has no such setting; only a benchmark's comparison column
+    needs it.
 
-    A trigger system keeps the function it chose for a kinds sequence,
-    and a group the function it was served, per schema version, so the
+    The tier memoizes each group's function for the whole process, and a
+    group keeps the function it was served, per schema version, so the
     version is bumped on the way in and on the way out: a database
-    measured on both sides chooses afresh under each tier."""
-    real = CompiledTier.group_function
-    bump_schema_version("interpreted baseline: in")
-    CompiledTier.group_function = lambda self, key, entries: None
+    measured on both sides chooses afresh under each."""
+    real = compiled.generate_group_advance
+    compiled.bump_schema_version("interpreted baseline: in")
+    compiled.generate_group_advance = _refuse
     try:
         yield
     finally:
-        CompiledTier.group_function = real
-        bump_schema_version("interpreted baseline: out")
+        compiled.generate_group_advance = real
+        compiled.bump_schema_version("interpreted baseline: out")
 
 
 def time_per_op(fn: Callable[[], object], ops: int, repeats: int = 3) -> float:

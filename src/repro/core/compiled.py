@@ -31,15 +31,16 @@ function, so one impure mask keeps no other trigger of its group from
 being compiled.  One call then advances the whole group, with no
 per-entry call, tuple or machine.
 
-The :class:`CompiledTier` keeps the per-trigger verdicts and memoizes the
-group functions, both keyed by a process-global **schema version** (the
-edgedb ``edb/server/compiler`` artifact-cache shape): any trigger
-add/remove (class (re)compilation, shim registration) or strict-mode flip
-bumps the version and evicts everything, so a stale function can never
-fire for a redefined trigger.  Correctness never depends on codegen —
-where the tier has no function for a group (too large to unroll, too
-many signatures, a codegen failure) :func:`repro.core.posting.interpreted`
-serves it, counting ``posting.compiled_fallbacks``.
+The :class:`CompiledTier` keeps the per-trigger verdicts and the one
+memo of group functions in the process, both validated against a
+process-global **schema version** (the edgedb ``edb/server/compiler``
+artifact-cache shape): any trigger add/remove (class (re)compilation,
+shim registration) or strict-mode flip bumps the version and evicts
+everything, so a stale function can never fire for a redefined trigger.
+Correctness never depends on codegen — where a group cannot be
+generated (too large to unroll, a codegen failure) the tier serves it
+by :func:`repro.core.posting.interpreted`, counting
+``posting.compiled_fallbacks``.
 
 The generated code emits no trace records, and tracing does not switch
 it off: for a traced posting :func:`recording` rebinds the function's
@@ -87,8 +88,8 @@ UNROLL_BUDGET = 256
 #: Cap on the nodes of one group function: the sum of its entries' trees.
 #: A larger group is interpreted, entry by entry.
 GROUP_UNROLL_BUDGET = 4096
-#: Most group signatures whose function the tier keeps per schema
-#: version; a group of a new signature past it is interpreted.
+#: Most keys whose group function the tier keeps; the memo is emptied
+#: when full.
 KERNEL_MEMO_MAX = 256
 
 
@@ -118,11 +119,12 @@ def bump_schema_version(reason: str = "") -> int:
     """Invalidate every verdict and group function (trigger set or mode
     changed).
 
-    Called from the three places the trigger universe can shift under a
+    Called from the places the trigger universe can shift under a
     running process: :func:`repro.core.declarations.process_active_class`
     (a class — and its triggers — was (re)compiled),
     :meth:`repro.objects.metatype.TypeRegistry.register_shim` (a run-time
-    bridge trigger appeared), and
+    bridge trigger appeared), :meth:`~repro.objects.metatype.TypeRegistry.register`
+    when it re-points a name at another class, and
     :func:`repro.core.declarations.set_strict_analysis` (the analysis
     regime flipped).  Bumping is cheap; the tier re-validates lazily
     against the counter.
@@ -448,27 +450,26 @@ _UNSET = object()
 
 
 class CompiledTier:
-    """The ODE4xx verdicts and the group functions gating the posting
-    fast path.
+    """The ODE4xx verdicts and the one memo of group functions.
 
-    A verdict is kept per ``TriggerInfo``, a group function per
-    signature — its entries' ``TriggerInfo`` objects in entry order, so a
-    local rule, which has no registry to resolve a kind through, keys the
-    same way a persistent group does.  Both are id-keyed (a strong
-    reference is pinned so ids stay unique) and validated against the
-    process schema version: the first lookup after any bump drops
-    everything.  A withheld proof and a signature that cannot be
-    generated are memoized too, so classification and codegen run once
-    per trigger and per signature per schema version, not once per
-    posting.
+    A verdict is kept per ``TriggerInfo`` (infos compare by identity, so
+    the memo's key keeps its info alive).  A group function is kept per
+    key: a persistent group's is ``(registry, types, triggernums)``, its
+    loaded columns and the registry its kinds resolve through; a local
+    rules group's is its entries' infos.  Both memos are validated
+    against the process schema version: the first lookup after any bump
+    drops everything.  The function memo holds at most
+    :data:`KERNEL_MEMO_MAX` keys and is emptied when full.  A withheld
+    proof and a group that cannot be generated are memoized too, so
+    classification and codegen run once per trigger and per key per
+    schema version, not once per posting.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._version = schema_version()
-        self._verdicts: dict[int, object] = {}
-        self._functions: dict[tuple, Optional[Callable]] = {}
-        self._pins: dict[int, "TriggerInfo"] = {}
+        self._verdicts: dict["TriggerInfo", object] = {}
+        self._functions: dict[tuple, Callable] = {}
 
     # -- invalidation ------------------------------------------------------
 
@@ -478,14 +479,12 @@ class CompiledTier:
                 if self._version != _SCHEMA_VERSION:
                     self._functions.clear()
                     self._verdicts.clear()
-                    self._pins.clear()
                     self._version = _SCHEMA_VERSION
 
     def cached_count(self) -> int:
-        """How many signatures have a memoized group function."""
+        """How many keys have a memoized group function."""
         self._maybe_evict()
-        with self._lock:
-            return sum(function is not None for function in self._functions.values())
+        return len(self._functions)
 
     # -- lookup ------------------------------------------------------------
 
@@ -493,7 +492,7 @@ class CompiledTier:
         """Whether *info* holds an ODE4xx proof (classified once per
         schema version, against its defining *metatype*)."""
         self._maybe_evict()
-        verdict = self._verdicts.get(id(info), _UNSET)
+        verdict = self._verdicts.get(info, _UNSET)
         if verdict is _UNSET:
             try:
                 from repro.analysis.compilable import classify_trigger
@@ -504,42 +503,42 @@ class CompiledTier:
                 # must never take posting down.
                 verdict = None
             with self._lock:
-                self._pins[id(info)] = info
-                self._verdicts[id(info)] = verdict
+                self._verdicts[info] = verdict
         return bool(getattr(verdict, "compilable", False))
 
-    def group_function(
-        self, key: tuple, entries: Callable[[], Sequence]
-    ) -> Optional[Callable]:
-        """The group function of a group whose signature is *key* — the
-        ids of its entries' ``TriggerInfo`` objects, in entry order — or
-        ``None``: the group is interpreted.  That is the case when its
-        trees blow :data:`GROUP_UNROLL_BUDGET`, when generating it fails,
-        and for a new signature once :data:`KERNEL_MEMO_MAX` are memoized.
-        *entries* is called only to generate: it returns the entries, each
-        with the ``info`` of *key* and the ``defining`` metatype it
-        resolved to."""
+    def group_function(self, key: tuple, entries: Callable[[tuple], Sequence]) -> Callable:
+        """The group function of the group whose key is *key*.
+        ``entries(key)`` is called only on a miss: it returns the group's
+        entries in entry order, each with its ``info`` and the
+        ``defining`` metatype it resolved to."""
         if self._version != _SCHEMA_VERSION:
             self._maybe_evict()
-        function = self._functions.get(key, _UNSET)
-        if function is not _UNSET:
-            return function
-        version = self._version
-        if len(self._functions) >= KERNEL_MEMO_MAX:
-            return None
-        entries = entries()
+        function = self._functions.get(key)
+        if function is None:
+            function = self._generate(key, entries)
+        return function
+
+    def _generate(self, key: tuple, entries: Callable[[tuple], Sequence]) -> Callable:
+        """Generate *key*'s group function and memoize it, unless the
+        schema version moved while its entries were resolved.  A group
+        whose trees blow :data:`GROUP_UNROLL_BUDGET`, or whose generation
+        fails, gets :func:`repro.core.posting.interpreted`."""
+        # Imported here: the interpreter's module imports this one.
+        from repro.core.posting import interpreted
+
+        version = _SCHEMA_VERSION
+        entries = entries(key)
         infos = [entry.info for entry in entries]
         proofs = [self.compiles(entry.info, entry.defining) for entry in entries]
         try:
             function = generate_group_advance(infos, proofs)[0]
         except Exception:
             # Too large to unroll (or any codegen failure): interpreted.
-            function = None
+            function = interpreted(infos)
         with self._lock:
-            # A key from before a schema bump names infos that may be gone.
-            if self._version == version and key == tuple(map(id, infos)):
-                for info in infos:
-                    self._pins[id(info)] = info
+            if self._version == version == _SCHEMA_VERSION:
+                if len(self._functions) >= KERNEL_MEMO_MAX:
+                    self._functions.clear()
                 self._functions[key] = function
         return function
 
@@ -547,7 +546,7 @@ class CompiledTier:
         """The ODE4xx diagnostics naming why the proof was withheld
         (empty for compilable or never-classified triggers)."""
         self._maybe_evict()
-        verdict = self._verdicts.get(id(info))
+        verdict = self._verdicts.get(info)
         return tuple(getattr(verdict, "diagnostics", ()))
 
 

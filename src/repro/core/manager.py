@@ -24,7 +24,7 @@ import operator
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.core.compiled import global_compiled_tier, schema_version
+from repro.core.compiled import schema_version
 from repro.core.posting import (
     DEPENDENT_LIST,
     END_LIST,
@@ -36,7 +36,6 @@ from repro.core.posting import (
     StateStore,
     TriggerContext,
     drain,
-    interpreted,
     post_event,
     post_many,
     run_action,
@@ -65,10 +64,6 @@ TX_EVENT_OBJECTS = "trigger:tx_event_objects"
 #: A trigger state's kind: what it resolves through.
 _KIND = operator.attrgetter("trigobjtype", "triggernum")
 
-#: Most kinds sequences :meth:`TriggerSystem.kernel` keeps a group
-#: function for, as many as ``decode_heads`` keeps blocks.
-_KERNELS_MAX = 256
-
 
 class TriggerSystem:
     """Run-time trigger facilities for one database."""
@@ -83,12 +78,9 @@ class TriggerSystem:
         # Static confluence verdicts, lazily computed per anchor class:
         # metatype id -> frozenset of non-confluent trigger-name pairs.
         self._confluence_cache: dict[int, frozenset[frozenset[str]]] = {}
-        # (trigobjtype, triggernum) -> Resolution, and a group's kinds —
-        # its (types, triggernums) columns — -> its group function, both
-        # under ``_resolved_at``, the schema version the memos were
-        # started under (see _memo()).
+        # (trigobjtype, triggernum) -> Resolution, under ``_resolved_at``,
+        # the schema version the memo was started under (see _memo()).
         self._resolutions: dict[tuple[str, int], Resolution] = {}
-        self._kernels: dict[tuple[tuple, tuple], Any] = {}
         self._resolved_at = schema_version()
         # metatype -> whether its class declares a transaction event
         # (``before tcomplete``/``tabort``): asked once per class, not per
@@ -119,17 +111,13 @@ class TriggerSystem:
     # -- trigger resolution, memoized per trigger kind ------------------------------
 
     def _memo(self, version: int) -> dict[tuple[str, int], Resolution]:
-        """The resolution memo, started afresh — with the kinds memo of
-        :meth:`kernel` — when the schema version moved.  Its hygiene is
-        not what keeps a stale trigger from firing: every
-        :class:`Resolution` carries its own version, a machine takes it
-        along, and the kernel re-resolves any machine whose version is
-        not the current one.  The kinds memo's hygiene is relied on: a
-        group function generated from an older version's infos must not
-        serve a newer one."""
+        """The resolution memo, started afresh when the schema version
+        moved.  Its hygiene is not what keeps a stale trigger from
+        firing: every :class:`Resolution` carries its own version, a
+        machine takes it along, and the kernel re-resolves any machine
+        whose version is not the current one."""
         if self._resolved_at != version:
             self._resolutions = {}
-            self._kernels = {}
             self._resolved_at = version
         return self._resolutions
 
@@ -150,39 +138,12 @@ class TriggerSystem:
             resolution = memo[kind] = Resolution(version, defining, info)
         return resolution
 
-    def kernel(self, types, triggernums):
-        """The group function of a group whose entries, in entry order,
-        are of the kinds *types* × *triggernums* (its loaded columns):
-        memoized per kinds, so the compile tier is asked once per kinds
-        sequence per schema version, not once per group load.  Where the
-        tier has no function, :func:`~repro.core.posting.interpreted`
-        serves and is memoized the same way.  The memo holds at most
-        ``_KERNELS_MAX`` sequences (it is emptied when full)."""
-        self._memo(schema_version())
-        kernels = self._kernels
-        key = (tuple(types), tuple(triggernums))
-        kernel = kernels.get(key)
-        if kernel is None:
-            kinds = list(zip(types, triggernums))
-            kernel = global_compiled_tier().group_function(
-                self.signature(kinds), lambda: self.resolutions(kinds)
-            )
-            if kernel is None:
-                kernel = interpreted([r.info for r in self.resolutions(kinds)])
-            if len(kernels) >= _KERNELS_MAX:
-                kernels.clear()
-            kernels[key] = kernel
-        return kernel
-
-    def signature(self, kinds: list) -> tuple[int, ...]:
-        """The ids of *kinds*' ``TriggerInfo`` objects: the key of their
-        group function in the compile tier."""
-        return tuple([id(self._resolve(kind).info) for kind in kinds])
-
-    def resolutions(self, kinds: list) -> list[Resolution]:
-        """The resolution of each of *kinds*: the entries the compile tier
-        generates a group function from."""
-        return [self._resolve(kind) for kind in kinds]
+    def resolutions(self, key: tuple) -> list[Resolution]:
+        """The resolution of each entry of a group whose compile-tier key
+        is *key* — ``(registry, types, triggernums)``: the entries the
+        tier generates its group function from, on a miss."""
+        _registry, types, triggernums = key
+        return [self._resolve(kind) for kind in zip(types, triggernums)]
 
     def resolved(self, kind: tuple[str, int]) -> Resolution | None:
         """*kind*'s memoized resolution, ``None`` if it has none yet.

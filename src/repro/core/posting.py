@@ -90,6 +90,8 @@ DEPENDENT_LIST = "trigger:dependent_list"
 INDEPENDENT_LIST = "trigger:independent_list"
 #: Per-transaction attachment key of the transaction's :class:`StateStore`.
 STATE_STORE = "trigger:state_store"
+#: The process's compile tier, the one memo of group functions.
+_TIER = global_compiled_tier()
 
 
 class FrozenKwargs(Mapping):
@@ -523,10 +525,14 @@ class StateStore:
         return group.kernel
 
     def choose(self, group: Group):
-        """The group function for *group*: the trigger system's, memoized
-        per kinds (``TriggerSystem.kernel``), so a group of kinds already
-        served asks the compile tier nothing."""
-        return self.system.kernel(group.types, group.triggernums)
+        """The group function for *group*: the compile tier's, keyed by
+        the registry its kinds resolve through and its kinds columns, so
+        a group of kinds already served is one memo hit."""
+        system = self.system
+        return _TIER.group_function(
+            (system.db.registry, tuple(group.types), tuple(group.triggernums)),
+            system.resolutions,
+        )
 
     def settle(
         self, machine, obj, old_state, eventnum, occurrence, outcomes, span
@@ -634,19 +640,15 @@ class VolatileStates(StateStore):
     """Local rules (Section 8): states are plain memory, so advancing is
     an assignment — no record, no lock, no log.  Its owner's groups carry
     their entries' infos already resolved, and it has no registry to ask
-    again: a group's function is kept on it as on every store, chosen by
-    asking the process's compile tier with those infos, and
-    :func:`interpreted` serves where it has no function."""
+    again: a group's function is kept on it as on every store, the
+    compile tier's keyed by those infos."""
 
     def refresh(self, machine):
         machine.version = schema_version()
 
     def choose(self, group):
-        infos = group.infos
-        kernel = global_compiled_tier().group_function(
-            tuple(map(id, infos)), lambda: list(group)
-        )
-        return interpreted(infos) if kernel is None else kernel
+        # Asked once per membership: the group keeps what it returns.
+        return _TIER.group_function(tuple(group.infos), lambda _key: list(group))
 
 
 def start_machine(stats: PostingStats, info: TriggerInfo, obj: Any, args: tuple):

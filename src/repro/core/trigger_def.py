@@ -168,9 +168,13 @@ def build_int_fsm(
     return IntFsm(compiled, symbol_to_int, pseudo_ints)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class TriggerInfo:
-    """Everything about one trigger (paper Section 5.4.4 ``TriggerInfo``)."""
+    """Everything about one trigger (paper Section 5.4.4 ``TriggerInfo``).
+
+    Infos compare and hash by identity: each is one trigger kind, shared
+    by every state of that kind, and the compile tier keys its verdicts
+    and local-rule functions by them."""
 
     name: str
     triggernum: int

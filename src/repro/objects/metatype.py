@@ -114,7 +114,8 @@ class TypeRegistry:
 
         Re-registering the same class object is idempotent; registering a
         *different* class under an existing name replaces it, which mirrors
-        recompilation of a class definition.
+        recompilation of a class definition, and bumps the schema version:
+        group functions are memoized by registry and type name.
         """
         existing = self._by_class.get(pyclass)
         if existing is not None:
@@ -124,9 +125,14 @@ class TypeRegistry:
             if existing is not None:
                 return existing
             metatype = Metatype(pyclass)
+            replaced = self._by_name.get(metatype.name)
             self._by_name[metatype.name] = metatype
             self._by_class[pyclass] = metatype
-            return metatype
+        if replaced is not None:
+            from repro.core.compiled import bump_schema_version
+
+            bump_schema_version(f"register:{metatype.name}")
+        return metatype
 
     def register_shim(self, name: str, shim: "Metatype | Any") -> None:
         """Register a dynamic pseudo-metatype under *name*.

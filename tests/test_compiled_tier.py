@@ -30,8 +30,11 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.analysis.compilable import classify_trigger
+from repro.core import compiled
 from repro.core.compiled import (
     CompiledTier,
+    PlanError,
+    bump_schema_version,
     generate_group_advance,
     global_compiled_tier,
     last_bump_reason,
@@ -40,7 +43,7 @@ from repro.core.compiled import (
 from repro.core.constraints import CONSTRAINT_PREFIX
 from repro.core.declarations import set_strict_analysis, trigger
 from repro.core.monitored import LocalTriggerSystem, Monitored
-from repro.core.posting import PostingStats
+from repro.core.posting import PostingStats, interpreted
 from repro.core.trigger_def import IntFsm
 from repro.events.fsm import Fsm, FsmState
 from repro.objects.database import Database
@@ -48,14 +51,31 @@ from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 
 
+def _refuse(infos, proofs=None):
+    raise PlanError("interpreted reference: no generated code")
+
+
 @contextlib.contextmanager
 def interpreted_reference():
-    """The interpreted reference: inside, the compile tier has no group
-    function for any group, so :func:`repro.core.posting.interpreted`
-    serves every posting (each advance a counted fallback)."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(CompiledTier, "group_function", lambda self, key, entries: None)
-        yield
+    """The interpreted reference: inside, the compile tier generates no
+    group function (``generate_group_advance`` refuses every group), so
+    :func:`repro.core.posting.interpreted` serves every posting (each
+    advance a counted fallback).  The tier's memo outlives any database,
+    so the schema version is bumped on the way in and on the way out: a
+    function memoized outside does not serve inside, nor one memoized
+    inside after."""
+    bump_schema_version("interpreted reference: in")
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(compiled, "generate_group_advance", _refuse)
+            yield
+    finally:
+        bump_schema_version("interpreted reference: out")
+
+
+def _is_interpreted(function) -> bool:
+    """Whether *function* is :func:`repro.core.posting.interpreted`'s."""
+    return function.__code__ is interpreted(()).__code__
 
 
 # Firing log shared by the fixture actions; cleared per replay.
@@ -487,9 +507,7 @@ def _kernel_calls(monkeypatch) -> list:
 
 def _tier_answers(monkeypatch) -> list:
     """Record what the tier answers each time it is asked for a group
-    function (``None``: it has none, the group is interpreted)."""
-    from repro.core.compiled import CompiledTier
-
+    function (see :func:`_is_interpreted`)."""
     answers = []
     real = CompiledTier.group_function
 
@@ -566,7 +584,7 @@ def _kernel_equals_loop(tmp_path, monkeypatch, engine, activations, script):
     with interpreted_reference(), pytest.MonkeyPatch.context() as patch:
         answers = _tier_answers(patch)
         looped = _run_group(str(tmp_path / "loop"), engine, activations, script)
-    assert answers and not any(answers)  # asked, and None for every group
+    assert answers and all(map(_is_interpreted, answers))  # interpreted serves each group
     calls = _kernel_calls(monkeypatch)
     served = _run_group(str(tmp_path / "kernel"), engine, activations, script)
     assert _without_tier_counters(served) == _without_tier_counters(looped)
@@ -726,11 +744,9 @@ def test_an_interpreted_mask_raising_between_compiled_entries(
 
 
 def test_a_group_too_large_to_unroll_takes_the_loop(tmp_path, monkeypatch, engine):
-    """Past ``GROUP_UNROLL_BUDGET`` nodes a signature gets no group
-    function: its groups are interpreted, entry by entry, every advance a
-    counted fallback."""
-    from repro.core import compiled
-
+    """Past ``GROUP_UNROLL_BUDGET`` nodes a signature gets no generated
+    function: the tier serves its groups by ``interpreted``, entry by
+    entry, every advance a counted fallback."""
     monkeypatch.setattr(compiled, "GROUP_UNROLL_BUDGET", 10)
     compiled.bump_schema_version("test: a smaller group budget")
     answers = _tier_answers(monkeypatch)
@@ -742,33 +758,12 @@ def test_a_group_too_large_to_unroll_takes_the_loop(tmp_path, monkeypatch, engin
     finally:
         monkeypatch.undo()
         compiled.bump_schema_version("test: the group budget restored")
-    assert answers and not any(answers)  # asked, and no function for any group
+    assert answers and all(map(_is_interpreted, answers))  # interpreted serves each group
     assert fired == ["Seq"] * 3 + ["Hot"]
     for ops, (_statenums, delta, _dirty, _raised) in zip(script, seen):
         posted = sum(isinstance(op, str) for op in ops)
         assert delta["compiled_hits"] == 0
         assert delta["compiled_fallbacks"] == delta["fsm_advances"] == 4 * posted
-
-
-def test_past_the_memo_cap_a_new_signature_takes_the_loop(tmp_path, monkeypatch):
-    """Once ``KERNEL_MEMO_MAX`` signatures are memoized, a group of a new
-    signature is interpreted, each advance a counted fallback."""
-    from repro.core import compiled
-
-    monkeypatch.setattr(compiled, "KERNEL_MEMO_MAX", 0)
-    compiled.bump_schema_version("test: a full group-function memo")
-    answers = _tier_answers(monkeypatch)
-    script = [["Tick", "Tock"]]
-    try:
-        (_fired, seen, _stored), _calls = _kernel_equals_loop(
-            tmp_path, monkeypatch, "mm", _INTERLEAVED[:4], script
-        )
-    finally:
-        monkeypatch.undo()
-    assert answers and not any(answers)  # asked, and no function for any group
-    (_statenums, delta, _dirty, _raised), = seen
-    assert delta["compiled_hits"] == 0
-    assert delta["compiled_fallbacks"] == delta["fsm_advances"] == 8
 
 
 #: A monitored twin of KernelGadget's Seq, Hot and Noisy, for local rules.
@@ -836,6 +831,95 @@ def test_the_group_function_serves_every_store(tmp_path, monkeypatch, cell):
     assert sorted(_FIRED) == ["Hot", "Noisy", "Seq"] + (["Seq"] if cell == "activated" else [])
     assert stats["compiled_fallbacks"] == 2
     assert stats["compiled_hits"] == stats["fsm_advances"] - 2
+
+
+#: Patterns of compilable kinds, one distinct signature each.
+_SIGNATURES = ["".join(p) for p in itertools.product("SH", repeat=3)]
+
+
+def _serve_signatures(path, cell):
+    """Post a Tick to one group per pattern of ``_SIGNATURES`` (``S`` a
+    ``Seq``, ``H`` a ``Hot``) in *cell* — ``"2pl"`` or ``"mvcc"`` on a
+    database at *path*, or ``"local"`` — checking after each that the
+    tier's memo is within its bound; returns the posting stats."""
+    tier = global_compiled_tier()
+    if cell == "local":
+        system = LocalTriggerSystem()
+        for pattern in _SIGNATURES:
+            handle = system.monitor(LocalKernelGadget())
+            for letter in pattern:
+                (handle.Seq if letter == "S" else handle.Hot)()
+            handle.post_event("Tick")
+            assert 0 < tier.cached_count() <= compiled.KERNEL_MEMO_MAX
+        return system.stats.snapshot()
+    db = Database.open(path, engine="mm", trigger_cc=cell)
+    try:
+        ptrs = []
+        with db.transaction():
+            for pattern in _SIGNATURES:
+                h = db.pnew(KernelGadget, n=5)
+                for letter in pattern:
+                    (h.Seq if letter == "S" else h.Hot)()
+                ptrs.append(h.ptr)
+        db.trigger_system.stats.reset()
+        for ptr in ptrs:
+            with db.transaction():
+                db.deref(ptr).post_event("Tick")
+            assert 0 < tier.cached_count() <= compiled.KERNEL_MEMO_MAX
+        return db.trigger_system.stats.snapshot()
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("cell", ["2pl", "mvcc", "local"])
+def test_past_the_memo_bound_a_new_signature_is_still_generated(
+    tmp_path, monkeypatch, cell
+):
+    """The tier's memo holds at most ``KERNEL_MEMO_MAX`` keys and is
+    emptied when full: more signatures than that are each still served
+    by generated code, with no fallback, and the memo never holds more
+    than its bound."""
+    monkeypatch.setattr(compiled, "KERNEL_MEMO_MAX", 3)
+    bump_schema_version("test: a small group-function memo")
+    try:
+        stats = _serve_signatures(str(tmp_path / "bound"), cell)
+    finally:
+        monkeypatch.undo()
+        bump_schema_version("test: the group-function memo bound restored")
+    assert stats["fsm_advances"] == 3 * len(_SIGNATURES)
+    assert stats["compiled_fallbacks"] == 0
+    assert stats["compiled_hits"] == stats["fsm_advances"]
+
+
+def test_a_function_memoized_before_the_reference_does_not_serve_inside(tmp_path):
+    """The tier's memo outlives its databases, so the interpreted
+    reference bumps the schema version around itself: a group whose
+    function was generated before it is interpreted inside it, and
+    generated code serves that group again after it."""
+    db = Database.open(str(tmp_path / "stand-in"), engine="mm")
+    try:
+        with db.transaction():
+            h = db.pnew(KernelGadget, n=5)
+            h.Seq()
+            h.Hot()
+            ptr = h.ptr
+        stats = db.trigger_system.stats
+
+        def tick():
+            before = stats.snapshot()
+            with db.transaction():
+                db.deref(ptr).post_event("Tick")
+            return stats.diff(before)
+
+        assert tick()["compiled_hits"] == 2  # memoized before
+        with interpreted_reference():
+            inside = tick()
+        after = tick()
+    finally:
+        db.close()
+    assert inside["compiled_hits"] == 0
+    assert inside["compiled_fallbacks"] == inside["fsm_advances"] == 2
+    assert after["compiled_hits"] == 2 and after["compiled_fallbacks"] == 0
 
 
 def _define_stale_group(tag):
@@ -990,11 +1074,13 @@ def test_bump_evicts_cached_artifacts():
     metatype = TierGadget.__metatype__
     info = metatype.trigger_by_name("Pair")
     entries = [types.SimpleNamespace(info=info, defining=metatype)]
-    assert tier.group_function((id(info),), lambda: entries) is not None
+    function = tier.group_function((info,), lambda key: entries)
+    assert function.masks is not None  # generated
     assert tier.cached_count() > 0
     _define_stale_demo("evict")
     assert tier.cached_count() == 0  # version check dropped everything
-    assert tier.group_function((id(info),), lambda: entries) is not None  # again
+    again = tier.group_function((info,), lambda key: entries)
+    assert again.masks is not None and again is not function
 
 
 def test_redefined_class_never_fires_stale_closure(tmp_path):

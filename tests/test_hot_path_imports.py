@@ -31,7 +31,6 @@ HOT_PATH = [
     ("repro.core.posting", ("StateStore", "kernel")),
     ("repro.core.posting", ("StateStore", "choose")),
     ("repro.core.posting", ("VolatileStates", "choose")),
-    ("repro.core.manager", ("TriggerSystem", "kernel")),
     ("repro.core.compiled", ("CompiledTier", "group_function")),
     ("repro.core.posting", ("Group", "__init__")),
     ("repro.core.posting", ("Group", "entry")),
@@ -46,7 +45,6 @@ HOT_PATH = [
     ("repro.core.manager", ("TriggerSystem", "resolve")),
     ("repro.core.manager", ("TriggerSystem", "resolved")),
     ("repro.core.manager", ("TriggerSystem", "_resolve")),
-    ("repro.core.manager", ("TriggerSystem", "signature")),
     ("repro.transactions.manager", ("TransactionBlock", "__enter__")),
     ("repro.transactions.manager", ("TransactionBlock", "__exit__")),
     ("repro.sessions.session", ("SessionTransaction", "__enter__")),

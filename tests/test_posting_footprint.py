@@ -18,7 +18,7 @@ import weakref
 import pytest
 
 import repro
-from repro.core import compiled, manager, posting
+from repro.core import compiled, posting
 from repro.core.compiled import CompiledTier
 from repro.core.declarations import trigger
 from repro.core.monitored import LocalTriggerSystem, Monitored
@@ -196,10 +196,11 @@ def _count_calls(monkeypatch, calls: list, owner: type, name: str) -> None:
 
 def test_a_warm_posting_resolves_no_trigger(cell, monkeypatch):
     """Resolution is memoized per trigger kind and the group function per
-    kinds: once a group has posted, a later transaction's 16 machines
-    are loaded resolved and served by the group function with no
-    registry or metatype call, no ODE4xx classification, no code
-    generation and no question to the tier."""
+    kinds: once both are warm, a later transaction's 16 machines
+    are loaded resolved and served by the same group function with no
+    registry or metatype call, no ODE4xx classification and no code
+    generation — the group load asks the tier once, and that is a memo
+    hit."""
     _, db = cell
     with db.transaction():
         handle = db.pnew(FanGadget)
@@ -207,8 +208,14 @@ def test_a_warm_posting_resolves_no_trigger(cell, monkeypatch):
             handle.Gate()
             handle.Step()
         ptr = handle.ptr
-    with db.transaction():
-        db.deref(ptr).post_event("Tick")  # warms the memos
+    with db.transaction() as txn:
+        db.deref(ptr).post_event("Tick")  # warms the tier's memo
+        served = _kernel_of(db, txn, ptr)
+        # A posting served from the process-wide memo resolves nothing
+        # (a kind is resolved when a view first needs it), so this
+        # system's resolution memo is warmed here.
+        for machine in db.trigger_system.index.lookup(txn, ptr.rid):
+            db.trigger_system.resolve(machine.state)
     calls: list[str] = []
     _count_calls(monkeypatch, calls, TypeRegistry, "find")
     _count_calls(monkeypatch, calls, Metatype, "trigger_info")
@@ -224,8 +231,9 @@ def test_a_warm_posting_resolves_no_trigger(cell, monkeypatch):
         assert all(m.info is not None for m in machines)  # resolved at load
         for _ in range(4):
             handle.post_event("Tick")
+        assert _kernel_of(db, txn, ptr) is served
     stats = db.trigger_system.stats.diff(before)
-    assert calls == ["advance_group"] * 4
+    assert calls == ["group_function"] + ["advance_group"] * 4
     assert stats["fsm_advances"] == stats["compiled_hits"] == 4 * 16
     # From the 3rd Tick on (the 2nd here), each Tick completes every Step.
     assert stats["firings"] == 3 * 8
@@ -399,7 +407,8 @@ def test_crash_and_reopen_leave_every_header_naming_a_live_group(cell):
 
 
 # ---------------------------------------------------------------------------
-# The kinds memo: a group function per kinds sequence, per trigger system
+# The kinds memo: the compile tier keeps a group function per kinds
+# sequence (and registry), for the whole process
 # ---------------------------------------------------------------------------
 
 
@@ -415,7 +424,7 @@ def _fan(db, pattern: str):
 
 def _tier_answers(monkeypatch) -> list:
     """What the compile tier answers each time it is asked for a group
-    function (``None``: the group is interpreted)."""
+    function."""
     answers = []
     real = CompiledTier.group_function
 
@@ -436,14 +445,16 @@ def _kernel_of(db, txn, ptr):
 def test_a_group_of_kinds_already_served_asks_the_tier_nothing(cell, monkeypatch):
     """A second object whose group holds the same kinds, first loaded in
     a later transaction than the first object's, is served by the same
-    function with no question to the tier, no ODE4xx classification and
-    no code generation."""
+    function: its load asks the tier once, a memo hit, with no
+    resolution, no ODE4xx classification and no code generation."""
     _, db = cell
     first, second = _fan(db, "GS" * 8), _fan(db, "GS" * 8)
     with db.transaction() as txn:
         db.deref(first).post_event("Tick")
         served = _kernel_of(db, txn, first)
     calls: list[str] = []
+    _count_calls(monkeypatch, calls, TypeRegistry, "find")
+    _count_calls(monkeypatch, calls, Metatype, "trigger_info")
     _count_calls(monkeypatch, calls, CompiledTier, "compiles")
     _count_calls(monkeypatch, calls, CompiledTier, "group_function")
     _count_calls(monkeypatch, calls, compiled, "generate_group_advance")
@@ -451,11 +462,12 @@ def test_a_group_of_kinds_already_served_asks_the_tier_nothing(cell, monkeypatch
     before = db.trigger_system.stats.snapshot()
     with db.transaction() as txn:
         handle = db.deref(second)
+        del calls[:]  # the deref resolves the object's own class
         for _ in range(2):
             handle.post_event("Tick")
         assert _kernel_of(db, txn, second) is served
     stats = db.trigger_system.stats.diff(before)
-    assert calls == ["advance_group"] * 2
+    assert calls == ["group_function"] + ["advance_group"] * 2
     assert stats["fsm_advances"] == stats["compiled_hits"] == 2 * 16
 
 
@@ -559,9 +571,9 @@ def test_a_membership_change_mid_transaction_chooses_the_function_again(fresh):
 
 
 def test_a_schema_bump_asks_the_tier_once_for_the_new_function(cell, monkeypatch):
-    """After ``bump_schema_version()`` the first group load asks the tier
-    again, once for its kinds, and every group of those kinds is served
-    by the new answer."""
+    """After ``bump_schema_version()`` the first group load of some kinds
+    makes the tier generate their function again, once: every group of
+    those kinds is served by the new function."""
     _, db = cell
     first, second = _fan(db, "GSG"), _fan(db, "GSG")
     with db.transaction() as txn:
@@ -569,11 +581,14 @@ def test_a_schema_bump_asks_the_tier_once_for_the_new_function(cell, monkeypatch
         old = _kernel_of(db, txn, first)
     compiled.bump_schema_version("test: the kinds memo starts afresh")
     answers = _tier_answers(monkeypatch)
+    generated: list[str] = []
+    _count_calls(monkeypatch, generated, compiled, "generate_group_advance")
     with db.transaction() as txn:
         for ptr in (first, second):
             db.deref(ptr).post_event("Tick")
         served = {_kernel_of(db, txn, ptr) for ptr in (first, second)}
-    assert len(answers) == 1 and answers[0] is not None
+    assert generated == ["generate_group_advance"]
+    assert len(answers) == 2 and answers[0] is answers[1]
     assert served == {answers[0]} and answers[0] is not old
 
 
@@ -592,21 +607,125 @@ def test_the_kinds_memo_dies_with_its_database(fresh):
 
 
 def test_the_kinds_memo_stays_within_its_bound(cell, monkeypatch):
-    """More distinct kinds sequences than the memo holds: it never holds
-    more than its bound, and every group is still served by its own
-    generated function."""
+    """More distinct kinds sequences than the tier's memo holds: it never
+    holds more than its bound, and every group is still served by its
+    own generated function."""
     _, db = cell
-    monkeypatch.setattr(manager, "_KERNELS_MAX", 4)
+    monkeypatch.setattr(compiled, "KERNEL_MEMO_MAX", 4)
+    compiled.bump_schema_version("test: a small kinds memo")
     patterns = ["".join(p) for p in itertools.product("GS", repeat=3)]
     ptrs = [_fan(db, pattern) for pattern in patterns]
     system = db.trigger_system
+    tier = compiled.global_compiled_tier()
     before = system.stats.snapshot()
-    for ptr in ptrs:
-        with db.transaction():
-            db.deref(ptr).post_event("Tick")
-        assert 0 < len(system._kernels) <= 4
+    try:
+        for ptr in ptrs:
+            with db.transaction():
+                db.deref(ptr).post_event("Tick")
+            assert 0 < tier.cached_count() <= 4
+    finally:
+        monkeypatch.undo()
+        compiled.bump_schema_version("test: the kinds memo bound restored")
     stats = system.stats.diff(before)
     assert stats["fsm_advances"] == stats["compiled_hits"] == 3 * len(patterns)
+
+
+#: What each ``RegistryTwin`` firing saw: its registry's tag and ``n``.
+TWIN_FIRED: list[tuple[str, int]] = []
+
+
+def _twin_class(tag: str, mask) -> type:
+    """(Re)define a class named ``RegistryTwin`` whose ``Watch`` fires on
+    a Tick when *mask* holds and logs *tag* and ``n``."""
+    return type(
+        "RegistryTwin",
+        (Persistent,),
+        {
+            "n": field(int, default=0),
+            "__events__": ["Tick"],
+            "__masks__": {"gate": mask},
+            "__triggers__": [
+                trigger("Watch", "Tick & gate", perpetual=True,
+                        action=lambda s, c: TWIN_FIRED.append((tag, s.n))),
+            ],
+        },
+    )
+
+
+def _registry_twin(tag: str, mask) -> TypeRegistry:
+    """A registry of its own in which ``RegistryTwin`` resolves to a
+    fresh :func:`_twin_class`."""
+    cls = _twin_class(tag, mask)
+    registry = TypeRegistry()
+    registry.register(cls)
+    registry.register_shim("RegistryTwin", cls.__metatype__)
+    return registry
+
+
+def _fire_twin(db, cls) -> None:
+    """Activate ``Watch`` on a new *cls* object in *db*, then post a Tick
+    at ``n`` 1 and at ``n`` -1."""
+    with db.transaction():
+        handle = db.pnew(cls)
+        handle.Watch()
+        ptr = handle.ptr
+    for n in (1, -1):
+        with db.transaction():
+            handle = db.deref(ptr)
+            handle.n = n
+            handle.post_event("Tick")
+
+
+def test_the_kinds_memo_keys_each_registry_apart(tmp_path):
+    """Two databases of one process whose registries each hold a class of
+    the same name, with the same trigger under a different mask: the
+    groups have the same kinds columns, and each database still fires
+    by its own class."""
+    registries = {
+        "positive": _registry_twin("positive", lambda self: self.n > 0),
+        "negative": _registry_twin("negative", lambda self: self.n < 0),
+    }
+    TWIN_FIRED.clear()
+    for tag, registry in registries.items():
+        db = Database.open(str(tmp_path / tag), engine="mm", type_registry=registry)
+        try:
+            _fire_twin(db, registry.find("RegistryTwin").pyclass)
+        finally:
+            db.close()
+    assert TWIN_FIRED == [("positive", 1), ("negative", -1)]
+
+
+def test_a_registry_re_pointed_between_two_databases_fires_by_its_new_class(tmp_path):
+    """One registry, two databases: between them ``register`` re-points
+    the registry's ``RegistryTwin`` at another class of that name (its
+    metatype then filled in place, as a class definition fills its
+    global one).  Re-pointing bumps the schema version, so the second
+    database fires by the new class's mask, not by the function the
+    first one left memoized under this registry and these kinds."""
+    positive = _twin_class("positive", lambda self: self.n > 0)
+    negative = _twin_class("negative", lambda self: self.n < 0)
+    registry = TypeRegistry()
+    registry.register(positive)
+    registry.register_shim("RegistryTwin", positive.__metatype__)
+    TWIN_FIRED.clear()
+    db = Database.open(str(tmp_path / "first"), engine="mm", type_registry=registry)
+    try:
+        _fire_twin(db, positive)
+    finally:
+        db.close()
+
+    before = compiled.schema_version()
+    metatype = registry.register(negative)
+    assert compiled.schema_version() == before + 1
+    vars(metatype).update(vars(negative.__metatype__))
+    assert registry.register(negative) is metatype  # idempotent: no bump
+    assert compiled.schema_version() == before + 1
+    db = Database.open(str(tmp_path / "second"), engine="mm", type_registry=registry)
+    try:
+        _fire_twin(db, negative)
+    finally:
+        db.close()
+    assert TWIN_FIRED == [("positive", 1), ("negative", -1)]
 
 
 LocalFan = type(

@@ -6,25 +6,32 @@ time the transactions spend waiting for locks and the likelihood of
 deadlock"* — experiment E6 measures exactly that, so the lock manager keeps
 detailed counters.
 
-The manager serves two callers:
+The engines acquire through one entry point, :meth:`LockManager.lock`,
+whose conflict behaviour is the :attr:`~LockManager.blocking` flag the
+database flips when a second session opens:
 
-* the **serial** database (one session): :meth:`LockManager.acquire_or_raise`
-  — with one transaction at a time a conflict indicates a bug, so it raises
-  :class:`~repro.errors.LockError` without queueing the request;
-* the **multi-session** database: :meth:`LockManager.acquire_blocking` —
-  a conflicting request queues FIFO behind the current holders and earlier
-  waiters and *blocks the calling session* until granted.  Releases
-  (:meth:`release_all`) grant queued requests in arrival order per resource
-  and wake the blocked sessions.  Engines pick the behaviour through
-  :meth:`lock`, switched by the :attr:`blocking` flag the database flips
-  when a second session opens.
+* the **serial** database (one session) raises
+  :class:`~repro.errors.LockError` on a conflict without queueing the
+  request — with one transaction at a time a conflict indicates a bug;
+* the **multi-session** database hands a conflicting request to
+  :meth:`LockManager.acquire_blocking`, which queues it FIFO behind the
+  current holders and earlier waiters and *blocks the calling session*
+  until granted.  Releases (:meth:`release_all`) grant queued requests in
+  arrival order per resource and wake the blocked sessions.
 
-Both callers start with the same grant-now step (:meth:`LockManager.
-_grant_now`): a request that needs no wait costs the same in either mode,
-and only what must wait differs — the serial path raises, the blocking
-path queues and sleeps.
+The lock table is two maps.  ``_holders`` maps a resource to a plain
+holder dict ``{txid: mode}`` and keeps it while the resource has a holder
+or a queue; ``_queues`` maps a resource to its FIFO wait queue and holds it
+only while it has waiters.  :meth:`lock` does the grant-now step of both
+modes itself, in one mutex hold: a resource absent from ``_holders`` —
+nobody holds or awaits it — is one insert, a resource already held at that
+strength returns at once, and any other grantable request (a sole
+holder's upgrade included) is granted there.  Only a request that must
+wait leaves that step.  :meth:`release_all` pops the transaction's grant
+index, deletes each holder dict it empties that has no queue, and retries
+only the queue map, only when it is non-empty.
 
-There is one lock table, guarded by one ``threading.RLock``; its
+The table is guarded by one ``threading.RLock``; its
 ``threading.Condition`` is what a blocked session sleeps on (real
 ``threading`` concurrency).  A cooperative scheduler instead installs
 per-thread *wait hooks* (:func:`set_wait_hooks`) and the manager delegates
@@ -32,7 +39,7 @@ the entire wait to the scheduler, which parks the session
 deterministically.
 
 Deadlock policy: a request that must wait is queued, and then — under the
-same mutex — the waits-for graph is built from the table and searched
+same mutex — the waits-for graph is built from the queues and searched
 from the requester.  A request that closes a cycle raises
 :class:`~repro.errors.DeadlockError` in the *requester* (the victim is the
 transaction that completes the cycle — the simplest deterministic
@@ -67,7 +74,12 @@ class LockMode(enum.IntEnum):
     X = 2
 
     def compatible(self, other: "LockMode") -> bool:
-        return self is LockMode.S and other is LockMode.S
+        return self is _S and other is _S
+
+
+#: The shared mode, bound once: reading a member off an enum class is a
+#: descriptor call, several times the cost of this global.
+_S = LockMode.S
 
 
 class LockRequestStatus(enum.Enum):
@@ -137,26 +149,21 @@ def current_wait_hooks():
     return getattr(_wait_context, "hooks", None)
 
 
-class _LockEntry:
-    """Per-resource state: current holders and the FIFO wait queue."""
-
-    __slots__ = ("holders", "waiters")
-
-    def __init__(self) -> None:
-        self.holders: dict[int, LockMode] = {}
-        self.waiters: list[tuple[int, LockMode]] = []
-
-
 class LockManager:
     """S/X locks on opaque hashable resources, strict 2PL discipline."""
 
     def __init__(self) -> None:
-        #: Guards the table, the grant index and the stats.
+        #: Guards the lock table, the grant index and the stats.
         self._mutex = threading.RLock()
         #: What a blocked threaded session sleeps on; notified when a
         #: release grants, a deadline changes, or the manager is poisoned.
         self._cond = threading.Condition(self._mutex)
-        self._table: dict[object, _LockEntry] = {}
+        #: resource → its holders ``{txid: mode}``; kept while the resource
+        #: has a holder or a queue, so an absent resource has neither.
+        self._holders: dict[object, dict[int, LockMode]] = {}
+        #: resource → its FIFO wait queue of ``(txid, mode)``; present only
+        #: while the queue is non-empty.
+        self._queues: dict[object, list[tuple[int, LockMode]]] = {}
         #: Grant index: txid → the resources it holds.
         self._held: dict[int, set[object]] = defaultdict(set)
         self.stats = LockStats()
@@ -201,6 +208,50 @@ class LockManager:
 
     # -- acquisition ---------------------------------------------------------
 
+    def lock(self, txid: int, resource: object, mode: LockMode) -> None:
+        """The engines' acquisition entry point; behaviour per :attr:`blocking`.
+
+        The grant-now step of both modes, under one mutex hold: an absent
+        resource is granted with one insert, a resource already held at
+        this strength returns, and any other request is granted through
+        :meth:`_try_grant_locked` if no wait is needed.  A request that
+        must wait raises :class:`LockError` in serial mode; in blocking
+        mode it goes to :meth:`acquire_blocking`, outside the mutex.
+        """
+        with self._mutex:
+            holders = self._holders.get(resource)
+            if holders is None:
+                # Uncontended: nobody holds or awaits *resource*.
+                self._holders[resource] = {txid: mode}
+                self._held[txid].add(resource)
+                log = self.order_log
+                if log is not None:
+                    log.append((txid, resource, mode.name, False))
+                if mode is _S:
+                    self.stats.s_acquired += 1
+                else:
+                    self.stats.x_acquired += 1
+                if obs.ENABLED:
+                    obs.emit(
+                        "lock.acquire",
+                        txid=txid,
+                        resource=resource,
+                        mode=mode.name,
+                        upgrade=False,
+                    )
+                return
+            current = holders.get(txid)
+            if current is not None and current >= mode:
+                return  # already held at this strength
+            if self._try_grant_locked(txid, resource, mode):
+                return
+            if not self.blocking:
+                raise LockError(
+                    f"transaction {txid} blocked on {resource!r} "
+                    f"held by {sorted(holders)}"
+                )
+        self.acquire_blocking(txid, resource, mode)
+
     def acquire(self, txid: int, resource: object, mode: LockMode) -> LockRequestStatus:
         """Request *mode* on *resource* for *txid* without blocking.
 
@@ -211,27 +262,27 @@ class LockManager:
         with self._mutex:
             return self._acquire_locked(txid, resource, mode)
 
-    def _entry_locked(self, resource: object) -> _LockEntry:
-        entry = self._table.get(resource)
-        if entry is None:
-            entry = self._table[resource] = _LockEntry()
-        return entry
+    def _try_grant_locked(self, txid: int, resource: object, mode: LockMode) -> bool:
+        """Grant *mode* now if no wait is needed; whether *txid* holds it.
 
-    def _try_grant_locked(
-        self, entry: _LockEntry, txid: int, resource: object, mode: LockMode
-    ) -> bool:
-        """Grant *mode* now if no wait is needed; whether *txid* holds it."""
-        current = entry.holders.get(txid)
+        The general grant step: held at this strength, queued, or
+        grantable.  Nothing is queued or counted as a wait here.
+        """
+        holders = self._holders.get(resource)
+        if holders is None:
+            holders = self._holders[resource] = {}
+        current = holders.get(txid)
         if current is not None and current >= mode:
             return True  # already held at this strength
-        if entry.waiters and any(w == txid for w, _ in entry.waiters):
+        queue = self._queues.get(resource)
+        if queue is not None and any(w == txid for w, _ in queue):
             return False  # queued: only a release's grant retry grants it
         # An upgrader already holds the resource, so it conceptually sits at
         # the head of the queue: only the holders can block it.
-        position = 0 if current is not None else None
-        if not self._grantable(entry, txid, mode, position=position):
+        ahead = queue if queue is not None and current is None else ()
+        if not self._grantable(holders, ahead, txid, mode):
             return False
-        self._grant(entry, txid, resource, mode)
+        self._grant(holders, txid, resource, mode)
         if obs.ENABLED:
             obs.emit(
                 "lock.acquire",
@@ -245,11 +296,12 @@ class LockManager:
     def _acquire_locked(
         self, txid: int, resource: object, mode: LockMode
     ) -> LockRequestStatus:
-        entry = self._entry_locked(resource)
-        if self._try_grant_locked(entry, txid, resource, mode):
+        if self._try_grant_locked(txid, resource, mode):
             return LockRequestStatus.GRANTED
-        if any(w == txid for w, _ in entry.waiters):
+        queue = self._queues.get(resource)
+        if queue is not None and any(w == txid for w, _ in queue):
             return LockRequestStatus.WAIT
+        holders = self._holders[resource]
         self.stats.waits += 1
         if obs.ENABLED:
             obs.emit(
@@ -257,58 +309,17 @@ class LockManager:
                 txid=txid,
                 resource=resource,
                 mode=mode.name,
-                blockers=self._describe_blockers(entry, txid, mode),
+                blockers=self._describe_blockers(holders, txid, mode),
             )
-        self._enqueue(entry, txid, mode)
+        self._enqueue(holders, txid, resource, mode)
         cycle = self._find_cycle(txid)
         if cycle:
             self.stats.deadlocks += 1
-            entry.waiters = [(t, m) for t, m in entry.waiters if t != txid]
+            self._drop_request(txid, resource)
             if obs.ENABLED:
                 obs.emit("lock.deadlock", txid=txid, cycle=list(cycle))
             raise DeadlockError(txid, cycle)
         return LockRequestStatus.WAIT
-
-    def _grant_now(self, txid: int, resource: object, mode: LockMode) -> bool:
-        """Grant *mode* if no wait is needed; whether *txid* now holds it.
-
-        The one fast path of both modes, under one mutex hold.  A resource
-        with no table entry — no holder, no waiter — is granted with one
-        insert, skipping the grantability scan; any other request goes
-        through :meth:`_try_grant_locked` (held at this strength, queued,
-        or grantable — a sole holder's upgrade included).  Nothing is
-        queued or counted as a wait here.
-        """
-        with self._mutex:
-            entry = self._table.get(resource)
-            if entry is not None:
-                return self._try_grant_locked(entry, txid, resource, mode)
-            # Uncontended: nobody holds or awaits *resource*.
-            entry = self._table[resource] = _LockEntry()
-            self._grant(entry, txid, resource, mode)
-            if obs.ENABLED:
-                obs.emit(
-                    "lock.acquire",
-                    txid=txid,
-                    resource=resource,
-                    mode=mode.name,
-                    upgrade=False,
-                )
-            return True
-
-    def acquire_or_raise(self, txid: int, resource: object, mode: LockMode) -> None:
-        """Acquire, raising :class:`LockError` on conflict.
-
-        The single-session database uses this path: with one transaction at a
-        time a conflict indicates a bug rather than contention, so the
-        request is neither queued nor counted as a wait.
-        """
-        if self._grant_now(txid, resource, mode):
-            return
-        holders = sorted(self.holders_of(resource))
-        raise LockError(
-            f"transaction {txid} blocked on {resource!r} held by {holders}"
-        )
 
     def acquire_blocking(
         self,
@@ -328,13 +339,10 @@ class LockManager:
         the caller is parked.  An already-satisfiable request is granted
         even past a deadline or poison — only *waiting* is cancelled.
 
-        A request that needs no wait is granted by :meth:`_grant_now`, the
-        same step the serial path takes; only one that must wait looks up
-        the thread's wait hooks and enters the loop below, which queues it
-        (with the deadlock check) on its first pass.
+        The loop's first pass grants a request that needs no wait, or
+        queues it (with the deadlock check); :meth:`lock` calls this only
+        for a request its own grant-now step could not grant.
         """
-        if self._grant_now(txid, resource, mode):
-            return
         hooks = current_wait_hooks()
         wait_deadline = None
         while True:
@@ -460,87 +468,76 @@ class LockManager:
     def poisoned(self) -> bool:
         return self._poison is not None
 
-    def lock(self, txid: int, resource: object, mode: LockMode) -> None:
-        """The engines' acquisition entry point; behaviour per :attr:`blocking`."""
-        if self.blocking:
-            self.acquire_blocking(txid, resource, mode)
-        else:
-            self.acquire_or_raise(txid, resource, mode)
-
     # -- grant machinery -------------------------------------------------------
 
+    @staticmethod
     def _grantable(
-        self, entry: _LockEntry, txid: int, mode: LockMode, position: int | None
+        holders: dict[int, LockMode], ahead, txid: int, mode: LockMode
     ) -> bool:
-        """Whether *txid*'s request is compatible with holders and the queue.
-
-        *position* is the request's index in the FIFO queue (``None`` for a
-        fresh request, which conceptually sits at the tail).  A request is
-        grantable when no *other* holder conflicts and no earlier queued
-        request conflicts — later arrivals never overtake an incompatible
-        waiter, so writers cannot starve.
+        """Whether *txid*'s request is compatible with the holders and
+        with *ahead*, the queued requests it must not overtake (empty for
+        a queue's head or an upgrader; the whole queue for a fresh
+        request, which conceptually sits at the tail).  Later arrivals
+        never overtake an incompatible waiter, so writers cannot starve.
         """
-        for holder, held in entry.holders.items():
+        for holder, held in holders.items():
             if holder != txid and not held.compatible(mode):
                 return False
-        if not entry.waiters:
-            return True
-        ahead = entry.waiters if position is None else entry.waiters[:position]
         for waiter, wmode in ahead:
-            if waiter != txid and not (
-                wmode.compatible(mode) and mode.compatible(wmode)
-            ):
+            if waiter != txid and not wmode.compatible(mode):
                 return False
         return True
 
     def _grant(
-        self, entry: _LockEntry, txid: int, resource: object, mode: LockMode
+        self, holders: dict[int, LockMode], txid: int, resource: object, mode: LockMode
     ) -> None:
-        current = entry.holders.get(txid)
-        upgrading = current is not None and mode > current
-        entry.holders[txid] = mode if current is None else max(current, mode)
+        """Record a grant of *mode*, stronger than anything *txid* holds."""
+        upgrading = txid in holders
+        holders[txid] = mode
         self._held[txid].add(resource)
         log = self.order_log
         if log is not None:
             log.append((txid, resource, mode.name, upgrading))
         if upgrading:
             self.stats.upgrades += 1
-        if mode is LockMode.S:
+        if mode is _S:
             self.stats.s_acquired += 1
         else:
             self.stats.x_acquired += 1
 
-    def _enqueue(self, entry: _LockEntry, txid: int, mode: LockMode) -> None:
+    def _enqueue(
+        self, holders: dict[int, LockMode], txid: int, resource: object, mode: LockMode
+    ) -> None:
         """Queue a request FIFO; lock *upgrades* jump ahead of fresh requests.
 
         An upgrader already holds the resource, so anything granted before
         it would conflict anyway; front-running it shortens the convoy and
         matches conventional lock-manager behaviour.
         """
-        if txid in entry.holders:
+        queue = self._queues.setdefault(resource, [])
+        if txid in holders:
             at = 0
-            while at < len(entry.waiters) and entry.waiters[at][0] in entry.holders:
+            while at < len(queue) and queue[at][0] in holders:
                 at += 1
-            entry.waiters.insert(at, (txid, mode))
+            queue.insert(at, (txid, mode))
         else:
-            entry.waiters.append((txid, mode))
+            queue.append((txid, mode))
 
+    @staticmethod
     def _describe_blockers(
-        self, entry: _LockEntry, txid: int, mode: LockMode
+        holders: dict[int, LockMode], txid: int, mode: LockMode
     ) -> list:
         return sorted(
             holder
-            for holder, held in entry.holders.items()
+            for holder, held in holders.items()
             if holder != txid and not held.compatible(mode)
         )
 
-    def _is_granted_locked(
-        self, txid: int, resource: object, mode: LockMode
-    ) -> bool:
-        entry = self._table.get(resource)
-        if entry is None:
+    def _is_granted_locked(self, txid: int, resource: object, mode: LockMode) -> bool:
+        holders = self._holders.get(resource)
+        if holders is None:
             return False
-        held = entry.holders.get(txid)
+        held = holders.get(txid)
         return held is not None and held >= mode
 
     def is_granted(self, txid: int, resource: object, mode: LockMode) -> bool:
@@ -552,15 +549,18 @@ class LockManager:
         """Remove *txid*'s queued request on *resource*, keeping grants.
 
         Safe to call with or without the mutex held (it re-enters the
-        RLock); the timeout/deadline/poison abandon paths call it while
-        already inside.
+        RLock); the deadlock, timeout, deadline and poison paths call it
+        while already inside.
         """
         with self._mutex:
-            entry = self._table.get(resource)
-            if entry is not None:
-                entry.waiters = [(t, m) for t, m in entry.waiters if t != txid]
-                if not entry.holders and not entry.waiters:
-                    del self._table[resource]
+            queue = self._queues.get(resource)
+            if queue is None:
+                return
+            queue[:] = [(t, m) for t, m in queue if t != txid]
+            if not queue:
+                del self._queues[resource]
+                if not self._holders[resource]:
+                    del self._holders[resource]
 
     # -- release ---------------------------------------------------------------
 
@@ -568,27 +568,25 @@ class LockManager:
         """Release every lock *txid* holds, drop its queued requests, and
         grant-and-wake whoever its release unblocks (FIFO per resource).
 
-        The grant retry covers the whole table, not just *txid*'s
+        The grant retry covers every queue, not just those on *txid*'s
         resources: a deadlock victim's withdrawn request can unblock a
         queue the victim never held.
         """
         self._deadlines.pop(txid, None)
-        # Unlocked pre-check: every grant has a table entry, and only this
-        # thread creates grants or queue entries for txid.
-        if not self._table:
-            return
         with self._mutex:
-            for resource in self._held.pop(txid, ()):
-                entry = self._table.get(resource)
-                if entry is not None:
-                    entry.holders.pop(txid, None)
-                    if not entry.holders and not entry.waiters:
-                        del self._table[resource]
-            for entry in self._table.values():
-                if entry.waiters:
-                    entry.waiters = [(t, m) for t, m in entry.waiters if t != txid]
-            if self._retry_locked():
-                self._cond.notify_all()
+            held = self._held.pop(txid, None)
+            if held:
+                table, queues = self._holders, self._queues
+                for resource in held:
+                    holders = table[resource]
+                    del holders[txid]
+                    if not holders and resource not in queues:
+                        del table[resource]
+            if self._queues:
+                for queue in self._queues.values():
+                    queue[:] = [(t, m) for t, m in queue if t != txid]
+                if self._retry_locked():
+                    self._cond.notify_all()
 
     def retry_waiters(self) -> list[int]:
         """Grant every now-compatible queued request in FIFO arrival order
@@ -605,33 +603,34 @@ class LockManager:
 
     def _retry_locked(self) -> list[int]:
         granted: list[int] = []
-        for resource, entry in list(self._table.items()):
-            while entry.waiters:
-                txid, mode = entry.waiters[0]
-                held = entry.holders.get(txid)
-                if held is not None and held >= mode:
-                    entry.waiters.pop(0)  # stale: already satisfied
-                    continue
-                if not self._grantable(entry, txid, mode, position=0):
-                    break
-                entry.waiters.pop(0)
-                self._grant(entry, txid, resource, mode)
-                granted.append(txid)
-            if not entry.holders and not entry.waiters:
-                del self._table[resource]
+        table, queues = self._holders, self._queues
+        for resource, queue in list(queues.items()):
+            holders = table[resource]
+            while queue:
+                txid, mode = queue[0]
+                held = holders.get(txid)
+                if held is None or held < mode:  # else stale: already satisfied
+                    if not self._grantable(holders, (), txid, mode):
+                        break
+                    self._grant(holders, txid, resource, mode)
+                    granted.append(txid)
+                del queue[0]
+            if not queue:
+                del queues[resource]
+                if not holders:
+                    del table[resource]
         return granted
 
     # -- introspection ------------------------------------------------------------
 
     def holders_of(self, resource: object) -> frozenset[int]:
         with self._mutex:
-            entry = self._table.get(resource)
-            return frozenset(entry.holders) if entry else frozenset()
+            return frozenset(self._holders.get(resource, ()))
 
     def mode_held(self, txid: int, resource: object) -> LockMode | None:
         with self._mutex:
-            entry = self._table.get(resource)
-            return entry.holders.get(txid) if entry else None
+            holders = self._holders.get(resource)
+            return holders.get(txid) if holders else None
 
     def locks_held(self, txid: int) -> frozenset[object]:
         with self._mutex:
@@ -645,7 +644,7 @@ class LockManager:
     # -- deadlock detection ----------------------------------------------------------
 
     def _edges_locked(self) -> dict[int, set[int]]:
-        """The waits-for graph, built from the table under the mutex.
+        """The waits-for graph, built from the queue map under the mutex.
 
         An edge ``W -> B`` exists when queued request W conflicts with
         holder B, or with an *earlier* queued request B on the same
@@ -654,16 +653,15 @@ class LockManager:
         pending resources alive when one of its requests is granted.
         """
         edges: dict[int, set[int]] = {}
-        for entry in self._table.values():
-            for position, (txid, mode) in enumerate(entry.waiters):
+        for resource, queue in self._queues.items():
+            holders = self._holders[resource]
+            for position, (txid, mode) in enumerate(queue):
                 bucket = edges.setdefault(txid, set())
-                for holder, held in entry.holders.items():
+                for holder, held in holders.items():
                     if holder != txid and not held.compatible(mode):
                         bucket.add(holder)
-                for earlier, emode in entry.waiters[:position]:
-                    if earlier != txid and not (
-                        emode.compatible(mode) and mode.compatible(emode)
-                    ):
+                for earlier, emode in queue[:position]:
+                    if earlier != txid and not emode.compatible(mode):
                         bucket.add(earlier)
         return {txid: blockers for txid, blockers in edges.items() if blockers}
 

@@ -40,6 +40,7 @@ def test_one_pair_against_head_writes_a_commit_stamped_file(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "txn_p50_us" in done.stdout and "wins" in done.stdout
+    assert "verdict" in done.stdout
     record = json.loads((tmp_path / "BENCH_4.json").read_text())
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -67,8 +68,41 @@ def test_one_pair_against_head_writes_a_commit_stamped_file(tmp_path):
             assert summary["median"] == summary["q1"] == summary["q3"] == value
             assert summary["iqr"] == 0
     assert set(result["wins"]) == set(metrics)
+    assert set(result["verdicts"]) == set(metrics)
+    assert set(result["verdicts"].values()) <= {"gain", "WORSE", "within bound"}
     assert all(count in (0, 1) for count in result["wins"].values())
     worktrees = subprocess.run(
         ["git", "-C", ROOT, "worktree", "list"], capture_output=True, text=True
     ).stdout
     assert "ode-ab-" not in worktrees  # the revision's checkout is gone
+
+
+def _summary(median, iqr=0.0):
+    return {"median": median, "iqr": iqr}
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, won, pairs, expected",
+    [
+        # 9 of 10 pairs and a median drop past the parent IQR: a gain.
+        ("lower", _summary(100.0, 2.0), _summary(95.0), 9, 10, "gain"),
+        ("higher", _summary(100.0, 2.0), _summary(105.0), 10, 10, "gain"),
+        # 8 of 10 pairs is not enough, however large the drop.
+        ("lower", _summary(100.0, 2.0), _summary(80.0), 8, 10, "within bound"),
+        # Every pair won, but the medians differ by less than the IQR.
+        ("lower", _summary(100.0, 6.0), _summary(95.0), 10, 10, "within bound"),
+        # Worse, but inside the 25 % bound.
+        ("lower", _summary(100.0, 2.0), _summary(124.0), 0, 10, "within bound"),
+        ("higher", _summary(100.0, 2.0), _summary(76.0), 0, 10, "within bound"),
+        # Worse past the bound, in either direction of "better".
+        ("lower", _summary(100.0, 2.0), _summary(126.0), 0, 10, "WORSE"),
+        ("higher", _summary(100.0, 2.0), _summary(74.0), 0, 10, "WORSE"),
+        # A parent reading of 0: any rise is past the bound.
+        ("lower", _summary(0.0), _summary(1.0), 0, 5, "WORSE"),
+        ("lower", _summary(0.0), _summary(0.0), 0, 5, "within bound"),
+    ],
+)
+def test_verdict(better, parent, change, won, pairs, expected):
+    ab = pytest.importorskip("benchmarks.ab")
+    metric = {"name": "m", "unit": "us", "better": better, "bound": 0.25}
+    assert ab.verdict(metric, change, parent, won, pairs) == expected

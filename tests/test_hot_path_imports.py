@@ -56,7 +56,8 @@ HOT_PATH = [
     ("repro.transactions.manager", ("TransactionManager", "drain_system_queue")),
     ("repro.core.manager", ("TriggerSystem", "_before_commit")),
     ("repro.core.manager", ("TriggerSystem", "on_access")),
-    ("repro.storage.locks", ("LockManager", "acquire_or_raise")),
+    ("repro.storage.locks", ("LockManager", "lock")),
+    ("repro.storage.locks", ("LockManager", "release_all")),
     ("repro.storage.locks", ("LockManager", "acquire_blocking")),
     ("repro.storage.buffer", ("BufferPool", "slot")),
     ("repro.storage.wal", ("WriteAheadLog", "append")),

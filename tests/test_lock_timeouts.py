@@ -296,7 +296,7 @@ class TestNoLeakProperty:
                 lm.release_all(txid)
         for txid in range(1, 5):
             lm.release_all(txid)
-        assert lm._table == {}
+        assert lm._holders == {} and lm._queues == {}
         assert dict(lm._held) == {}
         assert lm.waits_for_edges() == {}
 
@@ -324,7 +324,7 @@ class TestNoLeakProperty:
             }
             table_view = {
                 (txid2, res)
-                for res, entry in lm._table.items()
-                for txid2 in entry.holders
+                for res, holders in lm._holders.items()
+                for txid2 in holders
             }
             assert held_view == table_view

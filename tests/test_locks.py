@@ -188,10 +188,10 @@ class TestFairness:
         # Reader 3 must not starve the waiting writer.
         assert lm.acquire(3, "r", LockMode.S) is WAIT
 
-    def test_acquire_or_raise_on_conflict(self, lm):
+    def test_serial_lock_raises_on_conflict(self, lm):
         lm.acquire(1, "r", LockMode.X)
         with pytest.raises(LockError):
-            lm.acquire_or_raise(2, "r", LockMode.S)
+            lm.lock(2, "r", LockMode.S)
 
 
 class TestSerialConflict:
@@ -200,7 +200,7 @@ class TestSerialConflict:
     def test_conflict_leaves_no_trace(self, lm):
         lm.acquire(1, "r", LockMode.X)
         with pytest.raises(LockError):
-            lm.acquire_or_raise(2, "r", LockMode.S)
+            lm.lock(2, "r", LockMode.S)
         assert lm.stats.waits == 0
         assert lm.waits_for_edges() == {}
         assert lm.holders_of("r") == {1}
@@ -211,7 +211,7 @@ class TestSerialConflict:
         lm.acquire(2, "b", LockMode.X)
         assert lm.acquire(1, "b", LockMode.X) is WAIT
         with pytest.raises(LockError) as excinfo:
-            lm.acquire_or_raise(2, "a", LockMode.X)
+            lm.lock(2, "a", LockMode.X)
         assert excinfo.type is LockError  # not its DeadlockError subclass
         assert lm.stats.deadlocks == 0
         assert lm.waits_for_edges() == {1: {2}}
@@ -315,10 +315,9 @@ class TestFIFOProperty:
 
 
 class TestUncontendedFastPath:
-    """``acquire_or_raise`` grants a request on a resource with no table
-    entry with one insert; everything it records must equal what the
-    general grant path (``_try_grant_locked``) records for the same
-    request sequence."""
+    """``lock`` grants a request on a resource nobody holds or awaits with
+    one insert; everything it records must equal what the general grant
+    path (``_try_grant_locked``) records for the same request sequence."""
 
     # (txid, resource, mode): fresh S, repeated S, S→X, fresh X, a second
     # reader, then a request behind a queued writer.
@@ -332,14 +331,13 @@ class TestUncontendedFastPath:
     ]
 
     @staticmethod
-    def general_acquire_or_raise(lm, txid, resource, mode):
-        """The grant path without the fast path: table entry first, then
+    def general_serial_lock(lm, txid, resource, mode):
+        """The grant path without the fast path: holder dict first, then
         the grantability scan."""
         with lm._mutex:
-            entry = lm._entry_locked(resource)
-            if lm._try_grant_locked(entry, txid, resource, mode):
+            if lm._try_grant_locked(txid, resource, mode):
                 return
-            holders = sorted(entry.holders)
+            holders = sorted(lm._holders[resource])
         raise LockError(f"transaction {txid} blocked on {resource!r} held by {holders}")
 
     def run(self, acquire):
@@ -367,8 +365,8 @@ class TestUncontendedFastPath:
         return outcomes, lm.stats.snapshot(), list(log), records
 
     def test_stats_order_log_and_records_match_the_general_path(self):
-        fast = self.run(LockManager.acquire_or_raise)
-        general = self.run(self.general_acquire_or_raise)
+        fast = self.run(LockManager.lock)
+        general = self.run(self.general_serial_lock)
         assert fast == general
         outcomes, stats, log, records = fast
         assert outcomes == ["granted"] * 5 + ["refused"]
@@ -389,13 +387,12 @@ class TestUncontendedFastPath:
         ]
 
     def test_fresh_request_creates_one_entry_held_by_the_requester(self, lm):
-        lm.acquire_or_raise(7, "r", LockMode.S)
-        entry = lm._table["r"]
-        assert entry.holders == {7: LockMode.S}
-        assert entry.waiters == []
+        lm.lock(7, "r", LockMode.S)
+        assert lm._holders == {"r": {7: LockMode.S}}
+        assert lm._queues == {}
         assert lm.locks_held(7) == frozenset({"r"})
         lm.release_all(7)
-        assert lm._table == {}
+        assert lm._holders == {} and lm._queues == {}
 
     # Both modes of ``lock()`` start with the same grant-now step; the
     # general path is what each mode does without it.
@@ -411,18 +408,14 @@ class TestUncontendedFastPath:
 
     @staticmethod
     def general_acquire_blocking(lm, txid, resource, mode):
-        """The blocking path without the grant-now step: the wait loop's
-        first pass grants, or queues and times out."""
+        """The blocking path without ``lock``'s grant-now step: the wait
+        loop's first pass grants, or queues and times out."""
         lm.wait_timeout = 0.05
-        lm._grant_now = lambda *request: False
-        try:
-            lm.acquire_blocking(txid, resource, mode)
-        finally:
-            del lm._grant_now
+        lm.acquire_blocking(txid, resource, mode)
 
     def test_serial_lock_matches_the_general_path(self):
         assert self.run(self.lock_in_mode(False)) == self.run(
-            self.general_acquire_or_raise
+            self.general_serial_lock
         )
 
     def test_blocking_lock_matches_the_general_path(self):
@@ -456,7 +449,7 @@ class TestUncontendedFastPath:
         with pytest.raises(LockTimeoutError):
             lm.lock(4, "c", LockMode.S)
         assert lm.holders_of("c") == {2}
-        assert lm._table["c"].waiters == [(3, LockMode.X)]
+        assert lm._queues["c"] == [(3, LockMode.X)]
 
     def test_blocking_reader_is_granted_only_after_the_writer(self, lm):
         lm.blocking = True

@@ -43,6 +43,7 @@ from repro.errors import (
     TriggerError,
 )
 from repro.objects.handle import PersistentHandle
+from repro.objects.index import FieldIndex, load_index
 from repro.objects.metatype import TypeRegistry, global_type_registry
 from repro.objects.oid import PersistentPtr
 from repro.objects.persistent import Persistent
@@ -56,6 +57,7 @@ from repro.objects.serialize import (
 )
 from repro.sessions.session import Session, SessionStats, current_ambient_session
 from repro.storage import open_storage
+from repro.storage.btree import BTree
 from repro.storage.locks import LockMode
 from repro.transactions.manager import TransactionBlock, TransactionManager
 from repro.transactions.phoenix import PhoenixQueue
@@ -356,32 +358,29 @@ class Database:
         return index
 
     def _active_indexes(self, txn: Transaction) -> list:
-        """All registered indexes, cached per transaction."""
-        from repro.objects.index import FieldIndex
-        from repro.storage.btree import BTree
+        """All registered indexes, read from the catalog (S-locked) once
+        per transaction and kept on it."""
+        indexes = txn.attachments.get("db:indexes")
+        if indexes is None:
+            indexes = txn.attachments["db:indexes"] = self._load_indexes(txn)
+        return indexes
 
-        def load():
-            indexes = []
-            for key, header_rid in self._read_catalog(txn).items():
-                if not key.startswith("index:"):
-                    continue
-                class_name, field_name = key[len("index:") :].rsplit(".", 1)
-                indexes.append(
-                    FieldIndex(
-                        self, class_name, field_name, BTree(self.storage, header_rid)
-                    )
-                )
-            return indexes
-
-        return txn.attachment("db:indexes", load)
+    def _load_indexes(self, txn: Transaction) -> list:
+        indexes = []
+        for key, header_rid in self._read_catalog(txn).items():
+            if not key.startswith("index:"):
+                continue
+            class_name, field_name = key[len("index:") :].rsplit(".", 1)
+            indexes.append(
+                FieldIndex(self, class_name, field_name, BTree(self.storage, header_rid))
+            )
+        return indexes
 
     def _indexes_for(self, txn: Transaction, cls: type) -> list:
         return [idx for idx in self._active_indexes(txn) if idx.applies_to(cls)]
 
     def find(self, cls: type, field_name: str, value) -> list[PersistentHandle]:
         """Exact-match index lookup; returns handles."""
-        from repro.objects.index import load_index
-
         txn = self.txn_manager.current()
         index = load_index(self, cls.__name__, field_name)
         if index is None:
@@ -395,8 +394,6 @@ class Database:
 
     def find_range(self, cls: type, field_name: str, lo, hi) -> Iterator[PersistentHandle]:
         """Range index scan (inclusive bounds; None = open end)."""
-        from repro.objects.index import load_index
-
         txn = self.txn_manager.current()
         index = load_index(self, cls.__name__, field_name)
         if index is None:

@@ -79,6 +79,8 @@ class Field:
 
     def check(self, value: Any) -> None:
         """Validate *value* against the declared type."""
+        if type(value) is self.ftype:  # an exact match always passes
+            return
         if value is None:
             if not self.nullable:
                 raise SchemaError(f"field {self.name!r} is not nullable")

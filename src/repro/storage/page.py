@@ -64,6 +64,9 @@ class SlottedPage:
         if len(raw) != PAGE_SIZE:
             raise PageError(f"page must be exactly {PAGE_SIZE} bytes, got {len(raw)}")
         self.raw = raw
+        # Every write keeps the page's size, so this export never blocks
+        # one; :meth:`get` copies a record out through it in one step.
+        self._view = memoryview(raw)
 
     # -- header accessors -----------------------------------------------------
 
@@ -152,14 +155,15 @@ class SlottedPage:
 
     def get(self, slot_no: int) -> bytes | None:
         """The record stored at *slot_no*, or ``None`` when the slot is
-        out of range or tombstoned — one header and one slot unpack."""
+        out of range or tombstoned — one header and one slot unpack, and
+        one copy of the record's bytes."""
         raw = self.raw
         if not 0 <= slot_no < PAGE_HEADER.unpack_from(raw, 0)[0]:
             return None
         offset, length = SLOT.unpack_from(raw, _HEADER_SIZE + slot_no * _SLOT_SIZE)
         if offset == TOMBSTONE:
             return None
-        return bytes(raw[offset : offset + length])
+        return self._view[offset : offset + length].tobytes()
 
     def update(self, slot_no: int, data: bytes) -> None:
         """Replace the record at *slot_no* with *data* (may relocate it)."""

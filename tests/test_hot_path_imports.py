@@ -63,6 +63,8 @@ HOT_PATH = [
     ("repro.storage.wal", ("WriteAheadLog", "append")),
     ("repro.storage.wal", ("LogRecord", "encode")),
     ("repro.storage.disk", ("PagedRecords", "_payload")),
+    ("repro.storage.disk", ("PagedRecords", "get")),
+    ("repro.objects.database", ("Database", "_active_indexes")),
     ("repro.storage.page", ("SlottedPage", "get")),
     ("repro.objects.persistent", ("Persistent", "__setattr__")),
     ("repro.objects.schema", ("Field", "assign")),

@@ -11,6 +11,7 @@ encode-side range checks that raise ``SerializationError``.
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from repro.objects.serialize import (
     FLAG_HAS_TRIGGERS,
     FORMAT_VERSION,
     decode_object,
+    decode_value,
     encode_object,
     encode_value,
 )
@@ -164,6 +166,51 @@ def test_object_header_roundtrip(fields, flags, group):
 def test_object_header_refuses_a_group_rid_that_is_not_64_bits(group):
     with pytest.raises(SerializationError, match="'group'"):
         encode_object("Gadget", {}, FLAG_HAS_TRIGGERS, group)
+
+
+#: Scalars at the edges of their encodings; ``True`` and ``1`` differ
+#: only in type, ``-0.0`` and ``0.0`` only in sign.
+_SCALAR_EDGES = {
+    "i64_min": -(2**63),
+    "i64_max": 2**63 - 1,
+    "neg_zero": -0.0,
+    "inf": float("inf"),
+    "true": True,
+    "one": 1,
+    "none": None,
+    "empty": "",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fields=st.dictionaries(st.text(max_size=6), _VALUES, max_size=4),
+    flags=st.sampled_from([0, FLAG_HAS_TRIGGERS]),
+)
+@example(fields=_SCALAR_EDGES, flags=0)
+@example(fields={}, flags=FLAG_HAS_TRIGGERS)
+def test_object_record_prefixes_raise_and_never_decode_short(fields, flags):
+    raw = encode_object("Gadget", fields, flags, 7)
+    for end in range(len(raw)):
+        with pytest.raises(SerializationError):
+            decode_object(raw[:end])
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_EDGES))
+def test_a_scalar_field_decodes_to_its_value_and_its_type(name):
+    value = _SCALAR_EDGES[name]
+    fields = {"before": "x", name: value, "after": 2}
+    decoded = decode_object(encode_object("Gadget", fields))[1]
+    assert decoded == fields
+    got = decoded[name]
+    assert type(got) is type(value)  # a bool never comes back as an int
+    if type(value) is float:
+        assert math.copysign(1.0, got) == math.copysign(1.0, value)
+    encoded = bytearray()
+    encode_value(value, encoded)
+    alone, end = decode_value(bytes(encoded), 0)
+    assert end == len(encoded)
+    assert type(alone) is type(got) and repr(alone) == repr(got)
 
 
 # ---------------------------------------------------------------------------

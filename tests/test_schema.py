@@ -1,13 +1,17 @@
 """Field-declaration and Persistent-base tests."""
 
+import functools
+
 import pytest
 
+from repro.core.declarations import trigger
 from repro.core.monitored import LocalTriggerSystem
 from repro.errors import SchemaError
 from repro.objects.metatype import global_type_registry
 from repro.objects.oid import NULL_PTR, PersistentPtr
 from repro.objects.persistent import Persistent, fields_of
 from repro.objects.schema import Field, collect_fields, field
+from repro.objects.serialize import FLAG_HAS_TRIGGERS
 
 
 class Point(Persistent):
@@ -212,3 +216,56 @@ class TestFieldProtocol:
             point = db.deref(ptr)
             assert point.label == "origin"
             assert point.x == 2.0 and type(point.x) is float
+
+
+class NameClashWatch(Persistent):
+    """A field and a trigger share the name ``Watch``; ``bump`` declares
+    no event."""
+
+    Watch = field(int, default=3)
+    hits = field(int, default=0)
+    unset = field(int)
+    __events__ = ["Ping"]
+    __triggers__ = [trigger("Watch", "Ping", action=lambda self, ctx: None)]
+
+    def bump(self):
+        self.hits += 1
+
+
+class TestHandleReads:
+    """A handle answers a name with the method wrapper first, then the
+    trigger activation, then the attribute; a set field that shares its
+    name with neither is read straight from the instance."""
+
+    def test_a_trigger_named_like_a_field_activates(self, any_engine_db):
+        db = any_engine_db
+        with db.transaction():
+            ptr = db.pnew(NameClashWatch).ptr
+        with db.transaction():
+            handle = db.deref(ptr)
+            assert handle.obj.Watch == 3
+            assert isinstance(handle.Watch, functools.partial)
+            tid = handle.Watch()
+            assert tid.rid == handle.obj.__dict__["_p_group"]
+            assert handle.obj._p_flags & FLAG_HAS_TRIGGERS
+            assert handle.hits == 0
+
+    def test_an_unset_field_read_through_a_handle_raises(self, any_engine_db):
+        db = any_engine_db
+        with db.transaction():
+            ptr = db.pnew(NameClashWatch).ptr
+        with db.transaction():
+            handle = db.deref(ptr)
+            with pytest.raises(AttributeError, match="'unset' of NameClashWatch is not set"):
+                handle.unset
+
+    def test_an_event_less_method_still_marks_the_object_dirty(self, any_engine_db):
+        db = any_engine_db
+        with db.transaction():
+            ptr = db.pnew(NameClashWatch).ptr
+        with db.transaction():
+            handle = db.deref(ptr)
+            handle.bump()
+            assert ptr.rid in db.txn_manager.current().dirty
+        with db.transaction():
+            assert db.deref(ptr).hits == 1

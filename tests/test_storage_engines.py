@@ -16,7 +16,16 @@ from repro.faults.injector import Fault, FaultInjector, FaultKind, HitRecord
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 from repro.sessions.scheduler import CooperativeScheduler
-from repro.storage.disk import DiskStorageManager, pack_rid, unpack_rid
+from repro.storage.disk import (
+    _MAX_CHUNK,
+    FLAG_FORWARD,
+    FLAG_MOVED,
+    FLAG_SEGMENT,
+    FWD,
+    DiskStorageManager,
+    pack_rid,
+    unpack_rid,
+)
 from repro.storage.interface import StorageManager
 from repro.storage.mainmem import MainMemoryStorageManager
 from repro.storage.wal import LogRecordKind, WriteAheadLog
@@ -327,6 +336,83 @@ class TestDiskSpecific:
             assert sm.read(2, rid) == bytes([i % 250]) * 500
         sm.commit_transaction(2)
         assert sm.stats.page_evictions > 0
+        sm.close()
+
+
+class TestDiskRecordRead:
+    """``PagedRecords.get``, the read half of every dereference: an inline
+    record, a forwarded body and a segment chain come back as ``bytes``;
+    only a home slot is a record; nothing stays pinned."""
+
+    @staticmethod
+    def _store(tmp_path):
+        sm = DiskStorageManager(str(tmp_path / "reads"), buffer_capacity=4)
+        sm.begin_transaction(1)
+        rids = [sm.insert(1, bytes([i % 251]) * 60) for i in range(150)]
+        return sm, rids
+
+    @staticmethod
+    def _assert_unpinned(sm):
+        assert all(f.pin_count == 0 for f in sm._records._pool._frames.values())
+
+    def test_inline_forwarded_and_chained_records_read_back_as_bytes(self, tmp_path):
+        sm, rids = self._store(tmp_path)
+        records = sm._records
+        single = b"S" * 3000  # outgrows its full page: one body record
+        chained = bytes(range(256)) * (3 * _MAX_CHUNK // 256 + 1)
+        sm.write(1, rids[3], single)
+        sm.write(1, rids[4], chained)
+        assert len(chained) > 3 * _MAX_CHUNK
+        head = records._payload(rids[3])
+        assert head[0] == FLAG_FORWARD
+        assert records._payload(FWD.unpack_from(head, 1)[0])[0] == FLAG_MOVED
+        expected = {rids[0]: bytes([0]) * 60, rids[3]: single, rids[4]: chained}
+        for rid, data in expected.items():
+            got = records.get(rid)
+            assert type(got) is bytes and got == data
+            assert sm.read(1, rid) == data
+            self._assert_unpinned(sm)
+        sm.commit_transaction(1)
+        sm.close()
+
+    def test_a_body_or_segment_rid_is_no_record(self, tmp_path):
+        sm, rids = self._store(tmp_path)
+        records = sm._records
+        sm.write(1, rids[5], b"C" * (2 * _MAX_CHUNK + 1))
+        chain = [FWD.unpack_from(records._payload(rids[5]), 1)[0]]
+        while records._payload(chain[-1])[0] == FLAG_SEGMENT:
+            chain.append(FWD.unpack_from(records._payload(chain[-1]), 1)[0])
+        assert len(chain) == 3 and records._payload(chain[-1])[0] == FLAG_MOVED
+        for rid in chain:
+            assert not records.has(rid)
+            with pytest.raises(RecordNotFoundError):
+                records.get(rid)
+            with pytest.raises(RecordNotFoundError):
+                sm.read(1, rid)
+        self._assert_unpinned(sm)
+        sm.commit_transaction(1)
+        sm.close()
+
+    def test_has_and_get_agree_on_every_rid(self, tmp_path):
+        sm, rids = self._store(tmp_path)
+        records = sm._records
+        sm.write(1, rids[7], b"F" * 3000)
+        sm.write(1, rids[8], b"G" * (2 * _MAX_CHUNK))
+        for rid in rids[20:30]:
+            sm.delete(1, rid)  # tombstones
+        live = 0
+        for page_no in range(records._file.num_pages + 2):  # page 0 and past
+            for slot_no in range(80):
+                rid = pack_rid(page_no, slot_no)
+                if records.has(rid):
+                    live += 1
+                    assert type(records.get(rid)) is bytes
+                else:
+                    with pytest.raises(RecordNotFoundError):
+                        records.get(rid)
+        assert live == len(rids) - 10
+        self._assert_unpinned(sm)
+        sm.commit_transaction(1)
         sm.close()
 
 

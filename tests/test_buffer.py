@@ -178,8 +178,9 @@ class TestBufferPool:
 
 
 class TestSlotRead:
-    """``BufferPool.slot`` is ``fetch`` + ``page.get`` + ``unpin`` under
-    one mutex hold: it must count, load and check exactly as they do."""
+    """``BufferPool.slot`` reads what ``fetch`` + ``page.get`` + ``unpin``
+    read, under one mutex hold and with no pin: it must count, load and
+    check exactly as they do."""
 
     @staticmethod
     def _pages(paged_file, count, pool):

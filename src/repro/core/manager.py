@@ -99,7 +99,6 @@ class TriggerSystem:
             self._store_type = AdvanceBuffer
             if metrics is not None:
                 metrics.register_source("mvcc", self.versions.stats)
-        db.txn_manager.on_begin(self._install_hooks)
 
     def states(self, txn: "Transaction") -> StateStore:
         """*txn*'s trigger-state store (created on first use)."""
@@ -151,14 +150,6 @@ class TriggerSystem:
         process has not imported (tooling), and its entries are resolved
         when the kernel first advances them."""
         return self._memo(schema_version()).get(kind)
-
-    # -- transaction hook installation ----------------------------------------
-
-    def _install_hooks(self, txn: "Transaction") -> None:
-        txn.before_commit.append(self._before_commit)
-        txn.after_commit.append(self._after_commit)
-        txn.before_abort.append(self._before_abort)
-        txn.after_abort.append(self._after_abort)
 
     # -- activation / deactivation (Section 4.1, 5.4.1) -------------------------
 
@@ -510,8 +501,11 @@ class TriggerSystem:
                 post_event(self, self.db, eventnum, ptr, obj)
 
     # -- coupling-mode hooks ------------------------------------------------------------
+    #
+    # The transaction manager calls these four itself, each before the
+    # transaction's own hook list of the same name.
 
-    def _before_commit(self, txn: "Transaction") -> None:
+    def before_commit(self, txn: "Transaction") -> None:
         attachments = txn.attachments
         if END_LIST not in attachments and TX_EVENT_OBJECTS not in attachments:
             return  # no end action queued, no transaction-event object
@@ -527,14 +521,17 @@ class TriggerSystem:
         # A tcomplete trigger may have queued further end actions.
         drain(end_list, run)
 
-    def _before_abort(self, txn: "Transaction") -> None:
+    def before_abort(self, txn: "Transaction") -> None:
         self._post_tx_event(txn, "tabort")
 
-    def _after_commit(self, txn: "Transaction") -> None:
+    def after_commit(self, txn: "Transaction") -> None:
+        attachments = txn.attachments
+        if DEPENDENT_LIST not in attachments and INDEPENDENT_LIST not in attachments:
+            return  # no detached action queued
         self._run_detached(txn, DEPENDENT_LIST, depends_on=txn.txid)
         self._run_detached(txn, INDEPENDENT_LIST, depends_on=None)
 
-    def _after_abort(self, txn: "Transaction") -> None:
+    def after_abort(self, txn: "Transaction") -> None:
         # Dependent actions die with the detecting transaction; !dependent
         # actions run anyway (Section 5.5's abort-path scan).
         self._run_detached(txn, INDEPENDENT_LIST, depends_on=None)

@@ -558,10 +558,11 @@ class LockInPlaceStates(StateStore):
     rest of the transaction.  Sound under two-phase locking — the read
     takes a shared lock held to commit, so within one transaction nobody
     else can change the record, and our own changes go to the cached
-    group.  A posting that moved any machine takes the group's **write
-    lock** at once — the "triggers turn read access into write access"
-    effect of Section 6 that experiment E6 measures — and marks it dirty;
-    activation and deactivation on an existing group do the same.
+    group.  The first posting that moved any machine takes the group's
+    **write lock** at once — the "triggers turn read access into write
+    access" effect of Section 6 that experiment E6 measures — and marks
+    it dirty; activation and deactivation on an existing group do the
+    same.  A later change to a dirty group asks for no lock again.
     :meth:`write_back`, run by ``Database.flush_transaction`` after every
     before-commit hook, writes each dirty group once, as objects are
     written.  An abort therefore logs nothing for a group it only
@@ -631,9 +632,13 @@ class LockInPlaceStates(StateStore):
         self.dirty.clear()
 
     def _mark(self, group: Group) -> None:
-        """X-lock *group* where writing it would, and write it at commit."""
-        self.storage.lock_for_write(self.txid, group.rid)
-        self.dirty[group.rid] = group
+        """X-lock *group* where writing it would, and write it at commit.
+        A group already dirty holds its X lock until the transaction ends,
+        so only its first mark asks for it."""
+        rid = group.rid
+        if rid not in self.dirty:
+            self.storage.lock_for_write(self.txid, rid)
+            self.dirty[rid] = group
 
 
 class VolatileStates(StateStore):
@@ -1017,10 +1022,12 @@ def post_many(system: "TriggerSystem", db: "Database", batch) -> int:
 
 def user_event_int(metatype, name: str) -> int:
     """The event integer of *metatype*'s declared user-defined event *name*."""
-    for decl in metatype.declared_events:
-        if decl.kind == "user" and decl.name == name:
-            return metatype.event_ints[decl.symbol]
-    raise UnknownEventError(f"{metatype.name} declares no user-defined event {name!r}")
+    try:
+        return metatype.user_events[name]
+    except KeyError:
+        raise UnknownEventError(
+            f"{metatype.name} declares no user-defined event {name!r}"
+        ) from None
 
 
 #: Where a detected occurrence waits for its coupling mode's moment.

@@ -16,6 +16,7 @@ states are resolved when a database is reopened by another "application".
 from __future__ import annotations
 
 import threading
+import warnings
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import UnknownTriggerError, UnknownTypeError
@@ -49,6 +50,8 @@ class Metatype:
         # symbol -> the class that declared the event (its eventRep owner).
         self.event_ints: dict[str, int] = {}
         self.event_owner: dict[str, str] = {}
+        # Declared user-defined event name -> its eventnum (own + inherited).
+        self.user_events: dict[str, int] = {}
         # The declared fields a handle reads straight from the instance;
         # see install().
         self.plain_fields: frozenset[str] = frozenset(self.fields)
@@ -136,7 +139,9 @@ class TypeRegistry:
         Re-registering the same class object is idempotent; registering a
         *different* class under an existing name replaces it, which mirrors
         recompilation of a class definition, and bumps the schema version:
-        group functions are memoized by registry and type name.
+        group functions are memoized by registry and type name.  A
+        replacement defined in another module is more likely a name clash
+        than a recompilation, so it warns (:class:`RuntimeWarning`).
         """
         existing = self._by_class.get(pyclass)
         if existing is not None:
@@ -152,6 +157,16 @@ class TypeRegistry:
         if replaced is not None:
             from repro.core.compiled import bump_schema_version
 
+            previous = getattr(replaced, "pyclass", None)
+            if previous is not None and previous.__module__ != pyclass.__module__:
+                warnings.warn(
+                    f"persistent class {metatype.name!r} from module "
+                    f"{pyclass.__module__!r} replaces the one from module "
+                    f"{previous.__module__!r}: every open database now builds "
+                    f"the new class for objects stored as {metatype.name!r}",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
             bump_schema_version(f"register:{metatype.name}")
         return metatype
 

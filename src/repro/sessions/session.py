@@ -223,13 +223,13 @@ class Session:
         if retries is not None:
             chosen = chosen.with_budget(RetryClass.DEADLOCK, retries)
         deadline_at = None if deadline is None else time.monotonic() + deadline
-        state = RetryState(chosen)
+        state = None  # built by the first failed attempt
         lock_manager = self.db.storage.lock_manager
         while True:
             if deadline_at is not None and time.monotonic() >= deadline_at:
                 raise TransactionDeadlineError(
                     f"session {self.name!r}: deadline expired after "
-                    f"{state.total_attempts} failed attempt(s)"
+                    f"{state.total_attempts if state else 0} failed attempt(s)"
                 )
             try:
                 with self.transaction() as txn:
@@ -241,6 +241,8 @@ class Session:
                 # block, control simply continues — nothing to retry.
                 return None
             except Exception as exc:
+                if state is None:
+                    state = RetryState(chosen)
                 klass, may_retry = state.consume(exc)
                 if not may_retry:
                     # An exhausted victim is not a retry: count it only in

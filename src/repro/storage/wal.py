@@ -24,17 +24,21 @@ A :class:`LogRecord` is a named tuple, so an append builds one tuple, and
 copies an image only when it is not already ``bytes``; one ``struct``
 packs the payload head through ``before_len``.
 
-The log tracks its last-fsynced offset so :meth:`WriteAheadLog.crash` can
-simulate a real process death: everything after the last force is dropped,
-exactly what the page cache would lose at power-off.
+An append stages its frame in the log's in-memory *tail*; the tail
+reaches the file in one ``os.write`` when the log is forced or closed,
+or once it passes :data:`TAIL_BOUND` bytes.  The log tracks its
+last-fsynced offset so :meth:`WriteAheadLog.crash` can simulate a real
+process death: the tail and everything in the file after the last force
+are dropped, exactly what the page cache would lose at power-off.
 
 **One force path.**  :meth:`WriteAheadLog.force` is the only fsync: commits,
 checkpoints and the buffer pool's write-ahead staging all call it.  It
 reads its goal (the bytes appended so far) under the mutex, returns at
 once when an earlier fsync already covered that goal, and otherwise
-fsyncs *outside* the mutex, so appenders never queue behind the device.
-Durability is prefix-based, so a COMMIT covered by someone else's fsync
-is exactly as durable as one covered by its own.
+writes the tail in that same mutex hold and fsyncs *outside* the mutex,
+so appenders never queue behind the device.  Durability is
+prefix-based, so a COMMIT covered by someone else's fsync is exactly as
+durable as one covered by its own.
 """
 
 from __future__ import annotations
@@ -59,6 +63,10 @@ from repro.faults.injector import (
 _FRAME = struct.Struct("<II")  # payload_len, crc
 _PAYLOAD_HEAD = struct.Struct("<QQBqI")  # lsn, txid, kind, rid, before_len
 _LEN = struct.Struct("<I")
+
+#: Staged frames past this many bytes are written to the file without a
+#: force, so an append never holds more than this in memory.
+TAIL_BOUND = 64 * 1024
 
 #: Upper bound on a sane payload length, used when re-synchronizing after
 #: a corrupt frame — anything larger is noise, not a frame header.
@@ -166,9 +174,12 @@ class WriteAheadLog:
         self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         self._stats = stats
         # Whatever is on disk at open survived (or was already forced);
-        # appends grow _size, forces advance _synced_size to match.
+        # appends grow _size (file plus tail), forces advance _synced_size
+        # to match.
         self._size = os.fstat(self._fd).st_size
         self._synced_size = self._size
+        #: Frames appended but not yet written to the file, in LSN order.
+        self._tail = bytearray()
         self._closed = False
         # Serializes append/force/truncate: concurrent sessions share one
         # log (the engine mutex already covers the common paths; this keeps
@@ -219,16 +230,21 @@ class WriteAheadLog:
             self._next_lsn += 1
             frame = record.encode()
             try:
-                self._write_frame(frame, record.lsn, kind)
+                torn = self._stage(frame)
             except OSError as error:
-                retry_failed(
-                    error,
-                    self._write_frame,
-                    frame,
-                    record.lsn,
-                    kind,
-                    on_retry=self._count_retry,
+                torn = retry_failed(
+                    error, self._stage, frame, on_retry=self._count_retry
                 )
+            if torn:
+                # A torn append the power cut made durable: fsync the tail
+                # and the partial frame so the simulated crash keeps them
+                # and recovery has a real torn tail to truncate.
+                self._write_tail()
+                os.fsync(self._fd)
+                self._synced_size = self._size
+                self.injector.crash_pending("wal.append")
+            if len(self._tail) > TAIL_BOUND:
+                self._write_tail()
         if self._stats is not None:
             self._stats.log_records += 1
         if obs.ENABLED:
@@ -242,30 +258,37 @@ class WriteAheadLog:
             )
         return record
 
-    def _write_frame(self, frame: bytes, lsn: int, kind: LogRecordKind) -> None:
-        """One attempt at appending *frame* (mutex held)."""
-        data, crash_after = self.injector.fire_write(
-            "wal.append", frame, lsn=lsn, kind=kind.name
-        )
-        os.write(self._fd, data)
+    def _stage(self, frame: bytes) -> bool:
+        """One attempt at appending *frame* to the tail (mutex held);
+        returns whether the ``wal.append`` failpoint tore it."""
+        data, torn = self.injector.fire_write("wal.append", frame)
+        self._tail += data
         self._size += len(data)
-        if crash_after:
-            # A torn append the power cut made durable: fsync the partial
-            # frame so the simulated crash keeps it and recovery has a
-            # real torn tail to truncate.
-            os.fsync(self._fd)
-            self._synced_size = self._size
-            self.injector.crash_pending("wal.append")
+        return torn
+
+    def _write_tail(self) -> None:
+        """Write the staged frames to the file (mutex held), retrying a
+        transient error."""
+        tail = self._tail
+        while tail:
+            try:
+                written = os.write(self._fd, tail)
+            except OSError as error:
+                written = retry_failed(
+                    error, os.write, self._fd, tail, on_retry=self._count_retry
+                )
+            del tail[:written]
 
     def force(self) -> None:
         """Make every byte appended so far durable (the only fsync path).
 
         The goal is read under the mutex.  If an earlier fsync already
         covered it, nothing is issued (counted in ``group_piggybacks``).
-        Otherwise the fsync runs outside the mutex, between the
-        ``wal.force`` and ``wal.force.after`` failpoints, and
-        ``_synced_size`` then rises to the goal — only to a goal read
-        before a completed fsync, and never across a :meth:`truncate`.
+        Otherwise the tail is written in the same mutex hold, the fsync
+        runs outside the mutex, between the ``wal.force`` and
+        ``wal.force.after`` failpoints, and ``_synced_size`` then rises
+        to the goal — only to a goal whose bytes were in the file before
+        a completed fsync, and never across a :meth:`truncate`.
         """
         with self._mutex:
             goal = self._size
@@ -274,6 +297,7 @@ class WriteAheadLog:
                 if self._stats is not None:
                     self._stats.group_piggybacks += 1
                 return
+            self._write_tail()
 
         try:
             self._fsync()
@@ -302,15 +326,16 @@ class WriteAheadLog:
     def replay(self) -> Iterator[LogRecord]:
         """Yield every complete record from the start of the log.
 
-        Stops silently at a torn or corrupt *tail* — exactly the state a
+        An open log's staged frames are read after the file's.  Stops
+        silently at a torn or corrupt *tail* — exactly the state a
         crash mid-append leaves behind.  If valid frames are still
         decodable *after* the bad one, the damage is interior (committed
         history was corrupted, not torn off): raises
         :class:`~repro.errors.WALError` whose ``salvage`` attribute maps
         out what survives on either side of the damage.
         """
-        with open(self.path, "rb") as fh:
-            buf = fh.read()
+        with self._mutex, open(self.path, "rb") as fh:
+            buf = fh.read() + self._tail
         offset = 0
         yielded = 0
         while True:
@@ -377,13 +402,15 @@ class WriteAheadLog:
 
         with self._mutex:
             with_retry(op, on_retry=self._count_retry)
+            self._tail.clear()
             self._size = 0
             self._synced_size = 0
             self._next_lsn = 1
             self._truncations += 1
 
     def size_bytes(self) -> int:
-        return os.fstat(self._fd).st_size
+        """Bytes appended so far, written or staged."""
+        return self._size
 
     def synced_bytes(self) -> int:
         """Bytes of log guaranteed durable (fsynced)."""
@@ -392,18 +419,22 @@ class WriteAheadLog:
     def crash(self) -> None:
         """Die like a real process: drop everything after the last fsync.
 
-        No failpoints fire and no final fsync happens — the unforced log
-        tail is truncated away, exactly what the OS page cache loses at
-        power-off.  (``ftruncate`` here *simulates* the loss; a real crash
-        needs no syscall to lose unforced data.)
+        No failpoints fire and no final fsync happens — the staged tail
+        is dropped and the unforced part of the file truncated away,
+        exactly what the process and the OS page cache lose at power-off.
+        (``ftruncate`` here *simulates* the loss; a real crash needs no
+        syscall to lose unforced data.)
         """
         if not self._closed:
+            self._tail.clear()
             os.ftruncate(self._fd, self._synced_size)
             os.close(self._fd)
             self._closed = True
 
     def close(self) -> None:
         if not self._closed:
+            with self._mutex:
+                self._write_tail()
             os.fsync(self._fd)
             self._synced_size = self._size
             os.close(self._fd)

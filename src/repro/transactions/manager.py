@@ -83,7 +83,10 @@ class TransactionManager:
     def on_begin(self, listener: Callable[[Transaction], None]) -> None:
         """Register a callback invoked for every new transaction.
 
-        The trigger manager uses this to install its coupling-mode hooks.
+        Local rules (:mod:`repro.core.monitored`) use this to install
+        their hooks; the database's trigger system needs none, because
+        its coupling hooks are called by :meth:`commit` and :meth:`abort`
+        themselves.
         """
         self._begin_listeners.append(listener)
 
@@ -146,21 +149,27 @@ class TransactionManager:
 
         A :class:`TransactionAbort` raised by a before-commit hook (an *end*
         trigger action or a ``before tcomplete`` trigger) turns the commit
-        into an abort, as `tabort` semantics require.
+        into an abort, as `tabort` semantics require.  The database's trigger
+        system's hook of each kind runs before the transaction's own list
+        of that kind.
 
         Committing releases the transaction's locks, which grants queued
         requests FIFO and wakes the blocked sessions holding them.
         """
         self._require_current(txn)
         txn.state = TxnState.COMMITTING
+        # None while the database bootstraps, before it is attached.
+        trigger_system = self.db.trigger_system
         try:
-            for hook in list(txn.before_commit):
-                hook(txn)
+            if trigger_system is not None:
+                trigger_system.before_commit(txn)
+            if txn.before_commit:
+                for hook in list(txn.before_commit):
+                    hook(txn)
         except TransactionAbort:
             txn.state = TxnState.ACTIVE
             self.abort(txn, explicit=True)
             return txn.state
-        trigger_system = getattr(self.db, "trigger_system", None)
         versions = getattr(trigger_system, "versions", None)
         try:
             self.dependencies.check_commit_allowed(txn.txid, self.outcomes)
@@ -213,8 +222,11 @@ class TransactionManager:
                 system=txn.system,
                 session=txn.session_name,
             )
-        for hook in list(txn.after_commit):
-            hook(txn)
+        if trigger_system is not None:
+            trigger_system.after_commit(txn)
+        if txn.after_commit:
+            for hook in list(txn.after_commit):
+                hook(txn)
         self.drain_system_queue(txn.session)
         return txn.state
 
@@ -230,8 +242,11 @@ class TransactionManager:
         to keep system transactions out of the commit-mutex critical
         section, draining once the mutex is released."""
         self._require_current(txn)
+        trigger_system = self.db.trigger_system
         if explicit:
-            for hook in list(txn.before_abort):
+            hooks = [] if trigger_system is None else [trigger_system.before_abort]
+            hooks += txn.before_abort
+            for hook in hooks:
                 try:
                     hook(txn)
                 except TransactionAbort:
@@ -249,8 +264,11 @@ class TransactionManager:
                 system=txn.system,
                 session=txn.session_name,
             )
-        for hook in list(txn.after_abort):
-            hook(txn)
+        if trigger_system is not None:
+            trigger_system.after_abort(txn)
+        if txn.after_abort:
+            for hook in list(txn.after_abort):
+                hook(txn)
         if drain:
             self.drain_system_queue(txn.session)
         return txn.state

@@ -2,8 +2,10 @@
 
 A :class:`Transaction` carries the per-transaction state the rest of the
 system needs: the object cache (instances dereferenced in this transaction),
-the dirty set awaiting write-back, and four ordered hook lists the trigger
-manager uses to implement coupling modes and transaction events:
+the dirty set awaiting write-back, and four ordered hook lists.  The
+database's trigger system implements coupling modes and transaction
+events through hooks of the same four kinds, which the transaction
+manager calls before each list:
 
 * ``before_commit`` — deferred (*end*) trigger actions, then
   ``before tcomplete`` event posting; may raise

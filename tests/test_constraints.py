@@ -40,7 +40,7 @@ class TestDeclaration:
     def test_constraints_without_events_rejected(self):
         with pytest.raises(TriggerDeclarationError, match="no events"):
 
-            class Bad(Persistent):
+            class EventlessConstraint(Persistent):
                 v = field(int, default=0)
                 __constraints__ = {"positive": lambda self: self.v > 0}
 

@@ -9,7 +9,6 @@ typed ``trigger_info`` errors, and the runtime firing-order guard.
 
 from __future__ import annotations
 
-import importlib.util
 import pathlib
 
 import pytest
@@ -32,6 +31,7 @@ from repro.events.dfa import (
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 from tests import analysis_fixtures as fx
+from tests.test_analysis import _ExampleLoader
 
 pytestmark = pytest.mark.analysis
 
@@ -160,12 +160,9 @@ def _example_classes():
 
     modules = [credit_card, trading]
     for path in sorted((REPO_ROOT / "examples").glob("*.py")):
-        spec = importlib.util.spec_from_file_location(
-            f"effects_sweep_{path.stem}", path
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        modules.append(module)
+        # The lint tests' loader: one module per example in this process,
+        # so its classes are registered once.
+        modules.append(_ExampleLoader.load(path))
     classes = []
     for module in modules:
         for value in vars(module).values():

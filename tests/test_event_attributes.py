@@ -79,7 +79,7 @@ class TestEventAttributes:
         db = any_engine_db
         seen = []
 
-        class Probe(Persistent):
+        class MethodNameProbe(Persistent):
             __events__ = ["after poke"]
             __masks__ = {
                 "record": lambda self, params, event: seen.append(event.method)
@@ -96,7 +96,7 @@ class TestEventAttributes:
                 pass
 
         with db.transaction():
-            probe = db.pnew(Probe)
+            probe = db.pnew(MethodNameProbe)
             probe.T()
             probe.poke()
         assert seen == ["poke"]
@@ -162,7 +162,7 @@ class TestEventAttributes:
     def test_zero_arg_mask_rejected(self):
         with pytest.raises(TriggerDeclarationError):
 
-            class Bad(Persistent):
+            class ZeroArgMaskClass(Persistent):
                 __events__ = ["after f"]
                 __masks__ = {"broken": lambda: True}
                 __triggers__ = [

@@ -54,7 +54,7 @@ HOT_PATH = [
     ("repro.transactions.manager", ("TransactionManager", "current_or_none")),
     ("repro.transactions.manager", ("TransactionManager", "commit")),
     ("repro.transactions.manager", ("TransactionManager", "drain_system_queue")),
-    ("repro.core.manager", ("TriggerSystem", "_before_commit")),
+    ("repro.core.manager", ("TriggerSystem", "before_commit")),
     ("repro.core.manager", ("TriggerSystem", "on_access")),
     ("repro.storage.locks", ("LockManager", "lock")),
     ("repro.storage.locks", ("LockManager", "release_all")),

@@ -1,8 +1,11 @@
 """Metatype and type-registry tests."""
 
+import warnings
+
 import pytest
 
-from repro.errors import SchemaError, UnknownTypeError
+from repro.core.posting import user_event_int
+from repro.errors import SchemaError, UnknownEventError, UnknownTypeError
 from repro.objects.metatype import TypeRegistry, global_type_registry
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
@@ -53,6 +56,60 @@ class TestRegistry:
         shim = object()
         registry.register_shim("Dynamic", shim)
         assert registry.find("Dynamic") is shim
+
+
+    def test_a_same_named_class_from_another_module_warns(self):
+        first = type("RegistryClash", (Persistent,), {"__module__": "app_one"})
+        with pytest.warns(RuntimeWarning, match=r"'app_two' replaces .* 'app_one'"):
+            second = type("RegistryClash", (Persistent,), {"__module__": "app_two"})
+        assert global_type_registry().find("RegistryClash").pyclass is second
+
+        registry = TypeRegistry()
+        registry.register(second)
+        with pytest.warns(RuntimeWarning, match="RegistryClash"):
+            registry.register(first)
+        assert registry.find("RegistryClash").pyclass is first
+
+    def test_re_registering_or_redefining_in_one_module_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+
+            class Redefined(Persistent):
+                pass
+
+            global_type_registry().register(Redefined)
+
+            class Redefined(Persistent):  # noqa: F811 - schema evolution
+                n = field(int, default=0)
+
+        assert global_type_registry().find("Redefined").pyclass is Redefined
+
+
+class Signaller(Persistent):
+    __events__ = ["Wave", "after ping"]
+
+    def ping(self):
+        pass
+
+
+class LoudSignaller(Signaller):
+    __events__ = ["Shout"]
+
+
+class TestUserEvents:
+    def test_own_and_inherited_user_events_resolve(self):
+        wave = user_event_int(Signaller.__metatype__, "Wave")
+        assert user_event_int(LoudSignaller.__metatype__, "Wave") == wave
+        assert user_event_int(LoudSignaller.__metatype__, "Shout") != wave
+        assert LoudSignaller.__metatype__.user_events == {
+            "Wave": wave,
+            "Shout": LoudSignaller.__metatype__.event_ints["Shout"],
+        }
+
+    @pytest.mark.parametrize("name", ["Nope", "ping", "Shout"])
+    def test_an_undeclared_user_event_raises(self, name):
+        with pytest.raises(UnknownEventError, match=repr(name)):
+            user_event_int(Signaller.__metatype__, name)
 
 
 class TestMetatype:

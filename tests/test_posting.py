@@ -71,7 +71,7 @@ class TestBeforeAfterEvents:
     def test_before_mask_sees_pre_call_state(self, any_engine_db):
         db = any_engine_db
 
-        class Probe(Persistent):
+        class PreCallProbe(Persistent):
             v = field(int, default=0)
             seen = field(list, default=[])
 
@@ -98,7 +98,7 @@ class TestBeforeAfterEvents:
                 self.seen = self.seen + [(tag, value)]
 
         with db.transaction():
-            probe = db.pnew(Probe)
+            probe = db.pnew(PreCallProbe)
             ptr = probe.ptr
             probe.Before()
             probe.After()

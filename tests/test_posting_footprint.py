@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import itertools
+import os
 import weakref
 
 import pytest
@@ -32,6 +33,7 @@ from repro.objects.oid import NULL_PTR, PersistentPtr
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 from repro.objects.serialize import FLAG_HAS_TRIGGERS, decode_object
+from repro.storage.locks import LockMode
 from repro.workloads.locksim import HotObject
 from tests.test_compiled_tier import interpreted_reference
 
@@ -157,6 +159,61 @@ def test_a_posting_reads_its_object_and_its_group_and_no_bucket(cell):
     assert delta("posting.events_posted") == delta("posting.fsm_advances") == 2
     assert delta("posting.state_writes") == (2 if two_phase else 0)
     assert delta("posting.firings") == 1
+
+
+def test_a_posting_commit_writes_the_log_once_and_fsyncs_it_once(cell, monkeypatch):
+    """The ``canon_mm`` transaction's log bill: its two frames (the
+    group's UPDATE and the COMMIT) reach the log file in one ``write``
+    and are made durable by one ``fsync``."""
+    _, db = cell
+    ptr = _watched(db)
+    _canonical(db, ptr)  # MVCC: loads the group's chain
+    log_fd = db.storage._wal._fd
+    calls = []
+    real_write, real_fsync = os.write, os.fsync
+
+    def write(fd, data):
+        if fd == log_fd:
+            calls.append("write")
+        return real_write(fd, data)
+
+    def fsync(fd):
+        if fd == log_fd:
+            calls.append("fsync")
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "write", write)
+    monkeypatch.setattr(os, "fsync", fsync)
+    before = db.metrics.snapshot()["storage.log_records"]
+    _canonical(db, ptr)
+    assert db.metrics.snapshot()["storage.log_records"] - before == 2
+    assert calls == ["write", "fsync"]
+
+
+def test_a_group_advanced_four_times_asks_for_its_x_lock_once(db_2pl, monkeypatch):
+    """Ping/Pong/Ping/Pong advances the group four times; only the first
+    advance asks for its X lock, and the write at commit asks again."""
+    db = db_2pl
+    ptr = _watched(db)
+    group_rid = _header(db, ptr)[1]
+    locks = db.storage.lock_manager
+    real_lock = locks.lock
+    requests = []
+
+    def lock(txid, resource, mode, *args, **kwargs):
+        if resource == group_rid and mode is LockMode.X:
+            requests.append(txid)
+        return real_lock(txid, resource, mode, *args, **kwargs)
+
+    monkeypatch.setattr(locks, "lock", lock)
+    before = db.metrics.snapshot()["posting.state_writes"]
+    with db.transaction():
+        handle = db.deref(ptr)
+        for event in ("Ping", "Pong", "Ping", "Pong"):
+            handle.post_event(event)
+        assert len(requests) == 1
+    assert len(requests) == 2
+    assert db.metrics.snapshot()["posting.state_writes"] - before == 4
 
 
 class FanGadget(Persistent):

@@ -106,7 +106,7 @@ class TestTimerService:
     def test_timers_fire_in_due_order(self, mm_db):
         order = []
 
-        class Probe(Persistent):
+        class DueOrderProbe(Persistent):
             __events__ = ["E1", "E2"]
             __triggers__ = [
                 trigger("On1", "E1", action=lambda s, c: order.append(1), perpetual=True),
@@ -114,7 +114,7 @@ class TestTimerService:
             ]
 
         with mm_db.transaction():
-            probe = mm_db.pnew(Probe)
+            probe = mm_db.pnew(DueOrderProbe)
             probe.On1()
             probe.On2()
             ptr = probe.ptr

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import WALError
+from repro.errors import TransientIOError, WALError
 from repro.storage.interface import StorageStats
-from repro.storage.wal import LogRecord, LogRecordKind, WriteAheadLog
+from repro.storage.wal import TAIL_BOUND, LogRecord, LogRecordKind, WriteAheadLog
 
 
 @pytest.fixture
@@ -360,3 +360,141 @@ class TestOneForcePath:
         assert log.synced_bytes() == 0
         log.crash()
         assert os.path.getsize(path) == 0  # crash() must not grow the file
+
+
+class TestStagedTail:
+    """An append stages its frame; the tail reaches the file in one write
+    at a force or a close, or once it passes ``TAIL_BOUND``."""
+
+    def test_staged_frames_reach_the_file_at_the_force(self, tmp_path):
+        path = str(tmp_path / "staged.wal")
+        log = WriteAheadLog(path)
+        log.append(1, LogRecordKind.UPDATE, 3, b"old", b"new")
+        log.append(1, LogRecordKind.COMMIT)
+        assert os.path.getsize(path) == 0
+        assert log.size_bytes() > 0
+        log.force()
+        assert os.path.getsize(path) == log.size_bytes() == log.synced_bytes()
+        log.close()
+
+    def test_a_crash_loses_the_staged_frames(self, tmp_path):
+        path = str(tmp_path / "lost.wal")
+        log = WriteAheadLog(path)
+        log.append(1, LogRecordKind.COMMIT)
+        log.force()
+        log.append(2, LogRecordKind.UPDATE, 3, b"old", b"new")  # staged only
+        log.crash()
+        log2 = WriteAheadLog(path)
+        assert [(r.txid, r.kind) for r in log2.replay()] == [(1, LogRecordKind.COMMIT)]
+        log2.close()
+
+    def test_replay_of_an_open_log_sees_the_staged_frames(self, tmp_path):
+        path = str(tmp_path / "open.wal")
+        log = WriteAheadLog(path)
+        log.append(1, LogRecordKind.INSERT, 3, b"", b"a")
+        log.force()
+        log.append(1, LogRecordKind.UPDATE, 3, b"a", b"b")
+        assert os.path.getsize(path) < log.size_bytes()
+        assert [r.lsn for r in log.replay()] == [1, 2]
+        log.close()
+
+    def test_close_writes_the_staged_frames(self, tmp_path):
+        path = str(tmp_path / "closed.wal")
+        log = WriteAheadLog(path)
+        log.append(1, LogRecordKind.INSERT, 3, b"", b"a")
+        log.append(1, LogRecordKind.COMMIT)
+        size = log.size_bytes()
+        log.close()
+        assert os.path.getsize(path) == size
+        log2 = WriteAheadLog(path)
+        assert [r.kind for r in log2.replay()] == [
+            LogRecordKind.INSERT,
+            LogRecordKind.COMMIT,
+        ]
+        log2.close()
+
+    def test_a_tail_past_the_bound_is_written_but_not_fsynced(
+        self, tmp_path, monkeypatch
+    ):
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+        path = str(tmp_path / "bound.wal")
+        log = WriteAheadLog(path)
+        image = bytes(1024)
+        while os.path.getsize(path) == 0:
+            log.append(1, LogRecordKind.UPDATE, 3, image, image)
+            assert log.size_bytes() <= TAIL_BOUND + 2 * len(image) + 64
+        assert os.path.getsize(path) == log.size_bytes() > TAIL_BOUND
+        assert fsyncs == [] and log.synced_bytes() == 0
+        log.crash()  # never forced: the written frames die too
+        assert os.path.getsize(path) == 0
+
+    def test_a_transient_write_failure_inside_the_force_is_retried(
+        self, tmp_path, monkeypatch
+    ):
+        stats = StorageStats()
+        path = str(tmp_path / "retry.wal")
+        log = WriteAheadLog(path, stats=stats)
+        log.append(1, LogRecordKind.UPDATE, 3, b"old", b"new")
+        log.append(1, LogRecordKind.COMMIT)
+        real_write = os.write
+        calls = []
+
+        def flaky_write(fd, data):
+            calls.append(len(data))
+            if len(calls) == 1:
+                raise TransientIOError(5, "transient")
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", flaky_write)
+        log.force()
+        monkeypatch.undo()
+        assert calls == [log.size_bytes()] * 2
+        assert stats.io_retries == 1
+        assert os.path.getsize(path) == log.synced_bytes() == log.size_bytes()
+        log.close()
+        log2 = WriteAheadLog(path)
+        assert [r.kind for r in log2.replay()] == [
+            LogRecordKind.UPDATE,
+            LogRecordKind.COMMIT,
+        ]
+        log2.close()
+
+    @pytest.mark.concurrency
+    def test_threaded_appenders_and_forcers_replay_every_forced_record(
+        self, tmp_path
+    ):
+        """Four threads append; two of them force after every append, the
+        others only now and then.  After a crash, replay holds every
+        record a force returned after, in LSN order with no gap."""
+        path = str(tmp_path / "threads.wal")
+        log = WriteAheadLog(path)
+        forced: list[int] = []  # lsns a completed force covered
+        forced_lock = threading.Lock()
+        start = threading.Barrier(4)
+
+        def worker(txid, every):
+            start.wait()
+            for i in range(200):
+                record = log.append(txid, LogRecordKind.UPDATE, i, b"x" * 40, b"y" * 40)
+                if i % every == 0:
+                    log.force()
+                    with forced_lock:
+                        forced.append(record.lsn)
+
+        threads = [
+            threading.Thread(target=worker, args=(txid, every))
+            for txid, every in ((1, 1), (2, 1), (3, 7), (4, 13))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        log.crash()
+        log2 = WriteAheadLog(path)
+        lsns = [record.lsn for record in log2.replay()]
+        log2.close()
+        assert lsns == list(range(1, len(lsns) + 1))
+        assert max(forced) <= len(lsns)

@@ -241,3 +241,20 @@ class TestAllTogether:
         with db.transaction():
             db.deref(ptr).post_event("Go")
         assert AUDIT == ["immediate", "end", "dependent", "independent"]
+
+
+class TestHookOrder:
+    def test_the_trigger_systems_hooks_run_before_the_transactions_own(
+        self, any_engine_db
+    ):
+        """End actions drain before the transaction's own before-commit
+        hooks, and dependent actions run after its after-commit hooks (in
+        their own system transaction)."""
+        db = any_engine_db
+        ptr = make_target(db, "Deferred", "Dependent")
+        txn = db.txn_manager.begin()
+        txn.before_commit.append(lambda t: AUDIT.append("own before"))
+        txn.after_commit.append(lambda t: AUDIT.append("own after"))
+        db.deref(ptr).post_event("Go")
+        db.txn_manager.commit(txn)
+        assert AUDIT == ["end", "own before", "own after", "dependent"]

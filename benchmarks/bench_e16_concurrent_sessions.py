@@ -22,8 +22,7 @@ posting transactions per session: its question (MVCC against 2PL, a
 1.5x bar) is settled by far larger margins.
 """
 
-import threading
-import time
+import random
 
 import pytest
 
@@ -31,7 +30,7 @@ from repro.objects.database import Database
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 
-from benchmarks.common import emit_table
+from benchmarks.common import drive_sessions, emit_table
 
 POOL = 16
 TXNS_PER_SESSION = 300
@@ -70,65 +69,28 @@ class Slot(Persistent):
     value = field(int, default=0)
 
 
-def _percentile(sorted_values, fraction):
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
-    return sorted_values[index]
-
-
 def run_sessions(db, n_sessions):
     with db.transaction():
         ptrs = [db.pnew(Slot).ptr for _ in range(POOL)]
 
-    latencies_ms = []
-    lat_lock = threading.Lock()
-    errors = []
+    def bodies(session, index):
+        for txn_index in range(TXNS_PER_SESSION):
+            ptr = ptrs[(index * 7 + txn_index) % POOL]
 
-    def worker(index):
-        session = db.session(f"bench-{index}")
-        local = []
-        try:
-            for txn_index in range(TXNS_PER_SESSION):
-                ptr = ptrs[(index * 7 + txn_index) % POOL]
+            def body(txn, ptr=ptr):
+                handle = session.deref(ptr)
+                handle.value = handle.value + 1
 
-                def body(txn, ptr=ptr):
-                    handle = session.deref(ptr)
-                    handle.value = handle.value + 1
+            yield body
 
-                start = time.perf_counter()
-                session.run(body, retries=200)
-                local.append((time.perf_counter() - start) * 1e3)
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-        finally:
-            session.close()
-            with lat_lock:
-                latencies_ms.extend(local)
-
-    threads = [
-        threading.Thread(target=worker, args=(i,)) for i in range(n_sessions)
-    ]
-    wall_start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=300)
-    wall = time.perf_counter() - wall_start
-    assert not errors, errors
+    figures = drive_sessions(db, n_sessions, bodies, retries=200)
 
     with db.transaction():
         total = sum(db.deref(p).value for p in ptrs)
     assert total == n_sessions * TXNS_PER_SESSION  # conservation
 
-    latencies_ms.sort()
-    committed = n_sessions * TXNS_PER_SESSION
-    return {
-        "throughput": committed / wall,
-        "p50": _percentile(latencies_ms, 0.50),
-        "p99": _percentile(latencies_ms, 0.99),
-        "deadlock_retries": db.session_stats.deadlock_retries,
-    }
+    figures["deadlock_retries"] = db.session_stats.deadlock_retries
+    return figures
 
 
 @pytest.mark.parametrize("engine", ["mm", "disk"])
@@ -159,17 +121,14 @@ def test_concurrent_sessions(benchmark, tmp_path, engine, sessions):
 # -- A/B: trigger-posting workload under 2PL vs MVCC -------------------------
 
 _AB_RESULTS: list[list[str]] = []
-_AB_THROUGHPUT: dict[tuple[str, int], float] = {}
 
 
 def run_trigger_sessions(db, n_sessions):
-    """Same thread/latency harness as :func:`run_sessions`, but the body is
+    """Same driver as :func:`run_sessions` (``drive_sessions``), but the body is
     the §6 workload: dereference several watched objects (in per-thread
     random order, so lock orderings collide) and post their Ping/Pong
     observation events.  Under 2PL each posting S→X-upgrades the object's
     trigger group; under MVCC it buffers (DESIGN.md §15)."""
-    import random
-
     from repro.workloads.locksim import HotObject
 
     with db.transaction():
@@ -179,54 +138,23 @@ def run_trigger_sessions(db, n_sessions):
             handle.Watch()
             ptrs.append(handle.ptr)
 
-    latencies_ms = []
-    lat_lock = threading.Lock()
-    errors = []
-
-    def worker(index):
-        session = db.session(f"ab-{index}")
+    def bodies(session, index):
         rng = random.Random(1996 * 31 + index)
-        local = []
-        try:
-            for txn_index in range(AB_TXNS_PER_SESSION):
-                picks = [rng.randrange(len(ptrs)) for _ in range(3)]
+        for _ in range(AB_TXNS_PER_SESSION):
+            picks = [rng.randrange(len(ptrs)) for _ in range(3)]
 
-                def body(txn, picks=picks):
-                    for obj_index in picks:
-                        handle = session.deref(ptrs[obj_index])
-                        _ = handle.value
-                        handle.post_event("Ping")
-                        handle.post_event("Pong")
+            def body(txn, picks=picks):
+                for obj_index in picks:
+                    handle = session.deref(ptrs[obj_index])
+                    _ = handle.value
+                    handle.post_event("Ping")
+                    handle.post_event("Pong")
 
-                start = time.perf_counter()
-                session.run(body, retries=500)
-                local.append((time.perf_counter() - start) * 1e3)
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-        finally:
-            session.close()
-            with lat_lock:
-                latencies_ms.extend(local)
+            yield body
 
-    threads = [
-        threading.Thread(target=worker, args=(i,)) for i in range(n_sessions)
-    ]
-    wall_start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=300)
-    wall = time.perf_counter() - wall_start
-    assert not errors, errors
-
-    latencies_ms.sort()
-    committed = n_sessions * AB_TXNS_PER_SESSION
-    return {
-        "throughput": committed / wall,
-        "p50": _percentile(latencies_ms, 0.50),
-        "p99": _percentile(latencies_ms, 0.99),
-        "deadlock_retries": db.session_stats.deadlock_retries,
-    }
+    figures = drive_sessions(db, n_sessions, bodies, retries=500, name="ab")
+    figures["deadlock_retries"] = db.session_stats.deadlock_retries
+    return figures
 
 
 @pytest.mark.parametrize("sessions", [2, 8])
@@ -242,7 +170,6 @@ def test_trigger_posting_ab(tmp_path, sessions):
             )
 
         figures[cc] = _median_run(make_db, run_trigger_sessions, sessions)
-        _AB_THROUGHPUT[(cc, sessions)] = figures[cc]["throughput"]
         _AB_RESULTS.append(
             [
                 cc,

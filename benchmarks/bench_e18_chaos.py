@@ -18,7 +18,6 @@ included), typed-abort count, and — after media death — the reopen
 ("recovery") time back to a writable store.
 """
 
-import threading
 import time
 
 import pytest
@@ -34,7 +33,7 @@ from repro.objects.database import Database
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 
-from benchmarks.common import emit_table
+from benchmarks.common import drive_sessions, emit_table
 
 POOL = 8
 TXNS_PER_SESSION = 30
@@ -52,13 +51,6 @@ _TYPED = (
 
 class ChaosSlot(Persistent):
     value = field(int, default=0)
-
-
-def _percentile(sorted_values, fraction):
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
-    return sorted_values[index]
 
 
 def _faults_for(phase, n_sessions):
@@ -82,51 +74,28 @@ def run_chaos(path, phase, n_sessions):
     with db.transaction():
         ptrs = [db.pnew(ChaosSlot).ptr for _ in range(POOL)]
 
-    latencies_ms: list[float] = []
-    outcomes: list[str] = []
-    merge_lock = threading.Lock()
-    hard_errors: list[BaseException] = []
+    def bodies(session, index):
+        for txn_index in range(TXNS_PER_SESSION):
+            ptr = ptrs[(index * 5 + txn_index) % POOL]
 
-    def worker(index):
-        session = db.session(f"chaos-{index}")
-        local_lat, local_out = [], []
-        try:
-            for txn_index in range(TXNS_PER_SESSION):
-                ptr = ptrs[(index * 5 + txn_index) % POOL]
+            def body(txn, ptr=ptr):
+                handle = session.deref(ptr)
+                handle.value = handle.value + 1
 
-                def body(txn, ptr=ptr):
-                    handle = session.deref(ptr)
-                    handle.value = handle.value + 1
+            yield body
 
-                start = time.perf_counter()
-                try:
-                    session.run(body, retries=200, deadline=DEADLINE)
-                    local_out.append("committed")
-                except _TYPED as exc:
-                    local_out.append(type(exc).__name__)
-                local_lat.append((time.perf_counter() - start) * 1e3)
-        except Exception as exc:  # pragma: no cover - surfaced below
-            hard_errors.append(exc)
-        finally:
-            session.close()
-            with merge_lock:
-                latencies_ms.extend(local_lat)
-                outcomes.extend(local_out)
-
-    threads = [
-        threading.Thread(target=worker, args=(i,), daemon=True)
-        for i in range(n_sessions)
-    ]
-    wall_start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=300)
-        assert not thread.is_alive(), "a chaos session never returned"
-    wall = time.perf_counter() - wall_start
-    assert not hard_errors, hard_errors  # only *typed* failures are allowed
-
-    committed = outcomes.count("committed")
+    # Only *typed* failures are allowed; anything else is re-raised.
+    figures = drive_sessions(
+        db,
+        n_sessions,
+        bodies,
+        retries=200,
+        deadline=DEADLINE,
+        refusals=_TYPED,
+        name="chaos",
+    )
+    outcomes = figures["outcomes"]
+    committed = outcomes["committed"]
     # Survival accounting must agree with the durable state.
     with db.transaction():
         total = sum(db.deref(p).value for p in ptrs)
@@ -144,14 +113,12 @@ def run_chaos(path, phase, n_sessions):
         recovery_ms = (time.perf_counter() - t0) * 1e3
         db2.close()
 
-    attempts = len(outcomes)
-    latencies_ms.sort()
+    attempts = sum(outcomes.values())
     return {
         "survival": committed / attempts if attempts else 0.0,
         "typed_aborts": attempts - committed,
-        "p50": _percentile(latencies_ms, 0.50),
-        "p99": _percentile(latencies_ms, 0.99),
-        "wall_s": wall,
+        "p50": figures["p50"],
+        "p99": figures["p99"],
         "degraded": degraded,
         "recovery_ms": recovery_ms,
     }

@@ -8,10 +8,12 @@ stdout.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import os
+import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.core import compiled
 
@@ -100,3 +102,84 @@ def ratio(a: float, b: float) -> str:
     if b == 0:
         return "inf"
     return f"{a / b:.2f}x"
+
+
+def percentile(sorted_values: Sequence[float], fraction: float) -> float:
+    """The *fraction* quantile of an ascending list (the sample at rank
+    ``int(fraction * n)``, clamped to the last); 0.0 for an empty list."""
+    if not sorted_values:
+        return 0.0
+    index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
+    return sorted_values[index]
+
+
+def drive_sessions(
+    db,
+    n_sessions: int,
+    bodies: Callable[[object, int], Iterable[Callable]],
+    *,
+    retries: int,
+    deadline: float | None = None,
+    refusals: tuple[type[BaseException], ...] = (),
+    name: str = "bench",
+) -> dict:
+    """Run *n_sessions* real threads over *db*, one session each.
+
+    Thread *i* opens session ``f"{name}-{i}"`` and runs every body that
+    ``bodies(session, i)`` yields through ``session.run(body,
+    retries=retries, deadline=deadline)``, timing each call (retries
+    included).  A call that raises one of *refusals* counts as a refusal
+    under the error's class name and goes on; any other error ends its
+    thread and is re-raised here once every thread has returned.  Each
+    thread closes its session.  Every thread must return within 300 s.
+
+    Returns ``throughput`` (committed transactions per wall second),
+    ``p50`` and ``p99`` (ms, over committed and refused calls) and
+    ``outcomes`` (a ``Counter`` of ``"committed"`` and refusal names).
+    """
+    latencies_ms: list[float] = []
+    outcomes: collections.Counter = collections.Counter()
+    merge_lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def worker(index):
+        session = db.session(f"{name}-{index}")
+        local_lat, local_out = [], []
+        try:
+            for body in bodies(session, index):
+                start = time.perf_counter()
+                try:
+                    session.run(body, retries=retries, deadline=deadline)
+                    local_out.append("committed")
+                except refusals as exc:
+                    local_out.append(type(exc).__name__)
+                local_lat.append((time.perf_counter() - start) * 1e3)
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            session.close()
+            with merge_lock:
+                latencies_ms.extend(local_lat)
+                outcomes.update(local_out)
+
+    threads = [
+        threading.Thread(target=worker, args=(i,), daemon=True)
+        for i in range(n_sessions)
+    ]
+    wall_start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+        assert not thread.is_alive(), "a session thread never returned"
+    wall = time.perf_counter() - wall_start
+    if errors:
+        raise errors[0]
+
+    latencies_ms.sort()
+    return {
+        "throughput": outcomes["committed"] / wall,
+        "p50": percentile(latencies_ms, 0.50),
+        "p99": percentile(latencies_ms, 0.99),
+        "outcomes": outcomes,
+    }

@@ -78,6 +78,7 @@ from repro.errors import (
 )
 from repro.objects.oid import PersistentPtr
 from repro.objects.serialize import FLAG_HAS_TRIGGERS
+from repro.obs.metrics import Stats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import TriggerSystem
@@ -233,7 +234,7 @@ class TriggerContext:
 
 
 @dataclasses.dataclass
-class PostingStats:
+class PostingStats(Stats):
     """Instrumentation for experiments E3/E6/E10.
 
     Mounted on the database's :class:`~repro.obs.metrics.MetricsRegistry`
@@ -270,13 +271,6 @@ class PostingStats:
     #: per-trigger advances that wanted the fast path but fell back to the
     #: interpreter (ODE4xx proof withheld for that trigger)
     compiled_fallbacks: int = 0
-
-    def reset(self) -> None:
-        for field in dataclasses.fields(self):
-            setattr(self, field.name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
 
     def diff(self, before: dict[str, int]) -> dict[str, int]:
         """Per-field delta of the current values against *before*."""

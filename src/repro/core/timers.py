@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING
 from repro import obs
 from repro.errors import DanglingPointerError, TriggerError
 from repro.objects.oid import PersistentPtr
+from repro.obs.metrics import Stats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
@@ -80,7 +81,7 @@ class _Timer:
 
 
 @dataclasses.dataclass
-class TimerStats:
+class TimerStats(Stats):
     """Counters for the timer subsystem (mounted as ``timers.*``)."""
 
     scheduled: int = 0
@@ -89,13 +90,6 @@ class TimerStats:
     cancelled: int = 0
     #: timers auto-cancelled because their target object was deleted
     dangling_cancelled: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
-
-    def reset(self) -> None:
-        for field in dataclasses.fields(self):
-            setattr(self, field.name, 0)
 
 
 class TimerService:

@@ -88,6 +88,7 @@ from repro.core.trigger_state import (
     frame_group,
     pack_heads,
 )
+from repro.obs.metrics import LockedStats
 from repro.storage.locks import LockMode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -296,7 +297,7 @@ class AdvanceBuffer(StateStore):
 
 
 @dataclasses.dataclass
-class MvccStats:
+class MvccStats(LockedStats):
     """Counters for the versioned scheme (mounted as ``mvcc.*``).
 
     Same discipline as :class:`~repro.storage.locks.LockStats`: every
@@ -322,24 +323,6 @@ class MvccStats:
     replays: int = 0
     #: new committed versions published
     versions_published: int = 0
-
-    def __post_init__(self) -> None:
-        # Standalone instances (tests) get their own lock; a version
-        # manager replaces it with its chain mutex so snapshot/reset
-        # serialize against the increments themselves.
-        self._mutex = threading.Lock()
-
-    def snapshot(self) -> dict[str, int]:
-        with self._mutex:
-            return {
-                field.name: getattr(self, field.name)
-                for field in dataclasses.fields(self)
-            }
-
-    def reset(self) -> None:
-        with self._mutex:
-            for field in dataclasses.fields(self):
-                setattr(self, field.name, 0)
 
 
 class TriggerVersionManager:

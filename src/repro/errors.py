@@ -56,10 +56,6 @@ class PageChecksumError(PageError):
         )
 
 
-class RecoveryError(StorageError):
-    """Crash recovery could not be completed."""
-
-
 class TransientIOError(OSError):
     """An injected, retryable I/O failure (``EIO``-style hiccup).
 
@@ -124,10 +120,6 @@ class WaitPoisonedError(LockError):
     observed the failure gets the original error, while everyone parked
     behind its locks is woken with this instead of hanging forever.
     """
-
-
-class LockUpgradeError(LockError):
-    """An illegal lock conversion was requested."""
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,6 @@ def coreachable_states(fsm: Fsm) -> set[int]:
     return seen
 
 
-def is_empty(fsm: Fsm) -> bool:
-    """Whether the machine accepts no sequence at all (L(fsm) = ∅)."""
-    return fsm.start not in coreachable_states(fsm)
-
-
 def prune_irrelevant_masks(fsm: Fsm) -> Fsm:
     """Drop mask obligations whose outcome cannot matter.
 

@@ -12,7 +12,8 @@ namespace and one read surface:
 * **mounted sources** — the existing per-layer stats dataclasses register
   under a prefix (``posting.*``, ``storage.*``, ``locks.*``, ``timers.*``)
   so their fields appear in the same flat snapshot without slowing their
-  hot-path ``+= 1`` increments behind attribute indirection;
+  hot-path ``+= 1`` increments behind attribute indirection; each derives
+  its ``snapshot``/``reset`` from :class:`Stats` (or :class:`LockedStats`);
 * **snapshot / diff** — :meth:`MetricsRegistry.snapshot` returns a flat
   ``name -> value`` dict and :meth:`MetricsRegistry.diff` subtracts two of
   them, which is what back-to-back benchmarks and per-transaction deltas
@@ -22,6 +23,7 @@ namespace and one read surface:
 from __future__ import annotations
 
 import dataclasses
+import threading
 from contextlib import contextmanager
 from typing import Iterator, Protocol, runtime_checkable
 
@@ -33,6 +35,43 @@ class StatsSource(Protocol):
     def snapshot(self) -> dict: ...
 
     def reset(self) -> None: ...
+
+
+class Stats:
+    """Base of a per-layer stats dataclass of plain ``int`` fields.
+
+    ``snapshot`` returns the fields as a ``name -> value`` dict (the keys
+    a mounted source contributes), ``reset`` zeroes them.  Increments stay
+    plain attribute writes on the subclass's fields.
+    """
+
+    def snapshot(self) -> dict[str, int]:
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+
+    def reset(self) -> None:
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, 0)
+
+
+class LockedStats(Stats):
+    """:class:`Stats` whose increments happen under :attr:`_mutex`.
+
+    ``snapshot`` and ``reset`` take the mutex too, so a snapshot never
+    sees one counter of a paired increment without the other and a reset
+    never loses a racing increment.  A standalone instance (tests) gets
+    its own lock; the owning manager replaces it with its own mutex.
+    """
+
+    def __post_init__(self) -> None:
+        self._mutex = threading.Lock()
+
+    def snapshot(self) -> dict[str, int]:
+        with self._mutex:
+            return super().snapshot()
+
+    def reset(self) -> None:
+        with self._mutex:
+            super().reset()
 
 
 class Counter:
@@ -226,16 +265,9 @@ def describe(snapshot: dict) -> list[str]:
 
 
 @dataclasses.dataclass
-class ObsStats:
+class ObsStats(Stats):
     """The observability layer's own counters (mounted as ``obs.*``)."""
 
     records_emitted: int = 0
     records_dropped: int = 0
     spans_opened: int = 0
-
-    def snapshot(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def reset(self) -> None:
-        for field in dataclasses.fields(self):
-            setattr(self, field.name, 0)

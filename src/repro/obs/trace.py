@@ -67,9 +67,6 @@ class TraceRecord:
                 return v
         return default
 
-    def data_dict(self) -> dict:
-        return dict(self.data)
-
     def to_json_obj(self) -> dict:
         return {
             "seq": self.seq,

@@ -26,7 +26,7 @@ import random
 import threading
 import time
 import zlib
-from dataclasses import dataclass, fields as dataclass_fields, asdict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro import obs
@@ -42,6 +42,7 @@ from repro.faults.retry import (
     RetryState,
     UnifiedRetryPolicy,
 )
+from repro.obs.metrics import Stats
 from repro.storage.locks import current_wait_hooks
 from repro.transactions.txn import TxnState
 
@@ -54,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @dataclass
-class SessionStats:
+class SessionStats(Stats):
     """Per-database session counters (mounted as ``sessions.*``)."""
 
     opened: int = 0
@@ -67,13 +68,6 @@ class SessionStats:
     #: transactions that exhausted their retry budget
     retry_exhausted: int = 0
     system_txns: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return asdict(self)
-
-    def reset(self) -> None:
-        for field in dataclass_fields(self):
-            setattr(self, field.name, 0)
 
 
 # -- ambient session ----------------------------------------------------------

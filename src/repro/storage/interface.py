@@ -36,6 +36,7 @@ from repro.errors import (
     UnrecoverableMediaError,
 )
 from repro.faults.injector import FaultInjector
+from repro.obs.metrics import Stats
 from repro.storage.locks import LockManager, LockMode
 from repro.storage.recovery import RecoveryStats, recover
 from repro.storage.wal import LogRecord, LogRecordKind, WriteAheadLog
@@ -45,7 +46,7 @@ _ROOT = struct.Struct("<q")  # SET_ROOT before/after images
 
 
 @dataclasses.dataclass
-class StorageStats:
+class StorageStats(Stats):
     """Counters exposed by every engine for the benchmark harness."""
 
     reads: int = 0
@@ -62,15 +63,6 @@ class StorageStats:
     page_misses: int = 0
     page_evictions: int = 0
     io_retries: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        """Return the counters as a plain dict (for table printing)."""
-        return dataclasses.asdict(self)
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        for field in dataclasses.fields(self):
-            setattr(self, field.name, 0)
 
 
 class Records(Protocol):

@@ -65,6 +65,7 @@ from repro.errors import (
     TransactionDeadlineError,
     WaitPoisonedError,
 )
+from repro.obs.metrics import LockedStats
 
 
 class LockMode(enum.IntEnum):
@@ -88,7 +89,7 @@ class LockRequestStatus(enum.Enum):
 
 
 @dataclasses.dataclass
-class LockStats:
+class LockStats(LockedStats):
     """Counters consumed by experiment E6 (lock amplification).
 
     Every increment happens inside the lock manager's mutex (the manager
@@ -108,24 +109,6 @@ class LockStats:
     deadline_aborts: int = 0
     #: waiters woken with :class:`WaitPoisonedError` (crash/close wake-all)
     poisoned_waits: int = 0
-
-    def __post_init__(self) -> None:
-        # Standalone instances (tests) get their own lock; a LockManager
-        # replaces it with its own mutex so snapshot/reset serialize
-        # against the increments themselves.
-        self._mutex = threading.Lock()
-
-    def snapshot(self) -> dict[str, int]:
-        with self._mutex:
-            return {
-                field.name: getattr(self, field.name)
-                for field in dataclasses.fields(self)
-            }
-
-    def reset(self) -> None:
-        with self._mutex:
-            for field in dataclasses.fields(self):
-                setattr(self, field.name, 0)
 
 
 # -- cooperative wait hooks ----------------------------------------------------

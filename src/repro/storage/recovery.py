@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Callable, Iterable
 
+from repro.obs.metrics import Stats
 from repro.storage.wal import LogRecord, LogRecordKind
 
 _MUTATIONS = (
@@ -34,7 +35,7 @@ _MUTATIONS = (
 
 
 @dataclasses.dataclass
-class RecoveryStats:
+class RecoveryStats(Stats):
     """Outcome of a recovery pass."""
 
     records_scanned: int = 0
@@ -45,9 +46,6 @@ class RecoveryStats:
     losers: int = 0
     redo_applied: int = 0
     undo_applied: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,7 +2,9 @@
 one-entry group of each trigger the benchmark workloads
 (``perf/workloads.py``) post to, then for the two group signatures the
 fan-out and session workloads post to (16 x ``PerfGate.Gate``,
-1 x ``HotObject.Watch``).
+1 x ``HotObject.Watch``), then for a one-entry group of E10b's depth-8
+mask chain (``Tick & m0 & ... & m7``), whose code must stay linear in
+the chain.
 
 A change to the FSM or to the code generator that must not move the
 benchmark should leave this output byte-identical.  Run it in two
@@ -51,6 +53,13 @@ def main() -> None:
         info = cls.__metatype__.trigger_by_name(name)
         source = generate_group_advance([info] * entries)[1]
         _section(f"group {entries} x {cls.__name__}.{name}", source)
+    # Imported here, so that the workload classes take the same event
+    # integers as when this script printed no chain.
+    from benchmarks.bench_e19_compiled_tier import mask_class
+
+    chain = mask_class(8)
+    info = chain.__metatype__.trigger_by_name("Deep")
+    _section(f"{chain.__name__}.Deep", generate_group_advance([info])[1])
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ ODE302     warning  S→X lock upgrade while other locks are held
 ODE310     warning  observed lock trace contradicts the static footprints
 ODE400     info     impure mask — codegen withheld (compile tier)
 ODE401     warning  mask references unresolvable free names
-ODE402     info     FSM too large/dense to specialize into a table
+ODE402     info     generated code past the unroll budget (plan_unroll)
 ODE403     info     immediate action may re-enter posting mid-advance
 ODE404     info     effects bottom out at unknown — compilability unprovable
 =========  =======  ==========================================================

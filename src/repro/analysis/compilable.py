@@ -19,9 +19,13 @@ judgment per trigger and renders every refusal as a stable diagnostic:
     at evaluation time; baking the reference into generated code could
     change *when* that failure surfaces, so codegen is withheld.
 ``ODE402``
-    The machine is too large or dense to specialize: state or
-    transition counts above the table limits, or the unrolled
-    mask-cascade decision tree blows the plan budget.
+    The machine is too large to specialize: its generated code — one
+    branch per state it can rest in and per event a posting can carry,
+    each with its mask cascade unrolled into a decision tree — blows the
+    plan budget.  The judgment is the generator's own dry run
+    (:func:`repro.core.compiled.plan_unroll`), so it counts exactly what
+    would be emitted: not the pseudo-event transitions, not the transient
+    mask states.
 ``ODE403``
     An IMMEDIATE-coupled action (or its declared ``posts=``) can raise
     events on the anchor class — it re-enters the posting loop
@@ -63,19 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.metatype import Metatype
 
 __all__ = [
-    "MAX_FSM_STATES",
-    "MAX_FSM_TRANSITIONS",
     "CompilabilityVerdict",
     "check_compilability",
     "classify_trigger",
 ]
-
-#: Specialization limits for the generated dispatch table (ODE402).  The
-#: expression compiler's machines are tiny; these bounds exist so a
-#: pathological machine degrades to the interpreter instead of emitting
-#: a megabyte of branches.
-MAX_FSM_STATES = 48
-MAX_FSM_TRANSITIONS = 512
 
 
 @dataclasses.dataclass(frozen=True)
@@ -263,35 +258,18 @@ def classify_trigger(
     where_args = {"type_name": type_name, "trigger": info.name}
     diags: list[Diagnostic] = []
 
-    fsm = info.fsm
-    n_states, n_trans = len(fsm), fsm.transition_count()
-    if n_states > MAX_FSM_STATES or n_trans > MAX_FSM_TRANSITIONS:
+    from repro.core.compiled import PlanError, plan_unroll
+
+    try:
+        plan_unroll(info.fsm)
+    except PlanError as exc:
+        diags.append(Diagnostic("ODE402", str(exc), Location(**where_args)))
+    except Exception as exc:  # never let planning break analysis
         diags.append(
             Diagnostic(
-                "ODE402",
-                f"machine has {n_states} states / {n_trans} transitions "
-                f"(limits {MAX_FSM_STATES}/{MAX_FSM_TRANSITIONS}); table "
-                "specialization withheld",
-                Location(**where_args),
+                "ODE402", f"machine cannot be planned ({exc})", Location(**where_args)
             )
         )
-    else:
-        from repro.core.compiled import PlanError, plan_unroll
-
-        try:
-            plan_unroll(fsm)
-        except PlanError as exc:
-            diags.append(
-                Diagnostic("ODE402", str(exc), Location(**where_args))
-            )
-        except Exception as exc:  # never let planning break analysis
-            diags.append(
-                Diagnostic(
-                    "ODE402",
-                    f"machine cannot be planned ({exc})",
-                    Location(**where_args),
-                )
-            )
 
     diags.extend(_mask_diagnostics(info, metatype, where_args))
     diags.extend(_action_diagnostics(info, metatype, where_args, effect_of))

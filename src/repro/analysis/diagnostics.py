@@ -75,7 +75,7 @@ CODES: dict[str, tuple[Severity, str]] = {
     "ODE310": (Severity.WARNING, "observed lock trace contradicts static footprint"),
     "ODE400": (Severity.INFO, "impure mask blocks codegen"),
     "ODE401": (Severity.WARNING, "mask references unresolvable free names"),
-    "ODE402": (Severity.INFO, "FSM too large or dense to specialize"),
+    "ODE402": (Severity.INFO, "generated code past the unroll budget"),
     "ODE403": (Severity.INFO, "immediate action may re-enter posting mid-advance"),
     "ODE404": (Severity.INFO, "effects unknown; compilability unprovable"),
 }

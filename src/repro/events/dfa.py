@@ -283,9 +283,8 @@ def transition_table(fsm) -> list[dict]:
 
         {"state": 0, "accept": False, "masks": [], "transitions": {sym: 1}}
 
-    Consumers: the ODE402 size/density judgment of the compilability pass
-    (:mod:`repro.analysis.compilable`), dump tooling, and tests that want
-    to assert on machine shape without reaching into state internals.
+    Consumers: tests that want to assert on machine shape without
+    reaching into state internals.
     """
     table = []
     for state in fsm.states:

@@ -185,8 +185,10 @@ class Fsm:
 
     def move(self, statenum: int, symbol: Hashable) -> tuple[int, bool]:
         """One raw transition; returns ``(newstate, consumed)``."""
-        if statenum == DEAD:
-            return DEAD, False
+        if statenum < 0:  # a list index would count from the end
+            if statenum == DEAD:
+                return DEAD, False
+            raise IndexError(f"FSM state {statenum} out of range")
         nxt = self.states[statenum].next_state(symbol)
         if nxt is not None:
             return nxt, True

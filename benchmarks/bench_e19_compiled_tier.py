@@ -17,12 +17,12 @@ tier):
   constant number of decision-tree nodes per mask and every depth is
   compiled (no fallback).
 
-E19 compares the ODE4xx-gated compile tier (DESIGN.md §14) with the
-interpreter.  The tier replaces the posting kernel's per-machine
-interpretation — a fresh mask-evaluation closure, the linear transition
-search, one pseudo-event hop per mask — with one call of a cached
-generated function per group per posting, every COMPILABLE trigger
-machine's cascade inlined in it.  The decoded state and the registry
+E19 compares the compile tier (DESIGN.md §14) with the interpreter.  The
+tier replaces the posting kernel's per-machine interpretation — a fresh
+mask-evaluation closure, the linear transition search, one pseudo-event
+hop per mask — with one call of a cached generated function per group
+per posting, every trigger machine's cascade (within the unroll budget)
+inlined in it.  The decoded state and the registry
 resolution are cached per transaction by the state store for *both*
 modes (they used to be the tier's alone, which is why this table once
 read 6.65x), so what is measured here is code generation by itself.  The
@@ -132,7 +132,7 @@ def test_mask_gated_fanout(benchmark, tmp_path, fanout):
             interp = _measure(db, ptr)
         compiled = _measure(db, ptr)
         stats = db.trigger_system.stats
-        assert stats.compiled_fallbacks == 0  # Gate must be COMPILABLE
+        assert stats.compiled_fallbacks == 0  # Gate is generated code
         assert stats.firings == 0  # the mask really gated everything
         _GATED_SPEEDUPS[fanout] = interp / compiled
         _ROWS.append(
@@ -171,7 +171,7 @@ def test_posting_vs_mask_depth(benchmark, tmp_path, depth):
         cost = _measure(db, ptr)
         stats = db.trigger_system.stats
         masks_per_event = stats.masks_evaluated_posting / max(stats.events_posted, 1)
-        assert stats.compiled_fallbacks == 0  # every depth is COMPILABLE
+        assert stats.compiled_fallbacks == 0  # every depth is within ODE402
         _MASKS.append([depth, us(cost), f"{masks_per_event:.1f}"])
         # One pseudo-event per chained mask (the Section 5.4.5 cascade);
         # the compiled tier pins constant-outcome masks but still counts

@@ -54,7 +54,7 @@ def emit_table(
     return text
 
 
-def _refuse(infos, proofs=None):
+def _refuse(infos):
     raise compiled.PlanError("interpreted baseline: no generated code")
 
 

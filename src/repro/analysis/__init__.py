@@ -34,11 +34,8 @@ ODE300     warning  trigger turns read access into write access (§6)
 ODE301     warning  predicted lock-order deadlock cycle (CONFIRMED/POSSIBLE)
 ODE302     warning  S→X lock upgrade while other locks are held
 ODE310     warning  observed lock trace contradicts the static footprints
-ODE400     info     impure mask — codegen withheld (compile tier)
 ODE401     warning  mask references unresolvable free names
 ODE402     info     generated code past the unroll budget (plan_unroll)
-ODE403     info     immediate action may re-enter posting mid-advance
-ODE404     info     effects bottom out at unknown — compilability unprovable
 =========  =======  ==========================================================
 
 The ``ODE2xx`` passes rest on :mod:`repro.analysis.effects`, an
@@ -49,12 +46,11 @@ opt-in ``ODE3xx`` concurrency passes (``analyze_classes(...,
 concurrency=True)``, ``lint --concurrency``) lift those effect sets to
 ordered lock footprints and predict Section 6 lock amplification and
 deadlocks — see DESIGN.md §12 and :mod:`repro.analysis.concurrency`.
-The opt-in ``ODE4xx`` compilability pass (``analyze_classes(...,
-compilability=True)``, ``lint --compilable``) judges which triggers the
-generated-code posting tier (:mod:`repro.core.compiled`) may specialize;
-an ODE4xx finding is advisory — the flagged trigger simply keeps posting
-through the interpreter — see DESIGN.md §14 and
-:mod:`repro.analysis.compilable`.
+The ``ODE4xx`` codes (:mod:`repro.analysis.compilable`) run with the
+per-trigger passes: a mask that references names resolving nowhere, and
+a machine too large for the generated-code posting tier
+(:mod:`repro.core.compiled`) to unroll, whose entries it interprets —
+see DESIGN.md §14.
 
 Entry points: :func:`analyze_class` / :func:`analyze_classes` for compiled
 declarations, :func:`analyze_machine` for bare machines,
@@ -74,11 +70,7 @@ from repro.analysis.concurrency import (
     observed_lock_profile,
     static_lock_profile,
 )
-from repro.analysis.compilable import (
-    CompilabilityVerdict,
-    check_compilability,
-    classify_trigger,
-)
+from repro.analysis.compilable import check_compilable
 from repro.analysis.confluence import non_confluent_pairs
 from repro.analysis.diagnostics import (
     CODES,
@@ -101,9 +93,7 @@ from repro.analysis.runner import (
 
 __all__ = [
     "CODES",
-    "CompilabilityVerdict",
-    "check_compilability",
-    "classify_trigger",
+    "check_compilable",
     "EffectSet",
     "LockFootprint",
     "LockStep",

@@ -21,11 +21,6 @@ compiler could never produce).
 amplification, predicted deadlock cycles with cooperative-scheduler
 witness confirmation — disable replays with ``--no-confirm``).
 
-``--compilable`` adds the opt-in ODE4xx compilability pass: which
-triggers may the generated-code posting tier specialize, and a stable
-diagnostic for every refusal (findings are advisory — flagged triggers
-keep posting through the interpreter).
-
 Exit-code contract (stable, for CI and external tooling):
 
 * ``0`` — analysis ran; no finding at or above ``--fail-on`` (and, under
@@ -164,12 +159,6 @@ def main(argv: list[str] | None = None) -> int:
         "unless --no-confirm)",
     )
     parser.add_argument(
-        "--compilable",
-        action="store_true",
-        help="run the ODE4xx compilability pass gating the generated-code "
-        "posting fast path (findings name why a trigger stays interpreted)",
-    )
-    parser.add_argument(
         "--no-confirm",
         action="store_true",
         help="with --concurrency: skip witness replays, report every "
@@ -215,7 +204,6 @@ def main(argv: list[str] | None = None) -> int:
         analyze_registry(
             concurrency=args.concurrency,
             confirm_witnesses=args.concurrency and not args.no_confirm,
-            compilability=args.compilable,
         ).diagnostics
     )
     report.extend(_machine_findings(modules))

@@ -44,9 +44,8 @@ class Severity(enum.IntEnum):
 #: 02x subsumption, 03x cascades, 04x coupling modes, 05x database state,
 #: 20x effect-inference termination/confluence/metadata, 30x/31x static and
 #: dynamic concurrency (lock footprints, Section 6 amplification), 40x
-#: compilability (the generated-code posting fast path's gating judgments
-#: — an ODE4xx finding means the compile tier withholds its proof and the
-#: trigger posts through the interpreter).
+#: the generated-code posting tier (a mask that will raise ``NameError``,
+#: a machine the tier interprets because it is too large to unroll).
 CODES: dict[str, tuple[Severity, str]] = {
     "ODE001": (Severity.WARNING, "unreachable FSM state"),
     "ODE002": (Severity.WARNING, "FSM state cannot reach an accept state"),
@@ -73,11 +72,8 @@ CODES: dict[str, tuple[Severity, str]] = {
     "ODE301": (Severity.WARNING, "predicted lock-order deadlock cycle"),
     "ODE302": (Severity.WARNING, "S->X lock upgrade under held locks"),
     "ODE310": (Severity.WARNING, "observed lock trace contradicts static footprint"),
-    "ODE400": (Severity.INFO, "impure mask blocks codegen"),
     "ODE401": (Severity.WARNING, "mask references unresolvable free names"),
     "ODE402": (Severity.INFO, "generated code past the unroll budget"),
-    "ODE403": (Severity.INFO, "immediate action may re-enter posting mid-advance"),
-    "ODE404": (Severity.INFO, "effects unknown; compilability unprovable"),
 }
 
 

@@ -4,12 +4,8 @@ The interpreter in :mod:`repro.core.posting` pays, per active trigger per
 posting: a fresh ``evaluate`` closure and :meth:`IntFsm.advance`'s linear
 transition search plus one pseudo-int dictionary hop per mask (the group
 decode and the registry lookup are memoized for both modes: the decode's
-write-once blocks per content, the resolution per trigger kind).  For
-triggers the ODE4xx pass
-(:mod:`repro.analysis.compilable`) proves COMPILABLE — pure masks, a
-resolvable free-name environment, a machine small enough to specialize,
-and no immediate action that re-enters posting mid-advance — all of that
-can be burned into generated Python:
+write-once blocks per content, the resolution per trigger kind).  All of
+that is burned into generated Python:
 
 * the sparse transition dispatch becomes branchy ``if eventnum == k``
   code over what a posting can reach: the postable event integers (no
@@ -21,52 +17,51 @@ can be burned into generated Python:
   where the interpreter runs it — is unrolled at compile time into a
   decision tree over mask outcomes, with the mask predicates called
   inline.  The tree follows the rule's memo and revisit check, so it
-  calls each mask at most once per path and the
-  ``posting.masks_evaluated_posting`` count means the same in both tiers.
+  calls the same masks as the interpreter, in the same order, each at
+  most once per path, and the ``posting.masks_evaluated_posting`` count
+  means the same in both tiers.
 
 §5.4.5's PostEvent advances every active trigger on an object before any
 fires, so the unit of generated code is the object's group: one function
 per group *signature* — its entries' ``TriggerInfo`` objects in entry order —
 by :func:`generate_group_advance`, each entry's decision tree inlined in
 entry order, writing the new state into the group's ``statenums`` in
-place.  An entry whose kind holds no proof is one call of the
+place.  An entry whose machine is too large to unroll (ODE402:
+:func:`plan_unroll` exceeds :data:`UNROLL_BUDGET`) is one call of the
 interpreter step (:func:`repro.core.posting.interpret`) inside the same
-function, so one impure mask keeps no other trigger of its group from
+function, so one large machine keeps no other trigger of its group from
 being compiled.  One call then advances the whole group, with no
 per-entry call, tuple or machine.
 
-The :class:`CompiledTier` keeps the per-trigger verdicts and the one
-memo of group functions in the process, both validated against a
-process-global **schema version** (the edgedb ``edb/server/compiler``
-artifact-cache shape): any trigger add/remove (class (re)compilation,
-shim registration) or strict-mode flip bumps the version and evicts
-everything, so a stale function can never fire for a redefined trigger.
-Correctness never depends on codegen — where a group cannot be
-generated (too large to unroll, a codegen failure) the tier serves it
-by :func:`repro.core.posting.interpreted`, counting
+The :class:`CompiledTier` keeps the one memo of group functions in the
+process, validated against a process-global **schema version** (the
+edgedb ``edb/server/compiler`` artifact-cache shape): any trigger
+add/remove (class (re)compilation, shim registration) bumps the version
+and evicts everything, so a stale function can never fire for a
+redefined trigger.  Correctness never depends on codegen — where a group
+cannot be generated (too large to unroll, a codegen failure) the tier
+serves it by :func:`repro.core.posting.interpreted`, counting
 ``posting.compiled_fallbacks``.
 
 The generated code emits no trace records, and tracing does not switch
-it off: for a traced posting :func:`recording` rebinds the function's
-mask names to wrappers that record each outcome of that one call, over
-the same code object, and the posting module's one emitter steps each
-advanced entry's FSM over them (DESIGN.md §10).  The source, and so the
-untraced call, stays exactly what it is.
+it off: given a *log*, each path of an entry's tree that called masks
+writes what they said under the entry's index, as the interpreter step
+does, and the posting module's one emitter steps each advanced entry's
+FSM over that log (DESIGN.md §10).  A traced posting calls the very code
+object an untraced one does.
 """
 
 from __future__ import annotations
 
 import threading
-import types
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.declarations import mask_arity
 from repro.events.fsm import DEAD
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.trigger_def import IntFsm, TriggerInfo
-    from repro.objects.metatype import Metatype
 
 __all__ = [
     "CompiledTier",
@@ -78,10 +73,8 @@ __all__ = [
     "generate_group_advance",
     "generate_group_source",
     "global_compiled_tier",
-    "kind_numbers",
     "last_bump_reason",
     "plan_unroll",
-    "recording",
     "schema_version",
 ]
 
@@ -120,18 +113,16 @@ def last_bump_reason() -> str:
 
 
 def bump_schema_version(reason: str = "") -> int:
-    """Invalidate every verdict and group function (trigger set or mode
-    changed).
+    """Invalidate every group function (the trigger set changed).
 
     Called from the places the trigger universe can shift under a
     running process: :func:`repro.core.declarations.process_active_class`
     (a class — and its triggers — was (re)compiled),
     :meth:`repro.objects.metatype.TypeRegistry.register_shim` (a run-time
-    bridge trigger appeared), :meth:`~repro.objects.metatype.TypeRegistry.register`
-    when it re-points a name at another class, and
-    :func:`repro.core.declarations.set_strict_analysis` (the analysis
-    regime flipped).  Bumping is cheap; the tier re-validates lazily
-    against the counter.
+    bridge trigger appeared) and
+    :meth:`~repro.objects.metatype.TypeRegistry.register` when it
+    re-points a name at another class.  Bumping is cheap; the
+    tier re-validates lazily against the counter.
     """
     global _SCHEMA_VERSION, _LAST_BUMP_REASON
     with _VERSION_LOCK:
@@ -161,17 +152,22 @@ class _Budget:
 
 
 def _leaf(
-    lines: list, indent: str, entry: int, old: int, state: int, seen: bool, calls: int
+    lines: list, indent: str, entry: int, old: int, state: int, seen: bool, fixed: dict
 ) -> None:
     """The end of one path of *entry*'s cascade from state *old*: record
-    the move in place, the acceptance, and the masks called."""
+    the move in place, the acceptance, the masks called and, given a log,
+    what they said (*fixed*, in call order)."""
     body = []
     if state != old:
         body += [f"statenums[{entry}] = {state}", f"moved.append(({entry}, {old}))"]
     if seen:
         body.append(f"accepted.append({entry})")
-    if calls:
-        body.append(f"calls += {calls}")
+    if fixed:
+        body += [
+            f"calls += {len(fixed)}",
+            "if log is not None:",
+            f"    log[{entry}] = {fixed!r}",
+        ]
     lines.extend(indent + line for line in body or ["pass"])
 
 
@@ -181,7 +177,6 @@ def _unroll(
     entry: int,
     old: int,
     current: int,
-    calls: int,
     seen: bool,
     fixed: dict[str, bool],
     visited: frozenset[int],
@@ -196,15 +191,14 @@ def _unroll(
     mask turned into an ``if``, and a :func:`_leaf` at each end, whose
     (resting) state joins *rests* unless it is there or dead.
 
-    ``fixed`` holds the outcomes already asked on this path (the rule's
-    memo: the walk follows the pinned arm and calls nothing), ``visited``
-    the states already entered before *current*; *calls* counts the masks
-    called so far on the path, which each leaf reports.
+    ``fixed`` holds the outcomes already asked on this path, in call
+    order (the rule's memo: the walk follows the pinned arm and calls
+    nothing), ``visited`` the states already entered before *current*.
     """
     while True:
         if current == DEAD or not fsm.states[current].masks or current in visited:
             budget.charge()
-            _leaf(lines, indent, entry, old, current, seen, calls)
+            _leaf(lines, indent, entry, old, current, seen, fixed)
             if current != DEAD and current not in rests:
                 rests.append(current)
             return
@@ -222,8 +216,8 @@ def _unroll(
             nxt = fsm.move(current, fsm.pseudo[(mask, outcome)])[0]
             seen_next = seen or (nxt != DEAD and fsm.states[nxt].accept)
             _unroll(
-                fsm, mask_calls, entry, old, nxt, calls + 1, seen_next,
-                {**fixed, mask: outcome}, visited, indent + "    ", lines, budget, rests,
+                fsm, mask_calls, entry, old, nxt, seen_next, {**fixed, mask: outcome},
+                visited, indent + "    ", lines, budget, rests,
             )
         return
 
@@ -239,7 +233,7 @@ def _compiled_entry(
     # quiesces it), then where each cascade emitted below ends.
     rests: list[int] = []
     _unroll(
-        fsm, mask_calls, entry, fsm.start, fsm.start, 0, False, {}, frozenset(),
+        fsm, mask_calls, entry, fsm.start, fsm.start, False, {}, frozenset(),
         "", [], _Budget(budget.limit), rests,
     )
     keyword = "if"
@@ -259,14 +253,14 @@ def _compiled_entry(
             branch = "elif"
             seen = nxt != DEAD and fsm.states[nxt].accept
             _unroll(
-                fsm, mask_calls, entry, statenum, nxt, 0, seen, {},
+                fsm, mask_calls, entry, statenum, nxt, seen, {},
                 frozenset(), " " * 16, lines, budget, rests,
             )
         # Event not in the sparse transition list: the ignore/dead rule.
         if fsm.anchored:
             lines.append(f"            {branch} eventnum in _A{kind}:")
             branch = "elif"
-            _leaf(lines, " " * 16, entry, statenum, DEAD, False, 0)
+            _leaf(lines, " " * 16, entry, statenum, DEAD, False, {})
         if branch == "if":
             lines.append("            pass")
     # A state no posting leaves the machine in (a stored transient mask
@@ -314,12 +308,13 @@ def generate_group_source(entries: Sequence[tuple], limit: int | None = None) ->
     ``compiled_hits``, ``fsm_advances`` and ``masks_evaluated_posting``
     on the way out, also when a mask raises: an entry whose cascade
     raised is neither advanced nor counted, as in ``posting.interpreted``
-    (an entry the interpreter step advances — one without a proof, or a
-    compiled one on a state it has no branch for — counts itself, and
-    one ``compiled_fallbacks``).  *log* is ``None``, or a dict for a
-    store that logs every advance:
-    the mask outcomes of each entry the interpreter step advanced go
-    under its index, and the number of entries advanced under ``-1``.
+    (an entry the interpreter step advances — one past the unroll
+    budget, or a compiled one on a state it has no branch for — counts
+    itself, and one ``compiled_fallbacks``).  *log* is ``None``, or a
+    dict for a traced posting or a store that logs every advance: what
+    the masks of each advanced entry said goes under its index (a
+    compiled entry that called none writes nothing), and the number of
+    entries advanced under ``-1``.
     Raises :class:`PlanError` when the entries' decision trees together
     blow *limit* nodes (default :data:`GROUP_UNROLL_BUDGET`).
     """
@@ -356,11 +351,13 @@ def generate_group_source(entries: Sequence[tuple], limit: int | None = None) ->
 
 def plan_unroll(fsm: "IntFsm") -> int:
     """Dry-run the unroll of a one-entry group of *fsm* within
-    :data:`UNROLL_BUDGET`, returning the emitted line count.
+    :data:`UNROLL_BUDGET`, returning the emitted line count; raises
+    :class:`PlanError` past it.
 
-    The ODE4xx pass uses this to judge ODE402 without keeping the code;
-    it is exactly the generator, so the judgment can never drift from
-    what the tier can actually compile.
+    This is the ODE402 judgment: :func:`generate_group_advance`
+    interprets an entry whose machine fails it, and the lint reports it
+    (:mod:`repro.analysis.compilable`).  It is exactly the generator, so
+    the judgment can never drift from what the tier can compile.
     """
     mask_calls = {
         name: f"_m{i}(obj, params[0], event)" for i, name in enumerate(_used_masks(fsm))
@@ -373,21 +370,26 @@ def _used_masks(fsm: "IntFsm") -> list[str]:
     return sorted({m for s in fsm.states for m in s.masks})
 
 
-def _bind_masks(
-    info: "TriggerInfo", kind: int, params: str, namespace: dict, masks: dict
-) -> dict:
+def _unrolls(fsm: "IntFsm") -> bool:
+    """Whether *fsm* is within :data:`UNROLL_BUDGET` (not ODE402)."""
+    try:
+        plan_unroll(fsm)
+    except PlanError:
+        return False
+    return True
+
+
+def _bind_masks(info: "TriggerInfo", kind: int, params: str, namespace: dict) -> dict:
     """Bind *info*'s masks into *namespace* as ``_k{kind}m0``,
     ``_k{kind}m1`` … and return each mask's call expression, with
-    *params* the expression of the trigger's params; *masks* maps each
-    name bound to ``(kind, mask)``.  A mask is called as declared, not
-    through ``_adapt_mask``'s shim, with as many arguments as it declares
-    (see ``mask_arity``); one with no declared form (a bridge's) takes
-    the adapted one."""
+    *params* the expression of the trigger's params.  A mask is called as
+    declared, not through ``_adapt_mask``'s shim, with as many arguments
+    as it declares (see ``mask_arity``); one with no declared form (a
+    bridge's) takes the adapted one."""
     args = ("obj", params, "event")
     calls = {}
     for i, name in enumerate(_used_masks(info.fsm)):
         ident = f"_k{kind}m{i}"
-        masks[ident] = (kind, name)
         mask = info.mask_specs.get(name)
         arity = 3 if mask is None else min(mask_arity(mask), 3)
         namespace[ident] = info.masks[name] if mask is None else mask
@@ -395,61 +397,27 @@ def _bind_masks(
     return calls
 
 
-def kind_numbers(infos: Sequence["TriggerInfo"]) -> list[int]:
-    """Each entry's kind number in the group function of a group of the
-    kinds *infos*: the distinct ``TriggerInfo``s numbered in order of
-    first appearance."""
-    kinds: dict[int, int] = {}
-    return [kinds.setdefault(id(info), len(kinds)) for info in infos]
-
-
-def recording(function: Callable) -> tuple[Callable, list]:
-    """The group function *function* ready to record one call:
-    ``(function, calls)``, the function over the same code with each
-    compiled mask rebound to a wrapper that appends ``((kind, mask),
-    outcome)`` to *calls*, in call order.  A function with no compiled
-    mask (``masks``, set by :func:`generate_group_advance`) is returned
-    as it is."""
-    calls: list = []
-    masks = getattr(function, "masks", None)
-    if not masks:
-        return function, calls
-    namespace = dict(function.__globals__)
-    for ident, mask in masks.items():
-        namespace[ident] = _recorder(mask, namespace[ident], calls)
-    return types.FunctionType(function.__code__, namespace), calls
-
-
-def _recorder(mask: tuple, predicate: Callable, calls: list) -> Callable:
-    def record(*args):
-        outcome = bool(predicate(*args))
-        calls.append((mask, outcome))
-        return outcome
-
-    return record
-
-
-def generate_group_advance(
-    infos: Sequence["TriggerInfo"], proofs: Sequence[bool] | None = None
-) -> tuple[Callable, str]:
+def generate_group_advance(infos: Sequence["TriggerInfo"]) -> tuple[Callable, str]:
     """Compile the group function of a group whose entries, in entry
     order, are of the kinds *infos* (see :func:`generate_group_source`):
-    ``(function, source)``.  *proofs* says per entry whether its kind
-    holds an ODE4xx proof (default: every one does); an entry without one
-    is interpreted.  Each distinct kind's masks, alphabet and info are
-    bound once; the function's ``masks`` maps each compiled mask's name
-    to its ``(kind, mask)`` (:func:`recording` reads it)."""
+    ``(function, source)``.  Each distinct kind — numbered in order of
+    first appearance — has its masks, alphabet and info bound once, and
+    is compiled unless its machine is past :data:`UNROLL_BUDGET`
+    (:func:`plan_unroll`), in which case its entries are interpreted."""
     # Imported here: the interpreter's module imports this one.
     from repro.core.posting import interpret
 
     namespace: dict = {"_step": interpret}
-    masks: dict[str, tuple[int, str]] = {}
+    kinds: dict[int, tuple[int, bool]] = {}
     entries = []
-    for entry, (info, kind) in enumerate(zip(infos, kind_numbers(infos))):
+    for entry, info in enumerate(infos):
+        if id(info) not in kinds:
+            kinds[id(info)] = len(kinds), _unrolls(info.fsm)
+        kind, unrolls = kinds[id(info)]
         namespace[f"_I{kind}"] = info
-        if proofs is None or proofs[entry]:
+        if unrolls:
             namespace[f"_A{kind}"] = frozenset(info.fsm.symbol_to_int.values())
-            mask_calls = _bind_masks(info, kind, f"params[{entry}]", namespace, masks)
+            mask_calls = _bind_masks(info, kind, f"params[{entry}]", namespace)
             entries.append((info.fsm, mask_calls, kind))
         else:
             entries.append((None, None, kind))
@@ -457,48 +425,38 @@ def generate_group_advance(
     names = ",".join(f"{info.defining_type}.{info.name}" for info in infos[:4])
     code = compile(source, f"<ode-compiled-group:{names}:{len(infos)}>", "exec")
     exec(code, namespace)
-    function = namespace["_advance_group"]
-    function.masks = masks
-    return function, source
+    return namespace["_advance_group"], source
 
 
 # ---------------------------------------------------------------------------
-# Verdicts and the group-function memo
+# The group-function memo
 # ---------------------------------------------------------------------------
-
-_UNSET = object()
 
 
 class CompiledTier:
-    """The ODE4xx verdicts and the one memo of group functions.
+    """The one memo of group functions.
 
-    A verdict is kept per ``TriggerInfo`` (infos compare by identity, so
-    the memo's key keeps its info alive).  A group function is kept per
-    key: a persistent group's is ``(registry, types, triggernums)``, its
-    loaded columns and the registry its kinds resolve through; a local
-    rules group's is its entries' infos.  Both memos are validated
-    against the process schema version: the first lookup after any bump
-    drops everything.  The function memo holds at most
-    :data:`KERNEL_MEMO_MAX` keys and is emptied when full.  A withheld
-    proof and a group that cannot be generated are memoized too, so
-    classification and codegen run once per trigger and per key per
+    A group function is kept per key: a persistent group's is
+    ``(registry, types, triggernums)``, its loaded columns and the
+    registry its kinds resolve through; a local rules group's is its
+    entries' infos (infos compare by identity, so the key keeps them
+    alive).  The memo is validated against the process schema version:
+    the first lookup after any bump drops everything.  It holds at most
+    :data:`KERNEL_MEMO_MAX` keys and is emptied when full.  A group that
+    cannot be generated is memoized too, so codegen runs once per key per
     schema version, not once per posting.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._version = schema_version()
-        self._verdicts: dict["TriggerInfo", object] = {}
         self._functions: dict[tuple, Callable] = {}
-
-    # -- invalidation ------------------------------------------------------
 
     def _maybe_evict(self) -> None:
         if self._version != _SCHEMA_VERSION:
             with self._lock:
                 if self._version != _SCHEMA_VERSION:
                     self._functions.clear()
-                    self._verdicts.clear()
                     self._version = _SCHEMA_VERSION
 
     def cached_count(self) -> int:
@@ -506,31 +464,10 @@ class CompiledTier:
         self._maybe_evict()
         return len(self._functions)
 
-    # -- lookup ------------------------------------------------------------
-
-    def compiles(self, info: "TriggerInfo", metatype: Optional["Metatype"] = None) -> bool:
-        """Whether *info* holds an ODE4xx proof (classified once per
-        schema version, against its defining *metatype*)."""
-        self._maybe_evict()
-        verdict = self._verdicts.get(info, _UNSET)
-        if verdict is _UNSET:
-            try:
-                from repro.analysis.compilable import classify_trigger
-
-                verdict = classify_trigger(info, metatype)
-            except Exception:
-                # A classification failure withholds the proof — the tier
-                # must never take posting down.
-                verdict = None
-            with self._lock:
-                self._verdicts[info] = verdict
-        return bool(getattr(verdict, "compilable", False))
-
     def group_function(self, key: tuple, entries: Callable[[tuple], Sequence]) -> Callable:
         """The group function of the group whose key is *key*.
         ``entries(key)`` is called only on a miss: it returns the group's
-        entries in entry order, each with its ``info`` and the
-        ``defining`` metatype it resolved to."""
+        entries in entry order, each with its ``info``."""
         if self._version != _SCHEMA_VERSION:
             self._maybe_evict()
         function = self._functions.get(key)
@@ -547,11 +484,9 @@ class CompiledTier:
         from repro.core.posting import interpreted
 
         version = _SCHEMA_VERSION
-        entries = entries(key)
-        infos = [entry.info for entry in entries]
-        proofs = [self.compiles(entry.info, entry.defining) for entry in entries]
+        infos = [entry.info for entry in entries(key)]
         try:
-            function = generate_group_advance(infos, proofs)[0]
+            function = generate_group_advance(infos)[0]
         except Exception:
             # Too large to unroll (or any codegen failure): interpreted.
             function = interpreted(infos)
@@ -562,18 +497,11 @@ class CompiledTier:
                 self._functions[key] = function
         return function
 
-    def explain(self, info: "TriggerInfo") -> tuple:
-        """The ODE4xx diagnostics naming why the proof was withheld
-        (empty for compilable or never-classified triggers)."""
-        self._maybe_evict()
-        verdict = self._verdicts.get(info)
-        return tuple(getattr(verdict, "diagnostics", ()))
-
 
 _GLOBAL_TIER = CompiledTier()
 
 
 def global_compiled_tier() -> CompiledTier:
     """The tier shared by every trigger system in the process (trigger
-    infos are process-global, so their verdicts and functions are too)."""
+    infos are process-global, so their functions are too)."""
     return _GLOBAL_TIER

@@ -108,12 +108,6 @@ def set_strict_analysis(enabled: bool) -> bool:
     global _STRICT_ANALYSIS
     previous = _STRICT_ANALYSIS
     _STRICT_ANALYSIS = bool(enabled)
-    if previous != _STRICT_ANALYSIS:
-        # The analysis regime is part of the compile tier's cache key:
-        # flipping it invalidates every generated posting artifact.
-        from repro.core.compiled import bump_schema_version
-
-        bump_schema_version(f"strict_analysis:{_STRICT_ANALYSIS}")
     return previous
 
 

@@ -188,9 +188,8 @@ class TriggerInfo:
     #: mask name -> normalized (instance, params) predicate
     masks: dict[str, Callable[..., bool]] = dataclasses.field(default_factory=dict)
     #: mask name -> the predicate exactly as declared (pre-``_adapt_mask``)
-    #: — what the ODE4xx compilability pass runs effect inference on; the
-    #: arity adapter is an opaque indirection that would widen everything
-    #: to unknown.  May be missing entries for run-time bridge triggers.
+    #: — what generated code calls, with its own arity, and what ODE401
+    #: reads.  May be missing entries for run-time bridge triggers.
     mask_specs: dict[str, Callable[..., bool]] = dataclasses.field(
         default_factory=dict
     )

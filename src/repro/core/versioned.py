@@ -266,13 +266,15 @@ class AdvanceBuffer(StateStore):
             outcomes = {}
         masks = entry.info.masks
         if masks and entry.serial not in group.added:
-            # Capture what every remaining mask says *now*: a commit-time
-            # replay from a different head can walk a different DFA path and
-            # ask for masks this advance never reached, and by then the
-            # transaction may have mutated ``obj`` — replay must see the
-            # posting-time outcomes.  Bookkeeping, not posting semantics, so
-            # it stays out of ``masks_evaluated_posting``; a mask that raises
-            # here is left unrecorded (replay falls back to live evaluation).
+            # *outcomes* holds what the advance asked, compiled or
+            # interpreted.  Capture what every other mask says *now*: a
+            # commit-time replay from a different head can walk a different
+            # DFA path and ask for masks this advance never reached, and by
+            # then the transaction may have mutated ``obj`` — replay must
+            # see the posting-time outcomes.  Bookkeeping, not posting
+            # semantics, so it stays out of ``masks_evaluated_posting``; a
+            # mask that raises here is left unrecorded (replay falls back
+            # to live evaluation).
             for mask_name, mask in masks.items():
                 if mask_name not in outcomes:
                     try:

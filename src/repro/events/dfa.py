@@ -272,31 +272,3 @@ def _pseudo_closure_accepts(fsm: Fsm, statenum: int) -> bool:
                 frontier.append(target)
     return False
 
-
-def transition_table(fsm) -> list[dict]:
-    """Export a machine's transition structure as plain dictionaries.
-
-    Works on both the symbolic :class:`Fsm` and the integer-keyed run-time
-    :class:`repro.core.trigger_def.IntFsm` (both expose ``states`` with
-    ``statenum``/``accept``/``masks`` and a transition mapping or sparse
-    list).  One dict per state::
-
-        {"state": 0, "accept": False, "masks": [], "transitions": {sym: 1}}
-
-    Consumers: tests that want to assert on machine shape without
-    reaching into state internals.
-    """
-    table = []
-    for state in fsm.states:
-        transitions = getattr(state, "transitions", None)
-        if transitions is None:  # IntState: sparse (eventnum, newstate) list
-            transitions = {t.eventnum: t.newstate for t in state.transfunc}
-        table.append(
-            {
-                "state": state.statenum,
-                "accept": bool(state.accept),
-                "masks": list(state.masks),
-                "transitions": dict(sorted(transitions.items(), key=str)),
-            }
-        )
-    return table

@@ -534,7 +534,6 @@ class Database:
         strict: bool = False,
         concurrency: bool = False,
         confirm_witnesses: bool = False,
-        compilability: bool = False,
     ):
         """Run the static trigger analyzer against this database.
 
@@ -555,11 +554,6 @@ class Database:
         ``confirm_witnesses=True`` additionally replays synthesized
         interleavings on a scratch database to tag predictions
         CONFIRMED/POSSIBLE.
-
-        ``compilability=True`` adds the ODE4xx pass: which triggers may
-        the generated-code posting tier specialize, with a diagnostic
-        naming the reason for every refusal (advisory — flagged triggers
-        post through the interpreter).
         """
         from repro.analysis import analyze_classes, analyze_database, analyze_registry
         from repro.analysis.cascade import TERMINATION_CODES
@@ -571,14 +565,12 @@ class Database:
                 self.registry,
                 concurrency=concurrency,
                 confirm_witnesses=confirm_witnesses,
-                compilability=compilability,
             )
         else:
             report = analyze_classes(
                 targets,
                 concurrency=concurrency,
                 confirm_witnesses=confirm_witnesses,
-                compilability=compilability,
             )
         report.extend(analyze_database(self).diagnostics)
         if strict:

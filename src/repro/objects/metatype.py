@@ -41,8 +41,7 @@ class Metatype:
         self.all_trigger_infos: list["TriggerInfo"] = []  # incl. inherited
         self.masks: dict[str, Callable[..., bool]] = {}
         # The mask callables exactly as declared, before `_adapt_mask`
-        # normalizes arity — the ODE4xx compilability pass analyzes these
-        # (the adapter's indirection would widen every mask to unknown).
+        # normalizes arity — what generated code calls and ODE401 reads.
         self.mask_specs: dict[str, Callable[..., bool]] = {}
         self.method_wrappers: dict[str, Callable[..., Any]] = {}
         self.constraints: list[Any] = []

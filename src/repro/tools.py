@@ -82,14 +82,13 @@ def describe_analysis(db: "Database") -> list[str]:
 
     Runs the declaration-level passes (including the ODE3xx concurrency
     pass, predictions unconfirmed — a dump should not spin up witness
-    databases — and the ODE4xx compilability pass gating the generated
-    posting tier) over every registered active class and the database
+    databases) over every registered active class and the database
     pass (dead/trap trigger states) over *db*; one line per finding,
     ``["ok"]`` when clean.
     """
     from repro.analysis import analyze_database, analyze_registry
 
-    report = analyze_registry(db.registry, concurrency=True, compilability=True)
+    report = analyze_registry(db.registry, concurrency=True)
     report.extend(analyze_database(db).diagnostics)
     return [diag.render() for diag in report.diagnostics] or ["ok"]
 

@@ -4,6 +4,7 @@ import contextlib
 
 import pytest
 
+from benchmarks.common import interpreted_baseline
 from repro.core.declarations import trigger
 from repro.core.monitored import LocalTriggerSystem, Monitored
 from repro.errors import FSMError
@@ -12,7 +13,6 @@ from repro.events.fsm import DEAD
 from repro.objects.database import Database
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
-from tests.test_compiled_tier import interpreted_reference
 
 DECLS = ["A", "B", "C"]
 
@@ -225,7 +225,7 @@ class TestMaskOnNullableLoopEndToEnd:
     @pytest.mark.parametrize("engine", ["mm", "disk"])
     def test_persistent_trigger(self, db_path, engine, compiled):
         _LOOP_FIRED.clear()
-        serving = contextlib.nullcontext() if compiled else interpreted_reference()
+        serving = contextlib.nullcontext() if compiled else interpreted_baseline()
         with serving, contextlib.closing(Database.open(db_path, engine=engine)) as db:
             with db.transaction():
                 h = db.pnew(NullableLoopWatch)

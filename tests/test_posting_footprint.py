@@ -19,6 +19,7 @@ import weakref
 import pytest
 
 import repro
+from benchmarks.common import interpreted_baseline
 from repro.core import compiled, posting
 from repro.core.compiled import CompiledTier
 from repro.core.declarations import trigger
@@ -35,7 +36,6 @@ from repro.objects.schema import field
 from repro.objects.serialize import FLAG_HAS_TRIGGERS, decode_object
 from repro.storage.locks import LockMode
 from repro.workloads.locksim import HotObject
-from tests.test_compiled_tier import interpreted_reference
 
 CELLS = [("disk", "2pl"), ("disk", "mvcc"), ("mm", "2pl"), ("mm", "mvcc")]
 
@@ -255,8 +255,7 @@ def test_a_warm_posting_resolves_no_trigger(cell, monkeypatch):
     """Resolution is memoized per trigger kind and the group function per
     kinds: once both are warm, a later transaction's 16 machines
     are loaded resolved and served by the same group function with no
-    registry or metatype call, no ODE4xx classification and no code
-    generation — the group load asks the tier once, and that is a memo
+    registry or metatype call and no code generation — the group load asks the tier once, and that is a memo
     hit."""
     _, db = cell
     with db.transaction():
@@ -276,7 +275,6 @@ def test_a_warm_posting_resolves_no_trigger(cell, monkeypatch):
     calls: list[str] = []
     _count_calls(monkeypatch, calls, TypeRegistry, "find")
     _count_calls(monkeypatch, calls, Metatype, "trigger_info")
-    _count_calls(monkeypatch, calls, CompiledTier, "compiles")
     _count_calls(monkeypatch, calls, CompiledTier, "group_function")
     _count_calls(monkeypatch, calls, compiled, "generate_group_advance")
     _count_calls(monkeypatch, calls, posting, "advance_group")
@@ -503,7 +501,7 @@ def test_a_group_of_kinds_already_served_asks_the_tier_nothing(cell, monkeypatch
     """A second object whose group holds the same kinds, first loaded in
     a later transaction than the first object's, is served by the same
     function: its load asks the tier once, a memo hit, with no
-    resolution, no ODE4xx classification and no code generation."""
+    resolution and no code generation."""
     _, db = cell
     first, second = _fan(db, "GS" * 8), _fan(db, "GS" * 8)
     with db.transaction() as txn:
@@ -512,7 +510,6 @@ def test_a_group_of_kinds_already_served_asks_the_tier_nothing(cell, monkeypatch
     calls: list[str] = []
     _count_calls(monkeypatch, calls, TypeRegistry, "find")
     _count_calls(monkeypatch, calls, Metatype, "trigger_info")
-    _count_calls(monkeypatch, calls, CompiledTier, "compiles")
     _count_calls(monkeypatch, calls, CompiledTier, "group_function")
     _count_calls(monkeypatch, calls, compiled, "generate_group_advance")
     _count_calls(monkeypatch, calls, posting, "advance_group")
@@ -617,7 +614,7 @@ def test_a_membership_change_mid_transaction_chooses_the_function_again(fresh):
     group's new kinds, as the interpreted reference serves it."""
     with contextlib.closing(fresh("compiled")) as db:
         served = _membership_edits(db)
-    with interpreted_reference(), contextlib.closing(fresh("interpreted")) as db:
+    with interpreted_baseline(), contextlib.closing(fresh("interpreted")) as db:
         reference = _membership_edits(db)
     assert served == reference
     fired, _states, delta = served
@@ -875,7 +872,7 @@ def test_a_batch_equals_its_postings_when_an_action_changes_a_later_target(
     interpreted."""
     runs = {}
     for served, batched in itertools.product((True, False), repeat=2):
-        serving = contextlib.nullcontext() if served else interpreted_reference()
+        serving = contextlib.nullcontext() if served else interpreted_baseline()
         with serving, contextlib.closing(fresh(f"{case}{served:d}{batched:d}")) as db:
             runs[served, batched] = _batch_run(db, case, batched)
     reference = runs[True, False]

@@ -1,8 +1,9 @@
 """E14 — static analysis cost vs trigger count.
 
 The ODE2xx passes (effect inference, termination, confluence, metadata)
-run at declaration time — ``check_triggers`` or the lint CLI — so their
-cost must stay proportional to the schema, not the data.  We synthesize
+run over declarations — the lint CLI, or ``analyze_registry`` on a
+schema load — so their cost must stay proportional to the schema, not
+the data.  We synthesize
 schemas of growing trigger count and measure the full ``analyze_classes``
 pipeline against effect inference alone.
 
@@ -120,6 +121,6 @@ def teardown_module(module):
             "Full pipeline = masks + subsumption + cascade/termination + "
             "confluence + metadata over inferred effects.  Cost scales with "
             "the declaration count, so running the analyzer on every schema "
-            "load (check_triggers) is affordable."
+            "load (analyze_registry) is affordable."
         ),
     )

@@ -38,8 +38,6 @@ from repro.core import (
     CouplingMode,
     TriggerId,
     TriggerSystem,
-    set_strict_analysis,
-    strict_analysis_enabled,
     trigger,
 )
 from repro.errors import (
@@ -90,7 +88,5 @@ __all__ = [
     "deactivate",
     "field",
     "parse",
-    "set_strict_analysis",
-    "strict_analysis_enabled",
     "trigger",
 ]

@@ -57,63 +57,42 @@ declarations, :func:`analyze_machine` for bare machines,
 :func:`analyze_registry` for everything registered in the process,
 :func:`analyze_database` for persistent trigger states, and
 ``python -m repro.analysis`` (or ``python -m repro.tools lint``) on the
-command line.  ``repro.core.declarations.set_strict_analysis(True)`` (or a
-class-level ``__strict_triggers__ = True``) makes declaration processing
-itself reject findings.
+command line.  Each returns an :class:`AnalysisReport`; the CLI's
+``--fail-on`` is the one gate on its findings.  The engine runs no pass:
+a posting that readies several triggers only asks
+:func:`non_confluent_pairs` (DESIGN.md §9).  Names load their submodule
+on first use, so that verdict imports ``confluence``, ``diagnostics`` and
+``effects`` alone.
 """
 
-from repro.analysis.concurrency import (
-    LockFootprint,
-    LockStep,
-    check_lock_trace,
-    infer_lock_footprint,
-    observed_lock_profile,
-    static_lock_profile,
-)
-from repro.analysis.compilable import check_compilable
-from repro.analysis.confluence import non_confluent_pairs
-from repro.analysis.diagnostics import (
-    CODES,
-    Diagnostic,
-    Location,
-    Severity,
-    render_json,
-    render_text,
-)
-from repro.analysis.effects import EffectSet, infer_callable_effects, infer_trigger_effects
-from repro.analysis.runner import (
-    AnalysisReport,
-    analyze_class,
-    analyze_classes,
-    analyze_database,
-    analyze_machine,
-    analyze_registry,
-    analyze_trigger,
-)
+import importlib
 
-__all__ = [
-    "CODES",
-    "check_compilable",
-    "EffectSet",
-    "LockFootprint",
-    "LockStep",
-    "check_lock_trace",
-    "infer_lock_footprint",
-    "observed_lock_profile",
-    "static_lock_profile",
-    "infer_callable_effects",
-    "infer_trigger_effects",
-    "non_confluent_pairs",
-    "Diagnostic",
-    "Location",
-    "Severity",
-    "render_json",
-    "render_text",
-    "AnalysisReport",
-    "analyze_class",
-    "analyze_classes",
-    "analyze_database",
-    "analyze_machine",
-    "analyze_registry",
-    "analyze_trigger",
-]
+#: Submodule → the names it exports here.
+_EXPORTS = {
+    "compilable": ("check_compilable",),
+    "concurrency": (
+        "LockFootprint", "LockStep", "check_lock_trace",
+        "infer_lock_footprint", "observed_lock_profile", "static_lock_profile",
+    ),
+    "confluence": ("non_confluent_pairs",),
+    "diagnostics": (
+        "CODES", "Diagnostic", "Location", "Severity", "render_json", "render_text",
+    ),
+    "effects": ("EffectSet", "infer_callable_effects", "infer_trigger_effects"),
+    "runner": (
+        "AnalysisReport", "analyze_class", "analyze_classes", "analyze_database",
+        "analyze_machine", "analyze_registry", "analyze_trigger",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

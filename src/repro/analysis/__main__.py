@@ -14,8 +14,15 @@ name → :class:`~repro.events.fsm.Fsm`; those machines get the
 machine-level passes (used by the test fixtures to seed raw machines the
 compiler could never produce).
 
-``--self-check DIR`` is the CI gate: import everything in DIR and demand
-*zero* findings of any severity (exit 1 otherwise).
+``--fail-on`` is the one gate on the findings: ``--fail-on info`` over a
+directory (``python -m repro.analysis examples/ --fail-on info``, the CI
+gate) demands that it is lint-clean, since every finding is at least
+``info``.
+
+A file that lives in an importable package (``src/repro/workloads/*.py``
+with ``src`` on the path) is imported under its dotted name, so modules
+that import one another are each loaded once; any other file is loaded
+under a name of its own.
 
 ``--concurrency`` adds the opt-in ODE3xx lock-footprint pass (Section 6
 amplification, predicted deadlock cycles with cooperative-scheduler
@@ -23,8 +30,8 @@ witness confirmation — disable replays with ``--no-confirm``).
 
 Exit-code contract (stable, for CI and external tooling):
 
-* ``0`` — analysis ran; no finding at or above ``--fail-on`` (and, under
-  ``--self-check``, no finding at all);
+* ``0`` — analysis ran; no finding at or above ``--fail-on`` (always
+  ``0`` under ``--fail-on never``);
 * ``1`` — analysis ran and findings crossed the threshold;
 * ``2`` — a target could not be loaded (import error, missing path) —
   nothing was analyzed, so 2 must never be treated as "dirty but parsed".
@@ -36,7 +43,6 @@ array from stdout; diagnostics about the run itself go to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import importlib.util
 import os
@@ -51,7 +57,27 @@ from repro.analysis.runner import (
 )
 
 
+def _package_name(path: str) -> str | None:
+    """The dotted name *path* imports under, if it is a module of a
+    package on ``sys.path``."""
+    directory, name = os.path.split(os.path.splitext(os.path.abspath(path))[0])
+    while os.path.isfile(os.path.join(directory, "__init__.py")):
+        directory, package = os.path.split(directory)
+        name = f"{package}.{name}"
+    try:
+        spec = importlib.util.find_spec(name) if "." in name else None
+    except (ImportError, ValueError):
+        return None
+    origin = spec.origin if spec else None
+    if origin and os.path.isfile(origin) and os.path.samefile(origin, path):
+        return name
+    return None
+
+
 def _load_file(path: str) -> object:
+    name = _package_name(path)
+    if name is not None:
+        return importlib.import_module(name)
     name = "ode_analysis_target_" + os.path.splitext(os.path.basename(path))[0]
     spec = importlib.util.spec_from_file_location(name, path)
     if spec is None or spec.loader is None:
@@ -136,19 +162,9 @@ def main(argv: list[str] | None = None) -> int:
         help="Python files, directories, module names, or database paths",
     )
     parser.add_argument(
-        "--self-check",
-        metavar="DIR",
-        help="import DIR and fail on ANY finding (the CI gate)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="JSON output (alias for --format json)",
-    )
-    parser.add_argument(
         "--format",
         choices=["text", "json"],
-        default=None,
+        default="text",
         help="output format (default: text)",
     )
     parser.add_argument(
@@ -169,13 +185,8 @@ def main(argv: list[str] | None = None) -> int:
         default="error",
         choices=["info", "warning", "error", "never"],
         help="minimum severity that makes the exit status nonzero "
-        "(default: error, so warnings-only runs exit 0)",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="promote ODE2xx warnings (termination/confluence/metadata) "
-        "to errors",
+        "(default: error, so warnings-only runs exit 0; info fails on any "
+        "finding)",
     )
     parser.add_argument("--engine", choices=["disk", "mm"], default="disk")
     parser.add_argument(
@@ -188,14 +199,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{code}  {severity!s:8} {title}")
         return 0
 
-    if not args.targets and not args.self_check:
-        parser.error("no targets given (or use --self-check DIR)")
+    if not args.targets:
+        parser.error("no targets given")
 
     report = AnalysisReport()
     try:
         modules = _load_targets(list(args.targets), args.engine, report)
-        if args.self_check:
-            modules.extend(_load_directory(args.self_check))
     except (ImportError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -208,19 +217,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     report.extend(_machine_findings(modules))
 
-    if args.strict:
-        report.diagnostics = [
-            dataclasses.replace(diag, severity=Severity.ERROR)
-            if diag.code.startswith("ODE2") and diag.severity == Severity.WARNING
-            else diag
-            for diag in report.diagnostics
-        ]
+    print(report.render_json() if args.format == "json" else report.render_text())
 
-    as_json = args.json or args.format == "json"
-    print(report.render_json() if as_json else report.render_text())
-
-    if args.self_check:
-        return 1 if report.diagnostics else 0
     if args.fail_on == "never":
         return 0
     return 1 if report.at_least(Severity.parse(args.fail_on)) else 0

@@ -53,11 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.trigger_def import TriggerInfo
     from repro.events.fsm import EventDecl
 
-#: Codes that assert non-termination; ``Database.check_triggers(strict=True)``
-#: refuses to proceed while any remain unsuppressed.
-TERMINATION_CODES = frozenset({"ODE030", "ODE031", "ODE200", "ODE201"})
-
-
 def _listened_symbols(info: "TriggerInfo") -> set[str]:
     """Symbols the trigger's expression reacts to (user events by name,
     member/tx events by ``"kind name"`` symbol).  An ``any`` anywhere in

@@ -32,10 +32,10 @@ deterministic order (activation order) — see DESIGN.md §9.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.analysis.diagnostics import Diagnostic, Location
-from repro.analysis.effects import EffectSet, infer_trigger_effects
+from repro.analysis.effects import EffectSet, effect_memo
 from repro.events.dfa import firing_symbols
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,50 +44,58 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["check_confluence", "non_confluent_pairs"]
 
+EffectOf = Callable[["TriggerInfo", "Metatype"], Optional[EffectSet]]
+
+
+def _racing_pairs(
+    metatype: "Metatype", effect_of: EffectOf, seen: set[frozenset[int]]
+) -> Iterator[tuple["TriggerInfo", "TriggerInfo", frozenset[str]]]:
+    """The racing ``(a, b, overlap)`` pairs among *metatype*'s triggers,
+    skipping (and adding to *seen*) pairs an earlier anchor already
+    judged."""
+    infos = metatype.all_trigger_infos
+    for i, a in enumerate(infos):
+        for b in infos[i + 1 :]:
+            pair = frozenset((id(a), id(b)))
+            if len(pair) < 2 or pair in seen:
+                continue
+            seen.add(pair)
+            overlap = _conflict(a, b, metatype, effect_of)
+            if overlap:
+                yield a, b, overlap
+
 
 def check_confluence(
-    metatypes: list["Metatype"],
-    effect_of: Callable[["TriggerInfo", "Metatype"], Optional[EffectSet]],
+    metatypes: list["Metatype"], effect_of: EffectOf
 ) -> list[Diagnostic]:
     """Report non-confluent trigger pairs across *metatypes*.
 
     *effect_of* resolves (and caches) the inferred effect set of a
     trigger in the context of the anchor class being analyzed.
     """
-    diagnostics: list[Diagnostic] = []
-    seen_pairs: set[frozenset[int]] = set()
-    for metatype in metatypes:
-        infos = metatype.all_trigger_infos
-        for i, a in enumerate(infos):
-            for b in infos[i + 1 :]:
-                pair = frozenset((id(a), id(b)))
-                if len(pair) < 2 or pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                overlap = _conflict(a, b, metatype, effect_of)
-                if not overlap:
-                    continue
-                diagnostics.append(
-                    Diagnostic(
-                        "ODE202",
-                        f"triggers {a.name!r} and {b.name!r} can fire on "
-                        "the same posting at the same coupling point but "
-                        "their actions do not commute (both touch "
-                        f"{', '.join(sorted(overlap))}); the final state "
-                        "depends on activation order — see DESIGN.md §9 "
-                        "for the canonical order",
-                        Location(metatype.name, a.name),
-                        related=(f"{metatype.name}.{b.name}",),
-                    )
-                )
-    return diagnostics
+    seen: set[frozenset[int]] = set()
+    return [
+        Diagnostic(
+            "ODE202",
+            f"triggers {a.name!r} and {b.name!r} can fire on "
+            "the same posting at the same coupling point but "
+            "their actions do not commute (both touch "
+            f"{', '.join(sorted(overlap))}); the final state "
+            "depends on activation order — see DESIGN.md §9 "
+            "for the canonical order",
+            Location(metatype.name, a.name),
+            related=(f"{metatype.name}.{b.name}",),
+        )
+        for metatype in metatypes
+        for a, b, overlap in _racing_pairs(metatype, effect_of, seen)
+    ]
 
 
 def _conflict(
     a: "TriggerInfo",
     b: "TriggerInfo",
     metatype: "Metatype",
-    effect_of: Callable[["TriggerInfo", "Metatype"], Optional[EffectSet]],
+    effect_of: EffectOf,
 ) -> frozenset[str]:
     if a.coupling is not b.coupling:
         return frozenset()
@@ -108,21 +116,7 @@ def non_confluent_pairs(metatype: "Metatype") -> frozenset[frozenset[str]]:
     """Runtime helper: the pairs of trigger *names* on *metatype* whose
     firing order is observable.  Pure computation over declarations —
     safe to call (and cache) from inside a transaction."""
-    cache: dict[int, EffectSet] = {}
-
-    def effect_of(info: "TriggerInfo", mt: "Metatype") -> EffectSet:
-        eff = cache.get(id(info))
-        if eff is None:
-            eff = infer_trigger_effects(info, mt)
-            cache[id(info)] = eff
-        return eff
-
-    pairs: set[frozenset[str]] = set()
-    infos = metatype.all_trigger_infos
-    for i, a in enumerate(infos):
-        for b in infos[i + 1 :]:
-            if a is b:
-                continue
-            if _conflict(a, b, metatype, effect_of):
-                pairs.add(frozenset((a.name, b.name)))
-    return frozenset(pairs)
+    return frozenset(
+        frozenset((a.name, b.name))
+        for a, b, _ in _racing_pairs(metatype, effect_memo(), set())
+    )

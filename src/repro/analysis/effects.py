@@ -40,7 +40,7 @@ import ast
 import dataclasses
 import inspect
 import textwrap
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.trigger_def import TriggerInfo
@@ -159,6 +159,21 @@ def infer_trigger_effects(
         return EffectSet(analyzed=False, unknown=True,
                          unknown_reasons=("no action",))
     return _callable_effects(fn, cls, _MAX_INLINE_DEPTH, set())
+
+
+def effect_memo() -> Callable[["TriggerInfo", "Metatype"], EffectSet]:
+    """:func:`infer_trigger_effects` memoized per (trigger, anchor class),
+    for one run: its passes consult the same sets, and inference (source
+    retrieval plus an AST walk) is the expensive part."""
+    cache: dict[tuple[int, int], EffectSet] = {}
+
+    def effect_of(info: "TriggerInfo", metatype: "Metatype") -> EffectSet:
+        key = (id(info), id(metatype))
+        if key not in cache:
+            cache[key] = infer_trigger_effects(info, metatype)
+        return cache[key]
+
+    return effect_of
 
 
 def infer_callable_effects(fn, cls=None) -> EffectSet:

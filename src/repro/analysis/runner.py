@@ -25,7 +25,7 @@ from repro.analysis.diagnostics import (
     render_json,
     render_text,
 )
-from repro.analysis.effects import EffectSet, infer_trigger_effects
+from repro.analysis.effects import EffectSet, effect_memo
 from repro.analysis.masks import check_trigger_masks, check_vacuous_masks
 from repro.analysis.metadata import check_metadata, check_stale_suppressions
 from repro.analysis.reachability import check_reachability
@@ -127,18 +127,7 @@ def analyze_classes(
                 suppressed[(metatype.name, info.name)] = frozenset(info.suppress)
                 suppressed[(info.defining_type, info.name)] = frozenset(info.suppress)
 
-    # Effect inference is memoized per run: the cascade, confluence and
-    # metadata passes all consult the same sets, and inference (source
-    # retrieval + an AST walk) is the expensive part.
-    effect_cache: dict[tuple[int, int], EffectSet] = {}
-
-    def effect_of(info: "TriggerInfo", metatype: "Metatype") -> EffectSet:
-        key = (id(info), id(metatype))
-        eff = effect_cache.get(key)
-        if eff is None:
-            eff = infer_trigger_effects(info, metatype)
-            effect_cache[key] = eff
-        return eff
+    effect_of = effect_memo()
 
     seen_infos: set[int] = set()
     all_triggers: list[tuple[str, "TriggerInfo"]] = []

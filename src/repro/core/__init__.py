@@ -27,7 +27,7 @@ Layout mirrors Section 5 of the paper:
 """
 
 from repro.core.constraints import activate_constraints
-from repro.core.declarations import set_strict_analysis, strict_analysis_enabled, trigger
+from repro.core.declarations import trigger
 from repro.core.interobject import InterObjectTrigger
 from repro.core.manager import TriggerSystem
 from repro.core.monitored import LocalTriggerSystem, Monitored
@@ -54,7 +54,5 @@ __all__ = [
     "VirtualClock",
     "activate_constraints",
     "global_event_registry",
-    "set_strict_analysis",
-    "strict_analysis_enabled",
     "trigger",
 ]

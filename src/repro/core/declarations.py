@@ -87,34 +87,6 @@ def trigger(
     )
 
 
-# ---------------------------------------------------------------------------
-# Strict declaration analysis
-# ---------------------------------------------------------------------------
-
-#: Process-wide default for running the static analyzer during declaration
-#: processing.  Per-class ``__strict_triggers__`` overrides it either way.
-_STRICT_ANALYSIS = False
-
-
-def set_strict_analysis(enabled: bool) -> bool:
-    """Toggle strict declaration-time analysis; returns the previous value.
-
-    With strict analysis on, :func:`process_active_class` runs the full
-    static analyzer (:mod:`repro.analysis`) over each freshly compiled
-    class and raises :class:`TriggerDeclarationError` if any finding of
-    warning severity or above comes back — the moral equivalent of
-    ``-Werror`` for trigger declarations.
-    """
-    global _STRICT_ANALYSIS
-    previous = _STRICT_ANALYSIS
-    _STRICT_ANALYSIS = bool(enabled)
-    return previous
-
-
-def strict_analysis_enabled() -> bool:
-    return _STRICT_ANALYSIS
-
-
 def mask_arity(fn: Callable[..., bool]) -> int:
     """How many positional parameters mask callable *fn* declares (0 when
     it has no inspectable signature).  A mask is called with that many of
@@ -178,17 +150,13 @@ def _adapt_action(
     return action
 
 
-def process_active_class(cls: type, strict: bool | None = None) -> None:
+def process_active_class(cls: type) -> None:
     """Compile a class's ``__events__`` / ``__masks__`` / ``__triggers__``.
 
     Called from ``Persistent.__init_subclass__``.  Inherited events, masks,
     wrappers, and triggers are merged in (events of a base class are posted
     to derived objects too, Section 4), and each trigger defined *here* is
     compiled against the full inherited alphabet.
-
-    *strict* runs the static analyzer over the compiled class and rejects
-    it on findings; ``None`` defers to a class-level ``__strict_triggers__``
-    attribute, then to the process default (:func:`set_strict_analysis`).
     """
     from repro.objects.metatype import global_type_registry
 
@@ -340,16 +308,3 @@ def process_active_class(cls: type, strict: bool | None = None) -> None:
     from repro.core.compiled import bump_schema_version
 
     bump_schema_version(f"process_active_class:{cls.__name__}")
-
-    # -- strict declaration-time analysis ------------------------------------------
-    if strict is None:
-        strict = bool(cls.__dict__.get("__strict_triggers__", _STRICT_ANALYSIS))
-    if strict:
-        from repro.analysis import Severity, analyze_class, render_text
-
-        findings = analyze_class(metatype).at_least(Severity.WARNING)
-        if findings:
-            raise TriggerDeclarationError(
-                f"strict trigger analysis rejected {cls.__name__}:\n"
-                + render_text(findings)
-            )

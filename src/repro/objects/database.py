@@ -525,67 +525,6 @@ class Database:
         """O++ transaction block: commit on success, ``tabort`` aborts quietly."""
         return self.txn_manager.transaction()
 
-    # -- static analysis ----------------------------------------------------------------------
-
-    def check_triggers(
-        self,
-        targets=None,
-        *,
-        strict: bool = False,
-        concurrency: bool = False,
-        confirm_witnesses: bool = False,
-    ):
-        """Run the static trigger analyzer against this database.
-
-        *targets* restricts the declaration-level passes to an iterable of
-        persistent classes (or metatypes); by default every registered
-        active class is analyzed, plus the ODE050/ODE051 pass over this
-        database's persistent trigger states.  Returns the
-        :class:`repro.analysis.AnalysisReport`.
-
-        With ``strict=True``, any unsuppressed *termination* finding
-        (ODE030/ODE031/ODE200/ODE201 — a trigger set the analyzer cannot
-        prove terminating) raises :class:`TriggerDeclarationError` instead
-        of being returned, turning non-termination into a declaration-time
-        error for deployments that want the guarantee.
-
-        ``concurrency=True`` adds the ODE3xx lock-footprint pass (Section
-        6 read→write amplification, predicted deadlock cycles);
-        ``confirm_witnesses=True`` additionally replays synthesized
-        interleavings on a scratch database to tag predictions
-        CONFIRMED/POSSIBLE.
-        """
-        from repro.analysis import analyze_classes, analyze_database, analyze_registry
-        from repro.analysis.cascade import TERMINATION_CODES
-        from repro.errors import TriggerDeclarationError
-
-        self._check_open()
-        if targets is None:
-            report = analyze_registry(
-                self.registry,
-                concurrency=concurrency,
-                confirm_witnesses=confirm_witnesses,
-            )
-        else:
-            report = analyze_classes(
-                targets,
-                concurrency=concurrency,
-                confirm_witnesses=confirm_witnesses,
-            )
-        report.extend(analyze_database(self).diagnostics)
-        if strict:
-            unresolved = [
-                d for d in report.diagnostics if d.code in TERMINATION_CODES
-            ]
-            if unresolved:
-                from repro.analysis import render_text
-
-                raise TriggerDeclarationError(
-                    "check_triggers(strict=True): the analyzer cannot prove "
-                    "this trigger set terminates:\n" + render_text(unresolved)
-                )
-        return report
-
     # -- lifecycle ----------------------------------------------------------------------------
 
     @property

@@ -1,11 +1,11 @@
-"""Static-analyzer tests: every diagnostic code, CLI, strict mode, ODE050.
+"""Static-analyzer tests: every diagnostic code, CLI, ODE050.
 
 The deliberately-defective declarations live in
 :mod:`tests.analysis_fixtures`; each test here asserts the analyzer
 reports exactly the expected stable code, and the ``Clean*`` control
-classes stay quiet.  CLI behaviour (including the ``--self-check
-examples/`` repo gate) runs in subprocesses so the bad fixture classes
-never pollute the child's type registry.
+classes stay quiet.  CLI behaviour (including the ``examples/ --fail-on
+info`` repo gate) runs in subprocesses so the bad fixture classes never
+pollute the child's type registry.
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ from repro.analysis import (
     analyze_machine,
 )
 from repro.analysis.subsumption import check_subsumption
-from repro.core.declarations import (
-    set_strict_analysis,
-    strict_analysis_enabled,
-    trigger,
-)
-from repro.errors import TriggerDeclarationError
+from repro.core.declarations import trigger
 from repro.events.compile import compile_expression
 from repro.events.dfa import find_inclusion_witness, language_included
 from repro.objects.persistent import Persistent
@@ -201,63 +196,6 @@ class TestLanguageInclusion:
         assert language_included(b, a)
 
 
-class TestStrictMode:
-    def test_strict_flag_round_trips(self):
-        prev = set_strict_analysis(True)
-        try:
-            assert strict_analysis_enabled()
-        finally:
-            set_strict_analysis(prev)
-        assert strict_analysis_enabled() == prev
-
-    def test_strict_mode_rejects_bad_declaration(self):
-        prev = set_strict_analysis(True)
-        try:
-            with pytest.raises(TriggerDeclarationError) as err:
-
-                class StrictlyBadSpareMask(Persistent):
-                    __events__ = ["Tock"]
-                    __triggers__ = [
-                        trigger(
-                            "Checked",
-                            "Tock",
-                            action=_noop,
-                            masks={"spare": lambda self: True},
-                        )
-                    ]
-
-            assert "ODE011" in str(err.value)
-        finally:
-            set_strict_analysis(prev)
-
-    def test_strict_mode_accepts_clean_declaration(self):
-        prev = set_strict_analysis(True)
-        try:
-
-            class StrictlyFineGadget(Persistent):
-                __events__ = ["Tack"]
-                __triggers__ = [trigger("Plain", "Tack", action=_noop)]
-
-        finally:
-            set_strict_analysis(prev)
-
-    def test_class_level_strict_attribute(self):
-        assert not strict_analysis_enabled()
-        with pytest.raises(TriggerDeclarationError) as err:
-
-            class LocallyStrictVacuous(Persistent):
-                __strict_triggers__ = True
-                __events__ = ["Knock"]
-                __masks__ = {"odd": lambda self: True}
-                __triggers__ = [
-                    trigger(
-                        "Gated", "Knock || (Knock & odd)", action=_noop
-                    )
-                ]
-
-        assert "ODE010" in str(err.value)
-
-
 class _ExampleLoader:
     _modules: dict[str, object] = {}
 
@@ -276,8 +214,8 @@ class _ExampleLoader:
 class TestExamplesAreClean:
     def test_every_example_class_is_clean(self):
         """The examples directory is lint-clean (in-process twin of the CLI
-        ``--self-check`` gate; uses explicit targets because the bad fixture
-        classes share this process's type registry)."""
+        ``examples/ --fail-on info`` gate; uses explicit targets because the
+        bad fixture classes share this process's type registry)."""
         targets = []
         for path in sorted(EXAMPLES_DIR.glob("*.py")):
             module = _ExampleLoader.load(path)
@@ -372,7 +310,7 @@ class TestCommandLine:
             assert code in proc.stdout
 
     def test_json_output_is_parseable(self):
-        proc = _run_cli("tests/analysis_fixtures.py", "--json")
+        proc = _run_cli("tests/analysis_fixtures.py", "--format", "json")
         assert proc.returncode == 1, proc.stderr
         findings = json.loads(proc.stdout)
         assert {f["code"] for f in findings} == EXPECTED_FIXTURE_CODES
@@ -384,8 +322,9 @@ class TestCommandLine:
         assert "ODE030" in proc.stdout
 
     def test_self_check_examples_passes(self):
-        """The repo gate: examples/ must be lint-clean."""
-        proc = _run_cli("--self-check", "examples")
+        """The repo gate: examples/ must be lint-clean — a directory target
+        under ``--fail-on info`` fails on any finding at all."""
+        proc = _run_cli("examples", "--fail-on", "info")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_self_check_fails_on_bad_directory(self, tmp_path):
@@ -398,12 +337,12 @@ class TestCommandLine:
             "    __triggers__ = [trigger('T', 'Go', action=lambda s, c: None,\n"
             "                            posts=('Missing',))]\n"
         )
-        proc = _run_cli("--self-check", str(tmp_path))
+        proc = _run_cli(str(tmp_path), "--fail-on", "info")
         assert proc.returncode == 1
         assert "ODE032" in proc.stdout
 
     def test_module_target_is_clean(self):
-        proc = _run_cli("repro.workloads.credit_card", "--json")
+        proc = _run_cli("repro.workloads.credit_card", "--format", "json")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == []
 
@@ -479,38 +418,9 @@ class TestCommandLine:
         text = _run_cli(str(mod))
         assert text.returncode == 0, text.stdout + text.stderr
         assert "ODE203" in text.stdout
-        as_json = _run_cli(str(mod), "--json")
+        as_json = _run_cli(str(mod), "--format", "json")
         assert as_json.returncode == 0, as_json.stdout + as_json.stderr
         assert {f["code"] for f in json.loads(as_json.stdout)} == {"ODE203"}
-
-    def test_strict_promotes_ode2xx_warnings_to_errors(self, tmp_path):
-        mod = tmp_path / "stale_posts.py"
-        mod.write_text(
-            "from repro.core.declarations import trigger\n"
-            "from repro.objects.persistent import Persistent\n"
-            "def _quiet(self, ctx):\n"
-            "    pass\n"
-            "class StaleOnly(Persistent):\n"
-            "    __events__ = ['Go', 'Done']\n"
-            "    __triggers__ = [trigger('T', 'Go', action=_quiet,\n"
-            "                            posts=('Done',))]\n"
-        )
-        proc = _run_cli(str(mod), "--strict", "--json")
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        (finding,) = [
-            f for f in json.loads(proc.stdout) if f["code"] == "ODE203"
-        ]
-        assert finding["severity"] == "error"
-
-    def test_strict_leaves_ode0xx_severities_alone(self):
-        proc = _run_cli("tests/analysis_fixtures.py", "--strict", "--json")
-        assert proc.returncode == 1
-        by_code = {}
-        for f in json.loads(proc.stdout):
-            by_code.setdefault(f["code"], set()).add(f["severity"])
-        assert by_code["ODE020"] == {"warning"}   # 0xx untouched
-        assert by_code["ODE201"] == {"error"}     # 2xx promoted
-        assert by_code["ODE206"] == {"info"}      # info stays info
 
     def test_tools_lint_subcommand_dispatches(self):
         env = dict(os.environ)
@@ -525,3 +435,22 @@ class TestCommandLine:
         )
         assert proc.returncode == 0
         assert "ODE020" in proc.stdout
+
+    def test_package_directory_imports_each_file_once(self):
+        """A directory of package modules that import one another: each is
+        loaded once, under its dotted name, so no class is registered twice
+        (which would warn that it "replaces the one from module")."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning", "-m",
+                "repro.tools", "lint", "src/repro/workloads/", "--fail-on", "error",
+            ],
+            cwd=str(REPO_ROOT),
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -47,7 +47,7 @@ from repro.core.compiled import (
     schema_version,
 )
 from repro.core.constraints import CONSTRAINT_PREFIX
-from repro.core.declarations import set_strict_analysis, trigger
+from repro.core.declarations import trigger
 from repro.core.monitored import LocalTriggerSystem, Monitored
 from repro.core.posting import PostingStats, interpreted
 from repro.core.trigger_def import IntFsm
@@ -522,6 +522,51 @@ def test_posting_to_a_compiled_group_loads_no_analysis_module(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+_TWO_READY = """
+import sys
+from repro import Database, Persistent
+from repro.core.declarations import trigger
+
+class TwoReadyGadget(Persistent):
+    __events__ = ["Tick"]
+    __triggers__ = [
+        trigger("First", "Tick", action=lambda s, c: None, perpetual=True),
+        trigger("Second", "Tick", action=lambda s, c: None, perpetual=True),
+    ]
+
+db = Database.open(sys.argv[1], engine="mm")
+with db.transaction():
+    h = db.pnew(TwoReadyGadget)
+    h.First()
+    h.Second()
+    h.post_event("Tick")  # readies both: the confluence verdict is asked
+assert db.trigger_system.stats.firings == 2
+db.close()
+print(sorted(name for name in sys.modules if name.startswith("repro.analysis")))
+"""
+
+
+def test_posting_that_readies_two_triggers_loads_four_analysis_modules(tmp_path):
+    """A ready set of two asks the static confluence verdict, which needs
+    the package, ``confluence``, ``diagnostics`` and ``effects`` — not the
+    passes only the linter runs."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    script = tmp_path / "post.py"
+    script.write_text(_TWO_READY)
+    result = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "db")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str([
+        "repro.analysis",
+        "repro.analysis.confluence",
+        "repro.analysis.diagnostics",
+        "repro.analysis.effects",
+    ])
 
 
 def test_every_shipped_trigger_is_served_by_generated_code():
@@ -1270,20 +1315,11 @@ def _define_stale_demo(tag):
 
 
 def test_class_compilation_and_strict_flip_bump_schema_version():
-    """A class compilation bumps the schema version; a strict-analysis
-    flip does not, as nothing the tier keeps depends on it."""
+    """A class compilation bumps the schema version."""
     before = schema_version()
     _define_stale_demo("v-bump")
     assert schema_version() == before + 1
     assert "StaleDemo" in last_bump_reason()
-
-    before = schema_version()
-    previous = set_strict_analysis(True)
-    try:
-        assert schema_version() == before
-    finally:
-        set_strict_analysis(previous)
-    assert schema_version() == before
 
 
 def test_register_shim_bumps_schema_version():
@@ -1667,9 +1703,12 @@ def test_ode205_is_pass_aware_for_ode4xx():
 
 
 def test_check_triggers_and_metrics_surface(tmp_path):
+    from repro.analysis import analyze_classes, analyze_database
+
     db = Database.open(str(tmp_path / "surface"), engine="mm")
     try:
-        report = db.check_triggers([TierGadget])
+        report = analyze_classes([TierGadget])
+        report.extend(analyze_database(db).diagnostics)
         assert not {code for code in report.codes() if code.startswith("ODE4")}
         with db.transaction():
             h = db.pnew(TierGadget)

@@ -282,6 +282,9 @@ class TestStaticPasses:
     def test_pass_is_opt_in(self):
         assert _ode3(analyze_classes([AmplifyGadget])) == []
 
+    def test_pass_is_opt_in_on_hot_object(self):
+        assert _ode3(analyze_classes([HotObject])) == []
+
     def test_witness_handles_unbuildable_plans(self):
         metatype = CredCard.__metatype__
         infos = {i.name: i for i in metatype.trigger_infos}
@@ -472,20 +475,6 @@ class TestDeterminism:
 
 
 # --------------------------------------------------------------------------
-# Database.check_triggers wiring
-
-
-class TestCheckTriggersWiring:
-    def test_concurrency_kwarg_enables_the_pass(self, mm_db):
-        report = mm_db.check_triggers(targets=[HotObject], concurrency=True)
-        assert {d.code for d in _ode3(report)} >= {"ODE300", "ODE301"}
-
-    def test_default_stays_quiet(self, mm_db):
-        report = mm_db.check_triggers(targets=[HotObject])
-        assert _ode3(report) == []
-
-
-# --------------------------------------------------------------------------
 # CLI contract (subprocesses, so gadget classes cannot leak)
 
 
@@ -515,7 +504,7 @@ class TestCommandLine:
 
     def test_examples_self_check_stays_clean(self):
         proc = _run_cli(
-            "--self-check", "examples", "--concurrency", "--no-confirm"
+            "examples", "--fail-on", "info", "--concurrency", "--no-confirm"
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 

@@ -3,7 +3,7 @@
 Covers the inference itself (AST walking, string actions, lambdas, tag
 protocol, widening), the DFA helpers the termination/confluence passes
 build on, the repo-wide sweep (inference must never crash on any trigger
-shipped in workloads/ or examples/), ``Database.check_triggers``, the
+shipped in workloads/ or examples/), a database's analysis, the
 typed ``trigger_info`` errors, and the runtime firing-order guard.
 """
 
@@ -13,15 +13,16 @@ import pathlib
 
 import pytest
 
-from repro.analysis import infer_callable_effects, infer_trigger_effects
+from repro.analysis import (
+    analyze_classes,
+    analyze_database,
+    infer_callable_effects,
+    infer_trigger_effects,
+)
 from repro.analysis.confluence import non_confluent_pairs
 from repro.analysis.effects import EffectSet
 from repro.core.declarations import trigger
-from repro.errors import (
-    SchemaError,
-    TriggerDeclarationError,
-    UnknownTriggerError,
-)
+from repro.errors import SchemaError, UnknownTriggerError
 from repro.events.compile import compile_expression
 from repro.events.dfa import (
     acceptance_avoiding,
@@ -232,27 +233,15 @@ class TestDfaHelpers:
 
 
 # ---------------------------------------------------------------------------
-# Database.check_triggers
+# a database's analysis: declaration passes, then the persistent states
 # ---------------------------------------------------------------------------
 
 
 class TestCheckTriggers:
     def test_reports_cascade_findings_for_targets(self, disk_db):
-        report = disk_db.check_triggers(targets=[fx.BadImmediateCascade])
+        report = analyze_classes([fx.BadImmediateCascade])
+        report.extend(analyze_database(disk_db).diagnostics)
         assert "ODE030" in report.codes()
-
-    def test_strict_raises_on_unproven_termination(self, disk_db):
-        with pytest.raises(TriggerDeclarationError) as err:
-            disk_db.check_triggers(
-                targets=[fx.BadImmediateCascade], strict=True
-            )
-        assert "terminate" in str(err.value)
-
-    def test_strict_passes_on_clean_targets(self, disk_db):
-        report = disk_db.check_triggers(
-            targets=[fx.CleanDeclaredPoster], strict=True
-        )
-        assert report.codes() == set()
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,10 @@ declarations, :func:`analyze_machine` for bare machines,
 :func:`analyze_database` for persistent trigger states, and
 ``python -m repro.analysis`` (or ``python -m repro.tools lint``) on the
 command line.  Each returns an :class:`AnalysisReport`; the CLI's
-``--fail-on`` is the one gate on its findings.  The engine runs no pass:
-a posting that readies several triggers only asks
-:func:`non_confluent_pairs` (DESIGN.md §9).  Names load their submodule
-on first use, so that verdict imports ``confluence``, ``diagnostics`` and
-``effects`` alone.
+``--fail-on`` is the one gate on its findings.  The engine imports
+nothing from this package: it fires a ready set in activation order and
+asks no pass at run time (DESIGN.md §9).  Names load their submodule on
+first use, so ``import repro.analysis`` alone loads no pass.
 """
 
 import importlib
@@ -74,7 +73,6 @@ _EXPORTS = {
         "LockFootprint", "LockStep", "check_lock_trace",
         "infer_lock_footprint", "observed_lock_profile", "static_lock_profile",
     ),
-    "confluence": ("non_confluent_pairs",),
     "diagnostics": (
         "CODES", "Diagnostic", "Location", "Severity", "render_json", "render_text",
     ),

@@ -24,45 +24,25 @@ Pairs where either effect set is ``unknown`` are skipped: asserting
 non-confluence from a widened effect set would drown real findings (the
 unknown itself is reported as ODE206 by the metadata pass).
 
-The verdict is also consumed at run time: the trigger manager asks
-:func:`non_confluent_pairs` for the racy pairs of a class and counts
-postings whose ready set contains one, while keeping the documented
-deterministic order (activation order) — see DESIGN.md §9.
+The verdict is a lint finding only: the engine fires a ready set in
+activation order and asks nothing at run time — see DESIGN.md §9.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.analysis.diagnostics import Diagnostic, Location
-from repro.analysis.effects import EffectSet, effect_memo
+from repro.analysis.effects import EffectSet
 from repro.events.dfa import firing_symbols
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.trigger_def import TriggerInfo
     from repro.objects.metatype import Metatype
 
-__all__ = ["check_confluence", "non_confluent_pairs"]
+__all__ = ["check_confluence"]
 
 EffectOf = Callable[["TriggerInfo", "Metatype"], Optional[EffectSet]]
-
-
-def _racing_pairs(
-    metatype: "Metatype", effect_of: EffectOf, seen: set[frozenset[int]]
-) -> Iterator[tuple["TriggerInfo", "TriggerInfo", frozenset[str]]]:
-    """The racing ``(a, b, overlap)`` pairs among *metatype*'s triggers,
-    skipping (and adding to *seen*) pairs an earlier anchor already
-    judged."""
-    infos = metatype.all_trigger_infos
-    for i, a in enumerate(infos):
-        for b in infos[i + 1 :]:
-            pair = frozenset((id(a), id(b)))
-            if len(pair) < 2 or pair in seen:
-                continue
-            seen.add(pair)
-            overlap = _conflict(a, b, metatype, effect_of)
-            if overlap:
-                yield a, b, overlap
 
 
 def check_confluence(
@@ -73,22 +53,34 @@ def check_confluence(
     *effect_of* resolves (and caches) the inferred effect set of a
     trigger in the context of the anchor class being analyzed.
     """
+    out: list[Diagnostic] = []
+    # Pairs an earlier anchor already judged (an inherited trigger pair
+    # appears under every subclass).
     seen: set[frozenset[int]] = set()
-    return [
-        Diagnostic(
-            "ODE202",
-            f"triggers {a.name!r} and {b.name!r} can fire on "
-            "the same posting at the same coupling point but "
-            "their actions do not commute (both touch "
-            f"{', '.join(sorted(overlap))}); the final state "
-            "depends on activation order — see DESIGN.md §9 "
-            "for the canonical order",
-            Location(metatype.name, a.name),
-            related=(f"{metatype.name}.{b.name}",),
-        )
-        for metatype in metatypes
-        for a, b, overlap in _racing_pairs(metatype, effect_of, seen)
-    ]
+    for metatype in metatypes:
+        infos = metatype.all_trigger_infos
+        for i, a in enumerate(infos):
+            for b in infos[i + 1 :]:
+                pair = frozenset((id(a), id(b)))
+                if len(pair) < 2 or pair in seen:
+                    continue
+                seen.add(pair)
+                overlap = _conflict(a, b, metatype, effect_of)
+                if overlap:
+                    out.append(
+                        Diagnostic(
+                            "ODE202",
+                            f"triggers {a.name!r} and {b.name!r} can fire on "
+                            "the same posting at the same coupling point but "
+                            "their actions do not commute (both touch "
+                            f"{', '.join(sorted(overlap))}); the final state "
+                            "depends on activation order — see DESIGN.md §9 "
+                            "for the canonical order",
+                            Location(metatype.name, a.name),
+                            related=(f"{metatype.name}.{b.name}",),
+                        )
+                    )
+    return out
 
 
 def _conflict(
@@ -110,13 +102,3 @@ def _conflict(
     if not ea.analyzed or not eb.analyzed:
         return frozenset()
     return ea.conflicts(eb)
-
-
-def non_confluent_pairs(metatype: "Metatype") -> frozenset[frozenset[str]]:
-    """Runtime helper: the pairs of trigger *names* on *metatype* whose
-    firing order is observable.  Pure computation over declarations —
-    safe to call (and cache) from inside a transaction."""
-    return frozenset(
-        frozenset((a.name, b.name))
-        for a, b, _ in _racing_pairs(metatype, effect_memo(), set())
-    )

@@ -1,8 +1,10 @@
 """The trigger system: activation, deactivation, coupling modes, tx events.
 
-One :class:`TriggerSystem` is attached to each open database.  It owns the
-trigger index (kept in the object headers), installs the coupling-mode
-hooks on every transaction, and implements the Section 5.5 transaction
+Each :class:`Database` builds one :class:`TriggerSystem` before its first
+transaction.  It owns the trigger index (kept in the object headers), and
+its coupling-mode hooks — ``before_commit``, ``after_commit``,
+``before_abort``, ``after_abort``, which ``TransactionManager.commit`` and
+``abort`` call themselves — implement the Section 5.5 transaction
 integration:
 
 * **end** (deferred) actions run inside the committing transaction,
@@ -72,12 +74,7 @@ class TriggerSystem:
         self.db = db
         self.index = TriggerIndex(db, self.states)
         self.stats = PostingStats()
-        metrics = getattr(db, "metrics", None)
-        if metrics is not None:
-            metrics.register_source("posting", self.stats)
-        # Static confluence verdicts, lazily computed per anchor class:
-        # metatype id -> frozenset of non-confluent trigger-name pairs.
-        self._confluence_cache: dict[int, frozenset[frozenset[str]]] = {}
+        db.metrics.register_source("posting", self.stats)
         # (trigobjtype, triggernum) -> Resolution, under ``_resolved_at``,
         # the schema version the memo was started under (see _memo()).
         self._resolutions: dict[tuple[str, int], Resolution] = {}
@@ -92,13 +89,12 @@ class TriggerSystem:
         # buffer against copy-on-write versions and merge at commit.
         self.versions = None
         self._store_type: type[StateStore] = LockInPlaceStates
-        if getattr(db, "trigger_cc", "2pl") == "mvcc":
+        if db.trigger_cc == "mvcc":
             from repro.core.versioned import AdvanceBuffer, TriggerVersionManager
 
             self.versions = TriggerVersionManager(db)
             self._store_type = AdvanceBuffer
-            if metrics is not None:
-                metrics.register_source("mvcc", self.versions.stats)
+            db.metrics.register_source("mvcc", self.versions.stats)
 
     def states(self, txn: "Transaction") -> StateStore:
         """*txn*'s trigger-state store (created on first use)."""
@@ -132,9 +128,8 @@ class TriggerSystem:
         resolution = memo.get(kind)
         if resolution is None:
             trigobjtype, triggernum = kind
-            defining = self.db.registry.find(trigobjtype)
-            info = defining.trigger_info(triggernum)
-            resolution = memo[kind] = Resolution(version, defining, info)
+            info = self.db.registry.find(trigobjtype).trigger_info(triggernum)
+            resolution = memo[kind] = Resolution(version, info)
         return resolution
 
     def resolutions(self, key: tuple) -> list[Resolution]:
@@ -383,51 +378,6 @@ class TriggerSystem:
         store = txn.attachments.get(STATE_STORE)
         if store is not None:
             store.write_back()
-
-    # -- firing-order guard (DESIGN.md §9) ---------------------------------------
-
-    def nonconfluent_pairs(self, cls: type) -> frozenset[frozenset[str]]:
-        """The statically non-confluent trigger-name pairs of *cls*.
-
-        Computed once per class from inferred action effects (see
-        ``repro.analysis.confluence``) and cached; analysis failures
-        degrade to "no known races" rather than breaking posting.
-        """
-        metatype = getattr(cls, "__metatype__", None)
-        if metatype is None:
-            return frozenset()
-        cached = self._confluence_cache.get(id(metatype))
-        if cached is None:
-            from repro.analysis.confluence import non_confluent_pairs
-
-            try:
-                cached = non_confluent_pairs(metatype)
-            except Exception:
-                cached = frozenset()
-            self._confluence_cache[id(metatype)] = cached
-        return cached
-
-    def order_ready(self, ready: list, cls: type) -> list:
-        """Canonical firing order for one posting's ready set.
-
-        The documented order is *activation order* — the order of the
-        object's trigger group — so the list is returned unchanged.  The
-        guard's job is detection: when the set contains a pair the
-        analyzer proved non-confluent, the posting is counted in
-        ``stats.nonconfluent_firing_sets`` (ODE202 flags the same pair
-        statically; suppressing it and relying on this order is the
-        sanctioned escape hatch).
-        """
-        pairs = self.nonconfluent_pairs(cls)
-        if pairs:
-            names = [record.info.name for record in ready]
-            if any(
-                frozenset((names[i], names[j])) in pairs
-                for i in range(len(names))
-                for j in range(i + 1, len(names))
-            ):
-                self.stats.nonconfluent_firing_sets += 1
-        return ready
 
     # -- posting entry points -----------------------------------------------------
 

@@ -112,7 +112,6 @@ class LocalRules(Group):
         )
         machine = Machine(None, state.local_id, state)
         machine.info = info
-        machine.defining = getattr(type(self.obj), "__metatype__", None)
         return machine
 
 

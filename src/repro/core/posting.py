@@ -263,9 +263,6 @@ class PostingStats(Stats):
     firings: int = 0
     #: events posted through the :func:`post_many` batch API
     batched: int = 0
-    #: postings whose ready set contained a statically non-confluent
-    #: trigger pair (the firing-order guard observed a real race)
-    nonconfluent_firing_sets: int = 0
     #: per-trigger advances served by the generated-code fast path
     compiled_hits: int = 0
     #: per-trigger advances the interpreter step served instead (a
@@ -280,16 +277,15 @@ class PostingStats(Stats):
 
 class Resolution:
     """What one trigger kind — a ``(trigobjtype, triggernum)`` pair —
-    resolves to under one trigger-schema ``version``: the ``defining``
-    metatype and its ``TriggerInfo``.  The trigger system memoizes one
-    per kind (``TriggerSystem.resolve``), shared by every machine of that
-    kind in every transaction."""
+    resolves to under one trigger-schema ``version``: its
+    ``TriggerInfo``.  The trigger system memoizes one per kind
+    (``TriggerSystem.resolve``), shared by every machine of that kind in
+    every transaction."""
 
-    __slots__ = ("version", "defining", "info")
+    __slots__ = ("version", "info")
 
-    def __init__(self, version: int, defining, info: TriggerInfo):
+    def __init__(self, version: int, info: TriggerInfo):
         self.version = version
-        self.defining = defining
         self.info = info
 
 
@@ -303,24 +299,23 @@ class Machine:
     transaction's groups hold no reference cycle and are freed by
     reference counting when it ends.
 
-    ``version`` is the trigger-schema version ``info`` and ``defining``
-    were resolved against (``None``: not yet); the kernel resolves them
-    again before a machine fires or is settled, so a class redefined
-    mid-transaction never fires a stale action.
+    ``version`` is the trigger-schema version ``info`` was resolved
+    against (``None``: not yet); the kernel resolves it again before a
+    machine fires or is settled, so a class redefined mid-transaction
+    never fires a stale action.
     """
 
-    __slots__ = ("rid", "serial", "state", "info", "defining", "version")
+    __slots__ = ("rid", "serial", "state", "info", "version")
 
     def __init__(self, rid: int | None, serial: int, state):
         self.rid = rid
         self.serial = serial
         self.state = state
-        self.info = self.defining = self.version = None
+        self.info = self.version = None
 
     def adopt(self, resolution: Resolution) -> None:
-        """Take *resolution*'s version, defining metatype and info."""
+        """Take *resolution*'s version and info."""
         self.version = resolution.version
-        self.defining = resolution.defining
         self.info = resolution.info
 
 
@@ -947,17 +942,13 @@ def _post(system: "TriggerSystem", db: "Database", batch, batched: bool) -> int:
         if ready:
             # Fire only after every trigger has had the basic event posted
             # — "to prevent the action of one trigger from affecting the
-            # mask of another trigger".  When more than one detection
-            # completed on the same posting, consult the static confluence
-            # verdict: non-confluent sets keep the documented canonical
-            # order (activation order, as the group holds it) and are
-            # counted, so racy schedules are observable in the stats.
+            # mask of another trigger" — in activation order, the order
+            # the group holds (§5.4.5: an unspecified order that keeps the
+            # conceptual semantics; ODE202 names the racing pairs).
             records = [
                 FiringRecord(TriggerId(db.name, m.rid, m.serial), m.state, m.info)
                 for m in ready
             ]
-            if len(records) > 1:
-                records = system.order_ready(records, type(obj))
             for order, record in enumerate(records):
                 if span:
                     obs.emit(

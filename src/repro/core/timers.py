@@ -107,9 +107,7 @@ class TimerService:
         # session's transaction).
         self._mutex = threading.RLock()
         self.stats = TimerStats()
-        metrics = getattr(db, "metrics", None)
-        if metrics is not None:
-            metrics.register_source("timers", self.stats)
+        db.metrics.register_source("timers", self.stats)
 
     @property
     def fired(self) -> int:

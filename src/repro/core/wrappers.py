@@ -45,13 +45,13 @@ def make_method_wrapper(
         **kwargs: Any,
     ) -> Any:
         trigger_system = db.trigger_system
-        if before_eventnum is not None and trigger_system is not None:
+        if before_eventnum is not None:
             occurrence = EventOccurrence(before_eventnum, method_name, args, kwargs)
             trigger_system.post_event(db, before_eventnum, ptr, obj, occurrence)
         method = getattr(obj, method_name)  # dynamic: virtual dispatch
         result = method(*args, **kwargs)
         db.mark_dirty(obj)
-        if after_eventnum is not None and trigger_system is not None:
+        if after_eventnum is not None:
             occurrence = EventOccurrence(after_eventnum, method_name, args, kwargs)
             trigger_system.post_event(db, after_eventnum, ptr, obj, occurrence)
         return result

@@ -40,7 +40,6 @@ from repro.errors import (
     ObjectError,
     RecordNotFoundError,
     SessionError,
-    TriggerError,
 )
 from repro.objects.handle import PersistentHandle
 from repro.objects.index import FieldIndex, load_index
@@ -102,8 +101,8 @@ class Database:
         self.storage = open_storage(path, engine=engine, **engine_kwargs)
         try:
             # One metrics namespace per database: the per-layer stats
-            # dataclasses mount here (posting.* joins when the trigger
-            # system attaches, timers.* when a TimerService is created).
+            # dataclasses mount here (timers.* when a TimerService is
+            # created).
             from repro.obs.metrics import MetricsRegistry
 
             self.metrics = MetricsRegistry()
@@ -129,11 +128,12 @@ class Database:
             from repro.core.registry import global_event_registry
 
             self.metrics.register_source("events", global_event_registry())
-            # Attached below; kept as an attribute so the object layer has no
-            # import-time dependency on the trigger system.
-            self.trigger_system = None
+            # Imported here so the object layer has no import-time
+            # dependency on the trigger system.
+            from repro.core.manager import TriggerSystem
+
+            self.trigger_system = TriggerSystem(self)
             self._bootstrap()
-            self._attach_trigger_system()
             with Database._open_lock:
                 if name in Database._open_databases:
                     raise DatabaseError(
@@ -185,11 +185,6 @@ class Database:
             self.txn_manager.commit(txn)
         self._catalog_rid = self.storage.get_root()
 
-    def _attach_trigger_system(self) -> None:
-        from repro.core.manager import TriggerSystem
-
-        self.trigger_system = TriggerSystem(self)
-
     # -- catalog ------------------------------------------------------------------------
 
     @property
@@ -233,12 +228,11 @@ class Database:
         for index in self._indexes_for(txn, cls):
             index.on_insert(txn, rid, instance.__dict__.get(index.field_name))
         handle = PersistentHandle(self, ptr, instance, self.current_session())
-        if self.trigger_system is not None:
-            self.trigger_system.on_access(txn, ptr, instance)
-            from repro.core.constraints import activate_constraints, constraint_infos
+        self.trigger_system.on_access(txn, ptr, instance)
+        from repro.core.constraints import activate_constraints, constraint_infos
 
-            if constraint_infos(cls):
-                activate_constraints(self, handle)
+        if constraint_infos(cls):
+            activate_constraints(self, handle)
         return handle
 
     def deref(self, ptr: PersistentPtr) -> PersistentHandle:
@@ -264,8 +258,7 @@ class Database:
             if flags & FLAG_HAS_TRIGGERS:
                 instance.__dict__["_p_group"] = group
             txn.cache[ptr.rid] = instance
-            if self.trigger_system is not None:
-                self.trigger_system.on_access(txn, ptr, instance)
+            self.trigger_system.on_access(txn, ptr, instance)
         return PersistentHandle(self, ptr, instance, session)
 
     def post_many(self, items) -> int:
@@ -291,8 +284,6 @@ class Database:
         each run is one ``post_many`` of its own database.
         """
         self._check_open()
-        if self.trigger_system is None:
-            raise TriggerError("this database has no trigger system attached")
         resolved = []
         foreign = None  # index in *resolved* -> its database, if not this one
         cache = None
@@ -324,8 +315,6 @@ class Database:
         firings = 0
         keyed = [(foreign.get(i, self), item) for i, item in enumerate(resolved)]
         for db, run in groupby(keyed, key=itemgetter(0)):
-            if db.trigger_system is None:
-                raise TriggerError("this database has no trigger system attached")
             firings += db.trigger_system.post_many(db, [item for _, item in run])
         return firings
 
@@ -340,8 +329,7 @@ class Database:
             index.on_delete(
                 txn, ptr.rid, handle.obj.__dict__.get(index.field_name)
             )
-        if self.trigger_system is not None:
-            self.trigger_system.on_pdelete(self, ptr)
+        self.trigger_system.on_pdelete(self, ptr)
         self.storage.delete(txn.txid, ptr.rid)
         txn.cache.pop(ptr.rid, None)
         txn.dirty.discard(ptr.rid)
@@ -440,8 +428,7 @@ class Database:
             )
             self.storage.write(txn.txid, rid, data)
         txn.dirty.clear()
-        if self.trigger_system is not None:
-            self.trigger_system.write_back(txn)
+        self.trigger_system.write_back(txn)
 
     # -- extents -------------------------------------------------------------------------
 

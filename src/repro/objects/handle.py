@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import TriggerError
 from repro.sessions.session import ambient_session, is_ambient
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -154,11 +153,12 @@ class PersistentHandle:
 
     def post_event(self, event_name: str) -> None:
         """Explicitly post the user-defined event *event_name* to this object."""
-        trigger_system = self._db.trigger_system
-        if trigger_system is None:
-            raise TriggerError("this database has no trigger system attached")
         self._scoped(
-            trigger_system.post_user_event, self._db, self._ptr, self._obj, event_name
+            self._db.trigger_system.post_user_event,
+            self._db,
+            self._ptr,
+            self._obj,
+            event_name,
         )
 
     # -- misc ----------------------------------------------------------------------

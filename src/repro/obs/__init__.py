@@ -133,13 +133,12 @@ def transaction_delta(txn: "Transaction") -> dict:
     """The metrics delta since *txn* began (tracing must have been on).
 
     Returns ``{}`` when no begin-snapshot was taken (tracing was disabled
-    when the transaction started, or the database has no registry).
+    when the transaction started).
     """
     before = txn.attachments.get(TXN_METRICS_KEY)
-    metrics = getattr(txn.db, "metrics", None)
-    if before is None or metrics is None:
+    if before is None:
         return {}
-    return metrics.delta_since(before)
+    return txn.db.metrics.delta_since(before)
 
 
 __all__ = [

@@ -170,9 +170,10 @@ class LockManager:
         #: Acquisition-order trace (see :meth:`start_order_trace`): when
         #: not ``None``, every grant appends ``(txid, resource, mode name,
         #: upgrading)`` — including grants made after a wait, which the
-        #: obs layer does not re-announce.  The static analyzer's dynamic
-        #: lockset checker consumes this to validate footprint order.
-        #: Appends happen under the manager mutex.
+        #: obs layer does not re-announce.  Only tests start it (the lock
+        #: tests and the storage engines' timeline test); the analyzer's
+        #: ``check_lock_trace`` reads obs ``lock.acquire``/``lock.wait``
+        #: records instead.  Appends happen under the manager mutex.
         self.order_log: list[tuple[int, object, str, bool]] | None = None
 
     # -- order tracing -------------------------------------------------------

@@ -97,10 +97,7 @@ def describe_stats(db: "Database") -> list[str]:
     """Current metrics-registry snapshot, one ``name = value`` line each."""
     from repro.obs.metrics import describe
 
-    metrics = getattr(db, "metrics", None)
-    if metrics is None:
-        return ["(no metrics registry)"]
-    return describe(metrics.snapshot())
+    return describe(db.metrics.snapshot())
 
 
 def dump_database(db: "Database") -> str:

@@ -125,9 +125,7 @@ class TransactionManager:
             obs.emit("txn.begin", txid=txn.txid, system=system, session=sess.name)
             # Per-transaction metrics delta: snapshot the registry now so
             # obs.transaction_delta(txn) can report what this txn cost.
-            metrics = getattr(self.db, "metrics", None)
-            if metrics is not None:
-                txn.attachments[obs.TXN_METRICS_KEY] = metrics.snapshot()
+            txn.attachments[obs.TXN_METRICS_KEY] = self.db.metrics.snapshot()
         for listener in self._begin_listeners:
             listener(txn)
         return txn
@@ -158,11 +156,9 @@ class TransactionManager:
         """
         self._require_current(txn)
         txn.state = TxnState.COMMITTING
-        # None while the database bootstraps, before it is attached.
         trigger_system = self.db.trigger_system
         try:
-            if trigger_system is not None:
-                trigger_system.before_commit(txn)
+            trigger_system.before_commit(txn)
             if txn.before_commit:
                 for hook in list(txn.before_commit):
                     hook(txn)
@@ -170,7 +166,7 @@ class TransactionManager:
             txn.state = TxnState.ACTIVE
             self.abort(txn, explicit=True)
             return txn.state
-        versions = getattr(trigger_system, "versions", None)
+        versions = trigger_system.versions
         try:
             self.dependencies.check_commit_allowed(txn.txid, self.outcomes)
             self.db.flush_transaction(txn)
@@ -222,8 +218,7 @@ class TransactionManager:
                 system=txn.system,
                 session=txn.session_name,
             )
-        if trigger_system is not None:
-            trigger_system.after_commit(txn)
+        trigger_system.after_commit(txn)
         if txn.after_commit:
             for hook in list(txn.after_commit):
                 hook(txn)
@@ -244,9 +239,7 @@ class TransactionManager:
         self._require_current(txn)
         trigger_system = self.db.trigger_system
         if explicit:
-            hooks = [] if trigger_system is None else [trigger_system.before_abort]
-            hooks += txn.before_abort
-            for hook in hooks:
+            for hook in [trigger_system.before_abort, *txn.before_abort]:
                 try:
                     hook(txn)
                 except TransactionAbort:
@@ -264,8 +257,7 @@ class TransactionManager:
                 system=txn.system,
                 session=txn.session_name,
             )
-        if trigger_system is not None:
-            trigger_system.after_abort(txn)
+        trigger_system.after_abort(txn)
         if txn.after_abort:
             for hook in list(txn.after_abort):
                 hook(txn)
@@ -317,9 +309,7 @@ class TransactionManager:
         parent did not commit, and the action is rolled back.
         """
         sess = self._resolve_session(session)
-        stats = getattr(self.db, "session_stats", None)
-        if stats is not None:
-            stats.system_txns += 1
+        self.db.session_stats.system_txns += 1
         txn = self.begin(system=True, session=sess)
         if depends_on is not None:
             self.dependencies.add(txn.txid, depends_on)

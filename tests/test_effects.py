@@ -4,7 +4,8 @@ Covers the inference itself (AST walking, string actions, lambdas, tag
 protocol, widening), the DFA helpers the termination/confluence passes
 build on, the repo-wide sweep (inference must never crash on any trigger
 shipped in workloads/ or examples/), a database's analysis, the
-typed ``trigger_info`` errors, and the runtime firing-order guard.
+typed ``trigger_info`` errors, and the activation-order firing of a
+ready set whose actions do not commute.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.analysis import (
     infer_callable_effects,
     infer_trigger_effects,
 )
-from repro.analysis.confluence import non_confluent_pairs
 from repro.analysis.effects import EffectSet
 from repro.core.declarations import trigger
 from repro.errors import SchemaError, UnknownTriggerError
@@ -271,7 +271,7 @@ class TestUnknownTriggerError:
 
 
 # ---------------------------------------------------------------------------
-# runtime firing-order guard
+# firing order of a racy ready set
 # ---------------------------------------------------------------------------
 
 
@@ -307,29 +307,15 @@ class _RacyCounter(Persistent):
         pass
 
 
-class TestFiringOrderGuard:
-    def test_static_verdict_names_the_pair(self):
-        pairs = non_confluent_pairs(_RacyCounter.__metatype__)
-        assert frozenset(("AddFive", "ClampLow")) in pairs
-
-    def test_nonconfluent_ready_set_is_counted_and_deterministic(self, disk_db):
-        db = disk_db
-        with db.transaction():
-            counter = db.pnew(_RacyCounter)
-            ptr = counter.ptr
-            counter.AddFive()
-            counter.ClampLow()
-            counter.bump()
-        stats = db.trigger_system.stats
-        assert stats.nonconfluent_firing_sets >= 1
-        with db.transaction():
-            # canonical order is activation order: AddFive then ClampLow
-            assert db.deref(ptr).total == 3
-
-    def test_confluent_class_never_counts(self, disk_db):
-        db = disk_db
-        with db.transaction():
-            widget = db.pnew(_Widget)
-            widget.Note()
-            widget.poke()
-        assert db.trigger_system.stats.nonconfluent_firing_sets == 0
+def test_racy_ready_set_fires_in_activation_order(disk_db):
+    """AddFive and ClampLow do not commute (ODE202, suppressed here); the
+    engine fires them in activation order: 0 + 5, then clamped to 3."""
+    db = disk_db
+    with db.transaction():
+        counter = db.pnew(_RacyCounter)
+        ptr = counter.ptr
+        counter.AddFive()
+        counter.ClampLow()
+        counter.bump()
+    with db.transaction():
+        assert db.deref(ptr).total == 3

@@ -52,14 +52,13 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-import threading
 from collections.abc import Sequence
 from itertools import repeat
 from typing import Any
 
 from repro.errors import SerializationError, TriggerError
 from repro.objects.oid import PersistentPtr, TriggerId
-from repro.objects.serialize import decode_value, encode_value
+from repro.objects.serialize import IMMUTABLE, decode_value, encode_value, remember
 
 __all__ = [
     "GROUP_MARK",
@@ -95,17 +94,14 @@ _TYPES_MAX = 0xFF  # a type index is ``B``
 #: changes, keyed by their bytes: the names block -> the db name and the
 #: type table, and the params block -> the entries' params.  Each holds
 #: at most ``_MEMO_ENTRIES`` blocks (it is emptied when full) of at most
-#: ``_MEMO_BLOCK_BYTES`` each.
+#: ``_MEMO_BLOCK_BYTES`` each; a params block only when every value is
+#: ``serialize.IMMUTABLE``.
 _MEMO_ENTRIES = 256
 _MEMO_BLOCK_BYTES = 1024
 _NAMES_MEMO: dict[bytes, tuple[str, tuple[str, ...]]] = {}
 _PARAMS_MEMO: dict[bytes, tuple[dict[str, Any], ...]] = {}
-_MEMO_LOCK = threading.Lock()
 #: entry count -> the ``struct`` of that many entry heads
 _HEADS_STRUCTS: dict[int, struct.Struct] = {}
-#: Param values a memoized dict may hold: a caller gets a fresh dict, and
-#: these cannot be changed through it.
-_IMMUTABLE = frozenset({type(None), bool, int, float, str, bytes, PersistentPtr, TriggerId})
 
 
 @dataclasses.dataclass
@@ -479,7 +475,8 @@ def decode_heads(raw: bytes) -> GroupHeads:
         if names is None:
             db_name, *table = names_block.decode("utf-8").split("\0")
             names = db_name, tuple(table)
-            _remember(_NAMES_MEMO, names_block, names)
+            if len(names_block) <= _MEMO_BLOCK_BYTES:
+                remember(_NAMES_MEMO, names_block, names, _MEMO_ENTRIES)
         db_name, table = names
         anchor = PersistentPtr(db_name, rid)
         heads = _heads_struct(count).unpack_from(raw, pos)
@@ -510,12 +507,12 @@ def decode_heads(raw: bytes) -> GroupHeads:
                         f"corrupt trigger-group record: entry {serial}'s params "
                         "are not a mapping"
                     )
-            if all(
-                type(value) in _IMMUTABLE
+            if len(suffix) <= _MEMO_BLOCK_BYTES and all(
+                type(value) in IMMUTABLE
                 for entry_params in params
                 for value in entry_params.values()
             ):
-                _remember(_PARAMS_MEMO, suffix, tuple(map(dict, params)))
+                remember(_PARAMS_MEMO, suffix, tuple(map(dict, params)), _MEMO_ENTRIES)
         elif len(memoized) != count:
             raise TriggerError(
                 "corrupt trigger-group record: params are not one value per entry"
@@ -538,16 +535,6 @@ def _heads_struct(count: int) -> struct.Struct:
         if len(_HEADS_STRUCTS) < _MEMO_ENTRIES:
             _HEADS_STRUCTS[count] = heads
     return heads
-
-
-def _remember(memo: dict, block: bytes, value) -> None:
-    """Memoize *value* — what *block* decodes to — within the bound."""
-    if len(block) > _MEMO_BLOCK_BYTES:
-        return
-    with _MEMO_LOCK:  # sessions decode on several threads
-        if len(memo) >= _MEMO_ENTRIES:
-            memo.clear()
-        memo[block] = value
 
 
 def _first_problem(kind: str, fields) -> str | None:

@@ -57,9 +57,11 @@ class HotObject(Persistent):
 
     ``Watch`` detects ``relative(Ping, Pong)``: its two-state FSM flips on
     every posting (armed by ``Ping``, fired and re-armed by ``Pong``), so a
-    transaction that posts the ``Ping``/``Pong`` pair writes each active
-    TriggerState twice — deterministic per-posting write amplification
-    regardless of how sessions interleave.
+    transaction that posts the ``Ping``/``Pong`` pair X-locks each active
+    TriggerState at its first move — deterministic per-posting lock
+    amplification regardless of how sessions interleave.  The pair ends
+    where it began, so the state is written only if it changed (an
+    object's first pair moves it from its activation state).
     """
 
     value = field(int, default=0)

@@ -50,17 +50,20 @@ ENGINE_POINTS = {
 #: Every-hit trace lengths per (workload, engine, trigger_cc).  Only
 #: transactions that logged a mutation append a COMMIT and force, a 2PL
 #: trigger group is logged once per transaction, at commit, a setup
-#: ``pnew`` logs its own record and nothing else, and a first activation
-#: writes its object and its group, no index bucket.
+#: ``pnew`` logs its own record and nothing else, a first activation
+#: writes its object and its group, no index bucket, and a write of the
+#: bytes a record already holds logs nothing (each chaos transaction's
+#: Ping/Pong after its hub's first; the cards buys whose MVCC merge left
+#: the card's group as it was).
 TRACE_HITS = {
     ("cards", "disk", "2pl"): 200,
-    ("cards", "disk", "mvcc"): 205,
+    ("cards", "disk", "mvcc"): 200,
     ("cards", "mm", "2pl"): 130,
-    ("cards", "mm", "mvcc"): 135,
-    ("chaos", "disk", "2pl"): 256,
-    ("chaos", "disk", "mvcc"): 256,
-    ("chaos", "mm", "2pl"): 208,
-    ("chaos", "mm", "mvcc"): 208,
+    ("cards", "mm", "mvcc"): 130,
+    ("chaos", "disk", "2pl"): 246,
+    ("chaos", "disk", "mvcc"): 246,
+    ("chaos", "mm", "2pl"): 198,
+    ("chaos", "mm", "mvcc"): 198,
 }
 WORKLOADS = {"cards": Cards, "chaos": Chaos}
 

@@ -76,15 +76,21 @@ def test_threaded_sessions_timeout_and_deadline_leave_no_lock_state(mm_db):
 
     # Two sessions take the two objects in opposite orders: each first
     # attempt of a round meets the other at a barrier holding its first
-    # object, so one closes the cycle, is the victim, and retries.  Both
-    # finish a round before either starts the next.
+    # object, so one closes the cycle, is the victim, and retries.  The
+    # retry waits until the survivor has committed: begun earlier, it
+    # could S-lock its first group again between the survivor's S grant
+    # on that group and its upgrade to X, and deadlock a second time.
+    # Both finish a round before either starts the next.
     rounds = 5
     barrier, round_over = threading.Barrier(2), threading.Barrier(2)
+    survived = [threading.Event() for _ in range(rounds)]
     met = set()
 
     def program(session, order):
         for round_ in range(rounds):
             def body(txn, round_=round_):
+                if (session.name, round_) in met:
+                    assert survived[round_].wait(timeout=10)
                 touch(session.deref, ptrs[order[0]]).value = round_
                 if (session.name, round_) not in met:
                     met.add((session.name, round_))
@@ -92,6 +98,7 @@ def test_threaded_sessions_timeout_and_deadline_leave_no_lock_state(mm_db):
                 touch(session.deref, ptrs[order[1]])
 
             session.run(body, retries=50)
+            survived[round_].set()
             round_over.wait(timeout=10)
 
     threads = [

@@ -138,9 +138,10 @@ def _clean(db) -> None:
 def test_a_posting_reads_its_object_and_its_group_and_no_bucket(cell):
     """The ``canon_mm`` transaction.  2PL: the object and its group are
     read (3 lock acquires: S object, S and X group), and the group,
-    advanced twice, is written once — one UPDATE and the COMMIT.  MVCC:
-    the committed head serves the group, so only the object is read and
-    locked; the merge writes the group once."""
+    advanced twice, is written once.  MVCC: the committed head serves the
+    group, so only the object is read and locked; the merge writes the
+    group once.  Either way the pair leaves the perpetual machine where it
+    began, so the write changes no byte and nothing is logged."""
     _, db = cell
     ptr = _watched(db)
     _canonical(db, ptr)  # MVCC: loads the group's chain
@@ -154,20 +155,16 @@ def test_a_posting_reads_its_object_and_its_group_and_no_bucket(cell):
     two_phase = db.trigger_cc == "2pl"
     assert delta("storage.reads") == (2 if two_phase else 1)
     assert delta("locks.s_acquired") + delta("locks.x_acquired") == (3 if two_phase else 1)
-    assert delta("storage.log_records") == 2
-    assert delta("storage.writes") == 1
+    assert delta("storage.log_records") == 0
+    assert delta("storage.writes") == delta("storage.unchanged_writes") == 1
     assert delta("posting.events_posted") == delta("posting.fsm_advances") == 2
     assert delta("posting.state_writes") == (2 if two_phase else 0)
     assert delta("posting.firings") == 1
 
 
-def test_a_posting_commit_writes_the_log_once_and_fsyncs_it_once(cell, monkeypatch):
-    """The ``canon_mm`` transaction's log bill: its two frames (the
-    group's UPDATE and the COMMIT) reach the log file in one ``write``
-    and are made durable by one ``fsync``."""
-    _, db = cell
-    ptr = _watched(db)
-    _canonical(db, ptr)  # MVCC: loads the group's chain
+def _log_calls(db, monkeypatch) -> list[str]:
+    """From now on, each ``write`` and ``fsync`` of *db*'s log file, in
+    order."""
     log_fd = db.storage._wal._fd
     calls = []
     real_write, real_fsync = os.write, os.fsync
@@ -184,10 +181,37 @@ def test_a_posting_commit_writes_the_log_once_and_fsyncs_it_once(cell, monkeypat
 
     monkeypatch.setattr(os, "write", write)
     monkeypatch.setattr(os, "fsync", fsync)
+    return calls
+
+
+def test_a_posting_commit_writes_the_log_once_and_fsyncs_it_once(cell, monkeypatch):
+    """A lone ``Ping`` moves the group (armed), so its commit logs the
+    group's UPDATE and the COMMIT: two frames that reach the log file in
+    one ``write`` and are made durable by one ``fsync``."""
+    _, db = cell
+    ptr = _watched(db)
+    _canonical(db, ptr)  # MVCC: loads the group's chain
+    calls = _log_calls(db, monkeypatch)
     before = db.metrics.snapshot()["storage.log_records"]
-    _canonical(db, ptr)
+    with db.transaction():
+        db.deref(ptr).post_event("Ping")
     assert db.metrics.snapshot()["storage.log_records"] - before == 2
     assert calls == ["write", "fsync"]
+
+
+def test_a_posting_pair_that_ends_where_it_began_logs_nothing(cell, monkeypatch):
+    """The ``canon_mm`` transaction's log bill: ``Ping`` then ``Pong``
+    leaves the perpetual machine in the state it began in, so the group's
+    write at commit changes no byte — no frame, no ``write``, no
+    ``fsync``."""
+    _, db = cell
+    ptr = _watched(db)
+    _canonical(db, ptr)  # MVCC: loads the group's chain
+    calls = _log_calls(db, monkeypatch)
+    before = db.metrics.snapshot()["storage.log_records"]
+    _canonical(db, ptr)
+    assert db.metrics.snapshot()["storage.log_records"] - before == 0
+    assert calls == []
 
 
 def test_a_group_advanced_four_times_asks_for_its_x_lock_once(db_2pl, monkeypatch):

@@ -554,9 +554,10 @@ class LockInPlaceStates(StateStore):
     same.  A later change to a dirty group asks for no lock again.
     :meth:`write_back`, run by ``Database.flush_transaction`` after every
     before-commit hook, writes each dirty group once, as objects are
-    written.  An abort therefore logs nothing for a group it only
-    advanced; the store dies with the transaction.  ``create`` and
-    ``drop`` still insert and delete at once.
+    written (a group that ended where it began logs nothing: the shell
+    drops a write of unchanged bytes).  An abort therefore logs nothing
+    for a group it only advanced; the store dies with the transaction.
+    ``create`` and ``drop`` still insert and delete at once.
     """
 
     def __init__(self, system: "TriggerSystem", txn: "Transaction"):

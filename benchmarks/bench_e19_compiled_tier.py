@@ -27,8 +27,9 @@ resolution are cached per transaction by the state store for *both*
 modes (they used to be the tier's alone, which is why this table once
 read 6.65x), so what is measured here is code generation by itself.  The
 interpreted column is a bench-only baseline (``interpreted_baseline``:
-the tier generates no group function, so ``posting.interpreted`` serves
-every posting, each advance a counted fallback).  Two workloads:
+``plan_unroll`` refuses every kind, so every entry of the generated
+group function is one interpreter step, each advance a counted
+fallback).  Two workloads:
 
 * **mask-gated** at fan-out 1/8/32 — every trigger is ``Tick & armed``
   with the mask false throughout, so no trigger ever fires.  This is the

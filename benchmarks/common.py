@@ -54,30 +54,34 @@ def emit_table(
     return text
 
 
-def _refuse(infos):
-    raise compiled.PlanError("interpreted baseline: no generated code")
-
-
 @contextlib.contextmanager
-def interpreted_baseline():
+def interpreted_baseline(*infos):
     """The interpreted baseline of a posting benchmark: inside, the
-    compile tier generates no group function (``generate_group_advance``
-    refuses every group), so :func:`repro.core.posting.interpreted`
-    serves every posting (each advance a counted ``compiled_fallbacks``).
-    The engine has no such setting; only a benchmark's comparison column
-    needs it.
+    compile tier unrolls no machine (``plan_unroll`` refuses every kind,
+    as it does one past ``UNROLL_BUDGET``), so every entry of every
+    generated group function is one interpreter step (each advance a
+    counted ``compiled_fallbacks``).  Given *infos*, only those kinds are
+    refused.  The engine has no such setting; only a benchmark's
+    comparison column and the tests' reference need it.
 
     The tier memoizes each group's function for the whole process, and a
     group keeps the function it was served, per schema version, so the
     version is bumped on the way in and on the way out: a database
     measured on both sides chooses afresh under each."""
-    real = compiled.generate_group_advance
+    real = compiled.plan_unroll
+    refused = {id(info.fsm) for info in infos}
+
+    def refuse(fsm):
+        if not infos or id(fsm) in refused:
+            raise compiled.PlanError("interpreted baseline: not unrolled")
+        return real(fsm)
+
     compiled.bump_schema_version("interpreted baseline: in")
-    compiled.generate_group_advance = _refuse
+    compiled.plan_unroll = refuse
     try:
         yield
     finally:
-        compiled.generate_group_advance = real
+        compiled.plan_unroll = real
         compiled.bump_schema_version("interpreted baseline: out")
 
 

@@ -38,10 +38,10 @@ process, validated against a process-global **schema version** (the
 edgedb ``edb/server/compiler`` artifact-cache shape): any trigger
 add/remove (class (re)compilation, shim registration) bumps the version
 and evicts everything, so a stale function can never fire for a
-redefined trigger.  Correctness never depends on codegen — where a group
-cannot be generated (too large to unroll, a codegen failure) the tier
-serves it by :func:`repro.core.posting.interpreted`, counting
-``posting.compiled_fallbacks``.
+redefined trigger.  Every group is served by generated code: a group
+whose trees together pass :data:`GROUP_UNROLL_BUDGET` gets a function in
+which every entry is one interpreter step, each advance counting
+``posting.compiled_fallbacks``, and a codegen error propagates.
 
 The generated code emits no trace records, and tracing does not switch
 it off: given a *log*, each path of an entry's tree that called masks
@@ -83,7 +83,7 @@ __all__ = [
 #: blowing it is ODE402, the one "too large to specialize" judgment.
 UNROLL_BUDGET = 256
 #: Cap on the nodes of one group function: the sum of its entries' trees.
-#: A larger group is interpreted, entry by entry.
+#: A larger group's function interprets every entry.
 GROUP_UNROLL_BUDGET = 4096
 #: Most keys whose group function the tier keeps; the memo is emptied
 #: when full.
@@ -307,10 +307,10 @@ def generate_group_source(entries: Sequence[tuple], limit: int | None = None) ->
     it advanced and the masks they called to *stats*'s
     ``compiled_hits``, ``fsm_advances`` and ``masks_evaluated_posting``
     on the way out, also when a mask raises: an entry whose cascade
-    raised is neither advanced nor counted, as in ``posting.interpreted``
-    (an entry the interpreter step advances — one past the unroll
-    budget, or a compiled one on a state it has no branch for — counts
-    itself, and one ``compiled_fallbacks``).  *log* is ``None``, or a
+    raised is neither advanced nor counted (an entry the interpreter step
+    advances — one past the unroll budget, or a compiled one on a state
+    it has no branch for — counts itself, and one
+    ``compiled_fallbacks``).  *log* is ``None``, or a
     dict for a traced posting or a store that logs every advance: what
     the masks of each advanced entry said goes under its index (a
     compiled entry that called none writes nothing), and the number of
@@ -403,25 +403,34 @@ def generate_group_advance(infos: Sequence["TriggerInfo"]) -> tuple[Callable, st
     ``(function, source)``.  Each distinct kind — numbered in order of
     first appearance — has its masks, alphabet and info bound once, and
     is compiled unless its machine is past :data:`UNROLL_BUDGET`
-    (:func:`plan_unroll`), in which case its entries are interpreted."""
+    (:func:`plan_unroll`), in which case its entries are interpreted.  A
+    group whose trees together blow :data:`GROUP_UNROLL_BUDGET` has every
+    entry interpreted."""
     # Imported here: the interpreter's module imports this one.
     from repro.core.posting import interpret
 
-    namespace: dict = {"_step": interpret}
+    steps: dict = {"_step": interpret}
+    namespace: dict = {}
     kinds: dict[int, tuple[int, bool]] = {}
     entries = []
     for entry, info in enumerate(infos):
         if id(info) not in kinds:
             kinds[id(info)] = len(kinds), _unrolls(info.fsm)
         kind, unrolls = kinds[id(info)]
-        namespace[f"_I{kind}"] = info
+        steps[f"_I{kind}"] = info
         if unrolls:
             namespace[f"_A{kind}"] = frozenset(info.fsm.symbol_to_int.values())
             mask_calls = _bind_masks(info, kind, f"params[{entry}]", namespace)
             entries.append((info.fsm, mask_calls, kind))
         else:
             entries.append((None, None, kind))
-    source = generate_group_source(entries)
+    try:
+        source = generate_group_source(entries)
+    except PlanError:
+        # Too large as a whole: every entry one interpreter step.
+        namespace = {}
+        source = generate_group_source([(None, None, kind) for *_, kind in entries])
+    namespace.update(steps)
     names = ",".join(f"{info.defining_type}.{info.name}" for info in infos[:4])
     code = compile(source, f"<ode-compiled-group:{names}:{len(infos)}>", "exec")
     exec(code, namespace)
@@ -442,9 +451,8 @@ class CompiledTier:
     entries' infos (infos compare by identity, so the key keeps them
     alive).  The memo is validated against the process schema version:
     the first lookup after any bump drops everything.  It holds at most
-    :data:`KERNEL_MEMO_MAX` keys and is emptied when full.  A group that
-    cannot be generated is memoized too, so codegen runs once per key per
-    schema version, not once per posting.
+    :data:`KERNEL_MEMO_MAX` keys and is emptied when full, so codegen
+    runs once per key per schema version, not once per posting.
     """
 
     def __init__(self) -> None:
@@ -477,19 +485,10 @@ class CompiledTier:
 
     def _generate(self, key: tuple, entries: Callable[[tuple], Sequence]) -> Callable:
         """Generate *key*'s group function and memoize it, unless the
-        schema version moved while its entries were resolved.  A group
-        whose trees blow :data:`GROUP_UNROLL_BUDGET`, or whose generation
-        fails, gets :func:`repro.core.posting.interpreted`."""
-        # Imported here: the interpreter's module imports this one.
-        from repro.core.posting import interpreted
-
+        schema version moved while its entries were resolved.  A codegen
+        error propagates, and nothing is memoized."""
         version = _SCHEMA_VERSION
-        infos = [entry.info for entry in entries(key)]
-        try:
-            function = generate_group_advance(infos)[0]
-        except Exception:
-            # Too large to unroll (or any codegen failure): interpreted.
-            function = interpreted(infos)
+        function = generate_group_advance([entry.info for entry in entries(key)])[0]
         with self._lock:
             if self._version == version == _SCHEMA_VERSION:
                 if len(self._functions) >= KERNEL_MEMO_MAX:

@@ -31,12 +31,12 @@ object's triggers a whole :class:`Group` at a time, so one group read
 serves every trigger on the object.
 
 Step 3 is one call of a *group function* on every store, which
-:meth:`StateStore.kernel` picks: the group's generated function where
-the compile tier has one (an entry whose machine is too large to unroll
-is one call of the interpreter step :func:`interpret` inside it), else
-:func:`interpreted`, the same contract with every entry one
-:func:`interpret` call.  So the interpreter exists once, as the
-per-entry step, and the firing set cannot depend on which function ran.
+:meth:`StateStore.kernel` picks: the group's generated function, from
+the compile tier (an entry whose machine is too large to unroll, or
+every entry of a group too large as a whole, is one call of the
+interpreter step :func:`interpret` inside it).  So the interpreter
+exists once, as the per-entry step, and the firing set cannot depend on
+which path of the function ran.
 Every store's group has one working form, its entry heads as
 :func:`~repro.core.trigger_state.decode_heads` returns them: the group
 function advances ``statenums`` in place, and a :class:`Machine` is only
@@ -55,7 +55,7 @@ nothing, and a trace watches the code that serves.  DESIGN.md §10.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
@@ -689,9 +689,9 @@ def interpret(
     """The interpreter step: advance a machine of kind *info* from
     *statenum* on one event — its integer-keyed FSM, evaluating masks and
     feeding the ``True``/``False`` pseudo-events until quiescent — and
-    return ``(new state, accepted)``.  :func:`interpreted` runs it per
-    entry, the generated group function per entry past the unroll budget
-    or on a transient mask state, MVCC's replay per logged event.
+    return ``(new state, accepted)``.  The generated group function runs
+    it per entry past the unroll budget (or of a group past the group
+    budget) or on a transient mask state, MVCC's replay per logged event.
     *outcomes*, if given, gets what each evaluated mask said.
     *replay* maps mask names to the outcomes recorded when the event was
     first posted: the step answers from it and evaluates live only what
@@ -711,41 +711,6 @@ def interpret(
     result = info.fsm.advance(statenum, eventnum, evaluate)
     stats.fsm_advances += 1
     return result.state, result.accepted
-
-
-def interpreted(infos: Sequence[TriggerInfo]):
-    """The interpreter as a group function: for a group whose entries, in
-    entry order, are of the kinds *infos*, a function with the generated
-    ``_advance_group``'s signature and contract
-    (:func:`repro.core.compiled.generate_group_source`), each entry one
-    :func:`interpret` call.  It serves where the compile tier has no
-    function for the group, so each advance counts one
-    ``compiled_fallbacks``."""
-    infos = tuple(infos)
-
-    def _advance_group(statenums, eventnum, obj, params, event, moved, stats, log):
-        accepted = []
-        done = 0
-        try:
-            for entry, info in enumerate(infos):
-                old = statenums[entry]
-                stats.compiled_fallbacks += 1
-                new, accepts = interpret(
-                    stats, info, old, eventnum, obj, params[entry], event,
-                    None if log is None else log.setdefault(entry, {}),
-                )
-                if new != old:
-                    statenums[entry] = new
-                    moved.append((entry, old))
-                if accepts:
-                    accepted.append(entry)
-                done = entry + 1
-        finally:
-            if log is not None:
-                log[-1] = done
-        return accepted
-
-    return _advance_group
 
 
 def advance_group(

@@ -384,7 +384,8 @@ class TriggerVersionManager:
     def commit_merge(self, txn: "Transaction") -> list:
         """Merge and write *txn*'s buffered groups; returns what to publish
         after the storage commit: ``(rid, heads)`` pairs, *heads* being
-        the merged group's, or ``None`` for a group deleted.
+        the merged group's, or ``None`` for a group deleted.  A merge
+        whose bytes equal the committed head's publishes nothing.
 
         Must run under :attr:`commit_mutex`.  A lost update is resolved
         by replaying the entry's event log from the newer head, so a
@@ -444,7 +445,10 @@ class TriggerVersionManager:
                 # "state-group stops being X-locked" property E6 measures.
                 raw = pack_heads(frame, serials, triggernums, statenums)
                 storage.write_merged(txn.txid, rid, raw)
-                publishes.append((rid, heads))
+                # A merge that leaves the committed bytes as they were
+                # publishes no new head, so no copy of the head goes stale.
+                if raw != pack_heads(head.heads[-1], *head.heads[2:5]):
+                    publishes.append((rid, heads))
             else:
                 # Only a membership change empties a group, and it holds
                 # the X lock: this grants immediately.

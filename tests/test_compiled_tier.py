@@ -49,40 +49,12 @@ from repro.core.compiled import (
 from repro.core.constraints import CONSTRAINT_PREFIX
 from repro.core.declarations import trigger
 from repro.core.monitored import LocalTriggerSystem, Monitored
-from repro.core.posting import PostingStats, interpreted
+from repro.core.posting import PostingStats
 from repro.core.trigger_def import IntFsm
 from repro.events.fsm import DEAD, Fsm, FsmState
 from repro.objects.database import Database
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
-
-
-def _is_interpreted(function) -> bool:
-    """Whether *function* is :func:`repro.core.posting.interpreted`'s."""
-    return function.__code__ is interpreted(()).__code__
-
-
-@contextlib.contextmanager
-def _past_the_budget(*infos):
-    """Inside, :func:`repro.core.compiled.plan_unroll` judges the machines
-    of *infos* past ``UNROLL_BUDGET`` (ODE402), so generated group
-    functions interpret their entries.  The tier's memo outlives any
-    database, so the schema version is bumped on the way in and out."""
-    real = compiled.plan_unroll
-    fsms = {id(info.fsm) for info in infos}
-
-    def plan(fsm):
-        if id(fsm) in fsms:
-            raise PlanError("past the budget")
-        return real(fsm)
-
-    bump_schema_version("test: past the budget: in")
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(compiled, "plan_unroll", plan)
-            yield
-    finally:
-        bump_schema_version("test: past the budget: out")
 
 
 # Firing log shared by the fixture actions; cleared per replay.
@@ -736,7 +708,7 @@ def _kernel_calls(monkeypatch) -> list:
 
 def _tier_answers(monkeypatch) -> list:
     """Record what the tier answers each time it is asked for a group
-    function (see :func:`_is_interpreted`)."""
+    function."""
     answers = []
     real = CompiledTier.group_function
 
@@ -810,10 +782,12 @@ def _kernel_equals_loop(tmp_path, monkeypatch, engine, activations, script):
     """Run *script* interpreted, then compiled: everything but the tier's
     own counters must agree.  Returns the compiled run and the postings
     the group function served."""
-    with interpreted_baseline(), pytest.MonkeyPatch.context() as patch:
-        answers = _tier_answers(patch)
+    with interpreted_baseline():
         looped = _run_group(str(tmp_path / "loop"), engine, activations, script)
-    assert answers and all(map(_is_interpreted, answers))  # interpreted serves each group
+    for _statenums, delta, _dirty, raised in looped[1]:
+        # The interpreter step served each advance (and each raising mask).
+        assert delta["compiled_hits"] == 0
+        assert delta["compiled_fallbacks"] == delta["fsm_advances"] + len(raised)
     calls = _kernel_calls(monkeypatch)
     served = _run_group(str(tmp_path / "kernel"), engine, activations, script)
     assert _without_tier_counters(served) == _without_tier_counters(looped)
@@ -836,9 +810,10 @@ def test_group_function_matches_each_closure():
     the interpreter step does."""
     metatype = KernelGadget.__metatype__
     infos = [metatype.trigger_by_name(name) for name, *_ in _INTERLEAVED]
-    for past in ((), ("Hot",), ("Seq", "Once")):
+    _group_function_matches_the_interpreter(infos, [])
+    for past in (("Hot",), ("Seq", "Once")):
         interpreted = [i for i, info in enumerate(infos) if info.name in past]
-        with _past_the_budget(*(metatype.trigger_by_name(name) for name in past)):
+        with interpreted_baseline(*(metatype.trigger_by_name(name) for name in past)):
             _group_function_matches_the_interpreter(infos, interpreted)
 
 
@@ -941,7 +916,7 @@ def test_a_withheld_proof_sends_the_whole_group_to_the_loop(
     inside it, and ``compiled_fallbacks`` counts that entry once per
     advance."""
     script = [["Tick", ("n", 5), "Tick", "Tock"], ["Tock", "Tick"]]
-    with _past_the_budget(KernelGadget.__metatype__.trigger_by_name("Noisy")):
+    with interpreted_baseline(KernelGadget.__metatype__.trigger_by_name("Noisy")):
         (fired, seen, _stored), calls = _kernel_equals_loop(
             tmp_path, monkeypatch, engine, _WITHHELD, script
         )
@@ -993,7 +968,7 @@ def test_an_interpreted_mask_raising_between_compiled_entries(
         [("n", 13), "Tick", ("n", 14), "Tock", "Tick"],
         ["Tick", ("n", 13), "Tock", "Tick"],
     ]
-    with _past_the_budget(KernelGadget.__metatype__.trigger_by_name("Brittle")):
+    with interpreted_baseline(KernelGadget.__metatype__.trigger_by_name("Brittle")):
         (_fired, seen, _stored), calls = _kernel_equals_loop(
             tmp_path, monkeypatch, engine, _BRITTLE, script
         )
@@ -1011,12 +986,21 @@ def test_an_interpreted_mask_raising_between_compiled_entries(
 
 
 def test_a_group_too_large_to_unroll_takes_the_loop(tmp_path, monkeypatch, engine):
-    """Past ``GROUP_UNROLL_BUDGET`` nodes a signature gets no generated
-    function: the tier serves its groups by ``interpreted``, entry by
-    entry, every advance a counted fallback."""
+    """Past ``GROUP_UNROLL_BUDGET`` nodes a signature's generated function
+    unrolls nothing: every entry is one interpreter step, and every
+    advance a counted fallback."""
     monkeypatch.setattr(compiled, "GROUP_UNROLL_BUDGET", 10)
     compiled.bump_schema_version("test: a smaller group budget")
     answers = _tier_answers(monkeypatch)
+    sources = {}
+    real = compiled.generate_group_advance
+
+    def generate(infos):
+        function, source = real(infos)
+        sources[function] = source
+        return function, source
+
+    monkeypatch.setattr(compiled, "generate_group_advance", generate)
     script = [["Tick", "Tock"], [("n", 5), "Tick"]]
     try:
         (fired, seen, _stored), _calls = _kernel_equals_loop(
@@ -1025,12 +1009,34 @@ def test_a_group_too_large_to_unroll_takes_the_loop(tmp_path, monkeypatch, engin
     finally:
         monkeypatch.undo()
         compiled.bump_schema_version("test: the group budget restored")
-    assert answers and all(map(_is_interpreted, answers))  # interpreted serves each group
+    assert answers
+    for answer in answers:  # generated code, one interpreter step per entry
+        source = sources[answer]
+        assert source.count("_step(") == source.count("s = statenums[") == 4
+        assert "eventnum ==" not in source
     assert fired == ["Seq"] * 3 + ["Hot"]
     for ops, (_statenums, delta, _dirty, _raised) in zip(script, seen):
         posted = sum(isinstance(op, str) for op in ops)
         assert delta["compiled_hits"] == 0
         assert delta["compiled_fallbacks"] == delta["fsm_advances"] == 4 * posted
+
+
+def test_a_codegen_error_propagates_and_nothing_is_memoized(monkeypatch):
+    """A generator bug is an error, not a quiet fallback: the tier raises
+    what generation raised and keeps no function for the group."""
+    tier = global_compiled_tier()
+    info = TierGadget.__metatype__.trigger_by_name("Pair")
+    entries = [types.SimpleNamespace(info=info)]
+    bump_schema_version("test: a codegen error")  # no memo hit for the key
+    before = tier.cached_count()
+
+    def broken(entries, limit=None):
+        raise RuntimeError("codegen bug")
+
+    monkeypatch.setattr(compiled, "generate_group_source", broken)
+    with pytest.raises(RuntimeError, match="codegen bug"):
+        tier.group_function((info,), lambda key: entries)
+    assert tier.cached_count() == before
 
 
 #: A monitored twin of KernelGadget's Seq, Hot and Noisy, for local rules.
@@ -1334,12 +1340,11 @@ def test_bump_evicts_cached_artifacts():
     info = metatype.trigger_by_name("Pair")
     entries = [types.SimpleNamespace(info=info)]
     function = tier.group_function((info,), lambda key: entries)
-    assert not _is_interpreted(function)  # generated
     assert tier.cached_count() > 0
     _define_stale_demo("evict")
     assert tier.cached_count() == 0  # version check dropped everything
     again = tier.group_function((info,), lambda key: entries)
-    assert not _is_interpreted(again) and again is not function
+    assert again is not function
 
 
 def test_redefined_class_never_fires_stale_closure(tmp_path):
@@ -1519,7 +1524,7 @@ def test_a_traced_posting_whose_mask_raises_emits_the_entries_it_completed(
     script = [[("n", 13), "Tick", ("n", 14), "Tick"]]
     brittle = KernelGadget.__metatype__.trigger_by_name("Brittle")
     runs = []
-    with _past_the_budget(brittle):
+    with interpreted_baseline(brittle):
         for serving in (contextlib.nullcontext(), interpreted_baseline()):
             with obs.enabled() as recorder, serving:
                 _run_group(str(tmp_path / f"loop{len(runs)}"), "mm", activations, script)

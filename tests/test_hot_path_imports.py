@@ -25,7 +25,6 @@ HOT_PATH = [
     ("repro.objects.database", ("Database", "flush_transaction")),
     ("repro.core.wrappers", ("make_method_wrapper", "wrapper")),
     ("repro.core.posting", ("_post",)),
-    ("repro.core.posting", ("interpreted",)),
     ("repro.core.posting", ("interpret",)),
     ("repro.core.posting", ("advance_group",)),
     ("repro.core.posting", ("StateStore", "kernel")),

@@ -530,9 +530,11 @@ def test_version_chain_grows_one_head_per_publishing_commit():
         ptr = _setup_watched(db)
         versions = db.trigger_system.versions
         seen = []
-        for _ in range(3):
+        # Ping arms Watch and Pong fires and re-arms it: each commit moves
+        # the machine, so each changes the group's bytes and publishes.
+        for event in ("Ping", "Pong", "Ping"):
             with db.transaction():
-                db.deref(ptr).post_event("Ping")
+                db.deref(ptr).post_event(event)
             (vid,) = versions.heads().values()
             seen.append(vid)
         assert seen == sorted(set(seen))  # a new head per commit
@@ -552,8 +554,9 @@ def test_ten_thousand_commits_retain_one_version_per_rid():
         ptrs = [_setup_watched(db) for _ in range(2)]
         versions = db.trigger_system.versions
         for i in range(10_000):
+            # Each object alternates Ping and Pong, so every commit moves it.
             with db.transaction():
-                db.deref(ptrs[i % 2]).post_event("Ping")
+                db.deref(ptrs[i % 2]).post_event(("Ping", "Pong")[i // 2 % 2])
         assert versions.stats.versions_published >= 10_000
         assert len(versions.heads()) == 2
         gc.collect()

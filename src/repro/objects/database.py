@@ -60,7 +60,7 @@ from repro.storage.btree import BTree
 from repro.storage.locks import LockMode
 from repro.transactions.manager import TransactionBlock, TransactionManager
 from repro.transactions.phoenix import PhoenixQueue
-from repro.transactions.txn import Transaction
+from repro.transactions.txn import CURRENT_STATES, Transaction
 
 
 class Database:
@@ -235,15 +235,27 @@ class Database:
             activate_constraints(self, handle)
         return handle
 
-    def deref(self, ptr: PersistentPtr) -> PersistentHandle:
-        """Dereference a persistent pointer within the current transaction."""
-        self._check_open()
-        if ptr.is_null():
+    def deref(
+        self, ptr: PersistentPtr, session: Session | None = None
+    ) -> PersistentHandle:
+        """Dereference a persistent pointer within *session*'s transaction
+        (by default the calling thread's current session's).
+
+        The one dereference function: ``Session.deref`` passes itself in,
+        so a cache miss resolves its session once.  Each check is one
+        inline test whose failure raises through the check that owns its
+        error (DESIGN §17 "The read path")."""
+        if self._closed:
+            self._check_open()
+        if ptr.rid < 0:
             raise DanglingPointerError("cannot dereference the null pointer")
         if ptr.db_name != self.name:
             return Database.named(ptr.db_name).deref(ptr)
-        session = self.current_session()
-        txn = session.current_txn_or_raise()
+        if session is None:
+            session = self.current_session()
+        txn = session.current_txn
+        if txn is None or txn.state not in CURRENT_STATES:
+            session.current_txn_or_raise()
         instance = txn.cache.get(ptr.rid)
         if instance is None:
             try:
@@ -251,12 +263,12 @@ class Database:
             except RecordNotFoundError:
                 raise DanglingPointerError(f"{ptr!r} points to no object") from None
             type_name, fields, flags, group = decode_object(raw)
-            cls = self.registry.find(type_name).pyclass
-            instance = cls.from_fields(fields)
-            instance.__dict__["_p_ptr"] = ptr
-            instance.__dict__["_p_flags"] = flags
+            instance = self.registry.find(type_name).pyclass.from_fields(fields)
+            header = instance.__dict__
+            header["_p_ptr"] = ptr
+            header["_p_flags"] = flags
             if flags & FLAG_HAS_TRIGGERS:
-                instance.__dict__["_p_group"] = group
+                header["_p_group"] = group
             txn.cache[ptr.rid] = instance
             self.trigger_system.on_access(txn, ptr, instance)
         return PersistentHandle(self, ptr, instance, session)
@@ -405,30 +417,36 @@ class Database:
         """Write every dirty cached object back to storage, then the
         trigger groups the transaction changed but has not written yet
         (pre-commit, after every before-commit hook)."""
-        for rid in sorted(txn.dirty):
-            instance = txn.cache.get(rid)
-            if instance is None:
-                continue  # deleted after being dirtied
-            indexes = self._indexes_for(txn, type(instance))
-            if indexes:
-                old_fields = decode_object(self.storage.read(txn.txid, rid))[1]
-                for index in indexes:
-                    index.on_update(
-                        txn,
-                        rid,
-                        old_fields.get(index.field_name),
-                        instance.__dict__.get(index.field_name),
-                    )
-            header = instance.__dict__
-            data = encode_object(
-                type(instance).__name__,
-                instance.to_fields(),
-                header.get("_p_flags", 0),
-                header.get("_p_group", -1),
-            )
-            self.storage.write(txn.txid, rid, data)
-        txn.dirty.clear()
-        self.trigger_system.write_back(txn)
+        dirty = txn.dirty
+        if dirty:
+            for rid in sorted(dirty):
+                instance = txn.cache.get(rid)
+                if instance is None:
+                    continue  # deleted after being dirtied
+                indexes = self._indexes_for(txn, type(instance))
+                if indexes:
+                    old_fields = decode_object(self.storage.read(txn.txid, rid))[1]
+                    for index in indexes:
+                        index.on_update(
+                            txn,
+                            rid,
+                            old_fields.get(index.field_name),
+                            instance.__dict__.get(index.field_name),
+                        )
+                header = instance.__dict__
+                data = encode_object(
+                    type(instance).__name__,
+                    instance.to_fields(),
+                    header.get("_p_flags", 0),
+                    header.get("_p_group", -1),
+                )
+                self.storage.write(txn.txid, rid, data)
+            dirty.clear()
+        # A transaction that posted keeps its state store among its
+        # attachments; one with none (every read-only commit) has no
+        # group to write.
+        if txn.attachments:
+            self.trigger_system.write_back(txn)
 
     # -- extents -------------------------------------------------------------------------
 

@@ -98,7 +98,8 @@ class Persistent:
             fld = metatype.fields.get(name)
             if fld is None:
                 continue  # field dropped since this object was stored
-            fld.check(value)
+            if type(value) is not fld.ftype:  # an exact match always passes
+                fld.check(value)
             instance.__dict__[name] = value
         return instance
 

@@ -44,7 +44,7 @@ from repro.faults.retry import (
 )
 from repro.obs.metrics import Stats
 from repro.storage.locks import current_wait_hooks
-from repro.transactions.txn import TxnState
+from repro.transactions.txn import CURRENT_STATES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
@@ -127,7 +127,8 @@ class SessionTransaction:
 
     def __enter__(self) -> "Transaction":
         session = self._session
-        session._check_open()
+        if session.closed:
+            session._check_open()
         stack = self._stack = _ambient_stack()
         stack.append(session)
         try:
@@ -218,7 +219,6 @@ class Session:
             chosen = chosen.with_budget(RetryClass.DEADLOCK, retries)
         deadline_at = None if deadline is None else time.monotonic() + deadline
         state = None  # built by the first failed attempt
-        lock_manager = self.db.storage.lock_manager
         while True:
             if deadline_at is not None and time.monotonic() >= deadline_at:
                 raise TransactionDeadlineError(
@@ -228,7 +228,9 @@ class Session:
             try:
                 with self.transaction() as txn:
                     if deadline_at is not None:
-                        lock_manager.set_deadline(txn.txid, deadline_at)
+                        self.db.storage.lock_manager.set_deadline(
+                            txn.txid, deadline_at
+                        )
                     return body(txn)
                 # The block swallowed a ``tabort`` from the body: the
                 # transaction is aborted and, as after an O++ transaction
@@ -288,25 +290,34 @@ class Session:
 
     # -- data plane (delegates to the database with this session ambient) ------
 
+    # A closed session refuses as :meth:`transaction` does.  The check
+    # sits on the branch that pushes the session: inside its own block a
+    # session is ambient and pays nothing for it.
+
     def pnew(self, cls: type, *args: Any, **kwargs: Any) -> "PersistentHandle":
+        self._check_open()
         with ambient_session(self):
             return self.db.pnew(cls, *args, **kwargs)
 
     def deref(self, ptr: "PersistentPtr") -> "PersistentHandle":
         if is_ambient(self):
-            return self.db.deref(ptr)
+            return self.db.deref(ptr, self)
+        self._check_open()
         with ambient_session(self):
-            return self.db.deref(ptr)
+            return self.db.deref(ptr, self)
 
     def pdelete(self, ptr: "PersistentPtr") -> None:
+        self._check_open()
         with ambient_session(self):
             return self.db.pdelete(ptr)
 
     def objects(self, cls: type, include_derived: bool = True):
+        self._check_open()
         with ambient_session(self):
             yield from self.db.objects(cls, include_derived)
 
     def find(self, cls: type, field_name: str, value):
+        self._check_open()
         with ambient_session(self):
             return self.db.find(cls, field_name, value)
 
@@ -315,6 +326,7 @@ class Session:
         session's transaction (see :meth:`Database.post_many`)."""
         if is_ambient(self):
             return self.db.post_many(items)
+        self._check_open()
         with ambient_session(self):
             return self.db.post_many(items)
 
@@ -322,10 +334,7 @@ class Session:
 
     def current_txn_or_raise(self) -> "Transaction":
         txn = self.current_txn
-        # COMMITTING counts as current: before-commit hooks (deferred
-        # trigger actions, `before tcomplete` posting) still run inside
-        # the transaction and perform data operations.
-        if txn is None or txn.state not in (TxnState.ACTIVE, TxnState.COMMITTING):
+        if txn is None or txn.state not in CURRENT_STATES:
             raise NoActiveTransactionError(
                 f"no active transaction in session {self.name!r}; "
                 "use `with session.transaction():`"

@@ -73,12 +73,10 @@ class PagedFile:
             # discard it rather than refuse to open.
             size -= size % PAGE_SIZE
             os.ftruncate(self._fd, size)
-        self._num_pages = size // PAGE_SIZE
+        #: Pages in the file; only :meth:`allocate_page` grows it.  A plain
+        #: attribute, read on every record read.
+        self.num_pages = size // PAGE_SIZE
         self._closed = False
-
-    @property
-    def num_pages(self) -> int:
-        return self._num_pages
 
     def _count_retry(self) -> None:
         if self._stats is not None:
@@ -86,16 +84,16 @@ class PagedFile:
 
     def allocate_page(self) -> int:
         """Append a zeroed (checksum-stamped) page, returning its number."""
-        page_no = self._num_pages
+        page_no = self.num_pages
         raw = bytearray(PAGE_SIZE)
         stamp_checksum(raw)
         self._write_raw(page_no, bytes(raw))
-        self._num_pages += 1
+        self.num_pages += 1
         return page_no
 
     def read_page(self, page_no: int) -> bytearray:
-        if not 0 <= page_no < self._num_pages:
-            raise PageError(f"page {page_no} out of range (have {self._num_pages})")
+        if not 0 <= page_no < self.num_pages:
+            raise PageError(f"page {page_no} out of range (have {self.num_pages})")
         try:
             raw = self._pread(page_no)
         except OSError as error:
@@ -113,8 +111,8 @@ class PagedFile:
     def write_page(self, page_no: int, raw: bytes | bytearray) -> None:
         if len(raw) != PAGE_SIZE:
             raise PageError(f"write_page needs {PAGE_SIZE} bytes, got {len(raw)}")
-        if not 0 <= page_no < self._num_pages:
-            raise PageError(f"page {page_no} out of range (have {self._num_pages})")
+        if not 0 <= page_no < self.num_pages:
+            raise PageError(f"page {page_no} out of range (have {self.num_pages})")
         stamped = bytearray(raw)
         stamp_checksum(stamped)
         # Faults mangle the bytes *after* the checksum is stamped, so

@@ -43,6 +43,7 @@ from repro.storage.wal import LogRecord, LogRecordKind, WriteAheadLog
 
 _ROOT_RESOURCE = "ROOT"
 _ROOT = struct.Struct("<q")  # SET_ROOT before/after images
+_S = LockMode.S
 
 
 @dataclasses.dataclass
@@ -242,7 +243,8 @@ class StorageManager:
         Nothing is logged: a transaction enters the log with its first
         mutation, which is all recovery needs to call it a loser.
         """
-        self._check_open()
+        if self._closed:
+            self._check_open()
         with self._mutex:
             if txid in self._active:
                 raise StorageError(f"transaction {txid} already active")
@@ -261,9 +263,12 @@ class StorageManager:
         records as they were — a perpetual trigger group that ends where
         it began — commits this way too.
         """
-        self._check_open()
+        if self._closed:
+            self._check_open()
         with self._mutex:
-            records = self._require_active(txid)
+            records = self._active.get(txid)
+            if records is None:
+                self._require_active(txid)
             if self.degraded and records:
                 raise ReadOnlyStorageError(
                     f"cannot commit transaction {txid}: "
@@ -359,10 +364,16 @@ class StorageManager:
         return rid
 
     def read(self, txid: int, rid: int) -> bytes:
-        """Return the record at *rid*; raises ``RecordNotFoundError``."""
-        self._check_open()
-        self._require_active(txid)
-        self._locks.lock(txid, rid, LockMode.S)
+        """Return the record at *rid*; raises ``RecordNotFoundError``.
+
+        The read half of every dereference: the open and active checks
+        are one inline test each, raising through the check that owns
+        the error."""
+        if self._closed:
+            self._check_open()
+        if txid not in self._active:
+            self._require_active(txid)
+        self._locks.lock(txid, rid, _S)
         with self._mutex:
             self.stats.reads += 1
             return self._records.get(rid)

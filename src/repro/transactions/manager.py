@@ -45,7 +45,7 @@ from repro.errors import (
     TransactionError,
 )
 from repro.transactions.dependencies import CommitDependencyGraph
-from repro.transactions.txn import Transaction, TxnState
+from repro.transactions.txn import CURRENT_STATES, Transaction, TxnState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
@@ -104,11 +104,12 @@ class TransactionManager:
     def begin(
         self, *, system: bool = False, session: "Session | None" = None
     ) -> Transaction:
-        if self.db.closed:
-            raise DatabaseClosedError(f"database {self.db.name!r} is closed")
-        sess = self._resolve_session(session)
+        db = self.db
+        if db.closed:
+            raise DatabaseClosedError(f"database {db.name!r} is closed")
+        sess = session if session is not None else db.current_session()
         held = sess.current_txn
-        if held is not None and held.state in (TxnState.ACTIVE, TxnState.COMMITTING):
+        if held is not None and held.state in CURRENT_STATES:
             raise NestedTransactionError(
                 f"transaction {held.txid} is still active in session "
                 f"{sess.name!r}; Ode does not support nested transactions "
@@ -117,15 +118,15 @@ class TransactionManager:
         with self._txid_lock:
             txid = self._next_txid
             self._next_txid += 1
-        txn = Transaction(txid, self.db, system=system, session=sess)
-        self.db.storage.begin_transaction(txn.txid)
-        self._active[txn.txid] = txn
+        txn = Transaction(txid, db, system=system, session=sess)
+        db.storage.begin_transaction(txid)
+        self._active[txid] = txn
         sess.current_txn = txn
         if obs.ENABLED:
-            obs.emit("txn.begin", txid=txn.txid, system=system, session=sess.name)
+            obs.emit("txn.begin", txid=txid, system=system, session=sess.name)
             # Per-transaction metrics delta: snapshot the registry now so
             # obs.transaction_delta(txn) can report what this txn cost.
-            txn.attachments[obs.TXN_METRICS_KEY] = self.db.metrics.snapshot()
+            txn.attachments[obs.TXN_METRICS_KEY] = db.metrics.snapshot()
         for listener in self._begin_listeners:
             listener(txn)
         return txn

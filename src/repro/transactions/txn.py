@@ -35,6 +35,11 @@ class TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
+#: The states in which a session's transaction is its current one:
+#: ``COMMITTING`` counts, because before-commit hooks (deferred trigger
+#: actions, ``before tcomplete`` posting) still run inside it.
+CURRENT_STATES = (TxnState.ACTIVE, TxnState.COMMITTING)
+
 Hook = Callable[["Transaction"], None]
 
 

@@ -351,6 +351,9 @@ class Group:
     #: chooses again
     kernel = None
     kernel_version = None
+    #: the ``statenums`` the group's record held when it was loaded (a
+    #: tuple; ``None`` for a group created in this transaction)
+    loaded = None
 
     def __init__(self, rid: int | None, heads: GroupHeads, resolved=None):
         self.rid = rid
@@ -554,10 +557,12 @@ class LockInPlaceStates(StateStore):
     same.  A later change to a dirty group asks for no lock again.
     :meth:`write_back`, run by ``Database.flush_transaction`` after every
     before-commit hook, writes each dirty group once, as objects are
-    written (a group that ended where it began logs nothing: the shell
-    drops a write of unchanged bytes).  An abort therefore logs nothing
-    for a group it only advanced; the store dies with the transaction.
-    ``create`` and ``drop`` still insert and delete at once.
+    written — unless the group ended where it was loaded: its frame is
+    intact (no membership change) and its ``statenums`` equal the loaded
+    ones, so :meth:`Group.encode` would produce the stored bytes and
+    nothing is asked of storage (DESIGN §16).  An abort therefore logs
+    nothing for a group it only advanced; the store dies with the
+    transaction.  ``create`` and ``drop`` still insert and delete at once.
     """
 
     def __init__(self, system: "TriggerSystem", txn: "Transaction"):
@@ -575,6 +580,7 @@ class LockInPlaceStates(StateStore):
             group = self.groups[rid] = Group(
                 rid, decode_heads(self.storage.read(self.txid, rid)), self.system.resolved
             )
+            group.loaded = tuple(group.statenums)
         return group
 
     def create(self, anchor, entry):
@@ -618,7 +624,8 @@ class LockInPlaceStates(StateStore):
 
     def write_back(self):
         for rid, group in self.dirty.items():
-            self.storage.write(self.txid, rid, group.encode())
+            if group.frame is None or tuple(group.statenums) != group.loaded:
+                self.storage.write(self.txid, rid, group.encode())
         self.dirty.clear()
 
     def _mark(self, group: Group) -> None:

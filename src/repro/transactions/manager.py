@@ -245,6 +245,10 @@ class TransactionManager:
                     hook(txn)
                 except TransactionAbort:
                     pass  # already aborting
+        if txn.attachments:
+            # Before the locks go: a published index list must not outlive
+            # the locks that made publishing it sound.
+            self.db.withdraw_indexes(txn)
         self.db.storage.abort_transaction(txn.txid)
         txn.cache.clear()
         txn.dirty.clear()

@@ -292,7 +292,9 @@ def test_recovery_undo_restores_the_older_image(any_engine_db):
     db = any_engine_db
     path, engine = db.path, db.engine
     ptr = _committed(db, n=1)
-    block = db.transaction()
+    # The manager's block makes no session ambient, so the block the crash
+    # leaves open leaves nothing on this thread's ambient stack.
+    block = db.txn_manager.transaction()
     txn = block.__enter__()
     db.deref(ptr).n = 2
     db.flush_transaction(txn)

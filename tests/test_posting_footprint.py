@@ -138,10 +138,10 @@ def _clean(db) -> None:
 def test_a_posting_reads_its_object_and_its_group_and_no_bucket(cell):
     """The ``canon_mm`` transaction.  2PL: the object and its group are
     read (3 lock acquires: S object, S and X group), and the group,
-    advanced twice, is written once.  MVCC: the committed head serves the
-    group, so only the object is read and locked; the merge writes the
-    group once.  Either way the pair leaves the perpetual machine where it
-    began, so the write changes no byte and nothing is logged."""
+    advanced twice back to where it was loaded, is not written back.
+    MVCC: the committed head serves the group, so only the object is read
+    and locked; the merge writes the group once, and the shell finds the
+    bytes unchanged.  Either way nothing is logged."""
     _, db = cell
     ptr = _watched(db)
     _canonical(db, ptr)  # MVCC: loads the group's chain
@@ -156,7 +156,9 @@ def test_a_posting_reads_its_object_and_its_group_and_no_bucket(cell):
     assert delta("storage.reads") == (2 if two_phase else 1)
     assert delta("locks.s_acquired") + delta("locks.x_acquired") == (3 if two_phase else 1)
     assert delta("storage.log_records") == 0
-    assert delta("storage.writes") == delta("storage.unchanged_writes") == 1
+    assert delta("storage.writes") == delta("storage.unchanged_writes") == (
+        0 if two_phase else 1
+    )
     assert delta("posting.events_posted") == delta("posting.fsm_advances") == 2
     assert delta("posting.state_writes") == (2 if two_phase else 0)
     assert delta("posting.firings") == 1

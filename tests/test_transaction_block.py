@@ -22,6 +22,7 @@ from repro.objects.database import Database
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 from repro.sessions import session as session_module
+from repro.sessions.session import SessionTransaction
 from repro.storage.locks import LockMode
 from repro.transactions.manager import TransactionBlock
 from repro.transactions.txn import TxnState
@@ -76,8 +77,10 @@ FORMS = {
     "session.run": via_run,
     "txn_manager.transaction": via_manager,
 }
+#: The forms that run in a session the caller names.
+SESSION_FORMS = {"session.transaction", "session.run"}
 #: The forms that make their session ambient for the block.
-PUSHING = {"session.transaction", "session.run"}
+PUSHING = SESSION_FORMS | {"db.transaction"}
 
 
 @pytest.fixture(params=sorted(FORMS))
@@ -207,7 +210,7 @@ class TestBeginFailures:
             FORMS[form](db, session, lambda txn: "never")
         assert ambient_depth() == before
 
-    @pytest.mark.parametrize("form_name", sorted(PUSHING))
+    @pytest.mark.parametrize("form_name", sorted(SESSION_FORMS))
     def test_closed_session_raises_and_leaves_the_stack(self, any_engine_db, form_name):
         db = any_engine_db
         side = db.session("side")
@@ -222,7 +225,7 @@ class TestBlockShape:
     def test_every_form_is_a_plain_context_manager(self, any_engine_db):
         db = any_engine_db
         session = db.default_session()
-        assert type(db.transaction()) is TransactionBlock
+        assert type(db.transaction()) is SessionTransaction
         assert type(db.txn_manager.transaction()) is TransactionBlock
         block = session.transaction()
         assert hasattr(block, "__enter__") and hasattr(block, "__exit__")
@@ -257,6 +260,34 @@ class TestAmbientSession:
 
         assert session.run(body) == "ab"
         assert pushes == []
+
+    def test_db_transaction_makes_the_default_session_ambient(
+        self, any_engine_db, monkeypatch
+    ):
+        """The serial API's block is the default session's: it is ambient
+        inside the block and gone after it, so a handle's member calls and
+        writes inside call straight through."""
+        db = any_engine_db
+        assert session_module.current_ambient_session() is None
+        with db.transaction():
+            assert session_module.current_ambient_session() is db.default_session()
+            ptr = db.pnew(BlockNote, text="a").ptr
+        assert session_module.current_ambient_session() is None
+        pushes = []
+        original = session_module.ambient_session.__enter__
+
+        def counting_enter(self):
+            pushes.append(self.session)
+            return original(self)
+
+        monkeypatch.setattr(session_module.ambient_session, "__enter__", counting_enter)
+        with db.transaction():
+            handle = db.deref(ptr)
+            handle.text = handle.text + "b"
+            handle.post_event("Ping")
+            assert handle.peek(ptr) == "ab"
+        assert pushes == []
+        assert session_module.current_ambient_session() is None
 
     def test_handle_of_session_a_runs_in_a_inside_session_b(self, any_engine_db):
         db = any_engine_db

@@ -133,9 +133,10 @@ def test_a_write_there_and_back_logs_two_updates_and_its_abort_restores(
 def test_a_pair_that_ends_where_it_began_commits_without_a_force_and_recovers(
     any_engine_db, db_path
 ):
-    """The ``canon_mm`` transaction: the group is written at commit with
-    the bytes it already holds, so there is no COMMIT and no force, and
-    what a crash leaves is what the last logged transaction made durable."""
+    """The ``canon_mm`` transaction: the group ends where it was loaded,
+    so the 2PL store does not write it back at all (DESIGN §16), there is
+    no COMMIT and no force, and what a crash leaves is what the last
+    logged transaction made durable."""
     db = any_engine_db
     engine = db.engine
     ptr = _watched(db)
@@ -145,8 +146,8 @@ def test_a_pair_that_ends_where_it_began_commits_without_a_force_and_recovers(
     assert _delta(before, _counts(db)) == {
         "log_records": 0,
         "log_forces": 0,
-        "writes": 1,
-        "unchanged_writes": 1,
+        "writes": 0,
+        "unchanged_writes": 0,
     }
     db.simulate_crash()
 

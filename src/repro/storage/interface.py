@@ -260,8 +260,8 @@ class StorageManager:
         and MVCC publishes its heads — only after their own force.  A
         write of the bytes a record already holds logs nothing either
         (:meth:`write`), so a transaction whose writes all left their
-        records as they were — a perpetual trigger group that ends where
-        it began — commits this way too.
+        records as they were — an MVCC merge of a perpetual trigger group
+        that ends where it began — commits this way too.
         """
         if self._closed:
             self._check_open()

@@ -154,9 +154,11 @@ def process_active_class(cls: type) -> None:
     """Compile a class's ``__events__`` / ``__masks__`` / ``__triggers__``.
 
     Called from ``Persistent.__init_subclass__``.  Inherited events, masks,
-    wrappers, and triggers are merged in (events of a base class are posted
-    to derived objects too, Section 4), and each trigger defined *here* is
-    compiled against the full inherited alphabet.
+    and triggers are merged in (events of a base class are posted to
+    derived objects too, Section 4), and each trigger defined *here* is
+    compiled against the full inherited alphabet.  A trigger named like
+    another the class has (its own or inherited) would be unreachable
+    through a handle, so it is refused.
     """
     from repro.objects.metatype import global_type_registry
 
@@ -168,7 +170,6 @@ def process_active_class(cls: type) -> None:
     inherited_events: list[EventDecl] = []
     inherited_masks: dict[str, Callable[..., bool]] = {}
     inherited_mask_specs: dict[str, Callable[..., bool]] = {}
-    inherited_wrappers: dict[str, Callable[..., Any]] = {}
     inherited_infos: list[TriggerInfo] = []
     for base in reversed(metatype.base_metatypes(registry)):
         for decl in base.declared_events:
@@ -176,9 +177,8 @@ def process_active_class(cls: type) -> None:
                 inherited_events.append(decl)
         inherited_masks.update(base.masks)
         inherited_mask_specs.update(base.mask_specs)
-        inherited_wrappers.update(base.method_wrappers)
         for info in base.all_trigger_infos:
-            if all(existing.name != info.name for existing in inherited_infos):
+            if info not in inherited_infos:  # once, though two bases share it
                 inherited_infos.append(info)
         metatype.event_ints.update(base.event_ints)
         metatype.event_owner.update(base.event_owner)
@@ -284,23 +284,26 @@ def process_active_class(cls: type) -> None:
         )
         own_infos.append(info)
 
-    # -- member-function wrappers --------------------------------------------------
-    wrappers = dict(inherited_wrappers)
-    by_method: dict[str, dict[str, EventDecl]] = {}
+    # -- member-function wrappers (`declared` holds the inherited events) ---------
+    event_nums: dict[str, dict[str, int]] = {}
     for decl in declared:
         if decl.is_method_event:
-            by_method.setdefault(decl.name, {})[decl.kind] = decl
-    for method_name, kinds in by_method.items():
-        before_int = (
-            metatype.event_ints[kinds["before"].symbol] if "before" in kinds else None
-        )
-        after_int = (
-            metatype.event_ints[kinds["after"].symbol] if "after" in kinds else None
-        )
-        wrappers[method_name] = make_method_wrapper(
-            method_name, before_int, after_int
-        )
-    metatype.install(own_infos, inherited_infos + own_infos, wrappers)
+            nums = event_nums.setdefault(decl.name, {})
+            nums[decl.kind] = metatype.event_ints[decl.symbol]
+    wrappers = {
+        name: make_method_wrapper(name, nums.get("before"), nums.get("after"))
+        for name, nums in event_nums.items()
+    }
+    all_infos = inherited_infos + own_infos
+    named: dict[str, TriggerInfo] = {}
+    for info in all_infos:
+        first = named.setdefault(info.name, info)
+        if first is not info:
+            raise TriggerDeclarationError(
+                f"{cls.__name__}: trigger {info.name!r} of {info.defining_type} is "
+                f"named like {first.defining_type}'s; a handle reaches only one"
+            )
+    metatype.install(own_infos, all_infos, wrappers)
 
     # A class (re)compilation changes the trigger universe — its infos are
     # fresh objects and event integers may have shifted — so every compiled

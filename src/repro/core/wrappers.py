@@ -9,7 +9,7 @@ member function and posts its events::
         PostEvent(CredCardEvents[1], pthis, type_CredCard);
     }
 
-Our wrappers are closures stored in the metatype's ``method_wrappers`` and
+Our wrappers are closures built once per class (``Metatype.members``) and
 invoked only through :class:`~repro.objects.handle.PersistentHandle` —
 "member functions invoked via volatile object pointers or references do not
 cause events to be posted" (paper footnote 1), and indeed a volatile call
@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.trigger_def import TriggerInfo
     from repro.objects.database import Database
     from repro.objects.oid import PersistentPtr
     from repro.objects.persistent import Persistent
@@ -59,3 +60,12 @@ def make_method_wrapper(
     wrapper.__name__ = f"{method_name}WithPost"
     wrapper.__qualname__ = wrapper.__name__
     return wrapper
+
+
+def make_activator(info: "TriggerInfo") -> Callable[..., Any]:
+    """The member entry of trigger *info*: a call activates it."""
+
+    def activate(db: "Database", ptr: "PersistentPtr", obj: "Persistent", *args: Any):
+        return db.trigger_system.activate(db, ptr, info, *args)
+
+    return activate

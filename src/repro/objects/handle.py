@@ -5,17 +5,15 @@ pointers* into calls of generated wrapper functions that post ``before``/
 ``after`` events (paper Section 5.3).  Python has no pointer types to
 rewrite, so dereferencing returns a :class:`PersistentHandle` proxy:
 
-* method access consults the class metatype's generated
-  ``method_wrappers`` — calls through the handle run the wrapper (post
-  events, delegate, mark the object dirty);
-* methods without declared events are still wrapped *minimally* to mark the
-  object dirty (any method may mutate);
-* field reads pass straight through (a set field that no wrapper or
-  trigger shares a name with is one instance-dict hit); field writes
-  update the instance and mark it dirty (acquiring the write lock
-  immediately — strict 2PL);
-* trigger names behave like member functions whose call *activates* the
-  trigger, reproducing ``pcred->AutoRaiseLimit(1000.0)``;
+* a member call runs the class's one wrapper for it (``Metatype.members``,
+  built when the class is registered): it posts the member's declared
+  events, if any, delegates, and marks the object dirty (any method may
+  mutate); a trigger's name activates the trigger, reproducing
+  ``pcred->AutoRaiseLimit(1000.0)``;
+* field reads pass straight through (a set field that is not a member
+  name is one instance-dict hit); field writes update the instance and
+  mark it dirty (acquiring the write lock immediately — strict 2PL);
+* any other attribute (a callable in the instance dict too) comes back raw;
 * ``post_event`` posts a user-defined (declared) event, the explicit
   posting the paper requires for non-member-function events.
 
@@ -42,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
     from repro.objects.oid import PersistentPtr
     from repro.objects.persistent import Persistent
+    from repro.objects.schema import Field
     from repro.sessions.session import Session
 
 
@@ -103,51 +102,20 @@ class PersistentHandle:
                 return obj.__dict__[name]
             except KeyError:
                 pass  # unset: getattr below raises the field's own error
-        wrapper = metatype.method_wrappers.get(name)
-        if wrapper is not None:
-            return functools.partial(
-                self._scoped, wrapper, self._db, self._ptr, self._obj
-            )
-        for info in metatype.all_trigger_infos:
-            if info.name == name:
-                return functools.partial(
-                    self._scoped,
-                    self._db.trigger_system.activate,
-                    self._db,
-                    self._ptr,
-                    info,
-                )
-        value = getattr(obj, name)
-        if callable(value) and not isinstance(value, type):
-            return self._dirtying(value)
-        return value
+        member = metatype.members.get(name)
+        if member is not None:
+            return functools.partial(self._scoped, member, self._db, self._ptr, obj)
+        return getattr(obj, name)
 
     def __setattr__(self, name: str, value: Any) -> None:
         metatype = type(self._obj).__metatype__
-        if name not in metatype.fields:
+        fld = metatype.fields.get(name)
+        if fld is None:
             raise AttributeError(
                 f"{metatype.name} has no field {name!r}; only declared fields "
                 "may be written through a persistent handle"
             )
-        def write() -> None:
-            setattr(self._obj, name, value)
-            self._db.mark_dirty(self._obj)
-
-        self._scoped(write)
-
-    def _dirtying(self, method):
-        """Wrap an event-less method so calling it still marks the object dirty."""
-
-        @functools.wraps(method)
-        def call(*args: Any, **kwargs: Any) -> Any:
-            def body():
-                result = method(*args, **kwargs)
-                self._db.mark_dirty(self._obj)
-                return result
-
-            return self._scoped(body)
-
-        return call
+        self._scoped(_write_field, self._db, self._obj, fld, value)
 
     # -- events -----------------------------------------------------------------
 
@@ -171,6 +139,12 @@ class PersistentHandle:
 
     def __repr__(self) -> str:
         return f"<PersistentHandle {self._ptr!r} -> {self._obj!r}>"
+
+
+def _write_field(db: "Database", obj: "Persistent", fld: "Field", value: Any) -> None:
+    """A handle's field write: the field's own check and store, then dirty."""
+    fld.assign(obj, value)
+    db.mark_dirty(obj)
 
 
 _set_db, _set_ptr, _set_obj, _set_session = (

@@ -4,7 +4,7 @@ For every persistent class the O++ compiler generates a *type descriptor*
 holding "the machinery for a trigger (e.g. its FSM, its action code, etc.)"
 (paper Section 5.4.1).  Our :class:`Metatype` plays that role: the trigger
 declaration processor (:mod:`repro.core.declarations`) fills in declared
-events, trigger infos, mask functions, and method wrappers at class-creation
+events, trigger infos, mask functions, and member wrappers at class-creation
 time — the Python analogue of recompiling the FSMs with every program, the
 strategy the paper chose over persisting FSMs centrally (Section 5.1.3).
 
@@ -27,6 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.events.fsm import EventDecl
 
 
+#: Names every object, so every handle, answers itself.
+_OBJECT_NAMES = frozenset(dir(object))
+
+
 class Metatype:
     """Run-time descriptor of one persistent class."""
 
@@ -37,13 +41,10 @@ class Metatype:
         # Filled by repro.core.declarations when the class declares
         # events/triggers; empty for passive classes.
         self.declared_events: list["EventDecl"] = []  # own + inherited
-        self.trigger_infos: list["TriggerInfo"] = []  # defined by THIS class
-        self.all_trigger_infos: list["TriggerInfo"] = []  # incl. inherited
         self.masks: dict[str, Callable[..., bool]] = {}
         # The mask callables exactly as declared, before `_adapt_mask`
         # normalizes arity — what generated code calls and ODE401 reads.
         self.mask_specs: dict[str, Callable[..., bool]] = {}
-        self.method_wrappers: dict[str, Callable[..., Any]] = {}
         self.constraints: list[Any] = []
         # Run-time event integers: symbol -> globally-unique eventnum, and
         # symbol -> the class that declared the event (its eventRep owner).
@@ -51,27 +52,37 @@ class Metatype:
         self.event_owner: dict[str, str] = {}
         # Declared user-defined event name -> its eventnum (own + inherited).
         self.user_events: dict[str, int] = {}
-        # The declared fields a handle reads straight from the instance;
-        # see install().
-        self.plain_fields: frozenset[str] = frozenset(self.fields)
+        self.install([], [], {})
 
     def install(
         self,
         trigger_infos: list["TriggerInfo"],
         all_trigger_infos: list["TriggerInfo"],
-        method_wrappers: dict[str, Callable[..., Any]],
+        event_wrappers: dict[str, Callable[..., Any]],
     ) -> None:
         """Set the class's triggers (its own, then with the inherited ones)
-        and method wrappers, and recompute :attr:`plain_fields`: the
-        declared fields no wrapper and no trigger shares a name with,
-        since a handle answers a name with the wrapper first, then the
-        trigger, then the attribute."""
-        self.trigger_infos = trigger_infos
-        self.all_trigger_infos = all_trigger_infos
-        self.method_wrappers = method_wrappers
-        shadowed = set(method_wrappers)
-        shadowed.update(info.name for info in all_trigger_infos)
-        self.plain_fields = frozenset(self.fields) - shadowed
+        and build :attr:`members`: every callable class attribute that is
+        not a type, a field or in ``_OBJECT_NAMES``, and every trigger
+        name, each mapped once to a callable ``(db, ptr, obj, *args)`` —
+        its event wrapper, else its trigger's activator, else an event-less
+        wrapper.  A handle reads :attr:`plain_fields` (the fields that are
+        not members) from the instance."""
+        from repro.core.wrappers import make_activator, make_method_wrapper
+
+        self.trigger_infos = trigger_infos  # defined by THIS class
+        self.all_trigger_infos = all_trigger_infos  # incl. inherited
+        members: dict[str, Callable[..., Any]] = {}
+        for name in dir(self.pyclass):
+            if name in self.fields or name in _OBJECT_NAMES:
+                continue
+            value = getattr(self.pyclass, name, None)
+            if callable(value) and not isinstance(value, type):
+                members[name] = make_method_wrapper(name, None, None)
+        for info in all_trigger_infos:
+            members[info.name] = make_activator(info)
+        members.update(event_wrappers)
+        self.members = members
+        self.plain_fields = frozenset(self.fields).difference(members)
 
     # -- inheritance ----------------------------------------------------------
 

@@ -49,7 +49,6 @@ from repro.core.trigger_def import (
     TriggerInfo,
     build_int_fsm,
 )
-from repro.core.wrappers import make_method_wrapper
 from repro.errors import TriggerDeclarationError
 from repro.events.compile import compile_expression
 from repro.events.fsm import EventDecl
@@ -284,26 +283,17 @@ def process_active_class(cls: type) -> None:
         )
         own_infos.append(info)
 
-    # -- member-function wrappers (`declared` holds the inherited events) ---------
+    # -- member functions' events (`declared` holds the inherited events) --------
     event_nums: dict[str, dict[str, int]] = {}
     for decl in declared:
         if decl.is_method_event:
             nums = event_nums.setdefault(decl.name, {})
             nums[decl.kind] = metatype.event_ints[decl.symbol]
-    wrappers = {
-        name: make_method_wrapper(name, nums.get("before"), nums.get("after"))
+    method_events = {
+        name: (nums.get("before"), nums.get("after"))
         for name, nums in event_nums.items()
     }
-    all_infos = inherited_infos + own_infos
-    named: dict[str, TriggerInfo] = {}
-    for info in all_infos:
-        first = named.setdefault(info.name, info)
-        if first is not info:
-            raise TriggerDeclarationError(
-                f"{cls.__name__}: trigger {info.name!r} of {info.defining_type} is "
-                f"named like {first.defining_type}'s; a handle reaches only one"
-            )
-    metatype.install(own_infos, all_infos, wrappers)
+    metatype.install(own_infos, inherited_infos + own_infos, method_events)
 
     # A class (re)compilation changes the trigger universe — its infos are
     # fresh objects and event integers may have shifted — so every compiled

@@ -115,6 +115,26 @@ class LocalRules(Group):
         return machine
 
 
+def _call_posting(
+    system: "LocalTriggerSystem",
+    obj: Any,
+    name: str,
+    before: int | None,
+    after: int | None,
+    /,
+    *args: Any,
+    **kwargs: Any,
+) -> Any:
+    """A monitored member call: post its *before* event, call the method,
+    post its *after* event (either event integer may be ``None``)."""
+    if before is not None:
+        system.post(obj, before, EventOccurrence(before, name, args, kwargs))
+    result = getattr(obj, name)(*args, **kwargs)
+    if after is not None:
+        system.post(obj, after, EventOccurrence(after, name, args, kwargs))
+    return result
+
+
 class MonitoredHandle:
     """Volatile analogue of a persistent handle: posts to the local system."""
 
@@ -129,39 +149,15 @@ class MonitoredHandle:
         return self._obj
 
     def __getattr__(self, name: str) -> Any:
-        metatype = type(self._obj).__metatype__
-        events = {
-            (decl.kind, decl.name): metatype.event_ints[decl.symbol]
-            for decl in metatype.declared_events
-            if decl.is_method_event
-        }
-        before = events.get(("before", name))
-        after = events.get(("after", name))
-        if before is not None or after is not None:
-            method = getattr(self._obj, name)
-
-            @functools.wraps(method)
-            def call(*args: Any, **kwargs: Any) -> Any:
-                if before is not None:
-                    self._system.post(
-                        self._obj,
-                        before,
-                        EventOccurrence(before, name, args, kwargs),
-                    )
-                result = method(*args, **kwargs)
-                if after is not None:
-                    self._system.post(
-                        self._obj,
-                        after,
-                        EventOccurrence(after, name, args, kwargs),
-                    )
-                return result
-
-            return call
-        for info in metatype.all_trigger_infos:
-            if info.name == name:
-                return functools.partial(self._system.activate, self._obj, info)
-        return getattr(self._obj, name)
+        obj = self._obj
+        metatype = type(obj).__metatype__
+        events = metatype.method_events.get(name)
+        if events is not None:
+            return functools.partial(_call_posting, self._system, obj, name, *events)
+        info = metatype.triggers_by_name.get(name)
+        if info is not None:
+            return functools.partial(self._system.activate, obj, info)
+        return getattr(obj, name)
 
     def __setattr__(self, name: str, value: Any) -> None:
         setattr(self._obj, name, value)

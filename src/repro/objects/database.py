@@ -57,7 +57,7 @@ from repro.objects.serialize import (
 from repro.sessions.session import (
     Session,
     SessionStats,
-    SessionTransaction,
+    TransactionBlock,
     current_ambient_session,
 )
 from repro.storage import open_storage
@@ -556,7 +556,7 @@ class Database:
 
     # -- transactions -----------------------------------------------------------------------
 
-    def transaction(self) -> SessionTransaction:
+    def transaction(self) -> TransactionBlock:
         """O++ transaction block in the current session, which is ambient
         for the block: commit on success, ``tabort`` aborts quietly."""
         return self.current_session().transaction()

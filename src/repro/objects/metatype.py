@@ -19,7 +19,7 @@ import threading
 import warnings
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import UnknownTriggerError, UnknownTypeError
+from repro.errors import TriggerDeclarationError, UnknownTriggerError, UnknownTypeError
 from repro.objects.schema import Field, collect_fields
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,19 +58,32 @@ class Metatype:
         self,
         trigger_infos: list["TriggerInfo"],
         all_trigger_infos: list["TriggerInfo"],
-        event_wrappers: dict[str, Callable[..., Any]],
+        method_events: dict[str, tuple[int | None, int | None]],
     ) -> None:
         """Set the class's triggers (its own, then with the inherited ones)
-        and build :attr:`members`: every callable class attribute that is
-        not a type, a field or in ``_OBJECT_NAMES``, and every trigger
-        name, each mapped once to a callable ``(db, ptr, obj, *args)`` —
-        its event wrapper, else its trigger's activator, else an event-less
+        and its member functions' ``(before, after)`` event integers, and
+        build :attr:`members`: every callable class attribute that is not
+        a type, a field or in ``_OBJECT_NAMES``, and every trigger name,
+        each mapped once to a callable ``(db, ptr, obj, *args)`` — its
+        event wrapper, else its trigger's activator, else an event-less
         wrapper.  A handle reads :attr:`plain_fields` (the fields that are
-        not members) from the instance."""
+        not members) from the instance; a monitored handle reads
+        :attr:`method_events` and :attr:`triggers_by_name`.  Two triggers
+        of one name (own or inherited) raise, and change nothing."""
         from repro.core.wrappers import make_activator, make_method_wrapper
 
+        triggers_by_name: dict[str, "TriggerInfo"] = {}
+        for info in all_trigger_infos:
+            first = triggers_by_name.setdefault(info.name, info)
+            if first is not info:
+                raise TriggerDeclarationError(
+                    f"{self.name}: trigger {info.name!r} of {info.defining_type} "
+                    f"is named like {first.defining_type}'s; a handle reaches only one"
+                )
         self.trigger_infos = trigger_infos  # defined by THIS class
         self.all_trigger_infos = all_trigger_infos  # incl. inherited
+        self.triggers_by_name = triggers_by_name
+        self.method_events = method_events
         members: dict[str, Callable[..., Any]] = {}
         for name in dir(self.pyclass):
             if name in self.fields or name in _OBJECT_NAMES:
@@ -80,7 +93,8 @@ class Metatype:
                 members[name] = make_method_wrapper(name, None, None)
         for info in all_trigger_infos:
             members[info.name] = make_activator(info)
-        members.update(event_wrappers)
+        for name, (before, after) in method_events.items():
+            members[name] = make_method_wrapper(name, before, after)
         self.members = members
         self.plain_fields = frozenset(self.fields).difference(members)
 

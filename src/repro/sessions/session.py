@@ -33,6 +33,7 @@ from repro import obs
 from repro.errors import (
     DatabaseClosedError,
     NoActiveTransactionError,
+    TransactionAbort,
     TransactionDeadlineError,
     TransactionError,
 )
@@ -44,13 +45,12 @@ from repro.faults.retry import (
 )
 from repro.obs.metrics import Stats
 from repro.storage.locks import current_wait_hooks
-from repro.transactions.txn import CURRENT_STATES
+from repro.transactions.txn import CURRENT_STATES, TxnState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
     from repro.objects.handle import PersistentHandle
     from repro.objects.oid import PersistentPtr
-    from repro.transactions.manager import TransactionBlock
     from repro.transactions.txn import Transaction
 
 
@@ -113,33 +113,61 @@ class ambient_session:  # noqa: N801 - used like the function it replaced
         self._stack.pop()
 
 
-class SessionTransaction:
-    """:meth:`Session.transaction`'s block: the session is ambient from
-    ``__enter__`` to ``__exit__`` — one push per transaction — around the
-    manager's :class:`~repro.transactions.manager.TransactionBlock`, which
-    carries the O++ semantics."""
+class TransactionBlock:
+    """One ``with`` block with O++ transaction-block semantics, in one
+    session.
 
-    __slots__ = ("_session", "_block", "_stack")
+    ``__enter__`` makes the session ambient (one push per transaction),
+    begins the transaction and returns it.  ``__exit__`` pops the session
+    after applying the block rules:
 
-    def __init__(self, session: "Session", block: "TransactionBlock"):
-        self._session = session
-        self._block = block
+    * a clean exit commits;
+    * ``tabort`` (a :class:`TransactionAbort` escaping the block) aborts
+      explicitly and is swallowed — execution continues after the block,
+      as in O++;
+    * any other exception aborts implicitly and propagates.
+
+    A transaction the body already finished (committed or aborted itself)
+    is left alone.  This is the only implementation of those rules:
+    :meth:`Session.transaction` builds it, :meth:`Database.transaction`,
+    :meth:`TransactionManager.transaction`, :meth:`Session.run` and the
+    system transactions of detached trigger actions all go through it.
+    """
+
+    __slots__ = ("session", "system", "txn", "_stack")
+
+    def __init__(self, session: "Session", system: bool):
+        self.session = session
+        self.system = system
+        self.txn: "Transaction | None" = None
 
     def __enter__(self) -> "Transaction":
-        session = self._session
+        session = self.session
         if session.closed:
             session._check_open()
         stack = self._stack = _ambient_stack()
         stack.append(session)
         try:
-            return self._block.__enter__()
+            txn = self.txn = session.db.txn_manager.begin(
+                system=self.system, session=session
+            )
         except BaseException:
             stack.pop()
             raise
+        return txn
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        txn = self.txn
+        manager = self.session.db.txn_manager
         try:
-            return self._block.__exit__(exc_type, exc, tb)
+            if exc_type is None:
+                if txn.state is TxnState.ACTIVE:
+                    manager.commit(txn)
+                return False
+            tabort = issubclass(exc_type, TransactionAbort)
+            if txn.state is TxnState.ACTIVE:
+                manager.abort(txn, explicit=tabort)
+            return tabort
         finally:
             self._stack.pop()
 
@@ -166,12 +194,10 @@ class Session:
 
     # -- transactions ---------------------------------------------------------
 
-    def transaction(self, *, system: bool = False) -> SessionTransaction:
+    def transaction(self, *, system: bool = False) -> TransactionBlock:
         """A transaction block in this session (O++ semantics, see
-        :class:`repro.transactions.manager.TransactionBlock`)."""
-        return SessionTransaction(
-            self, self.db.txn_manager.transaction(system=system, session=self)
-        )
+        :class:`TransactionBlock`)."""
+        return TransactionBlock(self, system)
 
     def begin(self, *, system: bool = False) -> "Transaction":
         self._check_open()

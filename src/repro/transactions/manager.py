@@ -22,6 +22,13 @@ shared queue** (:meth:`TransactionManager.schedule_system`) that is drained
 after every commit/abort by whichever session finished, each entry in its
 own fresh system transaction.
 
+The manager owns begin/commit/abort; it does not implement the O++ block
+rules.  :class:`~repro.sessions.session.TransactionBlock` is the one
+``with`` block — it makes its session ambient and commits, swallows a
+``tabort`` or aborts — and :meth:`TransactionManager.transaction` and
+:meth:`TransactionManager.run_system_transaction` both go through it, so
+a system transaction runs with its own session ambient.
+
 The commit path is ordered exactly as the paper describes: deferred (*end*)
 actions and ``before tcomplete`` events run first (still inside the
 transaction, able to ``tabort`` it), then dirty objects are written back,
@@ -49,7 +56,7 @@ from repro.transactions.txn import CURRENT_STATES, Transaction, TxnState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.database import Database
-    from repro.sessions.session import Session
+    from repro.sessions.session import Session, TransactionBlock
 
 #: How many finished transactions' outcomes :attr:`TransactionManager.
 #: outcomes` keeps (oldest evicted first).  A commit dependency is checked
@@ -89,11 +96,6 @@ class TransactionManager:
         themselves.
         """
         self._begin_listeners.append(listener)
-
-    # -- session resolution ----------------------------------------------------
-
-    def _resolve_session(self, session: "Session | None") -> "Session":
-        return session if session is not None else self.db.current_session()
 
     def active_transactions(self) -> list[Transaction]:
         """The transactions currently in flight, across all sessions."""
@@ -295,9 +297,11 @@ class TransactionManager:
     def transaction(
         self, *, system: bool = False, session: "Session | None" = None
     ) -> "TransactionBlock":
-        """``with`` block with O++ transaction-block semantics (see
-        :class:`TransactionBlock`)."""
-        return TransactionBlock(self, system, session)
+        """``with`` block in *session* (default: the current one), with O++
+        transaction-block semantics (see :class:`~repro.sessions.session.
+        TransactionBlock`)."""
+        sess = session if session is not None else self.db.current_session()
+        return sess.transaction(system=system)
 
     def run_system_transaction(
         self,
@@ -306,28 +310,21 @@ class TransactionManager:
         depends_on: int | None = None,
         session: "Session | None" = None,
     ) -> Transaction:
-        """Run *body* in a fresh system transaction and commit it.
+        """Run *body* in a fresh system transaction of *session* (default:
+        the current one) and commit it, by the block rules of
+        :meth:`transaction`; the session is ambient while *body* runs.
 
         With *depends_on*, the system transaction carries a commit
         dependency on that transaction (the *dependent* coupling mode);
         commit raises :class:`~repro.errors.CommitDependencyError` if the
         parent did not commit, and the action is rolled back.
         """
-        sess = self._resolve_session(session)
+        sess = session if session is not None else self.db.current_session()
         self.db.session_stats.system_txns += 1
-        txn = self.begin(system=True, session=sess)
-        if depends_on is not None:
-            self.dependencies.add(txn.txid, depends_on)
-        try:
+        with sess.transaction(system=True) as txn:
+            if depends_on is not None:
+                self.dependencies.add(txn.txid, depends_on)
             body(txn)
-        except TransactionAbort:
-            self.abort(txn, explicit=True)
-            return txn
-        except BaseException:
-            if txn.is_active:
-                self.abort(txn, explicit=False)
-            raise
-        self.commit(txn)  # aborts internally (and raises) on dependency failure
         return txn
 
     # -- the shared system-transaction queue -------------------------------------
@@ -361,7 +358,7 @@ class TransactionManager:
             return 0
         if self.db.closed:
             return 0
-        sess = self._resolve_session(session)
+        sess = session if session is not None else self.db.current_session()
         ran = 0
         self._draining.active = True
         try:
@@ -381,47 +378,3 @@ class TransactionManager:
             self._draining.active = False
         return ran
 
-
-class TransactionBlock:
-    """One ``with`` block with O++ transaction-block semantics.
-
-    ``__enter__`` begins the transaction and returns it.  ``__exit__``:
-
-    * a clean exit commits;
-    * ``tabort`` (a :class:`TransactionAbort` escaping the block) aborts
-      explicitly and is swallowed — execution continues after the block,
-      as in O++;
-    * any other exception aborts implicitly and propagates.
-
-    A transaction the body already finished (committed or aborted itself)
-    is left alone.  This is the only implementation of those rules:
-    :meth:`Database.transaction`, :meth:`Session.transaction` and
-    :meth:`Session.run` all go through it.
-    """
-
-    __slots__ = ("_manager", "_system", "_session", "txn")
-
-    def __init__(
-        self, manager: TransactionManager, system: bool, session: "Session | None"
-    ):
-        self._manager = manager
-        self._system = system
-        self._session = session
-        self.txn: Transaction | None = None
-
-    def __enter__(self) -> Transaction:
-        txn = self.txn = self._manager.begin(
-            system=self._system, session=self._session
-        )
-        return txn
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        txn = self.txn
-        if exc_type is None:
-            if txn.state is TxnState.ACTIVE:
-                self._manager.commit(txn)
-            return False
-        tabort = issubclass(exc_type, TransactionAbort)
-        if txn.state is TxnState.ACTIVE:
-            self._manager.abort(txn, explicit=tabort)
-        return tabort

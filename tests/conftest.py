@@ -12,6 +12,7 @@ import itertools
 import pytest
 
 from repro.objects.database import Database
+from repro.sessions import session as session_module
 
 _COUNTER = itertools.count()
 
@@ -25,6 +26,21 @@ def _clean_open_databases():
         except Exception:
             db._closed = True
     Database._open_databases.clear()
+
+
+@pytest.fixture(autouse=True)
+def _no_ambient_session_left():
+    """Fail a test that leaves a session on this thread's ambient stack:
+    every transaction block pushes its session, so a block entered by hand
+    and never exited would leave it ambient for every later test.  (A test
+    that abandons a transaction mid-flight, a simulated crash, begins it
+    with ``txn_manager.begin()``.)"""
+    yield
+    stack = getattr(session_module._ambient, "stack", None)
+    if stack:
+        left = list(stack)
+        stack.clear()
+        pytest.fail(f"the test left {left!r} on the ambient-session stack")
 
 
 @pytest.fixture

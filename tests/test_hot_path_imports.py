@@ -44,10 +44,8 @@ HOT_PATH = [
     ("repro.core.manager", ("TriggerSystem", "resolve")),
     ("repro.core.manager", ("TriggerSystem", "resolved")),
     ("repro.core.manager", ("TriggerSystem", "_resolve")),
-    ("repro.transactions.manager", ("TransactionBlock", "__enter__")),
-    ("repro.transactions.manager", ("TransactionBlock", "__exit__")),
-    ("repro.sessions.session", ("SessionTransaction", "__enter__")),
-    ("repro.sessions.session", ("SessionTransaction", "__exit__")),
+    ("repro.sessions.session", ("TransactionBlock", "__enter__")),
+    ("repro.sessions.session", ("TransactionBlock", "__exit__")),
     ("repro.sessions.session", ("Session", "deref")),
     ("repro.objects.handle", ("PersistentHandle", "_scoped")),
     ("repro.transactions.manager", ("TransactionManager", "current_or_none")),

@@ -292,10 +292,9 @@ def test_recovery_undo_restores_the_older_image(any_engine_db):
     db = any_engine_db
     path, engine = db.path, db.engine
     ptr = _committed(db, n=1)
-    # The manager's block makes no session ambient, so the block the crash
+    # A bare begin makes no session ambient, so the transaction the crash
     # leaves open leaves nothing on this thread's ambient stack.
-    block = db.txn_manager.transaction()
-    txn = block.__enter__()
+    txn = db.txn_manager.begin()
     db.deref(ptr).n = 2
     db.flush_transaction(txn)
     decode_object(db.storage.read(txn.txid, ptr.rid))  # the loser's image, memoized

@@ -2,11 +2,13 @@
 
 ``db.transaction()``, ``session.transaction()``, ``session.run(body)`` and
 ``txn_manager.transaction()`` share one implementation of the O++ block
-rules (:class:`repro.transactions.manager.TransactionBlock`).  Each test
-here drives all four through the same outcome and checks what a caller
-can observe: the transaction's final state, the value the entry point
-returns, whether the exception propagated, and that the thread's
-ambient-session stack is exactly as deep afterwards as before.
+rules (:class:`repro.sessions.session.TransactionBlock`), which also makes
+the block's session ambient; system transactions run through it too.
+Each test here drives all four through the same outcome and checks what a
+caller can observe: the transaction's final state, the value the entry
+point returns, whether the exception propagated, and that the thread's
+ambient-session stack is one deeper inside the block and exactly as deep
+afterwards as before.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from repro.objects.database import Database
 from repro.objects.persistent import Persistent
 from repro.objects.schema import field
 from repro.sessions import session as session_module
-from repro.sessions.session import SessionTransaction
+from repro.sessions.session import TransactionBlock
 from repro.storage.locks import LockMode
-from repro.transactions.manager import TransactionBlock
 from repro.transactions.txn import TxnState
 
 
@@ -79,8 +80,8 @@ FORMS = {
 }
 #: The forms that run in a session the caller names.
 SESSION_FORMS = {"session.transaction", "session.run"}
-#: The forms that make their session ambient for the block.
-PUSHING = SESSION_FORMS | {"db.transaction"}
+#: The forms that make their session ambient for the block: all of them.
+PUSHING = set(FORMS)
 
 
 @pytest.fixture(params=sorted(FORMS))
@@ -225,7 +226,7 @@ class TestBlockShape:
     def test_every_form_is_a_plain_context_manager(self, any_engine_db):
         db = any_engine_db
         session = db.default_session()
-        assert type(db.transaction()) is SessionTransaction
+        assert type(db.transaction()) is TransactionBlock
         assert type(db.txn_manager.transaction()) is TransactionBlock
         block = session.transaction()
         assert hasattr(block, "__enter__") and hasattr(block, "__exit__")
